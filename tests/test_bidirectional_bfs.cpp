@@ -1,12 +1,18 @@
 // Tests for the bidirectional BFS: distances and path counts against a
-// unidirectional reference, path validity, and uniform path sampling.
+// unidirectional reference, path validity, uniform path sampling, and
+// golden checksums that pin the kernel's exact outputs and RNG draw order.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
+#include <string>
 #include <vector>
 
+#include "gen/barabasi_albert.hpp"
 #include "gen/erdos_renyi.hpp"
+#include "gen/instances.hpp"
 #include "gen/rmat.hpp"
+#include "graph/batched_bidirectional_bfs.hpp"
 #include "graph/bfs.hpp"
 #include "graph/bidirectional_bfs.hpp"
 #include "graph/builder.hpp"
@@ -246,6 +252,130 @@ TEST(BidirectionalBfs, StarGraphHubPair) {
   bfs.sample_path(graph, rng, path);
   ASSERT_EQ(path.size(), 1u);
   EXPECT_EQ(path[0], 0u);
+}
+
+/// FNV-1a over 64-bit words: order-sensitive, so any change in a drawn
+/// path, a PairResult field, a touched count, or the RNG consumption
+/// changes the digest.
+class Fnv {
+ public:
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xffU;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(double value) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof bits);
+    add(bits);
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// The kernel's behaviour on one graph, exactly as a sampler consumes it:
+/// `samples` uniform pairs from one stream, each run() followed (when
+/// connected) by one sample_path() on the same stream. Digests every
+/// PairResult, last_touched(), and drawn path, then the stream's next
+/// outputs, which pin how many draws the samples consumed.
+std::uint64_t kernel_digest(const Graph& graph, int samples) {
+  const Vertex n = graph.num_vertices();
+  BidirectionalBfs bfs(n);
+  Rng rng = Rng(2024).split(7);
+  Fnv fnv;
+  std::vector<Vertex> path;
+  for (int i = 0; i < samples; ++i) {
+    const auto [s, t] = rng.next_distinct_pair(n);
+    const auto result =
+        bfs.run(graph, static_cast<Vertex>(s), static_cast<Vertex>(t));
+    fnv.add(std::uint64_t{result.connected});
+    fnv.add(std::uint64_t{result.distance});
+    fnv.add(result.num_paths);
+    fnv.add(bfs.last_touched());
+    if (!result.connected) continue;
+    path.clear();
+    bfs.sample_path(graph, rng, path);
+    fnv.add(std::uint64_t{path.size()});
+    for (const Vertex v : path) fnv.add(std::uint64_t{v});
+  }
+  for (int i = 0; i < 4; ++i) fnv.add(rng());
+  return fnv.value();
+}
+
+struct GoldenCase {
+  std::string name;
+  Graph graph;
+  int samples;
+  std::uint64_t digest;
+};
+
+/// Graphs the golden digests are pinned on: the suite's high-diameter road
+/// and low-diameter social proxies, a hyperbolic web proxy, a BA graph, a
+/// graph with two components (disconnected pairs), and the smallest legal
+/// graph.
+std::vector<GoldenCase> golden_cases() {
+  std::vector<std::pair<Vertex, Vertex>> two_chains;
+  for (Vertex i = 0; i + 1 < 40; ++i) {
+    two_chains.push_back({i, i + 1});
+    two_chains.push_back({40 + i, 40 + i + 1});
+  }
+  std::vector<GoldenCase> cases;
+  cases.push_back({"road-pa-proxy",
+                   gen::instance_by_name("road-pa-proxy").build(0.1, 1), 3000,
+                   11626799698064048969ULL});
+  cases.push_back({"orkut-proxy",
+                   gen::instance_by_name("orkut-proxy").build(0.1, 1), 3000,
+                   9339581837375728463ULL});
+  cases.push_back({"quick-web", gen::instance_by_name("quick-web").build(1.0, 1),
+                   3000, 14327160160290380820ULL});
+  cases.push_back({"ba", gen::barabasi_albert(3000, 5, 13), 3000,
+                   7098905436832587843ULL});
+  cases.push_back({"two-chains", from_edges(80, two_chains), 2000,
+                   16877754231801106145ULL});
+  cases.push_back({"two-vertex", from_edges(2, {{0, 1}}), 200,
+                   9848659794021105781ULL});
+  return cases;
+}
+
+TEST(BidirectionalBfsGolden, OutputsAndDrawOrderArePinned) {
+  for (const GoldenCase& golden : golden_cases()) {
+    EXPECT_EQ(kernel_digest(golden.graph, golden.samples), golden.digest)
+        << golden.name;
+  }
+}
+
+/// Digest of the scanned-set tap (both sides' expanded levels, s side
+/// first, in discovery order) over the same pair stream as kernel_digest.
+std::uint64_t scanned_digest(const Graph& graph, int samples) {
+  const Vertex n = graph.num_vertices();
+  BatchedBidirectionalBfs bfs(graph, 1);
+  Rng rng = Rng(2024).split(7);
+  Fnv fnv;
+  std::vector<Vertex> scanned;
+  for (int i = 0; i < samples; ++i) {
+    const auto [s, t] = rng.next_distinct_pair(n);
+    bfs.stage(static_cast<Vertex>(s), static_cast<Vertex>(t));
+    bfs.run_staged();
+    scanned.clear();
+    bfs.append_lane_scanned(0, scanned);
+    fnv.add(std::uint64_t{scanned.size()});
+    for (const Vertex v : scanned) fnv.add(std::uint64_t{v});
+  }
+  return fnv.value();
+}
+
+TEST(BidirectionalBfsGolden, ScannedSetTapIsPinned) {
+  const std::uint64_t expected[] = {
+      9905631755890537680ULL,  11507492599205338320ULL, 4824812114485370523ULL,
+      1939190562189313494ULL,  3962352111364490426ULL,  1306552363188680101ULL};
+  const std::vector<GoldenCase> cases = golden_cases();
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(scanned_digest(cases[i].graph, 500), expected[i])
+        << cases[i].name;
+  }
 }
 
 }  // namespace
