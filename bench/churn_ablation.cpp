@@ -104,8 +104,6 @@ int main(int argc, char** argv) {
       config.options.get_u64("batches", 5, "churn batches per rate"));
   const std::uint64_t sketch_cap = config.options.get_u64(
       "sketch_cap", 256, "scanned-set sketch size kept exact");
-  const int sample_batch = static_cast<int>(
-      config.options.get_u64("sample_batch", 16, "traversal-kernel width"));
   config.finish(
       "Incremental betweenness vs full recompute under edge churn");
   bench::print_preamble("churn ablation (incremental vs full recompute)",
@@ -158,7 +156,7 @@ int main(int argc, char** argv) {
 
     // --- Incremental: one engine, refresh per batch --------------------
     const WallTimer incremental_timer;
-    dynamic::IncrementalBc engine(params, sketch, sample_batch);
+    dynamic::IncrementalBc engine(params, sketch);
     engine.run(initial);
     const std::uint64_t initial_draws = engine.next_stream();
     dynamic::MutableGraph mutable_graph(initial);
@@ -191,7 +189,7 @@ int main(int argc, char** argv) {
       dynamic::MutableGraph replay(initial);
       for (const dynamic::EdgeBatch& batch : sequence) {
         replay.apply(batch);
-        dynamic::IncrementalBc fresh(params, sketch, sample_batch);
+        dynamic::IncrementalBc fresh(params, sketch);
         fresh.run(replay.snapshot());
         full_draws += fresh.next_stream();
       }

@@ -3,12 +3,11 @@
 // adaptive sampling phase scales linearly: almost all communication is
 // hidden behind sampling.
 //
-// Second section: the batched traversal kernel. One thread samples a
-// Barabasi-Albert proxy through the scalar PathSampler and through
-// bc::BatchSampler at each batch width; the headline number is the batched
-// samples/sec multiple over scalar at the default shape (|V| = 200k,
-// degree 8). Batch width 1 is also checked bitwise against the scalar
-// sampler - the deterministic counter the CI regression gate keys on.
+// Second section: the traversal kernel alone. One thread samples a
+// Barabasi-Albert proxy (|V| = 200k, degree 8 by default) through
+// bc::PathSampler; every rep replays the same stream, so every rep's frame
+// must be bitwise identical, and its recorded-count sum is the
+// deterministic counter the CI regression gate keys on.
 //
 // --json / out= emit a machine-readable snapshot: wall-clock rates (named
 // *_rate / *speedup*, skipped by ci/compare_bench.py) plus deterministic
@@ -16,7 +15,6 @@
 // are machine independent and gated against bench/baselines/.
 #include "bench_common.hpp"
 
-#include "bc/batch_sampler.hpp"
 #include "bc/sampler.hpp"
 #include "epoch/state_frame.hpp"
 #include "gen/barabasi_albert.hpp"
@@ -37,11 +35,11 @@ int main(int argc, char** argv) {
   using namespace distbc;
   bench::BenchConfig config(argc, argv);
   const std::uint64_t batch_vertices = config.options.get_u64(
-      "batch_n", 200000, "BA vertices of the batched-kernel section");
+      "batch_n", 200000, "BA vertices of the kernel section");
   const std::uint64_t batch_samples = config.options.get_u64(
-      "batch_samples", 4000, "samples per width in the batched section");
+      "batch_samples", 4000, "samples per rep in the kernel section");
   const std::uint64_t batch_reps = config.options.get_u64(
-      "batch_reps", 5, "interleaved repetitions per width (median taken)");
+      "batch_reps", 5, "repetitions in the kernel section (median taken)");
   config.finish("Figure 3b: sampling rate.");
   bench::print_preamble(
       "Figure 3b - samples/(time * P) during adaptive sampling",
@@ -91,10 +89,10 @@ int main(int argc, char** argv) {
               "(600-1000 samples/(s*node)\non their hardware; absolute "
               "values differ on this substrate).\n");
 
-  // --- Batched traversal kernel (graph::BatchedBidirectionalBfs) -----------
-  std::printf("\n=== Batched traversal kernel - single-thread sampling rate "
-              "===\nBA graph: %llu vertices, degree 8, seed %llu; %llu "
-              "samples per width,\nmedian of %llu interleaved reps.\n\n",
+  // --- Traversal kernel (graph::BidirectionalBfs via bc::PathSampler) -----
+  std::printf("\n=== Traversal kernel - single-thread sampling rate ===\n"
+              "BA graph: %llu vertices, degree 8, seed %llu; %llu samples "
+              "per rep,\nmedian of %llu reps.\n\n",
               static_cast<unsigned long long>(batch_vertices),
               static_cast<unsigned long long>(config.seed),
               static_cast<unsigned long long>(batch_samples),
@@ -102,85 +100,42 @@ int main(int argc, char** argv) {
   const graph::Graph ba = gen::barabasi_albert(
       static_cast<graph::Vertex>(batch_vertices), 8, config.seed);
   const graph::Vertex n = ba.num_vertices();
-  const std::vector<int> widths = {1, 2, 4, 8, 16, 32};
 
-  // Interleaved timing: scalar and every width measured once per rep, so
-  // machine noise hits all configurations alike; per config the median
-  // rep counts. Every rep re-creates the sampler with the same stream, so
-  // the sample set per configuration is fixed.
-  std::vector<double> scalar_times;
-  std::vector<std::vector<double>> width_times(widths.size());
-  epoch::StateFrame scalar_frame(n);
-  std::vector<epoch::StateFrame> width_frames(widths.size(),
-                                              epoch::StateFrame(n));
+  // Every rep re-creates the sampler on the same stream, so the sample set
+  // is fixed and each rep's frame must equal the first bitwise.
+  std::vector<double> times;
+  epoch::StateFrame first(n);
+  epoch::StateFrame frame(n);
+  bool reps_identical = true;
   for (std::uint64_t rep = 0; rep < batch_reps; ++rep) {
-    {
-      scalar_frame.clear();
-      bc::PathSampler sampler(ba, Rng(config.seed).split(0));
-      WallTimer timer;
-      for (std::uint64_t i = 0; i < batch_samples; ++i)
-        sampler.sample(scalar_frame);
-      scalar_times.push_back(timer.elapsed_s());
-    }
-    for (std::size_t w = 0; w < widths.size(); ++w) {
-      width_frames[w].clear();
-      bc::BatchSampler sampler(ba, Rng(config.seed).split(0), widths[w]);
-      WallTimer timer;
-      sampler.sample_batch(width_frames[w], batch_samples);
-      width_times[w].push_back(timer.elapsed_s());
-    }
+    frame.clear();
+    bc::PathSampler sampler(ba, Rng(config.seed).split(0));
+    WallTimer timer;
+    for (std::uint64_t i = 0; i < batch_samples; ++i) sampler.sample(frame);
+    times.push_back(timer.elapsed_s());
+    if (rep == 0) first = frame;
+    for (std::size_t i = 0; i < frame.raw().size(); ++i)
+      reps_identical &= frame.raw()[i] == first.raw()[i];
   }
+  const double rate = static_cast<double>(batch_samples) / median(times);
+  const bool tau_ok = frame.tau() == batch_samples;
 
-  const double scalar_rate =
-      static_cast<double>(batch_samples) / median(scalar_times);
-  // Deterministic counters: batch width 1 replays the scalar RNG sequence
-  // exactly, so its frame must be bitwise identical to the scalar one;
-  // every width must account every sample in tau.
-  bool identical_b1 = true;
-  for (std::size_t i = 0; i < scalar_frame.raw().size(); ++i)
-    identical_b1 &= scalar_frame.raw()[i] == width_frames[0].raw()[i];
-  bool tau_ok = scalar_frame.tau() == batch_samples;
-  for (const auto& frame : width_frames)
-    tau_ok &= frame.tau() == batch_samples;
+  TablePrinter kernel_table({"sampler", "samples/s", "count_sum"});
+  kernel_table.add_row({"PathSampler", TablePrinter::fmt(rate, 0),
+                        std::to_string(frame.count_sum())});
+  kernel_table.print();
+  std::printf("\nreps bitwise identical: %s; tau accounting: %s\n",
+              reps_identical ? "YES" : "NO", tau_ok ? "exact" : "BROKEN");
+  json.begin_row();
+  json.field("section", "kernel");
+  json.field("samples_per_sec_rate", rate);
+  json.field("count_sum", static_cast<double>(frame.count_sum()));
 
-  TablePrinter batch_table(
-      {"sampler", "samples/s", "vs scalar", "count_sum"});
-  batch_table.add_row({"scalar", TablePrinter::fmt(scalar_rate, 0), "1.00x",
-                       std::to_string(scalar_frame.count_sum())});
-  double best_speedup = 0.0;
-  double speedup_b8 = 0.0;
-  for (std::size_t w = 0; w < widths.size(); ++w) {
-    const double rate =
-        static_cast<double>(batch_samples) / median(width_times[w]);
-    const double speedup = rate / scalar_rate;
-    best_speedup = std::max(best_speedup, speedup);
-    if (widths[w] == 8) speedup_b8 = speedup;
-    batch_table.add_row({"batch B=" + std::to_string(widths[w]),
-                         TablePrinter::fmt(rate, 0),
-                         TablePrinter::fmt(speedup, 2) + "x",
-                         std::to_string(width_frames[w].count_sum())});
-    json.begin_row();
-    json.field("section", "batch_kernel");
-    json.field("batch", static_cast<double>(widths[w]));
-    json.field("samples_per_sec_rate", rate);
-    json.field("speedup_vs_scalar", speedup);
-    json.field("count_sum", static_cast<double>(width_frames[w].count_sum()));
-  }
-  batch_table.print();
-  std::printf("\nbatch=1 bitwise identical to scalar: %s; tau accounting: "
-              "%s\n(fused two-side visit records + folded intersection + "
-              "cached frontier volumes\n- same algorithm, leaner memory "
-              "traffic; see graph/batched_bidirectional_bfs.hpp)\n",
-              identical_b1 ? "YES" : "NO", tau_ok ? "exact" : "BROKEN");
-
-  json.summary("scalar_rate", scalar_rate);
-  json.summary("speedup_b8_rate", speedup_b8);
-  json.summary("best_speedup_rate", best_speedup);
-  json.summary("batch_samples", static_cast<double>(batch_samples));
-  json.summary("batch_count_sum",
-               static_cast<double>(scalar_frame.count_sum()));
-  json.summary("batch1_bitwise_identical", identical_b1 ? 1.0 : 0.0);
-  json.summary("batch_tau_ok", tau_ok ? 1.0 : 0.0);
+  json.summary("kernel_rate", rate);
+  json.summary("kernel_samples", static_cast<double>(batch_samples));
+  json.summary("kernel_count_sum", static_cast<double>(frame.count_sum()));
+  json.summary("kernel_reps_identical", reps_identical ? 1.0 : 0.0);
+  json.summary("kernel_tau_ok", tau_ok ? 1.0 : 0.0);
   json.write();
   return 0;
 }

@@ -8,12 +8,16 @@
 //   ./cluster_scaling [scale=13] [eps=0.005] [latency_us=2]
 //                     [frame_rep=dense|sparse|auto] [tree_radix=0|2|...]
 //                     [rpn=1] [leader_radix=0|2|...]
-//                     [sample_batch=1|8|...|0=auto]
 //                     [substrate=mpisim|ncclsim]
+//
+// The closing summary is computed from the rows just measured: where the
+// speedup peaked, how much of the widest run went to the sequential
+// phases, and which collective carried the aggregation bytes.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "api/session.hpp"
 #include "gen/hyperbolic.hpp"
@@ -36,8 +40,6 @@ int main(int argc, char** argv) {
   options.describe("leader_radix",
                    "leader-tree fan-in of the two-level path "
                    "(0 = inherit tree_radix; needs rpn>1)");
-  options.describe("sample_batch",
-                   "samples per traversal batch (1 = scalar, 0 = auto)");
   options.describe("substrate",
                    "comm backend the collectives run on (mpisim|ncclsim)");
   options.finish("Rank-scaling sweep on a simulated cluster.");
@@ -70,15 +72,12 @@ int main(int argc, char** argv) {
       static_cast<int>(options.get_u64("rpn", 1));
   const auto leader_radix =
       static_cast<int>(options.get_u64("leader_radix", 0));
-  const auto sample_batch =
-      static_cast<int>(options.get_u64("sample_batch", 1));
   std::printf("web proxy: %u vertices, %llu edges, frame_rep=%s, "
-              "tree_radix=%d, rpn=%d, leader_radix=%d, sample_batch=%d, "
-              "substrate=%s\n\n",
+              "tree_radix=%d, rpn=%d, leader_radix=%d, substrate=%s\n\n",
               graph->num_vertices(),
               static_cast<unsigned long long>(graph->num_edges()),
               epoch::frame_rep_name(frame_rep), tree_radix, ranks_per_node,
-              leader_radix, sample_batch, substrate_name.c_str());
+              leader_radix, substrate_name.c_str());
 
   comm::NetworkModel network;
   network.remote_latency_s = options.get_double("latency_us", 2.0) * 1e-6;
@@ -86,6 +85,13 @@ int main(int argc, char** argv) {
   std::printf("%-8s %-10s %-10s %-8s %-9s %-12s %-12s %-12s\n", "ranks",
               "total(s)", "sample(s)", "epochs", "speedup", "reduce(B)",
               "merge(B)", "bcast(B)");
+  struct Row {
+    int ranks;
+    double speedup;
+    double sequential_share;  // diameter + calibration over total
+    comm::CommVolume volume;
+  };
+  std::vector<Row> rows;
   double base_time = 0.0;
   for (const int ranks : {1, 2, 4, 8, 16}) {
     api::Config config;
@@ -98,7 +104,6 @@ int main(int argc, char** argv) {
     config.tree_radix = tree_radix;
     config.hierarchical = config.ranks_per_node > 1;
     config.leader_radix = leader_radix;
-    config.sample_batch = sample_batch;
 
     api::Session session(graph, config);
     api::BetweennessQuery query;
@@ -111,6 +116,11 @@ int main(int argc, char** argv) {
 
     if (ranks == 1) base_time = result.total_seconds;
     const comm::CommVolume& volume = result.comm_volume;
+    rows.push_back({ranks, base_time / result.total_seconds,
+                    (result.phases.seconds(Phase::kDiameter) +
+                     result.phases.seconds(Phase::kCalibration)) /
+                        result.total_seconds,
+                    volume});
     std::printf("%-8d %-10.2f %-10.2f %-8llu %-9.2f %-12llu %-12llu %-12llu\n",
                 ranks, result.total_seconds,
                 result.phases.seconds(Phase::kSampling),
@@ -120,11 +130,40 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(volume.reduce_merge_bytes),
                 static_cast<unsigned long long>(volume.bcast_bytes));
   }
-  std::printf("\nNear-linear scaling through P=8, flattening at 16 as the "
-              "sequential phases\n(diameter, calibration) gain weight - the "
-              "paper's Fig. 2a in miniature. With\nframe_rep=sparse|auto the "
-              "reduce column collapses into the (far smaller)\nmerge column: "
-              "aggregation bytes follow samples taken, not |V|. Substrate\n"
-              "selection changes the modeled clock, never the scores.\n");
+
+  // Conclusions from the rows above, not from expectations.
+  const auto best = std::max_element(
+      rows.begin(), rows.end(),
+      [](const Row& a, const Row& b) { return a.speedup < b.speedup; });
+  std::printf("\nMeasured: peak speedup %.2fx at P=%d (parallel efficiency "
+              "%.0f%%).\n",
+              best->speedup, best->ranks,
+              100.0 * best->speedup / best->ranks);
+  const Row& widest = rows.back();
+  if (best->ranks < widest.ranks) {
+    std::printf("Adding ranks past P=%d did not pay: P=%d reached %.2fx; "
+                "diameter + calibration\n(sequential phases) took %.0f%% of "
+                "its query time vs %.0f%% at P=1.\n",
+                best->ranks, widest.ranks, widest.speedup,
+                100.0 * widest.sequential_share,
+                100.0 * rows.front().sequential_share);
+  } else {
+    std::printf("Speedup still grew at P=%d; diameter + calibration took "
+                "%.0f%% of its query time.\n",
+                widest.ranks, 100.0 * widest.sequential_share);
+  }
+  const auto dense = static_cast<double>(widest.volume.reduce_bytes);
+  const auto merged = static_cast<double>(widest.volume.reduce_merge_bytes);
+  if (dense > 0.0 && merged > 0.0) {
+    std::printf("At P=%d aggregation moved %.0f B as dense reductions and "
+                "%.0f B as merged images.\n",
+                widest.ranks, dense, merged);
+  } else {
+    std::printf("At P=%d every aggregation byte rode %s (%.0f B).\n",
+                widest.ranks,
+                merged > 0.0 ? "merged wire images (frame_rep=sparse|auto)"
+                             : "dense elementwise reductions",
+                dense + merged);
+  }
   return 0;
 }

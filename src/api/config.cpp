@@ -210,19 +210,6 @@ const std::vector<Entry>& entries() {
       DISTBC_BOOL_KEY("local_aggregates", "DISTBC_LOCAL_AGGREGATES",
                       local_aggregates,
                       "keep per-rank partial aggregates (top-k substrate)"),
-      Entry{{"sample_batch", "DISTBC_SAMPLE_BATCH",
-             "samples per traversal batch (1 = scalar, 0 = auto, max 64)"},
-            [](Config& config, std::string_view value) {
-              int parsed = 0;
-              if (!parse_int(value, parsed) || parsed < 0 || parsed > 64)
-                return bad_value("sample_batch", value,
-                                 "integer in [0, 64]; 0 = auto");
-              config.sample_batch = parsed;
-              return Status::success();
-            },
-            [](const Config& config) {
-              return std::to_string(config.sample_batch);
-            }},
       Entry{{"comm_substrate", "DISTBC_COMM_SUBSTRATE",
              "collective backend: mpisim | ncclsim"},
             [](Config& config, std::string_view value) {
@@ -395,9 +382,6 @@ Status Config::validate() const {
         "free-running streams are the physical thread count)");
   if (!(balancing > 0.0) || balancing >= 1.0)
     return Status::error("balancing must be in (0, 1)");
-  if (sample_batch < 0 || sample_batch > 64)
-    return Status::error(
-        "sample_batch must be in [0, 64] (0 = auto, 1 = scalar)");
   if (service_pool_size < 1)
     return Status::error("service_pool_size must be >= 1");
   if (service_queue_capacity == 0)
@@ -420,7 +404,6 @@ engine::EngineOptions Config::engine_options() const {
   options.tree_radix = tree_radix;
   options.leader_radix = leader_radix;
   options.local_aggregates = local_aggregates;
-  options.sample_batch = sample_batch;
   return options;
 }
 

@@ -71,11 +71,6 @@ struct Config {
   /// class only. Ignored without `hierarchical`.
   int leader_radix = 0;
   bool local_aggregates = false;
-  /// Samples per traversal batch (graph::BatchedBidirectionalBfs lanes):
-  /// 1 = the scalar sampler, > 1 = batched, 0 = auto (drivers probe
-  /// candidate widths on calibration). Deterministic-mode results are
-  /// bitwise identical for every value.
-  int sample_batch = 1;
 
   // --- Communication substrate --------------------------------------------
   /// Which comm::Substrate backend the session's collectives execute on:

@@ -26,8 +26,8 @@ std::vector<std::pair<graph::Vertex, double>> pairs_from_order(
 }
 
 /// Validates and applies a query's EngineOverrides onto the engine options
-/// built from the session Config. The three overridable knobs mirror the
-/// Config table's ranges.
+/// built from the session Config. The overridable knobs mirror the Config
+/// table's ranges.
 Status apply_overrides(const EngineOverrides& overrides,
                        engine::EngineOptions& options) {
   if (overrides.tree_radix.has_value() &&
@@ -35,17 +35,10 @@ Status apply_overrides(const EngineOverrides& overrides,
     return Status::error(
         "query override tree_radix must be 0 (flat) or >= 2");
   }
-  if (overrides.sample_batch.has_value() &&
-      (*overrides.sample_batch < 0 || *overrides.sample_batch > 64)) {
-    return Status::error(
-        "query override sample_batch must be in [0, 64] (0 = auto)");
-  }
   if (overrides.frame_rep.has_value())
     options.frame_rep = *overrides.frame_rep;
   if (overrides.tree_radix.has_value())
     options.tree_radix = *overrides.tree_radix;
-  if (overrides.sample_batch.has_value())
-    options.sample_batch = *overrides.sample_batch;
   return Status::success();
 }
 
@@ -214,8 +207,7 @@ void Session::ensure_dynamic() {
   dynamic::SketchParams sketch;
   sketch.exact_cap = static_cast<std::uint32_t>(
       std::min<std::uint64_t>(config_.dynamic_sketch_cap, UINT32_MAX));
-  dynamic_ = std::make_shared<dynamic::DynamicState>(graph_, sketch,
-                                                     config_.sample_batch);
+  dynamic_ = std::make_shared<dynamic::DynamicState>(graph_, sketch);
 }
 
 void Session::bind_dynamic_state(

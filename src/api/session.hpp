@@ -64,21 +64,17 @@ namespace distbc::api {
 // --- Typed queries ----------------------------------------------------------
 
 /// Per-query engine overrides: exactly the knobs that do NOT change
-/// deterministic-mode results (bitwise invariant across representations,
-/// tree radixes, and traversal-batch widths) and do NOT enter the
-/// calibration cache key - so a service can run mixed configurations on
-/// one session or pool without splitting the cached warm state. Unset
-/// fields keep the session Config's value. On autotuned queries the tuner
-/// may still re-decide frame_rep/tree_radix; sample_batch is honored as
-/// the starting width (0 = auto probe).
+/// deterministic-mode results (bitwise invariant across representations
+/// and tree radixes) and do NOT enter the calibration cache key - so a
+/// service can run mixed configurations on one session or pool without
+/// splitting the cached warm state. Unset fields keep the session Config's
+/// value. On autotuned queries the tuner may still re-decide both.
 struct EngineOverrides {
   std::optional<engine::FrameRep> frame_rep;
-  std::optional<int> tree_radix;    // 0 = flat, else >= 2
-  std::optional<int> sample_batch;  // [0, 64]; 0 = auto
+  std::optional<int> tree_radix;  // 0 = flat, else >= 2
 
   [[nodiscard]] bool any() const {
-    return frame_rep.has_value() || tree_radix.has_value() ||
-           sample_batch.has_value();
+    return frame_rep.has_value() || tree_radix.has_value();
   }
 };
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "api/session.hpp"
-#include "bc/batch_sampler.hpp"
 #include "bc/sampler.hpp"
 #include "bc/topk.hpp"
 #include "epoch/sparse_frame.hpp"
@@ -51,62 +50,12 @@ BcResult kadabra_run_frames(const graph::Graph& graph,
   // over fresh samples, as in KADABRA. The split holds whether or not a
   // warm start skips the calibration sampling itself.
   const std::uint64_t streams = engine::num_streams(engine_options, num_ranks);
-  const auto total_threads =
-      static_cast<std::uint64_t>(num_ranks) *
-      static_cast<std::uint64_t>(engine_options.threads_per_rank);
 
-  // Resolve the traversal-batch width up front: calibration and the
-  // adaptive phase use the same sampler shape. 0 = auto: rank zero probes
-  // the candidate widths (tune::pick_sample_batch, throwaway RNG stream
-  // past the run's [0, 2V) range) and broadcasts the winner so every rank
-  // builds identical samplers.
-  {
-    int batch = engine_options.sample_batch;
-    if (batch == 0) {
-      std::uint32_t winner = 1;
-      if (is_root) {
-        winner = static_cast<std::uint32_t>(tune::pick_sample_batch(
-            Frame(n), [&](int candidate) {
-              return BatchSampler(graph,
-                                  Rng(params.seed).split(2 * streams),
-                                  candidate);
-            }));
-      }
-      if (world != nullptr) world->bcast(std::span{&winner, 1}, 0);
-      batch = static_cast<int>(winner);
-    }
-    engine_options.sample_batch =
-        std::clamp(batch, 1, graph::BatchedBidirectionalBfs::kMaxBatch);
-  }
-  const int sample_batch = engine_options.sample_batch;
-
-  // Sampler factories for both phases. The batched shape hands every
-  // stream of a physical thread the SAME traversal kernel (stream v lives
-  // on global thread v mod PT - the engine's assignment rule), so virtual
-  // streams batch across streams without growing the per-thread working
-  // set; the engine's BatchSampling protocol keeps each stream's RNG
-  // sequence scalar-identical.
-  const auto scalar_factory = [&](std::uint64_t base_stream) {
+  // Sampler factory for both phases: stream v of a phase starting at
+  // `base_stream` draws from Rng(seed).split(base_stream + v).
+  const auto sampler_factory = [&](std::uint64_t base_stream) {
     return [&graph, &params, base_stream](std::uint64_t v) {
       return PathSampler(graph, Rng(params.seed).split(base_stream + v));
-    };
-  };
-  const auto batched_factory = [&](std::uint64_t base_stream) {
-    return [&graph, &params, sample_batch, total_threads,
-            threads = engine_options.threads_per_rank,
-            kernels = std::make_shared<
-                std::vector<std::shared_ptr<graph::BatchedBidirectionalBfs>>>(
-                static_cast<std::size_t>(engine_options.threads_per_rank)),
-            base_stream](std::uint64_t v) {
-      const auto local = static_cast<std::size_t>(
-          engine::stream_owner(v, total_threads) %
-          static_cast<std::uint64_t>(threads));
-      auto& kernel = (*kernels)[local];
-      if (kernel == nullptr)
-        kernel = std::make_shared<graph::BatchedBidirectionalBfs>(
-            graph, sample_batch);
-      return BatchSampler(graph, Rng(params.seed).split(base_stream + v),
-                          kernel);
     };
   };
 
@@ -136,13 +85,8 @@ BcResult kadabra_run_frames(const graph::Graph& graph,
     WallTimer calibration_timer;
     phases.timed(Phase::kCalibration, [&] {
       const Frame initial =
-          sample_batch > 1
-              ? engine::calibrate(world, Frame(n), batched_factory(0),
-                                  state->context.initial_samples,
-                                  engine_options)
-              : engine::calibrate(world, Frame(n), scalar_factory(0),
-                                  state->context.initial_samples,
-                                  engine_options);
+          engine::calibrate(world, Frame(n), sampler_factory(0),
+                            state->context.initial_samples, engine_options);
       if (is_root) {
         finish_calibration(state->context, initial);
         // Average dense slots one sample writes (internal path vertices
@@ -206,13 +150,8 @@ BcResult kadabra_run_frames(const graph::Graph& graph,
   const auto stop = [&](const Frame& aggregate) {
     return context.stop_satisfied(aggregate);
   };
-  auto driver = sample_batch > 1
-                    ? engine::run_epochs(world, Frame(n),
-                                         batched_factory(streams), stop,
-                                         engine_options)
-                    : engine::run_epochs(world, Frame(n),
-                                         scalar_factory(streams), stop,
-                                         engine_options);
+  auto driver = engine::run_epochs(world, Frame(n), sampler_factory(streams),
+                                   stop, engine_options);
   result.adaptive_seconds = adaptive_timer.elapsed_s();
 
   phases.merge(driver.phases);

@@ -6,6 +6,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "epoch/state_frame.hpp"
 #include "graph/bidirectional_bfs.hpp"
@@ -13,6 +15,19 @@
 #include "support/random.hpp"
 
 namespace distbc::bc {
+
+/// Per-sample tap on a PathSampler: called once per sample, right after
+/// the frame record, while the traversal state is still current. `path`
+/// holds the drawn path's interior vertices (empty for a disconnected
+/// pair), `scanned` the expanded vertices of both BFS sides
+/// (graph::BidirectionalBfs::append_scanned). dynamic::SampleLedger
+/// records its invalidation sketches here.
+class SampleObserver {
+ public:
+  virtual ~SampleObserver() = default;
+  virtual void on_sample(bool connected, std::span<const graph::Vertex> path,
+                         std::span<const graph::Vertex> scanned) = 0;
+};
 
 class PathSampler {
  public:
@@ -31,14 +46,28 @@ class PathSampler {
     const auto t = static_cast<graph::Vertex>(t64);
     const auto pair = bfs_.run(*graph_, s, t);
     ++taken_;
-    if (!pair.connected) {
-      frame.record_empty();
-      return;
-    }
     scratch_.clear();
-    bfs_.sample_path(*graph_, rng_, scratch_);
-    frame.record(scratch_);
+    if (pair.connected) {
+      bfs_.sample_path(*graph_, rng_, scratch_);
+      frame.record(scratch_);
+    } else {
+      frame.record_empty();
+    }
+    if (observer_ != nullptr) {
+      scanned_.clear();
+      bfs_.append_scanned(scanned_);
+      observer_->on_sample(pair.connected, scratch_, scanned_);
+    }
   }
+
+  /// Moves the sampler onto another RNG stream, keeping its traversal
+  /// workspace: samples continue exactly as a fresh PathSampler on `rng`
+  /// would take them.
+  void set_stream(Rng rng) { rng_ = rng; }
+
+  /// Installs (or clears, with nullptr) the per-sample observer. The
+  /// observer must outlive every subsequent sample.
+  void set_observer(SampleObserver* observer) { observer_ = observer; }
 
   [[nodiscard]] std::uint64_t samples_taken() const { return taken_; }
 
@@ -47,7 +76,9 @@ class PathSampler {
   graph::BidirectionalBfs bfs_;
   Rng rng_;
   std::vector<graph::Vertex> scratch_;
+  std::vector<graph::Vertex> scanned_;
   std::uint64_t taken_ = 0;
+  SampleObserver* observer_ = nullptr;
 };
 
 }  // namespace distbc::bc

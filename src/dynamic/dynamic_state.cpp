@@ -10,10 +10,8 @@
 namespace distbc::dynamic {
 
 DynamicState::DynamicState(std::shared_ptr<const graph::Graph> initial,
-                           SketchParams sketch, int sample_batch)
-    : graph_(std::move(initial)),
-      sketch_(sketch),
-      sample_batch_(sample_batch > 0 ? sample_batch : 16) {}
+                           SketchParams sketch)
+    : graph_(std::move(initial)), sketch_(sketch) {}
 
 ApplyReport DynamicState::apply(EdgeBatch batch) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -87,7 +85,7 @@ DynamicState::QueryView DynamicState::query(const bc::KadabraParams& params) {
   QueryView view;
   auto& engine = engines_[engine_key(params)];
   if (engine == nullptr) {
-    engine = std::make_unique<IncrementalBc>(params, sketch_, sample_batch_);
+    engine = std::make_unique<IncrementalBc>(params, sketch_);
     engine->run(graph_.snapshot());
     view.first_run = true;
   }

@@ -72,10 +72,8 @@ struct ApplyReport {
 
 class DynamicState {
  public:
-  /// `sample_batch` is the traversal-kernel width engines run at
-  /// (0 = the default of 16).
   DynamicState(std::shared_ptr<const graph::Graph> initial,
-               SketchParams sketch, int sample_batch);
+               SketchParams sketch);
 
   /// Validates, applies, and propagates one batch through every live
   /// engine. On a rejected batch (validation failure, empty batch, or a
@@ -119,7 +117,6 @@ class DynamicState {
   mutable std::mutex mutex_;
   MutableGraph graph_;
   SketchParams sketch_;
-  int sample_batch_;
   std::map<EngineKey, std::unique_ptr<IncrementalBc>> engines_;
 };
 

@@ -19,74 +19,30 @@ void IncrementalBc::Recorder::on_sample(bool connected,
   }
 }
 
-IncrementalBc::IncrementalBc(bc::KadabraParams params, SketchParams sketch,
-                             int sample_batch)
-    : params_(params),
-      sketch_(sketch),
-      sample_batch_(std::clamp(sample_batch, 1,
-                               graph::BatchedBidirectionalBfs::kMaxBatch)),
-      ledger_(sketch) {}
+IncrementalBc::IncrementalBc(bc::KadabraParams params, SketchParams sketch)
+    : params_(params), sketch_(sketch), ledger_(sketch) {}
 
-void IncrementalBc::sample_chunk(std::span<const std::uint64_t> streams,
-                                 std::span<const std::uint32_t> slots,
-                                 epoch::StateFrame& frame, bool record) {
-  DISTBC_ASSERT(!streams.empty() &&
-                streams.size() <=
-                    static_cast<std::size_t>(kernel_->capacity()));
-  DISTBC_ASSERT(slots.empty() || slots.size() == streams.size());
-  // One single-sample BatchSampler per stream, all sharing the kernel: the
-  // cross-stream protocol (post ascending, one flush, finish ascending)
-  // keeps every stream's draw order independent of the kernel width.
-  std::vector<bc::BatchSampler> samplers;
-  samplers.reserve(streams.size());
-  const Rng root(params_.seed);
-  for (const std::uint64_t stream : streams)
-    samplers.emplace_back(*graph_, root.split(stream), kernel_);
-  for (bc::BatchSampler& sampler : samplers) {
-    const bool posted = sampler.post_sample();
-    DISTBC_ASSERT_MSG(posted, "chunk width exceeds the kernel batch");
-  }
-  samplers.front().flush_staged();
-  Recorder recorder;
-  recorder.ledger = record ? &ledger_ : nullptr;
-  for (std::size_t i = 0; i < samplers.size(); ++i) {
-    recorder.stream = streams[i];
-    recorder.replace_index =
-        slots.empty() ? -1 : static_cast<std::int64_t>(slots[i]);
-    if (record) samplers[i].set_observer(&recorder);
-    samplers[i].finish_sample(frame);
-  }
+void IncrementalBc::sample_next(epoch::StateFrame& frame, bool record,
+                                std::int64_t replace_index) {
+  // A stream's draws depend only on its index, never on which samples
+  // shared the workspace before it.
+  const std::uint64_t stream = next_stream_++;
+  sampler_->set_stream(Rng(params_.seed).split(stream));
+  recorder_.ledger = &ledger_;
+  recorder_.stream = stream;
+  recorder_.replace_index = replace_index;
+  sampler_->set_observer(record ? &recorder_ : nullptr);
+  sampler_->sample(frame);
 }
 
 void IncrementalBc::sample_fresh(std::uint64_t count, epoch::StateFrame& frame,
                                  bool record) {
-  std::vector<std::uint64_t> streams;
-  while (count > 0) {
-    const auto width = static_cast<std::size_t>(std::min<std::uint64_t>(
-        count, static_cast<std::uint64_t>(sample_batch_)));
-    streams.clear();
-    for (std::size_t i = 0; i < width; ++i)
-      streams.push_back(next_stream_ + i);
-    sample_chunk(streams, {}, frame, record);
-    next_stream_ += width;
-    count -= width;
-  }
+  for (std::uint64_t i = 0; i < count; ++i) sample_next(frame, record, -1);
 }
 
 void IncrementalBc::resample_slots(std::span<const std::uint32_t> slots) {
-  std::vector<std::uint64_t> streams;
-  std::size_t done = 0;
-  while (done < slots.size()) {
-    const std::size_t width =
-        std::min(slots.size() - done, static_cast<std::size_t>(sample_batch_));
-    streams.clear();
-    for (std::size_t i = 0; i < width; ++i)
-      streams.push_back(next_stream_ + i);
-    sample_chunk(streams, slots.subspan(done, width), aggregate_,
-                 /*record=*/true);
-    next_stream_ += width;
-    done += width;
-  }
+  for (const std::uint32_t slot : slots)
+    sample_next(aggregate_, /*record=*/true, slot);
 }
 
 std::uint64_t IncrementalBc::adaptive_loop() {
@@ -110,8 +66,7 @@ std::uint64_t IncrementalBc::adaptive_loop() {
 void IncrementalBc::run(std::shared_ptr<const graph::Graph> graph) {
   DISTBC_ASSERT(graph != nullptr);
   graph_ = std::move(graph);
-  kernel_ = std::make_shared<graph::BatchedBidirectionalBfs>(*graph_,
-                                                             sample_batch_);
+  sampler_.emplace(*graph_, Rng(params_.seed));
   ledger_.clear();
   epochs_ = 0;
   vertex_diameter_ = bc::kadabra_vertex_diameter(*graph_, params_);
@@ -153,8 +108,7 @@ IncrementalBc::RefreshStats IncrementalBc::refresh(
   }
 
   graph_ = std::move(graph);
-  kernel_ = std::make_shared<graph::BatchedBidirectionalBfs>(*graph_,
-                                                             sample_batch_);
+  sampler_.emplace(*graph_, Rng(params_.seed));
   resample_slots(verdict.dirty);
   stats.resampled = verdict.dirty.size();
 

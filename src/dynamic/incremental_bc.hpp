@@ -30,24 +30,22 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
-#include "bc/batch_sampler.hpp"
 #include "bc/kadabra_context.hpp"
+#include "bc/sampler.hpp"
 #include "dynamic/edge_batch.hpp"
 #include "dynamic/sample_ledger.hpp"
 #include "epoch/state_frame.hpp"
-#include "graph/batched_bidirectional_bfs.hpp"
 #include "graph/graph.hpp"
 
 namespace distbc::dynamic {
 
 class IncrementalBc {
  public:
-  /// `sample_batch` is the traversal-kernel width (clamped to [1, 64]).
-  IncrementalBc(bc::KadabraParams params, SketchParams sketch,
-                int sample_batch);
+  IncrementalBc(bc::KadabraParams params, SketchParams sketch);
 
   /// From-scratch run on `graph` (must be connected): phases 1-3, ledger
   /// rebuilt. Resets any previous state except the stream counter (streams
@@ -98,13 +96,11 @@ class IncrementalBc {
                    std::span<const graph::Vertex> scanned) override;
   };
 
-  /// One kernel-wide chunk: a fresh single-sample BatchSampler per stream,
-  /// cross-stream staged and finished in ascending order. `slots` (parallel
-  /// to `streams`) selects ledger replacement; empty = append. `record`
-  /// false skips the ledger entirely (calibration samples).
-  void sample_chunk(std::span<const std::uint64_t> streams,
-                    std::span<const std::uint32_t> slots,
-                    epoch::StateFrame& frame, bool record);
+  /// One sample on the next fresh stream into `frame`. `replace_index`
+  /// selects the ledger slot it replaces (< 0 = append); `record` false
+  /// skips the ledger entirely (calibration samples).
+  void sample_next(epoch::StateFrame& frame, bool record,
+                   std::int64_t replace_index);
   /// `count` fresh samples on fresh streams, appended to the ledger when
   /// `record` is set.
   void sample_fresh(std::uint64_t count, epoch::StateFrame& frame,
@@ -117,10 +113,12 @@ class IncrementalBc {
 
   bc::KadabraParams params_;
   SketchParams sketch_;
-  int sample_batch_;
 
   std::shared_ptr<const graph::Graph> graph_;
-  std::shared_ptr<graph::BatchedBidirectionalBfs> kernel_;
+  /// One traversal workspace for every stream: moved onto each sample's
+  /// own stream (PathSampler::set_stream) before it samples.
+  std::optional<bc::PathSampler> sampler_;
+  Recorder recorder_;
   bc::KadabraContext context_;
   epoch::StateFrame aggregate_;
   SampleLedger ledger_;

@@ -8,9 +8,9 @@
 // deterministic RNG stream index it was drawn on, and a sketch of the
 // sample's SCANNED region - the vertices whose adjacency lists the
 // balanced bidirectional BFS expanded, i.e. per side the levels
-// [0, completed_levels) (graph::BatchedBidirectionalBfs::
-// append_lane_scanned). The scanned set, NOT the full discovered ball, is
-// the sound invalidation region:
+// [0, completed_levels) (graph::BidirectionalBfs::append_scanned). The
+// scanned set, NOT the full discovered ball, is the sound invalidation
+// region:
 //
 //   an edge (u, v) whose insertion or deletion changes the s-t
 //   shortest-path set satisfies d(s,u) + 1 + d(v,t) <= d in some

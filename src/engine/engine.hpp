@@ -49,7 +49,6 @@
 #pragma once
 
 #include <algorithm>
-#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <string_view>
@@ -142,18 +141,6 @@ struct EngineOptions {
   /// per-rank partials (e.g. the distributed top-k extraction). Off by
   /// default - it costs one frame merge per epoch.
   bool local_aggregates = false;
-  /// Samples per traversal batch. Drivers whose sampler supports batching
-  /// (bc::BatchSampler over graph::BatchedBidirectionalBfs) hand the
-  /// engine batch-capable samplers when this is > 1; the engine then
-  /// batches through the BatchSampling protocol (deterministic mode: post
-  /// one pair per stream, flush, finish in stream order - each stream's
-  /// RNG sequence is untouched, so aggregates stay bitwise identical to
-  /// scalar sampling for every batch size). 1 = the scalar sampler;
-  /// 0 = auto: the driver probes candidate widths on calibration
-  /// (tune::pick_sample_batch) and resolves the winner before the engine
-  /// sees the options. The engine never interprets the value itself - it
-  /// is the driver-facing carrier, like frame_rep.
-  int sample_batch = 1;
 };
 
 /// Number of RNG streams a run with these options draws from; sampler
@@ -188,19 +175,6 @@ struct EngineResult {
 
 namespace detail {
 
-/// Batch-capable sampler protocol (bc::BatchSampler): the engine stages
-/// one pair per stream into a shared traversal kernel, seals the batch,
-/// then finishes the staged lanes in stream order. Scalar samplers
-/// (bc::PathSampler) don't model this and take the plain sample() loops.
-template <typename Sampler, typename Frame>
-concept BatchSampling = requires(Sampler s, Frame& f, std::uint64_t n) {
-  { s.post_sample() } -> std::convertible_to<bool>;
-  s.flush_staged();
-  s.finish_sample(f);
-  s.sample_batch(f, n);
-  { s.batch_capacity() } -> std::convertible_to<int>;
-};
-
 /// The streams a physical thread owns, with their exact per-epoch shares
 /// (used in deterministic mode; free-running threads own exactly one).
 template <typename Sampler>
@@ -213,50 +187,11 @@ struct ThreadStreams {
 
   template <typename Frame>
   std::uint64_t sample_shares(Frame& frame) {
-    if constexpr (BatchSampling<Sampler, Frame>) {
-      return sample_shares_batched(frame);
-    } else {
-      std::uint64_t count = 0;
-      for (Stream& stream : streams) {
-        for (std::uint64_t i = 0; i < stream.share; ++i)
-          stream.sampler.sample(frame);
-        count += stream.share;
-      }
-      return count;
-    }
-  }
-
-  /// Share draining for batch-capable samplers. Per pass: post one pair
-  /// per stream with remaining share (stream order; stop early when the
-  /// shared kernel fills), seal, then finish the posted lanes in that
-  /// same order. Each stream's own RNG draw sequence is exactly the
-  /// scalar loop's, and frame records are commutative uint64 counts, so
-  /// the epoch aggregate is bitwise identical to the scalar path for any
-  /// batch capacity - including streams sharing one kernel.
-  template <typename Frame>
-  std::uint64_t sample_shares_batched(Frame& frame) {
     std::uint64_t count = 0;
-    std::vector<std::uint64_t> remaining(streams.size());
-    for (std::size_t i = 0; i < streams.size(); ++i)
-      remaining[i] = streams[i].share;
-    std::vector<std::size_t> posted;
-    posted.reserve(streams.size());
-    while (true) {
-      posted.clear();
-      for (std::size_t i = 0; i < streams.size(); ++i) {
-        if (remaining[i] == 0) continue;
-        if (!streams[i].sampler.post_sample()) break;  // kernel full
-        posted.push_back(i);
-        --remaining[i];
-      }
-      if (posted.empty()) break;  // every share drained
-      // Seal per posted stream: a no-op for streams sharing an already
-      // sealed kernel, required when streams hold private kernels.
-      for (const std::size_t i : posted) streams[i].sampler.flush_staged();
-      for (const std::size_t i : posted) {
-        streams[i].sampler.finish_sample(frame);
-        ++count;
-      }
+    for (Stream& stream : streams) {
+      for (std::uint64_t i = 0; i < stream.share; ++i)
+        stream.sampler.sample(frame);
+      count += stream.share;
     }
     return count;
   }
@@ -405,7 +340,6 @@ EngineResult<Frame> run_epochs(comm::Substrate* world, const Frame& prototype,
   // stream rank * T + t - the unified RNG-stream derivation rule.
   auto thread_streams = detail::assign_streams(
       rank, num_threads, total_threads, streams, n0_total, make_sampler);
-  using Sampler = std::decay_t<decltype(make_sampler(std::uint64_t{0}))>;
 
   Hierarchy hierarchy;
   if (options.hierarchical && multi_rank) {
@@ -441,24 +375,10 @@ EngineResult<Frame> run_epochs(comm::Substrate* world, const Frame& prototype,
       }
     }
     auto& stream = thread_streams[t].streams.front();
-    if constexpr (detail::BatchSampling<Sampler, Frame>) {
-      // Free-running threads own their kernel outright, so they sample in
-      // full-capacity chunks; epoch boundaries stay chunk-granular, which
-      // free-running mode already tolerates (overlap samples land in
-      // whatever epoch is current).
-      const auto chunk =
-          static_cast<std::uint64_t>(stream.sampler.batch_capacity());
-      while (!manager.stopped()) {
-        stream.sampler.sample_batch(manager.frame(t, epoch), chunk);
-        count += chunk;
-        if (manager.check_transition(t, epoch)) ++epoch;
-      }
-    } else {
-      while (!manager.stopped()) {
-        stream.sampler.sample(manager.frame(t, epoch));
-        ++count;
-        if (manager.check_transition(t, epoch)) ++epoch;
-      }
+    while (!manager.stopped()) {
+      stream.sampler.sample(manager.frame(t, epoch));
+      ++count;
+      if (manager.check_transition(t, epoch)) ++epoch;
     }
     taken[t] = count;
   };
@@ -524,20 +444,9 @@ EngineResult<Frame> run_epochs(comm::Substrate* world, const Frame& prototype,
           count += thread_streams[0].sample_shares(manager.frame(0, epoch));
         } else {
           auto& stream = thread_streams[0].streams.front();
-          if constexpr (detail::BatchSampling<Sampler, Frame>) {
-            const auto capacity =
-                static_cast<std::uint64_t>(stream.sampler.batch_capacity());
-            for (std::uint64_t i = 0; i < n0_share;) {
-              const std::uint64_t chunk = std::min(capacity, n0_share - i);
-              stream.sampler.sample_batch(manager.frame(0, epoch), chunk);
-              i += chunk;
-              count += chunk;
-            }
-          } else {
-            for (std::uint64_t i = 0; i < n0_share; ++i) {
-              stream.sampler.sample(manager.frame(0, epoch));
-              ++count;
-            }
+          for (std::uint64_t i = 0; i < n0_share; ++i) {
+            stream.sampler.sample(manager.frame(0, epoch));
+            ++count;
           }
         }
       });

@@ -18,6 +18,11 @@ void write_edge_list(const Graph& graph, const std::string& path);
 
 /// Binary CSR snapshot (magic + counts + raw arrays, little-endian).
 void write_binary(const Graph& graph, const std::string& path);
+/// Reads a write_binary() snapshot. Throws std::runtime_error on a file
+/// whose size disagrees with its header or whose CSR breaks a Graph
+/// invariant: offsets not monotone from 0 to the arc count, neighbor ids
+/// out of range, self-loops, unsorted or parallel arcs, or an arc without
+/// its reverse.
 [[nodiscard]] Graph read_binary(const std::string& path);
 
 }  // namespace distbc::graph

@@ -58,8 +58,7 @@ void SessionPool::bootstrap(api::Config config) {
   dynamic::SketchParams sketch;
   sketch.exact_cap = static_cast<std::uint32_t>(
       std::min<std::uint64_t>(config.dynamic_sketch_cap, UINT32_MAX));
-  dynamic_ = std::make_shared<dynamic::DynamicState>(graph_, sketch,
-                                                     config.sample_batch);
+  dynamic_ = std::make_shared<dynamic::DynamicState>(graph_, sketch);
   replicas_.reserve(pool_size);
   for (int i = 0; i < pool_size; ++i) {
     replicas_.push_back(std::make_unique<api::Session>(graph_, config));

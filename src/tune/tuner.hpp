@@ -163,43 +163,4 @@ template <typename Frame, typename MakeSampler>
   return timer.elapsed_s() / static_cast<double>(probes);
 }
 
-/// Candidate traversal-batch widths for the sample_batch = 0 (auto) arm.
-inline constexpr int kDefaultBatchCandidates[] = {1, 2, 4, 8, 16, 32};
-
-/// The sample_batch auto arm: measures batched samples/sec per candidate
-/// width on throwaway probe samplers (the run's RNG streams are untouched)
-/// and returns the winning width for this graph shape. Every candidate
-/// samples the same count with the same probe seed, so the comparison is
-/// work-for-work. A wider batch must beat the best smaller one by
-/// `margin` to win - the widths are throughput-equivalent within noise on
-/// many shapes, and smaller batches bound staging latency.
-template <typename Frame, typename MakeBatchSampler>
-[[nodiscard]] int pick_sample_batch(const Frame& prototype,
-                                    MakeBatchSampler&& make_batch_sampler,
-                                    std::span<const int> candidates =
-                                        std::span<const int>(
-                                            kDefaultBatchCandidates),
-                                    int probes = 256, double margin = 0.05) {
-  DISTBC_ASSERT(!candidates.empty());
-  Frame scratch(prototype);
-  int best_batch = candidates.front();
-  double best_rate = 0.0;
-  for (const int batch : candidates) {
-    scratch.clear();
-    auto sampler = make_batch_sampler(batch);
-    // One warm-up chunk outside the timer: first touches page in the
-    // kernel's workspace.
-    sampler.sample_batch(scratch, static_cast<std::uint64_t>(batch));
-    WallTimer timer;
-    sampler.sample_batch(scratch, static_cast<std::uint64_t>(probes));
-    const double elapsed = std::max(timer.elapsed_s(), 1e-9);
-    const double rate = static_cast<double>(probes) / elapsed;
-    if (rate > best_rate * (1.0 + margin)) {
-      best_rate = rate;
-      best_batch = batch;
-    }
-  }
-  return best_batch;
-}
-
 }  // namespace distbc::tune

@@ -428,6 +428,21 @@ TEST(ApiConfig, UnknownKeysAndMalformedValuesAreRejected) {
   EXPECT_FALSE(config.load_text("no equals sign here\n").ok);
 }
 
+TEST(ApiConfig, RemovedSampleBatchKnobFailsLoudly) {
+  // The traversal-batch width knob is gone (one kernel, no widths): old
+  // config text naming it must fail with the unknown-key Status, not be
+  // silently ignored.
+  api::Config config;
+  const api::Status text = config.load_text("sample_batch=8\n");
+  EXPECT_FALSE(text.ok);
+  EXPECT_NE(text.message.find("unknown config key 'sample_batch'"),
+            std::string::npos)
+      << text.message;
+  const api::Status set = config.set("sample_batch", "1");
+  EXPECT_FALSE(set.ok);
+  EXPECT_NE(set.message.find("unknown config key"), std::string::npos);
+}
+
 TEST(ApiConfig, MalformedEnvironmentIsALoudError) {
   const ScopedEnv env("DISTBC_TREE_RADIX", "1");
   api::Config config;

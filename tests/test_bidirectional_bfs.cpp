@@ -12,7 +12,6 @@
 #include "gen/erdos_renyi.hpp"
 #include "gen/instances.hpp"
 #include "gen/rmat.hpp"
-#include "graph/batched_bidirectional_bfs.hpp"
 #include "graph/bfs.hpp"
 #include "graph/bidirectional_bfs.hpp"
 #include "graph/builder.hpp"
@@ -351,16 +350,15 @@ TEST(BidirectionalBfsGolden, OutputsAndDrawOrderArePinned) {
 /// first, in discovery order) over the same pair stream as kernel_digest.
 std::uint64_t scanned_digest(const Graph& graph, int samples) {
   const Vertex n = graph.num_vertices();
-  BatchedBidirectionalBfs bfs(graph, 1);
+  BidirectionalBfs bfs(n);
   Rng rng = Rng(2024).split(7);
   Fnv fnv;
   std::vector<Vertex> scanned;
   for (int i = 0; i < samples; ++i) {
     const auto [s, t] = rng.next_distinct_pair(n);
-    bfs.stage(static_cast<Vertex>(s), static_cast<Vertex>(t));
-    bfs.run_staged();
+    (void)bfs.run(graph, static_cast<Vertex>(s), static_cast<Vertex>(t));
     scanned.clear();
-    bfs.append_lane_scanned(0, scanned);
+    bfs.append_scanned(scanned);
     fnv.add(std::uint64_t{scanned.size()});
     for (const Vertex v : scanned) fnv.add(std::uint64_t{v});
   }

@@ -92,40 +92,6 @@ TEST(Determinism, FrameRepresentationDoesNotChangeSingleRankResults) {
   }
 }
 
-TEST(Determinism, SampleBatchIsBitwiseInvariantAcrossRepresentations) {
-  // The tentpole contract of the batched traversal kernel: every lane runs
-  // the scalar algorithm with the scalar RNG draw order, so deterministic
-  // runs are bitwise identical across batch widths - for every frame
-  // representation.
-  const auto graph = test_graph();
-  auto run = [&](int batch, engine::FrameRep rep) {
-    KadabraOptions options;
-    options.params.epsilon = 0.1;
-    options.params.seed = 81;
-    options.engine.threads_per_rank = 2;
-    options.engine.deterministic = true;
-    options.engine.virtual_streams = 4;
-    options.engine.frame_rep = rep;
-    options.engine.sample_batch = batch;
-    return kadabra_shm(graph, options);
-  };
-  const BcResult scalar = run(1, engine::FrameRep::kDense);
-  ASSERT_GT(scalar.samples, 0u);
-  for (const int batch : {1, 8}) {
-    for (const engine::FrameRep rep :
-         {engine::FrameRep::kDense, engine::FrameRep::kSparse,
-          engine::FrameRep::kAuto}) {
-      const BcResult result = run(batch, rep);
-      EXPECT_EQ(scalar.samples, result.samples) << "batch " << batch;
-      EXPECT_EQ(scalar.epochs, result.epochs) << "batch " << batch;
-      ASSERT_EQ(scalar.scores.size(), result.scores.size());
-      for (std::size_t v = 0; v < scalar.scores.size(); ++v)
-        EXPECT_EQ(scalar.scores[v], result.scores[v])
-            << "batch " << batch << " vertex " << v;
-    }
-  }
-}
-
 TEST(Determinism, DifferentSeedsGiveDifferentSampleSets) {
   const auto graph = test_graph();
   KadabraParams a_params;

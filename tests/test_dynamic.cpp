@@ -210,8 +210,7 @@ TEST(MutableGraph, ServesInPlaceRebuildOnOverflowAndRevertsExactly) {
 
 TEST(IncrementalBc, CleanSamplesSurviveChurn) {
   const auto initial = std::make_shared<const graph::Graph>(churn_graph());
-  dynamic::IncrementalBc engine(churn_params(), exact_sketch(),
-                                /*sample_batch=*/8);
+  dynamic::IncrementalBc engine(churn_params(), exact_sketch());
   engine.run(initial);
   ASSERT_TRUE(engine.ran());
   const std::uint64_t samples0 = engine.samples();
@@ -249,7 +248,7 @@ TEST(IncrementalBc, RunPlusRefreshSequencesReplayBitwise) {
 
   const auto replay = [&] {
     dynamic::MutableGraph mutable_graph(initial);
-    dynamic::IncrementalBc engine(churn_params(), exact_sketch(), 8);
+    dynamic::IncrementalBc engine(churn_params(), exact_sketch());
     engine.run(initial);
     dynamic::EdgeBatch first;
     first.insert(added.u, added.v);
@@ -281,7 +280,7 @@ TEST(IncrementalBc, RunPlusRefreshSequencesReplayBitwise) {
 
 TEST(IncrementalBc, RecalibratesOnlyWhenTheBoundIsViolated) {
   const auto initial = std::make_shared<const graph::Graph>(churn_graph());
-  dynamic::IncrementalBc engine(churn_params(), exact_sketch(), 8);
+  dynamic::IncrementalBc engine(churn_params(), exact_sketch());
   engine.run(initial);
   const std::uint32_t vd0 = engine.vertex_diameter();
   const std::uint64_t omega0 = engine.context().omega;
@@ -323,8 +322,8 @@ TEST(SampleLedger, BloomFalsePositivesOnlyCostExtraResamples) {
   const auto initial = std::make_shared<const graph::Graph>(churn_graph(42));
   const bc::KadabraParams params = churn_params(0.05);
 
-  dynamic::IncrementalBc exact_engine(params, exact_sketch(), 8);
-  dynamic::IncrementalBc bloom_engine(params, bloom_sketch(), 8);
+  dynamic::IncrementalBc exact_engine(params, exact_sketch());
+  dynamic::IncrementalBc bloom_engine(params, bloom_sketch());
   exact_engine.run(initial);
   bloom_engine.run(initial);
   EXPECT_EQ(bloom_engine.ledger().bloom_sketches(),
@@ -369,7 +368,7 @@ TEST(SampleLedger, BloomFalsePositivesOnlyCostExtraResamples) {
   // ...and every extra verdict costs one resample, never a wrong score:
   // both estimators agree with a from-scratch run on the final snapshot
   // within the KADABRA error budget.
-  dynamic::IncrementalBc reference(params, exact_sketch(), 8);
+  dynamic::IncrementalBc reference(params, exact_sketch());
   reference.run(mutable_graph.snapshot());
   const std::vector<double> ref = reference.scores();
   for (const auto* engine : {&exact_engine, &bloom_engine}) {
@@ -387,7 +386,7 @@ TEST(SampleLedger, BloomFalsePositivesOnlyCostExtraResamples) {
 
 TEST(DynamicState, RejectsBadBatchesTransactionally) {
   const auto initial = std::make_shared<const graph::Graph>(churn_graph());
-  dynamic::DynamicState state(initial, exact_sketch(), 8);
+  dynamic::DynamicState state(initial, exact_sketch());
   const std::uint64_t fp0 = state.fingerprint();
 
   EXPECT_FALSE(state.apply(dynamic::EdgeBatch{}).status.ok);  // empty
@@ -426,7 +425,7 @@ TEST(DynamicState, RejectsBadBatchesTransactionally) {
 
 TEST(DynamicState, RefreshAccountingCoversEveryRetainedSample) {
   const auto initial = std::make_shared<const graph::Graph>(churn_graph());
-  dynamic::DynamicState state(initial, exact_sketch(), 8);
+  dynamic::DynamicState state(initial, exact_sketch());
 
   const auto first = state.query(churn_params());
   ASSERT_TRUE(first.status.ok);
@@ -456,7 +455,6 @@ TEST(DynamicState, RefreshAccountingCoversEveryRetainedSample) {
 api::Config dynamic_config(int pool_size = 2) {
   api::Config config;
   config.seed = 4321;
-  config.sample_batch = 8;
   config.service_pool_size = pool_size;
   return config;
 }

@@ -182,44 +182,6 @@ TEST(EngineEquivalence, FrameRepresentationSweepIsBitwiseIdentical) {
   }
 }
 
-// The batched-traversal contract: sample_batch must never change a
-// deterministic result. Scalar (1) and batched (8) samplers draw the same
-// per-stream RNG sequences and the engine finishes batched lanes in stream
-// order, so every (batch, representation, strategy) cell is bitwise
-// identical to the scalar dense baseline.
-TEST(EngineEquivalence, SampleBatchSweepIsBitwiseIdentical) {
-  const graph::Graph graph = equivalence_graph();
-  auto run = [&](int batch, engine::FrameRep rep,
-                 engine::Aggregation aggregation) {
-    bc::KadabraOptions options = deterministic_options(2);
-    options.engine.sample_batch = batch;
-    options.engine.frame_rep = rep;
-    options.engine.aggregation = aggregation;
-    return bc::kadabra_mpi(graph, options, /*num_ranks=*/2,
-                           /*ranks_per_node=*/1,
-                           mpisim::NetworkModel::disabled());
-  };
-  const bc::BcResult baseline =
-      run(1, engine::FrameRep::kDense, engine::Aggregation::kIbarrierReduce);
-  ASSERT_GT(baseline.samples, 0u);
-  for (const int batch : {1, 8}) {
-    for (const engine::FrameRep rep :
-         {engine::FrameRep::kDense, engine::FrameRep::kSparse,
-          engine::FrameRep::kAuto}) {
-      for (const engine::Aggregation aggregation :
-           {engine::Aggregation::kIbarrierReduce,
-            engine::Aggregation::kIreduce, engine::Aggregation::kBlocking}) {
-        const bc::BcResult result = run(batch, rep, aggregation);
-        const std::string label =
-            "batch " + std::to_string(batch) + " / " +
-            epoch::frame_rep_name(rep) + " / " +
-            engine::aggregation_name(aggregation);
-        expect_bitwise_equal(baseline, result, label.c_str());
-      }
-    }
-  }
-}
-
 // Sparse runs move strictly fewer aggregation bytes than dense ones on a
 // sparsely-hit instance (the motivating claim, checked end to end).
 TEST(EngineEquivalence, SparseRepresentationShrinksAggregationBytes) {

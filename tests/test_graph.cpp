@@ -152,6 +152,81 @@ TEST_F(IoTest, ReadMissingFileThrows) {
                std::runtime_error);
 }
 
+/// Writes a binary graph file from raw header counts and CSR arrays, so
+/// tests can craft files that write_binary() would never produce.
+void write_raw_binary(const std::filesystem::path& path, std::uint64_t n,
+                      std::uint64_t arcs, const std::vector<EdgeId>& offsets,
+                      const std::vector<Vertex>& adjacency) {
+  std::ofstream out(path, std::ios::binary);
+  const std::uint64_t magic = 0x44425443'52535631ULL;
+  out.write(reinterpret_cast<const char*>(&magic), sizeof magic);
+  out.write(reinterpret_cast<const char*>(&n), sizeof n);
+  out.write(reinterpret_cast<const char*>(&arcs), sizeof arcs);
+  out.write(reinterpret_cast<const char*>(offsets.data()),
+            static_cast<std::streamsize>(offsets.size() * sizeof(EdgeId)));
+  out.write(reinterpret_cast<const char*>(adjacency.data()),
+            static_cast<std::streamsize>(adjacency.size() * sizeof(Vertex)));
+}
+
+/// Expects read_binary to reject the file with a message naming `defect`.
+void expect_rejected(const std::filesystem::path& path,
+                     const std::string& defect) {
+  try {
+    (void)read_binary(path.string());
+    ADD_FAILURE() << "accepted a file with: " << defect;
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(defect), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST_F(IoTest, BinaryAcceptsCraftedValidFile) {
+  // Path 0 - 1 - 2.
+  write_raw_binary(path_, 3, 4, {0, 1, 3, 4}, {1, 0, 2, 1});
+  const Graph graph = read_binary(path_.string());
+  EXPECT_EQ(graph.num_vertices(), 3u);
+  EXPECT_EQ(graph.num_edges(), 2u);
+  EXPECT_TRUE(graph.has_edge(1, 2));
+}
+
+TEST_F(IoTest, BinaryRejectsMalformedCsr) {
+  write_raw_binary(path_, 3, 4, {0, 1, 3, 4}, {1, 0, 7, 1});
+  expect_rejected(path_, "neighbor id out of range");
+  write_raw_binary(path_, 3, 4, {0, 3, 1, 4}, {1, 0, 2, 1});
+  expect_rejected(path_, "offsets decrease");
+  write_raw_binary(path_, 3, 4, {1, 1, 3, 4}, {1, 0, 2, 1});
+  expect_rejected(path_, "offsets do not start at 0");
+  write_raw_binary(path_, 3, 4, {0, 1, 3, 3}, {1, 0, 2, 1});
+  expect_rejected(path_, "last offset does not match the arc count");
+  write_raw_binary(path_, 2, 4, {0, 2, 4}, {0, 1, 0, 1});
+  expect_rejected(path_, "self-loop");
+  write_raw_binary(path_, 2, 4, {0, 2, 4}, {1, 1, 0, 0});
+  expect_rejected(path_, "parallel arcs");
+  write_raw_binary(path_, 3, 4, {0, 2, 3, 4}, {2, 1, 0, 1});
+  expect_rejected(path_, "not strictly increasing");
+  write_raw_binary(path_, 3, 2, {0, 1, 1, 2}, {1, 0});
+  expect_rejected(path_, "without its reverse");
+}
+
+TEST_F(IoTest, BinaryRejectsHeaderSizeMismatch) {
+  // Counts far beyond the file: rejected before any allocation.
+  write_raw_binary(path_, 1u << 30, 1ull << 40, {0, 0}, {});
+  expect_rejected(path_, "does not match its header");
+  write_raw_binary(path_, 3, 4, {0, 1, 3, 4}, {1, 0, 2});
+  expect_rejected(path_, "does not match its header");
+  // Trailing bytes past the declared arrays.
+  write_raw_binary(path_, 3, 4, {0, 1, 3, 4}, {1, 0, 2, 1, 9});
+  expect_rejected(path_, "does not match its header");
+  write_raw_binary(path_, 0xffffffffULL, 0, {}, {});
+  expect_rejected(path_, "vertex count out of range");
+  {
+    std::ofstream out(path_, std::ios::binary);
+    const std::uint64_t magic = 0x44425443'52535631ULL;
+    out.write(reinterpret_cast<const char*>(&magic), sizeof magic);
+  }
+  expect_rejected(path_, "truncated header");
+}
+
 TEST_F(IoTest, BinaryRejectsBadMagic) {
   {
     std::ofstream out(path_, std::ios::binary);

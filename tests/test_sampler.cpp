@@ -82,14 +82,24 @@ TEST(PathSampler, TwoSamplersWithSameSeedAgree) {
       graph::largest_component(gen::erdos_renyi(80, 200, 6));
   PathSampler a(graph, Rng(7));
   PathSampler b(graph, Rng(7));
+  // A sampler moved onto the same stream after sampling elsewhere (the
+  // workspace reuse dynamic::IncrementalBc relies on) agrees too.
+  PathSampler c(graph, Rng(99));
   epoch::StateFrame frame_a(graph.num_vertices());
   epoch::StateFrame frame_b(graph.num_vertices());
+  epoch::StateFrame frame_c(graph.num_vertices());
+  for (int i = 0; i < 50; ++i) c.sample(frame_c);
+  frame_c.clear();
+  c.set_stream(Rng(7));
   for (int i = 0; i < 2000; ++i) {
     a.sample(frame_a);
     b.sample(frame_b);
+    c.sample(frame_c);
   }
-  for (Vertex v = 0; v < graph.num_vertices(); ++v)
+  for (Vertex v = 0; v < graph.num_vertices(); ++v) {
     ASSERT_EQ(frame_a.count(v), frame_b.count(v));
+    ASSERT_EQ(frame_a.count(v), frame_c.count(v));
+  }
 }
 
 TEST(PathSampler, SplitStreamsDecorrelate) {

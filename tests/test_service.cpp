@@ -578,13 +578,11 @@ TEST(SessionOverrides, MixedRepresentationsOnOneSessionStayBitwise) {
   api::BetweennessQuery overridden = query;
   overridden.engine.frame_rep = epoch::FrameRep::kSparse;
   overridden.engine.tree_radix = 3;
-  overridden.engine.sample_batch = 8;
   const api::Result result = session.run(overridden);
   ASSERT_TRUE(result.status.ok);
   EXPECT_TRUE(result.calibration_reused);  // overrides don't split the key
   EXPECT_EQ(result.engine_used.frame_rep, epoch::FrameRep::kSparse);
   EXPECT_EQ(result.engine_used.tree_radix, 3);
-  EXPECT_EQ(result.engine_used.sample_batch, 8);
   ASSERT_EQ(result.scores.size(), baseline.scores.size());
   for (std::size_t v = 0; v < baseline.scores.size(); ++v)
     EXPECT_EQ(result.scores[v], baseline.scores[v]);
@@ -593,9 +591,6 @@ TEST(SessionOverrides, MixedRepresentationsOnOneSessionStayBitwise) {
   api::BetweennessQuery bad_radix = query;
   bad_radix.engine.tree_radix = 1;
   EXPECT_FALSE(session.run(bad_radix).status.ok);
-  api::BetweennessQuery bad_batch = query;
-  bad_batch.engine.sample_batch = 65;
-  EXPECT_FALSE(session.run(bad_batch).status.ok);
 }
 
 }  // namespace
