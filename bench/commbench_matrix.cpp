@@ -1,5 +1,5 @@
-// CommBench-style substrate x pattern x payload matrix over the pluggable
-// comm::Substrate API: every backend (mpisim MPI-flavored, ncclsim
+// CommBench-style substrate x pattern x payload matrix over the
+// comm::Substrate API: every profile (mpisim MPI-flavored, ncclsim
 // NCCL-flavored) runs the same five collective patterns - dense reduce,
 // sparse tree merge, allreduce, gatherv, bcast - at a sweep of payload
 // sizes on one fixed cluster shape, and reports the bytes moved plus the

@@ -5,6 +5,7 @@
 
 #include "bc/kadabra_context.hpp"
 #include "bc/sampler.hpp"
+#include "comm/substrate.hpp"
 #include "epoch/epoch_manager.hpp"
 #include "epoch/state_frame.hpp"
 #include "gen/hyperbolic.hpp"
@@ -122,10 +123,13 @@ void BM_SimulatedReduce(benchmark::State& state) {
   config.network = mpisim::NetworkModel::disabled();
   mpisim::Runtime runtime(config);
   for (auto _ : state) {
-    runtime.run([&](mpisim::Comm& comm) {
+    runtime.run([&](mpisim::Comm& rank_comm) {
+      const auto substrate =
+          comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
       std::vector<std::uint64_t> send(count, 1);
       std::vector<std::uint64_t> recv(count, 0);
-      comm.reduce(std::span<const std::uint64_t>(send), std::span(recv), 0);
+      substrate->reduce(std::span<const std::uint64_t>(send), std::span(recv),
+                        0);
     });
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -375,6 +376,8 @@ Status Config::validate() const {
   if (leader_radix == 1 || leader_radix < 0)
     return Status::error("leader_radix must be 0 (inherit) or >= 2");
   if (epoch_base == 0) return Status::error("epoch_base must be >= 1");
+  if (!std::isfinite(epoch_exponent) || epoch_exponent < 0.0)
+    return Status::error("epoch_exponent must be finite and >= 0");
   if (omega_fraction == 0) return Status::error("omega_fraction must be >= 1");
   if (virtual_streams != 0 && !deterministic)
     return Status::error(

@@ -73,9 +73,9 @@ struct Config {
   bool local_aggregates = false;
 
   // --- Communication substrate --------------------------------------------
-  /// Which comm::Substrate backend the session's collectives execute on:
-  /// kMpisim (the paper's simulated-MPI transport) or kNcclsim (a modeled
-  /// NCCL-style backend: NVLink-like intra-node and IB-like inter-node
+  /// Which network profile the session's comm::Substrate collectives run
+  /// on: kMpisim (the paper's simulated-MPI transport) or kNcclsim (a
+  /// modeled NCCL-style stack: NVLink-like intra-node and IB-like inter-node
   /// links, ring all-reduce pricing, kernel-launch latency, device-side
   /// progress). Deterministic-mode scores are bitwise identical across
   /// substrates; only the modeled clock and link economics differ.

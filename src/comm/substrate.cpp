@@ -40,15 +40,17 @@ NetworkModel network_model_for(SubstrateKind kind, const NetworkModel& base) {
   return model;
 }
 
+std::unique_ptr<Substrate> Substrate::split_by_node() {
+  return make_substrate(kind_, comm_.split_by_node());
+}
+
+std::unique_ptr<Substrate> Substrate::split_node_leaders() {
+  return make_substrate(kind_, comm_.split_node_leaders());
+}
+
 std::unique_ptr<Substrate> make_substrate(SubstrateKind kind,
                                           mpisim::Comm comm) {
-  switch (kind) {
-    case SubstrateKind::kNcclsim:
-      return std::make_unique<NcclSimSubstrate>(std::move(comm));
-    case SubstrateKind::kMpisim:
-      break;
-  }
-  return std::make_unique<MpisimSubstrate>(std::move(comm));
+  return std::make_unique<Substrate>(kind, std::move(comm));
 }
 
 }  // namespace distbc::comm

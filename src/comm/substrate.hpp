@@ -1,36 +1,43 @@
-// Substrate-neutral communication API (the engine's transport seam).
+// The communication surface the epoch engine, drivers, and tuner speak.
 //
-// comm::Substrate declares the collective surface the epoch engine
-// actually uses - blocking/non-blocking reductions, the variable-length
-// merge family (flat, radix-tree, decentralized all-merge), gathers,
-// broadcasts, barriers, the window hook the hierarchical pre-reduction
-// rides, and the stats snapshot - so the engine, drivers, and tuner speak
-// one interface while the transport behind it is pluggable:
+// comm::Substrate is the typed collective API over one rank's mpisim::Comm
+// handle: blocking/non-blocking reductions, the variable-length merge
+// family (flat, radix-tree, decentralized all-merge), gathers, broadcasts,
+// barriers, the window hook the hierarchical pre-reduction rides, and the
+// stats snapshot. Types are erased once here and every call lands on
+// mpisim's byte-level slot plane.
 //
-//   * MpisimSubstrate  - the simulated MPI stack (mpisim's slot protocol
-//     and interconnect model), the paper's CPU/OmniPath setting;
-//   * NcclSimSubstrate - a modeled NCCL-style GPU collective stack:
-//     NVLink-like intra-node and IB-like inter-node links, ring
-//     all-reduce pricing, no Ireduce progression penalty (a device-side
-//     progress engine), but a kernel-launch latency on every collective.
+// The substrate kind names a network profile, not a second data plane:
 //
-// Both backends share mpisim's slot data plane, so the deterministic
-// rank-order merge replay is common code and deterministic scores are
-// bitwise identical across substrates - only the cost model (and hence
-// modeled time, overlap behavior, and tuner-visible economics) differs.
-// This is the library axis of the CommBench library x pattern matrix
-// (bench/commbench_matrix.cpp); adding a real transport means deriving
-// from Substrate, implementing the byte-level do_* plane, and teaching
-// substrate_from_name/make_substrate about the new kind.
+//   * kMpisim  - the simulated MPI stack's interconnect model, the paper's
+//     CPU/OmniPath setting;
+//   * kNcclsim - a modeled NCCL-style GPU collective stack: NVLink-like
+//     intra-node and IB-like inter-node links, ring all-reduce pricing, no
+//     Ireduce progression penalty (a device-side progress engine), but a
+//     kernel-launch latency on every collective (network_model_for).
 //
-// The typed template methods mirror mpisim::Comm's documented semantics
-// verbatim (eager sends, slot matching by per-handle call order, merge
-// callables run under the communicator lock); see mpisim/comm.hpp for
-// the full contracts.
+// Both kinds run the same slot protocol, so the deterministic rank-order
+// merge replay is common code and deterministic scores are bitwise
+// identical across kinds - only the cost model (and hence modeled time,
+// overlap behavior, and tuner-visible economics) differs. This is the
+// library axis of the CommBench library x pattern matrix
+// (bench/commbench_matrix.cpp).
+//
+// Semantics shared by every collective:
+//  * All ranks of the communicator call collectives in the same order
+//    (standard MPI requirement); slots are matched by the handle's call
+//    counter, so all of a rank's traffic must flow through one substrate.
+//  * Sends are eager: the contribution is copied into the slot at post
+//    time, so the caller may reuse its send buffer as soon as the call
+//    returns, and a non-root's non-blocking request completes after its
+//    own modeled injection cost.
+//  * The root's completion time is the last arrival plus a modeled
+//    collective cost; blocking calls wait until then, non-blocking
+//    requests report done only once the deadline passed, so
+//    communication/computation overlap behaves as on a real network.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -47,15 +54,15 @@
 
 namespace distbc::comm {
 
-// The wire-level vocabulary is shared with mpisim so results, stats, and
-// request handles flow through unchanged regardless of backend.
+// The wire-level vocabulary is mpisim's, so results, stats, and request
+// handles flow through unchanged.
 using Request = mpisim::Request;
 using ReduceOp = mpisim::ReduceOp;
 using CommStats = mpisim::CommStats;
 using CommVolume = mpisim::CommVolume;
 using NetworkModel = mpisim::NetworkModel;
 
-/// The selectable backends (api::Config key `comm_substrate`, env
+/// The selectable network profiles (api::Config key `comm_substrate`, env
 /// `DISTBC_COMM_SUBSTRATE`).
 enum class SubstrateKind : std::uint8_t { kMpisim, kNcclsim };
 
@@ -68,34 +75,45 @@ enum class SubstrateKind : std::uint8_t { kMpisim, kNcclsim };
 /// IB-like remote link parameters, ring all-reduce pricing, a per-
 /// collective kernel-launch latency, and an ideal progress engine (no
 /// Ireduce progression penalty, free polls), while keeping base's master
-/// switch and dedicated-core economics.
+/// switch and dedicated-core economics. Pair a runtime built on this model
+/// with make_substrate(kind, ...).
 [[nodiscard]] NetworkModel network_model_for(SubstrateKind kind,
                                              const NetworkModel& base);
 
 class Substrate {
  public:
-  virtual ~Substrate() = default;
+  Substrate(SubstrateKind kind, mpisim::Comm comm)
+      : comm_(std::move(comm)), kind_(kind) {}
 
   // --- Identity ---------------------------------------------------------
 
-  [[nodiscard]] virtual SubstrateKind kind() const = 0;
-  [[nodiscard]] const char* name() const { return substrate_name(kind()); }
-  [[nodiscard]] virtual bool valid() const = 0;
-  [[nodiscard]] virtual int rank() const = 0;
-  [[nodiscard]] virtual int size() const = 0;
-  [[nodiscard]] virtual int node() const = 0;
-  [[nodiscard]] virtual int num_nodes() const = 0;
-  [[nodiscard]] virtual int max_ranks_per_node() const = 0;
+  [[nodiscard]] SubstrateKind kind() const { return kind_; }
+  [[nodiscard]] const char* name() const { return substrate_name(kind_); }
+  [[nodiscard]] bool valid() const { return comm_.valid(); }
+  [[nodiscard]] int rank() const { return comm_.rank(); }
+  [[nodiscard]] int size() const { return comm_.size(); }
+  [[nodiscard]] int node() const { return comm_.node(); }
+  [[nodiscard]] int num_nodes() const { return comm_.num_nodes(); }
+  /// Largest number of ranks sharing one node - the cluster-shape fact
+  /// collective cost charging is based on.
+  [[nodiscard]] int max_ranks_per_node() const {
+    return comm_.max_ranks_per_node();
+  }
 
   // --- Telemetry --------------------------------------------------------
 
-  [[nodiscard]] virtual CommStats& stats() = 0;
-  [[nodiscard]] virtual const NetworkModel& network() const = 0;
-  [[nodiscard]] virtual double modeled_collective_seconds(
-      std::uint64_t bytes) const = 0;
+  [[nodiscard]] CommStats& stats() { return comm_.stats(); }
+  [[nodiscard]] const NetworkModel& network() const { return comm_.network(); }
+
+  /// The interconnect model's charged duration for one collective over
+  /// this communicator's topology moving `bytes` per hop - the analytic
+  /// anchor the tune/ microbench reports its measurements against.
+  [[nodiscard]] double modeled_collective_seconds(std::uint64_t bytes) const {
+    return comm_.modeled_collective_seconds(bytes);
+  }
 
   /// Stats snapshot stamped with this substrate's name, so results and
-  /// bench JSON attribute the bytes to the transport that moved them.
+  /// bench JSON attribute the bytes to the profile that moved them.
   [[nodiscard]] CommVolume volume() {
     CommVolume v = stats().volume();
     v.substrate = name();
@@ -104,201 +122,249 @@ class Substrate {
 
   // --- Topology ---------------------------------------------------------
 
-  /// Child substrate over the ranks sharing this rank's node. Same
-  /// backend kind; always valid.
-  [[nodiscard]] virtual std::unique_ptr<Substrate> split_by_node() = 0;
+  /// Child substrate over the ranks sharing this rank's node (paper
+  /// §IV-E). Same kind; always valid.
+  [[nodiscard]] std::unique_ptr<Substrate> split_by_node();
 
-  /// Child substrate over the first rank of each node; non-leaders
+  /// Child substrate over the first rank of each node (the paper's global
+  /// communicator for the inter-node reduction). Same kind; non-leaders
   /// receive an invalid (valid() == false) substrate.
-  [[nodiscard]] virtual std::unique_ptr<Substrate> split_node_leaders() = 0;
+  [[nodiscard]] std::unique_ptr<Substrate> split_node_leaders();
 
   /// Window pre-reduce hook (paper §IV-E): creates or attaches to a
   /// node-shared window of `bytes` zeroed bytes. Collective; all ranks
   /// receive the same state. Used by comm::Window.
-  [[nodiscard]] virtual std::shared_ptr<mpisim::detail::WindowState>
-  window_collective(std::size_t bytes) = 0;
+  [[nodiscard]] std::shared_ptr<mpisim::detail::WindowState>
+  window_collective(std::size_t bytes) {
+    return comm_.window_collective(bytes);
+  }
 
-  // --- Collectives (typed facade over the byte-level do_* plane) --------
+  // --- Fixed-size collectives -------------------------------------------
 
-  virtual void barrier() = 0;
-  [[nodiscard]] virtual Request ibarrier() = 0;
+  void barrier() { comm_.barrier(); }
+  [[nodiscard]] Request ibarrier() { return comm_.ibarrier(); }
 
   template <typename T>
   void reduce(std::span<const T> send, std::span<T> recv, int root,
               ReduceOp op = ReduceOp::kSum) {
     DISTBC_ASSERT(rank() != root || recv.size() == send.size());
-    do_reduce(as_bytes(send.data()), send.size() * sizeof(T), send.size(),
-              as_bytes_mut(recv.data()), mpisim::detail::combine_fn<T>(op),
-              root, /*blocking=*/true);
+    comm_.reduce_bytes_impl(as_bytes(send.data()), send.size() * sizeof(T),
+                            send.size(), as_bytes_mut(recv.data()),
+                            mpisim::detail::combine_fn<T>(op), root,
+                            /*blocking=*/true);
   }
 
+  /// Non-blocking reduce; the §IV-F software-progression penalty stretches
+  /// its completion deadline and every unsuccessful root test() pays the
+  /// modeled poll tax.
   template <typename T>
   [[nodiscard]] Request ireduce(std::span<const T> send, std::span<T> recv,
                                 int root, ReduceOp op = ReduceOp::kSum) {
     DISTBC_ASSERT(rank() != root || recv.size() == send.size());
-    return do_ireduce(as_bytes(send.data()), send.size() * sizeof(T),
-                      send.size(), as_bytes_mut(recv.data()),
-                      mpisim::detail::combine_fn<T>(op), root);
+    return comm_.ireduce_bytes_impl(as_bytes(send.data()),
+                                    send.size() * sizeof(T), send.size(),
+                                    as_bytes_mut(recv.data()),
+                                    mpisim::detail::combine_fn<T>(op), root);
   }
 
+  /// All-reduce: every rank receives the full reduction. One collective,
+  /// priced as a recursive-halving reduce-scatter followed by a
+  /// recursive-doubling all-gather (butterfly alpha-beta accounting) -
+  /// no root hotspot, so nothing lands in root_ingest_bytes. The shared
+  /// reduction combines contributions in rank order, so the result is
+  /// bitwise identical on every rank to a reduce-to-rank-0 + broadcast.
   template <typename T>
   void allreduce(std::span<const T> send, std::span<T> recv,
                  ReduceOp op = ReduceOp::kSum) {
     DISTBC_ASSERT(recv.size() == send.size());
-    do_allreduce(as_bytes(send.data()), send.size() * sizeof(T), send.size(),
-                 as_bytes_mut(recv.data()),
-                 mpisim::detail::combine_fn<T>(op));
+    comm_.allreduce_bytes_impl(as_bytes(send.data()), send.size() * sizeof(T),
+                               send.size(), as_bytes_mut(recv.data()),
+                               mpisim::detail::combine_fn<T>(op));
   }
 
+  /// Non-blocking all-reduce; every rank completes once the butterfly's
+  /// modeled deadline passes (§IV-F progression penalty and poll tax
+  /// apply to every rank - all of them progress the butterfly).
   template <typename T>
   [[nodiscard]] Request iallreduce(std::span<const T> send, std::span<T> recv,
                                    ReduceOp op = ReduceOp::kSum) {
     DISTBC_ASSERT(recv.size() == send.size());
-    return do_iallreduce(as_bytes(send.data()), send.size() * sizeof(T),
-                         send.size(), as_bytes_mut(recv.data()),
-                         mpisim::detail::combine_fn<T>(op));
+    return comm_.iallreduce_bytes_impl(as_bytes(send.data()),
+                                       send.size() * sizeof(T), send.size(),
+                                       as_bytes_mut(recv.data()),
+                                       mpisim::detail::combine_fn<T>(op));
   }
 
+  /// Reduce-scatter: the elementwise reduction of every rank's `send`
+  /// (size() * recv.size() elements each) scattered in rank-order blocks;
+  /// rank r receives block r. One recursive-halving butterfly phase.
   template <typename T>
   void reduce_scatter(std::span<const T> send, std::span<T> recv,
                       ReduceOp op = ReduceOp::kSum) {
     DISTBC_ASSERT(send.size() ==
                   recv.size() * static_cast<std::size_t>(size()));
-    do_reduce_scatter(as_bytes(send.data()), send.size() * sizeof(T),
-                      send.size(), as_bytes_mut(recv.data()),
-                      mpisim::detail::combine_fn<T>(op));
+    comm_.reduce_scatter_bytes_impl(as_bytes(send.data()),
+                                    send.size() * sizeof(T), send.size(),
+                                    as_bytes_mut(recv.data()),
+                                    mpisim::detail::combine_fn<T>(op));
   }
 
+  /// All-gather: the rank-order concatenation of every rank's `send`
+  /// (equal sizes) delivered to every rank; recv holds size() *
+  /// send.size() elements. One recursive-doubling butterfly phase.
+  /// reduce_scatter + all_gather compose to allreduce.
   template <typename T>
   void all_gather(std::span<const T> send, std::span<T> recv) {
     DISTBC_ASSERT(recv.size() ==
                   send.size() * static_cast<std::size_t>(size()));
-    do_all_gather(as_bytes(send.data()), send.size() * sizeof(T),
-                  as_bytes_mut(recv.data()));
+    comm_.all_gather_bytes_impl(as_bytes(send.data()),
+                                send.size() * sizeof(T),
+                                as_bytes_mut(recv.data()));
   }
 
   template <typename T>
   void bcast(std::span<T> buffer, int root) {
-    do_bcast(as_bytes_mut(buffer.data()), buffer.size() * sizeof(T), root,
-             /*blocking=*/true);
+    comm_.bcast_bytes_impl(as_bytes_mut(buffer.data()),
+                           buffer.size() * sizeof(T), root,
+                           /*blocking=*/true);
   }
 
   template <typename T>
   [[nodiscard]] Request ibcast(std::span<T> buffer, int root) {
-    return do_ibcast(as_bytes_mut(buffer.data()), buffer.size() * sizeof(T),
-                     root);
+    return comm_.ibcast_bytes_impl(as_bytes_mut(buffer.data()),
+                                   buffer.size() * sizeof(T), root);
   }
 
+  // --- Variable-length collectives (sparse frame images) ----------------
+  //
+  // Unlike the fixed-size collectives above, every rank may contribute a
+  // different element count. The root's completion deadline is the last
+  // arrival plus the alpha-beta tree cost charged at the *largest*
+  // contribution (the reduction tree's critical path carries the biggest
+  // payload; with auto-densifying frames, merged payloads stay within the
+  // densify threshold of the dense frame, bounding union growth). Non-root
+  // bytes are accounted per path (CommStats::reduce_merge_bytes /
+  // gatherv_bytes).
+
+  /// Sparse-merge reduction: `merge(src_rank, payload)` is invoked at the
+  /// root exactly once per rank, in rank order, when the reduction
+  /// completes (inside the blocking call, or the completing test()/wait()
+  /// of the non-blocking form). `merge` runs under the communicator lock
+  /// and must not call back into the communicator. Non-roots may pass any
+  /// callable; it is ignored.
   template <typename T, typename MergeFn>
   void reduce_merge(std::span<const T> send, MergeFn&& merge, int root) {
-    do_mergev(mpisim::detail::SlotKind::kReduceMerge, as_bytes(send.data()),
-              send.size() * sizeof(T),
-              erase_merge<T>(std::forward<MergeFn>(merge), root), root);
+    comm_.mergev_bytes_impl(
+        mpisim::detail::SlotKind::kReduceMerge, as_bytes(send.data()),
+        send.size() * sizeof(T),
+        erase_merge<T>(std::forward<MergeFn>(merge), root), root);
   }
 
+  /// Non-blocking merge reduction; progresses like ireduce (§IV-F
+  /// progression penalty and poll tax apply).
   template <typename T, typename MergeFn>
   [[nodiscard]] Request ireduce_merge(std::span<const T> send,
                                       MergeFn&& merge, int root) {
-    return do_imergev(mpisim::detail::SlotKind::kReduceMerge,
-                      as_bytes(send.data()), send.size() * sizeof(T),
-                      erase_merge<T>(std::forward<MergeFn>(merge), root),
-                      root);
+    return comm_.imergev_bytes_impl(
+        mpisim::detail::SlotKind::kReduceMerge, as_bytes(send.data()),
+        send.size() * sizeof(T),
+        erase_merge<T>(std::forward<MergeFn>(merge), root), root);
   }
 
+  /// Decentralized merge reduction: like reduce_merge, but EVERY rank
+  /// supplies its own `merge(src_rank, payload)` consumer, and each
+  /// rank's consumer replays all size() contributions in rank order at
+  /// that rank's own completion - identical inputs in identical order, so
+  /// every rank reconstructs the root-side aggregate bitwise. Priced as
+  /// an all-reduce butterfly at the largest contribution; there is no
+  /// root, so nothing lands in root_ingest_bytes (the decentralized
+  /// termination path this exists for). Consumers run under the
+  /// communicator lock and must not call back into the communicator.
   template <typename T, typename MergeFn>
   void allreduce_merge(std::span<const T> send, MergeFn&& merge) {
-    do_allmerge(as_bytes(send.data()), send.size() * sizeof(T),
-                erase_merge_all<T>(std::forward<MergeFn>(merge)));
+    comm_.allmerge_bytes_impl(as_bytes(send.data()), send.size() * sizeof(T),
+                              erase_merge_all<T>(std::forward<MergeFn>(merge)));
   }
 
+  /// Non-blocking decentralized merge; progresses like iallreduce (§IV-F
+  /// progression penalty, and every rank pays the poll tax). The consumer
+  /// must own its state (capture by value): it runs at this rank's
+  /// completing test()/wait(), which other ranks' polls may precede.
   template <typename T, typename MergeFn>
   [[nodiscard]] Request iallreduce_merge(std::span<const T> send,
                                          MergeFn&& merge) {
-    return do_iallmerge(as_bytes(send.data()), send.size() * sizeof(T),
-                        erase_merge_all<T>(std::forward<MergeFn>(merge)));
+    return comm_.iallmerge_bytes_impl(
+        as_bytes(send.data()), send.size() * sizeof(T),
+        erase_merge_all<T>(std::forward<MergeFn>(merge)));
   }
 
+  /// Tree-merge reduction: contributions combine at interior ranks of a
+  /// radix-`radix` tree rooted at `root` instead of all landing at the
+  /// root. Every rank supplies the same image combiner
+  /// `combine(acc, contribution)` - an additive in-place re-encode (e.g.
+  /// epoch::merge_images, which densifies mid-tree once the merged image
+  /// stops paying). Each tree hop is charged a point-to-point alpha-beta
+  /// cost and the completion deadline follows the tree's critical path, so
+  /// latency grows with depth (log_radix P) while the root ingests only
+  /// its direct children's merged images (root_ingest_bytes) instead of
+  /// every per-rank payload. At completion the root's `merge` consumer
+  /// receives the root's own contribution (src = root) and one merged
+  /// image per direct child subtree (src = that child's rank). Both
+  /// callables run under the communicator lock and must not call back
+  /// into the communicator; decoding must be order-independent (additive).
+  /// Lifetime: the slot stores the FIRST poster's combiner and invokes it
+  /// at the last arrival - by which time a non-root's non-blocking form
+  /// may already have completed - so the combiner must own its state
+  /// (capture by value), never reference the caller's stack.
   template <typename T, typename CombineFn, typename MergeFn>
   void reduce_merge_tree(std::span<const T> send, CombineFn&& combine,
                          MergeFn&& merge, int root, int radix) {
-    do_tree(as_bytes(send.data()), send.size() * sizeof(T),
-            erase_combine<T>(std::forward<CombineFn>(combine)),
-            erase_merge<T>(std::forward<MergeFn>(merge), root), root, radix);
+    comm_.tree_bytes_impl(as_bytes(send.data()), send.size() * sizeof(T),
+                          erase_combine<T>(std::forward<CombineFn>(combine)),
+                          erase_merge<T>(std::forward<MergeFn>(merge), root),
+                          root, radix);
   }
 
+  /// Non-blocking tree merge; progresses like ireduce (§IV-F progression
+  /// penalty and poll tax apply). Interior combines are charged as each
+  /// subtree's modeled deadline passes - any rank's test() advances them,
+  /// the same progress-polling hook the engine uses for ibcast - so their
+  /// compute cost overlaps the caller's sampling instead of extending the
+  /// completion deadline (the blocking form keeps combine time on the
+  /// critical path).
   template <typename T, typename CombineFn, typename MergeFn>
   [[nodiscard]] Request ireduce_merge_tree(std::span<const T> send,
                                            CombineFn&& combine,
                                            MergeFn&& merge, int root,
                                            int radix) {
-    return do_itree(as_bytes(send.data()), send.size() * sizeof(T),
-                    erase_combine<T>(std::forward<CombineFn>(combine)),
-                    erase_merge<T>(std::forward<MergeFn>(merge), root), root,
-                    radix);
+    return comm_.itree_bytes_impl(
+        as_bytes(send.data()), send.size() * sizeof(T),
+        erase_combine<T>(std::forward<CombineFn>(combine)),
+        erase_merge<T>(std::forward<MergeFn>(merge), root), root, radix);
   }
 
+  /// Variable-length gather: at the root, `recv` is resized to size() and
+  /// recv[r] receives rank r's contribution; untouched at non-roots.
   template <typename T>
   void gatherv(std::span<const T> send, std::vector<std::vector<T>>& recv,
                int root) {
-    do_mergev(mpisim::detail::SlotKind::kGatherv, as_bytes(send.data()),
-              send.size() * sizeof(T), erase_gather<T>(recv, root), root);
+    comm_.mergev_bytes_impl(mpisim::detail::SlotKind::kGatherv,
+                            as_bytes(send.data()), send.size() * sizeof(T),
+                            erase_gather<T>(recv, root), root);
   }
 
+  /// Non-blocking gatherv; `recv` must stay alive until completion.
   template <typename T>
   [[nodiscard]] Request igatherv(std::span<const T> send,
                                  std::vector<std::vector<T>>& recv,
                                  int root) {
-    return do_imergev(mpisim::detail::SlotKind::kGatherv,
-                      as_bytes(send.data()), send.size() * sizeof(T),
-                      erase_gather<T>(recv, root), root);
+    return comm_.imergev_bytes_impl(mpisim::detail::SlotKind::kGatherv,
+                                    as_bytes(send.data()),
+                                    send.size() * sizeof(T),
+                                    erase_gather<T>(recv, root), root);
   }
 
- protected:
-  // Byte-level data plane a backend implements. Signatures mirror
-  // mpisim::Comm's byte layer; the typed facade above erases types once
-  // and every backend shares that code.
-  virtual void do_reduce(const std::byte* send, std::size_t bytes,
-                         std::size_t count, std::byte* recv,
-                         mpisim::detail::CombineFn combine, int root,
-                         bool blocking) = 0;
-  virtual Request do_ireduce(const std::byte* send, std::size_t bytes,
-                             std::size_t count, std::byte* recv,
-                             mpisim::detail::CombineFn combine, int root) = 0;
-  virtual void do_allreduce(const std::byte* send, std::size_t bytes,
-                            std::size_t count, std::byte* recv,
-                            mpisim::detail::CombineFn combine) = 0;
-  virtual Request do_iallreduce(const std::byte* send, std::size_t bytes,
-                                std::size_t count, std::byte* recv,
-                                mpisim::detail::CombineFn combine) = 0;
-  virtual void do_reduce_scatter(const std::byte* send, std::size_t bytes,
-                                 std::size_t count, std::byte* recv,
-                                 mpisim::detail::CombineFn combine) = 0;
-  virtual void do_all_gather(const std::byte* send, std::size_t bytes,
-                             std::byte* recv) = 0;
-  virtual void do_mergev(mpisim::detail::SlotKind slot_kind,
-                         const std::byte* send, std::size_t bytes,
-                         mpisim::detail::MergeBytesFn merge, int root) = 0;
-  virtual Request do_imergev(mpisim::detail::SlotKind slot_kind,
-                             const std::byte* send, std::size_t bytes,
-                             mpisim::detail::MergeBytesFn merge,
-                             int root) = 0;
-  virtual void do_allmerge(const std::byte* send, std::size_t bytes,
-                           mpisim::detail::MergeBytesFn merge) = 0;
-  virtual Request do_iallmerge(const std::byte* send, std::size_t bytes,
-                               mpisim::detail::MergeBytesFn merge) = 0;
-  virtual void do_tree(const std::byte* send, std::size_t bytes,
-                       mpisim::detail::CombineImagesFn combine,
-                       mpisim::detail::MergeBytesFn merge, int root,
-                       int radix) = 0;
-  virtual Request do_itree(const std::byte* send, std::size_t bytes,
-                           mpisim::detail::CombineImagesFn combine,
-                           mpisim::detail::MergeBytesFn merge, int root,
-                           int radix) = 0;
-  virtual void do_bcast(std::byte* buffer, std::size_t bytes, int root,
-                        bool blocking) = 0;
-  virtual Request do_ibcast(std::byte* buffer, std::size_t bytes,
-                            int root) = 0;
-
+ private:
   static const std::byte* as_bytes(const void* p) {
     return static_cast<const std::byte*>(p);
   }
@@ -306,19 +372,16 @@ class Substrate {
     return static_cast<std::byte*>(p);
   }
 
-  // Type-erasure helpers shared by every backend (ported from mpisim's
-  // typed layer; they depend only on rank()/size()).
-
+  /// Wraps a typed merge callable as the byte-level consumer stored in the
+  /// slot; non-roots carry an empty function (their callable is ignored).
   template <typename T, typename MergeFn>
   mpisim::detail::MergeBytesFn erase_merge(MergeFn&& merge, int root) {
     if (rank() != root) return {};
-    return [m = std::forward<MergeFn>(merge)](int src, const std::byte* data,
-                                              std::size_t bytes) mutable {
-      m(src, std::span<const T>(reinterpret_cast<const T*>(data),
-                                bytes / sizeof(T)));
-    };
+    return erase_merge_all<T>(std::forward<MergeFn>(merge));
   }
 
+  /// Like erase_merge, but every rank keeps its callable (the
+  /// decentralized merge has a consumer per rank, not per root).
   template <typename T, typename MergeFn>
   mpisim::detail::MergeBytesFn erase_merge_all(MergeFn&& merge) {
     return [m = std::forward<MergeFn>(merge)](int src, const std::byte* data,
@@ -340,6 +403,9 @@ class Substrate {
     };
   }
 
+  /// Wraps a typed in-place image combiner as the byte-level callable the
+  /// tree-merge slot stores (reused word scratch; images are word-typed at
+  /// the caller, byte-typed in slot storage).
   template <typename T, typename CombineFn>
   mpisim::detail::CombineImagesFn erase_combine(CombineFn&& combine) {
     return [c = std::forward<CombineFn>(combine), words = std::vector<T>()](
@@ -353,156 +419,12 @@ class Substrate {
       acc.assign(out, out + words.size() * sizeof(T));
     };
   }
-};
 
-/// The simulated-MPI backend: a thin forwarding shell over one
-/// mpisim::Comm handle (which carries the per-handle collective call
-/// counter, so all of a rank's traffic must flow through one substrate).
-class MpisimSubstrate : public Substrate {
- public:
-  explicit MpisimSubstrate(mpisim::Comm comm) : comm_(std::move(comm)) {}
-
-  [[nodiscard]] SubstrateKind kind() const override {
-    return SubstrateKind::kMpisim;
-  }
-  [[nodiscard]] bool valid() const override { return comm_.valid(); }
-  [[nodiscard]] int rank() const override { return comm_.rank(); }
-  [[nodiscard]] int size() const override { return comm_.size(); }
-  [[nodiscard]] int node() const override { return comm_.node(); }
-  [[nodiscard]] int num_nodes() const override { return comm_.num_nodes(); }
-  [[nodiscard]] int max_ranks_per_node() const override {
-    return comm_.max_ranks_per_node();
-  }
-
-  [[nodiscard]] CommStats& stats() override { return comm_.stats(); }
-  [[nodiscard]] const NetworkModel& network() const override {
-    return comm_.network();
-  }
-  [[nodiscard]] double modeled_collective_seconds(
-      std::uint64_t bytes) const override {
-    return comm_.modeled_collective_seconds(bytes);
-  }
-
-  [[nodiscard]] std::unique_ptr<Substrate> split_by_node() override {
-    return wrap(comm_.split_by_node());
-  }
-  [[nodiscard]] std::unique_ptr<Substrate> split_node_leaders() override {
-    return wrap(comm_.split_node_leaders());
-  }
-  [[nodiscard]] std::shared_ptr<mpisim::detail::WindowState>
-  window_collective(std::size_t bytes) override {
-    return comm_.window_collective(bytes);
-  }
-
-  void barrier() override { comm_.barrier(); }
-  [[nodiscard]] Request ibarrier() override { return comm_.ibarrier(); }
-
-  /// The wrapped native handle (tests and interop; library code should
-  /// stay on the Substrate surface).
-  [[nodiscard]] mpisim::Comm& native() { return comm_; }
-
- protected:
-  /// Rewraps a child communicator in this backend's kind, so topology
-  /// splits preserve the derived substrate.
-  [[nodiscard]] virtual std::unique_ptr<Substrate> wrap(mpisim::Comm child) {
-    return std::make_unique<MpisimSubstrate>(std::move(child));
-  }
-
-  void do_reduce(const std::byte* send, std::size_t bytes, std::size_t count,
-                 std::byte* recv, mpisim::detail::CombineFn combine, int root,
-                 bool blocking) override {
-    comm_.reduce_bytes_impl(send, bytes, count, recv, combine, root,
-                            blocking);
-  }
-  Request do_ireduce(const std::byte* send, std::size_t bytes,
-                     std::size_t count, std::byte* recv,
-                     mpisim::detail::CombineFn combine, int root) override {
-    return comm_.ireduce_bytes_impl(send, bytes, count, recv, combine, root);
-  }
-  void do_allreduce(const std::byte* send, std::size_t bytes,
-                    std::size_t count, std::byte* recv,
-                    mpisim::detail::CombineFn combine) override {
-    comm_.allreduce_bytes_impl(send, bytes, count, recv, combine);
-  }
-  Request do_iallreduce(const std::byte* send, std::size_t bytes,
-                        std::size_t count, std::byte* recv,
-                        mpisim::detail::CombineFn combine) override {
-    return comm_.iallreduce_bytes_impl(send, bytes, count, recv, combine);
-  }
-  void do_reduce_scatter(const std::byte* send, std::size_t bytes,
-                         std::size_t count, std::byte* recv,
-                         mpisim::detail::CombineFn combine) override {
-    comm_.reduce_scatter_bytes_impl(send, bytes, count, recv, combine);
-  }
-  void do_all_gather(const std::byte* send, std::size_t bytes,
-                     std::byte* recv) override {
-    comm_.all_gather_bytes_impl(send, bytes, recv);
-  }
-  void do_mergev(mpisim::detail::SlotKind slot_kind, const std::byte* send,
-                 std::size_t bytes, mpisim::detail::MergeBytesFn merge,
-                 int root) override {
-    comm_.mergev_bytes_impl(slot_kind, send, bytes, std::move(merge), root);
-  }
-  Request do_imergev(mpisim::detail::SlotKind slot_kind,
-                     const std::byte* send, std::size_t bytes,
-                     mpisim::detail::MergeBytesFn merge, int root) override {
-    return comm_.imergev_bytes_impl(slot_kind, send, bytes, std::move(merge),
-                                    root);
-  }
-  void do_allmerge(const std::byte* send, std::size_t bytes,
-                   mpisim::detail::MergeBytesFn merge) override {
-    comm_.allmerge_bytes_impl(send, bytes, std::move(merge));
-  }
-  Request do_iallmerge(const std::byte* send, std::size_t bytes,
-                       mpisim::detail::MergeBytesFn merge) override {
-    return comm_.iallmerge_bytes_impl(send, bytes, std::move(merge));
-  }
-  void do_tree(const std::byte* send, std::size_t bytes,
-               mpisim::detail::CombineImagesFn combine,
-               mpisim::detail::MergeBytesFn merge, int root,
-               int radix) override {
-    comm_.tree_bytes_impl(send, bytes, std::move(combine), std::move(merge),
-                          root, radix);
-  }
-  Request do_itree(const std::byte* send, std::size_t bytes,
-                   mpisim::detail::CombineImagesFn combine,
-                   mpisim::detail::MergeBytesFn merge, int root,
-                   int radix) override {
-    return comm_.itree_bytes_impl(send, bytes, std::move(combine),
-                                  std::move(merge), root, radix);
-  }
-  void do_bcast(std::byte* buffer, std::size_t bytes, int root,
-                bool blocking) override {
-    comm_.bcast_bytes_impl(buffer, bytes, root, blocking);
-  }
-  Request do_ibcast(std::byte* buffer, std::size_t bytes, int root) override {
-    return comm_.ibcast_bytes_impl(buffer, bytes, root);
-  }
-
- private:
   mpisim::Comm comm_;
+  SubstrateKind kind_;
 };
 
-/// The modeled NCCL-style backend. Shares mpisim's slot data plane (the
-/// deterministic rank-order merge replay is literally the same code), so
-/// deterministic scores are bitwise identical to MpisimSubstrate; the
-/// NCCL economics live in the NetworkModel the owning runtime was built
-/// with - pair this class with network_model_for(kNcclsim, base).
-class NcclSimSubstrate : public MpisimSubstrate {
- public:
-  using MpisimSubstrate::MpisimSubstrate;
-
-  [[nodiscard]] SubstrateKind kind() const override {
-    return SubstrateKind::kNcclsim;
-  }
-
- protected:
-  [[nodiscard]] std::unique_ptr<Substrate> wrap(mpisim::Comm child) override {
-    return std::make_unique<NcclSimSubstrate>(std::move(child));
-  }
-};
-
-/// Wraps a per-rank native communicator in the selected backend. Call
+/// Wraps a per-rank communicator in a substrate of the given kind. Call
 /// once per rank before any traffic and route everything through the
 /// result: the handle carries the collective call counter that matches
 /// slots across ranks.
@@ -510,8 +432,9 @@ class NcclSimSubstrate : public MpisimSubstrate {
                                                         mpisim::Comm comm);
 
 /// RMA-style shared window over a Substrate: the node-local pre-reduction
-/// surface (paper §IV-E). Port of mpisim::Window onto the substrate seam;
-/// traffic is charged to the owning substrate's stats.
+/// surface (paper §IV-E: passive-target one-sided communication over
+/// node-local shared memory). Traffic is charged to the owning substrate's
+/// stats.
 template <typename T>
 class Window {
   static_assert(std::is_trivially_copyable_v<T>);

@@ -332,8 +332,7 @@ EngineResult<Frame> run_epochs(comm::Substrate* world, const Frame& prototype,
   // Free-running mode: every physical thread samples at the same rate and
   // thread zero's fixed share paces the epoch.
   const std::uint64_t n0_share =
-      std::max<std::uint64_t>(1, (n0_total + total_threads - 1) /
-                                     total_threads);
+      std::max<std::uint64_t>(1, ceil_div(n0_total, total_threads));
 
   // Stream ownership: stream v belongs to global thread v mod PT. In
   // free-running mode streams == PT, so thread (rank, t) owns exactly

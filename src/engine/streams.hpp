@@ -20,27 +20,40 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "support/assert.hpp"
 
 namespace distbc::engine {
 
-/// Total samples per epoch across all streams: ceil(base * streams^exp).
+/// Total samples per epoch across all streams: ceil(base * streams^exp),
+/// saturating at the uint64 maximum (a huge finite exponent overflows the
+/// double range, and casting that to an integer is undefined).
 [[nodiscard]] inline std::uint64_t epoch_length(std::uint64_t base,
                                                 double exponent,
                                                 std::uint64_t streams) {
   DISTBC_ASSERT(base > 0 && streams > 0);
-  return static_cast<std::uint64_t>(
+  DISTBC_ASSERT(std::isfinite(exponent) && exponent >= 0.0);
+  const double total =
       std::ceil(static_cast<double>(base) *
-                std::pow(static_cast<double>(streams), exponent)));
+                std::pow(static_cast<double>(streams), exponent));
+  constexpr double kTwoTo64 = 18446744073709551616.0;
+  return total >= kTwoTo64 ? std::numeric_limits<std::uint64_t>::max()
+                           : static_cast<std::uint64_t>(total);
+}
+
+/// Overflow-free ceil(total / parts) for parts > 0.
+[[nodiscard]] inline std::uint64_t ceil_div(std::uint64_t total,
+                                            std::uint64_t parts) {
+  return total / parts + (total % parts != 0 ? 1 : 0);
 }
 
 /// One stream's share of an epoch: ceil(epoch_length / streams), >= 1.
 [[nodiscard]] inline std::uint64_t epoch_share(std::uint64_t base,
                                                double exponent,
                                                std::uint64_t streams) {
-  const std::uint64_t total = epoch_length(base, exponent, streams);
-  const std::uint64_t share = (total + streams - 1) / streams;
+  const std::uint64_t share =
+      ceil_div(epoch_length(base, exponent, streams), streams);
   return share > 0 ? share : 1;
 }
 

@@ -7,7 +7,7 @@
 // Both describe the same elementwise-summable vector, so decoding is an
 // *additive* merge into dense storage: dense images add elementwise, sparse
 // images scatter-add their pairs. Every representation-aware data path (the
-// engine's variable-length aggregation, mpisim::Comm::reduce_merge, the
+// engine's variable-length aggregation, comm::Substrate's merge family, the
 // §IV-E shared window) moves these images, so a frame type only has to
 // implement the encode()/decode_add() contract to ride any of them.
 //

@@ -967,45 +967,6 @@ bool poll_request(Request::Impl& impl, bool blocking) {
 
 }  // namespace
 
-// --- Point-to-point ----------------------------------------------------------
-
-void Comm::send_bytes_impl(const std::byte* data, std::size_t bytes, int dst,
-                           int tag) {
-  DISTBC_ASSERT(valid());
-  DISTBC_ASSERT(dst >= 0 && dst < size() && dst != rank_);
-  std::lock_guard lock(state_->mu);
-  const bool same_node =
-      state_->node_of_rank[rank_] == state_->node_of_rank[dst];
-  detail::P2pMessage message;
-  message.bytes.assign(data, data + bytes);
-  message.deliver_time =
-      Clock::now() + state_->model.message_cost(bytes, same_node);
-  state_->mailboxes[{rank_, dst, tag}].push_back(std::move(message));
-  state_->stats.p2p_messages.fetch_add(1, std::memory_order_relaxed);
-  state_->stats.p2p_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  state_->cv.notify_all();
-}
-
-void Comm::recv_bytes_impl(std::byte* data, std::size_t bytes, int src,
-                           int tag) {
-  DISTBC_ASSERT(valid());
-  DISTBC_ASSERT(src >= 0 && src < size() && src != rank_);
-  std::unique_lock lock(state_->mu);
-  const auto key = std::tuple{src, rank_, tag};
-  state_->cv.wait(lock, [&] {
-    const auto it = state_->mailboxes.find(key);
-    return it != state_->mailboxes.end() && !it->second.empty();
-  });
-  auto& queue = state_->mailboxes.at(key);
-  detail::P2pMessage message = std::move(queue.front());
-  queue.pop_front();
-  DISTBC_ASSERT_MSG(message.bytes.size() == bytes,
-                    "send/recv size mismatch");
-  while (Clock::now() < message.deliver_time)
-    state_->cv.wait_until(lock, message.deliver_time);
-  std::memcpy(data, message.bytes.data(), bytes);
-}
-
 // --- Split -------------------------------------------------------------------
 
 Comm Comm::split(int color, int key) {

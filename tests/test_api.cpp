@@ -8,6 +8,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "adaptive/closeness.hpp"
 #include "adaptive/mean_distance.hpp"
@@ -16,10 +17,12 @@
 #include "bc/brandes.hpp"
 #include "bc/kadabra.hpp"
 #include "comm/substrate.hpp"
+#include "engine/engine.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "graph/builder.hpp"
 #include "graph/components.hpp"
 #include "mpisim/runtime.hpp"
+#include "support/random.hpp"
 
 namespace distbc {
 namespace {
@@ -363,6 +366,18 @@ TEST(SessionValidation, MismatchedRuntimeConfigFailsEveryQuery) {
   api::Config zero_balancing;
   zero_balancing.balancing = 0.0;
   EXPECT_FALSE(api::Session(api_graph(), zero_balancing).status().ok);
+
+  // The epoch length is ceil(base * streams^exponent): a NaN or infinite
+  // exponent reaches an undefined float-to-integer cast, and a negative
+  // one sizes epochs below one sample. All parse as doubles, so
+  // validation must catch them.
+  for (const char* exponent : {"nan", "inf", "-1"}) {
+    api::Config bad_exponent;
+    ASSERT_TRUE(bad_exponent.set("epoch_exponent", exponent).ok) << exponent;
+    EXPECT_FALSE(bad_exponent.validate().ok) << exponent;
+    EXPECT_FALSE(api::Session(api_graph(), bad_exponent).status().ok)
+        << exponent;
+  }
 }
 
 // --- Config resolution ------------------------------------------------------
@@ -492,6 +507,83 @@ TEST(ApiConfig, EngineOptionsMappingIsComplete) {
   EXPECT_EQ(options.frame_rep, epoch::FrameRep::kSparse);
   EXPECT_EQ(options.tree_radix, 2);
   EXPECT_TRUE(options.local_aggregates);
+}
+
+TEST(ApiConfig, SeededTextFuzzNeverYieldsAnEmptyEpoch) {
+  // Hostile `key = value` documents over the real keys plus junk. Each
+  // must either fail load_text()/validate() with a Status or resolve to
+  // engine options whose epoch holds at least one sample. Run under
+  // ASan/UBSan this also catches undefined casts on the way.
+  std::vector<std::string> keys = {"", "bogus_knob", "EPOCH_EXPONENT",
+                                   "epoch exponent", "\xff\xfe", "ranks\r"};
+  const std::string defaults = api::Config().serialize();
+  for (std::size_t at = 0; at < defaults.size();) {
+    const std::size_t end = defaults.find('\n', at);
+    keys.push_back(defaults.substr(at, defaults.find(" = ", at) - at));
+    at = end + 1;
+  }
+  const std::vector<std::string> values = {
+      "nan", "-nan", "inf", "-inf", "1e308", "-1e308", "-0", "0", "1", "-1",
+      "2", "0.5", "1.33", "18446744073709551615", "18446744073709551616",
+      "2147483648", "", "=", "==1", "#", "1 # trailing", "\r", "1\r",
+      "\x80\xc3\x28", "0x10", "true", "off", "dense", "auto", "ncclsim",
+      std::string(4096, 'x'), std::string(4096, '9')};
+
+  Rng rng(0xC0FF1EULL);
+  const auto pick = [&](const std::vector<std::string>& from) {
+    return from[rng.next_bounded(from.size())];
+  };
+  // Every key is in play, but the epoch sizing key is drawn often enough
+  // that accepted documents regularly carry a hostile exponent.
+  const auto pick_key = [&] {
+    return rng.next_bounded(4) == 0 ? std::string("epoch_exponent")
+                                    : pick(keys);
+  };
+  int accepted = 0;
+  int rejected = 0;
+  for (int doc = 0; doc < 3000; ++doc) {
+    std::string text;
+    const std::uint64_t lines = 1 + rng.next_bounded(5);
+    for (std::uint64_t line = 0; line < lines; ++line) {
+      switch (rng.next_bounded(6)) {
+        case 0:
+          text += pick_key() + "=" + pick(values);
+          break;
+        case 1:
+          text += "# " + pick(values);
+          break;
+        case 2:
+          text += pick_key();
+          break;
+        default:
+          text += pick_key() + " = " + pick(values);
+          break;
+      }
+      text += rng.next_bounded(4) == 0 ? "\r\n" : "\n";
+    }
+
+    api::Config config;
+    if (!config.load_text(text).ok || !config.validate().ok) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    // A validated config must size a non-empty epoch on its own cluster
+    // shape and on any other it could be reused on (streams^exponent is
+    // 1 at one stream whatever the exponent, hiding a bad one).
+    const engine::EngineOptions options = config.engine_options();
+    for (const std::uint64_t streams :
+         {engine::num_streams(options, config.ranks), std::uint64_t{2},
+          std::uint64_t{64}}) {
+      EXPECT_GE(engine::epoch_length(options.epoch_base,
+                                     options.epoch_exponent, streams),
+                1u)
+          << "streams " << streams << ", document:\n" << text;
+    }
+  }
+  // Both outcomes occur, so neither branch is vacuous.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace

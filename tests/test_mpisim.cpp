@@ -1,16 +1,18 @@
 // Tests for the simulated MPI substrate: collectives, requests, topology,
-// point-to-point, windows, statistics, and the interconnect cost model.
+// windows, statistics, and the interconnect cost model. Collectives run
+// through comm::Substrate, the typed surface over mpisim's byte plane.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <numeric>
 #include <thread>
 #include <vector>
 
+#include "comm/substrate.hpp"
 #include "mpisim/network.hpp"
 #include "mpisim/runtime.hpp"
-#include "mpisim/window.hpp"
 
 namespace distbc::mpisim {
 namespace {
@@ -23,10 +25,24 @@ RuntimeConfig quiet_config(int ranks, int ranks_per_node = 1) {
   return config;
 }
 
+using comm::Substrate;
+using comm::Window;
+
+/// Runs `rank_main` on every rank with its communicator wrapped in an
+/// mpisim-kind comm::Substrate.
+void run_ranks(Runtime& runtime,
+               const std::function<void(Substrate&)>& rank_main) {
+  runtime.run([&](Comm& rank_comm) {
+    const auto substrate =
+        comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
+    rank_main(*substrate);
+  });
+}
+
 TEST(Runtime, RanksSeeTheirIdentity) {
   Runtime runtime(quiet_config(4, 2));
   std::vector<int> nodes(4, -1);
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     EXPECT_EQ(comm.size(), 4);
     EXPECT_EQ(comm.num_nodes(), 2);
     nodes[comm.rank()] = comm.node();
@@ -38,7 +54,7 @@ TEST(Runtime, PropagatesExceptions) {
   Runtime runtime(quiet_config(3));
   // NB: a rank that throws abandons later collectives (like a crashed MPI
   // process), so the other ranks must not wait on it afterwards.
-  EXPECT_THROW(runtime.run([&](Comm& comm) {
+  EXPECT_THROW(run_ranks(runtime, [&](Substrate& comm) {
     comm.barrier();
     if (comm.rank() == 1) throw std::runtime_error("rank 1 exploded");
   }),
@@ -56,7 +72,7 @@ TEST(Runtime, CanRunMultipleTimes) {
 
 TEST(Reduce, SumsVectorsAtRoot) {
   Runtime runtime(quiet_config(4));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     const std::vector<std::uint64_t> send(16, comm.rank() + 1);
     std::vector<std::uint64_t> recv(16, 0);
     comm.reduce(std::span<const std::uint64_t>(send), std::span(recv), 0);
@@ -70,7 +86,7 @@ TEST(Reduce, SumsVectorsAtRoot) {
 
 TEST(Reduce, MinAndMaxOps) {
   Runtime runtime(quiet_config(3));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     const std::vector<double> send{static_cast<double>(comm.rank() * 10)};
     std::vector<double> lo(1), hi(1);
     comm.reduce(std::span<const double>(send), std::span(lo), 0,
@@ -86,7 +102,7 @@ TEST(Reduce, MinAndMaxOps) {
 
 TEST(Reduce, NonRootBufferReusableAfterReturn) {
   Runtime runtime(quiet_config(4));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     std::vector<std::uint64_t> send(8, 1);
     std::vector<std::uint64_t> recv(8, 0);
     comm.reduce(std::span<const std::uint64_t>(send), std::span(recv), 0);
@@ -103,7 +119,7 @@ TEST(Reduce, NonRootBufferReusableAfterReturn) {
 
 TEST(Reduce, RootCanDifferFromZero) {
   Runtime runtime(quiet_config(3));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     const std::vector<std::uint64_t> send{1};
     std::vector<std::uint64_t> recv{0};
     comm.reduce(std::span<const std::uint64_t>(send), std::span(recv), 2);
@@ -113,7 +129,7 @@ TEST(Reduce, RootCanDifferFromZero) {
 
 TEST(Ireduce, CompletesAndSums) {
   Runtime runtime(quiet_config(4));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     const std::vector<std::uint64_t> send(4, comm.rank());
     std::vector<std::uint64_t> recv(4, 0);
     Request request = comm.ireduce(std::span<const std::uint64_t>(send),
@@ -131,7 +147,7 @@ TEST(Ireduce, CompletesAndSums) {
 
 TEST(Ireduce, TestIsIdempotentAfterCompletion) {
   Runtime runtime(quiet_config(2));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     const std::vector<std::uint64_t> send{5};
     std::vector<std::uint64_t> recv{0};
     Request request = comm.ireduce(std::span<const std::uint64_t>(send),
@@ -146,7 +162,7 @@ TEST(Ireduce, TestIsIdempotentAfterCompletion) {
 TEST(Ibarrier, AllRanksPass) {
   Runtime runtime(quiet_config(8));
   std::atomic<int> passed{0};
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     Request request = comm.ibarrier();
     request.wait();
     ++passed;
@@ -156,7 +172,7 @@ TEST(Ibarrier, AllRanksPass) {
 
 TEST(Ibarrier, NotDoneUntilAllArrive) {
   Runtime runtime(quiet_config(2));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     if (comm.rank() == 0) {
       Request request = comm.ibarrier();
       // Rank 1 sleeps before posting; test() must report false meanwhile.
@@ -172,7 +188,7 @@ TEST(Ibarrier, NotDoneUntilAllArrive) {
 
 TEST(Bcast, DeliversPayload) {
   Runtime runtime(quiet_config(5));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     std::vector<std::uint32_t> buffer(3, comm.rank() == 1 ? 7u : 0u);
     comm.bcast(std::span(buffer), 1);
     for (const auto value : buffer) {
@@ -183,7 +199,7 @@ TEST(Bcast, DeliversPayload) {
 
 TEST(Ibcast, OverlappedDelivery) {
   Runtime runtime(quiet_config(4));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     std::uint8_t flag = comm.rank() == 0 ? 1 : 0;
     Request request = comm.ibcast(std::span{&flag, 1}, 0);
     while (!request.test()) {
@@ -194,7 +210,7 @@ TEST(Ibcast, OverlappedDelivery) {
 
 TEST(Allreduce, EveryRankGetsTheSum) {
   Runtime runtime(quiet_config(4));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     const std::vector<std::uint64_t> send{static_cast<std::uint64_t>(
         comm.rank())};
     std::vector<std::uint64_t> recv{0};
@@ -205,7 +221,7 @@ TEST(Allreduce, EveryRankGetsTheSum) {
 
 TEST(Collectives, ManyRoundsStayMatched) {
   Runtime runtime(quiet_config(4));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     for (int round = 0; round < 100; ++round) {
       const std::vector<std::uint64_t> send{1};
       std::vector<std::uint64_t> recv{0};
@@ -213,42 +229,6 @@ TEST(Collectives, ManyRoundsStayMatched) {
       std::uint8_t flag = comm.rank() == 0 ? (recv[0] == 4 ? 1 : 0) : 0;
       comm.bcast(std::span{&flag, 1}, 0);
       ASSERT_EQ(flag, 1);
-    }
-  });
-}
-
-TEST(P2p, SendRecvDeliversInOrder) {
-  Runtime runtime(quiet_config(2));
-  runtime.run([&](Comm& comm) {
-    if (comm.rank() == 0) {
-      for (std::uint64_t i = 0; i < 10; ++i) {
-        const std::vector<std::uint64_t> message{i};
-        comm.send(std::span<const std::uint64_t>(message), 1, 0);
-      }
-    } else {
-      for (std::uint64_t i = 0; i < 10; ++i) {
-        std::vector<std::uint64_t> message(1);
-        comm.recv(std::span(message), 0, 0);
-        EXPECT_EQ(message[0], i);
-      }
-    }
-  });
-}
-
-TEST(P2p, TagsKeepStreamsApart) {
-  Runtime runtime(quiet_config(2));
-  runtime.run([&](Comm& comm) {
-    if (comm.rank() == 0) {
-      const std::vector<std::uint64_t> a{111};
-      const std::vector<std::uint64_t> b{222};
-      comm.send(std::span<const std::uint64_t>(a), 1, /*tag=*/1);
-      comm.send(std::span<const std::uint64_t>(b), 1, /*tag=*/2);
-    } else {
-      std::vector<std::uint64_t> message(1);
-      comm.recv(std::span(message), 0, /*tag=*/2);  // out of send order
-      EXPECT_EQ(message[0], 222u);
-      comm.recv(std::span(message), 0, /*tag=*/1);
-      EXPECT_EQ(message[0], 111u);
     }
   });
 }
@@ -278,37 +258,37 @@ TEST(Split, UndefinedColorYieldsInvalidComm) {
 
 TEST(Split, ByNodeAndLeaders) {
   Runtime runtime(quiet_config(6, 2));  // 3 nodes x 2 ranks
-  runtime.run([&](Comm& comm) {
-    Comm local = comm.split_by_node();
-    ASSERT_TRUE(local.valid());
-    EXPECT_EQ(local.size(), 2);
-    EXPECT_EQ(local.rank(), comm.rank() % 2);
+  run_ranks(runtime, [&](Substrate& comm) {
+    const auto local = comm.split_by_node();
+    ASSERT_TRUE(local->valid());
+    EXPECT_EQ(local->size(), 2);
+    EXPECT_EQ(local->rank(), comm.rank() % 2);
 
-    Comm leaders = comm.split_node_leaders();
+    const auto leaders = comm.split_node_leaders();
     if (comm.rank() % 2 == 0) {
-      ASSERT_TRUE(leaders.valid());
-      EXPECT_EQ(leaders.size(), 3);
-      EXPECT_EQ(leaders.rank(), comm.rank() / 2);
+      ASSERT_TRUE(leaders->valid());
+      EXPECT_EQ(leaders->size(), 3);
+      EXPECT_EQ(leaders->rank(), comm.rank() / 2);
     } else {
-      EXPECT_FALSE(leaders.valid());
+      EXPECT_FALSE(leaders->valid());
     }
   });
 }
 
 TEST(Split, ChildCollectivesWork) {
   Runtime runtime(quiet_config(4, 2));
-  runtime.run([&](Comm& comm) {
-    Comm local = comm.split_by_node();
+  run_ranks(runtime, [&](Substrate& comm) {
+    const auto local = comm.split_by_node();
     const std::vector<std::uint64_t> send{1};
     std::vector<std::uint64_t> recv{0};
-    local.reduce(std::span<const std::uint64_t>(send), std::span(recv), 0);
-    if (local.rank() == 0) { EXPECT_EQ(recv[0], 2u); }
+    local->reduce(std::span<const std::uint64_t>(send), std::span(recv), 0);
+    if (local->rank() == 0) { EXPECT_EQ(recv[0], 2u); }
   });
 }
 
 TEST(Window, AccumulateAndRead) {
   Runtime runtime(quiet_config(4));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     Window<std::uint64_t> window(comm, 8);
     const std::vector<std::uint64_t> mine(8, comm.rank() + 1);
     window.accumulate(std::span<const std::uint64_t>(mine));
@@ -323,7 +303,7 @@ TEST(Window, AccumulateAndRead) {
 
 TEST(Window, ClearResets) {
   Runtime runtime(quiet_config(2));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     Window<std::uint64_t> window(comm, 4);
     const std::vector<std::uint64_t> mine(4, 5);
     window.accumulate(std::span<const std::uint64_t>(mine));
@@ -340,7 +320,7 @@ TEST(Window, ClearResets) {
 
 TEST(Stats, CountsCallsAndBytes) {
   Runtime runtime(quiet_config(4));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     const std::vector<std::uint64_t> send(100, 1);
     std::vector<std::uint64_t> recv(100, 0);
     comm.reduce(std::span<const std::uint64_t>(send), std::span(recv), 0);
@@ -379,7 +359,7 @@ TEST(NetworkModel, EnabledDelaysBarrier) {
   config.num_ranks = 2;
   config.network.remote_latency_s = 20e-3;  // exaggerated for testability
   Runtime runtime(config);
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     const auto start = std::chrono::steady_clock::now();
     comm.barrier();
     const auto elapsed = std::chrono::steady_clock::now() - start;
@@ -393,7 +373,7 @@ TEST(Stats, ChargesBlockedWaitTime) {
   config.ranks_per_node = 2;
   config.network.local_latency_s = 5e-3;  // exaggerated for testability
   Runtime runtime(config);
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     // Topology accessors reflect the deployment shape.
     EXPECT_EQ(comm.max_ranks_per_node(), 2);
     EXPECT_GT(comm.modeled_collective_seconds(1024), 0.0);

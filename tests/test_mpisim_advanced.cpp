@@ -7,14 +7,15 @@
 #include <atomic>
 #include <chrono>
 #include <ctime>
+#include <functional>
 #include <numeric>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "comm/substrate.hpp"
 #include "epoch/frame_codec.hpp"
 #include "mpisim/runtime.hpp"
-#include "mpisim/window.hpp"
 
 namespace distbc::mpisim {
 namespace {
@@ -27,17 +28,31 @@ RuntimeConfig quiet(int ranks, int per_node = 1) {
   return config;
 }
 
+using comm::Substrate;
+using comm::Window;
+
+/// Runs `rank_main` on every rank with its communicator wrapped in an
+/// mpisim-kind comm::Substrate.
+void run_ranks(Runtime& runtime,
+               const std::function<void(Substrate&)>& rank_main) {
+  runtime.run([&](Comm& rank_comm) {
+    const auto substrate =
+        comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
+    rank_main(*substrate);
+  });
+}
+
 TEST(Collectives, InterleavedParentAndChildOps) {
   Runtime runtime(quiet(6, 2));
-  runtime.run([&](Comm& world) {
-    Comm local = world.split_by_node();
+  run_ranks(runtime, [&](Substrate& world) {
+    const auto local = world.split_by_node();
     for (int round = 0; round < 20; ++round) {
       // Local reduce feeds into a world allreduce - the §IV-E pipeline.
       const std::vector<std::uint64_t> mine{1};
       std::vector<std::uint64_t> node_sum{0};
-      local.reduce(std::span<const std::uint64_t>(mine),
-                   std::span(node_sum), 0);
-      std::uint64_t contribution = local.rank() == 0 ? node_sum[0] : 0;
+      local->reduce(std::span<const std::uint64_t>(mine),
+                    std::span(node_sum), 0);
+      std::uint64_t contribution = local->rank() == 0 ? node_sum[0] : 0;
       std::vector<std::uint64_t> total{0};
       world.allreduce(
           std::span<const std::uint64_t>(&contribution, 1), std::span(total));
@@ -48,21 +63,21 @@ TEST(Collectives, InterleavedParentAndChildOps) {
 
 TEST(Collectives, LeaderReduceMatchesFlatReduce) {
   Runtime runtime(quiet(8, 2));
-  runtime.run([&](Comm& world) {
-    Comm local = world.split_by_node();
-    Comm leaders = world.split_node_leaders();
-    Window<std::uint64_t> window(local, 16);
+  run_ranks(runtime, [&](Substrate& world) {
+    const auto local = world.split_by_node();
+    const auto leaders = world.split_node_leaders();
+    Window<std::uint64_t> window(*local, 16);
 
     const std::vector<std::uint64_t> mine(16, world.rank() + 1);
     window.accumulate(std::span<const std::uint64_t>(mine));
-    local.barrier();
+    local->barrier();
 
     std::vector<std::uint64_t> hierarchical(16, 0);
-    if (local.rank() == 0) {
+    if (local->rank() == 0) {
       std::vector<std::uint64_t> node_sum(16);
       window.read(std::span(node_sum));
-      leaders.reduce(std::span<const std::uint64_t>(node_sum),
-                     std::span(hierarchical), 0);
+      leaders->reduce(std::span<const std::uint64_t>(node_sum),
+                      std::span(hierarchical), 0);
     }
 
     std::vector<std::uint64_t> flat(16, 0);
@@ -78,7 +93,7 @@ TEST(Collectives, LeaderReduceMatchesFlatReduce) {
 TEST(Collectives, LargeBufferReduce) {
   constexpr std::size_t kCount = 1 << 18;  // 2 MiB of uint64 per rank
   Runtime runtime(quiet(4));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     std::vector<std::uint64_t> send(kCount);
     std::iota(send.begin(), send.end(), 0);
     std::vector<std::uint64_t> recv(kCount, 0);
@@ -93,7 +108,7 @@ TEST(Collectives, LargeBufferReduce) {
 
 TEST(Requests, SeveralOutstandingRequestsCompleteIndependently) {
   Runtime runtime(quiet(3));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     // A barrier and a bcast in flight at once; they must be matched by
     // ticket order, not completion order.
     Request barrier = comm.ibarrier();
@@ -107,7 +122,7 @@ TEST(Requests, SeveralOutstandingRequestsCompleteIndependently) {
 
 TEST(Requests, CopiesShareCompletionState) {
   Runtime runtime(quiet(2));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     Request original = comm.ibarrier();
     Request copy = original;
     copy.wait();
@@ -121,7 +136,7 @@ TEST(NetworkModel, ReduceCompletionIsDelayedByBandwidth) {
   config.network.remote_latency_s = 0.0;
   config.network.remote_bandwidth_bps = 1e6;  // 1 MB/s: 100 KB ~ 100 ms
   Runtime runtime(config);
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     std::vector<std::uint64_t> send(12'500, 1);  // 100 KB
     std::vector<std::uint64_t> recv(12'500, 0);
     const auto start = std::chrono::steady_clock::now();
@@ -154,30 +169,32 @@ TEST(Split, RepeatedAndNestedSplits) {
     Comm local = world.split_by_node();  // 2 nodes x 4 ranks
     ASSERT_EQ(local.size(), 4);
     // Split the node communicator again by parity.
-    Comm pair = local.split(local.rank() % 2, local.rank());
-    ASSERT_TRUE(pair.valid());
-    EXPECT_EQ(pair.size(), 2);
+    const auto pair =
+        comm::make_substrate(comm::SubstrateKind::kMpisim,
+                             local.split(local.rank() % 2, local.rank()));
+    ASSERT_TRUE(pair->valid());
+    EXPECT_EQ(pair->size(), 2);
     const std::vector<std::uint64_t> one{1};
     std::vector<std::uint64_t> sum{0};
-    pair.allreduce(std::span<const std::uint64_t>(one), std::span(sum));
+    pair->allreduce(std::span<const std::uint64_t>(one), std::span(sum));
     EXPECT_EQ(sum[0], 2u);
   });
 }
 
 TEST(Split, StatsArePerCommunicator) {
   Runtime runtime(quiet(4, 2));
-  runtime.run([&](Comm& world) {
-    Comm local = world.split_by_node();
-    local.barrier();
+  run_ranks(runtime, [&](Substrate& world) {
+    const auto local = world.split_by_node();
+    local->barrier();
     world.barrier();
-    EXPECT_EQ(local.stats().barrier_calls.load(), 2u);   // 2 ranks/node
+    EXPECT_EQ(local->stats().barrier_calls.load(), 2u);   // 2 ranks/node
     EXPECT_EQ(world.stats().barrier_calls.load(), 4u);
   });
 }
 
 TEST(Window, ConcurrentAccumulatesAreAtomic) {
   Runtime runtime(quiet(8));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     Window<std::uint64_t> window(comm, 64);
     const std::vector<std::uint64_t> one(64, 1);
     for (int i = 0; i < 100; ++i)
@@ -191,7 +208,7 @@ TEST(Window, ConcurrentAccumulatesAreAtomic) {
 
 TEST(Window, MultipleWindowsCoexist) {
   Runtime runtime(quiet(3));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     Window<std::uint64_t> a(comm, 4);
     Window<double> b(comm, 4);
     const std::vector<std::uint64_t> ones(4, 1);
@@ -210,7 +227,7 @@ TEST(Window, MultipleWindowsCoexist) {
 
 TEST(Window, TouchedBitmapReadBackIsSparse) {
   Runtime runtime(quiet(2));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     Window<std::uint64_t> window(comm, 256);
     // Rank r scatters pairs at overlapping indices.
     const std::vector<std::uint64_t> pairs{
@@ -246,30 +263,11 @@ TEST(Window, TouchedBitmapReadBackIsSparse) {
   });
 }
 
-TEST(P2p, PingPongAcrossNodes) {
-  Runtime runtime(quiet(4, 2));
-  runtime.run([&](Comm& comm) {
-    // 0 <-> 2 are on different nodes.
-    if (comm.rank() == 0) {
-      std::uint64_t value = 41;
-      comm.send(std::span<const std::uint64_t>(&value, 1), 2, 5);
-      std::uint64_t reply = 0;
-      comm.recv(std::span(&reply, 1), 2, 6);
-      EXPECT_EQ(reply, 42u);
-    } else if (comm.rank() == 2) {
-      std::uint64_t value = 0;
-      comm.recv(std::span(&value, 1), 0, 5);
-      ++value;
-      comm.send(std::span<const std::uint64_t>(&value, 1), 0, 6);
-    }
-  });
-}
-
 // --- Variable-length collectives (sparse frame images) ----------------------
 
 TEST(VariableLength, GathervDeliversPerRankPayloads) {
   Runtime runtime(quiet(4));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     // Rank r contributes r+1 words holding its rank id.
     const std::vector<std::uint64_t> mine(
         static_cast<std::size_t>(comm.rank()) + 1,
@@ -294,7 +292,7 @@ TEST(VariableLength, GathervDeliversPerRankPayloads) {
 
 TEST(VariableLength, IgathervCompletesViaRequest) {
   Runtime runtime(quiet(3));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     const std::vector<std::uint64_t> mine{
         static_cast<std::uint64_t>(comm.rank() * 10)};
     std::vector<std::vector<std::uint64_t>> gathered;
@@ -314,7 +312,7 @@ TEST(VariableLength, IgathervCompletesViaRequest) {
 
 TEST(VariableLength, ReduceMergeVisitsContributionsInRankOrder) {
   Runtime runtime(quiet(4));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     const std::vector<std::uint64_t> mine(
         static_cast<std::size_t>(comm.rank()) + 1, 1);
     std::vector<int> order;
@@ -341,7 +339,7 @@ TEST(VariableLength, ReduceMergeVisitsContributionsInRankOrder) {
 
 TEST(VariableLength, IreduceMergeMergesOnCompletingPoll) {
   Runtime runtime(quiet(3));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     const std::uint64_t mine = static_cast<std::uint64_t>(comm.rank()) + 1;
     std::uint64_t total = 0;
     Request request = comm.ireduce_merge(
@@ -357,7 +355,7 @@ TEST(VariableLength, IreduceMergeMergesOnCompletingPoll) {
 
 TEST(VariableLength, RepeatedRoundsInterleaveWithFixedCollectives) {
   Runtime runtime(quiet(4, 2));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     for (int round = 0; round < 12; ++round) {
       const std::vector<std::uint64_t> mine(
           static_cast<std::size_t>(round % 3) + 1,
@@ -403,7 +401,7 @@ TEST(TreeMerge, MatchesFlatDecodeAcrossRadixes) {
   const auto decode_run = [&](int radix) {
     std::vector<std::uint64_t> dense(128, 0);
     Runtime runtime(quiet(kRanks, 4));
-    runtime.run([&](Comm& comm) {
+    run_ranks(runtime, [&](Substrate& comm) {
       const std::vector<std::uint64_t> mine = rank_image(comm.rank());
       const auto merge = [&](int, std::span<const std::uint64_t> image) {
         epoch::decode_add_image(std::span<std::uint64_t>(dense), image);
@@ -432,7 +430,7 @@ TEST(TreeMerge, MatchesFlatDecodeAcrossRadixes) {
 
 TEST(TreeMerge, RootConsumerSeesOwnPlusDirectChildren) {
   Runtime runtime(quiet(8));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     const std::vector<std::uint64_t> mine = rank_image(comm.rank());
     std::vector<int> sources;
     comm.reduce_merge_tree(
@@ -456,7 +454,7 @@ TEST(TreeMerge, RootConsumerSeesOwnPlusDirectChildren) {
 
 TEST(TreeMerge, NonZeroRootAndNonBlockingForm) {
   Runtime runtime(quiet(5));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     std::vector<std::uint64_t> dense(128, 0);
     const std::vector<std::uint64_t> mine = rank_image(comm.rank());
     Request request = comm.ireduce_merge_tree(
@@ -486,7 +484,7 @@ TEST(AllReduceFamily, AllreduceMatchesReduceThenBcastOnOddRanks) {
   // Non-power-of-two rank count: the butterfly must handle the ragged
   // stage without dropping or double-counting a contribution.
   Runtime runtime(quiet(5));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     std::vector<std::uint64_t> mine(8);
     for (std::size_t i = 0; i < mine.size(); ++i)
       mine[i] = static_cast<std::uint64_t>(comm.rank() + 1) * (i + 1);
@@ -513,7 +511,7 @@ TEST(AllReduceFamily, AllreduceMatchesReduceThenBcastOnOddRanks) {
 TEST(AllReduceFamily, ReduceScatterPlusAllGatherComposeToAllreduce) {
   constexpr std::size_t kBlock = 4;
   Runtime runtime(quiet(6, 3));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     const auto ranks = static_cast<std::size_t>(comm.size());
     std::vector<std::uint64_t> mine(kBlock * ranks);
     for (std::size_t i = 0; i < mine.size(); ++i)
@@ -547,7 +545,7 @@ TEST(AllReduceFamily, AllreduceMergeGivesEveryRankTheRootedAggregate) {
   std::vector<std::vector<int>> sources(kRanks);
   std::vector<std::uint64_t> rooted(128, 0);
   Runtime runtime(quiet(kRanks));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     const std::vector<std::uint64_t> mine = rank_image(comm.rank());
     comm.allreduce_merge(
         std::span<const std::uint64_t>(mine),
@@ -576,7 +574,7 @@ TEST(AllReduceFamily, AllreduceMergeGivesEveryRankTheRootedAggregate) {
 
 TEST(AllReduceFamily, NonBlockingFlavorsCompleteAtEveryRank) {
   Runtime runtime(quiet(6, 2));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     const std::vector<std::uint64_t> one{1, 2};
     std::vector<std::uint64_t> sum(2, 0);
     Request reduce = comm.iallreduce(std::span<const std::uint64_t>(one),
@@ -600,7 +598,7 @@ TEST(AllReduceFamily, ButterflySlotsReuseCleanlyAcrossRounds) {
   // Repeated rounds interleaving every butterfly flavor with the rooted
   // ones: slot reuse must not leak state between rounds or flavors.
   Runtime runtime(quiet(4, 2));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     for (int round = 0; round < 10; ++round) {
       const std::uint64_t mine =
           static_cast<std::uint64_t>(comm.rank() + round);
@@ -656,7 +654,7 @@ TEST(SlotProtocol, ProgressionPenaltyIsUniformAcrossFlavors) {
   const auto time_flavor = [&](auto blocking, auto nonblocking) {
     Timing timing;
     Runtime runtime(config);
-    runtime.run([&](Comm& comm) {
+    run_ranks(runtime, [&](Substrate& comm) {
       const auto start = detail::Clock::now();
       blocking(comm);
       const auto mid = detail::Clock::now();
@@ -675,28 +673,28 @@ TEST(SlotProtocol, ProgressionPenaltyIsUniformAcrossFlavors) {
   std::vector<std::uint64_t> recv(64, 0);
   const auto merge = [](int, std::span<const std::uint64_t>) {};
   const Timing reduce = time_flavor(
-      [&](Comm& comm) {
+      [&](Substrate& comm) {
         comm.reduce(std::span<const std::uint64_t>(payload), std::span(recv),
                     0);
       },
-      [&](Comm& comm) {
+      [&](Substrate& comm) {
         return comm.ireduce(std::span<const std::uint64_t>(payload),
                             std::span(recv), 0);
       });
   const Timing mergev = time_flavor(
-      [&](Comm& comm) {
+      [&](Substrate& comm) {
         comm.reduce_merge(std::span<const std::uint64_t>(payload), merge, 0);
       },
-      [&](Comm& comm) {
+      [&](Substrate& comm) {
         return comm.ireduce_merge(std::span<const std::uint64_t>(payload),
                                   merge, 0);
       });
   const Timing tree = time_flavor(
-      [&](Comm& comm) {
+      [&](Substrate& comm) {
         comm.reduce_merge_tree(std::span<const std::uint64_t>(payload),
                                combine_codec, merge, 0, 2);
       },
-      [&](Comm& comm) {
+      [&](Substrate& comm) {
         return comm.ireduce_merge_tree(std::span<const std::uint64_t>(payload),
                                        combine_codec, merge, 0, 2);
       });
@@ -726,7 +724,7 @@ TEST(SlotProtocol, PollTaxAccruesForEveryNonBlockingFlavor) {
   const auto cpu_of_failed_polls = [&](auto start_op) {
     double cpu_s = 0.0;
     Runtime runtime(config);
-    runtime.run([&](Comm& comm) {
+    run_ranks(runtime, [&](Substrate& comm) {
       Request request = start_op(comm);
       if (comm.rank() == 0) {
         const double before = thread_cpu_seconds();
@@ -739,15 +737,15 @@ TEST(SlotProtocol, PollTaxAccruesForEveryNonBlockingFlavor) {
   };
 
   std::vector<std::uint64_t> recv(16, 0);
-  const double reduce_cpu = cpu_of_failed_polls([&](Comm& comm) {
+  const double reduce_cpu = cpu_of_failed_polls([&](Substrate& comm) {
     return comm.ireduce(std::span<const std::uint64_t>(payload),
                         std::span(recv), 0);
   });
-  const double mergev_cpu = cpu_of_failed_polls([&](Comm& comm) {
+  const double mergev_cpu = cpu_of_failed_polls([&](Substrate& comm) {
     return comm.ireduce_merge(std::span<const std::uint64_t>(payload), merge,
                               0);
   });
-  const double tree_cpu = cpu_of_failed_polls([&](Comm& comm) {
+  const double tree_cpu = cpu_of_failed_polls([&](Substrate& comm) {
     return comm.ireduce_merge_tree(std::span<const std::uint64_t>(payload),
                                    combine_codec, merge, 0, 2);
   });
@@ -762,7 +760,7 @@ TEST(SlotProtocol, PollTaxAccruesForEveryNonBlockingFlavor) {
 
 TEST(SlotProtocol, OutstandingFlavorsMatchByTicketOrder) {
   Runtime runtime(quiet(4));
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     // Four different slot kinds in flight at once; completion out of post
     // order must still match each request to its own slot.
     Request barrier = comm.ibarrier();
@@ -800,7 +798,7 @@ TEST(SlotProtocol, OutstandingFlavorsMatchByTicketOrder) {
 TEST(Runtime, ManyRanksStress) {
   Runtime runtime(quiet(24));
   std::atomic<std::uint64_t> total{0};
-  runtime.run([&](Comm& comm) {
+  run_ranks(runtime, [&](Substrate& comm) {
     const std::vector<std::uint64_t> one{1};
     std::vector<std::uint64_t> sum{0};
     for (int round = 0; round < 10; ++round) {

@@ -8,6 +8,7 @@
 // keys a newer library wrote.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -18,6 +19,7 @@
 #include "comm/substrate.hpp"
 #include "gen/barabasi_albert.hpp"
 #include "graph/components.hpp"
+#include "mpisim/runtime.hpp"
 #include "tune/tuner.hpp"
 
 namespace distbc {
@@ -220,6 +222,36 @@ TEST(SubstrateUsed, CommunicatorFreeRunsLeaveItEmpty) {
   const api::Result result = session.run(query);
   ASSERT_TRUE(result.status.ok) << result.status.message;
   EXPECT_TRUE(result.substrate_used.empty());
+}
+
+// --- Topology splits -------------------------------------------------------
+
+TEST(SubstrateSplit, ChildrenKeepTheSubstrateKind) {
+  // The hierarchical pipeline runs its node-local and leader collectives
+  // on split children, so a split must hand back the parent's kind - a
+  // child that fell back to mpisim would stamp its bytes with the wrong
+  // profile (Result attribution only reads the world communicator).
+  mpisim::RuntimeConfig runtime_config;
+  runtime_config.num_ranks = 4;
+  runtime_config.ranks_per_node = 2;
+  runtime_config.network = comm::network_model_for(
+      comm::SubstrateKind::kNcclsim, mpisim::NetworkModel::disabled());
+  mpisim::Runtime runtime(runtime_config);
+  std::atomic<int> leaders{0};
+  runtime.run([&](auto& rank_comm) {
+    const auto world =
+        comm::make_substrate(comm::SubstrateKind::kNcclsim, rank_comm);
+    const auto local = world->split_by_node();
+    EXPECT_STREQ(local->name(), "ncclsim");
+    EXPECT_STREQ(local->volume().substrate, "ncclsim");
+    const auto leader = world->split_node_leaders();
+    if (leader->valid()) {
+      ++leaders;
+      EXPECT_STREQ(leader->name(), "ncclsim");
+      EXPECT_STREQ(leader->volume().substrate, "ncclsim");
+    }
+  });
+  EXPECT_EQ(leaders.load(), 2);
 }
 
 TEST(CommVolumeTag, FirstNonEmptySubstrateWinsOnMerge) {
