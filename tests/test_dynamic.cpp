@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -380,6 +382,223 @@ TEST(SampleLedger, BloomFalsePositivesOnlyCostExtraResamples) {
     // ledger-many samples.
     EXPECT_EQ(engine->samples(), engine->ledger().size());
   }
+}
+
+// --- SampleLedger verdicts -----------------------------------------------------
+
+/// FNV-1a over 64-bit words: order-sensitive, so any change in a dirty
+/// index, the dirty count, or bloom_dirty changes the digest.
+class Fnv {
+ public:
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xffU;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+void add_verdict(Fnv& fnv,
+                 const dynamic::SampleLedger::Classification& verdict) {
+  fnv.add(verdict.dirty.size());
+  for (const std::uint32_t index : verdict.dirty) fnv.add(index);
+  fnv.add(verdict.bloom_dirty);
+}
+
+enum class BatchKind { kInsertOnly, kDeleteOnly, kMixed, kSharedEndpoints };
+
+/// A random edge absent from `graph` and from `queued`; `anchor` (when
+/// valid) is one of its endpoints.
+dynamic::Edge random_absent_edge(const graph::Graph& graph, Rng& rng,
+                                 const std::vector<dynamic::Edge>& queued,
+                                 graph::Vertex anchor = graph::kInvalidVertex) {
+  for (;;) {
+    auto [a, b] = rng.next_distinct_pair(graph.num_vertices());
+    if (anchor != graph::kInvalidVertex) {
+      if (b == anchor) continue;
+      a = anchor;
+    }
+    const dynamic::Edge edge{static_cast<graph::Vertex>(std::min(a, b)),
+                             static_cast<graph::Vertex>(std::max(a, b))};
+    if (graph.has_edge(edge.u, edge.v) ||
+        std::find(queued.begin(), queued.end(), edge) != queued.end())
+      continue;
+    return edge;
+  }
+}
+
+/// One seeded batch of `kind` against `graph`, validated. Deletions take
+/// the oldest edges in `churned` (inserted by earlier batches), so the
+/// original edges never leave and the graph stays connected; this batch's
+/// inserts are appended to `churned`. Shared-endpoint batches insert three
+/// edges on one hub and delete an edge whose endpoint another insert
+/// reuses, so endpoints repeat within and across the two lists.
+dynamic::EdgeBatch seeded_batch(BatchKind kind, const graph::Graph& graph,
+                                Rng& rng, std::deque<dynamic::Edge>& churned) {
+  std::vector<dynamic::Edge> inserts;
+  std::vector<dynamic::Edge> deletes;
+  const auto take_oldest = [&] {
+    deletes.push_back(churned.front());
+    churned.pop_front();
+  };
+  switch (kind) {
+    case BatchKind::kInsertOnly:
+      for (int i = 0; i < 3; ++i)
+        inserts.push_back(random_absent_edge(graph, rng, inserts));
+      break;
+    case BatchKind::kDeleteOnly:
+      take_oldest();
+      take_oldest();
+      break;
+    case BatchKind::kMixed:
+      for (int i = 0; i < 2; ++i)
+        inserts.push_back(random_absent_edge(graph, rng, inserts));
+      take_oldest();
+      break;
+    case BatchKind::kSharedEndpoints: {
+      const auto hub =
+          static_cast<graph::Vertex>(rng.next_bounded(graph.num_vertices()));
+      for (int i = 0; i < 3; ++i)
+        inserts.push_back(random_absent_edge(graph, rng, inserts, hub));
+      take_oldest();
+      inserts.push_back(
+          random_absent_edge(graph, rng, inserts, deletes.front().v));
+      break;
+    }
+  }
+  dynamic::EdgeBatch batch;
+  for (const dynamic::Edge& edge : inserts) batch.insert(edge.u, edge.v);
+  for (const dynamic::Edge& edge : deletes) batch.remove(edge.u, edge.v);
+  EXPECT_TRUE(batch.validate(graph).ok);
+  churned.insert(churned.end(), inserts.begin(), inserts.end());
+  return batch;
+}
+
+/// Every batch kind, twice-interleaved, in a fixed order.
+constexpr BatchKind kPinnedKinds[] = {
+    BatchKind::kInsertOnly,      BatchKind::kInsertOnly,
+    BatchKind::kMixed,           BatchKind::kDeleteOnly,
+    BatchKind::kSharedEndpoints, BatchKind::kMixed,
+    BatchKind::kDeleteOnly,      BatchKind::kSharedEndpoints,
+    BatchKind::kInsertOnly,      BatchKind::kMixed,
+    BatchKind::kDeleteOnly,      BatchKind::kSharedEndpoints};
+
+/// Digest of every classification a seeded run + refresh sequence makes
+/// at sketch cap `exact_cap`: the verdicts AND, through the resampled
+/// slots they feed, the ledger every later verdict is made on.
+std::uint64_t verdict_digest(std::uint32_t exact_cap,
+                             std::uint64_t* bloom_sketches = nullptr,
+                             std::uint64_t* records = nullptr) {
+  const auto initial = std::make_shared<const graph::Graph>(churn_graph());
+  dynamic::SketchParams sketch;
+  sketch.exact_cap = exact_cap;
+  dynamic::IncrementalBc engine(churn_params(), sketch);
+  engine.run(initial);
+  if (bloom_sketches != nullptr)
+    *bloom_sketches = engine.ledger().bloom_sketches();
+  if (records != nullptr) *records = engine.ledger().size();
+
+  dynamic::MutableGraph mutable_graph(initial);
+  std::deque<dynamic::Edge> churned;
+  Rng rng(2718);
+  Fnv fnv;
+  for (const BatchKind kind : kPinnedKinds) {
+    const dynamic::EdgeBatch batch =
+        seeded_batch(kind, *mutable_graph.snapshot(), rng, churned);
+    mutable_graph.apply(batch);
+    fnv.add(engine.ledger().size());
+    add_verdict(fnv, engine.ledger().classify(batch));
+    const std::uint32_t bound =
+        batch.deletes().empty()
+            ? 0
+            : graph::vertex_diameter(*mutable_graph.snapshot(), true);
+    (void)engine.refresh(mutable_graph.snapshot(), batch, bound);
+  }
+  return fnv.value();
+}
+
+TEST(SampleLedger, VerdictDigestsArePinned) {
+  std::uint64_t bloom = 0;
+  std::uint64_t records = 0;
+  EXPECT_EQ(verdict_digest(0, &bloom, &records),
+            9867948450389643583ULL);
+  EXPECT_EQ(bloom, records);  // every record a Bloom filter
+
+  EXPECT_EQ(verdict_digest(8, &bloom, &records),
+            6886851595381937586ULL);
+  EXPECT_GT(bloom, 0u);  // both sketch kinds in one ledger
+  EXPECT_LT(bloom, records);
+
+  EXPECT_EQ(verdict_digest(256, &bloom, &records),
+            2821710544694617154ULL);
+  EXPECT_EQ(bloom, 0u);  // every record an exact list
+}
+
+TEST(SampleLedger, ExactVerdictIsScannedSetMembershipAndBloomASuperset) {
+  const auto initial = std::make_shared<const graph::Graph>(churn_graph());
+  const graph::Vertex n = initial->num_vertices();
+  Rng rng(31337);
+
+  // Hand-made records: random scanned sets (duplicates and unsorted input
+  // included, sizes 0..59) recorded into an all-exact and an all-Bloom
+  // ledger.
+  dynamic::SampleLedger exact(exact_sketch());
+  dynamic::SampleLedger bloom(bloom_sketch());
+  std::vector<std::vector<graph::Vertex>> scanned_sets;
+  for (std::uint64_t i = 0; i < 400; ++i) {
+    std::vector<graph::Vertex> scanned(rng.next_bounded(60));
+    for (graph::Vertex& v : scanned)
+      v = static_cast<graph::Vertex>(rng.next_bounded(n));
+    exact.record(i, true, {}, scanned);
+    bloom.record(i, true, {}, scanned);
+    scanned_sets.push_back(std::move(scanned));
+  }
+
+  dynamic::MutableGraph mutable_graph(initial);
+  std::deque<dynamic::Edge> churned;
+  std::uint64_t dirty_total = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (const BatchKind kind : kPinnedKinds) {
+      const dynamic::EdgeBatch batch =
+          seeded_batch(kind, *mutable_graph.snapshot(), rng, churned);
+      mutable_graph.apply(batch);
+
+      std::vector<graph::Vertex> endpoints;
+      for (const auto list : {batch.inserts(), batch.deletes()})
+        for (const dynamic::Edge& edge : list) {
+          endpoints.push_back(edge.u);
+          endpoints.push_back(edge.v);
+        }
+      std::vector<std::uint32_t> expected;
+      for (std::uint32_t i = 0; i < scanned_sets.size(); ++i) {
+        const auto& scanned = scanned_sets[i];
+        const bool hit = std::any_of(
+            endpoints.begin(), endpoints.end(), [&](graph::Vertex e) {
+              return std::find(scanned.begin(), scanned.end(), e) !=
+                     scanned.end();
+            });
+        if (hit) expected.push_back(i);
+      }
+      dirty_total += expected.size();
+
+      const auto exact_verdict = exact.classify(batch);
+      EXPECT_EQ(exact_verdict.dirty, expected);
+      EXPECT_EQ(exact_verdict.bloom_dirty, 0u);
+
+      const auto bloom_verdict = bloom.classify(batch);
+      EXPECT_TRUE(std::includes(bloom_verdict.dirty.begin(),
+                                bloom_verdict.dirty.end(), expected.begin(),
+                                expected.end()));
+      EXPECT_EQ(bloom_verdict.bloom_dirty, bloom_verdict.dirty.size());
+    }
+  }
+  // The batches hit some records and missed others.
+  EXPECT_GT(dirty_total, 0u);
+  EXPECT_LT(dirty_total, std::size(kPinnedKinds) * 3 * scanned_sets.size());
 }
 
 // --- DynamicState --------------------------------------------------------------
