@@ -18,7 +18,10 @@
 // per-sample RNG streams): the dirty-sample fraction per churn rate, the
 // fraction of full-mode sample draws the incremental path avoids, and the
 // acceptance bool `dirty_fraction_bounded` (< 25% dirty at 0.1% churn).
-// Wall clocks are reported as est_*_seconds and skipped by the gate.
+// Wall clocks are reported as est_*_seconds and skipped by the gate: per
+// churn rate the incremental total (build + refreshes), the build alone,
+// the refresh seconds per batch, and the recompute seconds per graph
+// version; each churn rate's rows end with refresh over recompute.
 #include <cstdio>
 #include <vector>
 
@@ -155,11 +158,15 @@ int main(int argc, char** argv) {
             point.fraction * 1e6)));
 
     // --- Incremental: one engine, refresh per batch --------------------
+    // The build (the initial run()) is timed apart from the refreshes so
+    // the per-batch cost is not hidden behind it.
     const WallTimer incremental_timer;
     dynamic::IncrementalBc engine(params, sketch);
     engine.run(initial);
+    const double build_seconds = incremental_timer.elapsed_s();
     const std::uint64_t initial_draws = engine.next_stream();
     dynamic::MutableGraph mutable_graph(initial);
+    const WallTimer refresh_timer;
     std::uint64_t dirty = 0, retained = 0, topup = 0, recalibrations = 0;
     for (const dynamic::EdgeBatch& batch : sequence) {
       mutable_graph.apply(batch);
@@ -175,6 +182,8 @@ int main(int argc, char** argv) {
       topup += stats.topup;
       recalibrations += stats.recalibrated ? 1 : 0;
     }
+    const double refresh_seconds_per_batch =
+        refresh_timer.elapsed_s() / static_cast<double>(batches);
     const double incremental_seconds = incremental_timer.elapsed_s();
     // Fresh draws the churn cost: everything after the initial build.
     const std::uint64_t incremental_draws =
@@ -195,6 +204,8 @@ int main(int argc, char** argv) {
       }
     }
     const double full_seconds = full_timer.elapsed_s();
+    const double recompute_seconds_per_version =
+        full_seconds / static_cast<double>(batches);
     const double draws_saved =
         1.0 - static_cast<double>(incremental_draws) /
                   static_cast<double>(full_draws);
@@ -210,6 +221,11 @@ int main(int argc, char** argv) {
                 point.fraction * 100.0, "full", batches,
                 static_cast<unsigned long long>(edges_per_batch), "-", "-",
                 static_cast<unsigned long long>(full_draws), full_seconds);
+    std::printf("%9s build %.4f s, refresh %.6f s/batch vs recompute "
+                "%.6f s/version: ratio %.4f\n",
+                "", build_seconds, refresh_seconds_per_batch,
+                recompute_seconds_per_version,
+                refresh_seconds_per_batch / recompute_seconds_per_version);
 
     json.begin_row();
     json.field("churn_pct", point.fraction * 100.0);
@@ -234,6 +250,11 @@ int main(int argc, char** argv) {
     json.summary("est_churn_" + tag + "_incremental_seconds",
                  incremental_seconds);
     json.summary("est_churn_" + tag + "_full_seconds", full_seconds);
+    json.summary("est_churn_" + tag + "_build_seconds", build_seconds);
+    json.summary("est_churn_" + tag + "_refresh_seconds_per_batch",
+                 refresh_seconds_per_batch);
+    json.summary("est_churn_" + tag + "_recompute_seconds_per_version",
+                 recompute_seconds_per_version);
     if (point.fraction == 0.001) bounded_dirty_fraction = dirty_fraction;
   }
 

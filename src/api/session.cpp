@@ -223,7 +223,15 @@ void Session::bind_dynamic_state(
 void Session::adopt_apply(const dynamic::ApplyReport& report) {
   graph_ = dynamic_->snapshot();
   fingerprint_ = report.fingerprint;
-  connected_.reset();  // re-derived lazily (apply() checked deletions)
+  // An accepted deletion batch was checked connected, and inserting edges
+  // cannot disconnect a connected graph; only an insert-only batch on a
+  // graph not known to be connected (it may have joined the components)
+  // needs the lazy re-check.
+  if (report.had_deletes || connected_.value_or(false)) {
+    connected_ = true;
+  } else {
+    connected_.reset();
+  }
   mean_distance_range_ = 0;
   // Calibration-bound policy: a warm state survives as long as its cached
   // vertex-diameter bound still covers the new graph - always on

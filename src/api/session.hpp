@@ -214,8 +214,10 @@ class Session {
   /// Applies one edge batch to the session's graph: validates it against
   /// the current snapshot, publishes the next version, refreshes every
   /// live incremental engine (clean samples kept, dirty ones resampled),
-  /// and updates the session caches - connectivity and fingerprint are
-  /// re-derived; cached calibrations survive insert-only batches unchanged
+  /// and updates the session caches - the fingerprint is adopted, a known
+  /// connected graph stays connected (deletion batches are checked,
+  /// insertions cannot disconnect), any other verdict is re-derived
+  /// lazily; cached calibrations survive insert-only batches unchanged
   /// (distances only shrink, so their vertex-diameter bounds hold) and
   /// survive deletion batches when their bound covers the recomputed one,
   /// re-stamped to the new fingerprint; violated bounds drop the entry.

@@ -1,6 +1,6 @@
 #include "dynamic/dynamic_state.hpp"
 
-#include <optional>
+#include <algorithm>
 #include <utility>
 
 #include "graph/components.hpp"
@@ -52,21 +52,32 @@ ApplyReport DynamicState::apply(EdgeBatch batch) {
   // Bound policy: insert-only batches only shrink distances, so every
   // cached vertex-diameter bound stays a valid upper bound - nothing is
   // recomputed (diameter_bound stays 0). Deletion batches recompute the
-  // bound on the NEW snapshot, once per exactness class among the live
-  // engines, plus the cheap 2-approximation for the report (a sound upper
-  // bound for any downstream cache, e.g. Session warm states).
-  std::optional<std::uint32_t> bound_by_exactness[2];
-  auto bound_for = [&](bool exact) {
-    auto& slot = bound_by_exactness[exact ? 1 : 0];
-    if (!slot)
-      slot = graph::vertex_diameter(*graph_.snapshot(), exact);
-    return *slot;
-  };
-  if (report.had_deletes) report.diameter_bound = bound_for(false);
+  // bound on the NEW snapshot in one pass: iFUB when any live engine uses
+  // the exact bound, whose root BFS is the 2-approximation's (same
+  // two-sweep midpoint), else the 2-approximation alone. The report
+  // carries the 2-approximation, a sound upper bound for any downstream
+  // cache (e.g. Session warm states).
+  std::uint32_t exact_bound = 0;
+  if (report.had_deletes) {
+    const graph::Graph& snapshot = *graph_.snapshot();
+    const bool any_exact =
+        std::any_of(engines_.begin(), engines_.end(), [](const auto& entry) {
+          return entry.second->params().exact_diameter;
+        });
+    if (any_exact) {
+      const graph::DiameterResult ifub = graph::ifub_diameter(snapshot);
+      exact_bound = ifub.diameter + 1;
+      report.diameter_bound = 2 * ifub.root_eccentricity + 1;
+    } else {
+      report.diameter_bound = graph::vertex_diameter(snapshot, false);
+    }
+  }
 
   for (auto& [key, engine] : engines_) {
     const std::uint32_t new_bound =
-        report.had_deletes ? bound_for(engine->params().exact_diameter) : 0;
+        !report.had_deletes ? 0
+        : engine->params().exact_diameter ? exact_bound
+                                          : report.diameter_bound;
     const IncrementalBc::RefreshStats stats =
         engine->refresh(graph_.snapshot(), batch, new_bound);
     ++report.engines_refreshed;

@@ -15,8 +15,10 @@
 // connected graph); a disconnecting batch is reverted and rejected with a
 // typed Status. Vertex-diameter bounds are touched only when they can be
 // violated: insert-only batches shrink distances and keep every cached
-// bound; deletion batches recompute the bound once per exactness class in
-// use and engines recalibrate only when their cached bound is exceeded.
+// bound; deletion batches recompute it in one diameter pass (iFUB when
+// any live engine uses the exact bound, its root eccentricity giving the
+// 2-approximation too) and engines recalibrate only when their cached
+// bound is exceeded.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 #include "dynamic/sample_ledger.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "support/assert.hpp"
 
@@ -17,46 +18,48 @@ std::uint64_t mix(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-void bloom_set(std::vector<std::uint64_t>& bits, graph::Vertex v) {
+/// The four filter bits vertex `v` sets (and a membership test checks) in
+/// a Bloom filter of `total` bits.
+std::array<std::uint64_t, 4> probe_bits(graph::Vertex v, std::uint64_t total) {
   const std::uint64_t h = mix(v);
-  const std::uint64_t total = bits.size() * 64;
-  for (int probe = 0; probe < 4; ++probe) {
-    const std::uint64_t bit = ((h >> (16 * probe)) & 0xffffULL) % total;
-    bits[bit / 64] |= 1ULL << (bit % 64);
-  }
-}
-
-bool bloom_test(const std::vector<std::uint64_t>& bits, graph::Vertex v) {
-  const std::uint64_t h = mix(v);
-  const std::uint64_t total = bits.size() * 64;
-  for (int probe = 0; probe < 4; ++probe) {
-    const std::uint64_t bit = ((h >> (16 * probe)) & 0xffffULL) % total;
-    if ((bits[bit / 64] & (1ULL << (bit % 64))) == 0) return false;
-  }
-  return true;
+  std::array<std::uint64_t, 4> bits{};
+  for (int probe = 0; probe < 4; ++probe)
+    bits[probe] = ((h >> (16 * probe)) & 0xffffULL) % total;
+  return bits;
 }
 
 }  // namespace
 
+std::uint32_t SampleLedger::bloom_words() const {
+  return std::max<std::uint32_t>(1, params_.bloom_words);
+}
+
 void SampleLedger::fill(Record& record, std::uint64_t stream, bool connected,
                         std::span<const graph::Vertex> path,
-                        std::span<const graph::Vertex> scanned) const {
+                        std::span<const graph::Vertex> scanned) {
   record.stream = stream;
   record.connected = connected;
-  record.path.assign(path.begin(), path.end());
-  record.touched.clear();
-  record.bits.clear();
+  // Every list is stored at its exact size: assign() would keep a replaced
+  // record's capacity, so each slot would grow to the largest sample it
+  // ever held and the ledger's allocations would climb with every refresh.
+  record.path = std::vector<graph::Vertex>(path.begin(), path.end());
   if (scanned.size() <= params_.exact_cap) {
     record.bloom = false;
-    record.touched.assign(scanned.begin(), scanned.end());
-    std::sort(record.touched.begin(), record.touched.end());
-    record.touched.erase(
-        std::unique(record.touched.begin(), record.touched.end()),
-        record.touched.end());
+    scratch_.assign(scanned.begin(), scanned.end());
+    std::sort(scratch_.begin(), scratch_.end());
+    scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
+                   scratch_.end());
+    record.touched = std::vector<graph::Vertex>(scratch_.begin(),
+                                                scratch_.end());
+    record.bits = std::vector<std::uint64_t>();
   } else {
     record.bloom = true;
-    record.bits.assign(std::max<std::uint32_t>(1, params_.bloom_words), 0);
-    for (const graph::Vertex v : scanned) bloom_set(record.bits, v);
+    record.touched = std::vector<graph::Vertex>();
+    record.bits.assign(bloom_words(), 0);
+    const std::uint64_t total = record.bits.size() * 64;
+    for (const graph::Vertex v : scanned)
+      for (const std::uint64_t bit : probe_bits(v, total))
+        record.bits[bit / 64] |= 1ULL << (bit % 64);
   }
 }
 
@@ -79,9 +82,15 @@ void SampleLedger::replace(std::size_t index, std::uint64_t stream,
   if (slot.bloom) ++bloom_sketches_;
 }
 
-bool SampleLedger::may_contain(const Record& record, graph::Vertex v) {
-  if (record.bloom) return bloom_test(record.bits, v);
-  return std::binary_search(record.touched.begin(), record.touched.end(), v);
+std::size_t SampleLedger::heap_bytes() const {
+  std::size_t bytes = records_.capacity() * sizeof(Record) +
+                      scratch_.capacity() * sizeof(graph::Vertex);
+  for (const Record& record : records_) {
+    bytes += (record.path.capacity() + record.touched.capacity()) *
+                 sizeof(graph::Vertex) +
+             record.bits.capacity() * sizeof(std::uint64_t);
+  }
+  return bytes;
 }
 
 SampleLedger::Classification SampleLedger::classify(
@@ -89,19 +98,53 @@ SampleLedger::Classification SampleLedger::classify(
   DISTBC_ASSERT_MSG(batch.validated(),
                     "SampleLedger::classify requires a validated EdgeBatch");
   Classification result;
+
+  // Batch side, once per call: the sorted distinct endpoints, a bitmap
+  // over them, and each endpoint's four Bloom probe positions.
+  std::vector<graph::Vertex> endpoints;
+  endpoints.reserve(2 * batch.size());
+  for (std::span<const Edge> list : {batch.inserts(), batch.deletes()}) {
+    for (const Edge& edge : list) {
+      endpoints.push_back(edge.u);
+      endpoints.push_back(edge.v);
+    }
+  }
+  if (endpoints.empty()) return result;
+  std::sort(endpoints.begin(), endpoints.end());
+  endpoints.erase(std::unique(endpoints.begin(), endpoints.end()),
+                  endpoints.end());
+  const graph::Vertex largest = endpoints.back();
+  std::vector<std::uint64_t> bitmap(largest / 64 + 1, 0);
+  for (const graph::Vertex v : endpoints) bitmap[v / 64] |= 1ULL << (v % 64);
+
+  std::vector<std::array<std::uint64_t, 4>> probes;
+  if (bloom_sketches_ > 0) {
+    const std::uint64_t total = std::uint64_t{bloom_words()} * 64;
+    probes.reserve(endpoints.size());
+    for (const graph::Vertex v : endpoints)
+      probes.push_back(probe_bits(v, total));
+  }
+
+  // Record side: an exact record scans its sorted list against the bitmap
+  // until the first hit or past the largest endpoint; a Bloom record tests
+  // the precomputed probe positions.
+  const auto bloom_hit = [&](const std::vector<std::uint64_t>& bits) {
+    return std::any_of(probes.begin(), probes.end(), [&](const auto& probe) {
+      return std::all_of(probe.begin(), probe.end(), [&](std::uint64_t bit) {
+        return (bits[bit / 64] >> (bit % 64)) & 1ULL;
+      });
+    });
+  };
+  const auto exact_hit = [&](const std::vector<graph::Vertex>& touched) {
+    for (const graph::Vertex v : touched) {
+      if (v > largest) return false;
+      if ((bitmap[v / 64] >> (v % 64)) & 1ULL) return true;
+    }
+    return false;
+  };
   for (std::size_t i = 0; i < records_.size(); ++i) {
     const Record& record = records_[i];
-    bool dirty = false;
-    for (std::span<const Edge> list : {batch.inserts(), batch.deletes()}) {
-      for (const Edge& edge : list) {
-        if (may_contain(record, edge.u) || may_contain(record, edge.v)) {
-          dirty = true;
-          break;
-        }
-      }
-      if (dirty) break;
-    }
-    if (dirty) {
+    if (record.bloom ? bloom_hit(record.bits) : exact_hit(record.touched)) {
       result.dirty.push_back(static_cast<std::uint32_t>(i));
       if (record.bloom) ++result.bloom_dirty;
     }

@@ -92,6 +92,11 @@ class SampleLedger {
   [[nodiscard]] bool is_bloom(std::size_t index) const {
     return records_[index].bloom;
   }
+  /// Bytes the ledger currently holds allocated (record array, every
+  /// record's lists and filter words, the dedupe buffer). Observability
+  /// only: records are stored at their exact size, so this tracks the
+  /// live sample set and does not grow with the number of refreshes.
+  [[nodiscard]] std::size_t heap_bytes() const;
 
   struct Classification {
     /// Dirty record indices, ascending.
@@ -102,7 +107,10 @@ class SampleLedger {
   };
 
   /// Classifies every record against `batch`: dirty iff the sketch may
-  /// contain an endpoint of any batch edge.
+  /// contain an endpoint of any batch edge. Costs O(records + batch): the
+  /// endpoint set, its bitmap and its Bloom probe positions are built once
+  /// per call, then each exact record scans its sorted list against the
+  /// bitmap and each Bloom record tests the precomputed probes.
   [[nodiscard]] Classification classify(const EdgeBatch& batch) const;
 
  private:
@@ -117,12 +125,15 @@ class SampleLedger {
 
   void fill(Record& record, std::uint64_t stream, bool connected,
             std::span<const graph::Vertex> path,
-            std::span<const graph::Vertex> scanned) const;
-  [[nodiscard]] static bool may_contain(const Record& record,
-                                        graph::Vertex v);
+            std::span<const graph::Vertex> scanned);
+  /// Words per Bloom filter (at least one).
+  [[nodiscard]] std::uint32_t bloom_words() const;
 
   SketchParams params_;
   std::vector<Record> records_;
+  /// Reused buffer the scanned set is sorted and deduplicated in before
+  /// it is copied into a record at its exact size.
+  std::vector<graph::Vertex> scratch_;
   std::uint64_t bloom_sketches_ = 0;
 };
 

@@ -67,6 +67,7 @@ DiameterResult ifub_diameter(const Graph& graph) {
   BfsWorkspace ws(graph.num_vertices());
   const BfsSummary root_bfs = bfs(graph, sweep.midpoint, ws);
   ++result.num_bfs;
+  result.root_eccentricity = root_bfs.eccentricity;
 
   // Bucket vertices of the root BFS tree by level.
   std::vector<std::vector<Vertex>> levels(root_bfs.eccentricity + 1);

@@ -29,6 +29,10 @@ struct TwoSweepResult {
 struct DiameterResult {
   std::uint32_t diameter = 0;
   std::uint64_t num_bfs = 0;  // BFS invocations spent (measure of work)
+  /// Eccentricity of iFUB's root, the two-sweep midpoint: the same BFS
+  /// vertex_diameter(graph, false) runs, so 2 * root_eccentricity + 1 is
+  /// that 2-approximation without a second pass.
+  std::uint32_t root_eccentricity = 0;
 };
 
 /// iFUB: exact diameter. Requires a connected graph.

@@ -2,7 +2,9 @@
 // iFUB, and vertex-diameter bounds.
 #include <gtest/gtest.h>
 
+#include "gen/barabasi_albert.hpp"
 #include "gen/erdos_renyi.hpp"
+#include "gen/instances.hpp"
 #include "gen/road.hpp"
 #include "graph/bfs.hpp"
 #include "graph/builder.hpp"
@@ -153,6 +155,25 @@ TEST(VertexDiameter, ApproximationUpperBoundsExact) {
     const std::uint32_t approx = vertex_diameter(graph, false);
     EXPECT_GE(approx, exact);
     EXPECT_LE(approx, 2 * exact);  // 2-approximation
+  }
+}
+
+TEST(VertexDiameter, IfubRootGivesTheTwoApproximation) {
+  // 2 * root_eccentricity + 1 from one iFUB pass must be exactly the
+  // bound vertex_diameter(graph, false) computes with its own sweep.
+  std::vector<Graph> graphs;
+  for (const std::uint64_t seed : {21ull, 22ull, 23ull})
+    graphs.push_back(largest_component(gen::erdos_renyi(150, 300, seed)));
+  graphs.push_back(largest_component(gen::barabasi_albert(2000, 3, 5)));
+  for (const gen::InstanceSpec& spec : gen::quick_suite())
+    graphs.push_back(spec.build(0.25, 1));
+  graphs.push_back(path_graph(17));
+  graphs.push_back(from_edges(1, {}));
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    const DiameterResult ifub = ifub_diameter(graphs[i]);
+    EXPECT_EQ(2 * ifub.root_eccentricity + 1,
+              vertex_diameter(graphs[i], false))
+        << "graph " << i;
   }
 }
 

@@ -25,6 +25,7 @@
 #include "dynamic/incremental_bc.hpp"
 #include "dynamic/mutable_graph.hpp"
 #include "gen/erdos_renyi.hpp"
+#include "graph/builder.hpp"
 #include "graph/components.hpp"
 #include "graph/diameter.hpp"
 #include "graph/stats.hpp"
@@ -489,13 +490,16 @@ constexpr BatchKind kPinnedKinds[] = {
 
 /// Digest of every classification a seeded run + refresh sequence makes
 /// at sketch cap `exact_cap`: the verdicts AND, through the resampled
-/// slots they feed, the ledger every later verdict is made on.
+/// slots they feed, the ledger every later verdict is made on. The Bloom
+/// filters are two words wide so that false positives occur and the
+/// digest pins every probe position, not only the exact-list verdicts.
 std::uint64_t verdict_digest(std::uint32_t exact_cap,
                              std::uint64_t* bloom_sketches = nullptr,
                              std::uint64_t* records = nullptr) {
   const auto initial = std::make_shared<const graph::Graph>(churn_graph());
   dynamic::SketchParams sketch;
   sketch.exact_cap = exact_cap;
+  sketch.bloom_words = 2;
   dynamic::IncrementalBc engine(churn_params(), sketch);
   engine.run(initial);
   if (bloom_sketches != nullptr)
@@ -525,11 +529,11 @@ TEST(SampleLedger, VerdictDigestsArePinned) {
   std::uint64_t bloom = 0;
   std::uint64_t records = 0;
   EXPECT_EQ(verdict_digest(0, &bloom, &records),
-            9867948450389643583ULL);
+            12880189114524491050ULL);
   EXPECT_EQ(bloom, records);  // every record a Bloom filter
 
   EXPECT_EQ(verdict_digest(8, &bloom, &records),
-            6886851595381937586ULL);
+            18299572991299874412ULL);
   EXPECT_GT(bloom, 0u);  // both sketch kinds in one ledger
   EXPECT_LT(bloom, records);
 
@@ -599,6 +603,54 @@ TEST(SampleLedger, ExactVerdictIsScannedSetMembershipAndBloomASuperset) {
   // The batches hit some records and missed others.
   EXPECT_GT(dirty_total, 0u);
   EXPECT_LT(dirty_total, std::size(kPinnedKinds) * 3 * scanned_sets.size());
+}
+
+TEST(SampleLedger, HeapBytesDoNotGrowWithRefreshes) {
+  // A stationary stream: every round inserts two random absent edges and,
+  // once five rounds' worth exist, deletes the two oldest churned ones.
+  // Both sketch mixes: all exact, and exact/Bloom slots turning into each
+  // other on resample.
+  for (const std::uint32_t exact_cap : {256u, 8u}) {
+    const auto initial = std::make_shared<const graph::Graph>(churn_graph());
+    dynamic::SketchParams sketch;
+    sketch.exact_cap = exact_cap;
+    dynamic::IncrementalBc engine(churn_params(), sketch);
+    engine.run(initial);
+    const std::size_t after_run = engine.ledger().heap_bytes();
+    ASSERT_GT(after_run, 0u);
+
+    dynamic::MutableGraph mutable_graph(initial);
+    std::deque<dynamic::Edge> churned;
+    Rng rng(exact_cap);
+    std::uint64_t resampled = 0;
+    for (int round = 0; round < 300; ++round) {
+      const graph::Graph& graph = *mutable_graph.snapshot();
+      std::vector<dynamic::Edge> inserts;
+      for (int i = 0; i < 2; ++i)
+        inserts.push_back(random_absent_edge(graph, rng, inserts));
+      dynamic::EdgeBatch batch;
+      for (const dynamic::Edge& edge : inserts) batch.insert(edge.u, edge.v);
+      if (churned.size() >= 10) {
+        for (int i = 0; i < 2; ++i) {
+          batch.remove(churned.front().u, churned.front().v);
+          churned.pop_front();
+        }
+      }
+      churned.insert(churned.end(), inserts.begin(), inserts.end());
+      ASSERT_TRUE(batch.validate(graph).ok);
+      mutable_graph.apply(batch);
+      const std::uint32_t bound =
+          batch.deletes().empty()
+              ? 0
+              : graph::vertex_diameter(*mutable_graph.snapshot(), true);
+      resampled +=
+          engine.refresh(mutable_graph.snapshot(), batch, bound).resampled;
+      EXPECT_LE(engine.ledger().heap_bytes(), after_run * 5 / 4)
+          << "cap " << exact_cap << " round " << round;
+    }
+    // The stream really did cycle the slots many times over.
+    EXPECT_GT(resampled, 3 * engine.ledger().size()) << "cap " << exact_cap;
+  }
 }
 
 // --- DynamicState --------------------------------------------------------------
@@ -717,6 +769,45 @@ TEST(SessionApply, IncrementalQueriesSurviveChurn) {
   bad.insert(2, 2);
   EXPECT_FALSE(session.apply(std::move(bad)).status.ok);
   EXPECT_TRUE(session.run(query).status.ok);
+}
+
+TEST(SessionApply, InsertOnlyBatchesRecheckASplitGraphsConnectivity) {
+  // Two 30-vertex cycles with no edge between them.
+  std::vector<std::pair<graph::Vertex, graph::Vertex>> edges;
+  for (graph::Vertex base : {0u, 30u})
+    for (graph::Vertex i = 0; i < 30; ++i)
+      edges.emplace_back(base + i, base + (i + 1) % 30);
+  const auto split =
+      std::make_shared<const graph::Graph>(graph::from_edges(60, edges));
+
+  for (const bool incremental : {false, true}) {
+    api::Session session(split, dynamic_config(1));
+    ASSERT_TRUE(session.status().ok);
+    api::BetweennessQuery query;
+    query.epsilon = 0.1;
+    query.incremental = incremental;
+    const api::Result before = session.run(query);
+    EXPECT_FALSE(before.status.ok);
+    EXPECT_NE(before.status.message.find("not connected"), std::string::npos);
+
+    // A chord inside one cycle leaves the graph split.
+    dynamic::EdgeBatch chord;
+    chord.insert(0, 15);
+    ASSERT_TRUE(session.apply(std::move(chord)).status.ok);
+    const api::Result still_split = session.run(query);
+    EXPECT_FALSE(still_split.status.ok);
+    EXPECT_NE(still_split.status.message.find("not connected"),
+              std::string::npos)
+        << still_split.status.message;
+
+    // A bridge joins the cycles: queries succeed from here on.
+    dynamic::EdgeBatch bridge;
+    bridge.insert(7, 37);
+    ASSERT_TRUE(session.apply(std::move(bridge)).status.ok);
+    const api::Result joined = session.run(query);
+    ASSERT_TRUE(joined.status.ok) << joined.status.message;
+    EXPECT_EQ(joined.scores.size(), 60u);
+  }
 }
 
 TEST(SessionPoolApply, PostApplyResponsesBitwiseIdenticalAcrossPoolSizes) {
