@@ -4,13 +4,15 @@
 // exactly), IncrementalBc must keep clean samples across churn, replay
 // bitwise-deterministically, and recalibrate only on a violated
 // vertex-diameter bound, Bloom sketch false positives must cost only
-// extra resamples (never wrong scores), and the Session/pool/dispatcher
-// apply paths must reject typed and stay bitwise identical across pool
-// sizes.
+// extra resamples (never wrong scores), SampleLedger verdicts must match
+// golden digests and scanned-set membership while its allocations stay
+// flat across refreshes, and the Session/pool/dispatcher apply paths must
+// reject typed, keep the connectivity verdict sound, and stay bitwise
+// identical across pool sizes.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -79,26 +81,36 @@ dynamic::Edge present_edge(const graph::Graph& graph, graph::Vertex from = 0) {
   return {0, 0};
 }
 
+/// A random edge absent from `graph` and from `queued`; `anchor` (when
+/// valid) is one of its endpoints.
+dynamic::Edge random_absent_edge(const graph::Graph& graph, Rng& rng,
+                                 const std::vector<dynamic::Edge>& queued,
+                                 graph::Vertex anchor = graph::kInvalidVertex) {
+  for (;;) {
+    auto [a, b] = rng.next_distinct_pair(graph.num_vertices());
+    if (anchor != graph::kInvalidVertex) {
+      if (b == anchor) continue;
+      a = anchor;
+    }
+    const dynamic::Edge edge{static_cast<graph::Vertex>(std::min(a, b)),
+                             static_cast<graph::Vertex>(std::max(a, b))};
+    if (graph.has_edge(edge.u, edge.v) ||
+        std::find(queued.begin(), queued.end(), edge) != queued.end())
+      continue;
+    return edge;
+  }
+}
+
 /// A batch of `count` random absent edges (deterministic in `rng`), none
-/// already queued in `taken`.
+/// already queued in `inserted`.
 dynamic::EdgeBatch random_insert_batch(const graph::Graph& graph, int count,
                                        Rng& rng,
                                        std::vector<dynamic::Edge>* inserted) {
   dynamic::EdgeBatch batch;
-  int added = 0;
-  while (added < count) {
-    auto [a, b] = rng.next_distinct_pair(graph.num_vertices());
-    const dynamic::Edge edge{
-        static_cast<graph::Vertex>(std::min(a, b)),
-        static_cast<graph::Vertex>(std::max(a, b))};
-    if (graph.has_edge(edge.u, edge.v)) continue;
-    bool taken = false;
-    for (const dynamic::Edge& seen : *inserted)
-      taken |= seen == edge;
-    if (taken) continue;
+  for (int added = 0; added < count; ++added) {
+    const dynamic::Edge edge = random_absent_edge(graph, rng, *inserted);
     batch.insert(edge.u, edge.v);
     inserted->push_back(edge);
-    ++added;
   }
   return batch;
 }
@@ -412,26 +424,6 @@ void add_verdict(Fnv& fnv,
 
 enum class BatchKind { kInsertOnly, kDeleteOnly, kMixed, kSharedEndpoints };
 
-/// A random edge absent from `graph` and from `queued`; `anchor` (when
-/// valid) is one of its endpoints.
-dynamic::Edge random_absent_edge(const graph::Graph& graph, Rng& rng,
-                                 const std::vector<dynamic::Edge>& queued,
-                                 graph::Vertex anchor = graph::kInvalidVertex) {
-  for (;;) {
-    auto [a, b] = rng.next_distinct_pair(graph.num_vertices());
-    if (anchor != graph::kInvalidVertex) {
-      if (b == anchor) continue;
-      a = anchor;
-    }
-    const dynamic::Edge edge{static_cast<graph::Vertex>(std::min(a, b)),
-                             static_cast<graph::Vertex>(std::max(a, b))};
-    if (graph.has_edge(edge.u, edge.v) ||
-        std::find(queued.begin(), queued.end(), edge) != queued.end())
-      continue;
-    return edge;
-  }
-}
-
 /// One seeded batch of `kind` against `graph`, validated. Deletions take
 /// the oldest edges in `churned` (inserted by earlier batches), so the
 /// original edges never leave and the graph stays connected; this batch's
@@ -479,7 +471,7 @@ dynamic::EdgeBatch seeded_batch(BatchKind kind, const graph::Graph& graph,
   return batch;
 }
 
-/// Every batch kind, twice-interleaved, in a fixed order.
+/// Every batch kind three times, interleaved, in a fixed order.
 constexpr BatchKind kPinnedKinds[] = {
     BatchKind::kInsertOnly,      BatchKind::kInsertOnly,
     BatchKind::kMixed,           BatchKind::kDeleteOnly,
