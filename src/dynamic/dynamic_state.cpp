@@ -6,6 +6,7 @@
 #include "graph/components.hpp"
 #include "graph/diameter.hpp"
 #include "support/assert.hpp"
+#include "support/timer.hpp"
 
 namespace distbc::dynamic {
 
@@ -32,15 +33,23 @@ ApplyReport DynamicState::apply(EdgeBatch batch) {
 
   report.had_deletes = !batch.deletes().empty();
   report.in_place = graph_.apply(batch);
+  const WallTimer bound_timer;
+  if (report.had_deletes) {
+    report.bound_path = covered_by_reference(batch) ? BoundPath::kReference
+                                                    : BoundPath::kRecomputed;
+  }
+  const bool recompute = report.bound_path == BoundPath::kRecomputed;
   // Deletions can split the graph; the sampling estimators (and every live
   // incremental engine) require a connected one, so a disconnecting batch
-  // rolls back instead of poisoning later queries.
-  if (report.had_deletes && !graph::is_connected(*graph_.snapshot())) {
+  // rolls back instead of poisoning later queries. A batch that keeps the
+  // connected reference snapshot cannot disconnect anything.
+  if (recompute && !graph::is_connected(*graph_.snapshot())) {
     graph_.revert(batch);
     report.status =
         api::Status::error("edge batch disconnects the graph (rejected)");
     report.version = graph_.version();
     report.fingerprint = graph_.fingerprint();
+    report.bound_seconds = bound_timer.elapsed_s();
     return report;
   }
   report.status = api::Status::success();
@@ -49,16 +58,16 @@ ApplyReport DynamicState::apply(EdgeBatch batch) {
   report.edges_inserted = batch.inserts().size();
   report.edges_deleted = batch.deletes().size();
 
-  // Bound policy: insert-only batches only shrink distances, so every
-  // cached vertex-diameter bound stays a valid upper bound - nothing is
-  // recomputed (diameter_bound stays 0). Deletion batches recompute the
-  // bound on the NEW snapshot in one pass: iFUB when any live engine uses
-  // the exact bound, whose root BFS is the 2-approximation's (same
-  // two-sweep midpoint), else the 2-approximation alone. The report
-  // carries the 2-approximation, a sound upper bound for any downstream
-  // cache (e.g. Session warm states).
+  // Bound policy (see the header). The recomputed path runs one diameter
+  // pass on the NEW snapshot: iFUB when any live engine uses the exact
+  // bound, whose root BFS is the 2-approximation's (same two-sweep
+  // midpoint), else the 2-approximation alone. The report carries the
+  // 2-approximation, a sound upper bound for any downstream cache (e.g.
+  // Session warm states).
   std::uint32_t exact_bound = 0;
-  if (report.had_deletes) {
+  if (report.bound_path == BoundPath::kReference) {
+    report.diameter_bound = reference_bound_;
+  } else if (recompute) {
     const graph::Graph& snapshot = *graph_.snapshot();
     const bool any_exact =
         std::any_of(engines_.begin(), engines_.end(), [](const auto& entry) {
@@ -71,11 +80,14 @@ ApplyReport DynamicState::apply(EdgeBatch batch) {
     } else {
       report.diameter_bound = graph::vertex_diameter(snapshot, false);
     }
+    reference_ = graph_.snapshot();
+    reference_bound_ = report.diameter_bound;
   }
+  report.bound_seconds = bound_timer.elapsed_s();
 
   for (auto& [key, engine] : engines_) {
     const std::uint32_t new_bound =
-        !report.had_deletes ? 0
+        !recompute ? 0
         : engine->params().exact_diameter ? exact_bound
                                           : report.diameter_bound;
     const IncrementalBc::RefreshStats stats =
@@ -94,12 +106,24 @@ ApplyReport DynamicState::apply(EdgeBatch batch) {
 DynamicState::QueryView DynamicState::query(const bc::KadabraParams& params) {
   std::lock_guard<std::mutex> lock(mutex_);
   QueryView view;
-  auto& engine = engines_[engine_key(params)];
-  if (engine == nullptr) {
-    engine = std::make_unique<IncrementalBc>(params, sketch_);
-    engine->run(graph_.snapshot());
+  const EngineKey key = engine_key(params);
+  auto it = engines_.find(key);
+  if (it == engines_.end()) {
+    const std::shared_ptr<const graph::Graph> snapshot = graph_.snapshot();
+    if (!graph::is_connected(*snapshot)) {
+      view.status = api::Status::error(
+          "graph is not connected; the incremental engine requires a "
+          "connected graph");
+      return view;
+    }
+    auto fresh = std::make_unique<IncrementalBc>(params, sketch_);
+    fresh->run(snapshot);
+    reference_ = snapshot;
+    reference_bound_ = fresh->vertex_diameter();
+    it = engines_.emplace(key, std::move(fresh)).first;
     view.first_run = true;
   }
+  const IncrementalBc* engine = it->second.get();
   view.status = api::Status::success();
   view.scores = engine->scores();
   view.samples = engine->samples();
@@ -107,6 +131,13 @@ DynamicState::QueryView DynamicState::query(const bc::KadabraParams& params) {
   view.ledger_bloom = engine->ledger().bloom_sketches();
   view.vertex_diameter = engine->vertex_diameter();
   return view;
+}
+
+bool DynamicState::covered_by_reference(const EdgeBatch& batch) const {
+  return reference_ != nullptr &&
+         std::ranges::none_of(batch.deletes(), [&](const Edge& edge) {
+           return reference_->has_edge(edge.u, edge.v);
+         });
 }
 
 std::shared_ptr<const graph::Graph> DynamicState::snapshot() const {

@@ -10,15 +10,31 @@
 // else with one mutex.
 //
 // apply(batch) is transactional: the batch is validated against the
-// current snapshot, applied, and - when it deletes edges - the new
-// snapshot is connectivity-checked (the sampling estimators require a
-// connected graph); a disconnecting batch is reverted and rejected with a
-// typed Status. Vertex-diameter bounds are touched only when they can be
-// violated: insert-only batches shrink distances and keep every cached
-// bound; deletion batches recompute it in one diameter pass (iFUB when
-// any live engine uses the exact bound, its root eccentricity giving the
-// 2-approximation too) and engines recalibrate only when their cached
-// bound is exceeded.
+// current snapshot, applied, and - when it deletes an edge of the
+// reference snapshot (below) - the new snapshot is connectivity-checked
+// (the sampling estimators require a connected graph); a disconnecting
+// batch is reverted and rejected with a typed Status.
+//
+// Vertex-diameter bounds are kept against a REFERENCE snapshot with this
+// invariant: the reference is connected, it is a spanning subgraph of the
+// current snapshot, and every live engine's vertex_diameter() is at least
+// VD(reference). Deleting no reference edge therefore cannot disconnect
+// the graph or lengthen its vertex diameter past VD(reference). A batch's
+// bound comes from one of three sources (ApplyReport::bound_path):
+//   - none: insert-only batches shrink distances; every cached bound and
+//     the reference stay valid untouched;
+//   - reference: a deletion batch that deletes no reference edge skips the
+//     connectivity check and the diameter pass; engines keep their bounds
+//     and the report carries the reference's cached bound;
+//   - recomputed: any other deletion batch is connectivity-checked and
+//     pays one diameter pass (iFUB when any live engine uses the exact
+//     bound, its root eccentricity giving the 2-approximation too); an
+//     accepted one becomes the reference. Engines recalibrate only when
+//     the new bound grows their omega.
+// A fresh engine's snapshot becomes the reference too, with that engine's
+// vertex_diameter() as its bound; older engines' bounds cover the old
+// reference, a subgraph of the new one. query() builds engines only on a
+// connected snapshot, so every reference is connected.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +53,9 @@
 
 namespace distbc::dynamic {
 
+/// Which source a batch's vertex-diameter bound came from (see above).
+enum class BoundPath : std::uint8_t { kNone, kReference, kRecomputed };
+
 /// Everything one apply() did, for callers to adopt: the new graph
 /// identity, what the batch contained, the bound policy outcome, and the
 /// aggregated ledger accounting across every refreshed engine.
@@ -49,10 +68,17 @@ struct ApplyReport {
   bool had_deletes = false;
   /// Whether the slack CSR served the batch without a rebuild.
   bool in_place = false;
-  /// Vertex-diameter upper bound recomputed for the NEW graph (2-approx),
-  /// or 0 when the batch was insert-only and every cached bound stayed
-  /// valid untouched.
+  /// Where the bound came from; kNone for insert-only (and invalid)
+  /// batches.
+  BoundPath bound_path = BoundPath::kNone;
+  /// Vertex-diameter upper bound for the NEW graph: the recomputed
+  /// 2-approximation (kRecomputed), the reference snapshot's cached bound,
+  /// which covers every spanning supergraph (kReference), or 0 when the
+  /// batch was insert-only and every cached bound stayed valid untouched.
   std::uint32_t diameter_bound = 0;
+  /// Wall time spent deciding the bound: the reference-edge check, plus
+  /// the connectivity check and diameter pass on kRecomputed.
+  double bound_seconds = 0.0;
 
   // Ledger accounting, summed over every refreshed engine.
   std::uint64_t samples_retained = 0;
@@ -96,8 +122,8 @@ class DynamicState {
   };
 
   /// Scores from the incremental engine for `params`, creating and running
-  /// it on the current snapshot on first use. The graph must be connected
-  /// (callers validate; a fresh engine asserts).
+  /// it on the current snapshot on first use. Creating one on a
+  /// disconnected snapshot is rejected with a typed Status.
   [[nodiscard]] QueryView query(const bc::KadabraParams& params);
 
   [[nodiscard]] std::shared_ptr<const graph::Graph> snapshot() const;
@@ -116,10 +142,17 @@ class DynamicState {
             params.exact_diameter, params.initial_samples, params.balancing};
   }
 
+  /// True when `batch` deletes no edge of the reference snapshot.
+  [[nodiscard]] bool covered_by_reference(const EdgeBatch& batch) const;
+
   mutable std::mutex mutex_;
   MutableGraph graph_;
   SketchParams sketch_;
   std::map<EngineKey, std::unique_ptr<IncrementalBc>> engines_;
+  /// The reference snapshot (null until the first fresh engine or accepted
+  /// recomputed deletion batch) and its cached vertex-diameter bound.
+  std::shared_ptr<const graph::Graph> reference_;
+  std::uint32_t reference_bound_ = 0;
 };
 
 }  // namespace distbc::dynamic

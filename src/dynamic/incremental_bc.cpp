@@ -114,14 +114,19 @@ IncrementalBc::RefreshStats IncrementalBc::refresh(
 
   // Calibration-bound policy: 0 asserts the cached bound still covers the
   // new graph (insert-only batches); a bound within the cached one keeps
-  // omega and the stopping radii; only a VIOLATED bound re-derives omega
-  // and recalibrates - from the merged aggregate, no extra samples.
+  // omega and the stopping radii. A larger bound is adopted, but omega
+  // reads VD only through floor(log2(VD - 2)): only a bound that GROWS
+  // omega re-derives it and recalibrates - from the merged aggregate, no
+  // extra samples.
   if (diameter_bound > vertex_diameter_) {
     vertex_diameter_ = diameter_bound;
-    bc::KadabraContext fresh = bc::begin_context(params_, diameter_bound);
-    bc::finish_calibration(fresh, aggregate_);
-    context_ = fresh;
-    stats.recalibrated = true;
+    if (bc::compute_omega(diameter_bound, params_.epsilon, params_.delta) >
+        context_.omega) {
+      bc::KadabraContext fresh = bc::begin_context(params_, diameter_bound);
+      bc::finish_calibration(fresh, aggregate_);
+      context_ = fresh;
+      stats.recalibrated = true;
+    }
   }
 
   // The merged aggregate must still satisfy the stop rule under the

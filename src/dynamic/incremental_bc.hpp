@@ -13,9 +13,9 @@
 //      (their paths and tau shares), keeping every clean contribution;
 //   3. resample EXACTLY the dirty count on fresh stream indices against
 //      the new snapshot, into the same ledger slots;
-//   4. when the batch violated the cached vertex-diameter bound
-//      (`bound > current`), re-derive omega and recalibrate the stopping
-//      radii from the merged post-resample aggregate - no extra samples;
+//   4. adopt a larger vertex-diameter bound (`bound > current`); when it
+//      grows omega, re-derive omega and recalibrate the stopping radii
+//      from the merged post-resample aggregate - no extra samples;
 //   5. re-evaluate the adaptive stop rule on the merged aggregate and top
 //      up with further epochs if it no longer holds.
 //
@@ -59,13 +59,15 @@ class IncrementalBc {
     std::uint64_t topup = 0;      // extra samples from re-running the stop rule
     std::uint64_t bloom_dirty = 0;  // dirty verdicts from Bloom sketches
     std::uint32_t epochs = 0;       // top-up epochs executed
-    bool recalibrated = false;      // omega/stopping radii re-derived
+    bool recalibrated = false;      // omega grew: stopping radii re-derived
   };
 
   /// Incremental refresh after `batch` produced snapshot `graph`.
   /// `diameter_bound` is the caller's vertex-diameter upper bound for the
   /// NEW graph, or 0 to assert the cached bound still holds (insert-only
-  /// batches: distances only shrink). Requires a previous run().
+  /// batches: distances only shrink). A larger bound raises
+  /// vertex_diameter(); it recalibrates only when it grows omega. Requires
+  /// a previous run().
   RefreshStats refresh(std::shared_ptr<const graph::Graph> graph,
                        const EdgeBatch& batch, std::uint32_t diameter_bound);
 

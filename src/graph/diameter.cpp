@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "graph/components.hpp"
+#include "support/assert.hpp"
 
 namespace distbc::graph {
 
@@ -35,6 +35,7 @@ TwoSweepResult two_sweep(const Graph& graph) {
   TwoSweepResult result;
   result.lower_bound = second.eccentricity;
   result.periphery = a;
+  result.reached = first.reached;
 
   // Retrace half of the a->farthest path inside the second BFS tree to find
   // the midpoint: a good iFUB root with small eccentricity.
@@ -56,12 +57,14 @@ TwoSweepResult two_sweep(const Graph& graph) {
 
 DiameterResult ifub_diameter(const Graph& graph) {
   DISTBC_ASSERT(graph.num_vertices() > 0);
-  DISTBC_ASSERT_MSG(is_connected(graph), "iFUB requires a connected graph");
 
   DiameterResult result;
   if (graph.num_vertices() == 1) return result;
 
+  // The first sweep is a full BFS: it doubles as the connectivity check.
   const TwoSweepResult sweep = two_sweep(graph);
+  DISTBC_ASSERT_MSG(sweep.reached == graph.num_vertices(),
+                    "iFUB requires a connected graph");
   result.num_bfs = 2;
 
   BfsWorkspace ws(graph.num_vertices());

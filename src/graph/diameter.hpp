@@ -19,6 +19,8 @@ struct TwoSweepResult {
   std::uint32_t lower_bound = 0;  // eccentricity found by the second sweep
   Vertex periphery = kInvalidVertex;  // endpoint realizing the bound
   Vertex midpoint = kInvalidVertex;   // middle vertex of the found path
+  /// Vertices the first sweep reached: num_vertices() iff connected.
+  std::uint64_t reached = 0;
 };
 
 /// Double sweep from the max-degree vertex: BFS to the farthest vertex u,

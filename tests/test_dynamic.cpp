@@ -2,12 +2,15 @@
 // that could corrupt the CSR or the ledger accounting, MutableGraph must
 // serve small batches in place and rebuild on slot overflow (and revert
 // exactly), IncrementalBc must keep clean samples across churn, replay
-// bitwise-deterministically, and recalibrate only on a violated
-// vertex-diameter bound, Bloom sketch false positives must cost only
-// extra resamples (never wrong scores), SampleLedger verdicts must match
-// golden digests and scanned-set membership while its allocations stay
-// flat across refreshes, and the Session/pool/dispatcher apply paths must
-// reject typed, keep the connectivity verdict sound, and stay bitwise
+// bitwise-deterministically, and recalibrate only when a vertex-diameter
+// bound grows omega, Bloom sketch false positives must cost only extra
+// resamples (never wrong scores), SampleLedger verdicts must match golden
+// digests and scanned-set membership while its allocations stay flat
+// across refreshes, DynamicState must skip the bound only for batches
+// that keep its reference snapshot (scores bitwise those of an exactly
+// bounded twin) and reject queries on a split graph typed, and the
+// Session/pool/dispatcher apply paths must reject typed, keep the
+// connectivity verdict and warm-state bounds sound, and stay bitwise
 // identical across pool sizes.
 #include <gtest/gtest.h>
 
@@ -99,6 +102,15 @@ dynamic::Edge random_absent_edge(const graph::Graph& graph, Rng& rng,
       continue;
     return edge;
   }
+}
+
+/// Two 30-vertex cycles with no edge between them.
+std::shared_ptr<const graph::Graph> two_cycles() {
+  std::vector<std::pair<graph::Vertex, graph::Vertex>> edges;
+  for (graph::Vertex base : {0u, 30u})
+    for (graph::Vertex i = 0; i < 30; ++i)
+      edges.emplace_back(base + i, base + (i + 1) % 30);
+  return std::make_shared<const graph::Graph>(graph::from_edges(60, edges));
 }
 
 /// A batch of `count` random absent edges (deterministic in `rng`), none
@@ -297,6 +309,10 @@ TEST(IncrementalBc, RecalibratesOnlyWhenTheBoundIsViolated) {
   const auto initial = std::make_shared<const graph::Graph>(churn_graph());
   dynamic::IncrementalBc engine(churn_params(), exact_sketch());
   engine.run(initial);
+  // A twin that sees every batch but is refreshed with bound 0 where the
+  // engine gets a larger bound of the same omega.
+  dynamic::IncrementalBc twin(churn_params(), exact_sketch());
+  twin.run(initial);
   const std::uint32_t vd0 = engine.vertex_diameter();
   const std::uint64_t omega0 = engine.context().omega;
 
@@ -311,17 +327,35 @@ TEST(IncrementalBc, RecalibratesOnlyWhenTheBoundIsViolated) {
   };
 
   // Bound 0: the caller asserts the cached bound still holds (insert-only).
-  auto stats = engine.refresh(mutable_graph.snapshot(), apply_one_insert(3), 0);
+  dynamic::EdgeBatch batch = apply_one_insert(3);
+  auto stats = engine.refresh(mutable_graph.snapshot(), batch, 0);
+  twin.refresh(mutable_graph.snapshot(), batch, 0);
   EXPECT_FALSE(stats.recalibrated);
   EXPECT_EQ(engine.vertex_diameter(), vd0);
   EXPECT_EQ(engine.context().omega, omega0);
 
   // A recomputed bound at or below the cached one keeps omega too.
-  stats = engine.refresh(mutable_graph.snapshot(), apply_one_insert(17), vd0);
+  batch = apply_one_insert(17);
+  stats = engine.refresh(mutable_graph.snapshot(), batch, vd0);
+  twin.refresh(mutable_graph.snapshot(), batch, vd0);
   EXPECT_FALSE(stats.recalibrated);
   EXPECT_EQ(engine.context().omega, omega0);
 
-  // Only a VIOLATED bound re-derives omega and the stopping radii.
+  // A larger bound in the same omega bucket (VD 7 and 9 share
+  // floor(log2(VD - 2)) = 2) is adopted without recalibrating: the scores
+  // are bitwise those of a bound-0 refresh.
+  ASSERT_EQ(bc::compute_omega(vd0 + 2, engine.params().epsilon,
+                              engine.params().delta),
+            omega0);
+  batch = apply_one_insert(23);
+  stats = engine.refresh(mutable_graph.snapshot(), batch, vd0 + 2);
+  twin.refresh(mutable_graph.snapshot(), batch, 0);
+  EXPECT_FALSE(stats.recalibrated);
+  EXPECT_EQ(engine.vertex_diameter(), vd0 + 2);
+  EXPECT_EQ(engine.context().omega, omega0);
+  EXPECT_EQ(engine.scores(), twin.scores());
+
+  // Only a bound that grows omega re-derives it and the stopping radii.
   stats =
       engine.refresh(mutable_graph.snapshot(), apply_one_insert(31), vd0 + 6);
   EXPECT_TRUE(stats.recalibrated);
@@ -671,6 +705,8 @@ TEST(DynamicState, RejectsBadBatchesTransactionally) {
   const dynamic::ApplyReport rejected = state.apply(std::move(isolate));
   EXPECT_FALSE(rejected.status.ok);
   EXPECT_NE(rejected.status.message.find("disconnect"), std::string::npos);
+  // No engine has run, so there is no reference snapshot to vouch for it.
+  EXPECT_EQ(rejected.bound_path, dynamic::BoundPath::kRecomputed);
   EXPECT_EQ(state.fingerprint(), fp0);  // revert restored the content
 
   // A well-formed insert touches no cached bound and no calibration.
@@ -681,6 +717,7 @@ TEST(DynamicState, RejectsBadBatchesTransactionally) {
   ASSERT_TRUE(applied.status.ok);
   EXPECT_EQ(applied.edges_inserted, 1u);
   EXPECT_EQ(applied.diameter_bound, 0u);
+  EXPECT_EQ(applied.bound_path, dynamic::BoundPath::kNone);
   EXPECT_EQ(applied.recalibrations, 0u);
   EXPECT_NE(applied.fingerprint, fp0);
   EXPECT_EQ(applied.engines_refreshed, 0u);  // no engine live yet
@@ -711,6 +748,158 @@ TEST(DynamicState, RefreshAccountingCoversEveryRetainedSample) {
   ASSERT_TRUE(second.status.ok);
   EXPECT_FALSE(second.first_run);  // served from the refreshed engine
   EXPECT_EQ(second.samples, first.samples + report.samples_topup);
+}
+
+TEST(DynamicState, QueryRejectsADisconnectedSnapshotTyped) {
+  for (const bool exact : {true, false}) {
+    dynamic::DynamicState state(two_cycles(), exact_sketch());
+    bc::KadabraParams params = churn_params();
+    params.exact_diameter = exact;
+    const auto split = state.query(params);
+    EXPECT_FALSE(split.status.ok) << "exact " << exact;
+    EXPECT_NE(split.status.message.find("not connected"), std::string::npos)
+        << split.status.message;
+    EXPECT_EQ(state.engine_count(), 0u);
+
+    // A bridge joins the cycles; the engine is built on the joined graph.
+    dynamic::EdgeBatch bridge;
+    bridge.insert(7, 37);
+    ASSERT_TRUE(state.apply(std::move(bridge)).status.ok);
+    const auto joined = state.query(params);
+    ASSERT_TRUE(joined.status.ok) << joined.status.message;
+    EXPECT_TRUE(joined.first_run);
+    EXPECT_EQ(state.engine_count(), 1u);
+  }
+}
+
+TEST(DynamicState, ReferenceSkipMatchesAnExactlyBoundedTwin) {
+  // Seeded mixed streams: insert-only batches, deletes of churned edges
+  // only, deletes of original edges (some of them bridges), and deletes
+  // that isolate a vertex. A twin engine refreshed with the exact vertex
+  // diameter on every accepted deletion must stay bitwise equal to the
+  // DynamicState engine, whichever bound path the state took.
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const auto initial =
+        std::make_shared<const graph::Graph>(churn_graph(seed));
+    dynamic::DynamicState state(initial, exact_sketch());
+    ASSERT_TRUE(state.query(churn_params()).status.ok);
+    dynamic::IncrementalBc twin(churn_params(), exact_sketch());
+    twin.run(initial);
+
+    // The reference the state should hold, and the edges inserted since it
+    // was taken that are still present (their deletion is covered).
+    std::shared_ptr<const graph::Graph> reference = initial;
+    std::vector<dynamic::Edge> churned;
+    // Original: an edge of the initial graph that never left.
+    const auto is_original = [&](graph::Vertex a, graph::Vertex b) {
+      const dynamic::Edge edge{std::min(a, b), std::max(a, b)};
+      return initial->has_edge(edge.u, edge.v) &&
+             std::ranges::find(churned, edge) == churned.end();
+    };
+    Rng rng = Rng(seed).split(77);
+    int covered = 0, recomputed = 0, rejected = 0;
+    for (int round = 0; round < 40; ++round) {
+      const auto before = state.snapshot();
+      std::vector<dynamic::Edge> inserted;
+      dynamic::EdgeBatch batch =
+          random_insert_batch(*before, /*count=*/2, rng, &inserted);
+      bool touches_original = false;
+      switch (rng.next_bounded(4)) {
+        case 0:  // insert-only
+          break;
+        case 1: {  // churned edges only
+          std::vector<dynamic::Edge> pool = churned;
+          for (int i = 0; i < 2 && !pool.empty(); ++i) {
+            const auto pick = static_cast<std::ptrdiff_t>(
+                rng.next_bounded(pool.size()));
+            batch.remove(pool[pick].u, pool[pick].v);
+            pool.erase(pool.begin() + pick);
+          }
+          break;
+        }
+        case 2: {  // one original edge
+          std::vector<dynamic::Edge> originals;
+          for (graph::Vertex u = 0; u < before->num_vertices(); ++u)
+            for (const graph::Vertex v : before->neighbors(u))
+              if (u < v && is_original(u, v)) originals.push_back({u, v});
+          const dynamic::Edge edge =
+              originals[rng.next_bounded(originals.size())];
+          batch.remove(edge.u, edge.v);
+          touches_original = true;
+          break;
+        }
+        default: {  // isolate the lowest-degree vertex
+          graph::Vertex loner = 0;
+          for (graph::Vertex v = 0; v < before->num_vertices(); ++v)
+            if (before->degree(v) < before->degree(loner)) loner = v;
+          for (const graph::Vertex v : before->neighbors(loner)) {
+            batch.remove(loner, v);
+            touches_original |= is_original(loner, v);
+          }
+          break;
+        }
+      }
+      ASSERT_TRUE(batch.validate(*before).ok);
+      dynamic::MutableGraph would_be(before);
+      would_be.apply(batch);
+      const bool connected = graph::is_connected(*would_be.snapshot());
+      const bool deletes = !batch.deletes().empty();
+      const bool expect_covered =
+          deletes &&
+          std::ranges::none_of(batch.deletes(), [&](const dynamic::Edge& e) {
+            return reference->has_edge(e.u, e.v);
+          });
+
+      const dynamic::ApplyReport report = state.apply(batch);
+      const auto context = ::testing::Message()
+                           << "seed " << seed << " round " << round;
+      ASSERT_EQ(report.status.ok, connected) << context;
+      const dynamic::BoundPath expected_path =
+          !deletes         ? dynamic::BoundPath::kNone
+          : expect_covered ? dynamic::BoundPath::kReference
+                           : dynamic::BoundPath::kRecomputed;
+      EXPECT_EQ(report.bound_path, expected_path) << context;
+      if (touches_original) {
+        EXPECT_EQ(report.bound_path, dynamic::BoundPath::kRecomputed)
+            << context;
+      }
+      if (!report.status.ok) {
+        ++rejected;
+        // A batch that keeps the connected reference cannot disconnect.
+        EXPECT_FALSE(expect_covered) << context;
+        EXPECT_EQ(state.fingerprint(), graph::fingerprint(*before)) << context;
+        continue;
+      }
+      const auto after = state.snapshot();
+      churned.insert(churned.end(), inserted.begin(), inserted.end());
+      std::erase_if(churned, [&](const dynamic::Edge& e) {
+        return !after->has_edge(e.u, e.v);
+      });
+      std::uint32_t twin_bound = 0;
+      if (deletes) {
+        twin_bound = graph::vertex_diameter(*after, /*exact=*/true);
+        EXPECT_GE(report.diameter_bound, twin_bound) << context;
+        if (expect_covered) {
+          ++covered;
+        } else {
+          ++recomputed;
+          EXPECT_GT(report.bound_seconds, 0.0) << context;
+          reference = after;
+          churned.clear();  // now reference edges
+        }
+      }
+      twin.refresh(after, batch, twin_bound);
+      const auto view = state.query(churn_params());
+      ASSERT_TRUE(view.status.ok) << context;
+      EXPECT_FALSE(view.first_run);
+      EXPECT_EQ(view.vertex_diameter, twin.vertex_diameter()) << context;
+      ASSERT_EQ(view.scores, twin.scores()) << context;
+    }
+    // Every path ran on every stream.
+    EXPECT_GT(covered, 0) << "seed " << seed;
+    EXPECT_GT(recomputed, 0) << "seed " << seed;
+    EXPECT_GT(rejected, 0) << "seed " << seed;
+  }
 }
 
 // --- Session / pool / dispatcher apply paths -----------------------------------
@@ -764,13 +953,7 @@ TEST(SessionApply, IncrementalQueriesSurviveChurn) {
 }
 
 TEST(SessionApply, InsertOnlyBatchesRecheckASplitGraphsConnectivity) {
-  // Two 30-vertex cycles with no edge between them.
-  std::vector<std::pair<graph::Vertex, graph::Vertex>> edges;
-  for (graph::Vertex base : {0u, 30u})
-    for (graph::Vertex i = 0; i < 30; ++i)
-      edges.emplace_back(base + i, base + (i + 1) % 30);
-  const auto split =
-      std::make_shared<const graph::Graph>(graph::from_edges(60, edges));
+  const auto split = two_cycles();
 
   for (const bool incremental : {false, true}) {
     api::Session session(split, dynamic_config(1));
@@ -799,6 +982,41 @@ TEST(SessionApply, InsertOnlyBatchesRecheckASplitGraphsConnectivity) {
     const api::Result joined = session.run(query);
     ASSERT_TRUE(joined.status.ok) << joined.status.message;
     EXPECT_EQ(joined.scores.size(), 60u);
+  }
+}
+
+TEST(SessionApply, CoveredDeletionKeepsOnlyWarmStatesThatBoundTheDiameter) {
+  const auto graph = std::make_shared<const graph::Graph>(churn_graph());
+  for (const bool exact : {true, false}) {
+    api::Config config = dynamic_config(1);
+    config.exact_diameter = exact;
+    api::Session session(graph, config);
+    ASSERT_TRUE(session.status().ok);
+    api::BetweennessQuery query;
+    query.epsilon = 0.1;
+    ASSERT_TRUE(session.run(query).status.ok);  // caches a warm state
+    query.incremental = true;
+    ASSERT_TRUE(session.run(query).status.ok);  // takes the reference
+
+    Rng rng(31);
+    std::vector<dynamic::Edge> inserted;
+    ASSERT_TRUE(
+        session
+            .apply(random_insert_batch(session.graph(), 4, rng, &inserted))
+            .status.ok);
+    dynamic::EdgeBatch churn_out;
+    for (const dynamic::Edge& edge : inserted)
+      churn_out.remove(edge.u, edge.v);
+    const dynamic::ApplyReport report = session.apply(std::move(churn_out));
+    ASSERT_TRUE(report.status.ok) << report.status.message;
+    EXPECT_EQ(report.bound_path, dynamic::BoundPath::kReference);
+
+    const std::uint32_t vd = graph::vertex_diameter(session.graph(), true);
+    EXPECT_GE(report.diameter_bound, vd);
+    const auto survivors = session.calibrations();
+    EXPECT_FALSE(survivors.empty()) << "exact " << exact;
+    for (const auto& warm : survivors)
+      EXPECT_GE(warm->vertex_diameter, vd) << "exact " << exact;
   }
 }
 
