@@ -3,8 +3,7 @@
 // it, and the per-query reuse savings the session-oriented API exists for:
 //   * repeated betweenness queries at the same (eps, delta) skip the
 //     diameter + calibration phases entirely (cached KadabraWarmState);
-//   * repeated mean-distance queries skip the range probe;
-//   * the tuning profile is captured/loaded once and reused by everything.
+//   * repeated mean-distance queries skip the range probe.
 //
 //   ./service_batch [scale=11] [ranks=4] [threads=2] [repeat=3]
 #include <cstdio>
@@ -21,9 +20,6 @@ int main(int argc, char** argv) {
   options.describe("ranks", "simulated MPI ranks");
   options.describe("threads", "sampling threads per rank");
   options.describe("repeat", "repetitions of the betweenness query");
-  options.describe("auto_tune",
-                   "capture a tuning profile at the first query and reuse "
-                   "it for the whole batch");
   options.finish("One session, a batch of mixed queries, reuse savings.");
 
   gen::RmatParams gen_params;
@@ -39,7 +35,6 @@ int main(int argc, char** argv) {
   api::Config config = api::Config::from_env();
   config.ranks = static_cast<int>(options.get_u64("ranks", 4));
   config.threads = static_cast<int>(options.get_u64("threads", 2));
-  if (options.get_bool("auto_tune", false)) config.auto_tune = true;
   api::Session session(graph, config);
   if (!session.status().ok) {
     std::fprintf(stderr, "session: %s\n", session.status().message.c_str());
@@ -60,9 +55,8 @@ int main(int argc, char** argv) {
   batch.push_back(api::MeanDistanceQuery{.epsilon = 0.25});
   batch.push_back(api::MeanDistanceQuery{.epsilon = 0.2});
 
-  std::printf("%-4s %-14s %9s %7s %9s %11s %11s %9s\n", "#", "algorithm",
-              "samples", "epochs", "total s", "diam+cal s", "calibration",
-              "profile");
+  std::printf("%-4s %-14s %9s %7s %9s %11s %11s\n", "#", "algorithm",
+              "samples", "epochs", "total s", "diam+cal s", "calibration");
   const std::vector<api::Result> results = session.run_batch(batch);
   double saved_seconds = 0.0;
   double first_prepare_seconds = 0.0;
@@ -82,13 +76,12 @@ int main(int argc, char** argv) {
         first_prepare_seconds = prepare_seconds;
       }
     }
-    std::printf("%-4zu %-14s %9llu %7llu %9.3f %11.4f %11s %9s\n", i,
+    std::printf("%-4zu %-14s %9llu %7llu %9.3f %11.4f %11s\n", i,
                 result.algorithm.c_str(),
                 static_cast<unsigned long long>(result.samples),
                 static_cast<unsigned long long>(result.epochs),
                 result.total_seconds, prepare_seconds,
-                result.calibration_reused ? "reused" : "computed",
-                result.profile_reused ? "reused" : "-");
+                result.calibration_reused ? "reused" : "computed");
   }
   std::printf("\nreuse savings: ~%.4f s of diameter + calibration skipped "
               "across the batch\n(every 'reused' betweenness query ran zero "

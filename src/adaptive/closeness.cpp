@@ -7,7 +7,6 @@
 #include "graph/bfs.hpp"
 #include "graph/components.hpp"
 #include "support/random.hpp"
-#include "tune/tuner.hpp"
 
 namespace distbc::adaptive {
 
@@ -101,20 +100,6 @@ ClosenessResult closeness_rank(const graph::Graph& graph,
   // past a fraction of it or easy (low-variance) instances overshoot the
   // adaptive stopping point before the first check.
   engine::EngineOptions options = params.engine;
-  if (params.auto_tune != nullptr) {
-    ClosenessFrame probe(n);  // one O(n) frame serves size query and probe
-    tune::TuneRequest request;
-    request.frame_words = probe.raw().size();
-    // A BFS source credits every vertex: samples write the whole frame, so
-    // the tuner's frame_rep decision resolves to dense.
-    request.touched_words_per_sample =
-        static_cast<double>(probe.raw().size());
-    request.sample_seconds = tune::measure_sample_seconds(probe, make_sampler);
-    // All ranks must agree on the tuned epoch schedule.
-    world.bcast(std::span{&request.sample_seconds, 1}, 0);
-    request.base = options;
-    options = tune::tuned_options(*params.auto_tune, request);
-  }
   options.max_epoch_length = engine::paced_epoch_cap(
       closeness_sample_bound(n, params.epsilon, params.delta),
       /*budget_fraction=*/8, /*min_epoch_length=*/1,

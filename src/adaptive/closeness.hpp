@@ -19,7 +19,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -28,10 +27,6 @@
 #include "engine/engine.hpp"
 #include "epoch/frame_codec.hpp"
 #include "graph/graph.hpp"
-
-namespace distbc::tune {
-struct TuningProfile;  // tune/tuner.hpp
-}
 
 namespace distbc::adaptive {
 
@@ -120,10 +115,6 @@ struct ClosenessParams {
   /// (§IV-F), hierarchical reduction (§IV-E), epoch-length rule - the
   /// same knobs as the KADABRA backends, for free via the shared engine.
   engine::EngineOptions engine;
-  /// Autotune path: when set, the profile decides aggregation strategy,
-  /// hierarchical reduction, threads per rank, and epoch sizing (against a
-  /// quick per-sample BFS cost probe) instead of the fields in `engine`.
-  std::shared_ptr<const tune::TuningProfile> auto_tune;
   /// Skip the rank-0 connectivity assertion: the caller (api::Session)
   /// already validated it and turned failure into a status instead of an
   /// abort.
@@ -140,7 +131,7 @@ struct ClosenessResult {
   /// feeding the unified api::Result.
   PhaseTimer phases;
   comm::CommVolume comm_volume;
-  /// Engine configuration the run actually used (after autotuning).
+  /// Engine configuration the run actually used.
   engine::EngineOptions engine_used;
   /// The comm substrate the run executed on (comm::substrate_name value).
   std::string substrate_used;

@@ -8,7 +8,6 @@
 #include "graph/components.hpp"
 #include "graph/diameter.hpp"
 #include "support/random.hpp"
-#include "tune/tuner.hpp"
 
 namespace distbc::adaptive {
 
@@ -86,28 +85,14 @@ MeanDistanceResult mean_distance_rank(const graph::Graph& graph,
                                 n) <= params.epsilon;
   };
 
-  engine::EngineOptions engine_options = params.engine;
-  if (params.auto_tune != nullptr) {
-    tune::TuneRequest request;
-    request.frame_words = MomentFrame{}.raw().size();
-    // Every sample writes all three moment words; a sparse image of three
-    // slots is larger than the frame, so the tuner keeps dense.
-    request.touched_words_per_sample = 3.0;
-    request.sample_seconds =
-        tune::measure_sample_seconds(MomentFrame{}, make_sampler);
-    // All ranks must agree on the tuned epoch schedule.
-    world.bcast(std::span{&request.sample_seconds, 1}, 0);
-    request.base = engine_options;
-    engine_options = tune::tuned_options(*params.auto_tune, request);
-  }
   auto driver_result = engine::run_epochs(&world, MomentFrame{}, make_sampler,
-                                          should_stop, engine_options);
+                                          should_stop, params.engine);
 
   MeanDistanceResult result;
   result.epochs = driver_result.epochs;
   result.range = range;
   result.total_seconds = driver_result.total_seconds;
-  result.engine_used = engine_options;
+  result.engine_used = params.engine;
   result.substrate_used = world.name();
   if (is_root) {
     result.phases = driver_result.phases;

@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -26,10 +25,6 @@
 #include "epoch/frame_codec.hpp"
 #include "graph/graph.hpp"
 #include "support/timer.hpp"
-
-namespace distbc::tune {
-struct TuningProfile;  // tune/tuner.hpp
-}
 
 namespace distbc::adaptive {
 
@@ -93,10 +88,6 @@ struct MeanDistanceParams {
   /// Epoch-engine configuration (threads, §IV-F aggregation strategy,
   /// §IV-E hierarchical reduction, epoch-length rule).
   engine::EngineOptions engine;
-  /// Autotune path: when set, the profile decides aggregation strategy,
-  /// hierarchical reduction, threads per rank, and epoch sizing (against a
-  /// quick per-sample probe) instead of the fields in `engine`.
-  std::shared_ptr<const tune::TuningProfile> auto_tune;
   /// Distance-range upper bound for the Bernstein term; 0 = compute the
   /// 2-approximate diameter at rank 0 (and report it in
   /// MeanDistanceResult::range). api::Session feeds the reported value
@@ -121,7 +112,7 @@ struct MeanDistanceResult {
   /// unified api::Result.
   PhaseTimer phases;
   comm::CommVolume comm_volume;
-  /// Engine configuration the run actually used (after autotuning).
+  /// Engine configuration the run actually used.
   engine::EngineOptions engine_used;
   /// The comm substrate the run executed on (comm::substrate_name value).
   std::string substrate_used;

@@ -241,15 +241,6 @@ const std::vector<Entry>& entries() {
       DISTBC_U64_KEY("exact_threshold", "DISTBC_EXACT_THRESHOLD",
                      exact_threshold,
                      "|V| at or below which betweenness runs exact Brandes"),
-      Entry{{"tune_profile", "DISTBC_TUNE_PROFILE",
-             "tuning-profile file to load at session construction"},
-            [](Config& config, std::string_view value) {
-              config.tune_profile = std::string(value);
-              return Status::success();
-            },
-            [](const Config& config) { return config.tune_profile; }},
-      DISTBC_BOOL_KEY("auto_tune", "DISTBC_AUTO_TUNE", auto_tune,
-                      "capture a tuning profile at the first query"),
       DISTBC_POSITIVE_INT_KEY("service_pool_size", "DISTBC_SERVICE_POOL_SIZE",
                               service_pool_size,
                               "session replicas per pooled graph"),

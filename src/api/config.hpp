@@ -11,8 +11,7 @@
 //                                 DISTBC_TREE_RADIX - the names the old
 //                                 scattered overrides used);
 //   3. key=value text           - load_text(): one `key = value` per line,
-//                                 '#' comments, same format as tuning
-//                                 profiles;
+//                                 '#' comments;
 //   4. programmatic             - set(key, value) or direct field writes.
 //
 // Precedence is realized by application order: each layer overwrites the
@@ -26,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,10 +32,6 @@
 #include "api/status.hpp"
 #include "comm/substrate.hpp"
 #include "engine/engine.hpp"
-
-namespace distbc::tune {
-struct TuningProfile;  // tune/tuner.hpp
-}
 
 namespace distbc::api {
 
@@ -95,14 +89,6 @@ struct Config {
   /// Betweenness queries on graphs with |V| <= this run exact Brandes
   /// instead of sampling (0 = never fall back).
   std::uint64_t exact_threshold = 0;
-  /// Path of a tune::TuningProfile text file to load at Session
-  /// construction; empty = none.
-  std::string tune_profile;
-  /// Capture a tuning profile (tune::capture_profile) for this cluster
-  /// shape lazily at the first query, then reuse it for every later query.
-  /// Ignored when a profile is already provided via `tune_profile`/
-  /// `profile`.
-  bool auto_tune = false;
 
   // --- Service tier (src/service/; ignored by plain Sessions) -------------
   /// Session replicas a service::SessionPool holds per bound graph.
@@ -129,8 +115,6 @@ struct Config {
   /// (network_model_for) is applied on top of this at Session
   /// construction when comm_substrate != kMpisim.
   comm::NetworkModel network{};
-  /// A pre-captured tuning profile; takes precedence over `tune_profile`.
-  std::shared_ptr<const tune::TuningProfile> profile;
 
   /// The settable keys, their environment names, and help text.
   [[nodiscard]] static const std::vector<ConfigKey>& keys();

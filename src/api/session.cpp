@@ -8,8 +8,6 @@
 #include "comm/substrate.hpp"
 #include "graph/components.hpp"
 #include "graph/stats.hpp"
-#include "tune/microbench.hpp"
-#include "tune/tuner.hpp"
 
 namespace distbc::api {
 
@@ -76,16 +74,6 @@ Session::Session(std::shared_ptr<const graph::Graph> graph, Config config)
   DISTBC_ASSERT(graph_ != nullptr);
   status_ = config_.validate();
   if (!status_.ok) return;
-  profile_ = config_.profile;
-  if (profile_ == nullptr && !config_.tune_profile.empty()) {
-    auto loaded = tune::TuningProfile::load(config_.tune_profile);
-    if (!loaded.has_value()) {
-      status_ = Status::error("cannot load tuning profile '" +
-                              config_.tune_profile + "'");
-      return;
-    }
-    profile_ = std::make_shared<const tune::TuningProfile>(*loaded);
-  }
   mpisim::RuntimeConfig runtime_config;
   runtime_config.num_ranks = config_.ranks;
   runtime_config.ranks_per_node = config_.ranks_per_node;
@@ -106,13 +94,6 @@ std::uint64_t Session::graph_fingerprint() {
   return *fingerprint_;
 }
 
-int Session::effective_threads() const {
-  // With a profile bound to the session, the autotune path runs at the
-  // profile's thread count, not config's.
-  return profile_ != nullptr ? profile_->shape.threads_per_rank
-                             : config_.threads;
-}
-
 Status Session::validate_query(double epsilon, double delta,
                                std::size_t top_k, bool needs_connected) {
   if (!status_.ok) return status_;
@@ -128,25 +109,6 @@ Status Session::validate_query(double epsilon, double delta,
         "graph is not connected; the sampling estimators require a "
         "connected graph (run on its largest component)");
   return Status::success();
-}
-
-std::shared_ptr<const tune::TuningProfile> Session::active_profile(
-    bool& reused) {
-  reused = profile_ != nullptr && profile_used_;
-  if (profile_ == nullptr && config_.auto_tune) {
-    // Lazy capture: one microbench run on this session's cluster shape,
-    // amortized over every subsequent query.
-    tune::MicrobenchConfig micro;
-    micro.num_ranks = config_.ranks;
-    micro.ranks_per_node = config_.ranks_per_node;
-    micro.threads_per_rank = config_.threads;
-    micro.network = config_.network;
-    micro.substrate = config_.comm_substrate;
-    profile_ =
-        std::make_shared<const tune::TuningProfile>(capture_profile(micro));
-  }
-  if (profile_ != nullptr) profile_used_ = true;
-  return profile_;
 }
 
 Session::CalibrationKey Session::calibration_key(
@@ -177,16 +139,16 @@ Status Session::preload_calibration(
         "KadabraParams than the key it is being preloaded under");
   }
   // Provenance validation (states from before the accounting carry zero
-  // fingerprint/ranks and are accepted as-is).
+  // fingerprint/ranks and skip these two checks).
   if (warm->graph_fingerprint != 0 &&
       warm->graph_fingerprint != graph_fingerprint()) {
     return Status::error(
         "preload_calibration: warm state was computed on a different graph "
         "(fingerprint mismatch)");
   }
-  const int threads = effective_threads();
   if (warm->ranks != 0 &&
-      (warm->ranks != config_.ranks || warm->threads_per_rank != threads ||
+      (warm->ranks != config_.ranks ||
+       warm->threads_per_rank != config_.threads ||
        warm->deterministic != config_.deterministic ||
        warm->virtual_streams != config_.virtual_streams)) {
     return Status::error(
@@ -194,8 +156,18 @@ Status Session::preload_calibration(
         "cluster shape (ranks x threads / deterministic stream layout "
         "changed) - recalibrate instead of reusing it");
   }
+  // The stopping rule indexes delta_l/delta_u by vertex: a state of the
+  // wrong length (a damaged or foreign file) must never reach it.
+  const bc::Calibration& cal = warm->context.calibration;
+  if (cal.delta_l.size() != graph_->num_vertices() ||
+      cal.delta_u.size() != graph_->num_vertices()) {
+    return Status::error(
+        "preload_calibration: warm state's delta_l/delta_u do not have "
+        "one entry per vertex of the session's graph");
+  }
   // Match the key run() will look up.
-  calibrations_[calibration_key(params, threads, config_.deterministic,
+  calibrations_[calibration_key(params, config_.threads,
+                                config_.deterministic,
                                 config_.virtual_streams)] = std::move(warm);
   return Status::success();
 }
@@ -289,15 +261,9 @@ bc::BcResult Session::kadabra(const bc::KadabraOptions& options) {
   const ThreadGuard guard(*this);
   DISTBC_ASSERT_MSG(status_.ok, status_.message.c_str());
   bc::KadabraOptions run_options = options;
-  // The autotune path overrides the thread count, and with it the stream
-  // layout the calibration aggregate depends on - key on the effective
-  // value.
-  const int threads = options.auto_tune != nullptr
-                          ? options.auto_tune->shape.threads_per_rank
-                          : options.engine.threads_per_rank;
-  const CalibrationKey key =
-      calibration_key(options.params, threads, options.engine.deterministic,
-                      options.engine.virtual_streams);
+  const CalibrationKey key = calibration_key(
+      options.params, options.engine.threads_per_rank,
+      options.engine.deterministic, options.engine.virtual_streams);
   if (run_options.warm_start == nullptr) {
     if (const auto it = calibrations_.find(key); it != calibrations_.end())
       run_options.warm_start = it->second;
@@ -389,14 +355,9 @@ Result Session::run(const BetweennessQuery& query) {
   options.omega_fraction = config_.omega_fraction;
   options.min_epoch_length = config_.min_epoch_length;
   options.top_k = query.top_k;
-  options.auto_tune = active_profile(result.profile_reused);
-
-  const int threads = options.auto_tune != nullptr
-                          ? options.auto_tune->shape.threads_per_rank
-                          : options.engine.threads_per_rank;
-  result.calibration_reused = calibrations_.contains(
-      calibration_key(options.params, threads, options.engine.deterministic,
-                      options.engine.virtual_streams));
+  result.calibration_reused = calibrations_.contains(calibration_key(
+      options.params, options.engine.threads_per_rank,
+      options.engine.deterministic, options.engine.virtual_streams));
 
   bc::BcResult bc_result = kadabra(options);
   result.algorithm = "kadabra";
@@ -468,7 +429,6 @@ Result Session::run(const ClosenessRankQuery& query) {
   params.engine = config_.engine_options();
   result.status = apply_overrides(query.engine, params.engine);
   if (!result.status.ok) return result;
-  params.auto_tune = active_profile(result.profile_reused);
   params.assume_connected = true;  // the session just validated it
 
   adaptive::ClosenessResult closeness_result = closeness(params);
@@ -501,7 +461,6 @@ Result Session::run(const MeanDistanceQuery& query) {
   params.engine = config_.engine_options();
   result.status = apply_overrides(query.engine, params.engine);
   if (!result.status.ok) return result;
-  params.auto_tune = active_profile(result.profile_reused);
   params.known_range = mean_distance_range_;  // 0 until a first query ran
   params.assume_connected = true;
 

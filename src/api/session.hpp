@@ -4,14 +4,11 @@
 // mpisim::Runtime built from Config::ranks / ranks_per_node / network) and
 // owns the reusable per-(graph, cluster-shape) state that the free
 // functions recompute on every call:
-//   * the KADABRA phases-1-2 warm state (diameter estimate + calibration
-//     + per-sample cost), cached per statistical key, so repeated
-//     betweenness queries skip both phases (bc::KadabraWarmState);
+//   * the KADABRA phases-1-2 warm state (diameter estimate + calibration),
+//     cached per statistical key, so repeated betweenness queries skip
+//     both phases (bc::KadabraWarmState);
 //   * the mean-distance range bound (2-approximate diameter);
-//   * the connectivity check;
-//   * an optional tune::TuningProfile (loaded from Config::tune_profile,
-//     handed in via Config::profile, or captured lazily when
-//     Config::auto_tune is set) reused by every query.
+//   * the connectivity check.
 //
 // session.run(query) dispatches the typed queries to the existing drivers
 // and returns one unified Result: a Status instead of deep asserts for
@@ -27,7 +24,7 @@
 //
 // Sessions are NOT thread-safe - this is a contract, not an accident.
 // Every run()/native entry mutates the session's caches (calibrations,
-// connectivity, tune profile, mean-distance range), so queries run one at
+// connectivity, mean-distance range), so queries run one at
 // a time on one thread (each query already fans out over the session's
 // ranks and threads). Concurrent submission from two threads corrupts the
 // caches silently; the session therefore carries a re-entrancy tripwire
@@ -68,7 +65,7 @@ namespace distbc::api {
 /// and tree radixes) and do NOT enter the calibration cache key - so a
 /// service can run mixed configurations on one session or pool without
 /// splitting the cached warm state. Unset fields keep the session Config's
-/// value. On autotuned queries the tuner may still re-decide both.
+/// value.
 struct EngineOverrides {
   std::optional<engine::FrameRep> frame_rep;
   std::optional<int> tree_radix;  // 0 = flat, else >= 2
@@ -149,7 +146,6 @@ struct Result {
 
   /// Reuse accounting: what session state this query skipped recomputing.
   bool calibration_reused = false;
-  bool profile_reused = false;
 };
 
 // --- Session ----------------------------------------------------------------
@@ -157,9 +153,9 @@ struct Result {
 class Session {
  public:
   /// Binds an owned copy/moved graph to the cluster shape in `config`.
-  /// Construction never aborts: configuration problems (validate(),
-  /// unloadable tune_profile) surface through status() and fail every
-  /// subsequent run() with the same message.
+  /// Construction never aborts: configuration problems (validate())
+  /// surface through status() and fail every subsequent run() with the
+  /// same message.
   Session(graph::Graph graph, Config config);
 
   /// Non-owning binding for callers whose graph outlives the session (the
@@ -184,12 +180,12 @@ class Session {
   /// (e.g. persisted across processes by a service), keyed like the
   /// session's own cache entries. The warm state's provenance is validated
   /// against this session - same graph fingerprint, same statistical
-  /// parameters, same cluster shape (ranks, effective threads,
-  /// deterministic mode, virtual streams) - and a mismatch returns an
-  /// error Status with the cache untouched, instead of silently
-  /// mis-caching a state the stopping rule was never calibrated for.
-  /// States without provenance (fingerprint/ranks zero, from before the
-  /// accounting) are accepted as-is.
+  /// parameters, same cluster shape (ranks, threads, deterministic mode,
+  /// virtual streams), one delta_l/delta_u entry per vertex - and a
+  /// mismatch returns an error Status with the cache untouched, instead
+  /// of silently mis-caching a state the stopping rule was never
+  /// calibrated for. States without provenance (fingerprint/ranks zero,
+  /// from before the accounting) skip the fingerprint and shape checks.
   [[nodiscard]] Status preload_calibration(
       const bc::KadabraParams& params,
       std::shared_ptr<const bc::KadabraWarmState> warm);
@@ -201,13 +197,6 @@ class Session {
   /// persistence hook.
   [[nodiscard]] std::vector<std::shared_ptr<const bc::KadabraWarmState>>
   calibrations() const;
-
-  /// The tuning profile bound to or captured by this session (null until
-  /// one exists). Exposed so a pool can persist and share one capture.
-  [[nodiscard]] std::shared_ptr<const tune::TuningProfile> tuning_profile()
-      const {
-    return profile_;
-  }
 
   // --- Dynamic graphs (src/dynamic/) --------------------------------------
 
@@ -292,13 +281,6 @@ class Session {
   /// Lazily computed graph::fingerprint of the bound graph (cached; used
   /// by preload_calibration validation).
   [[nodiscard]] std::uint64_t graph_fingerprint();
-  /// The thread count queries effectively run at (the bound profile's
-  /// shape overrides Config::threads).
-  [[nodiscard]] int effective_threads() const;
-  /// The profile queries should use (loads/captures per Config); `reused`
-  /// reports whether an already-used profile served this query.
-  [[nodiscard]] std::shared_ptr<const tune::TuningProfile> active_profile(
-      bool& reused);
 
   std::shared_ptr<const graph::Graph> graph_;
   Config config_;
@@ -311,8 +293,6 @@ class Session {
   std::map<CalibrationKey, std::shared_ptr<const bc::KadabraWarmState>>
       calibrations_;
   std::uint32_t mean_distance_range_ = 0;
-  std::shared_ptr<const tune::TuningProfile> profile_;
-  bool profile_used_ = false;
   std::shared_ptr<dynamic::DynamicState> dynamic_;
 
   /// Thread currently inside an entry point (default id = none).

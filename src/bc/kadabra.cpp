@@ -11,7 +11,6 @@
 #include "epoch/state_frame.hpp"
 #include "graph/stats.hpp"
 #include "support/timer.hpp"
-#include "tune/tuner.hpp"
 
 namespace distbc::bc {
 
@@ -39,12 +38,7 @@ BcResult kadabra_run_frames(const graph::Graph& graph,
     return result;
   }
 
-  // The autotune path decides the thread count up front (calibration and
-  // the adaptive phase must agree on the stream layout).
   engine::EngineOptions engine_options = options.engine;
-  if (options.auto_tune != nullptr)
-    engine_options.threads_per_rank =
-        options.auto_tune->shape.threads_per_rank;
   // Calibration streams occupy stream indices [0, V); the adaptive phase
   // continues with fresh streams [V, 2V) so the adaptive guarantee is only
   // over fresh samples, as in KADABRA. The split holds whether or not a
@@ -82,20 +76,11 @@ BcResult kadabra_run_frames(const graph::Graph& graph,
     state->context = begin_context(params, vd);
 
     // --- Phase 2: parallel calibration through the engine's hook. --------
-    WallTimer calibration_timer;
     phases.timed(Phase::kCalibration, [&] {
       const Frame initial =
           engine::calibrate(world, Frame(n), sampler_factory(0),
                             state->context.initial_samples, engine_options);
-      if (is_root) {
-        finish_calibration(state->context, initial);
-        // Average dense slots one sample writes (internal path vertices
-        // plus the tau slot) - the wire-payload predictor the tuner prices
-        // the frame_rep axis with.
-        state->touched_words_per_sample =
-            1.0 + static_cast<double>(initial.count_sum()) /
-                      static_cast<double>(initial.tau());
-      }
+      if (is_root) finish_calibration(state->context, initial);
     });
     // Decentralized termination: every rank evaluates the stopping rule on
     // the distributed aggregate, so the calibrated per-vertex failure
@@ -110,34 +95,12 @@ BcResult kadabra_run_frames(const graph::Graph& graph,
       world->bcast(std::span<double>(cal.delta_u), 0);
       world->bcast(std::span{&cal.predicted_tau, 1}, 0);
     }
-    // Per-sample cost in cluster CPU-seconds, measured on the calibration
-    // phase this run just paid for anyway.
-    if (state->context.initial_samples > 0) {
-      state->sample_seconds =
-          calibration_timer.elapsed_s() *
-          static_cast<double>(num_ranks) * engine_options.threads_per_rank /
-          static_cast<double>(state->context.initial_samples);
-    }
     warm = std::move(state);
   }
   const KadabraContext& context = warm->context;
   result.warm = warm;
 
   // --- Phase 3: epoch-based adaptive sampling (Algorithm 2). -------------
-  if (options.auto_tune != nullptr) {
-    tune::TuneRequest request;
-    request.frame_words = static_cast<std::size_t>(n) + 1;
-    request.sample_seconds = warm->sample_seconds;
-    request.touched_words_per_sample = warm->touched_words_per_sample;
-    // Every rank must tune the same epoch schedule: use rank zero's
-    // measurements everywhere.
-    if (world != nullptr) {
-      world->bcast(std::span{&request.sample_seconds, 1}, 0);
-      world->bcast(std::span{&request.touched_words_per_sample, 1}, 0);
-    }
-    request.base = engine_options;
-    engine_options = tune::tuned_options(*options.auto_tune, request);
-  }
   // Distributed top-k extraction needs every rank's own partial aggregate;
   // single-rank runs select straight off the global aggregate instead.
   if (options.top_k > 0 && world != nullptr && num_ranks > 1)
@@ -212,15 +175,7 @@ BcResult kadabra_run(const graph::Graph& graph, const KadabraOptions& options,
                      comm::Substrate* world) {
   DISTBC_ASSERT(options.engine.threads_per_rank >= 1);
   DISTBC_ASSERT(options.omega_fraction > 0);
-  // Autotuned runs also get SparseFrame: the tuner may upgrade frame_rep
-  // to auto mid-run (after calibration), and only SparseFrame's touched
-  // set makes that upgrade O(nonzeros) per encode instead of an O(V) scan.
-  // Should the tuner keep dense, SparseFrame's dense images are bitwise
-  // equivalent on the wire.
-  const bool dense_frames = options.engine.frame_rep ==
-                                engine::FrameRep::kDense &&
-                            options.auto_tune == nullptr;
-  return dense_frames
+  return options.engine.frame_rep == engine::FrameRep::kDense
              ? kadabra_run_frames<epoch::StateFrame>(graph, options, world)
              : kadabra_run_frames<epoch::SparseFrame>(graph, options, world);
 }

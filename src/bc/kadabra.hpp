@@ -28,10 +28,6 @@
 #include "engine/engine.hpp"
 #include "graph/graph.hpp"
 
-namespace distbc::tune {
-struct TuningProfile;  // tune/tuner.hpp
-}
-
 namespace distbc::bc {
 
 /// Aggregation strategy vocabulary, re-exported from the engine.
@@ -41,9 +37,8 @@ using engine::Aggregation;
 using engine::FrameRep;
 
 /// Everything KADABRA's phases 1-2 produce that phase 3 consumes: the
-/// diameter estimate, the calibrated context (omega; delta_l/delta_u valid
-/// at world rank 0), and the calibration-time measurements the autotune
-/// path prices epochs with. A fresh kadabra_run computes one and reports
+/// diameter estimate and the calibrated context (omega; delta_l/delta_u
+/// valid at world rank 0). A fresh kadabra_run computes one and reports
 /// it in BcResult::warm; handing it back through KadabraOptions::warm_start
 /// skips phases 1-2 entirely (zero diameter/calibration work - the
 /// kDiameter/kCalibration phase stats stay 0). Valid only for the same
@@ -52,11 +47,6 @@ using engine::FrameRep;
 struct KadabraWarmState {
   std::uint32_t vertex_diameter = 0;
   KadabraContext context;
-  /// Measured per-sample cost in cluster CPU-seconds (rank 0's value).
-  double sample_seconds = 0.0;
-  /// Average dense frame words one sample writes - the tuner's
-  /// wire-payload predictor for the frame_rep decision (rank 0's value).
-  double touched_words_per_sample = 0.0;
 
   // --- Provenance (filled at rank 0 on a fresh calibration) --------------
   // What the state was computed on, so consumers (Session::
@@ -80,9 +70,7 @@ struct KadabraOptions {
   /// epoch::StateFrame with flat elementwise reductions; kSparse/kAuto run
   /// on epoch::SparseFrame, shipping index/count delta images whose size
   /// scales with samples taken instead of |V|. Deterministic-mode results
-  /// are bitwise identical across representations. Autotuned runs (below)
-  /// always use SparseFrame, since the tuner may upgrade frame_rep to
-  /// auto after calibration and only SparseFrame encodes in O(nonzeros).
+  /// are bitwise identical across representations.
   engine::EngineOptions engine;
   /// First-stop-check pacing knobs, applied through the one shared clamp
   /// implementation (engine::paced_epoch_cap in engine/streams.hpp): the
@@ -101,13 +89,6 @@ struct KadabraOptions {
   /// 2k-word broadcast - O(k + candidates) wire bytes instead of a full
   /// |V| score broadcast.
   std::size_t top_k = 0;
-  /// Autotune path: when set, the §IV-F aggregation strategy, §IV-E
-  /// hierarchical reduction, threads per rank, and the epoch-length knobs
-  /// are decided by the profile (measured on this cluster shape by
-  /// tune::capture_profile) instead of the fields above; the per-sample
-  /// cost feeding the epoch sizing is measured during calibration. The
-  /// applied configuration is reported in BcResult::engine_used.
-  std::shared_ptr<const tune::TuningProfile> auto_tune;
 };
 
 /// The unified driver: runs all three phases on `world` (nullptr = no

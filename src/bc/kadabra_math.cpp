@@ -1,6 +1,7 @@
 #include "bc/kadabra_math.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "support/assert.hpp"
@@ -29,17 +30,21 @@ double stopping_g(double b_tilde, double delta_u, double omega,
   return err * log_term / static_cast<double>(tau);
 }
 
+std::uint32_t diameter_bucket(std::uint32_t vertex_diameter) {
+  return vertex_diameter > 2
+             ? static_cast<std::uint32_t>(std::bit_width(vertex_diameter - 2)) -
+                   1
+             : 0;
+}
+
 std::uint64_t compute_omega(std::uint32_t vertex_diameter, double epsilon,
                             double delta) {
   DISTBC_ASSERT(epsilon > 0.0 && epsilon < 1.0);
   DISTBC_ASSERT(delta > 0.0 && delta < 1.0);
   constexpr double kUniversalConstant = 0.5;
-  const double log2_vd =
-      vertex_diameter > 2
-          ? std::floor(std::log2(static_cast<double>(vertex_diameter - 2)))
-          : 0.0;
-  const double omega = kUniversalConstant / (epsilon * epsilon) *
-                       (log2_vd + 1.0 + std::log(2.0 / delta));
+  const double omega =
+      kUniversalConstant / (epsilon * epsilon) *
+      (diameter_bucket(vertex_diameter) + 1.0 + std::log(2.0 / delta));
   return static_cast<std::uint64_t>(std::ceil(omega));
 }
 

@@ -39,7 +39,11 @@ struct KadabraParams {
 [[nodiscard]] double stopping_g(double b_tilde, double delta_u, double omega,
                                 std::uint64_t tau);
 
-/// Static sample budget: omega = (c/eps^2) (floor(log2(VD-2)) + 1 +
+/// The only way the sample budgets read the vertex diameter VD:
+/// floor(log2(VD-2)), and 0 for VD <= 2.
+[[nodiscard]] std::uint32_t diameter_bucket(std::uint32_t vertex_diameter);
+
+/// Static sample budget: omega = (c/eps^2) (diameter_bucket(VD) + 1 +
 /// ln(2/delta)) with c = 0.5 and VD the vertex diameter (hops + 1).
 [[nodiscard]] std::uint64_t compute_omega(std::uint32_t vertex_diameter,
                                           double epsilon, double delta);

@@ -40,8 +40,8 @@ struct BcResult {
   /// substrate that moved it.
   comm::CommVolume comm_volume;
 
-  /// Engine configuration the adaptive phase actually ran with - identical
-  /// to the caller's request unless the autotune path rewrote it.
+  /// Engine configuration the adaptive phase actually ran with (the
+  /// caller's request with the first-stop-check pacing applied).
   engine::EngineOptions engine_used;
 
   /// The comm substrate the run executed on (comm::substrate_name value;

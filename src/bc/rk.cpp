@@ -4,6 +4,7 @@
 #include <thread>
 #include <vector>
 
+#include "bc/kadabra_math.hpp"
 #include "bc/sampler.hpp"
 #include "graph/components.hpp"
 #include "graph/diameter.hpp"
@@ -31,11 +32,9 @@ BcResult rk(const graph::Graph& graph, const RkParams& params,
   // RK budget: like KADABRA's omega but with ln(1/delta) - RK needs no
   // union bound over the two-sided adaptive checks.
   constexpr double kUniversalConstant = 0.5;
-  const double log2_vd =
-      vd > 2 ? std::floor(std::log2(static_cast<double>(vd - 2))) : 0.0;
   const auto budget = static_cast<std::uint64_t>(
       std::ceil(kUniversalConstant / (params.epsilon * params.epsilon) *
-                (log2_vd + 1.0 + std::log(1.0 / params.delta))));
+                (diameter_bucket(vd) + 1.0 + std::log(1.0 / params.delta))));
   result.omega = budget;
 
   WallTimer sampling_timer;

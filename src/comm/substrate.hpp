@@ -1,4 +1,4 @@
-// The communication surface the epoch engine, drivers, and tuner speak.
+// The communication surface the epoch engine and drivers speak.
 //
 // comm::Substrate is the typed collective API over one rank's mpisim::Comm
 // handle: blocking/non-blocking reductions, the variable-length merge
@@ -18,10 +18,9 @@
 //
 // Both kinds run the same slot protocol, so the deterministic rank-order
 // merge replay is common code and deterministic scores are bitwise
-// identical across kinds - only the cost model (and hence modeled time,
-// overlap behavior, and tuner-visible economics) differs. This is the
-// library axis of the CommBench library x pattern matrix
-// (bench/commbench_matrix.cpp).
+// identical across kinds - only the cost model (and hence modeled time
+// and overlap behavior) differs. This is the library axis of the CommBench
+// library x pattern matrix (bench/commbench_matrix.cpp).
 //
 // Semantics shared by every collective:
 //  * All ranks of the communicator call collectives in the same order
@@ -106,8 +105,7 @@ class Substrate {
   [[nodiscard]] const NetworkModel& network() const { return comm_.network(); }
 
   /// The interconnect model's charged duration for one collective over
-  /// this communicator's topology moving `bytes` per hop - the analytic
-  /// anchor the tune/ microbench reports its measurements against.
+  /// this communicator's topology moving `bytes` per hop.
   [[nodiscard]] double modeled_collective_seconds(std::uint64_t bytes) const {
     return comm_.modeled_collective_seconds(bytes);
   }

@@ -250,8 +250,7 @@ class Comm {
   [[nodiscard]] const NetworkModel& network() const { return state_->model; }
 
   /// The interconnect model's charged duration for one collective over this
-  /// communicator's topology moving `bytes` per hop - the analytic anchor
-  /// the tune/ microbench reports its measurements against.
+  /// communicator's topology moving `bytes` per hop.
   [[nodiscard]] double modeled_collective_seconds(std::uint64_t bytes) const {
     return std::chrono::duration<double>(
                state_->model.collective_cost(bytes, state_->max_ranks_per_node,

@@ -23,8 +23,8 @@ api::Status Dispatcher::bind(const std::string& graph_id,
       return api::Status::error("graph id '" + graph_id +
                                 "' is already bound");
   }
-  // Pool construction is heavyweight (sessions, workers, possibly a
-  // profile capture) - run it outside the dispatcher lock.
+  // Pool construction is heavyweight (sessions, workers, warm-store
+  // preload) - run it outside the dispatcher lock.
   auto pool = std::make_unique<SessionPool>(std::move(graph), config);
   if (!pool->status().ok) return pool->status();
 

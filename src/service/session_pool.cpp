@@ -5,8 +5,6 @@
 
 #include "graph/stats.hpp"
 #include "support/assert.hpp"
-#include "tune/microbench.hpp"
-#include "tune/tuner.hpp"
 
 namespace distbc::service {
 
@@ -28,28 +26,6 @@ void SessionPool::bootstrap(api::Config config) {
   if (!status_.ok) return;
   fingerprint_ = graph::fingerprint(*graph_);
   queue_capacity_ = config.service_queue_capacity;
-
-  // Resolve the tuning profile ONCE for the whole pool: replicas share one
-  // capture instead of each microbenching lazily on its first query.
-  if (config.profile == nullptr && config.tune_profile.empty() &&
-      config.auto_tune) {
-    const tune::ClusterShape shape{config.ranks, config.ranks_per_node,
-                                   config.threads};
-    if (auto stored = store_.load_profile(shape); stored.has_value()) {
-      config.profile = std::make_shared<const tune::TuningProfile>(*stored);
-      stats_.profile_from_store = true;
-    } else {
-      tune::MicrobenchConfig micro;
-      micro.num_ranks = config.ranks;
-      micro.ranks_per_node = config.ranks_per_node;
-      micro.threads_per_rank = config.threads;
-      micro.network = config.network;
-      config.profile = std::make_shared<const tune::TuningProfile>(
-          tune::capture_profile(micro));
-      if (store_.enabled()) (void)store_.save_profile(*config.profile);
-    }
-    config.auto_tune = false;  // the bound profile supersedes lazy capture
-  }
 
   const int pool_size = config.service_pool_size;
   // One shared dynamic state for the whole pool: every replica binds it,

@@ -12,11 +12,8 @@
 //     preloaded (Session::preload_calibration) into the serving replica
 //     before each betweenness query - every replica skips phases 1-2 once
 //     any one of them has paid for a (params, shape) combination;
-//   * tuning profile: resolved ONCE at pool construction (store lookup,
-//     else a single capture when Config::auto_tune is set) and bound to
-//     every replica, instead of each replica microbenching on first use;
-//   * persistence: with Config::service_warm_store set, calibrations and
-//     the profile round-trip through a service::WarmStore, so a restarted
+//   * persistence: with Config::service_warm_store set, calibrations
+//     round-trip through a service::WarmStore, so a restarted
 //     pool preloads them at construction and its first query performs
 //     zero diameter/calibration work (the kDiameter/kCalibration phase
 //     stats stay 0 - the restart acceptance check).
@@ -71,8 +68,6 @@ struct PoolStats {
   std::uint64_t applies = 0;
   /// Submissions rejected because an apply() was quiescing the pool.
   std::uint64_t rejected_mutating = 0;
-  /// The tuning profile came from the warm store (vs captured/loaded).
-  bool profile_from_store = false;
 };
 
 class SessionPool {
@@ -80,9 +75,8 @@ class SessionPool {
   using Callback = std::function<void(Response)>;
 
   /// Binds `config.service_pool_size` session replicas to the shared
-  /// graph. Construction resolves the tuning profile and preloads the
-  /// warm store; configuration problems surface through status() and
-  /// reject every subsequent submission.
+  /// graph. Construction preloads the warm store; configuration problems
+  /// surface through status() and reject every subsequent submission.
   SessionPool(std::shared_ptr<const graph::Graph> graph, api::Config config);
   SessionPool(graph::Graph graph, api::Config config);
 

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string_view>
 #include <unordered_map>
@@ -101,6 +102,9 @@ using Fields = std::unordered_map<std::string, std::string>;
                                      std::vector<double>& out) {
   const auto it = fields.find(key);
   if (it == fields.end()) return false;
+  // Every value takes at least one character plus a separator, so a count
+  // the line cannot hold is damage - reject it before reserving for it.
+  if (expected > (it->second.size() + 1) / 2) return false;
   out.clear();
   out.reserve(expected);
   std::istringstream stream(it->second);
@@ -162,11 +166,6 @@ using Fields = std::unordered_map<std::string, std::string>;
     return nullptr;
   if (!field_double(*fields, "predicted_tau",
                     state->context.calibration.predicted_tau))
-    return nullptr;
-  if (!field_double(*fields, "sample_seconds", state->sample_seconds))
-    return nullptr;
-  if (!field_double(*fields, "touched_words_per_sample",
-                    state->touched_words_per_sample))
     return nullptr;
 
   std::uint64_t num_vertices = 0;
@@ -247,9 +246,6 @@ bool WarmStore::save(const bc::KadabraWarmState& state) const {
   out << "context_initial_samples = " << state.context.initial_samples << '\n';
   out << "predicted_tau = "
       << encode_double(state.context.calibration.predicted_tau) << '\n';
-  out << "sample_seconds = " << encode_double(state.sample_seconds) << '\n';
-  out << "touched_words_per_sample = "
-      << encode_double(state.touched_words_per_sample) << '\n';
   const std::vector<double>& delta_l = state.context.calibration.delta_l;
   const std::vector<double>& delta_u = state.context.calibration.delta_u;
   out << "num_vertices = " << delta_l.size() << '\n';
@@ -285,8 +281,6 @@ void WarmStore::evict() const {
   for (const auto& entry : it) {
     if (!entry.is_regular_file(ec)) continue;
     const std::string name = entry.path().filename().string();
-    // Only .warm states are capped; the handful of per-shape .tune
-    // profiles is bounded by construction.
     if (name.rfind("bc_", 0) != 0) continue;
     if (name.size() < 5 || name.substr(name.size() - 5) != ".warm") continue;
     Stored file{entry.last_write_time(ec), entry.path().string(),
@@ -337,33 +331,6 @@ std::vector<std::shared_ptr<const bc::KadabraWarmState>> WarmStore::load_all(
     if (state != nullptr) states.push_back(std::move(state));
   }
   return states;
-}
-
-bool WarmStore::save_profile(const tune::TuningProfile& profile) const {
-  if (!enabled()) return false;
-  std::error_code ec;
-  std::filesystem::create_directories(version_dir(), ec);
-  if (ec) return false;
-  const tune::ClusterShape& shape = profile.shape;
-  const std::string path = version_dir() + "/profile_" +
-                           std::to_string(shape.num_ranks) + "x" +
-                           std::to_string(shape.ranks_per_node) + "x" +
-                           std::to_string(shape.threads_per_rank) + ".tune";
-  return profile.save(path);
-}
-
-std::optional<tune::TuningProfile> WarmStore::load_profile(
-    const tune::ClusterShape& shape) const {
-  if (!enabled()) return std::nullopt;
-  const std::string path = version_dir() + "/profile_" +
-                           std::to_string(shape.num_ranks) + "x" +
-                           std::to_string(shape.ranks_per_node) + "x" +
-                           std::to_string(shape.threads_per_rank) + ".tune";
-  auto profile = tune::TuningProfile::load(path);
-  // A profile stored for one shape must describe that shape; a mismatch
-  // means a foreign file and is treated as a miss.
-  if (profile.has_value() && !(profile->shape == shape)) return std::nullopt;
-  return profile;
 }
 
 }  // namespace distbc::service

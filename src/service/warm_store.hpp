@@ -1,19 +1,19 @@
-// service::WarmStore - persistent on-disk store of KADABRA warm state and
-// tuning profiles, so a service restart pays zero recalibration.
+// service::WarmStore - persistent on-disk store of KADABRA warm state, so
+// a service restart pays zero recalibration.
 //
 // Layout (everything under one root directory, versioned so a format
 // change never misreads old files - unknown versions are skipped, not
 // errors):
 //
 //   <root>/v1/bc_<graph_fp>_<key_hash>.warm     one KadabraWarmState
-//   <root>/v1/profile_<R>x<N>x<T>.tune          one tune::TuningProfile
 //
 // <graph_fp> is graph::fingerprint (16 hex digits); <key_hash> hashes the
 // statistical parameters AND the cluster shape the state was calibrated
 // on, so the same graph stores one file per (params, shape) combination
 // and a shape change naturally misses instead of loading a stale state.
-// Profile files are keyed by shape alone (ranks x ranks_per_node x
-// threads_per_rank) - tuning is graph-independent.
+// Keys a reader does not know are ignored, so files that still carry the
+// retired `sample_seconds` / `touched_words_per_sample` lines load as
+// before.
 //
 // Files are plain "key = value" text; doubles are written as C hexfloats
 // ("%a") so every bit round-trips and a reloaded calibration is the
@@ -24,7 +24,7 @@
 // ranks populated by a fresh calibration); states without it are refused
 // rather than stored unverifiable. Loading validates internal consistency
 // (vector sizes, fingerprint match with the file name) and skips - never
-// aborts on - damaged or foreign files. WarmStore itself is stateless
+// aborts or throws on - damaged or foreign files. WarmStore itself is stateless
 // between calls and safe to share across threads for reads; concurrent
 // saves of the same key last-write-win (the content is identical by
 // construction).
@@ -32,12 +32,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "bc/kadabra.hpp"
-#include "tune/tuner.hpp"
 
 namespace distbc::service {
 
@@ -67,11 +65,6 @@ class WarmStore {
   /// validates shape compatibility per state. Damaged files are skipped.
   [[nodiscard]] std::vector<std::shared_ptr<const bc::KadabraWarmState>>
   load_all(std::uint64_t graph_fingerprint) const;
-
-  /// Persists / loads the tuning profile of one cluster shape.
-  [[nodiscard]] bool save_profile(const tune::TuningProfile& profile) const;
-  [[nodiscard]] std::optional<tune::TuningProfile> load_profile(
-      const tune::ClusterShape& shape) const;
 
   /// The hash the .warm file name carries: statistical parameters + the
   /// calibrated cluster shape. Exposed for tests.

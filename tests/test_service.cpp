@@ -8,7 +8,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <memory>
+#include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -348,9 +354,6 @@ TEST(WarmStore, RoundTripsBitExactAndKeysByFingerprint) {
   EXPECT_EQ(restored.context.params.seed, state->context.params.seed);
   EXPECT_EQ(restored.context.params.balancing,
             state->context.params.balancing);
-  EXPECT_EQ(restored.sample_seconds, state->sample_seconds);
-  EXPECT_EQ(restored.touched_words_per_sample,
-            state->touched_words_per_sample);
   EXPECT_EQ(restored.context.calibration.predicted_tau,
             state->context.calibration.predicted_tau);
   ASSERT_EQ(restored.context.calibration.delta_l.size(),
@@ -510,6 +513,216 @@ TEST(WarmStore, PreloadRejectsMismatchedProvenance) {
   {
     api::Session session(graph, config);
     EXPECT_TRUE(session.preload_calibration(params, state).ok);
+  }
+}
+
+// --- Old and damaged .warm files ---------------------------------------------
+
+/// The graph the committed .warm fixture below was calibrated on.
+std::shared_ptr<const graph::Graph> fixture_graph() {
+  return std::make_shared<const graph::Graph>(
+      graph::largest_component(gen::erdos_renyi(24, 60, 31)));
+}
+
+/// A .warm file exactly as the format-version-1 writer emitted it before
+/// the autotuner was removed: calibrated on fixture_graph() under
+/// service_config() with BetweennessQuery{epsilon = 0.05}, and still
+/// carrying the retired sample_seconds / touched_words_per_sample lines.
+constexpr const char* kFixtureName =
+    "bc_2d68ac28d7f890c3_22d1aa1a42328ba9.warm";
+constexpr const char* kFixtureWarm =
+    "# distbc service warm state (bit-exact hexfloat doubles)\n"
+    "version = 1\n"
+    "graph_fingerprint = 0x2d68ac28d7f890c3\n"
+    "ranks = 2\n"
+    "threads_per_rank = 1\n"
+    "deterministic = 1\n"
+    "virtual_streams = 4\n"
+    "epsilon = 0x1.999999999999ap-5\n"
+    "delta = 0x1.999999999999ap-4\n"
+    "exact_diameter = 1\n"
+    "seed = 4321\n"
+    "initial_samples = 0\n"
+    "balancing = 0x1.47ae147ae147bp-7\n"
+    "vertex_diameter = 5\n"
+    "omega = 1000\n"
+    "context_initial_samples = 512\n"
+    "predicted_tau = 0x1.cec43a626c616p+8\n"
+    "sample_seconds = 0x1.6a1c6d37d59e2p-21\n"
+    "touched_words_per_sample = 0x1.14cp+1\n"
+    "num_vertices = 24\n"
+    "delta_l = 0x1.2cc16ae9fb51cp-14 0x1.48a41d992bce6p-16 "
+    "0x1.76bfc818eb43cp-9 0x1.6539581360063p-11 0x1.3442efc803a8fp-6 "
+    "0x1.c57f97a0a51d9p-8 0x1.5d867d98e9f8dp-17 0x1.1fa55bd38c5b6p-8 "
+    "0x1.29dd0017d2343p-11 0x1.5d867d98e9f8dp-17 "
+    "0x1.5d867c3f47e83p-17 0x1.a09a4fefdc861p-8 0x1.48a41d992bce6p-16 "
+    "0x1.a8e2ce063c84p-11 0x1.9f3846c7c8a98p-17 0x1.5d867d98e9f8dp-17 "
+    "0x1.55c4cdfe29442p-10 0x1.5d867c3f47e83p-17 0x1.03f619850963ep-8 "
+    "0x1.6160433ec6b34p-17 0x1.d05d2bcfef891p-17 0x1.76bfc818eb43cp-9 "
+    "0x1.664077ba3c90cp-17 0x1.5f12b794c8794p-17\n"
+    "delta_u = 0x1.2cc16ae9fb51cp-14 0x1.48a41d992bce6p-16 "
+    "0x1.76bfc818eb43cp-9 0x1.6539581360063p-11 0x1.3442efc803a8fp-6 "
+    "0x1.c57f97a0a51d9p-8 0x1.5d867d98e9f8dp-17 0x1.1fa55bd38c5b6p-8 "
+    "0x1.29dd0017d2343p-11 0x1.5d867d98e9f8dp-17 "
+    "0x1.5d867c3f47e83p-17 0x1.a09a4fefdc861p-8 0x1.48a41d992bce6p-16 "
+    "0x1.a8e2ce063c84p-11 0x1.9f3846c7c8a98p-17 0x1.5d867d98e9f8dp-17 "
+    "0x1.55c4cdfe29442p-10 0x1.5d867c3f47e83p-17 0x1.03f619850963ep-8 "
+    "0x1.6160433ec6b34p-17 0x1.d05d2bcfef891p-17 0x1.76bfc818eb43cp-9 "
+    "0x1.664077ba3c90cp-17 0x1.5f12b794c8794p-17\n";
+
+/// The fixture's bytes without the two retired lines - what today's
+/// writer emits for the same state.
+std::string fixture_without_retired_lines() {
+  std::istringstream in(kFixtureWarm);
+  std::string out;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("sample_seconds", 0) == 0 ||
+        line.rfind("touched_words_per_sample", 0) == 0)
+      continue;
+    out += line + '\n';
+  }
+  return out;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+/// Replaces the store's contents with one .warm file holding `text`.
+void write_store(const std::string& root, const std::string& text) {
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root + "/v1");
+  std::ofstream(root + "/v1/" + kFixtureName, std::ios::binary) << text;
+}
+
+TEST(WarmStore, OldFilesWithRetiredFieldsLoadAndPreloadBitExactly) {
+  const ScratchDir dir("old_format");
+  const auto graph = fixture_graph();
+  const api::Config config = service_config();
+  write_store(dir.path, kFixtureWarm);
+
+  const service::WarmStore store(dir.path);
+  const auto loaded = store.load_all(graph::fingerprint(*graph));
+  ASSERT_EQ(loaded.size(), 1u);
+  const bc::KadabraWarmState& old_state = *loaded.front();
+  EXPECT_EQ(store.state_path(old_state), dir.path + "/v1/" + kFixtureName);
+
+  // Today's calibration of the same query is the stored one, bit for bit.
+  const auto fresh = make_warm_state(graph, config);
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_EQ(old_state.vertex_diameter, fresh->vertex_diameter);
+  EXPECT_EQ(old_state.context.omega, fresh->context.omega);
+  EXPECT_EQ(old_state.context.initial_samples, fresh->context.initial_samples);
+  EXPECT_EQ(old_state.context.calibration.predicted_tau,
+            fresh->context.calibration.predicted_tau);
+  EXPECT_EQ(old_state.context.calibration.delta_l,
+            fresh->context.calibration.delta_l);
+  EXPECT_EQ(old_state.context.calibration.delta_u,
+            fresh->context.calibration.delta_u);
+
+  // Re-saving writes the same bytes minus the retired lines.
+  const ScratchDir resaved_dir("old_format_resaved");
+  const service::WarmStore resaved(resaved_dir.path);
+  ASSERT_TRUE(resaved.save(old_state));
+  EXPECT_EQ(read_file(resaved.state_path(old_state)),
+            fixture_without_retired_lines());
+
+  // Preloaded, the old state serves a query with zero phase-1/2 work and
+  // the scores of a cold session.
+  api::Session cold(graph, config);
+  api::BetweennessQuery query;
+  query.epsilon = 0.05;
+  const api::Result reference = cold.run(query);
+  ASSERT_TRUE(reference.status.ok);
+  api::Session warm(graph, config);
+  ASSERT_TRUE(
+      warm.preload_calibration(old_state.context.params, loaded.front()).ok);
+  const api::Result result = warm.run(query);
+  ASSERT_TRUE(result.status.ok);
+  EXPECT_TRUE(result.calibration_reused);
+  EXPECT_EQ(result.phases.seconds(Phase::kDiameter), 0.0);
+  EXPECT_EQ(result.phases.seconds(Phase::kCalibration), 0.0);
+  EXPECT_EQ(result.scores, reference.scores);
+}
+
+TEST(WarmStore, DamagedFilesLoadNothingOrAStatePreloadJudges) {
+  const ScratchDir dir("damaged");
+  const auto graph = fixture_graph();
+  const std::uint64_t fingerprint = graph::fingerprint(*graph);
+  const api::Config config = service_config();
+  const service::WarmStore store(dir.path);
+  api::Session session(graph, config);
+
+  // Loads `text` as the store's only file and preloads whatever comes
+  // back; nothing on either path may throw. Returns the number of states
+  // loaded and, through `status`, preload's verdict.
+  const auto judge = [&](const std::string& text, api::Status& status) {
+    write_store(dir.path, text);
+    std::vector<std::shared_ptr<const bc::KadabraWarmState>> states;
+    EXPECT_NO_THROW(states = store.load_all(fingerprint));
+    EXPECT_LE(states.size(), 1u);
+    status = api::Status::success();
+    for (const auto& state : states)
+      EXPECT_NO_THROW(
+          status = session.preload_calibration(state->context.params, state));
+    return states.size();
+  };
+  const std::string valid = kFixtureWarm;
+  api::Status status;
+  ASSERT_EQ(judge(valid, status), 1u);
+  EXPECT_TRUE(status.ok) << status.message;
+
+  // A vertex count no line can hold used to throw std::length_error from
+  // the list parser's reserve; a restarting pool must shrug it off too.
+  const std::string huge_count = "num_vertices = 18446744073709551615";
+  std::string huge = valid;
+  huge.replace(huge.find("num_vertices = 24"), 17, huge_count);
+  EXPECT_EQ(judge(huge, status), 0u);
+  {
+    api::Config pooled = config;
+    pooled.service_warm_store = dir.path;
+    std::unique_ptr<service::SessionPool> pool;
+    EXPECT_NO_THROW(
+        pool = std::make_unique<service::SessionPool>(graph, pooled));
+    ASSERT_NE(pool, nullptr);
+    EXPECT_TRUE(pool->status().ok);
+    EXPECT_EQ(pool->stats().store_states_loaded, 0u);
+  }
+
+  // A self-consistent file whose lists do not cover the graph loads, and
+  // preload refuses it with a Status instead of letting the stopping rule
+  // index past the end.
+  std::string short_lists = valid;
+  short_lists.replace(short_lists.find("num_vertices = 24"), 17,
+                      "num_vertices = 1");
+  for (const char* key : {"delta_l = ", "delta_u = "}) {
+    const std::size_t begin = short_lists.find(key) + std::strlen(key);
+    const std::size_t first_end = short_lists.find(' ', begin);
+    const std::size_t line_end = short_lists.find('\n', begin);
+    short_lists.erase(first_end, line_end - first_end);
+  }
+  ASSERT_EQ(judge(short_lists, status), 1u);
+  EXPECT_FALSE(status.ok);
+  EXPECT_NE(status.message.find("delta_l/delta_u"), std::string::npos)
+      << status.message;
+
+  // Every truncation at a line boundary: only the complete file loads.
+  for (std::size_t end = 0; end < valid.size(); ++end) {
+    if (end != 0 && valid[end - 1] != '\n') continue;
+    EXPECT_EQ(judge(valid.substr(0, end), status), 0u) << "length " << end;
+  }
+
+  // Seeded single-byte corruptions anywhere in the file.
+  std::mt19937_64 rng(20240611);
+  for (int trial = 0; trial < 400; ++trial) {
+    std::string damaged = valid;
+    const std::size_t at = rng() % damaged.size();
+    damaged[at] = static_cast<char>(rng() % 256);
+    SCOPED_TRACE("byte " + std::to_string(at));
+    (void)judge(damaged, status);
   }
 }
 

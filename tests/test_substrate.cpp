@@ -3,9 +3,8 @@
 // economics - never the traffic and never the scores. Deterministic-mode
 // results must be bitwise identical across mpisim x ncclsim under every
 // aggregation topology and frame representation; the ncclsim all-reduce
-// must price the NCCL ring closed form; Results report the substrate that
-// ran them; and tuning profiles round-trip the substrate tag plus any
-// keys a newer library wrote.
+// must price the NCCL ring closed form; and Results report the substrate
+// that ran them.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,7 +19,6 @@
 #include "gen/barabasi_albert.hpp"
 #include "graph/components.hpp"
 #include "mpisim/runtime.hpp"
-#include "tune/tuner.hpp"
 
 namespace distbc {
 namespace {
@@ -280,58 +278,6 @@ TEST(SubstrateConfig, KeyParsesAndSerializes) {
   EXPECT_FALSE(status.ok);
   EXPECT_EQ(config.comm_substrate, comm::SubstrateKind::kNcclsim)
       << "rejected values must not clobber the config";
-}
-
-TEST(TuningProfile, SubstrateTagRoundTrips) {
-  tune::TuningProfile profile;
-  profile.shape = {4, 2, 1};
-  profile.substrate = comm::SubstrateKind::kNcclsim;
-  const std::string text = profile.serialize();
-  EXPECT_NE(text.find("comm.substrate = ncclsim"), std::string::npos);
-  const auto reparsed = tune::TuningProfile::parse(text);
-  ASSERT_TRUE(reparsed.has_value());
-  EXPECT_EQ(reparsed->substrate, comm::SubstrateKind::kNcclsim);
-  EXPECT_EQ(reparsed->shape, profile.shape);
-
-  // A profile written before the substrate tag existed reads as mpisim.
-  tune::TuningProfile legacy;
-  std::string legacy_text = legacy.serialize();
-  const auto pos = legacy_text.find("comm.substrate");
-  ASSERT_NE(pos, std::string::npos);
-  legacy_text.erase(pos, legacy_text.find('\n', pos) - pos + 1);
-  const auto parsed = tune::TuningProfile::parse(legacy_text);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->substrate, comm::SubstrateKind::kMpisim);
-
-  // An unknown backend name is a malformed profile, not a silent default.
-  EXPECT_FALSE(
-      tune::TuningProfile::parse(legacy.serialize() + "comm.substrate = warp\n")
-          .has_value());
-}
-
-TEST(TuningProfile, UnknownKeysSurviveTheRoundTrip) {
-  tune::TuningProfile profile;
-  profile.shape = {8, 4, 2};
-  const std::string text = profile.serialize() +
-                           "future.knob = 7\n"
-                           "vendor.hint = fast-path\n";
-  const auto parsed = tune::TuningProfile::parse(text);
-  ASSERT_TRUE(parsed.has_value());
-  ASSERT_EQ(parsed->extras.size(), 2u);
-  EXPECT_EQ(parsed->extras[0].first, "future.knob");
-  EXPECT_EQ(parsed->extras[0].second, "7");
-  EXPECT_EQ(parsed->extras[1].first, "vendor.hint");
-  EXPECT_EQ(parsed->extras[1].second, "fast-path");
-
-  // serialize() re-emits them, so a newer library's profile passes
-  // through an older one without losing fields.
-  const std::string reserialized = parsed->serialize();
-  EXPECT_NE(reserialized.find("future.knob = 7"), std::string::npos);
-  EXPECT_NE(reserialized.find("vendor.hint = fast-path"), std::string::npos);
-  const auto round_two = tune::TuningProfile::parse(reserialized);
-  ASSERT_TRUE(round_two.has_value());
-  EXPECT_EQ(round_two->extras, parsed->extras);
-  EXPECT_EQ(round_two->shape, profile.shape);
 }
 
 }  // namespace
