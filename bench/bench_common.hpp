@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -165,12 +166,20 @@ class JsonReport {
   void field(const std::string& key, const std::string& value) {
     rows_.back().emplace_back(key, quote(value));
   }
+  /// An integer written with every digit (field() rounds to 9 significant
+  /// digits); exact through a JSON double up to 2^53.
+  void field_u64(const std::string& key, std::uint64_t value) {
+    rows_.back().emplace_back(key, std::to_string(value));
+  }
 
   void summary(const std::string& key, double value) {
     summary_.emplace_back(key, number(value));
   }
   void summary(const std::string& key, const std::string& value) {
     summary_.emplace_back(key, quote(value));
+  }
+  void summary_u64(const std::string& key, std::uint64_t value) {
+    summary_.emplace_back(key, std::to_string(value));
   }
 
   /// Emits the object; no-op without --json.

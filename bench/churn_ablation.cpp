@@ -17,11 +17,16 @@
 // The gated headline counters are deterministic (single-threaded engine,
 // per-sample RNG streams): the dirty-sample fraction per churn rate, the
 // fraction of full-mode sample draws the incremental path avoids, and the
-// acceptance bool `dirty_fraction_bounded` (< 25% dirty at 0.1% churn).
+// acceptance bool `dirty_fraction_bounded` (< 25% dirty at 0.1% churn),
+// and per churn rate `churn_<rate>_scores_fnv48`, a 48-bit FNV-1a digest
+// of the incremental engine's final score vector, so the gate pins the
+// scores themselves and not only the counters.
 // Wall clocks are reported as est_*_seconds and skipped by the gate: per
 // churn rate the incremental total (build + refreshes), the build alone,
 // the refresh seconds per batch, and the recompute seconds per graph
 // version; each churn rate's rows end with refresh over recompute.
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
@@ -42,6 +47,20 @@ struct ChurnPoint {
   double fraction;  // of the edge count, per batch
   const char* tag;  // summary-field suffix ("0p01" = 0.01%)
 };
+
+/// FNV-1a over the scores' bit patterns, xor-folded to 48 bits: any
+/// change in any score changes it, and it survives a JSON double exactly.
+std::uint64_t scores_fnv48(const std::vector<double>& scores) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const double score : scores) {
+    const auto bits = std::bit_cast<std::uint64_t>(score);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffU;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  return (hash >> 48) ^ (hash & 0xffffffffffffULL);
+}
 
 /// The deterministic batch sequence for one churn rate: `count` batches
 /// against the evolving graph, `edges_per_batch` inserts each, deletions
@@ -190,6 +209,7 @@ int main(int argc, char** argv) {
         engine.next_stream() - initial_draws;
     const double dirty_fraction =
         static_cast<double>(dirty) / static_cast<double>(dirty + retained);
+    const std::uint64_t digest = scores_fnv48(engine.scores());
 
     // --- Full recompute: a fresh engine per graph version --------------
     const WallTimer full_timer;
@@ -237,6 +257,7 @@ int main(int argc, char** argv) {
     json.field("recalibrations", static_cast<double>(recalibrations));
     json.field("draws", static_cast<double>(incremental_draws));
     json.field("est_seconds", incremental_seconds);
+    json.field_u64("scores_fnv48", digest);
     json.begin_row();
     json.field("churn_pct", point.fraction * 100.0);
     json.field("mode", "full");
@@ -247,6 +268,7 @@ int main(int argc, char** argv) {
     const std::string tag = point.tag;
     json.summary("churn_" + tag + "_dirty_fraction", dirty_fraction);
     json.summary("churn_" + tag + "_draws_saved_frac", draws_saved);
+    json.summary_u64("churn_" + tag + "_scores_fnv48", digest);
     json.summary("est_churn_" + tag + "_incremental_seconds",
                  incremental_seconds);
     json.summary("est_churn_" + tag + "_full_seconds", full_seconds);

@@ -165,6 +165,19 @@ Status Session::preload_calibration(
         "preload_calibration: warm state's delta_l/delta_u do not have "
         "one entry per vertex of the session's graph");
   }
+  // A share outside (0, 1), non-finite, or a budget of delta or more (a
+  // damaged hexfloat decodes to any of these) would void the stopping
+  // rule's guarantee, or abort inside it.
+  if (!cal.valid_for(params.delta)) {
+    return Status::error(
+        "preload_calibration: warm state's delta_l/delta_u shares are not "
+        "all in (0, 1) with a sum below delta");
+  }
+  if (!cal.logs_cached()) {
+    auto with_logs = std::make_shared<bc::KadabraWarmState>(*warm);
+    with_logs->context.calibration.cache_logs();
+    warm = std::move(with_logs);
+  }
   // Match the key run() will look up.
   calibrations_[calibration_key(params, config_.threads,
                                 config_.deterministic,
@@ -194,7 +207,7 @@ void Session::bind_dynamic_state(
 
 void Session::adopt_apply(const dynamic::ApplyReport& report) {
   graph_ = dynamic_->snapshot();
-  fingerprint_ = report.fingerprint;
+  fingerprint_.reset();
   // An accepted deletion batch was checked connected, and inserting edges
   // cannot disconnect a connected graph; only an insert-only batch on a
   // graph not known to be connected (it may have joined the components)
@@ -211,15 +224,17 @@ void Session::adopt_apply(const dynamic::ApplyReport& report) {
   // and on deletion batches when the bound is at or above the recomputed
   // one. Survivors are re-stamped to the new fingerprint so provenance
   // checks keep accepting them; violated bounds drop the entry (omega
-  // would be too small for the grown diameter).
+  // would be too small for the grown diameter). Only a survivor reads the
+  // new fingerprint, which the shared state hashes once per version.
   for (auto it = calibrations_.begin(); it != calibrations_.end();) {
     const auto& warm = it->second;
     if (report.had_deletes && warm->vertex_diameter < report.diameter_bound) {
       it = calibrations_.erase(it);
       continue;
     }
+    if (!fingerprint_.has_value()) fingerprint_ = dynamic_->fingerprint();
     auto restamped = std::make_shared<bc::KadabraWarmState>(*warm);
-    restamped->graph_fingerprint = report.fingerprint;
+    restamped->graph_fingerprint = *fingerprint_;
     it->second = std::move(restamped);
     ++it;
   }

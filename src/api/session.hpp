@@ -181,11 +181,13 @@ class Session {
   /// session's own cache entries. The warm state's provenance is validated
   /// against this session - same graph fingerprint, same statistical
   /// parameters, same cluster shape (ranks, threads, deterministic mode,
-  /// virtual streams), one delta_l/delta_u entry per vertex - and a
-  /// mismatch returns an error Status with the cache untouched, instead
-  /// of silently mis-caching a state the stopping rule was never
-  /// calibrated for. States without provenance (fingerprint/ranks zero,
-  /// from before the accounting) skip the fingerprint and shape checks.
+  /// virtual streams), one delta_l/delta_u entry per vertex, every share
+  /// finite and in (0, 1) with a sum below delta - and a mismatch returns
+  /// an error Status with the cache untouched, instead of silently
+  /// mis-caching a state the stopping rule was never calibrated for.
+  /// States without provenance (fingerprint/ranks zero, from before the
+  /// accounting) skip the fingerprint and shape checks. A state without
+  /// the stop rule's cached logs is cached as a copy that has them.
   [[nodiscard]] Status preload_calibration(
       const bc::KadabraParams& params,
       std::shared_ptr<const bc::KadabraWarmState> warm);
@@ -203,13 +205,14 @@ class Session {
   /// Applies one edge batch to the session's graph: validates it against
   /// the current snapshot, publishes the next version, refreshes every
   /// live incremental engine (clean samples kept, dirty ones resampled),
-  /// and updates the session caches - the fingerprint is adopted, a known
-  /// connected graph stays connected (deletion batches are checked,
-  /// insertions cannot disconnect), any other verdict is re-derived
-  /// lazily; cached calibrations survive insert-only batches unchanged
-  /// (distances only shrink, so their vertex-diameter bounds hold) and
-  /// survive deletion batches when their bound covers the recomputed one,
-  /// re-stamped to the new fingerprint; violated bounds drop the entry.
+  /// and updates the session caches - a known connected graph stays
+  /// connected (deletion batches are checked, insertions cannot
+  /// disconnect), any other verdict is re-derived lazily; cached
+  /// calibrations survive insert-only batches unchanged (distances only
+  /// shrink, so their vertex-diameter bounds hold) and survive deletion
+  /// batches when their bound covers the recomputed one, re-stamped to the
+  /// new fingerprint; violated bounds drop the entry. The new snapshot is
+  /// hashed during the apply only when a survivor needs that re-stamp.
   /// A rejected batch (report.status) leaves the session untouched.
   [[nodiscard]] dynamic::ApplyReport apply(dynamic::EdgeBatch batch);
 

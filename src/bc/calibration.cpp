@@ -1,5 +1,6 @@
 #include "bc/calibration.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "support/assert.hpp"
@@ -11,6 +12,25 @@ double Calibration::budget_used() const {
   for (const double d : delta_l) sum += d;
   for (const double d : delta_u) sum += d;
   return sum;
+}
+
+void Calibration::cache_logs() {
+  const auto logs = [](const std::vector<double>& shares) {
+    std::vector<double> out(shares.size());
+    for (std::size_t v = 0; v < shares.size(); ++v)
+      out[v] = std::log(1.0 / shares[v]);
+    return out;
+  };
+  log_inv_delta_l = logs(delta_l);
+  log_inv_delta_u = logs(delta_u);
+}
+
+bool Calibration::valid_for(double delta) const {
+  const auto in_range = [](double share) {
+    return share > 0.0 && share < 1.0;  // false for NaN
+  };
+  return std::ranges::all_of(delta_l, in_range) &&
+         std::ranges::all_of(delta_u, in_range) && budget_used() < delta;
 }
 
 Calibration calibrate(std::span<const std::uint64_t> initial_counts,
@@ -68,6 +88,7 @@ Calibration calibrate(std::span<const std::uint64_t> initial_counts,
   }
   DISTBC_ASSERT_MSG(result.budget_used() < delta,
                     "calibration must respect the total failure budget");
+  result.cache_logs();
   return result;
 }
 

@@ -83,16 +83,18 @@ BcResult kadabra_run_frames(const graph::Graph& graph,
       if (is_root) finish_calibration(state->context, initial);
     });
     // Decentralized termination: every rank evaluates the stopping rule on
-    // the distributed aggregate, so the calibrated per-vertex failure
-    // shares must be identical everywhere, not just at rank zero.
+    // the distributed aggregate, so every rank needs the root's per-vertex
+    // stop-rule logs, bit for bit. The rule reads nothing else of the
+    // calibration, so the logs travel instead of the shares, which stay
+    // at rank zero.
     if (world != nullptr && num_ranks > 1) {
       Calibration& cal = state->context.calibration;
       if (!is_root) {
-        cal.delta_l.assign(n, 0.0);
-        cal.delta_u.assign(n, 0.0);
+        cal.log_inv_delta_l.assign(n, 0.0);
+        cal.log_inv_delta_u.assign(n, 0.0);
       }
-      world->bcast(std::span<double>(cal.delta_l), 0);
-      world->bcast(std::span<double>(cal.delta_u), 0);
+      world->bcast(std::span<double>(cal.log_inv_delta_l), 0);
+      world->bcast(std::span<double>(cal.log_inv_delta_u), 0);
       world->bcast(std::span{&cal.predicted_tau, 1}, 0);
     }
     warm = std::move(state);

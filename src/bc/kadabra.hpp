@@ -37,8 +37,9 @@ using engine::Aggregation;
 using engine::FrameRep;
 
 /// Everything KADABRA's phases 1-2 produce that phase 3 consumes: the
-/// diameter estimate and the calibrated context (omega; delta_l/delta_u
-/// valid at world rank 0). A fresh kadabra_run computes one and reports
+/// diameter estimate and the calibrated context (omega and the stop
+/// rule's cached logs on every rank; delta_l/delta_u valid at world rank
+/// 0 only). A fresh kadabra_run computes one and reports
 /// it in BcResult::warm; handing it back through KadabraOptions::warm_start
 /// skips phases 1-2 entirely (zero diameter/calibration work - the
 /// kDiameter/kCalibration phase stats stay 0). Valid only for the same

@@ -7,10 +7,18 @@
 // finish_calibration accept any aggregate exposing count()/tau()/
 // num_vertices() (epoch::StateFrame and epoch::SparseFrame both do), so
 // the same stopping machinery serves every wire representation.
+//
+// Cache invariant: stop_satisfied reads each vertex's failure shares only
+// as calibration.log_inv_delta_l/u, so those must be log(1 / share) of the
+// calibrated shares on every rank that evaluates the rule. calibrate()
+// fills them (and so finish_calibration), non-root ranks receive the
+// root's by broadcast, and warm states get them from their loader or from
+// Session::preload_calibration.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "bc/calibration.hpp"
 #include "bc/kadabra_math.hpp"
@@ -28,6 +36,8 @@ struct KadabraContext {
 
   /// Evaluates KADABRA's stopping condition on an aggregated state frame.
   /// The frame must be a consistent snapshot (f and g are not monotone).
+  /// Reads the shares only through calibration's cached logs, which must
+  /// be current (Calibration::cache_logs after every change of shares).
   template <typename Frame>
   [[nodiscard]] bool stop_satisfied(const Frame& aggregate) const {
     const std::uint64_t tau = aggregate.tau();
@@ -36,14 +46,18 @@ struct KadabraContext {
 
     const double omega_d = static_cast<double>(omega);
     const std::uint32_t n = aggregate.num_vertices();
+    const std::vector<double>& log_l = calibration.log_inv_delta_l;
+    const std::vector<double>& log_u = calibration.log_inv_delta_u;
+    DISTBC_ASSERT_MSG(log_l.size() == n && log_u.size() == n,
+                      "stop rule needs one cached log per vertex");
     for (std::uint32_t v = 0; v < n; ++v) {
       const double b_tilde = static_cast<double>(aggregate.count(v)) /
                              static_cast<double>(tau);
-      if (stopping_f(b_tilde, calibration.delta_l[v], omega_d, tau) >=
+      if (stopping_radius(-1.0, b_tilde, log_l[v], omega_d, tau) >=
           params.epsilon) {
         return false;
       }
-      if (stopping_g(b_tilde, calibration.delta_u[v], omega_d, tau) >=
+      if (stopping_radius(+1.0, b_tilde, log_u[v], omega_d, tau) >=
           params.epsilon) {
         return false;
       }

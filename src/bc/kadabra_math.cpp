@@ -12,22 +12,14 @@ double stopping_f(double b_tilde, double delta_l, double omega,
                   std::uint64_t tau) {
   DISTBC_ASSERT(tau > 0);
   DISTBC_ASSERT(delta_l > 0.0 && delta_l < 1.0);
-  const double log_term = std::log(1.0 / delta_l);
-  const double tmp = omega / static_cast<double>(tau) - 1.0 / 3.0;
-  const double err =
-      std::sqrt(tmp * tmp + 2.0 * b_tilde * omega / log_term) - tmp;
-  return err * log_term / static_cast<double>(tau);
+  return stopping_radius(-1.0, b_tilde, std::log(1.0 / delta_l), omega, tau);
 }
 
 double stopping_g(double b_tilde, double delta_u, double omega,
                   std::uint64_t tau) {
   DISTBC_ASSERT(tau > 0);
   DISTBC_ASSERT(delta_u > 0.0 && delta_u < 1.0);
-  const double log_term = std::log(1.0 / delta_u);
-  const double tmp = omega / static_cast<double>(tau) + 1.0 / 3.0;
-  const double err =
-      std::sqrt(tmp * tmp + 2.0 * b_tilde * omega / log_term) + tmp;
-  return err * log_term / static_cast<double>(tau);
+  return stopping_radius(+1.0, b_tilde, std::log(1.0 / delta_u), omega, tau);
 }
 
 std::uint32_t diameter_bucket(std::uint32_t vertex_diameter) {

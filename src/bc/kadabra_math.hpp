@@ -11,6 +11,7 @@
 // must run on a consistent aggregated snapshot (paper §III-B).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 namespace distbc::bc {
@@ -28,6 +29,20 @@ struct KadabraParams {
   /// by predicted stopping time.
   double balancing = 0.01;
 };
+
+/// The one implementation of f and g, with the share's logarithm
+/// log(1 / delta) already taken: sign = -1 gives f, +1 gives g (negation
+/// is exact, so either is bitwise its textbook form). The stop check
+/// calls it with the calibration's cached logs; stopping_f/g take the log
+/// and call it, so both paths run the same arithmetic in the same order.
+[[nodiscard]] inline double stopping_radius(double sign, double b_tilde,
+                                            double log_inv_delta,
+                                            double omega, std::uint64_t tau) {
+  const double tmp = omega / static_cast<double>(tau) + sign / 3.0;
+  const double err =
+      std::sqrt(tmp * tmp + 2.0 * b_tilde * omega / log_inv_delta) + sign * tmp;
+  return err * log_inv_delta / static_cast<double>(tau);
+}
 
 /// Upper confidence radius: after tau of at most omega samples, the true
 /// betweenness of a vertex with estimate b~ exceeds b~ + f only with

@@ -20,14 +20,12 @@ ApplyReport DynamicState::apply(EdgeBatch batch) {
   if (batch.empty()) {
     report.status = api::Status::error("edge batch is empty");
     report.version = graph_.version();
-    report.fingerprint = graph_.fingerprint();
     return report;
   }
   if (const api::Status status = batch.validate(*graph_.snapshot());
       !status) {
     report.status = status;
     report.version = graph_.version();
-    report.fingerprint = graph_.fingerprint();
     return report;
   }
 
@@ -48,13 +46,11 @@ ApplyReport DynamicState::apply(EdgeBatch batch) {
     report.status =
         api::Status::error("edge batch disconnects the graph (rejected)");
     report.version = graph_.version();
-    report.fingerprint = graph_.fingerprint();
     report.bound_seconds = bound_timer.elapsed_s();
     return report;
   }
   report.status = api::Status::success();
   report.version = graph_.version();
-  report.fingerprint = graph_.fingerprint();
   report.edges_inserted = batch.inserts().size();
   report.edges_deleted = batch.deletes().size();
 

@@ -57,12 +57,15 @@ namespace distbc::dynamic {
 enum class BoundPath : std::uint8_t { kNone, kReference, kRecomputed };
 
 /// Everything one apply() did, for callers to adopt: the new graph
-/// identity, what the batch contained, the bound policy outcome, and the
-/// aggregated ledger accounting across every refreshed engine.
+/// version, what the batch contained, the bound policy outcome, and the
+/// aggregated ledger accounting across every refreshed engine. The new
+/// graph's content fingerprint is not part of the report: apply() never
+/// hashes the snapshot, and callers that need the fingerprint (to
+/// re-stamp a surviving warm calibration) read DynamicState::fingerprint(),
+/// which hashes once per version on demand.
 struct ApplyReport {
   api::Status status;
   std::uint64_t version = 0;
-  std::uint64_t fingerprint = 0;
   std::uint64_t edges_inserted = 0;
   std::uint64_t edges_deleted = 0;
   bool had_deletes = false;
@@ -128,6 +131,8 @@ class DynamicState {
 
   [[nodiscard]] std::shared_ptr<const graph::Graph> snapshot() const;
   [[nodiscard]] std::uint64_t version() const;
+  /// graph::fingerprint of the current snapshot: hashed on the first
+  /// call after an apply (under the mutex), cached until the next one.
   [[nodiscard]] std::uint64_t fingerprint() const;
   [[nodiscard]] MutableGraph::Stats graph_stats() const;
   [[nodiscard]] std::size_t engine_count() const;

@@ -11,7 +11,11 @@ namespace distbc::dynamic {
 MutableGraph::MutableGraph(std::shared_ptr<const graph::Graph> initial)
     : snapshot_(std::move(initial)) {
   DISTBC_ASSERT(snapshot_ != nullptr);
-  fingerprint_ = graph::fingerprint(*snapshot_);
+}
+
+std::uint64_t MutableGraph::fingerprint() const {
+  if (!fingerprint_.has_value()) fingerprint_ = graph::fingerprint(*snapshot_);
+  return *fingerprint_;
 }
 
 void MutableGraph::materialize() {
@@ -162,7 +166,7 @@ void MutableGraph::publish() {
   snapshot_ = std::make_shared<const graph::Graph>(std::move(offsets),
                                                    std::move(adjacency));
   ++version_;
-  fingerprint_ = graph::fingerprint(*snapshot_);
+  fingerprint_.reset();
 }
 
 bool MutableGraph::apply(const EdgeBatch& batch) {

@@ -16,13 +16,17 @@
 //
 // After every apply a compact graph::Graph snapshot is rebuilt and
 // published as shared_ptr (samplers of the previous version keep their
-// snapshot alive), the version counter advances, and graph::fingerprint
-// is recomputed - downstream caches (calibrations, warm stores) key on the
+// snapshot alive) and the version counter advances. graph::fingerprint is
+// NOT taken on publish: fingerprint() hashes the snapshot on its first
+// read and caches the value until the next publish or revert, so applies
+// whose callers never read it (no warm calibration to re-stamp) pay
+// nothing for it. Downstream caches (calibrations, warm stores) key on the
 // fingerprint and therefore invalidate naturally.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -42,8 +46,10 @@ class MutableGraph {
   }
   /// 0 for the initial graph; advances on every apply() and revert().
   [[nodiscard]] std::uint64_t version() const { return version_; }
-  /// graph::fingerprint of the current snapshot.
-  [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }
+  /// graph::fingerprint of the current snapshot, hashed on the first call
+  /// after each publish. Not thread-safe (the cache is filled in place);
+  /// DynamicState calls it under its mutex.
+  [[nodiscard]] std::uint64_t fingerprint() const;
 
   struct Stats {
     std::uint64_t applies = 0;
@@ -77,8 +83,8 @@ class MutableGraph {
   void rebuild(std::span<const Edge> inserts, std::span<const Edge> deletes);
   void insert_arc(graph::Vertex u, graph::Vertex v);
   void remove_arc(graph::Vertex u, graph::Vertex v);
-  /// Compacts the slack arrays into a fresh immutable snapshot and
-  /// advances version/fingerprint.
+  /// Compacts the slack arrays into a fresh immutable snapshot, advances
+  /// the version and drops the cached fingerprint.
   void publish();
 
   [[nodiscard]] static std::uint32_t slack_for(std::uint32_t degree) {
@@ -87,7 +93,8 @@ class MutableGraph {
 
   std::shared_ptr<const graph::Graph> snapshot_;
   std::uint64_t version_ = 0;
-  std::uint64_t fingerprint_ = 0;
+  /// fingerprint() of snapshot_, once read; empty after every publish.
+  mutable std::optional<std::uint64_t> fingerprint_;
 
   // Slack CSR (valid once materialized_): vertex v's neighbors live
   // sorted in slots_[begin_[v], begin_[v] + degree_[v]), with capacity

@@ -45,12 +45,7 @@ void SampleLedger::fill(Record& record, std::uint64_t stream, bool connected,
   record.path = std::vector<graph::Vertex>(path.begin(), path.end());
   if (scanned.size() <= params_.exact_cap) {
     record.bloom = false;
-    scratch_.assign(scanned.begin(), scanned.end());
-    std::sort(scratch_.begin(), scratch_.end());
-    scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
-                   scratch_.end());
-    record.touched = std::vector<graph::Vertex>(scratch_.begin(),
-                                                scratch_.end());
+    record.touched = std::vector<graph::Vertex>(scanned.begin(), scanned.end());
     record.bits = std::vector<std::uint64_t>();
   } else {
     record.bloom = true;
@@ -83,8 +78,7 @@ void SampleLedger::replace(std::size_t index, std::uint64_t stream,
 }
 
 std::size_t SampleLedger::heap_bytes() const {
-  std::size_t bytes = records_.capacity() * sizeof(Record) +
-                      scratch_.capacity() * sizeof(graph::Vertex);
+  std::size_t bytes = records_.capacity() * sizeof(Record);
   for (const Record& record : records_) {
     bytes += (record.path.capacity() + record.touched.capacity()) *
                  sizeof(graph::Vertex) +
@@ -125,9 +119,10 @@ SampleLedger::Classification SampleLedger::classify(
       probes.push_back(probe_bits(v, total));
   }
 
-  // Record side: an exact record scans its sorted list against the bitmap
-  // until the first hit or past the largest endpoint; a Bloom record tests
-  // the precomputed probe positions.
+  // Record side: an exact record scans its list against the bitmap until
+  // the first hit (vertices past the largest endpoint lie outside the
+  // bitmap and are never endpoints); a Bloom record tests the precomputed
+  // probe positions.
   const auto bloom_hit = [&](const std::vector<std::uint64_t>& bits) {
     return std::any_of(probes.begin(), probes.end(), [&](const auto& probe) {
       return std::all_of(probe.begin(), probe.end(), [&](std::uint64_t bit) {
@@ -136,11 +131,9 @@ SampleLedger::Classification SampleLedger::classify(
     });
   };
   const auto exact_hit = [&](const std::vector<graph::Vertex>& touched) {
-    for (const graph::Vertex v : touched) {
-      if (v > largest) return false;
-      if ((bitmap[v / 64] >> (v % 64)) & 1ULL) return true;
-    }
-    return false;
+    return std::ranges::any_of(touched, [&](graph::Vertex v) {
+      return v <= largest && ((bitmap[v / 64] >> (v % 64)) & 1ULL);
+    });
   };
   for (std::size_t i = 0; i < records_.size(); ++i) {
     const Record& record = records_[i];

@@ -27,11 +27,13 @@
 // touch no ball vertex), so the stored sketch itself stays valid and the
 // argument composes across stacked clean batches.
 //
-// Sketch representation: an exact sorted vertex list up to
-// SketchParams::exact_cap scanned vertices, else a fixed-size Bloom
-// filter. Bloom false positives are SAFE by construction - a clean sample
-// misclassified dirty is resampled from the new graph, which only costs
-// work, never correctness (tests/test_dynamic.cpp pins this property).
+// Sketch representation: the exact scanned vertex list, stored in the
+// order the traversal reported it, up to SketchParams::exact_cap scanned
+// vertices, else a fixed-size Bloom filter. classify() tests an exact list
+// by membership only, so it is never sorted. Bloom false positives are
+// SAFE by construction - a clean sample misclassified dirty is resampled
+// from the new graph, which only costs work, never correctness
+// (tests/test_dynamic.cpp pins this property).
 #pragma once
 
 #include <cstdint>
@@ -44,7 +46,7 @@
 namespace distbc::dynamic {
 
 struct SketchParams {
-  /// Scanned sets at or under this size store exact sorted vertex lists;
+  /// Scanned sets at or under this size store exact vertex lists;
   /// larger ones fall back to the Bloom filter. 0 = always Bloom.
   std::uint32_t exact_cap = 256;
   /// Bloom filter size in 64-bit words (4 probe bits per vertex).
@@ -93,7 +95,7 @@ class SampleLedger {
     return records_[index].bloom;
   }
   /// Bytes the ledger currently holds allocated (record array, every
-  /// record's lists and filter words, the dedupe buffer). Observability
+  /// record's lists and filter words). Observability
   /// only: records are stored at their exact size, so this tracks the
   /// live sample set and does not grow with the number of refreshes.
   [[nodiscard]] std::size_t heap_bytes() const;
@@ -109,8 +111,8 @@ class SampleLedger {
   /// Classifies every record against `batch`: dirty iff the sketch may
   /// contain an endpoint of any batch edge. Costs O(records + batch): the
   /// endpoint set, its bitmap and its Bloom probe positions are built once
-  /// per call, then each exact record scans its sorted list against the
-  /// bitmap and each Bloom record tests the precomputed probes.
+  /// per call, then each exact record scans its list against the bitmap
+  /// and each Bloom record tests the precomputed probes.
   [[nodiscard]] Classification classify(const EdgeBatch& batch) const;
 
  private:
@@ -119,7 +121,7 @@ class SampleLedger {
     bool connected = false;
     bool bloom = false;
     std::vector<graph::Vertex> path;     // interior vertices, draw order
-    std::vector<graph::Vertex> touched;  // exact sketch: sorted scanned set
+    std::vector<graph::Vertex> touched;  // exact sketch: scanned list
     std::vector<std::uint64_t> bits;     // Bloom sketch words
   };
 
@@ -131,9 +133,6 @@ class SampleLedger {
 
   SketchParams params_;
   std::vector<Record> records_;
-  /// Reused buffer the scanned set is sorted and deduplicated in before
-  /// it is copied into a record at its exact size.
-  std::vector<graph::Vertex> scratch_;
   std::uint64_t bloom_sketches_ = 0;
 };
 

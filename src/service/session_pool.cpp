@@ -24,7 +24,6 @@ SessionPool::SessionPool(graph::Graph graph, api::Config config)
 void SessionPool::bootstrap(api::Config config) {
   status_ = config.validate();
   if (!status_.ok) return;
-  fingerprint_ = graph::fingerprint(*graph_);
   queue_capacity_ = config.service_queue_capacity;
 
   const int pool_size = config.service_pool_size;
@@ -51,7 +50,7 @@ void SessionPool::bootstrap(api::Config config) {
   // first query. Replica 0 validates (provenance vs this graph/shape);
   // the rest pick accepted states up through sync_warm_into.
   if (store_.enabled()) {
-    for (auto& state : store_.load_all(fingerprint_)) {
+    for (auto& state : store_.load_all(dynamic_->fingerprint())) {
       const api::Status accepted =
           replicas_[0]->preload_calibration(state->context.params, state);
       if (accepted.ok) {
@@ -168,6 +167,12 @@ void SessionPool::submit_async(api::Query query, std::string tenant,
   work_cv_.notify_one();
 }
 
+std::uint64_t SessionPool::graph_fingerprint() const {
+  // A pool whose bootstrap failed never built the dynamic state.
+  return dynamic_ != nullptr ? dynamic_->fingerprint()
+                             : graph::fingerprint(*graph_);
+}
+
 void SessionPool::drain() {
   std::unique_lock lock(mutex_);
   idle_cv_.wait(lock, [this] { return queue_.empty() && running_jobs_ == 0; });
@@ -202,7 +207,6 @@ dynamic::ApplyReport SessionPool::apply(dynamic::EdgeBatch batch) {
     const std::scoped_lock lock(mutex_);
     if (report.status.ok) {
       graph_ = dynamic_->snapshot();
-      fingerprint_ = report.fingerprint;
       ++stats_.applies;
     }
     mutating_ = false;

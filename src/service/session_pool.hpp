@@ -97,10 +97,9 @@ class SessionPool {
     const std::scoped_lock lock(mutex_);
     return graph_;
   }
-  [[nodiscard]] std::uint64_t graph_fingerprint() const {
-    const std::scoped_lock lock(mutex_);
-    return fingerprint_;
-  }
+  /// graph::fingerprint of the current snapshot, hashed on demand (once
+  /// per graph version, shared with every replica).
+  [[nodiscard]] std::uint64_t graph_fingerprint() const;
 
   /// Asynchronous submission; rejects with a typed Status when the
   /// bounded queue (Config::service_queue_capacity) is full.
@@ -161,7 +160,6 @@ class SessionPool {
 
   std::shared_ptr<const graph::Graph> graph_;
   api::Status status_;
-  std::uint64_t fingerprint_ = 0;
   std::uint64_t queue_capacity_ = 0;
   WarmStore store_;
 

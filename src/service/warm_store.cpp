@@ -176,6 +176,9 @@ using Fields = std::unordered_map<std::string, std::string>;
   if (!field_double_list(*fields, "delta_u", num_vertices,
                          state->context.calibration.delta_u))
     return nullptr;
+  // Damaged shares still get logs here; Session::preload_calibration is
+  // the one place that judges them.
+  state->context.calibration.cache_logs();
   return state;
 }
 

@@ -56,7 +56,7 @@ bc::KadabraParams churn_params(double epsilon = 0.1) {
 
 dynamic::SketchParams exact_sketch() {
   dynamic::SketchParams sketch;
-  sketch.exact_cap = 1u << 20;  // every record stays an exact sorted list
+  sketch.exact_cap = 1u << 20;  // every record stays an exact list
   return sketch;
 }
 
@@ -631,6 +631,88 @@ TEST(SampleLedger, ExactVerdictIsScannedSetMembershipAndBloomASuperset) {
   EXPECT_LT(dirty_total, std::size(kPinnedKinds) * 3 * scanned_sets.size());
 }
 
+TEST(SampleLedger, UnsortedExactSketchesMatchABruteForceSetTest) {
+  // Exact lists are kept as scanned - unsorted, duplicates included - so
+  // classify() is a plain membership scan. Batch endpoints stay below
+  // kLow, so many listed vertices lie past the largest endpoint and past
+  // the end of classify()'s endpoint bitmap: the scan must bounds-check
+  // them (the sanitizer build turns a missing check into a hard error).
+  const auto initial = std::make_shared<const graph::Graph>(churn_graph());
+  const graph::Vertex n = initial->num_vertices();
+  constexpr graph::Vertex kLow = 40;
+  ASSERT_GT(n, 64u);  // some vertices sit a bitmap word past any endpoint
+  Rng rng(2718);
+
+  dynamic::SampleLedger ledger(exact_sketch());
+  std::vector<std::vector<graph::Vertex>> lists;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    std::vector<graph::Vertex> list;
+    const std::uint64_t size = rng.next_bounded(30);
+    for (std::uint64_t k = 0; k < size; ++k) {
+      // Half low (where endpoints live), half anywhere up to n - 1, and
+      // every fourth entry a repeat of an earlier one.
+      if (!list.empty() && rng.next_bounded(4) == 0)
+        list.push_back(list[rng.next_bounded(list.size())]);
+      else if (rng.next_bounded(2) == 0)
+        list.push_back(static_cast<graph::Vertex>(rng.next_bounded(kLow)));
+      else
+        list.push_back(static_cast<graph::Vertex>(rng.next_bounded(n)));
+    }
+    ledger.record(i, true, {}, list);
+    lists.push_back(std::move(list));
+  }
+  ASSERT_EQ(ledger.bloom_sketches(), 0u);
+
+  std::uint64_t dirty_total = 0;
+  for (int round = 0; round < 40; ++round) {
+    // One to three absent low edges, and every other round a present low
+    // edge deleted as well.
+    dynamic::EdgeBatch batch;
+    std::vector<dynamic::Edge> queued;
+    const std::uint64_t inserts = 1 + rng.next_bounded(3);
+    while (queued.size() < inserts) {
+      auto [a, b] = rng.next_distinct_pair(kLow);
+      const dynamic::Edge edge{static_cast<graph::Vertex>(std::min(a, b)),
+                               static_cast<graph::Vertex>(std::max(a, b))};
+      if (initial->has_edge(edge.u, edge.v) ||
+          std::find(queued.begin(), queued.end(), edge) != queued.end())
+        continue;
+      batch.insert(edge.u, edge.v);
+      queued.push_back(edge);
+    }
+    if (round % 2 == 1) {
+      const dynamic::Edge edge = present_edge(
+          *initial, static_cast<graph::Vertex>(rng.next_bounded(kLow / 2)));
+      ASSERT_LT(edge.v, n);
+      if (edge.v < kLow) batch.remove(edge.u, edge.v);
+    }
+    ASSERT_TRUE(batch.validate(*initial).ok);
+
+    std::vector<graph::Vertex> endpoints;
+    for (const auto list : {batch.inserts(), batch.deletes()})
+      for (const dynamic::Edge& edge : list) {
+        endpoints.push_back(edge.u);
+        endpoints.push_back(edge.v);
+      }
+    std::vector<std::uint32_t> expected;
+    for (std::uint32_t i = 0; i < lists.size(); ++i) {
+      const bool hit = std::any_of(
+          lists[i].begin(), lists[i].end(), [&](graph::Vertex v) {
+            return std::find(endpoints.begin(), endpoints.end(), v) !=
+                   endpoints.end();
+          });
+      if (hit) expected.push_back(i);
+    }
+    dirty_total += expected.size();
+
+    const auto verdict = ledger.classify(batch);
+    EXPECT_EQ(verdict.dirty, expected) << "round " << round;
+    EXPECT_EQ(verdict.bloom_dirty, 0u);
+  }
+  EXPECT_GT(dirty_total, 0u);
+  EXPECT_LT(dirty_total, 40 * lists.size());
+}
+
 TEST(SampleLedger, HeapBytesDoNotGrowWithRefreshes) {
   // A stationary stream: every round inserts two random absent edges and,
   // once five rounds' worth exist, deletes the two oldest churned ones.
@@ -719,7 +801,8 @@ TEST(DynamicState, RejectsBadBatchesTransactionally) {
   EXPECT_EQ(applied.diameter_bound, 0u);
   EXPECT_EQ(applied.bound_path, dynamic::BoundPath::kNone);
   EXPECT_EQ(applied.recalibrations, 0u);
-  EXPECT_NE(applied.fingerprint, fp0);
+  EXPECT_NE(state.fingerprint(), fp0);
+  EXPECT_EQ(state.fingerprint(), graph::fingerprint(*state.snapshot()));
   EXPECT_EQ(applied.engines_refreshed, 0u);  // no engine live yet
 }
 
@@ -1020,6 +1103,39 @@ TEST(SessionApply, CoveredDeletionKeepsOnlyWarmStatesThatBoundTheDiameter) {
   }
 }
 
+TEST(SessionApply, InsertRestampsTheWarmStateWithTheNewFingerprint) {
+  const auto graph = std::make_shared<const graph::Graph>(churn_graph());
+  api::Session session(graph, dynamic_config(1));
+  ASSERT_TRUE(session.status().ok);
+  api::BetweennessQuery query;
+  query.epsilon = 0.1;
+  const api::Result cold = session.run(query);  // caches a warm state
+  ASSERT_TRUE(cold.status.ok) << cold.status.message;
+  EXPECT_FALSE(cold.calibration_reused);
+  ASSERT_EQ(session.calibrations().size(), 1u);
+  EXPECT_EQ(session.calibrations()[0]->graph_fingerprint,
+            graph::fingerprint(*graph));
+
+  Rng rng(5);
+  std::vector<dynamic::Edge> inserted;
+  const dynamic::ApplyReport report = session.apply(
+      random_insert_batch(session.graph(), 3, rng, &inserted));
+  ASSERT_TRUE(report.status.ok) << report.status.message;
+
+  // The survivor carries the NEW snapshot's fingerprint, as does the
+  // shared state's on-demand one.
+  const std::uint64_t fingerprint = graph::fingerprint(session.graph());
+  EXPECT_NE(fingerprint, graph::fingerprint(*graph));
+  EXPECT_EQ(session.dynamic_state()->fingerprint(), fingerprint);
+  const auto survivors = session.calibrations();
+  ASSERT_EQ(survivors.size(), 1u);
+  EXPECT_EQ(survivors[0]->graph_fingerprint, fingerprint);
+
+  const api::Result hot = session.run(query);
+  ASSERT_TRUE(hot.status.ok) << hot.status.message;
+  EXPECT_TRUE(hot.calibration_reused);
+}
+
 TEST(SessionPoolApply, PostApplyResponsesBitwiseIdenticalAcrossPoolSizes) {
   const auto graph = std::make_shared<const graph::Graph>(churn_graph());
   api::BetweennessQuery query;
@@ -1046,9 +1162,11 @@ TEST(SessionPoolApply, PostApplyResponsesBitwiseIdenticalAcrossPoolSizes) {
     const dynamic::ApplyReport report = pool.apply(std::move(batch));
     ASSERT_TRUE(report.status.ok) << report.status.message;
     EXPECT_EQ(pool.stats().applies, 1u);
-    EXPECT_EQ(pool.graph_fingerprint(), report.fingerprint);
+    EXPECT_EQ(pool.graph_fingerprint(),
+              graph::fingerprint(*pool.graph_snapshot()));
+    EXPECT_NE(pool.graph_fingerprint(), graph::fingerprint(*graph));
     EXPECT_TRUE(pool.graph_snapshot()->has_edge(edge.u, edge.v));
-    fingerprints.push_back(report.fingerprint);
+    fingerprints.push_back(pool.graph_fingerprint());
 
     service::Ticket hot = pool.submit(query, "tenant", "g");
     pool.drain();

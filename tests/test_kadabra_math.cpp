@@ -1,16 +1,26 @@
 // Tests for KADABRA's statistical machinery: omega, the stopping functions
-// f and g, the delta calibration, and the stop-condition evaluation.
+// f and g, the delta calibration, and the stop-condition evaluation - whose
+// cached-log fast path must give the verdict of a per-vertex loop over f
+// and g, with every Calibration producer filling the log cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <random>
 #include <utility>
 #include <vector>
 
 #include "bc/calibration.hpp"
+#include "bc/kadabra.hpp"
 #include "bc/kadabra_context.hpp"
 #include "bc/kadabra_math.hpp"
+#include "comm/substrate.hpp"
 #include "engine/streams.hpp"
 #include "epoch/state_frame.hpp"
+#include "gen/barabasi_albert.hpp"
+#include "graph/components.hpp"
+#include "mpisim/runtime.hpp"
 
 namespace distbc::bc {
 namespace {
@@ -224,6 +234,176 @@ TEST(Context, StopEventuallySatisfiedBeforeOmegaOnEasyState) {
     }
   }
   EXPECT_TRUE(stopped_early);
+}
+
+// --- Stop rule on cached logs ------------------------------------------------
+
+/// The stop rule as a per-vertex loop over stopping_f/stopping_g, which
+/// take each share's log themselves.
+bool reference_stop(const KadabraContext& context,
+                    const epoch::StateFrame& aggregate) {
+  const std::uint64_t tau = aggregate.tau();
+  if (tau == 0) return false;
+  if (tau >= context.omega) return true;
+  const auto omega = static_cast<double>(context.omega);
+  const Calibration& cal = context.calibration;
+  for (std::uint32_t v = 0; v < aggregate.num_vertices(); ++v) {
+    const double b_tilde = static_cast<double>(aggregate.count(v)) /
+                           static_cast<double>(tau);
+    if (stopping_f(b_tilde, cal.delta_l[v], omega, tau) >=
+            context.params.epsilon ||
+        stopping_g(b_tilde, cal.delta_u[v], omega, tau) >=
+            context.params.epsilon)
+      return false;
+  }
+  return true;
+}
+
+/// Every cached log is bitwise log(1 / share).
+void expect_logs_cached(const Calibration& cal) {
+  ASSERT_TRUE(cal.logs_cached());
+  for (std::size_t v = 0; v < cal.delta_l.size(); ++v) {
+    EXPECT_EQ(cal.log_inv_delta_l[v], std::log(1.0 / cal.delta_l[v])) << v;
+    EXPECT_EQ(cal.log_inv_delta_u[v], std::log(1.0 / cal.delta_u[v])) << v;
+  }
+}
+
+TEST(StopRule, CachedLogsGiveTheReferenceVerdict) {
+  std::mt19937_64 rng(20261017);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  int early_true = 0;
+  int early_false = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const auto n = static_cast<std::uint32_t>(1 + rng() % 40);
+    KadabraContext context;
+    context.omega = 500 + rng() % 50000;
+    // Shares spread over ~13 orders of magnitude, budget far below 1.
+    Calibration& cal = context.calibration;
+    cal.delta_l.resize(n);
+    cal.delta_u.resize(n);
+    for (std::uint32_t v = 0; v < n; ++v) {
+      cal.delta_l[v] = std::exp(-1.0 - 29.0 * unit(rng)) / n;
+      cal.delta_u[v] = std::exp(-1.0 - 29.0 * unit(rng)) / n;
+    }
+    cal.cache_logs();
+
+    // tau: zero, just below omega, at omega, past omega, or anywhere.
+    std::uint64_t tau = 1 + rng() % (context.omega - 1);
+    switch (trial % 6) {
+      case 0: tau = 0; break;
+      case 1: tau = context.omega - 1; break;
+      case 2: tau = context.omega; break;
+      case 3: tau = context.omega + 1 + rng() % 100; break;
+      default: break;
+    }
+    epoch::StateFrame aggregate(n);
+    const std::span<std::uint64_t> raw = aggregate.raw();
+    for (std::uint32_t v = 0; v < n; ++v)
+      raw[v] = rng() % 4 == 0 || tau == 0 ? 0 : rng() % (tau + 1);
+    raw[n] = tau;
+
+    // Set epsilon at the worst radius (some vertex fails: >= eps) or one
+    // ulp above it (every vertex passes), so the verdict sits on the edge.
+    double worst = 0.0;
+    if (tau > 0) {
+      const auto omega = static_cast<double>(context.omega);
+      for (std::uint32_t v = 0; v < n; ++v) {
+        const double b_tilde =
+            static_cast<double>(raw[v]) / static_cast<double>(tau);
+        const double f = stopping_f(b_tilde, cal.delta_l[v], omega, tau);
+        const double g = stopping_g(b_tilde, cal.delta_u[v], omega, tau);
+        // The shared core on the cached logs is bitwise f and g.
+        EXPECT_EQ(stopping_radius(-1.0, b_tilde, cal.log_inv_delta_l[v],
+                                  omega, tau),
+                  f);
+        EXPECT_EQ(stopping_radius(+1.0, b_tilde, cal.log_inv_delta_u[v],
+                                  omega, tau),
+                  g);
+        worst = std::max({worst, f, g});
+      }
+    }
+    context.params.epsilon =
+        trial % 2 == 0
+            ? worst
+            : std::nextafter(worst, std::numeric_limits<double>::infinity());
+    const bool verdict = context.stop_satisfied(aggregate);
+    EXPECT_EQ(verdict, reference_stop(context, aggregate))
+        << "trial " << trial << " n " << n << " tau " << tau << " omega "
+        << context.omega;
+    if (tau > 0 && tau < context.omega) (verdict ? early_true : early_false)++;
+  }
+  // Both verdicts occur below omega, not only the budget exit.
+  EXPECT_GT(early_true, 50);
+  EXPECT_GT(early_false, 50);
+}
+
+TEST(StopRule, CalibrateFillsTheLogCache) {
+  const std::vector<std::uint64_t> counts = {0, 3, 50, 100, 7, 0, 1};
+  const Calibration cal = calibrate(counts, 100, 0.05, 0.1, 0.01);
+  expect_logs_cached(cal);
+
+  KadabraParams params;
+  params.epsilon = 0.05;
+  KadabraContext context = begin_context(params, 10);
+  epoch::StateFrame initial(5);
+  for (int i = 0; i < 100; ++i) initial.record_empty();
+  finish_calibration(context, initial);
+  expect_logs_cached(context.calibration);
+}
+
+TEST(StopRule, NonRootRanksReceiveTheRootsLogsByBroadcast) {
+  const graph::Graph graph =
+      graph::largest_component(gen::barabasi_albert(300, 3, 7));
+  KadabraOptions options;
+  options.params.epsilon = 0.15;
+  options.params.seed = 7;
+  options.params.exact_diameter = false;
+  options.engine.deterministic = true;
+  options.engine.virtual_streams = 4;
+
+  constexpr int kRanks = 4;
+  mpisim::RuntimeConfig config;
+  config.num_ranks = kRanks;
+  config.network = mpisim::NetworkModel::disabled();
+  mpisim::Runtime runtime(config);
+  std::vector<BcResult> results(kRanks);
+  runtime.run([&](auto& rank_comm) {
+    const auto world =
+        comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
+    results[static_cast<std::size_t>(world->rank())] =
+        kadabra_mpi_rank(graph, options, *world);
+  });
+
+  const Calibration& root = results[0].warm->context.calibration;
+  ASSERT_EQ(root.delta_l.size(), graph.num_vertices());
+  expect_logs_cached(root);
+  for (int r = 1; r < kRanks; ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    const Calibration& cal =
+        results[static_cast<std::size_t>(r)].warm->context.calibration;
+    // The stop rule's logs, bit for bit; the shares stay at the root.
+    EXPECT_TRUE(cal.delta_l.empty());
+    EXPECT_EQ(cal.log_inv_delta_l, root.log_inv_delta_l);
+    EXPECT_EQ(cal.log_inv_delta_u, root.log_inv_delta_u);
+  }
+}
+
+TEST(StopRule, ValidForRejectsEveryBadShare) {
+  Calibration cal;
+  cal.delta_l = {0.01, 0.02};
+  cal.delta_u = {0.01, 0.02};
+  EXPECT_TRUE(cal.valid_for(0.1));
+  EXPECT_FALSE(cal.valid_for(0.06));  // budget 0.06 is not below 0.06
+  for (const double bad :
+       {1.5, 1.0, 0.0, -0.0, -0.01, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    Calibration lower = cal;
+    lower.delta_l[1] = bad;
+    EXPECT_FALSE(lower.valid_for(0.1)) << bad;
+    Calibration upper = cal;
+    upper.delta_u[0] = bad;
+    EXPECT_FALSE(upper.valid_for(0.1)) << bad;
+  }
 }
 
 TEST(EpochLength, MatchesPaperRule) {

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -657,17 +658,31 @@ TEST(WarmStore, DamagedFilesLoadNothingOrAStatePreloadJudges) {
   api::Session session(graph, config);
 
   // Loads `text` as the store's only file and preloads whatever comes
-  // back; nothing on either path may throw. Returns the number of states
-  // loaded and, through `status`, preload's verdict.
+  // back; nothing on either path may throw. Every state preload accepts is
+  // then queried: acceptance must mean the stopping rule can serve it.
+  // Returns the number of states loaded and, through `status`, preload's
+  // verdict.
   const auto judge = [&](const std::string& text, api::Status& status) {
     write_store(dir.path, text);
     std::vector<std::shared_ptr<const bc::KadabraWarmState>> states;
     EXPECT_NO_THROW(states = store.load_all(fingerprint));
     EXPECT_LE(states.size(), 1u);
     status = api::Status::success();
-    for (const auto& state : states)
+    for (const auto& state : states) {
+      EXPECT_TRUE(state->context.calibration.logs_cached());
       EXPECT_NO_THROW(
           status = session.preload_calibration(state->context.params, state));
+      if (!status.ok) continue;
+      api::BetweennessQuery query;
+      query.epsilon = state->context.params.epsilon;
+      query.delta = state->context.params.delta;
+      api::Result result;
+      EXPECT_NO_THROW(result = session.run(query));
+      // Damaged parameters may key a query run() refuses; never an abort.
+      if (query.epsilon > 0.0 && query.epsilon < 1.0 && query.delta > 0.0 &&
+          query.delta < 1.0)
+        EXPECT_TRUE(result.status.ok) << result.status.message;
+    }
     return states.size();
   };
   const std::string valid = kFixtureWarm;
@@ -709,6 +724,20 @@ TEST(WarmStore, DamagedFilesLoadNothingOrAStatePreloadJudges) {
   EXPECT_NE(status.message.find("delta_l/delta_u"), std::string::npos)
       << status.message;
 
+  // A damaged hexfloat that decodes to a share outside (0, 1) loads, and
+  // preload refuses it typed instead of the next query aborting in the
+  // stopping rule.
+  std::string out_of_range = valid;
+  const std::size_t first_share =
+      out_of_range.find("delta_l = ") + std::strlen("delta_l = ");
+  out_of_range.replace(first_share,
+                       out_of_range.find(' ', first_share) - first_share,
+                       "0x1.8p+0");  // 1.5
+  ASSERT_EQ(judge(out_of_range, status), 1u);
+  EXPECT_FALSE(status.ok);
+  EXPECT_NE(status.message.find("shares"), std::string::npos)
+      << status.message;
+
   // Every truncation at a line boundary: only the complete file loads.
   for (std::size_t end = 0; end < valid.size(); ++end) {
     if (end != 0 && valid[end - 1] != '\n') continue;
@@ -724,6 +753,64 @@ TEST(WarmStore, DamagedFilesLoadNothingOrAStatePreloadJudges) {
     SCOPED_TRACE("byte " + std::to_string(at));
     (void)judge(damaged, status);
   }
+}
+
+TEST(WarmStore, PreloadRejectsSharesOutsideTheOpenUnitIntervalTyped) {
+  const ScratchDir dir("bad_shares");
+  const auto graph = fixture_graph();
+  write_store(dir.path, kFixtureWarm);
+  const auto loaded =
+      service::WarmStore(dir.path).load_all(graph::fingerprint(*graph));
+  ASSERT_EQ(loaded.size(), 1u);
+  const bc::KadabraWarmState& valid = *loaded[0];
+  api::Session session(graph, service_config());
+  ASSERT_TRUE(session.status().ok);
+
+  for (const double bad : {1.5, 0.0, -0.0,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    for (const bool lower : {true, false}) {
+      SCOPED_TRACE(std::to_string(bad) +
+                   (lower ? " in delta_l" : " in delta_u"));
+      auto damaged = std::make_shared<bc::KadabraWarmState>(valid);
+      bc::Calibration& cal = damaged->context.calibration;
+      (lower ? cal.delta_l : cal.delta_u)[3] = bad;
+      cal.cache_logs();
+      const api::Status status =
+          session.preload_calibration(damaged->context.params, damaged);
+      EXPECT_FALSE(status.ok);
+      EXPECT_NE(status.message.find("shares"), std::string::npos)
+          << status.message;
+    }
+  }
+  // In-range shares whose sum reaches delta void the guarantee too.
+  auto over_budget = std::make_shared<bc::KadabraWarmState>(valid);
+  over_budget->context.calibration.delta_u[0] = valid.context.params.delta;
+  over_budget->context.calibration.cache_logs();
+  EXPECT_FALSE(
+      session.preload_calibration(over_budget->context.params, over_budget)
+          .ok);
+  EXPECT_TRUE(session.calibrations().empty());  // nothing was cached
+
+  // A valid state without the log cache is accepted; the cached copy has
+  // the logs and serves a query from the warm state.
+  auto no_logs = std::make_shared<bc::KadabraWarmState>(valid);
+  no_logs->context.calibration.log_inv_delta_l.clear();
+  no_logs->context.calibration.log_inv_delta_u.clear();
+  const api::Status accepted =
+      session.preload_calibration(no_logs->context.params, no_logs);
+  ASSERT_TRUE(accepted.ok) << accepted.message;
+  ASSERT_EQ(session.calibrations().size(), 1u);
+  const bc::Calibration& cached =
+      session.calibrations()[0]->context.calibration;
+  EXPECT_EQ(cached.log_inv_delta_l, valid.context.calibration.log_inv_delta_l);
+  EXPECT_EQ(cached.log_inv_delta_u, valid.context.calibration.log_inv_delta_u);
+  api::BetweennessQuery query;
+  query.epsilon = valid.context.params.epsilon;
+  query.delta = valid.context.params.delta;
+  const api::Result result = session.run(query);
+  ASSERT_TRUE(result.status.ok) << result.status.message;
+  EXPECT_TRUE(result.calibration_reused);
 }
 
 TEST(SessionPool, RestartWithWarmStorePerformsZeroCalibration) {
