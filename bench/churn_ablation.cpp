@@ -48,8 +48,9 @@ struct ChurnPoint {
   const char* tag;  // summary-field suffix ("0p01" = 0.01%)
 };
 
-/// FNV-1a over the scores' bit patterns, xor-folded to 48 bits: any
-/// change in any score changes it, and it survives a JSON double exactly.
+/// FNV-1a over the scores' bit patterns, xor-folded to 48 bits so it
+/// survives a JSON double exactly: a change in any score changes it, up
+/// to hash collisions.
 std::uint64_t scores_fnv48(const std::vector<double>& scores) {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
   for (const double score : scores) {

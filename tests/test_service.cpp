@@ -680,8 +680,9 @@ TEST(WarmStore, DamagedFilesLoadNothingOrAStatePreloadJudges) {
       EXPECT_NO_THROW(result = session.run(query));
       // Damaged parameters may key a query run() refuses; never an abort.
       if (query.epsilon > 0.0 && query.epsilon < 1.0 && query.delta > 0.0 &&
-          query.delta < 1.0)
+          query.delta < 1.0) {
         EXPECT_TRUE(result.status.ok) << result.status.message;
+      }
     }
     return states.size();
   };
@@ -766,7 +767,7 @@ TEST(WarmStore, PreloadRejectsSharesOutsideTheOpenUnitIntervalTyped) {
   api::Session session(graph, service_config());
   ASSERT_TRUE(session.status().ok);
 
-  for (const double bad : {1.5, 0.0, -0.0,
+  for (const double bad : {1.5, 1.0, 0.0, -0.0, -0.01,
                            std::numeric_limits<double>::quiet_NaN(),
                            std::numeric_limits<double>::infinity()}) {
     for (const bool lower : {true, false}) {
