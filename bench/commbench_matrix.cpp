@@ -114,8 +114,7 @@ int main(int argc, char** argv) {
             std::span<const std::uint64_t>(image),
             [&](std::vector<std::uint64_t>& acc,
                 std::span<const std::uint64_t> in) {
-              epoch::merge_images(acc, in, dense_words,
-                                  /*densify_threshold=*/1.0);
+              epoch::merge_images(acc, in, dense_words);
             },
             [&](int, std::span<const std::uint64_t> in) {
               epoch::decode_add_image(std::span<std::uint64_t>(dense), in);

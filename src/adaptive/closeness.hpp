@@ -25,15 +25,14 @@
 
 #include "comm/substrate.hpp"
 #include "engine/engine.hpp"
-#include "epoch/frame_codec.hpp"
 #include "graph/graph.hpp"
 
 namespace distbc::adaptive {
 
 /// Flat frame layout: [credit sums (n) | squared-credit sums (n) | sources].
 /// A BFS source reaches every vertex of the (connected) graph, so these
-/// frames are dense by nature; the wire-image interface below exists for
-/// the representation-agnostic engine path (kAuto densifies immediately).
+/// frames are dense by nature: once a source is in, the engine's kAuto
+/// image encoder (epoch/frame_codec.hpp) picks the dense image.
 class ClosenessFrame {
  public:
   static constexpr double kFixedPointOne = 1048576.0;  // 2^20
@@ -52,26 +51,6 @@ class ClosenessFrame {
     for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
   }
   [[nodiscard]] std::span<std::uint64_t> raw() { return data_; }
-
-  // --- Wire-image interface (epoch/frame_codec.hpp) ----------------------
-  [[nodiscard]] std::size_t dense_words() const { return data_.size(); }
-  epoch::FrameRep encode(std::vector<std::uint64_t>& out,
-                         epoch::FrameRep preference) const {
-    if (preference != epoch::FrameRep::kSparse) {
-      // kAuto: credits are dense after any source; skip the pair scan.
-      epoch::append_dense_image(data_, out);
-      return epoch::FrameRep::kDense;
-    }
-    epoch::append_sparse_image_scan(data_, out);
-    return epoch::FrameRep::kSparse;
-  }
-  void decode_add(std::span<const std::uint64_t> image) {
-    epoch::decode_add_image(std::span<std::uint64_t>(data_), image);
-  }
-  void add_dense(std::span<const std::uint64_t> dense) {
-    DISTBC_ASSERT(dense.size() == data_.size());
-    for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += dense[i];
-  }
 
   /// Adds the credit 1 / distance for one (source, v) observation.
   void add_credit(std::uint32_t v, double credit) {

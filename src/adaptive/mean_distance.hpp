@@ -22,16 +22,14 @@
 
 #include "comm/substrate.hpp"
 #include "engine/engine.hpp"
-#include "epoch/frame_codec.hpp"
 #include "graph/graph.hpp"
 #include "support/timer.hpp"
 
 namespace distbc::adaptive {
 
 /// Flat moment accumulator: [pair count, sum of d, sum of d^2]. Three
-/// words never benefit from a sparse encoding, but the wire-image
-/// interface keeps the frame eligible for the representation-agnostic
-/// engine path (kAuto always densifies).
+/// words never benefit from a sparse encoding; once a sample is in, the
+/// engine's kAuto image encoder (epoch/frame_codec.hpp) picks dense.
 class MomentFrame {
  public:
   MomentFrame() : data_(3, 0) {}
@@ -43,24 +41,6 @@ class MomentFrame {
   }
   [[nodiscard]] std::span<std::uint64_t> raw() { return data_; }
   [[nodiscard]] std::span<const std::uint64_t> raw() const { return data_; }
-
-  // --- Wire-image interface (epoch/frame_codec.hpp) ----------------------
-  [[nodiscard]] std::size_t dense_words() const { return data_.size(); }
-  epoch::FrameRep encode(std::vector<std::uint64_t>& out,
-                         epoch::FrameRep preference) const {
-    if (preference == epoch::FrameRep::kSparse) {
-      epoch::append_sparse_image_scan(data_, out);
-      return epoch::FrameRep::kSparse;
-    }
-    epoch::append_dense_image(data_, out);
-    return epoch::FrameRep::kDense;
-  }
-  void decode_add(std::span<const std::uint64_t> image) {
-    epoch::decode_add_image(std::span<std::uint64_t>(data_), image);
-  }
-  void add_dense(std::span<const std::uint64_t> dense) {
-    for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += dense[i];
-  }
 
   void record(std::uint32_t distance) {
     data_[0] += 1;

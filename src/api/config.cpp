@@ -208,9 +208,6 @@ const std::vector<Entry>& entries() {
             [](const Config& config) {
               return std::to_string(config.leader_radix);
             }},
-      DISTBC_BOOL_KEY("local_aggregates", "DISTBC_LOCAL_AGGREGATES",
-                      local_aggregates,
-                      "keep per-rank partial aggregates (top-k substrate)"),
       Entry{{"comm_substrate", "DISTBC_COMM_SUBSTRATE",
              "collective backend: mpisim | ncclsim"},
             [](Config& config, std::string_view value) {
@@ -397,7 +394,6 @@ engine::EngineOptions Config::engine_options() const {
   options.frame_rep = frame_rep;
   options.tree_radix = tree_radix;
   options.leader_radix = leader_radix;
-  options.local_aggregates = local_aggregates;
   return options;
 }
 

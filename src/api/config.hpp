@@ -64,7 +64,6 @@ struct Config {
   /// 0 = inherit tree_radix, >= 2 overrides it for the inter-node hop
   /// class only. Ignored without `hierarchical`.
   int leader_radix = 0;
-  bool local_aggregates = false;
 
   // --- Communication substrate --------------------------------------------
   /// Which network profile the session's comm::Substrate collectives run

@@ -7,23 +7,16 @@
 #include "api/session.hpp"
 #include "bc/sampler.hpp"
 #include "bc/topk.hpp"
-#include "epoch/sparse_frame.hpp"
 #include "epoch/state_frame.hpp"
 #include "graph/stats.hpp"
 #include "support/timer.hpp"
 
 namespace distbc::bc {
 
-namespace {
-
-/// The three-phase driver, generic over the frame representation. kDense
-/// runs use StateFrame (flat elementwise reductions, the paper's layout);
-/// sparse/auto runs use SparseFrame (touched-set tracking + delta images).
-/// Deterministic-mode results are bitwise identical across the two.
-template <typename Frame>
-BcResult kadabra_run_frames(const graph::Graph& graph,
-                            const KadabraOptions& options,
-                            comm::Substrate* world) {
+BcResult kadabra_run(const graph::Graph& graph, const KadabraOptions& options,
+                     comm::Substrate* world) {
+  DISTBC_ASSERT(options.engine.threads_per_rank >= 1);
+  DISTBC_ASSERT(options.omega_fraction > 0);
   WallTimer total_timer;
   PhaseTimer phases;
   BcResult result;
@@ -77,8 +70,8 @@ BcResult kadabra_run_frames(const graph::Graph& graph,
 
     // --- Phase 2: parallel calibration through the engine's hook. --------
     phases.timed(Phase::kCalibration, [&] {
-      const Frame initial =
-          engine::calibrate(world, Frame(n), sampler_factory(0),
+      const epoch::StateFrame initial =
+          engine::calibrate(world, epoch::StateFrame(n), sampler_factory(0),
                             state->context.initial_samples, engine_options);
       if (is_root) finish_calibration(state->context, initial);
     });
@@ -112,11 +105,12 @@ BcResult kadabra_run_frames(const graph::Graph& graph,
   engine_options.max_epoch_length = engine::paced_epoch_cap(
       context.omega, options.omega_fraction, options.min_epoch_length,
       engine_options.max_epoch_length);
-  const auto stop = [&](const Frame& aggregate) {
+  const auto stop = [&](const epoch::StateFrame& aggregate) {
     return context.stop_satisfied(aggregate);
   };
-  auto driver = engine::run_epochs(world, Frame(n), sampler_factory(streams),
-                                   stop, engine_options);
+  auto driver =
+      engine::run_epochs(world, epoch::StateFrame(n),
+                         sampler_factory(streams), stop, engine_options);
   result.adaptive_seconds = adaptive_timer.elapsed_s();
 
   phases.merge(driver.phases);
@@ -158,7 +152,7 @@ BcResult kadabra_run_frames(const graph::Graph& graph,
     }
   }
   if (is_root) {
-    const Frame& aggregate = driver.aggregate;
+    const epoch::StateFrame& aggregate = driver.aggregate;
     scores_from_frame(aggregate, result.scores);
     result.samples = aggregate.tau();
     result.comm_bytes = driver.comm_bytes;
@@ -169,17 +163,6 @@ BcResult kadabra_run_frames(const graph::Graph& graph,
   }
   result.total_seconds = total_timer.elapsed_s();
   return result;
-}
-
-}  // namespace
-
-BcResult kadabra_run(const graph::Graph& graph, const KadabraOptions& options,
-                     comm::Substrate* world) {
-  DISTBC_ASSERT(options.engine.threads_per_rank >= 1);
-  DISTBC_ASSERT(options.omega_fraction > 0);
-  return options.engine.frame_rep == engine::FrameRep::kDense
-             ? kadabra_run_frames<epoch::StateFrame>(graph, options, world)
-             : kadabra_run_frames<epoch::SparseFrame>(graph, options, world);
 }
 
 BcResult kadabra_sequential(const graph::Graph& graph,

@@ -18,7 +18,8 @@
 // cluster shapes and aggregation strategies (tests/test_engine.cpp);
 // kadabra_sequential is the fixed reference configuration and keeps its
 // own denser stop-check schedule, so compare against kadabra_shm with one
-// thread for cross-backend equivalence.
+// thread for cross-backend equivalence. Every frame representation runs
+// on epoch::StateFrame; engine.frame_rep only picks the wire format.
 #pragma once
 
 #include <memory>
@@ -67,11 +68,11 @@ struct KadabraOptions {
   KadabraParams params;
   /// Engine configuration: threads per rank, aggregation strategy,
   /// hierarchical reduction, epoch-length rule, deterministic mode, and
-  /// the frame representation (engine.frame_rep): kDense runs on
-  /// epoch::StateFrame with flat elementwise reductions; kSparse/kAuto run
-  /// on epoch::SparseFrame, shipping index/count delta images whose size
-  /// scales with samples taken instead of |V|. Deterministic-mode results
-  /// are bitwise identical across representations.
+  /// the frame representation (engine.frame_rep). Every representation
+  /// runs on epoch::StateFrame: kDense reduces its flat array elementwise;
+  /// kSparse/kAuto ship index/count delta images of it, whose size scales
+  /// with samples taken instead of |V|. Deterministic-mode results are
+  /// bitwise identical across representations.
   engine::EngineOptions engine;
   /// First-stop-check pacing knobs, applied through the one shared clamp
   /// implementation (engine::paced_epoch_cap in engine/streams.hpp): the

@@ -3,10 +3,9 @@
 // (calibration) produce a KadabraContext; phase 3 (adaptive sampling)
 // consults stop_satisfied() on consistent aggregated state frames.
 //
-// The context is frame-representation agnostic: stop_satisfied and
-// finish_calibration accept any aggregate exposing count()/tau()/
-// num_vertices() (epoch::StateFrame and epoch::SparseFrame both do), so
-// the same stopping machinery serves every wire representation.
+// The context is frame-representation agnostic: every wire representation
+// aggregates into the same epoch::StateFrame, so one stopping machinery
+// serves them all.
 //
 // Cache invariant: stop_satisfied reads each vertex's failure shares only
 // as calibration.log_inv_delta_l/u, so those must be log(1 / share) of the
@@ -22,6 +21,7 @@
 
 #include "bc/calibration.hpp"
 #include "bc/kadabra_math.hpp"
+#include "epoch/state_frame.hpp"
 #include "graph/graph.hpp"
 #include "support/assert.hpp"
 
@@ -38,8 +38,8 @@ struct KadabraContext {
   /// The frame must be a consistent snapshot (f and g are not monotone).
   /// Reads the shares only through calibration's cached logs, which must
   /// be current (Calibration::cache_logs after every change of shares).
-  template <typename Frame>
-  [[nodiscard]] bool stop_satisfied(const Frame& aggregate) const {
+  [[nodiscard]] bool stop_satisfied(
+      const epoch::StateFrame& aggregate) const {
     const std::uint64_t tau = aggregate.tau();
     if (tau == 0) return false;
     if (tau >= omega) return true;  // VC-dimension budget exhausted
@@ -75,10 +75,10 @@ struct KadabraContext {
                                            std::uint32_t vertex_diameter);
 
 /// Phase 2 completion: calibrate per-vertex failure shares from the
-/// aggregated non-adaptive samples. Zero-copy: both frame types expose
-/// their dense counts-then-tau layout through a (const) raw() span.
-template <typename Frame>
-void finish_calibration(KadabraContext& context, const Frame& initial_frame) {
+/// aggregated non-adaptive samples. Zero-copy: the counts are read straight
+/// from the frame's counts-then-tau raw() span.
+inline void finish_calibration(KadabraContext& context,
+                               const epoch::StateFrame& initial_frame) {
   DISTBC_ASSERT(initial_frame.tau() > 0);
   const std::span<const std::uint64_t> raw(initial_frame.raw());
   context.calibration =

@@ -9,7 +9,7 @@
 #include "bc/sampler.hpp"
 #include "mpisim/runtime.hpp"
 #include "engine/streams.hpp"
-#include "epoch/sparse_frame.hpp"
+#include "epoch/frame_codec.hpp"
 #include "epoch/state_frame.hpp"
 #include "support/timer.hpp"
 
@@ -18,33 +18,32 @@ namespace distbc::bc {
 namespace {
 
 /// Reduces `local` to `round_agg` at world rank 0, honoring the frame
-/// representation: flat elementwise reduce for StateFrame, delta images
-/// via reduce_merge for SparseFrame (the same wire formats the epoch
-/// engine uses, minus every overlap trick - this is the baseline).
+/// representation: flat elementwise reduce for kDense, delta images via
+/// reduce_merge otherwise (the same wire formats the epoch engine uses,
+/// minus every overlap trick - this is the baseline).
 void round_reduce(comm::Substrate& world, const epoch::StateFrame& local,
-                  epoch::StateFrame& round_agg, epoch::FrameRep /*rep*/,
-                  std::vector<std::uint64_t>& /*scratch*/) {
-  world.reduce(std::span<const std::uint64_t>(local.raw()), round_agg.raw(),
-               0);
-}
-
-void round_reduce(comm::Substrate& world, const epoch::SparseFrame& local,
-                  epoch::SparseFrame& round_agg, epoch::FrameRep rep,
+                  epoch::StateFrame& round_agg, epoch::FrameRep rep,
                   std::vector<std::uint64_t>& scratch) {
+  if (rep == epoch::FrameRep::kDense) {
+    world.reduce(local.raw(), round_agg.raw(), 0);
+    return;
+  }
   scratch.clear();
-  local.encode(scratch, rep);
+  epoch::append_image(local.raw(), rep, scratch);
   round_agg.clear();
   world.reduce_merge(std::span<const std::uint64_t>(scratch),
                      [&](int, std::span<const std::uint64_t> image) {
-                       round_agg.decode_add(image);
+                       epoch::decode_add_image(round_agg.raw(), image);
                      },
                      0);
 }
 
-template <typename Frame>
-BcResult lockstep_frames(const graph::Graph& graph,
-                         const LockstepOptions& options,
-                         comm::Substrate& world) {
+}  // namespace
+
+BcResult lockstep_mpi_rank(const graph::Graph& graph,
+                           const LockstepOptions& options,
+                           comm::Substrate& world) {
+  DISTBC_ASSERT(options.threads_per_rank >= 1);
   WallTimer total_timer;
   PhaseTimer phases;
   BcResult result;
@@ -72,7 +71,7 @@ BcResult lockstep_frames(const graph::Graph& graph,
       static_cast<std::uint64_t>(num_ranks) * num_threads;
   std::vector<std::uint64_t> wire_scratch;
   phases.timed(Phase::kCalibration, [&] {
-    std::vector<Frame> frames(num_threads, Frame(n));
+    std::vector<epoch::StateFrame> frames(num_threads, epoch::StateFrame(n));
     auto worker = [&](int t) {
       const std::uint64_t gti =
           static_cast<std::uint64_t>(rank) * num_threads + t;
@@ -86,9 +85,9 @@ BcResult lockstep_frames(const graph::Graph& graph,
     for (int t = 1; t < num_threads; ++t) pool.emplace_back(worker, t);
     worker(0);
     for (auto& thread : pool) thread.join();
-    Frame local(n);
+    epoch::StateFrame local(n);
     for (const auto& frame : frames) local.merge(frame);
-    Frame initial(n);
+    epoch::StateFrame initial(n);
     round_reduce(world, local, initial, options.frame_rep, wire_scratch);
     if (is_root) finish_calibration(context, initial);
   });
@@ -104,7 +103,7 @@ BcResult lockstep_frames(const graph::Graph& graph,
                      std::max<std::uint64_t>(
                          1, context.omega / (2 * total_threads)));
 
-  std::vector<Frame> frames(num_threads, Frame(n));
+  std::vector<epoch::StateFrame> frames(num_threads, epoch::StateFrame(n));
   std::vector<PathSampler> samplers;
   samplers.reserve(num_threads);
   for (int t = 0; t < num_threads; ++t) {
@@ -115,7 +114,7 @@ BcResult lockstep_frames(const graph::Graph& graph,
 
   std::barrier sync(num_threads);
   std::atomic<bool> stop{false};
-  Frame running(n);  // valid at root
+  epoch::StateFrame running(n);  // valid at root
 
   auto round_worker = [&](int t) {
     while (!stop.load(std::memory_order_acquire)) {
@@ -123,12 +122,12 @@ BcResult lockstep_frames(const graph::Graph& graph,
         samplers[t].sample(frames[t]);
       sync.arrive_and_wait();  // all local samples of this round done
       if (t == 0) {
-        Frame local(n);
+        epoch::StateFrame local(n);
         for (auto& frame : frames) {
           local.merge(frame);
           frame.clear();
         }
-        Frame round_agg(n);
+        epoch::StateFrame round_agg(n);
         phases.timed(Phase::kReduction, [&] {
           round_reduce(world, local, round_agg, options.frame_rep,
                        wire_scratch);
@@ -177,17 +176,6 @@ BcResult lockstep_frames(const graph::Graph& graph,
   }
   result.total_seconds = total_timer.elapsed_s();
   return result;
-}
-
-}  // namespace
-
-BcResult lockstep_mpi_rank(const graph::Graph& graph,
-                           const LockstepOptions& options,
-                           comm::Substrate& world) {
-  DISTBC_ASSERT(options.threads_per_rank >= 1);
-  return options.frame_rep == epoch::FrameRep::kDense
-             ? lockstep_frames<epoch::StateFrame>(graph, options, world)
-             : lockstep_frames<epoch::SparseFrame>(graph, options, world);
 }
 
 BcResult lockstep_mpi(const graph::Graph& graph,

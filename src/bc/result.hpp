@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "engine/engine.hpp"
+#include "epoch/state_frame.hpp"
 #include "graph/graph.hpp"
 #include "support/timer.hpp"
 
@@ -66,10 +67,9 @@ struct BcResult {
 };
 
 /// Extracts normalized betweenness estimates b~(v) = c~(v) / tau from an
-/// aggregated state frame - representation-agnostic (any frame with
-/// count()/tau()/num_vertices()), shared by every sampling driver.
-template <typename Frame>
-void scores_from_frame(const Frame& aggregate, std::vector<double>& scores) {
+/// aggregated state frame, shared by every sampling driver.
+inline void scores_from_frame(const epoch::StateFrame& aggregate,
+                              std::vector<double>& scores) {
   const std::uint32_t n = aggregate.num_vertices();
   scores.assign(n, 0.0);
   const auto tau = static_cast<double>(aggregate.tau());

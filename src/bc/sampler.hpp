@@ -36,11 +36,10 @@ class PathSampler {
     scratch_.reserve(64);
   }
 
-  /// Takes one sample and records it into `frame` - any frame offering the
-  /// record()/record_empty() contract (StateFrame, SparseFrame), so the
-  /// sampler is agnostic to the run's frame representation.
-  template <typename Frame>
-  void sample(Frame& frame) {
+  /// Takes one sample and records it into `frame`. Every wire
+  /// representation runs on epoch::StateFrame, so this one record path
+  /// serves them all.
+  void sample(epoch::StateFrame& frame) {
     const auto [s64, t64] = rng_.next_distinct_pair(graph_->num_vertices());
     const auto s = static_cast<graph::Vertex>(s64);
     const auto t = static_cast<graph::Vertex>(t64);

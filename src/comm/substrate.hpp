@@ -239,8 +239,8 @@ class Substrate {
   // different element count. The root's completion deadline is the last
   // arrival plus the alpha-beta tree cost charged at the *largest*
   // contribution (the reduction tree's critical path carries the biggest
-  // payload; with auto-densifying frames, merged payloads stay within the
-  // densify threshold of the dense frame, bounding union growth). Non-root
+  // payload; with auto-densifying images, merged payloads never exceed the
+  // dense frame, bounding union growth). Non-root
   // bytes are accounted per path (CommStats::reduce_merge_bytes /
   // gatherv_bytes).
 

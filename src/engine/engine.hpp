@@ -28,18 +28,16 @@
 //   Frame(const Frame&)            - copyable prototype construction
 //   void clear()
 //   void merge(const Frame&)       - equivalent to elementwise sum
-// plus at least one wire interface (engine/frame_traits.hpp):
-//   std::span<std::uint64_t> raw() - mutable flat view: the classic
-//     elementwise-reduction path (and the dense §IV-E window pass);
-//   dense_words()/encode()/decode_add()/add_dense() - the frame_codec
-//     serialization contract: variable-length wire images (dense or sparse
-//     index/count deltas), moved by the substrate reduce_merge path and
-//     scatter-added into the §IV-E window.
-// EngineOptions::frame_rep picks the wire representation for frames that
-// support both; epoch::SparseFrame is serializable-only, so it always
-// rides the image path. In deterministic mode all representations produce
-// bitwise-identical aggregates: images carry exact uint64 counts and
-// decoding is a commutative elementwise sum.
+//   std::span<std::uint64_t> raw() - the frame as one flat uint64 array,
+//     the only wire format the engine needs: kDense all-reduces it
+//     elementwise (the paper's §III-B/§IV-F layout, and the dense §IV-E
+//     window pass); kSparse and kAuto encode it into variable-length wire
+//     images (epoch/frame_codec.hpp: dense or sparse index/count deltas),
+//     moved by the substrate's merge family and scatter-added into the
+//     §IV-E window.
+// EngineOptions::frame_rep picks the wire representation. In deterministic
+// mode all representations produce bitwise-identical aggregates: images
+// carry exact uint64 counts and decoding is a commutative elementwise sum.
 // Requirements on the sampler factory: Sampler make(stream_index) for
 // stream indices in [0, num_streams), where Sampler provides
 // void sample(Frame&). Requirements on the stop functor (evaluated on EVERY
@@ -56,7 +54,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/frame_traits.hpp"
 #include "engine/hierarchy.hpp"
 #include "engine/streams.hpp"
 #include "epoch/epoch_manager.hpp"
@@ -111,8 +108,6 @@ struct EngineOptions {
   /// index/count delta pairs over variable-length merge reductions, making
   /// aggregation cost proportional to samples taken; kAuto picks the
   /// smaller image per payload (never loses to the worse fixed choice).
-  /// Only effective for frames implementing the serialization interface;
-  /// drivers choose the matching frame type (StateFrame vs SparseFrame).
   /// Process-wide defaulting (the DISTBC_FRAME_REP environment variable)
   /// lives exclusively in api::Config; the engine itself never peeks at
   /// the environment.
@@ -139,7 +134,9 @@ struct EngineOptions {
   /// accumulates its own epoch snapshots into
   /// EngineResult::local_aggregate, feeding collectives that operate on
   /// per-rank partials (e.g. the distributed top-k extraction). Off by
-  /// default - it costs one frame merge per epoch.
+  /// default - it costs one frame merge per epoch. Drivers set it
+  /// themselves (kadabra_run, for multi-rank top-k); api::Config has no
+  /// key for it.
   bool local_aggregates = false;
 };
 
@@ -253,40 +250,33 @@ Frame calibrate(comm::Substrate* world, const Frame& prototype,
   for (const Frame& frame : frames) local.merge(frame);
   if (num_ranks <= 1) return local;
 
-  static_assert(DenseReducible<Frame> || WireSerializable<Frame>,
-                "Frame offers neither wire interface (frame_traits.hpp)");
   Frame aggregate(prototype);
   aggregate.clear();
-  if constexpr (WireSerializable<Frame>) {
-    if (uses_wire_images<Frame>(options.frame_rep)) {
-      std::vector<std::uint64_t> image;
-      local.encode(image, options.frame_rep);
-      const auto merge_image = [&](int,
-                                   std::span<const std::uint64_t> contribution) {
-        aggregate.decode_add(contribution);
-      };
-      if (options.tree_radix >= 2) {
-        // By-value captures: the stored combiner runs at the *last*
-        // arrival, possibly after fast non-root ranks left this scope.
-        const std::size_t dense_words = local.dense_words();
-        const double densify = densify_threshold_of(local);
-        world->reduce_merge_tree(
-            std::span<const std::uint64_t>(image),
-            [dense_words, densify](std::vector<std::uint64_t>& acc,
-                                   std::span<const std::uint64_t> in) {
-              epoch::merge_images(acc, in, dense_words, densify);
-            },
-            merge_image, 0, options.tree_radix);
-      } else {
-        world->reduce_merge(std::span<const std::uint64_t>(image),
-                            merge_image, 0);
-      }
-      return world->rank() == 0 ? aggregate : local;
-    }
-  }
-  if constexpr (DenseReducible<Frame>) {
+  if (options.frame_rep == FrameRep::kDense) {
     world->reduce(std::span<const std::uint64_t>(local.raw()),
                   aggregate.raw(), 0);
+    return world->rank() == 0 ? aggregate : local;
+  }
+  std::vector<std::uint64_t> image;
+  epoch::append_image(local.raw(), options.frame_rep, image);
+  const auto merge_image = [&](int,
+                               std::span<const std::uint64_t> contribution) {
+    epoch::decode_add_image(aggregate.raw(), contribution);
+  };
+  if (options.tree_radix >= 2) {
+    // By-value capture: the stored combiner runs at the *last* arrival,
+    // possibly after fast non-root ranks left this scope.
+    const std::size_t dense_words = local.raw().size();
+    world->reduce_merge_tree(
+        std::span<const std::uint64_t>(image),
+        [dense_words](std::vector<std::uint64_t>& acc,
+                      std::span<const std::uint64_t> in) {
+          epoch::merge_images(acc, in, dense_words);
+        },
+        merge_image, 0, options.tree_radix);
+  } else {
+    world->reduce_merge(std::span<const std::uint64_t>(image), merge_image,
+                        0);
   }
   return world->rank() == 0 ? aggregate : local;
 }
@@ -298,8 +288,6 @@ EngineResult<Frame> run_epochs(comm::Substrate* world, const Frame& prototype,
                                MakeSampler&& make_sampler,
                                StopFn&& should_stop,
                                const EngineOptions& options) {
-  static_assert(DenseReducible<Frame> || WireSerializable<Frame>,
-                "Frame offers neither wire interface (frame_traits.hpp)");
   DISTBC_ASSERT(options.threads_per_rank >= 1);
   DISTBC_ASSERT_MSG(options.deterministic || options.virtual_streams == 0,
                     "virtual streams require deterministic mode");
@@ -309,9 +297,9 @@ EngineResult<Frame> run_epochs(comm::Substrate* world, const Frame& prototype,
   result.aggregate.clear();
   result.local_aggregate.clear();
   // Whether epoch snapshots cross the wire as variable-length images
-  // (sparse delta frames / auto densification) instead of the classic
+  // (sparse deltas / auto densification) instead of the classic
   // fixed-size elementwise reduction.
-  const bool wire_images = uses_wire_images<Frame>(options.frame_rep);
+  const bool wire_images = options.frame_rep != FrameRep::kDense;
 
   const int num_ranks = world != nullptr ? world->size() : 1;
   const int rank = world != nullptr ? world->rank() : 0;
@@ -341,15 +329,8 @@ EngineResult<Frame> run_epochs(comm::Substrate* world, const Frame& prototype,
       rank, num_threads, total_threads, streams, n0_total, make_sampler);
 
   Hierarchy hierarchy;
-  if (options.hierarchical && multi_rank) {
-    std::size_t frame_words = 0;
-    if constexpr (WireSerializable<Frame>) {
-      frame_words = result.aggregate.dense_words();
-    } else {
-      frame_words = result.aggregate.raw().size();
-    }
-    hierarchy.init(*world, frame_words);
-  }
+  if (options.hierarchical && multi_rank)
+    hierarchy.init(*world, result.aggregate.raw().size());
 
   epoch::EpochManager<Frame> manager(num_threads, prototype);
   std::vector<std::uint64_t> taken(num_threads, 0);
@@ -474,7 +455,8 @@ EngineResult<Frame> run_epochs(comm::Substrate* world, const Frame& prototype,
         // Node-local pre-aggregation via the shared window (§IV-E).
         bool in_global = true;
         if (hierarchy.active())
-          in_global = hierarchy.pre_reduce(snapshot, options.frame_rep);
+          in_global =
+              hierarchy.pre_reduce(snapshot.raw(), options.frame_rep);
 
         // Effective radix of the global merge. Under the two-level path
         // (hierarchy active) the leader hop class may pick its own radix;
@@ -501,21 +483,19 @@ EngineResult<Frame> run_epochs(comm::Substrate* world, const Frame& prototype,
         // epoch_agg from it. Used by the tree path's downward leg and the
         // two-level path's intra-node redistribution.
         auto distribute_image = [&](comm::Substrate& comm) {
-          if constexpr (WireSerializable<Frame>) {
-            const bool sender = comm.rank() == 0;
-            if (sender) {
-              wire_buffer.clear();
-              epoch_agg.encode(wire_buffer, options.frame_rep);
-            }
-            std::uint64_t words = wire_buffer.size();
-            distribute(comm, std::span{&words, 1});
-            if (!sender) wire_buffer.resize(words);
-            distribute(comm, std::span<std::uint64_t>(wire_buffer));
-            if (!sender) {
-              epoch_agg.clear();
-              epoch_agg.decode_add(
-                  std::span<const std::uint64_t>(wire_buffer));
-            }
+          const bool sender = comm.rank() == 0;
+          if (sender) {
+            wire_buffer.clear();
+            epoch::append_image(epoch_agg.raw(), options.frame_rep,
+                                wire_buffer);
+          }
+          std::uint64_t words = wire_buffer.size();
+          distribute(comm, std::span{&words, 1});
+          if (!sender) wire_buffer.resize(words);
+          distribute(comm, std::span<std::uint64_t>(wire_buffer));
+          if (!sender) {
+            epoch_agg.clear();
+            epoch::decode_add_image(epoch_agg.raw(), wire_buffer);
           }
         };
 
@@ -528,33 +508,37 @@ EngineResult<Frame> run_epochs(comm::Substrate* world, const Frame& prototype,
         // all-reduce flavors (no root hotspot at all), the radix tree
         // merges toward rank zero and broadcasts the merged image back
         // down. The classic path all-reduces the flat frame elementwise.
-        if (in_global && wire_images) {
-          if constexpr (WireSerializable<Frame>) {
-            comm::Substrate& global =
-                hierarchy.active() ? hierarchy.global() : *world;
+        if (in_global) {
+          comm::Substrate& global =
+              hierarchy.active() ? hierarchy.global() : *world;
+          if (!wire_images) {
+            const std::span<const std::uint64_t> send(snapshot.raw());
+            run_aggregation(
+                global, [&] { global.allreduce(send, epoch_agg.raw()); },
+                [&] { return global.iallreduce(send, epoch_agg.raw()); });
+          } else {
             wire_buffer.clear();
-            snapshot.encode(wire_buffer, options.frame_rep);
+            epoch::append_image(snapshot.raw(), options.frame_rep,
+                                wire_buffer);
             epoch_agg.clear();
             auto merge_image = [&](int,
                                    std::span<const std::uint64_t> image) {
-              epoch_agg.decode_add(image);
+              epoch::decode_add_image(epoch_agg.raw(), image);
             };
             const std::span<const std::uint64_t> send(wire_buffer);
             if (radix >= 2) {
-              // Tree merge: images combine at interior ranks (with the
-              // frame's own densify policy), so the root ingests only the
-              // top-of-tree merged images. The combiner captures by VALUE:
-              // the slot stores the first poster's closure and invokes it
-              // at the last arrival, by which time a fast non-root rank's
-              // non-blocking aggregation has completed and this epoch
-              // scope is gone (use-after-scope otherwise; the parity
-              // tests run this shape under ASan).
-              const std::size_t dense_words = snapshot.dense_words();
-              const double densify = densify_threshold_of(snapshot);
-              auto combine_image = [dense_words, densify](
+              // Tree merge: images combine at interior ranks, so the root
+              // ingests only the top-of-tree merged images. The combiner
+              // captures by VALUE: the slot stores the first poster's
+              // closure and invokes it at the last arrival, by which time
+              // a fast non-root rank's non-blocking aggregation has
+              // completed and this epoch scope is gone (use-after-scope
+              // otherwise; the parity tests run this shape under ASan).
+              const std::size_t dense_words = snapshot.raw().size();
+              auto combine_image = [dense_words](
                                        std::vector<std::uint64_t>& acc,
                                        std::span<const std::uint64_t> in) {
-                epoch::merge_images(acc, in, dense_words, densify);
+                epoch::merge_images(acc, in, dense_words);
               };
               run_aggregation(
                   global,
@@ -580,28 +564,18 @@ EngineResult<Frame> run_epochs(comm::Substrate* world, const Frame& prototype,
                   });
             }
           }
-        } else if (in_global) {
-          if constexpr (DenseReducible<Frame>) {
-            comm::Substrate& global =
-                hierarchy.active() ? hierarchy.global() : *world;
-            const std::span<const std::uint64_t> send(snapshot.raw());
-            run_aggregation(
-                global, [&] { global.allreduce(send, epoch_agg.raw()); },
-                [&] { return global.iallreduce(send, epoch_agg.raw()); });
-          }
         }
 
         // Two-level downward leg: leaders now hold the global aggregate;
         // redistribute it over the intra-node communicator so non-leader
-        // ranks hold it too (wire image when the frame serializes under
-        // this representation, flat frame broadcast otherwise).
+        // ranks hold it too (as a wire image under a sparse or auto
+        // representation, as the flat frame under kDense).
         if (hierarchy.active()) {
           result.phases.timed(Phase::kBroadcast, [&] {
             if (wire_images) {
               distribute_image(hierarchy.node());
-            } else if constexpr (DenseReducible<Frame>) {
-              distribute(hierarchy.node(),
-                         std::span<std::uint64_t>(epoch_agg.raw()));
+            } else {
+              distribute(hierarchy.node(), epoch_agg.raw());
             }
           });
         }

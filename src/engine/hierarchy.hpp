@@ -8,21 +8,21 @@
 // participants at the cost of one cheap intra-node window pass.
 //
 // The window itself is always the dense flat frame; what varies is how a
-// rank's snapshot enters it. Dense-reducible frames accumulate their whole
-// raw() span (the original path). Wire-serializable frames under a sparse
-// representation scatter-add their encoded delta pairs, so the intra-node
-// pass moves O(nonzeros); the leader then re-reads the dense node aggregate
-// and ships whatever encoding the global representation policy picks -
-// typically dense, since the node aggregate is the union of its ranks'
-// deltas ("only leaders ship dense data when that is cheaper").
+// rank's snapshot enters it. Under kDense a rank accumulates its whole
+// flat frame (the original path). Under a sparse or auto representation it
+// scatter-adds its encoded delta pairs, so the intra-node pass moves
+// O(nonzeros); the leader then re-reads the dense node aggregate and ships
+// whatever encoding the global representation policy picks - typically
+// dense, since the node aggregate is the union of its ranks' deltas ("only
+// leaders ship dense data when that is cheaper").
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
 
-#include "engine/frame_traits.hpp"
 #include "epoch/frame_codec.hpp"
 #include "comm/substrate.hpp"
 
@@ -44,35 +44,46 @@ class Hierarchy {
 
   [[nodiscard]] bool active() const { return active_; }
 
-  /// Pre-reduces `frame` over the node-local window. Collective over the
-  /// node communicator. Returns true iff this rank is the node leader, in
-  /// which case `frame` now holds the whole node's aggregate and the
-  /// caller must forward it into the global reduction via global().
-  /// `rep` selects how snapshots enter the window when the frame supports
-  /// wire images (ignored on the dense path).
-  template <typename Frame>
-  [[nodiscard]] bool pre_reduce(Frame& frame, epoch::FrameRep rep) {
+  /// Pre-reduces the flat frame `frame` over the node-local window.
+  /// Collective over the node communicator. Returns true iff this rank is
+  /// the node leader, in which case `frame` now holds the whole node's
+  /// aggregate and the caller must forward it into the global reduction
+  /// via global(). `rep` selects how the frame enters the window: whole
+  /// under kDense, as its wire image otherwise.
+  [[nodiscard]] bool pre_reduce(
+      std::span<std::uint64_t> frame,
+      epoch::FrameRep rep = epoch::FrameRep::kDense) {
     DISTBC_ASSERT(active_);
-    if constexpr (WireSerializable<Frame>) {
-      if (uses_wire_images<Frame>(rep)) return pre_reduce_images(frame, rep);
-    }
-    if constexpr (DenseReducible<Frame>) {
-      return pre_reduce(std::span<std::uint64_t>(frame.raw()));
+    if (rep == epoch::FrameRep::kDense) {
+      window_->accumulate(std::span<const std::uint64_t>(frame));
     } else {
-      DISTBC_ASSERT_MSG(false, "frame supports no pre-reduction path");
-      return false;
+      image_.clear();
+      epoch::append_image(frame, rep, image_);
+      const std::span<const std::uint64_t> image(image_);
+      if (epoch::image_rep(image) == epoch::FrameRep::kDense) {
+        window_->accumulate(image.subspan(1));
+      } else {
+        window_->accumulate_pairs(image.subspan(2));
+      }
     }
-  }
-
-  /// The dense primitive: pre-reduces a flat frame over the window.
-  [[nodiscard]] bool pre_reduce(std::span<std::uint64_t> frame) {
-    DISTBC_ASSERT(active_);
-    window_->accumulate(std::span<const std::uint64_t>(frame));
     local_->barrier();
     const bool leader = local_->rank() == 0;
     if (leader) {
-      window_->read(frame);
-      window_->clear();
+      // Windowed touched-bitmap read-back: as long as every rank scattered
+      // sparse pairs, the leader sweeps only the union of touched slots -
+      // O(union nnz) per epoch instead of O(V). Once any rank accumulated
+      // a dense frame or image, the leader reads the whole window back.
+      image_.assign(2, 0);
+      if (window_->read_touched_pairs(image_)) {
+        image_[0] = epoch::kSparseTag;
+        image_[1] = (image_.size() - 2) / 2;
+        std::fill(frame.begin(), frame.end(), 0);
+        epoch::decode_add_image(frame, image_);
+        window_->clear_touched();
+      } else {
+        window_->read(frame);
+        window_->clear();
+      }
     }
     local_->barrier();
     return leader;
@@ -107,49 +118,10 @@ class Hierarchy {
   }
 
  private:
-  template <typename Frame>
-  [[nodiscard]] bool pre_reduce_images(Frame& frame, epoch::FrameRep rep) {
-    image_.clear();
-    frame.encode(image_, rep);
-    const std::span<const std::uint64_t> image(image_);
-    if (epoch::image_rep(image) == epoch::FrameRep::kDense) {
-      window_->accumulate(image.subspan(1));
-    } else {
-      window_->accumulate_pairs(image.subspan(2));
-    }
-    local_->barrier();
-    const bool leader = local_->rank() == 0;
-    if (leader) {
-      frame.clear();
-      // Windowed touched-bitmap read-back: as long as every rank scattered
-      // sparse pairs, the leader sweeps only the union of touched slots -
-      // O(union nnz) per epoch instead of O(V). The pair list decodes as a
-      // synthesized sparse image, so the frame's own touched bookkeeping
-      // stays consistent.
-      image_.assign(2, 0);
-      if (window_->read_touched_pairs(image_)) {
-        image_[0] = epoch::kSparseTag;
-        image_[1] = (image_.size() - 2) / 2;
-        frame.decode_add(std::span<const std::uint64_t>(image_));
-        window_->clear_touched();
-      } else {
-        // A dense accumulate filled the window: pay the O(V) read-back.
-        if (scratch_.size() != window_->size())
-          scratch_.assign(window_->size(), 0);
-        window_->read(std::span<std::uint64_t>(scratch_));
-        window_->clear();
-        frame.add_dense(scratch_);
-      }
-    }
-    local_->barrier();
-    return leader;
-  }
-
   std::unique_ptr<comm::Substrate> local_;
   std::unique_ptr<comm::Substrate> leader_;
   std::optional<comm::Window<std::uint64_t>> window_;
-  std::vector<std::uint64_t> scratch_;  // leader's dense read-back buffer
-  std::vector<std::uint64_t> image_;    // per-epoch encode buffer
+  std::vector<std::uint64_t> image_;  // per-epoch encode buffer
   bool active_ = false;
 };
 

@@ -29,19 +29,6 @@ void append_dense_image(std::span<const std::uint64_t> dense,
   out.insert(out.end(), dense.begin(), dense.end());
 }
 
-void append_sparse_image(std::span<const std::uint64_t> dense,
-                         std::span<const std::uint32_t> sorted_indices,
-                         std::vector<std::uint64_t>& out) {
-  out.reserve(out.size() + sparse_image_words(sorted_indices.size()));
-  out.push_back(kSparseTag);
-  out.push_back(sorted_indices.size());
-  for (const std::uint32_t index : sorted_indices) {
-    DISTBC_DEBUG_ASSERT(index < dense.size() && dense[index] != 0);
-    out.push_back(index);
-    out.push_back(dense[index]);
-  }
-}
-
 void append_sparse_image_scan(std::span<const std::uint64_t> dense,
                               std::vector<std::uint64_t>& out) {
   out.push_back(kSparseTag);
@@ -55,6 +42,44 @@ void append_sparse_image_scan(std::span<const std::uint64_t> dense,
     ++npairs;
   }
   out[npairs_slot] = npairs;
+}
+
+FrameRep append_image(std::span<const std::uint64_t> dense,
+                      FrameRep preference, std::vector<std::uint64_t>& out) {
+  if (preference == FrameRep::kAuto) {
+    // Count nonzeros only until the sparse image stops paying.
+    std::size_t npairs = 0;
+    for (std::size_t i = 0; i < dense.size(); ++i) {
+      npairs += dense[i] != 0;
+      if (!sparse_pays(npairs, dense.size())) break;
+    }
+    preference = sparse_pays(npairs, dense.size()) ? FrameRep::kSparse
+                                                   : FrameRep::kDense;
+  }
+  if (preference == FrameRep::kDense) {
+    append_dense_image(dense, out);
+  } else {
+    append_sparse_image_scan(dense, out);
+  }
+  return preference;
+}
+
+void decode_add_image(std::span<std::uint64_t> dense,
+                      std::span<const std::uint64_t> image) {
+  DISTBC_ASSERT(!image.empty());
+  if (image.front() == kDenseTag) {
+    DISTBC_ASSERT(image.size() == 1 + dense.size());
+    for (std::size_t i = 0; i < dense.size(); ++i) dense[i] += image[1 + i];
+    return;
+  }
+  DISTBC_ASSERT(image.front() == kSparseTag && image.size() >= 2);
+  const std::uint64_t npairs = image[1];
+  DISTBC_ASSERT(image.size() == sparse_image_words(npairs));
+  for (std::uint64_t p = 0; p < npairs; ++p) {
+    const std::uint64_t index = image[2 + 2 * p];
+    DISTBC_ASSERT(index < dense.size());
+    dense[index] += image[2 + 2 * p + 1];
+  }
 }
 
 namespace {
@@ -72,8 +97,7 @@ std::vector<std::uint64_t> densified(std::span<const std::uint64_t> image,
 }  // namespace
 
 void merge_images(std::vector<std::uint64_t>& acc,
-                  std::span<const std::uint64_t> in, std::size_t dense_words,
-                  double densify_threshold) {
+                  std::span<const std::uint64_t> in, std::size_t dense_words) {
   DISTBC_ASSERT(!acc.empty() && !in.empty());
   if (image_rep(acc) == FrameRep::kDense) {
     DISTBC_ASSERT(acc.size() == dense_image_words(dense_words));
@@ -123,7 +147,7 @@ void merge_images(std::vector<std::uint64_t>& acc,
     ++npairs;
   }
   merged[1] = npairs;
-  acc = sparse_pays(npairs, dense_words, densify_threshold)
+  acc = sparse_pays(npairs, dense_words)
             ? std::move(merged)
             : densified(merged, dense_words);
 }

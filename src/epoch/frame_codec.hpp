@@ -6,20 +6,20 @@
 //   sparse: [kSparseTag, npairs, (index, value) x npairs] indices ascending
 // Both describe the same elementwise-summable vector, so decoding is an
 // *additive* merge into dense storage: dense images add elementwise, sparse
-// images scatter-add their pairs. Every representation-aware data path (the
+// images scatter-add their pairs. Every frame is a flat uint64 array
+// (raw()), and the functions below build and read images straight from
+// that span, so any frame rides every representation-aware data path (the
 // engine's variable-length aggregation, comm::Substrate's merge family, the
-// §IV-E shared window) moves these images, so a frame type only has to
-// implement the encode()/decode_add() contract to ride any of them.
+// §IV-E shared window) without a codec of its own.
 //
 // Representation selection (FrameRep):
 //   kDense  - always the dense image: one word per slot, the paper's §III-B
 //             layout, aggregation cost proportional to |V|.
 //   kSparse - always index/count pairs, even past the size crossover; the
 //             honest "fixed sparse" arm of the ablation.
-//   kAuto   - per-payload choice: pairs while they undercut the densify
-//             threshold (a fraction of the dense image), dense afterwards.
-//             Auto therefore never ships more than min(dense, sparse)
-//             scaled by the threshold - it cannot lose to the worse fixed
+//   kAuto   - per-payload choice: pairs while they undercut the dense
+//             image, dense afterwards. Auto therefore never ships more
+//             than min(dense, sparse) - it cannot lose to the worse fixed
 //             representation.
 #pragma once
 
@@ -62,72 +62,38 @@ inline constexpr std::uint64_t kSparseTag = 1;
 void append_dense_image(std::span<const std::uint64_t> dense,
                         std::vector<std::uint64_t>& out);
 
-/// Appends the sparse image of `dense` restricted to `sorted_indices`
-/// (ascending, all with nonzero values).
-void append_sparse_image(std::span<const std::uint64_t> dense,
-                         std::span<const std::uint32_t> sorted_indices,
-                         std::vector<std::uint64_t>& out);
-
-/// Appends the sparse image of every nonzero slot of `dense` (full scan -
-/// the path for frames that do not track touched slots).
+/// Appends the sparse image of every nonzero slot of `dense` (one scan;
+/// pairs come out in ascending index order).
 void append_sparse_image_scan(std::span<const std::uint64_t> dense,
                               std::vector<std::uint64_t>& out);
 
-/// True iff a sparse image of `npairs` pairs stays under `densify_threshold`
-/// times the dense image of a `dense_words`-slot frame - the kAuto rule.
+/// True iff a sparse image of `npairs` pairs is smaller than the dense
+/// image of a `dense_words`-slot frame - the kAuto rule.
 [[nodiscard]] inline bool sparse_pays(std::size_t npairs,
-                                      std::size_t dense_words,
-                                      double densify_threshold) {
-  return static_cast<double>(sparse_image_words(npairs)) <
-         densify_threshold *
-             static_cast<double>(dense_image_words(dense_words));
+                                      std::size_t dense_words) {
+  return sparse_image_words(npairs) < dense_image_words(dense_words);
 }
+
+/// Appends the wire image of the flat frame `dense` to `out`, honoring
+/// `preference` (kSparse forces pairs, kDense the flat image, kAuto the
+/// smaller of the two). Returns the representation actually emitted.
+FrameRep append_image(std::span<const std::uint64_t> dense,
+                      FrameRep preference, std::vector<std::uint64_t>& out);
 
 /// Additively combines wire image `in` into `acc` (both images over the
 /// same `dense_words`-slot space), re-encoding the result in place - the
 /// interior-hop step of a tree-merge reduction. Sparse inputs merge-join
 /// their ascending pair lists in O(nnz_a + nnz_b); the moment the merged
-/// pair count stops paying under `densify_threshold` (sparse_pays), the
-/// result densifies - mid-tree densification, so merged images never grow
-/// past the threshold-scaled dense frame. A dense operand densifies the
-/// result outright. Decoding the combined image equals decoding both
-/// inputs (exact uint64 sums), so any combine order yields the same
-/// aggregate.
+/// pair count stops paying (sparse_pays), the result densifies - mid-tree
+/// densification, so merged images never grow past the dense frame. A
+/// dense operand densifies the result outright. Decoding the combined image
+/// equals decoding both inputs (exact uint64 sums), so any combine order
+/// yields the same aggregate.
 void merge_images(std::vector<std::uint64_t>& acc,
-                  std::span<const std::uint64_t> in, std::size_t dense_words,
-                  double densify_threshold);
+                  std::span<const std::uint64_t> in, std::size_t dense_words);
 
-/// Additively decodes `image` into `dense`, invoking touch(index) for every
-/// slot that receives a nonzero contribution (the hook sparse frames use to
-/// maintain their touched set).
-template <typename TouchFn>
+/// Additively decodes `image` (either representation) into `dense`.
 void decode_add_image(std::span<std::uint64_t> dense,
-                      std::span<const std::uint64_t> image, TouchFn&& touch) {
-  DISTBC_ASSERT(!image.empty());
-  if (image.front() == kDenseTag) {
-    DISTBC_ASSERT(image.size() == 1 + dense.size());
-    for (std::size_t i = 0; i < dense.size(); ++i) {
-      const std::uint64_t value = image[1 + i];
-      if (value == 0) continue;
-      dense[i] += value;
-      touch(i);
-    }
-    return;
-  }
-  DISTBC_ASSERT(image.front() == kSparseTag && image.size() >= 2);
-  const std::uint64_t npairs = image[1];
-  DISTBC_ASSERT(image.size() == sparse_image_words(npairs));
-  for (std::uint64_t p = 0; p < npairs; ++p) {
-    const std::uint64_t index = image[2 + 2 * p];
-    DISTBC_ASSERT(index < dense.size());
-    dense[index] += image[2 + 2 * p + 1];
-    touch(static_cast<std::size_t>(index));
-  }
-}
-
-inline void decode_add_image(std::span<std::uint64_t> dense,
-                             std::span<const std::uint64_t> image) {
-  decode_add_image(dense, image, [](std::size_t) {});
-}
+                      std::span<const std::uint64_t> image);
 
 }  // namespace distbc::epoch

@@ -4,14 +4,16 @@
 // per-vertex path counts accumulated by one thread during one epoch. The
 // frame is stored as one flat uint64 array with tau in the last slot, so a
 // whole frame can be aggregated - locally between threads or across ranks
-// via an MPI reduction - as a single elementwise vector sum.
+// via an MPI reduction - as a single elementwise vector sum. Sparse and
+// auto wire images are built from and decoded into that same array by the
+// free functions of frame_codec.hpp.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "epoch/frame_codec.hpp"
 #include "support/assert.hpp"
 
 namespace distbc::epoch {
@@ -58,44 +60,6 @@ class StateFrame {
     // counts are zero (counts_consistent), so the O(V) sweep is skippable.
     if (other.empty()) return;
     for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-  }
-
-  // --- Wire-image interface (frame_codec.hpp) ----------------------------
-
-  [[nodiscard]] std::size_t dense_words() const { return data_.size(); }
-
-  /// Appends this frame's wire image to `out`. StateFrame tracks no touched
-  /// set, so sparse preferences pay one O(V) scan; workloads that want
-  /// cheap sparse encodes use epoch::SparseFrame instead.
-  FrameRep encode(std::vector<std::uint64_t>& out,
-                  FrameRep preference) const {
-    if (preference == FrameRep::kAuto) {
-      // Only kAuto needs the nonzero count to pick a side.
-      std::size_t npairs = tau() != 0 ? 1 : 0;
-      for (std::uint32_t v = 0; v < num_vertices_; ++v)
-        npairs += data_[v] != 0;
-      preference = sparse_pays(npairs, dense_words(),
-                               /*densify_threshold=*/1.0)
-                       ? FrameRep::kSparse
-                       : FrameRep::kDense;
-    }
-    if (preference == FrameRep::kDense) {
-      append_dense_image(data_, out);
-      return FrameRep::kDense;
-    }
-    append_sparse_image_scan(data_, out);
-    return FrameRep::kSparse;
-  }
-
-  /// Additively merges a wire image (either representation).
-  void decode_add(std::span<const std::uint64_t> image) {
-    decode_add_image(std::span<std::uint64_t>(data_), image);
-  }
-
-  /// Elementwise add of a flat dense frame (window read-back).
-  void add_dense(std::span<const std::uint64_t> dense) {
-    DISTBC_ASSERT(dense.size() == data_.size());
-    for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += dense[i];
   }
 
   /// Sum of all per-vertex counts (tau excluded).

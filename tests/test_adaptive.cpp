@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "engine/engine.hpp"
+#include "adaptive/closeness.hpp"
 #include "adaptive/mean_distance.hpp"
 #include "comm/substrate.hpp"
 #include "mpisim/runtime.hpp"
@@ -213,6 +214,74 @@ TEST(MeanDistance, WorksAcrossClusterShapes) {
         mean_distance_mpi(graph, params, ranks, ranks >= 2 ? 2 : 1);
     EXPECT_NEAR(result.mean, exact, 3 * params.epsilon) << ranks;
   }
+}
+
+// --- Representation parity -------------------------------------------------
+
+/// Deterministic 4-rank x 2-thread engine options under `rep`.
+engine::EngineOptions parity_engine(engine::FrameRep rep) {
+  engine::EngineOptions options;
+  options.threads_per_rank = 2;
+  options.deterministic = true;
+  options.virtual_streams = 8;
+  options.epoch_base = 64;
+  options.epoch_exponent = 0.0;
+  options.frame_rep = rep;
+  return options;
+}
+
+graph::Graph parity_graph() {
+  return graph::largest_component(gen::erdos_renyi(300, 900, 7));
+}
+
+// Both drivers' frames reach the wire through the codec's free functions
+// over their flat raw() arrays. The representation must not change the
+// result, and the bytes each one moves are pinned: a codec change that
+// moves them must show up here.
+TEST(RepresentationParity, ClosenessIsBitwiseIdenticalAcrossReps) {
+  const graph::Graph graph = parity_graph();
+  auto run = [&](engine::FrameRep rep) {
+    ClosenessParams params;
+    params.epsilon = 0.08;
+    params.engine = parity_engine(rep);
+    return closeness_mpi(graph, params, 4, 1,
+                         comm::NetworkModel::disabled());
+  };
+  const ClosenessResult dense = run(engine::FrameRep::kDense);
+  const ClosenessResult sparse = run(engine::FrameRep::kSparse);
+  const ClosenessResult automatic = run(engine::FrameRep::kAuto);
+  ASSERT_GT(dense.samples, 0u);
+  for (const ClosenessResult* other : {&sparse, &automatic}) {
+    EXPECT_EQ(other->samples, dense.samples);
+    EXPECT_EQ(other->epochs, dense.epochs);
+    EXPECT_EQ(other->scores, dense.scores);
+  }
+  EXPECT_EQ(sparse.comm_volume.aggregation_bytes(), 345624u);
+  EXPECT_EQ(automatic.comm_volume.aggregation_bytes(), 172824u);
+}
+
+TEST(RepresentationParity, MeanDistanceIsBitwiseIdenticalAcrossReps) {
+  const graph::Graph graph = parity_graph();
+  auto run = [&](engine::FrameRep rep) {
+    MeanDistanceParams params;
+    params.epsilon = 0.05;
+    params.engine = parity_engine(rep);
+    return mean_distance_mpi(graph, params, 4, 1,
+                             comm::NetworkModel::disabled());
+  };
+  const MeanDistanceResult dense = run(engine::FrameRep::kDense);
+  const MeanDistanceResult sparse = run(engine::FrameRep::kSparse);
+  const MeanDistanceResult automatic = run(engine::FrameRep::kAuto);
+  ASSERT_GT(dense.samples, 0u);
+  for (const MeanDistanceResult* other : {&sparse, &automatic}) {
+    EXPECT_EQ(other->samples, dense.samples);
+    EXPECT_EQ(other->epochs, dense.epochs);
+    EXPECT_EQ(other->mean, dense.mean);
+    EXPECT_EQ(other->stddev, dense.stddev);
+    EXPECT_EQ(other->half_width, dense.half_width);
+  }
+  EXPECT_EQ(sparse.comm_volume.aggregation_bytes(), 22296u);
+  EXPECT_EQ(automatic.comm_volume.aggregation_bytes(), 11160u);
 }
 
 }  // namespace

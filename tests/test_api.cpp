@@ -444,13 +444,14 @@ TEST(ApiConfig, UnknownKeysAndMalformedValuesAreRejected) {
 }
 
 TEST(ApiConfig, RemovedKnobsFailLoudly) {
-  // Retired keys - the traversal-batch width (one kernel, no widths) and
-  // the deleted autotuner's two switches - must fail with the unknown-key
-  // Status, not be silently ignored by old config text. The autotuner's
-  // names are spelled in pieces so a source search for them finds only
-  // history, not live code.
-  for (const std::string key :
-       {"sample_batch", "auto_" "tune", "tune_" "profile"}) {
+  // Retired keys - the traversal-batch width (one kernel, no widths), the
+  // deleted autotuner's two switches, and the per-rank aggregate switch
+  // no result exposed - must fail with the unknown-key Status, not be
+  // silently ignored by old config text. The autotuner's names are
+  // spelled in pieces so a source search for them finds only history,
+  // not live code.
+  for (const std::string key : {"sample_batch", "auto_" "tune",
+                                "tune_" "profile", "local_aggregates"}) {
     api::Config config;
     const api::Status text = config.load_text(key + "=1\n");
     EXPECT_FALSE(text.ok) << key;
@@ -499,7 +500,6 @@ TEST(ApiConfig, EngineOptionsMappingIsComplete) {
   config.virtual_streams = 5;
   config.frame_rep = epoch::FrameRep::kSparse;
   config.tree_radix = 2;
-  config.local_aggregates = true;
   const engine::EngineOptions options = config.engine_options();
   EXPECT_EQ(options.threads_per_rank, 3);
   EXPECT_EQ(options.aggregation, engine::Aggregation::kBlocking);
@@ -512,7 +512,6 @@ TEST(ApiConfig, EngineOptionsMappingIsComplete) {
   EXPECT_EQ(options.virtual_streams, 5u);
   EXPECT_EQ(options.frame_rep, epoch::FrameRep::kSparse);
   EXPECT_EQ(options.tree_radix, 2);
-  EXPECT_TRUE(options.local_aggregates);
 }
 
 TEST(ApiConfig, SeededTextFuzzNeverYieldsAnEmptyEpoch) {

@@ -65,9 +65,9 @@ TEST(Determinism, RkMultiThreadedIsBitwiseReproducible) {
 }
 
 TEST(Determinism, FrameRepresentationDoesNotChangeSingleRankResults) {
-  // No communicator in play: the representation only changes the frame
-  // type (StateFrame vs SparseFrame), and deterministic mode pins the
-  // sample set, so dense and sparse runs must be bitwise identical.
+  // No communicator in play: no image crosses a wire, and deterministic
+  // mode pins the sample set, so dense and sparse runs must be bitwise
+  // identical.
   const auto graph = test_graph();
   auto run = [&](engine::FrameRep rep) {
     KadabraOptions options;

@@ -323,6 +323,67 @@ TEST(EngineEquivalence, EveryRankHoldsTheGlobalAggregate) {
   for (int r = 1; r < 4; ++r) EXPECT_EQ(per_rank[r], per_rank[0]) << r;
 }
 
+// A frame offering nothing but a mutable raw() span takes every wire path:
+// the engine builds and reads its sparse and auto images from that flat
+// array, flat, tree-merged and hierarchical alike.
+TEST(EngineEquivalence, RawOnlyFrameRidesEveryRepresentation) {
+  struct Outcome {
+    std::uint64_t calibrated = 0;
+    std::uint64_t epochs = 0;
+    std::vector<std::uint64_t> per_rank = std::vector<std::uint64_t>(4, 0);
+  };
+  auto run = [](engine::FrameRep rep, int radix, bool hierarchical) {
+    mpisim::RuntimeConfig config;
+    config.num_ranks = 4;
+    config.ranks_per_node = hierarchical ? 2 : 1;
+    config.network = mpisim::NetworkModel::disabled();
+    mpisim::Runtime runtime(config);
+    Outcome outcome;
+    runtime.run([&](auto& rank_comm) {
+      const auto world =
+          comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
+      engine::EngineOptions options;
+      options.threads_per_rank = 2;
+      options.deterministic = true;
+      options.virtual_streams = 8;
+      options.epoch_base = 40;
+      options.epoch_exponent = 0.0;
+      options.frame_rep = rep;
+      options.tree_radix = radix;
+      options.hierarchical = hierarchical;
+      const auto make = [](std::uint64_t) { return CountSampler{}; };
+      const CountFrame calibrated = engine::calibrate(
+          world.get(), CountFrame{}, make, /*total_budget=*/1001, options);
+      const auto result = engine::run_epochs(
+          world.get(), CountFrame{}, make,
+          [](const CountFrame& frame) { return frame.data[0] >= 300; },
+          options);
+      outcome.per_rank[world->rank()] = result.aggregate.data[0];
+      if (world->rank() == 0) {
+        outcome.calibrated = calibrated.data[0];
+        outcome.epochs = result.epochs;
+      }
+    });
+    return outcome;
+  };
+  for (const auto& [radix, hierarchical] :
+       {std::pair{0, false}, std::pair{2, false}, std::pair{0, true}}) {
+    const Outcome dense = run(engine::FrameRep::kDense, radix, hierarchical);
+    EXPECT_EQ(dense.calibrated, 1001u);
+    EXPECT_GE(dense.per_rank[0], 300u);
+    for (const engine::FrameRep rep :
+         {engine::FrameRep::kSparse, engine::FrameRep::kAuto}) {
+      SCOPED_TRACE(std::string(epoch::frame_rep_name(rep)) + " radix " +
+                   std::to_string(radix) +
+                   (hierarchical ? " hierarchical" : " flat"));
+      const Outcome got = run(rep, radix, hierarchical);
+      EXPECT_EQ(got.calibrated, dense.calibrated);
+      EXPECT_EQ(got.epochs, dense.epochs);
+      EXPECT_EQ(got.per_rank, dense.per_rank);
+    }
+  }
+}
+
 // Regression: with the non-blocking strategy, a fast non-root rank's
 // ireduce_merge_tree completes at its own injection deadline and leaves
 // the epoch's aggregation scope while stragglers are still posting; the

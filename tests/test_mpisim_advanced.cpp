@@ -393,7 +393,7 @@ std::vector<std::uint64_t> rank_image(int rank) {
 /// slots, densify at the dense-image crossover).
 void combine_codec(std::vector<std::uint64_t>& acc,
                    std::span<const std::uint64_t> in) {
-  epoch::merge_images(acc, in, /*dense_words=*/128, /*densify_threshold=*/1.0);
+  epoch::merge_images(acc, in, /*dense_words=*/128);
 }
 
 TEST(TreeMerge, MatchesFlatDecodeAcrossRadixes) {

@@ -1,77 +1,49 @@
-// Tests for the pluggable frame-representation layer: SparseFrame
-// semantics (touched-set tracking, O(nnz) clear/merge, overlapping
-// deltas, tau-only frames), the wire-image codec (dense and sparse
-// encodings, densify threshold, additive decode), and cross-representation
-// equivalence against StateFrame under random record sequences.
+// Tests for the pluggable frame-representation layer: the wire-image codec
+// over StateFrame's flat array (dense and sparse encodings, the kAuto size
+// rule, additive decode), tree-merge image combining, and parity of
+// image-based aggregation with StateFrame::merge under random recording.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
-#include "epoch/epoch_manager.hpp"
 #include "epoch/frame_codec.hpp"
-#include "epoch/sparse_frame.hpp"
 #include "epoch/state_frame.hpp"
 #include "support/random.hpp"
 
 namespace distbc::epoch {
 namespace {
 
-TEST(SparseFrame, RecordsTauAndCounts) {
-  SparseFrame frame(5);
-  const std::vector<std::uint32_t> path{1, 3};
-  frame.record(path);
-  frame.record_empty();
-  EXPECT_EQ(frame.tau(), 2u);
-  EXPECT_EQ(frame.count(1), 1u);
-  EXPECT_EQ(frame.count(3), 1u);
-  EXPECT_EQ(frame.count(0), 0u);
-  EXPECT_EQ(frame.nonzero_count(), 2u);
-  EXPECT_TRUE(frame.counts_consistent());
+/// Records `samples` random paths of 0-4 interior vertices into `frame`.
+void record_random(StateFrame& frame, Rng& rng, int samples) {
+  std::vector<std::uint32_t> path;
+  for (int sample = 0; sample < samples; ++sample) {
+    path.clear();
+    const int internal = static_cast<int>(rng.next_bounded(5));
+    for (int i = 0; i < internal; ++i)
+      path.push_back(
+          static_cast<std::uint32_t>(rng.next_bounded(frame.num_vertices())));
+    if (path.empty()) {
+      frame.record_empty();
+    } else {
+      frame.record(path);
+    }
+  }
 }
 
-TEST(SparseFrame, ClearResetsOnlyTouchedSlotsButAll) {
-  SparseFrame frame(8);
-  frame.record(std::vector<std::uint32_t>{0, 4, 7});
-  frame.clear();
-  EXPECT_TRUE(frame.empty());
-  EXPECT_EQ(frame.nonzero_count(), 0u);
-  for (std::uint32_t v = 0; v < 8; ++v) EXPECT_EQ(frame.count(v), 0u);
-  // Reusable after clear: touched bookkeeping starts fresh.
-  frame.record(std::vector<std::uint32_t>{4});
-  EXPECT_EQ(frame.count(4), 1u);
-  EXPECT_EQ(frame.nonzero_count(), 1u);
+void expect_same_frame(const StateFrame& got, const StateFrame& want) {
+  EXPECT_EQ(got.tau(), want.tau());
+  for (std::uint32_t v = 0; v < want.num_vertices(); ++v)
+    EXPECT_EQ(got.count(v), want.count(v)) << "vertex " << v;
 }
 
-TEST(SparseFrame, MergeOfOverlappingDeltasAddsExactly) {
-  SparseFrame a(6);
-  SparseFrame b(6);
-  a.record(std::vector<std::uint32_t>{1, 2});
-  b.record(std::vector<std::uint32_t>{2, 3});
-  b.record(std::vector<std::uint32_t>{2});
-  a.merge(b);
-  EXPECT_EQ(a.tau(), 3u);
-  EXPECT_EQ(a.count(1), 1u);
-  EXPECT_EQ(a.count(2), 3u);  // overlap: 1 from a + 2 from b
-  EXPECT_EQ(a.count(3), 1u);
-  EXPECT_EQ(a.nonzero_count(), 3u);
-}
-
-TEST(SparseFrame, MergeOfEmptySourceIsNoOp) {
-  SparseFrame a(4);
-  a.record(std::vector<std::uint32_t>{2});
-  const SparseFrame idle(4);
-  a.merge(idle);
-  EXPECT_EQ(a.tau(), 1u);
-  EXPECT_EQ(a.count(2), 1u);
-}
-
-TEST(SparseFrame, TauOnlyFrameEncodesOnePair) {
-  SparseFrame frame(100);
+TEST(FrameCodec, TauOnlyFrameEncodesOnePair) {
+  StateFrame frame(100);
   frame.record_empty();
   frame.record_empty();
   std::vector<std::uint64_t> image;
-  EXPECT_EQ(frame.encode(image, FrameRep::kSparse), FrameRep::kSparse);
+  EXPECT_EQ(append_image(frame.raw(), FrameRep::kSparse, image),
+            FrameRep::kSparse);
   // [tag, npairs=1, (index=100, tau=2)]
   ASSERT_EQ(image.size(), sparse_image_words(1));
   EXPECT_EQ(image[0], kSparseTag);
@@ -79,17 +51,18 @@ TEST(SparseFrame, TauOnlyFrameEncodesOnePair) {
   EXPECT_EQ(image[2], 100u);
   EXPECT_EQ(image[3], 2u);
 
-  SparseFrame decoded(100);
-  decoded.decode_add(image);
+  StateFrame decoded(100);
+  decode_add_image(decoded.raw(), image);
   EXPECT_EQ(decoded.tau(), 2u);
-  EXPECT_EQ(decoded.nonzero_count(), 0u);
+  EXPECT_EQ(decoded.count_sum(), 0u);
 }
 
-TEST(SparseFrame, SparseImagePairsAreSortedByIndex) {
-  SparseFrame frame(50);
+TEST(FrameCodec, SparseImagePairsAreSortedByIndex) {
+  StateFrame frame(50);
   frame.record(std::vector<std::uint32_t>{40, 3, 17});
   std::vector<std::uint64_t> image;
-  ASSERT_EQ(frame.encode(image, FrameRep::kSparse), FrameRep::kSparse);
+  ASSERT_EQ(append_image(frame.raw(), FrameRep::kSparse, image),
+            FrameRep::kSparse);
   ASSERT_EQ(image[1], 4u);  // 3 vertices + tau pair
   std::uint64_t previous = 0;
   for (std::uint64_t p = 0; p < image[1]; ++p) {
@@ -100,128 +73,72 @@ TEST(SparseFrame, SparseImagePairsAreSortedByIndex) {
   EXPECT_EQ(image[2 + 2 * 3], 50u);  // tau pair last (largest index)
 }
 
-TEST(SparseFrame, DensifyThresholdGovernsAutoEncoding) {
-  // 4 of 8 slots touched: sparse needs 2 + 2*5 = 12 words vs dense 10.
-  const std::vector<std::uint32_t> hits{0, 2, 4, 6};
-  SparseFrame loose(8, /*densify_threshold=*/2.0);
-  loose.record(hits);
-  std::vector<std::uint64_t> image;
-  EXPECT_EQ(loose.encode(image, FrameRep::kAuto), FrameRep::kSparse);
-
-  SparseFrame strict(8, /*densify_threshold=*/1.0);
-  strict.record(hits);
-  image.clear();
-  EXPECT_EQ(strict.encode(image, FrameRep::kAuto), FrameRep::kDense);
-  EXPECT_EQ(image.size(), dense_image_words(9));
-
-  // Forced sparse ignores the threshold (the fixed-sparse ablation arm);
-  // forced dense ignores the touched set.
-  image.clear();
-  EXPECT_EQ(strict.encode(image, FrameRep::kSparse), FrameRep::kSparse);
-  image.clear();
-  EXPECT_EQ(loose.encode(image, FrameRep::kDense), FrameRep::kDense);
-}
-
-TEST(SparseFrame, EncodeDecodeRoundTripsBothRepresentations) {
+TEST(FrameCodec, EncodeDecodeRoundTripsEveryRepresentation) {
   Rng rng(99);
-  SparseFrame original(64);
-  std::vector<std::uint32_t> path;
-  for (int sample = 0; sample < 40; ++sample) {
-    path.clear();
-    const int internal = static_cast<int>(rng.next_bounded(5));
-    for (int i = 0; i < internal; ++i)
-      path.push_back(static_cast<std::uint32_t>(rng.next_bounded(64)));
-    if (path.empty()) {
-      original.record_empty();
-    } else {
-      original.record(path);
-    }
-  }
-  for (const FrameRep rep : {FrameRep::kDense, FrameRep::kSparse}) {
+  StateFrame original(64);
+  record_random(original, rng, 40);
+  for (const FrameRep rep :
+       {FrameRep::kDense, FrameRep::kSparse, FrameRep::kAuto}) {
+    SCOPED_TRACE(frame_rep_name(rep));
     std::vector<std::uint64_t> image;
-    original.encode(image, rep);
-    SparseFrame decoded(64);
-    decoded.decode_add(image);
-    EXPECT_EQ(decoded.tau(), original.tau());
-    for (std::uint32_t v = 0; v < 64; ++v)
-      EXPECT_EQ(decoded.count(v), original.count(v)) << "rep " << static_cast<int>(rep);
+    append_image(original.raw(), rep, image);
+    StateFrame decoded(64);
+    decode_add_image(decoded.raw(), image);
+    expect_same_frame(decoded, original);
     // Decoding is additive: a second pass doubles everything.
-    decoded.decode_add(image);
+    decode_add_image(decoded.raw(), image);
     EXPECT_EQ(decoded.tau(), 2 * original.tau());
   }
 }
 
-TEST(SparseFrame, MatchesStateFrameUnderRandomRecording) {
+TEST(FrameCodec, ImageAggregationMatchesMergeUnderRandomRecording) {
+  // Four "threads" record independent random streams; aggregating their
+  // images (each representation, mixed) must equal StateFrame::merge.
   Rng rng(1234);
-  StateFrame dense(32);
-  SparseFrame sparse(32);
-  std::vector<std::uint32_t> path;
-  for (int sample = 0; sample < 200; ++sample) {
-    path.clear();
-    const int internal = static_cast<int>(rng.next_bounded(4));
-    for (int i = 0; i < internal; ++i)
-      path.push_back(static_cast<std::uint32_t>(rng.next_bounded(32)));
-    if (path.empty()) {
-      dense.record_empty();
-      sparse.record_empty();
-    } else {
-      dense.record(path);
-      sparse.record(path);
-    }
-  }
-  EXPECT_EQ(sparse.tau(), dense.tau());
-  EXPECT_EQ(sparse.count_sum(), dense.count_sum());
-  for (std::uint32_t v = 0; v < 32; ++v)
-    EXPECT_EQ(sparse.count(v), dense.count(v));
+  std::vector<StateFrame> frames(4, StateFrame(32));
+  for (StateFrame& frame : frames) record_random(frame, rng, 50);
+  StateFrame merged(32);
+  for (const StateFrame& frame : frames) merged.merge(frame);
 
-  // Cross-representation decode: a sparse image merges into a StateFrame.
+  const FrameRep reps[] = {FrameRep::kDense, FrameRep::kSparse,
+                           FrameRep::kAuto, FrameRep::kSparse};
+  StateFrame decoded(32);
   std::vector<std::uint64_t> image;
-  sparse.encode(image, FrameRep::kSparse);
-  StateFrame from_image(32);
-  from_image.decode_add(image);
-  for (std::uint32_t v = 0; v < 32; ++v)
-    EXPECT_EQ(from_image.count(v), dense.count(v));
-  EXPECT_EQ(from_image.tau(), dense.tau());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    image.clear();
+    append_image(frames[i].raw(), reps[i], image);
+    decode_add_image(decoded.raw(), image);
+  }
+  expect_same_frame(decoded, merged);
+  EXPECT_EQ(decoded.count_sum(), merged.count_sum());
 }
 
-TEST(SparseFrame, AddDenseTracksTouchedSlots) {
-  StateFrame dense(6);
-  dense.record(std::vector<std::uint32_t>{1, 5});
-  SparseFrame sparse(6);
-  sparse.add_dense(dense.raw());
-  EXPECT_EQ(sparse.nonzero_count(), 2u);
-  EXPECT_EQ(sparse.tau(), 1u);
-  sparse.clear();
-  EXPECT_TRUE(sparse.empty());
-  for (std::uint32_t v = 0; v < 6; ++v) EXPECT_EQ(sparse.count(v), 0u);
-}
-
-TEST(SparseFrame, WorksUnderEpochManager) {
-  EpochManager<SparseFrame> manager(2, SparseFrame(16));
-  manager.frame(0, 0).record(std::vector<std::uint32_t>{3});
-  manager.frame(1, 0).record(std::vector<std::uint32_t>{3, 9});
-  manager.force_transition(0);
-  ASSERT_TRUE(manager.check_transition(1, 0));
-  SparseFrame aggregate(16);
-  manager.collect(0, aggregate);
-  EXPECT_EQ(aggregate.tau(), 2u);
-  EXPECT_EQ(aggregate.count(3), 2u);
-  EXPECT_EQ(aggregate.count(9), 1u);
-  EXPECT_TRUE(manager.frame(0, 0).empty());
-  EXPECT_TRUE(manager.frame(1, 0).empty());
-}
-
-TEST(StateFrame, EncodePrefersSmallerImageUnderAuto) {
+TEST(FrameCodec, AutoPicksTheSmallerImage) {
   StateFrame mostly_empty(100);
   mostly_empty.record(std::vector<std::uint32_t>{7});
   std::vector<std::uint64_t> image;
-  EXPECT_EQ(mostly_empty.encode(image, FrameRep::kAuto), FrameRep::kSparse);
+  EXPECT_EQ(append_image(mostly_empty.raw(), FrameRep::kAuto, image),
+            FrameRep::kSparse);
   EXPECT_EQ(image.size(), sparse_image_words(2));  // vertex 7 + tau
 
   StateFrame full(4);
   full.record(std::vector<std::uint32_t>{0, 1, 2, 3});
   image.clear();
-  EXPECT_EQ(full.encode(image, FrameRep::kAuto), FrameRep::kDense);
+  EXPECT_EQ(append_image(full.raw(), FrameRep::kAuto, image),
+            FrameRep::kDense);
+  EXPECT_EQ(image.size(), dense_image_words(5));
+
+  // At the crossover a tie goes dense: 4 vertices + tau = 5 words, so the
+  // dense image is 6 words and so is a 2-pair sparse image.
+  StateFrame tie(4);
+  tie.record(std::vector<std::uint32_t>{0});
+  image.clear();
+  EXPECT_EQ(append_image(tie.raw(), FrameRep::kAuto, image), FrameRep::kDense);
+  StateFrame tau_only(4);
+  tau_only.record_empty();
+  image.clear();
+  EXPECT_EQ(append_image(tau_only.raw(), FrameRep::kAuto, image),
+            FrameRep::kSparse);
 }
 
 // --- merge_images: the interior-hop combiner of tree-merge reductions -------
@@ -238,7 +155,7 @@ TEST(MergeImages, SparseSparseMergeJoin) {
   // Disjoint and overlapping indices, ascending order preserved.
   std::vector<std::uint64_t> acc{kSparseTag, 2, 1, 10, 5, 20};
   const std::vector<std::uint64_t> in{kSparseTag, 3, 0, 1, 5, 2, 7, 3};
-  merge_images(acc, in, /*dense_words=*/16, /*densify_threshold=*/1.0);
+  merge_images(acc, in, /*dense_words=*/16);
   const std::vector<std::uint64_t> expected{kSparseTag, 4, 0, 1,
                                             1,          10, 5, 22,
                                             7,          3};
@@ -251,7 +168,7 @@ TEST(MergeImages, EqualsDecodingBothInputs) {
   std::vector<std::uint64_t> want = decoded(acc, 16);
   const std::vector<std::uint64_t> other = decoded(in, 16);
   for (std::size_t i = 0; i < want.size(); ++i) want[i] += other[i];
-  merge_images(acc, in, 16, 1.0);
+  merge_images(acc, in, 16);
   EXPECT_EQ(decoded(acc, 16), want);
 }
 
@@ -267,33 +184,23 @@ TEST(MergeImages, DensifiesAtTheCrossover) {
     for (std::size_t i = 0; i < dense.size(); ++i) dense[i] += other[i];
     return dense;
   }();
-  merge_images(acc, in, 16, 1.0);
+  merge_images(acc, in, 16);
   ASSERT_EQ(image_rep(acc), FrameRep::kDense);
   EXPECT_EQ(decoded(acc, 16), want);
-
-  // A lower threshold densifies earlier: a single-pair merge (4 image
-  // words) stops paying under 0.2 x the 17-word dense image.
-  std::vector<std::uint64_t> small{kSparseTag, 1, 0, 1};
-  const std::vector<std::uint64_t> same = small;
-  merge_images(small, same, 16, 0.2);
-  EXPECT_EQ(image_rep(small), FrameRep::kDense);
-  EXPECT_EQ(decoded(small, 16)[0], 2u);
 }
 
 TEST(MergeImages, DenseOperandsDensifyTheResult) {
   // dense += sparse.
   std::vector<std::uint64_t> acc{kDenseTag, 1, 2, 3, 0};
-  merge_images(acc, std::vector<std::uint64_t>{kSparseTag, 1, 3, 5}, 4, 1.0);
+  merge_images(acc, std::vector<std::uint64_t>{kSparseTag, 1, 3, 5}, 4);
   EXPECT_EQ(acc, (std::vector<std::uint64_t>{kDenseTag, 1, 2, 3, 5}));
   // sparse += dense: the accumulator densifies.
   std::vector<std::uint64_t> sparse{kSparseTag, 1, 0, 7};
-  merge_images(sparse, std::vector<std::uint64_t>{kDenseTag, 1, 1, 1, 1}, 4,
-               1.0);
+  merge_images(sparse, std::vector<std::uint64_t>{kDenseTag, 1, 1, 1, 1}, 4);
   EXPECT_EQ(sparse, (std::vector<std::uint64_t>{kDenseTag, 8, 1, 1, 1}));
   // dense += dense.
   std::vector<std::uint64_t> both{kDenseTag, 1, 1, 1, 1};
-  merge_images(both, std::vector<std::uint64_t>{kDenseTag, 1, 0, 0, 2}, 4,
-               1.0);
+  merge_images(both, std::vector<std::uint64_t>{kDenseTag, 1, 0, 0, 2}, 4);
   EXPECT_EQ(both, (std::vector<std::uint64_t>{kDenseTag, 2, 1, 1, 3}));
 }
 

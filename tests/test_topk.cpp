@@ -9,7 +9,7 @@
 #include "bc/kadabra.hpp"
 #include "bc/topk.hpp"
 #include "comm/substrate.hpp"
-#include "epoch/sparse_frame.hpp"
+#include "epoch/state_frame.hpp"
 #include "gen/barabasi_albert.hpp"
 #include "graph/components.hpp"
 #include "mpisim/runtime.hpp"
@@ -26,8 +26,8 @@ mpisim::RuntimeConfig quiet(int ranks, int per_node = 1) {
 }
 
 /// Per-rank frames with overlapping counts; the global truth is their sum.
-epoch::SparseFrame make_local(std::uint32_t vertices, int rank) {
-  epoch::SparseFrame frame(vertices);
+epoch::StateFrame make_local(std::uint32_t vertices, int rank) {
+  epoch::StateFrame frame(vertices);
   std::vector<std::uint32_t> path;
   // Rank r touches vertices r, r+1, ..., r+9 (overlap across ranks) plus
   // a rank-specific heavy hitter.
@@ -45,7 +45,7 @@ TEST(DistributedTopK, MatchesDirectSelectionOverTheSum) {
   constexpr std::uint32_t kVertices = 64;
   constexpr int kRanks = 4;
   // The truth: direct top-k over the elementwise sum of all locals.
-  epoch::SparseFrame global(kVertices);
+  epoch::StateFrame global(kVertices);
   for (int r = 0; r < kRanks; ++r) global.merge(make_local(kVertices, r));
 
   for (const std::size_t k : {std::size_t{1}, std::size_t{5},
@@ -55,7 +55,7 @@ TEST(DistributedTopK, MatchesDirectSelectionOverTheSum) {
     runtime.run([&](auto& rank_comm) {
       const auto world =
           comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
-      const epoch::SparseFrame local = make_local(kVertices, world->rank());
+      const epoch::StateFrame local = make_local(kVertices, world->rank());
       const std::vector<bc::TopKEntry> got =
           bc::distributed_top_k(*world, local, k);
       if (world->rank() == 0) {
@@ -74,7 +74,7 @@ TEST(DistributedTopK, MatchesDirectSelectionOverTheSum) {
 }
 
 TEST(DistributedTopK, SingleRankAndEmptyFrames) {
-  epoch::SparseFrame frame(8);
+  epoch::StateFrame frame(8);
   const std::uint32_t v = 3;
   frame.record({&v, 1});
   const auto top = bc::local_top_k(frame, 5);
@@ -86,7 +86,7 @@ TEST(DistributedTopK, SingleRankAndEmptyFrames) {
   runtime.run([&](auto& rank_comm) {
     const auto world =
         comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
-    const epoch::SparseFrame empty(8);  // nothing sampled anywhere
+    const epoch::StateFrame empty(8);  // nothing sampled anywhere
     const auto got = bc::distributed_top_k(*world, empty, 4);
     EXPECT_TRUE(got.empty());
   });
