@@ -6,10 +6,15 @@
 // is seed-independent soundness and stable bookkeeping invariants.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <string>
 
+#include "adaptive/closeness.hpp"
+#include "adaptive/mean_distance.hpp"
 #include "bc/brandes.hpp"
 #include "bc/kadabra.hpp"
+#include "bc/lockstep.hpp"
 #include "bc/rk.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/rmat.hpp"
@@ -160,6 +165,147 @@ TEST(Guarantee, FailureRateIsCompatibleWithDelta) {
     violations += approx.max_abs_difference(exact) > params.epsilon;
   }
   EXPECT_LE(violations, 4);
+}
+
+
+// --- Golden scores ---------------------------------------------------------
+//
+// FNV-1a digests of the score bits (plus sample and epoch counts) of
+// deterministic 4-rank x 2-thread runs. Every aggregation topology and
+// §IV-F strategy must land on the same pinned digest: the sample set is a
+// pure function of (seed, streams, epoch schedule), and the wire only
+// carries exact uint64 counts. A change to how frames cross the wire that
+// moves a single bit fails here.
+
+class Fnv {
+ public:
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xff;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+graph::Graph golden_graph() {
+  return graph::largest_component(gen::erdos_renyi(300, 900, 7));
+}
+
+engine::EngineOptions golden_engine() {
+  engine::EngineOptions options;
+  options.threads_per_rank = 2;
+  options.deterministic = true;
+  options.epoch_base = 64;
+  options.epoch_exponent = 0.0;
+  return options;
+}
+
+std::uint64_t score_digest(const std::vector<double>& scores,
+                           std::uint64_t samples, std::uint64_t epochs) {
+  Fnv fnv;
+  fnv.add(samples);
+  fnv.add(epochs);
+  fnv.add(std::uint64_t{scores.size()});
+  for (const double score : scores) fnv.add(score);
+  return fnv.value();
+}
+
+/// The §IV-E/F aggregation topologies every driver on the engine runs.
+struct Topology {
+  const char* name;
+  int tree_radix;
+  bool hierarchical;
+  int leader_radix;
+
+  [[nodiscard]] int ranks_per_node() const { return hierarchical ? 2 : 1; }
+  void apply(engine::EngineOptions& options) const {
+    options.tree_radix = tree_radix;
+    options.hierarchical = hierarchical;
+    options.leader_radix = leader_radix;
+  }
+};
+
+constexpr Topology kTopologies[] = {
+    {"flat", 0, false, 0},
+    {"tree radix 2", 2, false, 0},
+    {"hierarchical", 0, true, 0},
+    {"hierarchical leader radix 2", 0, true, 2}};
+
+TEST(GoldenScores, KadabraEveryTopologyAndStrategy) {
+  const graph::Graph graph = golden_graph();
+  for (const Topology& topology : kTopologies) {
+    for (const Aggregation aggregation :
+         {Aggregation::kIbarrierReduce, Aggregation::kIreduce,
+          Aggregation::kBlocking}) {
+      KadabraOptions options;
+      options.params.epsilon = 0.1;
+      options.params.seed = 2024;
+      options.engine = golden_engine();
+      options.engine.aggregation = aggregation;
+      topology.apply(options.engine);
+      const BcResult result =
+          kadabra_mpi(graph, options, /*num_ranks=*/4,
+                      topology.ranks_per_node(),
+                      comm::NetworkModel::disabled());
+      ASSERT_GT(result.samples, 0u);
+      EXPECT_EQ(score_digest(result.scores, result.samples, result.epochs),
+                0xbc917bf33414e840ull)
+          << topology.name << " / " << engine::aggregation_name(aggregation);
+    }
+  }
+}
+
+TEST(GoldenScores, Lockstep) {
+  const graph::Graph graph = golden_graph();
+  LockstepOptions options;
+  options.params.epsilon = 0.1;
+  options.params.seed = 2024;
+  options.threads_per_rank = 2;
+  const BcResult result = lockstep_mpi(graph, options, /*num_ranks=*/4, 1,
+                                       comm::NetworkModel::disabled());
+  ASSERT_GT(result.samples, 0u);
+  EXPECT_EQ(score_digest(result.scores, result.samples, result.epochs),
+            0x7b48276e9c6f7accull);
+}
+
+TEST(GoldenScores, ClosenessEveryTopology) {
+  const graph::Graph graph = golden_graph();
+  for (const Topology& topology : kTopologies) {
+    adaptive::ClosenessParams params;
+    params.epsilon = 0.08;
+    params.engine = golden_engine();
+    topology.apply(params.engine);
+    const adaptive::ClosenessResult result = adaptive::closeness_mpi(
+        graph, params, /*num_ranks=*/4, topology.ranks_per_node(),
+        comm::NetworkModel::disabled());
+    ASSERT_GT(result.samples, 0u);
+    EXPECT_EQ(score_digest(result.scores, result.samples, result.epochs),
+              0x6f2e1c11a798dca4ull)
+        << topology.name;
+  }
+}
+
+TEST(GoldenScores, MeanDistanceEveryTopology) {
+  const graph::Graph graph = golden_graph();
+  for (const Topology& topology : kTopologies) {
+    adaptive::MeanDistanceParams params;
+    params.epsilon = 0.05;
+    params.engine = golden_engine();
+    topology.apply(params.engine);
+    const adaptive::MeanDistanceResult result = adaptive::mean_distance_mpi(
+        graph, params, /*num_ranks=*/4, topology.ranks_per_node(),
+        comm::NetworkModel::disabled());
+    ASSERT_GT(result.samples, 0u);
+    EXPECT_EQ(score_digest({result.mean, result.stddev, result.half_width},
+                           result.samples, result.epochs),
+              0x540333660fe612a0ull)
+        << topology.name;
+  }
 }
 
 }  // namespace
