@@ -1,11 +1,13 @@
-// Ablation for the frame-representation layer: on a large-V / short-epoch
-// shape - the regime the sparse delta frames exist for - run KADABRA under
-// every frame representation x §IV-F aggregation strategy x §IV-E
-// hierarchy and compare the modeled aggregation bytes. Acceptance:
-//   * sparse moves >= 5x fewer aggregation bytes than dense,
-//   * auto never moves more than the worse fixed representation,
+// Ablation for the wire images: on a large-V / short-epoch shape - the
+// regime data-sized images exist for - run KADABRA under every §IV-F
+// aggregation strategy x §IV-E hierarchy and compare the modeled
+// aggregation bytes with the paper's dense layout, which ships the flat
+// |V| + 1 word frame from every non-root rank once per epoch and once for
+// calibration: (epochs + 1) x (P - 1) frames, plus the one-word
+// samples_attempted reduce. Acceptance:
+//   * the images move >= 5x fewer aggregation bytes than that layout,
 //   * deterministic-mode scores are bitwise identical across every
-//     representation x strategy x hierarchy combination.
+//     strategy x hierarchy combination.
 // The --json object (BENCH_comm_volume.json in CI) carries the
 // per-collective byte breakdown of every configuration.
 #include <string>
@@ -20,9 +22,9 @@ int main(int argc, char** argv) {
   config.options.describe("vertices", "graph size (large V is the point)");
   config.options.describe("eps", "betweenness epsilon");
   config.options.describe("n0", "fixed total epoch length (short epochs)");
-  config.finish("Frame representations: sparse delta frames vs dense.");
+  config.finish("Wire images: data-sized aggregation vs the dense layout.");
   bench::print_preamble(
-      "Ablation - frame representation (dense | sparse | auto)",
+      "Ablation - wire images vs the paper's dense frame layout",
       "frame layer over paper §III-B/§IV-E/F; bytes ~ samples, not |V|",
       config);
   bench::JsonReport json("ablation_frame_rep", config);
@@ -49,11 +51,8 @@ int main(int argc, char** argv) {
       {"ibarrier+reduce", bc::Aggregation::kIbarrierReduce},
       {"ireduce", bc::Aggregation::kIreduce},
       {"blocking", bc::Aggregation::kBlocking}};
-  const bc::FrameRep reps[] = {bc::FrameRep::kDense, bc::FrameRep::kSparse,
-                               bc::FrameRep::kAuto};
 
-  const auto run = [&](bc::FrameRep rep, const Strategy& strategy,
-                       bool hierarchical) {
+  const auto run = [&](const Strategy& strategy, bool hierarchical) {
     bc::KadabraOptions options;
     options.params.epsilon = eps;
     options.params.seed = config.seed;
@@ -67,7 +66,6 @@ int main(int argc, char** argv) {
     options.engine.virtual_streams = 4;
     options.engine.epoch_base = n0;
     options.engine.epoch_exponent = 0.0;  // n0 fixed: short epochs
-    options.engine.frame_rep = rep;
     options.engine.aggregation = strategy.aggregation;
     options.engine.hierarchical = hierarchical;
     return bc::kadabra_mpi(graph, options, kRanks,
@@ -75,85 +73,72 @@ int main(int argc, char** argv) {
                            mpisim::NetworkModel::disabled());
   };
 
-  TablePrinter table({"rep", "strategy", "hier", "epochs", "agg bytes",
-                      "reduce", "merge", "window"});
+  TablePrinter table({"strategy", "hier", "epochs", "agg bytes", "reduce",
+                      "merge", "window"});
   bool bitwise_identical = true;
-  bool auto_never_worse = true;
-  std::uint64_t flat_bytes[3] = {0, 0, 0};  // per rep, ibarrier+flat
-  const bc::BcResult baseline =
-      run(bc::FrameRep::kDense, strategies[0], false);
+  const bc::BcResult baseline = run(strategies[0], false);
 
   for (const bool hierarchical : {false, true}) {
     for (const Strategy& strategy : strategies) {
-      std::uint64_t rep_bytes[3] = {0, 0, 0};
-      for (int r = 0; r < 3; ++r) {
-        const bc::BcResult result = run(reps[r], strategy, hierarchical);
-        const mpisim::CommVolume& volume = result.comm_volume;
-        rep_bytes[r] = volume.aggregation_bytes();
-        if (!hierarchical && strategy.aggregation ==
-                                 bc::Aggregation::kIbarrierReduce)
-          flat_bytes[r] = rep_bytes[r];
+      const bc::BcResult result = run(strategy, hierarchical);
+      const mpisim::CommVolume& volume = result.comm_volume;
 
-        // Bitwise equality against the baseline configuration.
-        if (result.samples != baseline.samples ||
-            result.scores.size() != baseline.scores.size())
+      // Bitwise equality against the baseline configuration.
+      if (result.samples != baseline.samples ||
+          result.scores.size() != baseline.scores.size())
+        bitwise_identical = false;
+      for (std::size_t v = 0; v < result.scores.size(); ++v)
+        if (result.scores[v] != baseline.scores[v]) {
           bitwise_identical = false;
-        for (std::size_t v = 0; v < result.scores.size(); ++v)
-          if (result.scores[v] != baseline.scores[v]) {
-            bitwise_identical = false;
-            break;
-          }
+          break;
+        }
 
-        table.add_row(
-            {epoch::frame_rep_name(reps[r]), strategy.name,
-             hierarchical ? "on" : "off",
-             TablePrinter::fmt_int(static_cast<long long>(result.epochs)),
-             TablePrinter::fmt_int(
-                 static_cast<long long>(volume.aggregation_bytes())),
-             TablePrinter::fmt_int(
-                 static_cast<long long>(volume.reduce_bytes)),
-             TablePrinter::fmt_int(
-                 static_cast<long long>(volume.reduce_merge_bytes)),
-             TablePrinter::fmt_int(
-                 static_cast<long long>(volume.p2p_bytes))});
-        json.begin_row();
-        json.field("rep", epoch::frame_rep_name(reps[r]));
-        json.field("strategy", strategy.name);
-        json.field("hierarchical", hierarchical ? 1.0 : 0.0);
-        json.field("epochs", static_cast<double>(result.epochs));
-        json.field("samples", static_cast<double>(result.samples));
-        bench::add_comm_volume_fields(json, volume);
-      }
-      // Auto must not exceed the worse fixed representation (5% slack for
-      // the tag/header words on degenerate shapes).
-      const std::uint64_t worse = std::max(rep_bytes[0], rep_bytes[1]);
-      if (rep_bytes[2] > worse + worse / 20) auto_never_worse = false;
+      table.add_row(
+          {strategy.name, hierarchical ? "on" : "off",
+           TablePrinter::fmt_int(static_cast<long long>(result.epochs)),
+           TablePrinter::fmt_int(
+               static_cast<long long>(volume.aggregation_bytes())),
+           TablePrinter::fmt_int(static_cast<long long>(volume.reduce_bytes)),
+           TablePrinter::fmt_int(
+               static_cast<long long>(volume.reduce_merge_bytes)),
+           TablePrinter::fmt_int(static_cast<long long>(volume.p2p_bytes))});
+      json.begin_row();
+      json.field("strategy", strategy.name);
+      json.field("hierarchical", hierarchical ? 1.0 : 0.0);
+      json.field("epochs", static_cast<double>(result.epochs));
+      json.field("samples", static_cast<double>(result.samples));
+      bench::add_comm_volume_fields(json, volume);
     }
   }
   table.print();
 
-  const double ratio =
-      flat_bytes[1] > 0 ? static_cast<double>(flat_bytes[0]) /
-                              static_cast<double>(flat_bytes[1])
-                        : 0.0;
-  std::printf("\ndense/sparse aggregation bytes (ibarrier+reduce, flat): "
-              "%llu / %llu = %.1fx\n",
-              static_cast<unsigned long long>(flat_bytes[0]),
-              static_cast<unsigned long long>(flat_bytes[1]), ratio);
+  // The paper layout's cost for the baseline's epoch count.
+  constexpr std::uint64_t kWord = sizeof(std::uint64_t);
+  const std::uint64_t frame_bytes =
+      (static_cast<std::uint64_t>(graph.num_vertices()) + 1) * kWord;
+  const std::uint64_t dense_bytes =
+      (baseline.epochs + 1) * (kRanks - 1) * frame_bytes +
+      (kRanks - 1) * kWord;
+  const std::uint64_t image_bytes =
+      baseline.comm_volume.aggregation_bytes();
+  const double ratio = image_bytes > 0
+                           ? static_cast<double>(dense_bytes) /
+                                 static_cast<double>(image_bytes)
+                           : 0.0;
+  std::printf("\ndense layout / image aggregation bytes (ibarrier+reduce, "
+              "flat): %llu / %llu = %.1fx\n",
+              static_cast<unsigned long long>(dense_bytes),
+              static_cast<unsigned long long>(image_bytes), ratio);
   const bool sparse_wins_5x = ratio >= 5.0;
-  std::printf("check: sparse moves >= 5x fewer aggregation bytes: %s\n",
+  std::printf("check: images move >= 5x fewer aggregation bytes: %s\n",
               sparse_wins_5x ? "PASS" : "FAIL");
-  std::printf("check: auto never worse than the worse fixed rep: %s\n",
-              auto_never_worse ? "PASS" : "FAIL");
   std::printf("check: bitwise-identical deterministic results: %s\n",
               bitwise_identical ? "PASS" : "FAIL");
-  json.summary("dense_bytes", static_cast<double>(flat_bytes[0]));
-  json.summary("sparse_bytes", static_cast<double>(flat_bytes[1]));
-  json.summary("auto_bytes", static_cast<double>(flat_bytes[2]));
+  json.summary("dense_bytes", static_cast<double>(dense_bytes));
+  json.summary("auto_bytes", static_cast<double>(image_bytes));
   json.summary("dense_over_sparse", ratio);
   json.summary("sparse_wins_5x", sparse_wins_5x ? 1.0 : 0.0);
-  json.summary("auto_never_worse", auto_never_worse ? 1.0 : 0.0);
   json.summary("bitwise_identical", bitwise_identical ? 1.0 : 0.0);
   json.write();
-  return sparse_wins_5x && auto_never_worse && bitwise_identical ? 0 : 1;
+  return sparse_wins_5x && bitwise_identical ? 0 : 1;
 }

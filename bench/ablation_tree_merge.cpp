@@ -1,4 +1,4 @@
-// Ablation for tree-merge sparse reductions: under a flat merge reduction
+// Ablation for tree-merge image reductions: under a flat merge reduction
 // every per-rank delta image lands at the root whole, so root ingest grows
 // as O(P x nnz); the tree merge combines images at interior ranks (with
 // mid-tree densification), so the root ingests only its direct children's
@@ -11,8 +11,8 @@
 //     radix-0 "flat" arm itself is the symmetric allreduce_merge: no rank
 //     is a root during adaptive epochs, so its residual ingest is the
 //     calibration phase's rooted reduction only,
-//   * deterministic-mode scores bitwise identical across
-//     flat/tree x dense/sparse/auto at every P,
+//   * deterministic-mode scores bitwise identical across flat/tree at
+//     every P,
 //   * tree root ingest bounded by radix x the densify-capped image - the
 //     O(radix) cap that replaces flat's O(P x nnz) growth. (Total moved
 //     bytes legitimately rise with tree depth - pairs cross one hop per
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
                           "per-stream epoch share of the modeled-s section");
   config.options.describe("modeled_eps",
                           "betweenness epsilon of the modeled-s section");
-  config.finish("Tree-merge sparse reductions: root ingest vs P.");
+  config.finish("Tree-merge image reductions: root ingest vs P.");
   bench::print_preamble(
       "Ablation - tree merge (flat | radix 2 | radix 4)",
       "§IV-E hierarchy generalized to the reduction tree; root ingest "
@@ -71,10 +71,8 @@ int main(int argc, char** argv) {
                 config.options.get_u64("ranks", 16))}
           : std::vector<int>{4, 16};
   const int radixes[] = {0, 2, 4};  // 0 = flat
-  const bc::FrameRep reps[] = {bc::FrameRep::kDense, bc::FrameRep::kSparse,
-                               bc::FrameRep::kAuto};
 
-  const auto run = [&](int ranks, int radix, bc::FrameRep rep) {
+  const auto run = [&](int ranks, int radix) {
     bc::KadabraOptions options;
     options.params.epsilon = eps;
     options.params.seed = config.seed;
@@ -87,14 +85,13 @@ int main(int argc, char** argv) {
     options.engine.virtual_streams = static_cast<std::uint64_t>(ranks);
     options.engine.epoch_base = n0_share * static_cast<std::uint64_t>(ranks);
     options.engine.epoch_exponent = 0.0;
-    options.engine.frame_rep = rep;
     options.engine.tree_radix = radix;
     return bc::kadabra_mpi(graph, options, ranks, /*ranks_per_node=*/1,
                            mpisim::NetworkModel::disabled());
   };
 
-  TablePrinter table({"P", "mode", "rep", "epochs", "agg bytes",
-                      "merge bytes", "root ingest"});
+  TablePrinter table({"P", "mode", "epochs", "agg bytes", "merge bytes",
+                      "root ingest"});
   bool bitwise_identical = true;
   bool tree_cuts_ingest = true;
   bool ingest_bounded = true;
@@ -103,38 +100,37 @@ int main(int argc, char** argv) {
   const std::uint64_t dense_image_bytes =
       (static_cast<std::uint64_t>(graph.num_vertices()) + 2) *
       sizeof(std::uint64_t);
-  std::uint64_t rooted_sparse_ingest_pmax = 0;
-  std::uint64_t flat_sparse_ingest_pmax = 0;
-  std::uint64_t tree2_sparse_ingest_pmax = 0;
+  std::uint64_t rooted_ingest_pmax = 0;
+  std::uint64_t flat_ingest_pmax = 0;
+  std::uint64_t tree2_ingest_pmax = 0;
   const int p_max = *std::max_element(rank_counts.begin(), rank_counts.end());
 
   for (const int ranks : rank_counts) {
-    // Per-P baseline: flat x dense. Virtual streams scale with P, so
+    // Per-P baseline: the flat merge. Virtual streams scale with P, so
     // identity is checked within one cluster shape.
-    const bc::BcResult baseline = run(ranks, 0, bc::FrameRep::kDense);
+    const bc::BcResult baseline = run(ranks, 0);
     // The rooted reference: radix = P puts every rank directly under the
     // root - the flat *rooted* reduction a decentralized merge replaced,
     // and the O(P x nnz) ingest the tree arms are measured against.
-    const bc::BcResult rooted = run(ranks, ranks, bc::FrameRep::kSparse);
-    const std::uint64_t rooted_sparse_ingest =
+    const bc::BcResult rooted = run(ranks, ranks);
+    const std::uint64_t rooted_ingest =
         rooted.comm_volume.root_ingest_bytes;
-    if (ranks == p_max) rooted_sparse_ingest_pmax = rooted_sparse_ingest;
+    if (ranks == p_max) rooted_ingest_pmax = rooted_ingest;
     table.add_row(
-        {TablePrinter::fmt_int(ranks), "rooted", "sparse",
+        {TablePrinter::fmt_int(ranks), "rooted",
          TablePrinter::fmt_int(static_cast<long long>(rooted.epochs)),
          TablePrinter::fmt_int(
              static_cast<long long>(rooted.comm_volume.aggregation_bytes())),
          TablePrinter::fmt_int(
              static_cast<long long>(rooted.comm_volume.reduce_merge_bytes)),
          TablePrinter::fmt_int(
-             static_cast<long long>(rooted_sparse_ingest))});
+             static_cast<long long>(rooted_ingest))});
     json.begin_row();
     json.field("ranks", static_cast<double>(ranks));
     json.field("tree_radix", static_cast<double>(ranks));
-    json.field("rep", "rooted_sparse");
+    json.field("mode", "rooted");
     json.field("epochs", static_cast<double>(rooted.epochs));
     json.field("samples", static_cast<double>(rooted.samples));
-    json.field("sparse_wire", 1.0);
     bench::add_comm_volume_fields(json, rooted.comm_volume);
     for (std::size_t v = 0; v < rooted.scores.size(); ++v)
       if (rooted.scores.size() != baseline.scores.size() ||
@@ -144,58 +140,51 @@ int main(int argc, char** argv) {
       }
 
     for (const int radix : radixes) {
-      for (const bc::FrameRep rep : reps) {
-        const bc::BcResult result = run(ranks, radix, rep);
-        const mpisim::CommVolume& volume = result.comm_volume;
-        const bool sparse_wire = rep != bc::FrameRep::kDense;
-        if (radix == 0 && rep == bc::FrameRep::kSparse && ranks == p_max)
-          flat_sparse_ingest_pmax = volume.root_ingest_bytes;
-        if (radix != 0 && sparse_wire) {
-          // The acceptance check: interior merging must strictly shrink
-          // what the root ingests on large P (every image shares at least
-          // the tau pair, and hub overlap shrinks unions further), and
-          // ingest stays under the O(radix) densify cap per epoch.
-          if (ranks >= 16 && rep == bc::FrameRep::kSparse &&
-              volume.root_ingest_bytes >= rooted_sparse_ingest)
-            tree_cuts_ingest = false;
-          if (volume.root_ingest_bytes > static_cast<std::uint64_t>(radix) *
-                                             dense_image_bytes *
-                                             result.epochs)
-            ingest_bounded = false;
-          if (ranks == p_max && radix == 2 && rep == bc::FrameRep::kSparse)
-            tree2_sparse_ingest_pmax = volume.root_ingest_bytes;
+      const bc::BcResult result = run(ranks, radix);
+      const mpisim::CommVolume& volume = result.comm_volume;
+      if (radix == 0 && ranks == p_max)
+        flat_ingest_pmax = volume.root_ingest_bytes;
+      if (radix != 0) {
+        // The acceptance check: interior merging must strictly shrink what
+        // the root ingests on large P (every image shares at least the tau
+        // pair, and hub overlap shrinks unions further), and ingest stays
+        // under the O(radix) densify cap per epoch.
+        if (ranks >= 16 && volume.root_ingest_bytes >= rooted_ingest)
+          tree_cuts_ingest = false;
+        if (volume.root_ingest_bytes > static_cast<std::uint64_t>(radix) *
+                                           dense_image_bytes * result.epochs)
+          ingest_bounded = false;
+        if (ranks == p_max && radix == 2)
+          tree2_ingest_pmax = volume.root_ingest_bytes;
+      }
+
+      if (result.samples != baseline.samples ||
+          result.scores.size() != baseline.scores.size())
+        bitwise_identical = false;
+      for (std::size_t v = 0; v < result.scores.size(); ++v)
+        if (result.scores[v] != baseline.scores[v]) {
+          bitwise_identical = false;
+          break;
         }
 
-        if (result.samples != baseline.samples ||
-            result.scores.size() != baseline.scores.size())
-          bitwise_identical = false;
-        for (std::size_t v = 0; v < result.scores.size(); ++v)
-          if (result.scores[v] != baseline.scores[v]) {
-            bitwise_identical = false;
-            break;
-          }
-
-        const std::string mode =
-            radix == 0 ? "flat" : "tree r=" + std::to_string(radix);
-        table.add_row(
-            {TablePrinter::fmt_int(ranks), mode,
-             epoch::frame_rep_name(rep),
-             TablePrinter::fmt_int(static_cast<long long>(result.epochs)),
-             TablePrinter::fmt_int(
-                 static_cast<long long>(volume.aggregation_bytes())),
-             TablePrinter::fmt_int(
-                 static_cast<long long>(volume.reduce_merge_bytes)),
-             TablePrinter::fmt_int(
-                 static_cast<long long>(volume.root_ingest_bytes))});
-        json.begin_row();
-        json.field("ranks", static_cast<double>(ranks));
-        json.field("tree_radix", static_cast<double>(radix));
-        json.field("rep", epoch::frame_rep_name(rep));
-        json.field("epochs", static_cast<double>(result.epochs));
-        json.field("samples", static_cast<double>(result.samples));
-        json.field("sparse_wire", sparse_wire ? 1.0 : 0.0);
-        bench::add_comm_volume_fields(json, volume);
-      }
+      const std::string mode =
+          radix == 0 ? "flat" : "tree r=" + std::to_string(radix);
+      table.add_row(
+          {TablePrinter::fmt_int(ranks), mode,
+           TablePrinter::fmt_int(static_cast<long long>(result.epochs)),
+           TablePrinter::fmt_int(
+               static_cast<long long>(volume.aggregation_bytes())),
+           TablePrinter::fmt_int(
+               static_cast<long long>(volume.reduce_merge_bytes)),
+           TablePrinter::fmt_int(
+               static_cast<long long>(volume.root_ingest_bytes))});
+      json.begin_row();
+      json.field("ranks", static_cast<double>(ranks));
+      json.field("tree_radix", static_cast<double>(radix));
+      json.field("mode", mode);
+      json.field("epochs", static_cast<double>(result.epochs));
+      json.field("samples", static_cast<double>(result.samples));
+      bench::add_comm_volume_fields(json, volume);
     }
   }
   table.print();
@@ -249,7 +238,6 @@ int main(int argc, char** argv) {
     options.engine.epoch_base =
         modeled_n0_share * static_cast<std::uint64_t>(modeled_ranks);
     options.engine.epoch_exponent = 0.0;
-    options.engine.frame_rep = bc::FrameRep::kSparse;
     options.engine.aggregation = arm.aggregation;
     options.engine.hierarchical = arm.hierarchical;
     options.engine.tree_radix = arm.tree_radix;
@@ -298,17 +286,17 @@ int main(int argc, char** argv) {
               modeled_two_level_overlap_s, modeled_tree_s);
 
   const double ingest_ratio =
-      tree2_sparse_ingest_pmax > 0
-          ? static_cast<double>(rooted_sparse_ingest_pmax) /
-                static_cast<double>(tree2_sparse_ingest_pmax)
+      tree2_ingest_pmax > 0
+          ? static_cast<double>(rooted_ingest_pmax) /
+                static_cast<double>(tree2_ingest_pmax)
           : 0.0;
-  std::printf("\nroot ingest at P=%d (sparse): rooted %llu vs tree r=2 %llu "
+  std::printf("\nroot ingest at P=%d: rooted %llu vs tree r=2 %llu "
               "= %.2fx (decentralized flat: %llu, calibration only)\n",
               p_max,
-              static_cast<unsigned long long>(rooted_sparse_ingest_pmax),
-              static_cast<unsigned long long>(tree2_sparse_ingest_pmax),
+              static_cast<unsigned long long>(rooted_ingest_pmax),
+              static_cast<unsigned long long>(tree2_ingest_pmax),
               ingest_ratio,
-              static_cast<unsigned long long>(flat_sparse_ingest_pmax));
+              static_cast<unsigned long long>(flat_ingest_pmax));
   std::printf("check: tree merge cuts root ingest for P >= 16: %s\n",
               tree_cuts_ingest ? "PASS" : "FAIL");
   std::printf("check: tree root ingest bounded by radix x densify cap: %s\n",
@@ -316,11 +304,11 @@ int main(int argc, char** argv) {
   std::printf("check: bitwise-identical deterministic results: %s\n",
               bitwise_identical ? "PASS" : "FAIL");
   json.summary("rooted_sparse_root_ingest",
-               static_cast<double>(rooted_sparse_ingest_pmax));
+               static_cast<double>(rooted_ingest_pmax));
   json.summary("flat_sparse_root_ingest",
-               static_cast<double>(flat_sparse_ingest_pmax));
+               static_cast<double>(flat_ingest_pmax));
   json.summary("tree2_sparse_root_ingest",
-               static_cast<double>(tree2_sparse_ingest_pmax));
+               static_cast<double>(tree2_ingest_pmax));
   json.summary("rooted_over_tree_ingest", ingest_ratio);
   json.summary("tree_cuts_root_ingest", tree_cuts_ingest ? 1.0 : 0.0);
   json.summary("tree_ingest_bounded", ingest_bounded ? 1.0 : 0.0);

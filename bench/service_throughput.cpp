@@ -124,7 +124,6 @@ int main(int argc, char** argv) {
   base.epoch_base = bench::bench_epoch_base(config);
   base.epoch_exponent = 0.0;
   base.seed = config.seed;
-  base.frame_rep = epoch::FrameRep::kAuto;
   base.network = network;
   base.service_pool_size = pool_size;
   base.service_queue_capacity = 1024;

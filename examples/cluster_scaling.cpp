@@ -6,8 +6,7 @@
 // with the substrate that moved it.
 //
 //   ./cluster_scaling [scale=13] [eps=0.005] [latency_us=2]
-//                     [frame_rep=dense|sparse|auto] [tree_radix=0|2|...]
-//                     [rpn=1] [leader_radix=0|2|...]
+//                     [tree_radix=0|2|...] [rpn=1] [leader_radix=0|2|...]
 //                     [substrate=mpisim|ncclsim]
 //
 // The closing summary is computed from the rows just measured: where the
@@ -30,10 +29,8 @@ int main(int argc, char** argv) {
   options.describe("scale", "log2 vertices of the hyperbolic proxy");
   options.describe("latency_us", "inter-node latency (us)");
   options.describe("eps", "betweenness epsilon");
-  options.describe("frame_rep",
-                   "wire representation of epoch frames (dense|sparse|auto)");
   options.describe("tree_radix",
-                   "tree-merge fan-in for sparse images (0 = flat)");
+                   "tree-merge fan-in for wire images (0 = flat)");
   options.describe("rpn",
                    "simulated ranks per node (>1 enables the two-level "
                    "hierarchical path)");
@@ -50,14 +47,6 @@ int main(int argc, char** argv) {
   gen_params.average_degree = 30.0;
   const auto graph = std::make_shared<const graph::Graph>(
       graph::largest_component(gen::hyperbolic(gen_params, 21)));
-  const std::string rep_name = options.get_string("frame_rep", "auto");
-  const auto parsed_rep = epoch::frame_rep_from_name(rep_name);
-  if (!parsed_rep) {
-    std::fprintf(stderr,
-                 "unknown frame_rep '%s' (valid: dense, sparse, auto)\n",
-                 rep_name.c_str());
-    return 2;
-  }
   const std::string substrate_name = options.get_string("substrate", "mpisim");
   const auto substrate = comm::substrate_from_name(substrate_name);
   if (!substrate) {
@@ -65,19 +54,17 @@ int main(int argc, char** argv) {
                  substrate_name.c_str());
     return 2;
   }
-  const epoch::FrameRep frame_rep = *parsed_rep;
   const auto tree_radix =
       static_cast<int>(options.get_u64("tree_radix", 0));
   const auto ranks_per_node =
       static_cast<int>(options.get_u64("rpn", 1));
   const auto leader_radix =
       static_cast<int>(options.get_u64("leader_radix", 0));
-  std::printf("web proxy: %u vertices, %llu edges, frame_rep=%s, "
-              "tree_radix=%d, rpn=%d, leader_radix=%d, substrate=%s\n\n",
+  std::printf("web proxy: %u vertices, %llu edges, tree_radix=%d, rpn=%d, "
+              "leader_radix=%d, substrate=%s\n\n",
               graph->num_vertices(),
-              static_cast<unsigned long long>(graph->num_edges()),
-              epoch::frame_rep_name(frame_rep), tree_radix, ranks_per_node,
-              leader_radix, substrate_name.c_str());
+              static_cast<unsigned long long>(graph->num_edges()), tree_radix,
+              ranks_per_node, leader_radix, substrate_name.c_str());
 
   comm::NetworkModel network;
   network.remote_latency_s = options.get_double("latency_us", 2.0) * 1e-6;
@@ -100,7 +87,6 @@ int main(int argc, char** argv) {
     config.network = network;
     config.comm_substrate = *substrate;
     config.seed = 5;
-    config.frame_rep = frame_rep;
     config.tree_radix = tree_radix;
     config.hierarchical = config.ranks_per_node > 1;
     config.leader_radix = leader_radix;
@@ -152,18 +138,10 @@ int main(int argc, char** argv) {
                 "%.0f%% of its query time.\n",
                 widest.ranks, 100.0 * widest.sequential_share);
   }
-  const auto dense = static_cast<double>(widest.volume.reduce_bytes);
-  const auto merged = static_cast<double>(widest.volume.reduce_merge_bytes);
-  if (dense > 0.0 && merged > 0.0) {
-    std::printf("At P=%d aggregation moved %.0f B as dense reductions and "
-                "%.0f B as merged images.\n",
-                widest.ranks, dense, merged);
-  } else {
-    std::printf("At P=%d every aggregation byte rode %s (%.0f B).\n",
-                widest.ranks,
-                merged > 0.0 ? "merged wire images (frame_rep=sparse|auto)"
-                             : "dense elementwise reductions",
-                dense + merged);
-  }
+  std::printf("At P=%d aggregation moved %llu B as merged wire images and "
+              "%llu B as elementwise reductions (sample counts).\n",
+              widest.ranks,
+              static_cast<unsigned long long>(widest.volume.reduce_merge_bytes),
+              static_cast<unsigned long long>(widest.volume.reduce_bytes));
   return 0;
 }

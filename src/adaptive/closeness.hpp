@@ -31,8 +31,8 @@ namespace distbc::adaptive {
 
 /// Flat frame layout: [credit sums (n) | squared-credit sums (n) | sources].
 /// A BFS source reaches every vertex of the (connected) graph, so these
-/// frames are dense by nature: once a source is in, the engine's kAuto
-/// image encoder (epoch/frame_codec.hpp) picks the dense image.
+/// frames are dense by nature: once a source is in, the engine's image
+/// encoder (epoch::append_image) picks the dense image.
 class ClosenessFrame {
  public:
   static constexpr double kFixedPointOne = 1048576.0;  // 2^20

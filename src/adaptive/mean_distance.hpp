@@ -29,7 +29,7 @@ namespace distbc::adaptive {
 
 /// Flat moment accumulator: [pair count, sum of d, sum of d^2]. Three
 /// words never benefit from a sparse encoding; once a sample is in, the
-/// engine's kAuto image encoder (epoch/frame_codec.hpp) picks dense.
+/// engine's image encoder (epoch::append_image) picks dense.
 class MomentFrame {
  public:
   MomentFrame() : data_(3, 0) {}

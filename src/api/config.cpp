@@ -171,18 +171,6 @@ const std::vector<Entry>& entries() {
       DISTBC_U64_KEY("virtual_streams", "DISTBC_VIRTUAL_STREAMS",
                      virtual_streams,
                      "deterministic-mode stream count (0 = physical)"),
-      Entry{{"frame_rep", "DISTBC_FRAME_REP",
-             "wire representation: dense | sparse | auto"},
-            [](Config& config, std::string_view value) {
-              const auto parsed = epoch::frame_rep_from_name(value);
-              if (!parsed.has_value())
-                return bad_value("frame_rep", value, "dense|sparse|auto");
-              config.frame_rep = *parsed;
-              return Status::success();
-            },
-            [](const Config& config) {
-              return std::string(epoch::frame_rep_name(config.frame_rep));
-            }},
       Entry{{"tree_radix", "DISTBC_TREE_RADIX",
              "tree-merge radix (0 = flat, else >= 2)"},
             [](Config& config, std::string_view value) {
@@ -391,7 +379,6 @@ engine::EngineOptions Config::engine_options() const {
   options.max_epochs = max_epochs;
   options.deterministic = deterministic;
   options.virtual_streams = virtual_streams;
-  options.frame_rep = frame_rep;
   options.tree_radix = tree_radix;
   options.leader_radix = leader_radix;
   return options;

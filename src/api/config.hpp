@@ -7,9 +7,9 @@
 //
 //   1. built-in defaults        - the field initializers below;
 //   2. environment              - load_env(): DISTBC_<KEY> for every key
-//                                 in the table (e.g. DISTBC_FRAME_REP,
-//                                 DISTBC_TREE_RADIX - the names the old
-//                                 scattered overrides used);
+//                                 in the table (e.g. DISTBC_TREE_RADIX -
+//                                 the names the old scattered overrides
+//                                 used);
 //   3. key=value text           - load_text(): one `key = value` per line,
 //                                 '#' comments;
 //   4. programmatic             - set(key, value) or direct field writes.
@@ -58,7 +58,6 @@ struct Config {
   std::uint64_t max_epochs = 1u << 20;
   bool deterministic = false;
   std::uint64_t virtual_streams = 0;
-  engine::FrameRep frame_rep = engine::FrameRep::kDense;
   int tree_radix = 0;
   /// Leader-level radix of the two-level merge path (hierarchical runs):
   /// 0 = inherit tree_radix, >= 2 overrides it for the inter-node hop

@@ -33,8 +33,6 @@ Status apply_overrides(const EngineOverrides& overrides,
     return Status::error(
         "query override tree_radix must be 0 (flat) or >= 2");
   }
-  if (overrides.frame_rep.has_value())
-    options.frame_rep = *overrides.frame_rep;
   if (overrides.tree_radix.has_value())
     options.tree_radix = *overrides.tree_radix;
   return Status::success();

@@ -61,18 +61,12 @@ namespace distbc::api {
 // --- Typed queries ----------------------------------------------------------
 
 /// Per-query engine overrides: exactly the knobs that do NOT change
-/// deterministic-mode results (bitwise invariant across representations
-/// and tree radixes) and do NOT enter the calibration cache key - so a
-/// service can run mixed configurations on one session or pool without
-/// splitting the cached warm state. Unset fields keep the session Config's
-/// value.
+/// deterministic-mode results (bitwise invariant across tree radixes) and
+/// do NOT enter the calibration cache key - so a service can run mixed
+/// configurations on one session or pool without splitting the cached
+/// warm state. Unset fields keep the session Config's value.
 struct EngineOverrides {
-  std::optional<engine::FrameRep> frame_rep;
   std::optional<int> tree_radix;  // 0 = flat, else >= 2
-
-  [[nodiscard]] bool any() const {
-    return frame_rep.has_value() || tree_radix.has_value();
-  }
 };
 
 /// Approximate betweenness (KADABRA) with optional exact top-k extraction;

@@ -18,8 +18,7 @@
 // cluster shapes and aggregation strategies (tests/test_engine.cpp);
 // kadabra_sequential is the fixed reference configuration and keeps its
 // own denser stop-check schedule, so compare against kadabra_shm with one
-// thread for cross-backend equivalence. Every frame representation runs
-// on epoch::StateFrame; engine.frame_rep only picks the wire format.
+// thread for cross-backend equivalence.
 #pragma once
 
 #include <memory>
@@ -33,9 +32,6 @@ namespace distbc::bc {
 
 /// Aggregation strategy vocabulary, re-exported from the engine.
 using engine::Aggregation;
-
-/// Frame-representation vocabulary, re-exported from the engine.
-using engine::FrameRep;
 
 /// Everything KADABRA's phases 1-2 produce that phase 3 consumes: the
 /// diameter estimate and the calibrated context (omega and the stop
@@ -67,12 +63,10 @@ struct KadabraWarmState {
 struct KadabraOptions {
   KadabraParams params;
   /// Engine configuration: threads per rank, aggregation strategy,
-  /// hierarchical reduction, epoch-length rule, deterministic mode, and
-  /// the frame representation (engine.frame_rep). Every representation
-  /// runs on epoch::StateFrame: kDense reduces its flat array elementwise;
-  /// kSparse/kAuto ship index/count delta images of it, whose size scales
-  /// with samples taken instead of |V|. Deterministic-mode results are
-  /// bitwise identical across representations.
+  /// hierarchical reduction and merge radixes, epoch-length rule,
+  /// deterministic mode. Frames cross the wire as images of
+  /// epoch::StateFrame sized by the samples they hold (index/count deltas
+  /// while those are smaller than |V|).
   engine::EngineOptions engine;
   /// First-stop-check pacing knobs, applied through the one shared clamp
   /// implementation (engine::paced_epoch_cap in engine/streams.hpp): the

@@ -3,9 +3,8 @@
 // (calibration) produce a KadabraContext; phase 3 (adaptive sampling)
 // consults stop_satisfied() on consistent aggregated state frames.
 //
-// The context is frame-representation agnostic: every wire representation
-// aggregates into the same epoch::StateFrame, so one stopping machinery
-// serves them all.
+// The context reads only the aggregated epoch::StateFrame, so it does not
+// depend on how frames crossed the wire.
 //
 // Cache invariant: stop_satisfied reads each vertex's failure shares only
 // as calibration.log_inv_delta_l/u, so those must be log(1 / share) of the

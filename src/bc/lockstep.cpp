@@ -17,19 +17,14 @@ namespace distbc::bc {
 
 namespace {
 
-/// Reduces `local` to `round_agg` at world rank 0, honoring the frame
-/// representation: flat elementwise reduce for kDense, delta images via
-/// reduce_merge otherwise (the same wire formats the epoch engine uses,
-/// minus every overlap trick - this is the baseline).
+/// Reduces `local` to `round_agg` at world rank 0 as wire images over
+/// reduce_merge (the images the epoch engine ships, minus every overlap
+/// trick - this is the baseline).
 void round_reduce(comm::Substrate& world, const epoch::StateFrame& local,
-                  epoch::StateFrame& round_agg, epoch::FrameRep rep,
+                  epoch::StateFrame& round_agg,
                   std::vector<std::uint64_t>& scratch) {
-  if (rep == epoch::FrameRep::kDense) {
-    world.reduce(local.raw(), round_agg.raw(), 0);
-    return;
-  }
   scratch.clear();
-  epoch::append_image(local.raw(), rep, scratch);
+  epoch::append_image(local.raw(), scratch);
   round_agg.clear();
   world.reduce_merge(std::span<const std::uint64_t>(scratch),
                      [&](int, std::span<const std::uint64_t> image) {
@@ -88,7 +83,7 @@ BcResult lockstep_mpi_rank(const graph::Graph& graph,
     epoch::StateFrame local(n);
     for (const auto& frame : frames) local.merge(frame);
     epoch::StateFrame initial(n);
-    round_reduce(world, local, initial, options.frame_rep, wire_scratch);
+    round_reduce(world, local, initial, wire_scratch);
     if (is_root) finish_calibration(context, initial);
   });
 
@@ -129,8 +124,7 @@ BcResult lockstep_mpi_rank(const graph::Graph& graph,
         }
         epoch::StateFrame round_agg(n);
         phases.timed(Phase::kReduction, [&] {
-          round_reduce(world, local, round_agg, options.frame_rep,
-                       wire_scratch);
+          round_reduce(world, local, round_agg, wire_scratch);
         });
         std::uint8_t done_flag = 0;
         if (is_root) {

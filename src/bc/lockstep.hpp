@@ -8,7 +8,6 @@
 
 #include "bc/kadabra_context.hpp"
 #include "bc/result.hpp"
-#include "epoch/frame_codec.hpp"
 #include "graph/graph.hpp"
 #include "comm/substrate.hpp"
 
@@ -21,11 +20,6 @@ struct LockstepOptions {
   std::uint64_t round_share = 0;
   std::uint64_t epoch_base = 1000;
   double epoch_exponent = 1.33;
-  /// Frame representation of the per-round reduction (the lockstep
-  /// baseline aggregates with blocking collectives either way): dense
-  /// elementwise reduce, or sparse/auto delta images via reduce_merge.
-  /// Env defaulting (DISTBC_FRAME_REP) is resolved by api::Config.
-  epoch::FrameRep frame_rep = epoch::FrameRep::kDense;
 };
 
 [[nodiscard]] BcResult lockstep_mpi_rank(const graph::Graph& graph,

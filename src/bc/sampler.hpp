@@ -36,9 +36,7 @@ class PathSampler {
     scratch_.reserve(64);
   }
 
-  /// Takes one sample and records it into `frame`. Every wire
-  /// representation runs on epoch::StateFrame, so this one record path
-  /// serves them all.
+  /// Takes one sample and records it into `frame`.
   void sample(epoch::StateFrame& frame) {
     const auto [s64, t64] = rng_.next_distinct_pair(graph_->num_vertices());
     const auto s = static_cast<graph::Vertex>(s64);

@@ -104,12 +104,6 @@ class Substrate {
   [[nodiscard]] CommStats& stats() { return comm_.stats(); }
   [[nodiscard]] const NetworkModel& network() const { return comm_.network(); }
 
-  /// The interconnect model's charged duration for one collective over
-  /// this communicator's topology moving `bytes` per hop.
-  [[nodiscard]] double modeled_collective_seconds(std::uint64_t bytes) const {
-    return comm_.modeled_collective_seconds(bytes);
-  }
-
   /// Stats snapshot stamped with this substrate's name, so results and
   /// bench JSON attribute the bytes to the profile that moved them.
   [[nodiscard]] CommVolume volume() {
@@ -180,46 +174,6 @@ class Substrate {
                                mpisim::detail::combine_fn<T>(op));
   }
 
-  /// Non-blocking all-reduce; every rank completes once the butterfly's
-  /// modeled deadline passes (§IV-F progression penalty and poll tax
-  /// apply to every rank - all of them progress the butterfly).
-  template <typename T>
-  [[nodiscard]] Request iallreduce(std::span<const T> send, std::span<T> recv,
-                                   ReduceOp op = ReduceOp::kSum) {
-    DISTBC_ASSERT(recv.size() == send.size());
-    return comm_.iallreduce_bytes_impl(as_bytes(send.data()),
-                                       send.size() * sizeof(T), send.size(),
-                                       as_bytes_mut(recv.data()),
-                                       mpisim::detail::combine_fn<T>(op));
-  }
-
-  /// Reduce-scatter: the elementwise reduction of every rank's `send`
-  /// (size() * recv.size() elements each) scattered in rank-order blocks;
-  /// rank r receives block r. One recursive-halving butterfly phase.
-  template <typename T>
-  void reduce_scatter(std::span<const T> send, std::span<T> recv,
-                      ReduceOp op = ReduceOp::kSum) {
-    DISTBC_ASSERT(send.size() ==
-                  recv.size() * static_cast<std::size_t>(size()));
-    comm_.reduce_scatter_bytes_impl(as_bytes(send.data()),
-                                    send.size() * sizeof(T), send.size(),
-                                    as_bytes_mut(recv.data()),
-                                    mpisim::detail::combine_fn<T>(op));
-  }
-
-  /// All-gather: the rank-order concatenation of every rank's `send`
-  /// (equal sizes) delivered to every rank; recv holds size() *
-  /// send.size() elements. One recursive-doubling butterfly phase.
-  /// reduce_scatter + all_gather compose to allreduce.
-  template <typename T>
-  void all_gather(std::span<const T> send, std::span<T> recv) {
-    DISTBC_ASSERT(recv.size() ==
-                  send.size() * static_cast<std::size_t>(size()));
-    comm_.all_gather_bytes_impl(as_bytes(send.data()),
-                                send.size() * sizeof(T),
-                                as_bytes_mut(recv.data()));
-  }
-
   template <typename T>
   void bcast(std::span<T> buffer, int root) {
     comm_.bcast_bytes_impl(as_bytes_mut(buffer.data()),
@@ -284,8 +238,9 @@ class Substrate {
                               erase_merge_all<T>(std::forward<MergeFn>(merge)));
   }
 
-  /// Non-blocking decentralized merge; progresses like iallreduce (§IV-F
-  /// progression penalty, and every rank pays the poll tax). The consumer
+  /// Non-blocking decentralized merge; every rank completes once the
+  /// butterfly's modeled deadline passes (§IV-F progression penalty, and
+  /// every rank pays the poll tax - all of them progress the butterfly). The consumer
   /// must own its state (capture by value): it runs at this rank's
   /// completing test()/wait(), which other ranks' polls may precede.
   template <typename T, typename MergeFn>

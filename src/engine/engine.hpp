@@ -29,15 +29,14 @@
 //   void clear()
 //   void merge(const Frame&)       - equivalent to elementwise sum
 //   std::span<std::uint64_t> raw() - the frame as one flat uint64 array,
-//     the only wire format the engine needs: kDense all-reduces it
-//     elementwise (the paper's §III-B/§IV-F layout, and the dense §IV-E
-//     window pass); kSparse and kAuto encode it into variable-length wire
-//     images (epoch/frame_codec.hpp: dense or sparse index/count deltas),
-//     moved by the substrate's merge family and scatter-added into the
-//     §IV-E window.
-// EngineOptions::frame_rep picks the wire representation. In deterministic
-// mode all representations produce bitwise-identical aggregates: images
-// carry exact uint64 counts and decoding is a commutative elementwise sum.
+//     all the engine needs: every multi-rank aggregation encodes it into a
+//     variable-length wire image sized by its data (epoch/frame_codec.hpp:
+//     sparse index/count deltas while they are smaller, the paper's
+//     §III-B dense layout otherwise), moved by the substrate's merge
+//     family and accumulated into the §IV-E window. Images carry exact
+//     uint64 counts and decode by a commutative elementwise sum, so in
+//     deterministic mode the aggregate does not depend on the topology or
+//     on which images went dense.
 // Requirements on the sampler factory: Sampler make(stream_index) for
 // stream indices in [0, num_streams), where Sampler provides
 // void sample(Frame&). Requirements on the stop functor (evaluated on EVERY
@@ -75,10 +74,6 @@ enum class Aggregation : std::uint8_t {
 [[nodiscard]] std::optional<Aggregation> aggregation_from_name(
     std::string_view name);
 
-/// Wire representation of epoch state frames (epoch/frame_codec.hpp):
-/// dense flat vectors, sparse index/count deltas, or per-payload choice.
-using FrameRep = epoch::FrameRep;
-
 struct EngineOptions {
   int threads_per_rank = 1;
   Aggregation aggregation = Aggregation::kIbarrierReduce;
@@ -103,24 +98,14 @@ struct EngineOptions {
   /// Stream count for deterministic mode (0 = physical thread count).
   /// Fixing it decouples the sample set from the physical layout.
   std::uint64_t virtual_streams = 0;
-  /// Frame representation on the wire: kDense ships the flat |V|+1 vector
-  /// as one elementwise reduction (the paper's layout); kSparse ships
-  /// index/count delta pairs over variable-length merge reductions, making
-  /// aggregation cost proportional to samples taken; kAuto picks the
-  /// smaller image per payload (never loses to the worse fixed choice).
-  /// Process-wide defaulting (the DISTBC_FRAME_REP environment variable)
-  /// lives exclusively in api::Config; the engine itself never peeks at
-  /// the environment.
-  FrameRep frame_rep = epoch::FrameRep::kDense;
   /// Tree-merge aggregation of wire images (mpisim reduce_merge_tree):
   /// 0 = flat (the root ingests every per-rank image); >= 2 = images
   /// combine at interior ranks of a radix-k tree with mid-tree
   /// densification, charging alpha-beta per hop, so root ingest shrinks
   /// from O(P x nnz) to the top-of-tree merged images and latency grows
-  /// with depth instead of P. Only affects the wire-image path; the final
-  /// aggregate is bitwise identical in deterministic mode. Environment
-  /// defaulting (DISTBC_TREE_RADIX) is api::Config's job, not the
-  /// engine's.
+  /// with depth instead of P. The final aggregate is bitwise identical in
+  /// deterministic mode. Environment defaulting (DISTBC_TREE_RADIX) is
+  /// api::Config's job, not the engine's.
   int tree_radix = 0;
   /// Radix of the leader-level (inter-node) merge when `hierarchical` is
   /// set - the top half of the two-level path: ranks pre-reduce over the
@@ -252,13 +237,8 @@ Frame calibrate(comm::Substrate* world, const Frame& prototype,
 
   Frame aggregate(prototype);
   aggregate.clear();
-  if (options.frame_rep == FrameRep::kDense) {
-    world->reduce(std::span<const std::uint64_t>(local.raw()),
-                  aggregate.raw(), 0);
-    return world->rank() == 0 ? aggregate : local;
-  }
   std::vector<std::uint64_t> image;
-  epoch::append_image(local.raw(), options.frame_rep, image);
+  epoch::append_image(local.raw(), image);
   const auto merge_image = [&](int,
                                std::span<const std::uint64_t> contribution) {
     epoch::decode_add_image(aggregate.raw(), contribution);
@@ -296,10 +276,6 @@ EngineResult<Frame> run_epochs(comm::Substrate* world, const Frame& prototype,
                              .local_aggregate = prototype};
   result.aggregate.clear();
   result.local_aggregate.clear();
-  // Whether epoch snapshots cross the wire as variable-length images
-  // (sparse deltas / auto densification) instead of the classic
-  // fixed-size elementwise reduction.
-  const bool wire_images = options.frame_rep != FrameRep::kDense;
 
   const int num_ranks = world != nullptr ? world->size() : 1;
   const int rank = world != nullptr ? world->rank() : 0;
@@ -390,9 +366,8 @@ EngineResult<Frame> run_epochs(comm::Substrate* world, const Frame& prototype,
       std::this_thread::yield();
     };
 
-    // One §IV-F strategy dispatch serving both wire formats: the callers
-    // supply the blocking reduction and the non-blocking starter for
-    // their payload (elementwise spans or encoded images).
+    // One §IV-F strategy dispatch serving every merge shape: the callers
+    // supply the blocking reduction and the non-blocking starter.
     auto run_aggregation = [&](comm::Substrate& global, auto&& blocking_reduce,
                                auto&& start_reduce) {
       switch (options.aggregation) {
@@ -455,8 +430,7 @@ EngineResult<Frame> run_epochs(comm::Substrate* world, const Frame& prototype,
         // Node-local pre-aggregation via the shared window (§IV-E).
         bool in_global = true;
         if (hierarchy.active())
-          in_global =
-              hierarchy.pre_reduce(snapshot.raw(), options.frame_rep);
+          in_global = hierarchy.pre_reduce(snapshot.raw());
 
         // Effective radix of the global merge. Under the two-level path
         // (hierarchy active) the leader hop class may pick its own radix;
@@ -466,33 +440,31 @@ EngineResult<Frame> run_epochs(comm::Substrate* world, const Frame& prototype,
                               ? options.leader_radix
                               : options.tree_radix;
 
-        // Broadcast with the strategy-matching overlap behavior - the
-        // downward leg of paths that merge toward a root.
-        auto distribute = [&](comm::Substrate& comm, auto span) {
-          if (options.aggregation == Aggregation::kBlocking) {
-            // §IV-F's fully blocking variant: no overlap anywhere, the
-            // distribution legs included.
-            comm.bcast(span, 0);
-          } else {
-            comm::Request bcast = comm.ibcast(span, 0);
-            while (!bcast.test()) overlap_sample();
-          }
-        };
         // Ships epoch_agg from `comm` rank zero to every rank of `comm`
-        // as a length-prefixed wire image; receivers rebuild their
-        // epoch_agg from it. Used by the tree path's downward leg and the
-        // two-level path's intra-node redistribution.
+        // as a length-prefixed wire image, with the strategy-matching
+        // overlap behavior; receivers rebuild their epoch_agg from it.
+        // The downward leg of the tree path and of the two-level path's
+        // intra-node redistribution.
         auto distribute_image = [&](comm::Substrate& comm) {
+          auto bcast = [&](std::span<std::uint64_t> span) {
+            if (options.aggregation == Aggregation::kBlocking) {
+              // §IV-F's fully blocking variant: no overlap anywhere, the
+              // distribution legs included.
+              comm.bcast(span, 0);
+            } else {
+              comm::Request request = comm.ibcast(span, 0);
+              while (!request.test()) overlap_sample();
+            }
+          };
           const bool sender = comm.rank() == 0;
           if (sender) {
             wire_buffer.clear();
-            epoch::append_image(epoch_agg.raw(), options.frame_rep,
-                                wire_buffer);
+            epoch::append_image(epoch_agg.raw(), wire_buffer);
           }
           std::uint64_t words = wire_buffer.size();
-          distribute(comm, std::span{&words, 1});
+          bcast(std::span{&words, 1});
           if (!sender) wire_buffer.resize(words);
-          distribute(comm, std::span<std::uint64_t>(wire_buffer));
+          bcast(std::span<std::uint64_t>(wire_buffer));
           if (!sender) {
             epoch_agg.clear();
             epoch::decode_add_image(epoch_agg.raw(), wire_buffer);
@@ -502,82 +474,62 @@ EngineResult<Frame> run_epochs(comm::Substrate* world, const Frame& prototype,
         // Global aggregation (§IV-F strategies), decentralized: every
         // participant ends the phase holding the identical merged epoch
         // aggregate. With hierarchy the merge runs on the node-leader
-        // communicator whose rank zero is world rank zero. The wire-image
-        // path ships the snapshot's encoded image (sparse deltas or
-        // dense, per the representation policy); flat merges ride the
-        // all-reduce flavors (no root hotspot at all), the radix tree
-        // merges toward rank zero and broadcasts the merged image back
-        // down. The classic path all-reduces the flat frame elementwise.
+        // communicator whose rank zero is world rank zero. Each rank ships
+        // its snapshot's wire image; flat merges ride the all-reduce
+        // flavor (no root hotspot at all), the radix tree merges toward
+        // rank zero and broadcasts the merged image back down.
         if (in_global) {
           comm::Substrate& global =
               hierarchy.active() ? hierarchy.global() : *world;
-          if (!wire_images) {
-            const std::span<const std::uint64_t> send(snapshot.raw());
-            run_aggregation(
-                global, [&] { global.allreduce(send, epoch_agg.raw()); },
-                [&] { return global.iallreduce(send, epoch_agg.raw()); });
-          } else {
-            wire_buffer.clear();
-            epoch::append_image(snapshot.raw(), options.frame_rep,
-                                wire_buffer);
-            epoch_agg.clear();
-            auto merge_image = [&](int,
-                                   std::span<const std::uint64_t> image) {
-              epoch::decode_add_image(epoch_agg.raw(), image);
+          wire_buffer.clear();
+          epoch::append_image(snapshot.raw(), wire_buffer);
+          epoch_agg.clear();
+          auto merge_image = [&](int, std::span<const std::uint64_t> image) {
+            epoch::decode_add_image(epoch_agg.raw(), image);
+          };
+          const std::span<const std::uint64_t> send(wire_buffer);
+          if (radix >= 2) {
+            // Tree merge: images combine at interior ranks, so the root
+            // ingests only the top-of-tree merged images. The combiner
+            // captures by VALUE: the slot stores the first poster's
+            // closure and invokes it at the last arrival, by which time a
+            // fast non-root rank's non-blocking aggregation has completed
+            // and this epoch scope is gone (use-after-scope otherwise; the
+            // golden-score tests run this shape under ASan).
+            const std::size_t dense_words = snapshot.raw().size();
+            auto combine_image = [dense_words](
+                                     std::vector<std::uint64_t>& acc,
+                                     std::span<const std::uint64_t> in) {
+              epoch::merge_images(acc, in, dense_words);
             };
-            const std::span<const std::uint64_t> send(wire_buffer);
-            if (radix >= 2) {
-              // Tree merge: images combine at interior ranks, so the root
-              // ingests only the top-of-tree merged images. The combiner
-              // captures by VALUE: the slot stores the first poster's
-              // closure and invokes it at the last arrival, by which time
-              // a fast non-root rank's non-blocking aggregation has
-              // completed and this epoch scope is gone (use-after-scope
-              // otherwise; the parity tests run this shape under ASan).
-              const std::size_t dense_words = snapshot.raw().size();
-              auto combine_image = [dense_words](
-                                       std::vector<std::uint64_t>& acc,
-                                       std::span<const std::uint64_t> in) {
-                epoch::merge_images(acc, in, dense_words);
-              };
-              run_aggregation(
-                  global,
-                  [&] {
-                    global.reduce_merge_tree(send, combine_image, merge_image,
-                                             0, radix);
-                  },
-                  [&] {
-                    return global.ireduce_merge_tree(send, combine_image,
-                                                     merge_image, 0, radix);
-                  });
-              // Downward leg: the merged image returns to every
-              // participant, completing the all-reduce semantics the flat
-              // flavor gets natively.
-              result.phases.timed(Phase::kBroadcast,
-                                  [&] { distribute_image(global); });
-            } else {
-              run_aggregation(
-                  global,
-                  [&] { global.allreduce_merge(send, merge_image); },
-                  [&] {
-                    return global.iallreduce_merge(send, merge_image);
-                  });
-            }
+            run_aggregation(
+                global,
+                [&] {
+                  global.reduce_merge_tree(send, combine_image, merge_image,
+                                           0, radix);
+                },
+                [&] {
+                  return global.ireduce_merge_tree(send, combine_image,
+                                                   merge_image, 0, radix);
+                });
+            // Downward leg: the merged image returns to every participant,
+            // completing the all-reduce semantics the flat flavor gets
+            // natively.
+            result.phases.timed(Phase::kBroadcast,
+                                [&] { distribute_image(global); });
+          } else {
+            run_aggregation(
+                global, [&] { global.allreduce_merge(send, merge_image); },
+                [&] { return global.iallreduce_merge(send, merge_image); });
           }
         }
 
         // Two-level downward leg: leaders now hold the global aggregate;
-        // redistribute it over the intra-node communicator so non-leader
-        // ranks hold it too (as a wire image under a sparse or auto
-        // representation, as the flat frame under kDense).
+        // redistribute its wire image over the intra-node communicator so
+        // non-leader ranks hold it too.
         if (hierarchy.active()) {
-          result.phases.timed(Phase::kBroadcast, [&] {
-            if (wire_images) {
-              distribute_image(hierarchy.node());
-            } else {
-              distribute(hierarchy.node(), epoch_agg.raw());
-            }
-          });
+          result.phases.timed(Phase::kBroadcast,
+                              [&] { distribute_image(hierarchy.node()); });
         }
 
         // Decentralized termination: every rank holds the identical

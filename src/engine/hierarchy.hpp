@@ -7,13 +7,12 @@
 // reduction. This shrinks the global reduction from P to P/ranks_per_node
 // participants at the cost of one cheap intra-node window pass.
 //
-// The window itself is always the dense flat frame; what varies is how a
-// rank's snapshot enters it. Under kDense a rank accumulates its whole
-// flat frame (the original path). Under a sparse or auto representation it
-// scatter-adds its encoded delta pairs, so the intra-node pass moves
-// O(nonzeros); the leader then re-reads the dense node aggregate and ships
-// whatever encoding the global representation policy picks - typically
-// dense, since the node aggregate is the union of its ranks' deltas ("only
+// The window itself is always the dense flat frame; a rank's snapshot
+// enters it as its wire image (epoch/frame_codec.hpp). A sparse image
+// scatter-adds its delta pairs, so the intra-node pass moves O(nonzeros);
+// a dense one accumulates the whole frame. The leader then re-reads the
+// node aggregate and ships whichever image is smaller - typically dense,
+// since the node aggregate is the union of its ranks' deltas ("only
 // leaders ship dense data when that is cheaper").
 #pragma once
 
@@ -48,23 +47,16 @@ class Hierarchy {
   /// Collective over the node communicator. Returns true iff this rank is
   /// the node leader, in which case `frame` now holds the whole node's
   /// aggregate and the caller must forward it into the global reduction
-  /// via global(). `rep` selects how the frame enters the window: whole
-  /// under kDense, as its wire image otherwise.
-  [[nodiscard]] bool pre_reduce(
-      std::span<std::uint64_t> frame,
-      epoch::FrameRep rep = epoch::FrameRep::kDense) {
+  /// via global(). The frame enters the window as its wire image.
+  [[nodiscard]] bool pre_reduce(std::span<std::uint64_t> frame) {
     DISTBC_ASSERT(active_);
-    if (rep == epoch::FrameRep::kDense) {
-      window_->accumulate(std::span<const std::uint64_t>(frame));
+    image_.clear();
+    epoch::append_image(frame, image_);
+    const std::span<const std::uint64_t> image(image_);
+    if (epoch::is_dense_image(image)) {
+      window_->accumulate(image.subspan(1));
     } else {
-      image_.clear();
-      epoch::append_image(frame, rep, image_);
-      const std::span<const std::uint64_t> image(image_);
-      if (epoch::image_rep(image) == epoch::FrameRep::kDense) {
-        window_->accumulate(image.subspan(1));
-      } else {
-        window_->accumulate_pairs(image.subspan(2));
-      }
+      window_->accumulate_pairs(image.subspan(2));
     }
     local_->barrier();
     const bool leader = local_->rank() == 0;
@@ -104,9 +96,6 @@ class Hierarchy {
     DISTBC_ASSERT(active_);
     return *local_;
   }
-
-  /// Payload moved by the hierarchical substrate (window + leader comm).
-  [[nodiscard]] std::uint64_t comm_bytes() { return volume().total(); }
 
   /// Per-collective byte breakdown of the hierarchical substrate.
   [[nodiscard]] comm::CommVolume volume() {

@@ -2,26 +2,6 @@
 
 namespace distbc::epoch {
 
-const char* frame_rep_name(FrameRep rep) {
-  switch (rep) {
-    case FrameRep::kDense:
-      return "dense";
-    case FrameRep::kSparse:
-      return "sparse";
-    case FrameRep::kAuto:
-      return "auto";
-  }
-  return "?";
-}
-
-std::optional<FrameRep> frame_rep_from_name(std::string_view name) {
-  for (const FrameRep rep :
-       {FrameRep::kDense, FrameRep::kSparse, FrameRep::kAuto}) {
-    if (name == frame_rep_name(rep)) return rep;
-  }
-  return std::nullopt;
-}
-
 void append_dense_image(std::span<const std::uint64_t> dense,
                         std::vector<std::uint64_t>& out) {
   out.reserve(out.size() + dense_image_words(dense.size()));
@@ -44,24 +24,19 @@ void append_sparse_image_scan(std::span<const std::uint64_t> dense,
   out[npairs_slot] = npairs;
 }
 
-FrameRep append_image(std::span<const std::uint64_t> dense,
-                      FrameRep preference, std::vector<std::uint64_t>& out) {
-  if (preference == FrameRep::kAuto) {
-    // Count nonzeros only until the sparse image stops paying.
-    std::size_t npairs = 0;
-    for (std::size_t i = 0; i < dense.size(); ++i) {
-      npairs += dense[i] != 0;
-      if (!sparse_pays(npairs, dense.size())) break;
-    }
-    preference = sparse_pays(npairs, dense.size()) ? FrameRep::kSparse
-                                                   : FrameRep::kDense;
+void append_image(std::span<const std::uint64_t> dense,
+                  std::vector<std::uint64_t>& out) {
+  // Count nonzeros only until the sparse image stops paying.
+  std::size_t npairs = 0;
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    npairs += dense[i] != 0;
+    if (!sparse_pays(npairs, dense.size())) break;
   }
-  if (preference == FrameRep::kDense) {
-    append_dense_image(dense, out);
-  } else {
+  if (sparse_pays(npairs, dense.size())) {
     append_sparse_image_scan(dense, out);
+  } else {
+    append_dense_image(dense, out);
   }
-  return preference;
 }
 
 void decode_add_image(std::span<std::uint64_t> dense,
@@ -99,12 +74,12 @@ std::vector<std::uint64_t> densified(std::span<const std::uint64_t> image,
 void merge_images(std::vector<std::uint64_t>& acc,
                   std::span<const std::uint64_t> in, std::size_t dense_words) {
   DISTBC_ASSERT(!acc.empty() && !in.empty());
-  if (image_rep(acc) == FrameRep::kDense) {
+  if (is_dense_image(acc)) {
     DISTBC_ASSERT(acc.size() == dense_image_words(dense_words));
     decode_add_image(std::span<std::uint64_t>(acc).subspan(1), in);
     return;
   }
-  if (image_rep(in) == FrameRep::kDense) {
+  if (is_dense_image(in)) {
     std::vector<std::uint64_t> dense(in.begin(), in.end());
     decode_add_image(std::span<std::uint64_t>(dense).subspan(1),
                      std::span<const std::uint64_t>(acc));

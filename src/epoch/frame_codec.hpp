@@ -1,5 +1,5 @@
-// Wire images for epoch state frames - the pluggable frame-representation
-// layer.
+// Wire images for epoch state frames - the one wire format every
+// multi-rank aggregation ships.
 //
 // A frame's *wire image* is a self-describing flat uint64 sequence:
 //   dense : [kDenseTag,  w_0 ... w_{W-1}]                 W = dense words
@@ -8,36 +8,23 @@
 // *additive* merge into dense storage: dense images add elementwise, sparse
 // images scatter-add their pairs. Every frame is a flat uint64 array
 // (raw()), and the functions below build and read images straight from
-// that span, so any frame rides every representation-aware data path (the
-// engine's variable-length aggregation, comm::Substrate's merge family, the
-// §IV-E shared window) without a codec of its own.
+// that span, so any frame rides every aggregation path (the engine's
+// variable-length aggregation, comm::Substrate's merge family, the §IV-E
+// shared window) without a codec of its own.
 //
-// Representation selection (FrameRep):
-//   kDense  - always the dense image: one word per slot, the paper's §III-B
-//             layout, aggregation cost proportional to |V|.
-//   kSparse - always index/count pairs, even past the size crossover; the
-//             honest "fixed sparse" arm of the ablation.
-//   kAuto   - per-payload choice: pairs while they undercut the dense
-//             image, dense afterwards. Auto therefore never ships more
-//             than min(dense, sparse) - it cannot lose to the worse fixed
-//             representation.
+// append_image sizes each image by its data: pairs while they undercut the
+// dense image, the paper's §III-B dense layout afterwards. An image is
+// therefore never larger than the dense frame plus its tag word, and a
+// frame holding few samples costs O(nonzeros) instead of O(|V|).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "support/assert.hpp"
 
 namespace distbc::epoch {
-
-enum class FrameRep : std::uint8_t { kDense, kSparse, kAuto };
-
-[[nodiscard]] const char* frame_rep_name(FrameRep rep);
-[[nodiscard]] std::optional<FrameRep> frame_rep_from_name(
-    std::string_view name);
 
 inline constexpr std::uint64_t kDenseTag = 0;
 inline constexpr std::uint64_t kSparseTag = 1;
@@ -52,10 +39,11 @@ inline constexpr std::uint64_t kSparseTag = 1;
   return 2 + 2 * npairs;
 }
 
-/// The representation an encoded image carries.
-[[nodiscard]] inline FrameRep image_rep(std::span<const std::uint64_t> image) {
+/// True iff an encoded image carries the dense representation.
+[[nodiscard]] inline bool is_dense_image(
+    std::span<const std::uint64_t> image) {
   DISTBC_ASSERT(!image.empty());
-  return image.front() == kDenseTag ? FrameRep::kDense : FrameRep::kSparse;
+  return image.front() == kDenseTag;
 }
 
 /// Appends the dense image of `dense` to `out`.
@@ -68,17 +56,17 @@ void append_sparse_image_scan(std::span<const std::uint64_t> dense,
                               std::vector<std::uint64_t>& out);
 
 /// True iff a sparse image of `npairs` pairs is smaller than the dense
-/// image of a `dense_words`-slot frame - the kAuto rule.
+/// image of a `dense_words`-slot frame - the size rule of append_image.
 [[nodiscard]] inline bool sparse_pays(std::size_t npairs,
                                       std::size_t dense_words) {
   return sparse_image_words(npairs) < dense_image_words(dense_words);
 }
 
-/// Appends the wire image of the flat frame `dense` to `out`, honoring
-/// `preference` (kSparse forces pairs, kDense the flat image, kAuto the
-/// smaller of the two). Returns the representation actually emitted.
-FrameRep append_image(std::span<const std::uint64_t> dense,
-                      FrameRep preference, std::vector<std::uint64_t>& out);
+/// Appends the wire image of the flat frame `dense` to `out`: the sparse
+/// image while it is smaller than the dense one (sparse_pays), the dense
+/// image otherwise.
+void append_image(std::span<const std::uint64_t> dense,
+                  std::vector<std::uint64_t>& out);
 
 /// Additively combines wire image `in` into `acc` (both images over the
 /// same `dense_words`-slot space), re-encoding the result in place - the

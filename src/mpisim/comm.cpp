@@ -149,8 +149,7 @@ std::chrono::nanoseconds stretch_nonblocking(
 /// root-like (all arrivals plus the modeled butterfly deadline), then
 /// performs its own copy-out or merge replay.
 bool is_symmetric(SlotKind kind) {
-  return kind == SlotKind::kAllreduce || kind == SlotKind::kReduceScatter ||
-         kind == SlotKind::kAllGather || kind == SlotKind::kAllreduceMerge;
+  return kind == SlotKind::kAllreduce || kind == SlotKind::kAllreduceMerge;
 }
 
 /// Sets up the radix tree's deferred interior-combine schedule at last
@@ -249,10 +248,8 @@ void post_collective(CommState& state, std::uint64_t ticket, int rank,
     slot.radix = spec.radix;
     slot.contribs.resize(state.size());
   }
-  const bool fixed_size = spec.kind == SlotKind::kReduce ||
-                          spec.kind == SlotKind::kAllreduce ||
-                          spec.kind == SlotKind::kReduceScatter ||
-                          spec.kind == SlotKind::kAllGather;
+  const bool fixed_size =
+      spec.kind == SlotKind::kReduce || spec.kind == SlotKind::kAllreduce;
   DISTBC_ASSERT_MSG(slot.root == spec.root &&
                         slot.nonblocking == spec.nonblocking &&
                         slot.radix == spec.radix &&
@@ -318,20 +315,6 @@ void post_collective(CommState& state, std::uint64_t ticket, int rank,
         state.stats.bcast_bytes.fetch_add(fan_bytes,
                                           std::memory_order_relaxed);
         break;
-      case SlotKind::kReduceScatter:
-        cost = state.model.butterfly_cost(wire_bytes,
-                                          state.max_ranks_per_node,
-                                          state.num_nodes);
-        state.stats.reduce_bytes.fetch_add(fan_bytes,
-                                           std::memory_order_relaxed);
-        break;
-      case SlotKind::kAllGather:
-        cost = state.model.butterfly_cost(wire_bytes,
-                                          state.max_ranks_per_node,
-                                          state.num_nodes);
-        state.stats.gatherv_bytes.fetch_add(fan_bytes,
-                                            std::memory_order_relaxed);
-        break;
       case SlotKind::kAllreduceMerge: {
         // Butterfly at the largest image. Every rank's image crosses the
         // wire at least once (counted here); the down phase carries
@@ -392,20 +375,12 @@ void run_completion_action(CommState& state, Slot& slot) {
         slot.merge(it->first, it->second.data(), it->second.size());
       break;
     case SlotKind::kAllreduce:
-    case SlotKind::kReduceScatter:
       // One shared full reduction in rank order (bitwise identical to the
-      // rooted combine); each rank slices its share out at its own
-      // completion.
+      // rooted combine); each rank copies it out at its own completion.
       slot.payload = slot.contribs[0];
       for (int r = 1; r < state.size(); ++r)
         slot.combine(slot.payload.data(), slot.contribs[r].data(),
                      slot.count);
-      break;
-    case SlotKind::kAllGather:
-      slot.payload.clear();
-      for (const auto& contrib : slot.contribs)
-        slot.payload.insert(slot.payload.end(), contrib.begin(),
-                            contrib.end());
       break;
     case SlotKind::kAllreduceMerge:
       break;  // per-rank consumers; nothing shared to do
@@ -424,18 +399,6 @@ void complete_symmetric(CommState& state, Slot& slot, int rank,
     case SlotKind::kAllreduce: {
       DISTBC_ASSERT(recv != nullptr);
       std::memcpy(recv, slot.payload.data(), slot.bytes);
-      break;
-    }
-    case SlotKind::kReduceScatter: {
-      DISTBC_ASSERT(recv != nullptr);
-      const std::size_t block =
-          slot.bytes / static_cast<std::size_t>(state.size());
-      std::memcpy(recv, slot.payload.data() + block * rank, block);
-      break;
-    }
-    case SlotKind::kAllGather: {
-      DISTBC_ASSERT(recv != nullptr);
-      std::memcpy(recv, slot.payload.data(), slot.payload.size());
       break;
     }
     case SlotKind::kAllreduceMerge: {
@@ -692,43 +655,6 @@ void Comm::allreduce_bytes_impl(const std::byte* send, std::size_t bytes,
   wait_collective(*state_, ticket, rank_, recv);
 }
 
-Request Comm::iallreduce_bytes_impl(const std::byte* send, std::size_t bytes,
-                                    std::size_t count, std::byte* recv,
-                                    detail::CombineFn combine) {
-  DISTBC_ASSERT(valid());
-  const std::uint64_t ticket = next_ticket();
-  state_->stats.allreduce_calls.fetch_add(1, std::memory_order_relaxed);
-  PostSpec spec = symmetric_spec(SlotKind::kAllreduce, /*nonblocking=*/true);
-  spec.count = count;
-  spec.combine = combine;
-  post_collective(*state_, ticket, rank_, send, bytes, std::move(spec));
-  return make_request(ticket, recv);
-}
-
-void Comm::reduce_scatter_bytes_impl(const std::byte* send, std::size_t bytes,
-                                     std::size_t count, std::byte* recv,
-                                     detail::CombineFn combine) {
-  DISTBC_ASSERT(valid());
-  const std::uint64_t ticket = next_ticket();
-  state_->stats.reduce_scatter_calls.fetch_add(1, std::memory_order_relaxed);
-  PostSpec spec =
-      symmetric_spec(SlotKind::kReduceScatter, /*nonblocking=*/false);
-  spec.count = count;
-  spec.combine = combine;
-  post_collective(*state_, ticket, rank_, send, bytes, std::move(spec));
-  wait_collective(*state_, ticket, rank_, recv);
-}
-
-void Comm::all_gather_bytes_impl(const std::byte* send, std::size_t bytes,
-                                 std::byte* recv) {
-  DISTBC_ASSERT(valid());
-  const std::uint64_t ticket = next_ticket();
-  state_->stats.all_gather_calls.fetch_add(1, std::memory_order_relaxed);
-  PostSpec spec = symmetric_spec(SlotKind::kAllGather, /*nonblocking=*/false);
-  post_collective(*state_, ticket, rank_, send, bytes, std::move(spec));
-  wait_collective(*state_, ticket, rank_, recv);
-}
-
 void Comm::allmerge_bytes_impl(const std::byte* send, std::size_t bytes,
                                detail::MergeBytesFn merge) {
   DISTBC_ASSERT(valid());
@@ -882,12 +808,7 @@ Request Comm::ibcast_bytes_impl(std::byte* buffer, std::size_t bytes,
   const std::uint64_t ticket = next_ticket();
   state_->stats.bcast_calls.fetch_add(1, std::memory_order_relaxed);
   post_bcast(*state_, ticket, rank_, buffer, bytes, root);
-  auto impl = std::make_shared<Request::Impl>();
-  impl->state = state_;
-  impl->ticket = ticket;
-  impl->rank = rank_;
-  impl->recv = buffer;
-  return Request(std::move(impl));
+  return make_request(ticket, buffer);
 }
 
 // --- Request ----------------------------------------------------------------
@@ -943,8 +864,6 @@ bool poll_request(Request::Impl& impl, bool blocking) {
     case SlotKind::kTreeMerge:
     case SlotKind::kGatherv:
     case SlotKind::kAllreduce:
-    case SlotKind::kReduceScatter:
-    case SlotKind::kAllGather:
     case SlotKind::kAllreduceMerge:
       if (blocking) {
         wait_collective(state, impl.ticket, impl.rank, impl.recv);

@@ -6,9 +6,8 @@
 // cost model (see network.hpp). Comm is the byte-level plane of the MPI
 // subset the paper's algorithm needs - Reduce / Ireduce / Ibarrier / Bcast /
 // Ibcast / communicator split / an RMA window - plus the all-reduce family
-// (allreduce / reduce_scatter / all_gather / allreduce_merge, priced as
-// recursive-halving/doubling butterflies) that decentralized termination
-// rides. The typed surface over it, with the per-collective contracts
+// (allreduce / allreduce_merge, priced as recursive-halving/doubling
+// butterflies) that decentralized termination rides. The typed surface over it, with the per-collective contracts
 // (eager sends, ticket matching, merge-callable lifetimes), is
 // comm::Substrate (comm/substrate.hpp).
 #pragma once
@@ -67,8 +66,8 @@ CombineFn combine_fn(ReduceOp op) {
 
 enum class SlotKind : std::uint8_t { kBarrier, kReduce, kReduceMerge,
                                      kTreeMerge, kGatherv, kBcast,
-                                     kAllreduce, kReduceScatter, kAllGather,
-                                     kAllreduceMerge, kSplit, kWindow };
+                                     kAllreduce, kAllreduceMerge, kSplit,
+                                     kWindow };
 
 /// Root-side consumer of one variable-length contribution:
 /// (source rank, payload pointer, payload bytes).
@@ -249,15 +248,6 @@ class Comm {
   [[nodiscard]] CommStats& stats() { return state_->stats; }
   [[nodiscard]] const NetworkModel& network() const { return state_->model; }
 
-  /// The interconnect model's charged duration for one collective over this
-  /// communicator's topology moving `bytes` per hop.
-  [[nodiscard]] double modeled_collective_seconds(std::uint64_t bytes) const {
-    return std::chrono::duration<double>(
-               state_->model.collective_cost(bytes, state_->max_ranks_per_node,
-                                             state_->num_nodes))
-        .count();
-  }
-
   /// Collective: creates (or attaches to) a shared window of `bytes` zeroed
   /// bytes. All ranks receive the same state. Used by comm::Window<T>.
   [[nodiscard]] std::shared_ptr<detail::WindowState> window_collective(
@@ -288,14 +278,6 @@ class Comm {
   void allreduce_bytes_impl(const std::byte* send, std::size_t bytes,
                             std::size_t count, std::byte* recv,
                             detail::CombineFn combine);
-  Request iallreduce_bytes_impl(const std::byte* send, std::size_t bytes,
-                                std::size_t count, std::byte* recv,
-                                detail::CombineFn combine);
-  void reduce_scatter_bytes_impl(const std::byte* send, std::size_t bytes,
-                                 std::size_t count, std::byte* recv,
-                                 detail::CombineFn combine);
-  void all_gather_bytes_impl(const std::byte* send, std::size_t bytes,
-                             std::byte* recv);
   void allmerge_bytes_impl(const std::byte* send, std::size_t bytes,
                            detail::MergeBytesFn merge);
   Request iallmerge_bytes_impl(const std::byte* send, std::size_t bytes,
@@ -313,8 +295,8 @@ class Comm {
   std::uint64_t next_ticket() { return ticket_++; }
 
   /// A Request handle for a freshly posted non-blocking slot. `recv` is
-  /// the completion destination of the all-reduce family (null for the
-  /// rooted flavors, whose destination lives in the slot).
+  /// the completion destination of an ibcast (null for the reduction
+  /// flavors, whose destination lives in the slot or the merge consumer).
   [[nodiscard]] Request make_request(std::uint64_t ticket,
                                      std::byte* recv = nullptr);
 

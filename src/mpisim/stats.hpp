@@ -42,9 +42,9 @@ struct CommVolume {
     return static_cast<double>(modeled_critical_ns) * 1e-9;
   }
 
-  /// Bytes moved by the epoch-aggregation paths (dense elementwise
-  /// reductions, sparse merge reductions, and the window/p2p substrate the
-  /// hierarchical pre-reduction rides) - the ablation_frame_rep metric.
+  /// Bytes moved by the epoch-aggregation paths (elementwise reductions,
+  /// wire-image merge reductions, and the window/p2p substrate the
+  /// hierarchical pre-reduction rides) - the comm-volume bench's metric.
   [[nodiscard]] std::uint64_t aggregation_bytes() const {
     return reduce_bytes + reduce_merge_bytes + gatherv_bytes + p2p_bytes;
   }
@@ -78,8 +78,6 @@ struct CommStats {
   std::atomic<std::uint64_t> ibarrier_calls{0};
   std::atomic<std::uint64_t> bcast_calls{0};
   std::atomic<std::uint64_t> allreduce_calls{0};
-  std::atomic<std::uint64_t> reduce_scatter_calls{0};
-  std::atomic<std::uint64_t> all_gather_calls{0};
   std::atomic<std::uint64_t> allreduce_merge_calls{0};
   std::atomic<std::uint64_t> p2p_messages{0};
   /// Payload bytes moved by reductions: buffer size x (participants - 1),
@@ -141,8 +139,6 @@ struct CommStats {
     ibarrier_calls = 0;
     bcast_calls = 0;
     allreduce_calls = 0;
-    reduce_scatter_calls = 0;
-    all_gather_calls = 0;
     allreduce_merge_calls = 0;
     p2p_messages = 0;
     reduce_bytes = 0;

@@ -216,72 +216,45 @@ TEST(MeanDistance, WorksAcrossClusterShapes) {
   }
 }
 
-// --- Representation parity -------------------------------------------------
+// --- Wire bytes ------------------------------------------------------------
 
-/// Deterministic 4-rank x 2-thread engine options under `rep`.
-engine::EngineOptions parity_engine(engine::FrameRep rep) {
+/// Deterministic 4-rank x 2-thread engine options.
+engine::EngineOptions wire_engine() {
   engine::EngineOptions options;
   options.threads_per_rank = 2;
   options.deterministic = true;
   options.virtual_streams = 8;
   options.epoch_base = 64;
   options.epoch_exponent = 0.0;
-  options.frame_rep = rep;
   return options;
 }
 
-graph::Graph parity_graph() {
+graph::Graph wire_graph() {
   return graph::largest_component(gen::erdos_renyi(300, 900, 7));
 }
 
 // Both drivers' frames reach the wire through the codec's free functions
-// over their flat raw() arrays. The representation must not change the
-// result, and the bytes each one moves are pinned: a codec change that
-// moves them must show up here.
-TEST(RepresentationParity, ClosenessIsBitwiseIdenticalAcrossReps) {
-  const graph::Graph graph = parity_graph();
-  auto run = [&](engine::FrameRep rep) {
-    ClosenessParams params;
-    params.epsilon = 0.08;
-    params.engine = parity_engine(rep);
-    return closeness_mpi(graph, params, 4, 1,
-                         comm::NetworkModel::disabled());
-  };
-  const ClosenessResult dense = run(engine::FrameRep::kDense);
-  const ClosenessResult sparse = run(engine::FrameRep::kSparse);
-  const ClosenessResult automatic = run(engine::FrameRep::kAuto);
-  ASSERT_GT(dense.samples, 0u);
-  for (const ClosenessResult* other : {&sparse, &automatic}) {
-    EXPECT_EQ(other->samples, dense.samples);
-    EXPECT_EQ(other->epochs, dense.epochs);
-    EXPECT_EQ(other->scores, dense.scores);
-  }
-  EXPECT_EQ(sparse.comm_volume.aggregation_bytes(), 345624u);
-  EXPECT_EQ(automatic.comm_volume.aggregation_bytes(), 172824u);
+// over their flat raw() arrays. The bytes each one moves are pinned: a
+// codec change that moves them must show up here (their scores are pinned
+// by the GoldenScores digests in test_determinism).
+TEST(WireBytes, ClosenessAggregationBytesArePinned) {
+  ClosenessParams params;
+  params.epsilon = 0.08;
+  params.engine = wire_engine();
+  const ClosenessResult result = closeness_mpi(
+      wire_graph(), params, 4, 1, comm::NetworkModel::disabled());
+  ASSERT_GT(result.samples, 0u);
+  EXPECT_EQ(result.comm_volume.aggregation_bytes(), 172824u);
 }
 
-TEST(RepresentationParity, MeanDistanceIsBitwiseIdenticalAcrossReps) {
-  const graph::Graph graph = parity_graph();
-  auto run = [&](engine::FrameRep rep) {
-    MeanDistanceParams params;
-    params.epsilon = 0.05;
-    params.engine = parity_engine(rep);
-    return mean_distance_mpi(graph, params, 4, 1,
-                             comm::NetworkModel::disabled());
-  };
-  const MeanDistanceResult dense = run(engine::FrameRep::kDense);
-  const MeanDistanceResult sparse = run(engine::FrameRep::kSparse);
-  const MeanDistanceResult automatic = run(engine::FrameRep::kAuto);
-  ASSERT_GT(dense.samples, 0u);
-  for (const MeanDistanceResult* other : {&sparse, &automatic}) {
-    EXPECT_EQ(other->samples, dense.samples);
-    EXPECT_EQ(other->epochs, dense.epochs);
-    EXPECT_EQ(other->mean, dense.mean);
-    EXPECT_EQ(other->stddev, dense.stddev);
-    EXPECT_EQ(other->half_width, dense.half_width);
-  }
-  EXPECT_EQ(sparse.comm_volume.aggregation_bytes(), 22296u);
-  EXPECT_EQ(automatic.comm_volume.aggregation_bytes(), 11160u);
+TEST(WireBytes, MeanDistanceAggregationBytesArePinned) {
+  MeanDistanceParams params;
+  params.epsilon = 0.05;
+  params.engine = wire_engine();
+  const MeanDistanceResult result = mean_distance_mpi(
+      wire_graph(), params, 4, 1, comm::NetworkModel::disabled());
+  ASSERT_GT(result.samples, 0u);
+  EXPECT_EQ(result.comm_volume.aggregation_bytes(), 11160u);
 }
 
 }  // namespace

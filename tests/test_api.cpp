@@ -1,6 +1,6 @@
 // Tests for the distbc::api facade: Session::run must be bitwise identical
-// to calling the drivers directly in deterministic mode (across frame
-// representations and tree radixes), session reuse must skip recalibration
+// to calling the drivers directly in deterministic mode (across tree
+// radixes), session reuse must skip recalibration
 // (zero kDiameter/kCalibration phase time on the second query), and
 // api::Config must resolve env < text < programmatic with unknown keys
 // rejected.
@@ -39,7 +39,7 @@ graph::Graph disconnected_graph() {
 }
 
 /// The deterministic cluster shape the whole identity suite runs on.
-api::Config deterministic_config(epoch::FrameRep rep, int tree_radix) {
+api::Config deterministic_config(int tree_radix = 0) {
   api::Config config;  // defaults only: the suite controls every knob
   config.ranks = 2;
   config.threads = 2;
@@ -47,7 +47,6 @@ api::Config deterministic_config(epoch::FrameRep rep, int tree_radix) {
   config.virtual_streams = 4;
   config.epoch_base = 64;
   config.epoch_exponent = 0.0;
-  config.frame_rep = rep;
   config.tree_radix = tree_radix;
   config.seed = 4321;
   config.network = mpisim::NetworkModel::disabled();
@@ -56,81 +55,37 @@ api::Config deterministic_config(epoch::FrameRep rep, int tree_radix) {
 
 // --- Bitwise identity: session vs direct driver calls ----------------------
 
-TEST(SessionIdentity, BetweennessMatchesDirectDriverAcrossRepsAndRadixes) {
+TEST(SessionIdentity, BetweennessMatchesDirectDriverAcrossRadixes) {
   const graph::Graph graph = api_graph();
-  for (const epoch::FrameRep rep :
-       {epoch::FrameRep::kDense, epoch::FrameRep::kSparse,
-        epoch::FrameRep::kAuto}) {
-    for (const int tree_radix : {0, 3}) {
-      SCOPED_TRACE(std::string(epoch::frame_rep_name(rep)) + " radix " +
-                   std::to_string(tree_radix));
-      const api::Config config = deterministic_config(rep, tree_radix);
+  for (const int tree_radix : {0, 3}) {
+    SCOPED_TRACE("radix " + std::to_string(tree_radix));
+    const api::Config config = deterministic_config(tree_radix);
 
-      // Direct arm: the per-rank driver on its own simulated cluster.
-      bc::KadabraOptions options;
-      options.params.epsilon = 0.15;
-      options.params.seed = config.seed;
-      options.engine = config.engine_options();
-      mpisim::RuntimeConfig runtime_config;
-      runtime_config.num_ranks = config.ranks;
-      runtime_config.network = mpisim::NetworkModel::disabled();
-      mpisim::Runtime runtime(runtime_config);
-      bc::BcResult direct;
-      runtime.run([&](auto& rank_comm) {
-        const auto world =
-            comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
-        bc::BcResult local = bc::kadabra_mpi_rank(graph, options, *world);
-        if (world->rank() == 0) direct = std::move(local);
-      });
-
-      // Facade arm.
-      api::Session session(graph, config);
-      api::BetweennessQuery query;
-      query.epsilon = 0.15;
-      const api::Result result = session.run(query);
-
-      ASSERT_TRUE(result.status.ok) << result.status.message;
-      EXPECT_EQ(result.algorithm, "kadabra");
-      EXPECT_EQ(result.samples, direct.samples);
-      EXPECT_EQ(result.epochs, direct.epochs);
-      ASSERT_EQ(result.scores.size(), direct.scores.size());
-      for (std::size_t v = 0; v < result.scores.size(); ++v)
-        EXPECT_EQ(result.scores[v], direct.scores[v]) << "vertex " << v;
-    }
-  }
-}
-
-TEST(SessionIdentity, ClosenessMatchesDirectDriver) {
-  const graph::Graph graph = api_graph();
-  for (const epoch::FrameRep rep :
-       {epoch::FrameRep::kDense, epoch::FrameRep::kSparse}) {
-    SCOPED_TRACE(epoch::frame_rep_name(rep));
-    const api::Config config = deterministic_config(rep, 0);
-
-    adaptive::ClosenessParams params;
-    params.epsilon = 0.1;
-    params.seed = config.seed;
-    params.engine = config.engine_options();
+    // Direct arm: the per-rank driver on its own simulated cluster.
+    bc::KadabraOptions options;
+    options.params.epsilon = 0.15;
+    options.params.seed = config.seed;
+    options.engine = config.engine_options();
     mpisim::RuntimeConfig runtime_config;
     runtime_config.num_ranks = config.ranks;
     runtime_config.network = mpisim::NetworkModel::disabled();
     mpisim::Runtime runtime(runtime_config);
-    adaptive::ClosenessResult direct;
+    bc::BcResult direct;
     runtime.run([&](auto& rank_comm) {
       const auto world =
           comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
-      adaptive::ClosenessResult local =
-          adaptive::closeness_rank(graph, params, *world);
+      bc::BcResult local = bc::kadabra_mpi_rank(graph, options, *world);
       if (world->rank() == 0) direct = std::move(local);
     });
 
+    // Facade arm.
     api::Session session(graph, config);
-    api::ClosenessRankQuery query;
-    query.epsilon = 0.1;
+    api::BetweennessQuery query;
+    query.epsilon = 0.15;
     const api::Result result = session.run(query);
 
     ASSERT_TRUE(result.status.ok) << result.status.message;
-    EXPECT_EQ(result.algorithm, "closeness");
+    EXPECT_EQ(result.algorithm, "kadabra");
     EXPECT_EQ(result.samples, direct.samples);
     EXPECT_EQ(result.epochs, direct.epochs);
     ASSERT_EQ(result.scores.size(), direct.scores.size());
@@ -139,10 +94,44 @@ TEST(SessionIdentity, ClosenessMatchesDirectDriver) {
   }
 }
 
+TEST(SessionIdentity, ClosenessMatchesDirectDriver) {
+  const graph::Graph graph = api_graph();
+  const api::Config config = deterministic_config();
+
+  adaptive::ClosenessParams params;
+  params.epsilon = 0.1;
+  params.seed = config.seed;
+  params.engine = config.engine_options();
+  mpisim::RuntimeConfig runtime_config;
+  runtime_config.num_ranks = config.ranks;
+  runtime_config.network = mpisim::NetworkModel::disabled();
+  mpisim::Runtime runtime(runtime_config);
+  adaptive::ClosenessResult direct;
+  runtime.run([&](auto& rank_comm) {
+    const auto world =
+        comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
+    adaptive::ClosenessResult local =
+        adaptive::closeness_rank(graph, params, *world);
+    if (world->rank() == 0) direct = std::move(local);
+  });
+
+  api::Session session(graph, config);
+  api::ClosenessRankQuery query;
+  query.epsilon = 0.1;
+  const api::Result result = session.run(query);
+
+  ASSERT_TRUE(result.status.ok) << result.status.message;
+  EXPECT_EQ(result.algorithm, "closeness");
+  EXPECT_EQ(result.samples, direct.samples);
+  EXPECT_EQ(result.epochs, direct.epochs);
+  ASSERT_EQ(result.scores.size(), direct.scores.size());
+  for (std::size_t v = 0; v < result.scores.size(); ++v)
+    EXPECT_EQ(result.scores[v], direct.scores[v]) << "vertex " << v;
+}
+
 TEST(SessionIdentity, MeanDistanceMatchesDirectDriver) {
   const graph::Graph graph = api_graph();
-  const api::Config config =
-      deterministic_config(epoch::FrameRep::kDense, 0);
+  const api::Config config = deterministic_config();
 
   adaptive::MeanDistanceParams params;
   params.epsilon = 0.2;
@@ -177,8 +166,7 @@ TEST(SessionIdentity, MeanDistanceMatchesDirectDriver) {
 
 TEST(SessionReuse, SecondQuerySkipsDiameterAndCalibrationEntirely) {
   const graph::Graph graph = api_graph();
-  api::Session session(
-      graph, deterministic_config(epoch::FrameRep::kDense, 0));
+  api::Session session(graph, deterministic_config());
   api::BetweennessQuery query;
   query.epsilon = 0.15;
 
@@ -205,8 +193,7 @@ TEST(SessionReuse, SecondQuerySkipsDiameterAndCalibrationEntirely) {
 
 TEST(SessionReuse, DifferentEpsilonCalibratesFresh) {
   const graph::Graph graph = api_graph();
-  api::Session session(
-      graph, deterministic_config(epoch::FrameRep::kDense, 0));
+  api::Session session(graph, deterministic_config());
   api::BetweennessQuery query;
   query.epsilon = 0.15;
   ASSERT_TRUE(session.run(query).status.ok);
@@ -219,8 +206,7 @@ TEST(SessionReuse, DifferentEpsilonCalibratesFresh) {
 
 TEST(SessionReuse, WarmStateRoundTripsThroughPreload) {
   const graph::Graph graph = api_graph();
-  const api::Config config =
-      deterministic_config(epoch::FrameRep::kDense, 0);
+  const api::Config config = deterministic_config();
   bc::KadabraParams params;
   params.epsilon = 0.15;
   params.seed = config.seed;
@@ -253,8 +239,7 @@ TEST(SessionReuse, WarmStateRoundTripsThroughPreload) {
 
 TEST(SessionReuse, MeanDistanceRangeProbeRunsOnce) {
   const graph::Graph graph = api_graph();
-  api::Session session(
-      graph, deterministic_config(epoch::FrameRep::kDense, 0));
+  api::Session session(graph, deterministic_config());
   api::MeanDistanceQuery query;
   query.epsilon = 0.3;
   const api::Result first = session.run(query);
@@ -407,22 +392,22 @@ class ScopedEnv {
 
 TEST(ApiConfig, PrecedenceIsEnvThenTextThenProgrammatic) {
   const ScopedEnv env_base("DISTBC_EPOCH_BASE", "123");
-  const ScopedEnv env_rep("DISTBC_FRAME_REP", "sparse");
+  const ScopedEnv env_radix("DISTBC_TREE_RADIX", "2");
 
   api::Config config = api::Config::from_env();
   EXPECT_EQ(config.epoch_base, 123u);
-  EXPECT_EQ(config.frame_rep, epoch::FrameRep::kSparse);
+  EXPECT_EQ(config.tree_radix, 2);
 
   ASSERT_TRUE(config.load_text("# service overrides\n"
                                "epoch_base = 456\n"
-                               "frame_rep = auto\n")
+                               "tree_radix = 4\n")
                   .ok);
   EXPECT_EQ(config.epoch_base, 456u);
-  EXPECT_EQ(config.frame_rep, epoch::FrameRep::kAuto);
+  EXPECT_EQ(config.tree_radix, 4);
 
   ASSERT_TRUE(config.set("epoch_base", "789").ok);
   EXPECT_EQ(config.epoch_base, 789u);
-  EXPECT_EQ(config.frame_rep, epoch::FrameRep::kAuto);  // untouched layer
+  EXPECT_EQ(config.tree_radix, 4);  // untouched layer
 }
 
 TEST(ApiConfig, UnknownKeysAndMalformedValuesAreRejected) {
@@ -431,11 +416,11 @@ TEST(ApiConfig, UnknownKeysAndMalformedValuesAreRejected) {
   EXPECT_FALSE(unknown.ok);
   EXPECT_NE(unknown.message.find("unknown config key"), std::string::npos);
 
-  EXPECT_FALSE(config.load_text("frame_rep = dense\nbogus_knob = 1\n").ok);
-  EXPECT_EQ(config.frame_rep, epoch::FrameRep::kDense);  // applied before stop
+  EXPECT_FALSE(config.load_text("tree_radix = 3\nbogus_knob = 1\n").ok);
+  EXPECT_EQ(config.tree_radix, 3);  // applied before stop
 
   EXPECT_FALSE(config.set("tree_radix", "1").ok);
-  EXPECT_FALSE(config.set("frame_rep", "dens").ok);
+  EXPECT_FALSE(config.set("aggregation", "ireduc").ok);
   EXPECT_FALSE(config.set("ranks", "0").ok);
   EXPECT_FALSE(config.set("epoch_base", "12x").ok);
   EXPECT_FALSE(config.set("max_epochs", "-1").ok);  // no strtoull wrapping
@@ -445,13 +430,15 @@ TEST(ApiConfig, UnknownKeysAndMalformedValuesAreRejected) {
 
 TEST(ApiConfig, RemovedKnobsFailLoudly) {
   // Retired keys - the traversal-batch width (one kernel, no widths), the
-  // deleted autotuner's two switches, and the per-rank aggregate switch
-  // no result exposed - must fail with the unknown-key Status, not be
-  // silently ignored by old config text. The autotuner's names are
-  // spelled in pieces so a source search for them finds only history,
-  // not live code.
-  for (const std::string key : {"sample_batch", "auto_" "tune",
-                                "tune_" "profile", "local_aggregates"}) {
+  // deleted autotuner's two switches, the per-rank aggregate switch no
+  // result exposed, and the wire-representation selector (every
+  // aggregation ships data-sized images) - must fail with the unknown-key
+  // Status, not be silently ignored by old config text. The autotuner's
+  // names are spelled in pieces so a source search for them finds only
+  // history, not live code.
+  for (const std::string key :
+       {"sample_batch", "auto_" "tune", "tune_" "profile", "local_aggregates",
+        "frame_rep"}) {
     api::Config config;
     const api::Status text = config.load_text(key + "=1\n");
     EXPECT_FALSE(text.ok) << key;
@@ -475,13 +462,11 @@ TEST(ApiConfig, MalformedEnvironmentIsALoudError) {
 
 TEST(ApiConfig, SerializeRoundTrips) {
   api::Config config;
-  config.frame_rep = epoch::FrameRep::kAuto;
   config.tree_radix = 4;
   config.aggregation = engine::Aggregation::kIreduce;
   config.epoch_base = 77;
   api::Config reparsed;
   ASSERT_TRUE(reparsed.load_text(config.serialize()).ok);
-  EXPECT_EQ(reparsed.frame_rep, epoch::FrameRep::kAuto);
   EXPECT_EQ(reparsed.tree_radix, 4);
   EXPECT_EQ(reparsed.aggregation, engine::Aggregation::kIreduce);
   EXPECT_EQ(reparsed.epoch_base, 77u);
@@ -498,8 +483,8 @@ TEST(ApiConfig, EngineOptionsMappingIsComplete) {
   config.max_epochs = 7;
   config.deterministic = true;
   config.virtual_streams = 5;
-  config.frame_rep = epoch::FrameRep::kSparse;
   config.tree_radix = 2;
+  config.leader_radix = 3;
   const engine::EngineOptions options = config.engine_options();
   EXPECT_EQ(options.threads_per_rank, 3);
   EXPECT_EQ(options.aggregation, engine::Aggregation::kBlocking);
@@ -510,8 +495,8 @@ TEST(ApiConfig, EngineOptionsMappingIsComplete) {
   EXPECT_EQ(options.max_epochs, 7u);
   EXPECT_TRUE(options.deterministic);
   EXPECT_EQ(options.virtual_streams, 5u);
-  EXPECT_EQ(options.frame_rep, epoch::FrameRep::kSparse);
   EXPECT_EQ(options.tree_radix, 2);
+  EXPECT_EQ(options.leader_radix, 3);
 }
 
 TEST(ApiConfig, SeededTextFuzzNeverYieldsAnEmptyEpoch) {

@@ -69,34 +69,6 @@ TEST(Determinism, RkMultiThreadedIsBitwiseReproducible) {
     EXPECT_DOUBLE_EQ(a.scores[v], b.scores[v]);
 }
 
-TEST(Determinism, FrameRepresentationDoesNotChangeSingleRankResults) {
-  // No communicator in play: no image crosses a wire, and deterministic
-  // mode pins the sample set, so dense and sparse runs must be bitwise
-  // identical.
-  const auto graph = test_graph();
-  auto run = [&](engine::FrameRep rep) {
-    KadabraOptions options;
-    options.params.epsilon = 0.1;
-    options.params.seed = 80;
-    options.engine.threads_per_rank = 2;
-    options.engine.deterministic = true;
-    options.engine.virtual_streams = 4;
-    options.engine.frame_rep = rep;
-    return kadabra_shm(graph, options);
-  };
-  const BcResult dense = run(engine::FrameRep::kDense);
-  const BcResult sparse = run(engine::FrameRep::kSparse);
-  const BcResult automatic = run(engine::FrameRep::kAuto);
-  ASSERT_GT(dense.samples, 0u);
-  EXPECT_EQ(dense.samples, sparse.samples);
-  EXPECT_EQ(dense.epochs, sparse.epochs);
-  ASSERT_EQ(dense.scores.size(), sparse.scores.size());
-  for (std::size_t v = 0; v < dense.scores.size(); ++v) {
-    EXPECT_EQ(dense.scores[v], sparse.scores[v]) << "vertex " << v;
-    EXPECT_EQ(dense.scores[v], automatic.scores[v]) << "vertex " << v;
-  }
-}
-
 TEST(Determinism, DifferentSeedsGiveDifferentSampleSets) {
   const auto graph = test_graph();
   KadabraParams a_params;

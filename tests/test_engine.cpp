@@ -46,8 +46,12 @@ TEST(Streams, OwnerIsGlobalThreadIndexModuloThreads) {
 
 // --- Calibration hook ------------------------------------------------------
 
+/// A raw()-only frame counting samples in its first word. Its width picks
+/// the wire image: one word ships dense, a wide frame holding one nonzero
+/// ships sparse.
 struct CountFrame {
-  std::vector<std::uint64_t> data{0};
+  explicit CountFrame(std::size_t words = 1) : data(words, 0) {}
+  std::vector<std::uint64_t> data;
   void clear() { data[0] = 0; }
   void merge(const CountFrame& other) { data[0] += other.data[0]; }
   [[nodiscard]] std::span<std::uint64_t> raw() { return data; }
@@ -143,66 +147,23 @@ TEST(EngineEquivalence, AggregationStrategiesAreBitwiseIdentical) {
   expect_bitwise_equal(barrier, blocking, "ibarrier+reduce vs blocking");
 }
 
-// The frame-representation contract: in deterministic mode, dense, sparse,
-// and auto wire representations are bitwise identical across every §IV-F
-// aggregation strategy, with and without the §IV-E hierarchy - the sparse
-// delta images carry exact uint64 counts and decode by commutative sums,
-// so nothing about the result may depend on the encoding.
-TEST(EngineEquivalence, FrameRepresentationSweepIsBitwiseIdentical) {
+// Every frame crosses the wire as an image sized by its data: on a
+// sparsely-hit instance the aggregation moves merge-reduction bytes only
+// (the one elementwise reduce left is the one-word samples_attempted
+// bookkeeping), far below the paper layout's (epochs + 1) x (P - 1) dense
+// |V| + 1 word frames.
+TEST(EngineEquivalence, WireImagesCarryEveryAggregation) {
   const graph::Graph graph = equivalence_graph();
-  auto run = [&](engine::FrameRep rep, engine::Aggregation aggregation,
-                 bool hierarchical) {
-    bc::KadabraOptions options = deterministic_options(1);
-    options.engine.frame_rep = rep;
-    options.engine.aggregation = aggregation;
-    options.engine.hierarchical = hierarchical;
-    return bc::kadabra_mpi(graph, options, /*num_ranks=*/4,
-                           /*ranks_per_node=*/hierarchical ? 2 : 1,
-                           mpisim::NetworkModel::disabled());
-  };
-  const bc::BcResult baseline = run(engine::FrameRep::kDense,
-                                    engine::Aggregation::kIbarrierReduce,
-                                    /*hierarchical=*/false);
-  ASSERT_GT(baseline.samples, 0u);
-  for (const engine::FrameRep rep :
-       {engine::FrameRep::kDense, engine::FrameRep::kSparse,
-        engine::FrameRep::kAuto}) {
-    for (const engine::Aggregation aggregation :
-         {engine::Aggregation::kIbarrierReduce, engine::Aggregation::kIreduce,
-          engine::Aggregation::kBlocking}) {
-      for (const bool hierarchical : {false, true}) {
-        const bc::BcResult result = run(rep, aggregation, hierarchical);
-        const std::string label =
-            std::string(epoch::frame_rep_name(rep)) + " / " +
-            engine::aggregation_name(aggregation) +
-            (hierarchical ? " / hierarchical" : " / flat");
-        expect_bitwise_equal(baseline, result, label.c_str());
-      }
-    }
-  }
-}
-
-// Sparse runs move strictly fewer aggregation bytes than dense ones on a
-// sparsely-hit instance (the motivating claim, checked end to end).
-TEST(EngineEquivalence, SparseRepresentationShrinksAggregationBytes) {
-  const graph::Graph graph = equivalence_graph();
-  auto run = [&](engine::FrameRep rep) {
-    bc::KadabraOptions options = deterministic_options(1);
-    options.engine.frame_rep = rep;
-    return bc::kadabra_mpi(graph, options, /*num_ranks=*/4,
-                           /*ranks_per_node=*/1,
-                           mpisim::NetworkModel::disabled());
-  };
-  const bc::BcResult dense = run(engine::FrameRep::kDense);
-  const bc::BcResult sparse = run(engine::FrameRep::kSparse);
-  EXPECT_GT(dense.comm_volume.reduce_bytes, 0u);
-  EXPECT_EQ(dense.comm_volume.reduce_merge_bytes, 0u);
-  // The sparse run's frames travel exclusively as merge reductions; its
-  // only elementwise reduce is the one-word samples_attempted bookkeeping.
-  EXPECT_GT(sparse.comm_volume.reduce_merge_bytes, 0u);
-  EXPECT_LE(sparse.comm_volume.reduce_bytes, 3 * sizeof(std::uint64_t));
-  EXPECT_LT(sparse.comm_volume.aggregation_bytes(),
-            dense.comm_volume.aggregation_bytes());
+  const bc::BcResult result =
+      bc::kadabra_mpi(graph, deterministic_options(1), /*num_ranks=*/4,
+                      /*ranks_per_node=*/1, mpisim::NetworkModel::disabled());
+  ASSERT_GT(result.samples, 0u);
+  EXPECT_GT(result.comm_volume.reduce_merge_bytes, 0u);
+  EXPECT_LE(result.comm_volume.reduce_bytes, 3 * sizeof(std::uint64_t));
+  const std::uint64_t dense_layout_bytes =
+      (result.epochs + 1) * 3 * (graph.num_vertices() + 1) *
+      sizeof(std::uint64_t);
+  EXPECT_LT(result.comm_volume.aggregation_bytes(), dense_layout_bytes);
 }
 
 // Tree-merge aggregation: interior-rank image combining (any radix, with
@@ -214,38 +175,30 @@ TEST(EngineEquivalence, SparseRepresentationShrinksAggregationBytes) {
 // pair, so interior unions shrink what reaches the top).
 TEST(EngineEquivalence, TreeMergeIsBitwiseIdenticalAndCutsRootIngest) {
   const graph::Graph graph = equivalence_graph();
-  auto run = [&](engine::FrameRep rep, int radix, bool hierarchical) {
+  auto run = [&](int radix, bool hierarchical) {
     bc::KadabraOptions options = deterministic_options(1);
     options.engine.virtual_streams = 8;
-    options.engine.frame_rep = rep;
     options.engine.tree_radix = radix;
     options.engine.hierarchical = hierarchical;
     return bc::kadabra_mpi(graph, options, /*num_ranks=*/8,
                            /*ranks_per_node=*/hierarchical ? 2 : 1,
                            mpisim::NetworkModel::disabled());
   };
-  const bc::BcResult flat =
-      run(engine::FrameRep::kSparse, /*radix=*/0, /*hierarchical=*/false);
+  const bc::BcResult flat = run(/*radix=*/0, /*hierarchical=*/false);
   ASSERT_GT(flat.samples, 0u);
-  const bc::BcResult rooted =
-      run(engine::FrameRep::kSparse, /*radix=*/8, /*hierarchical=*/false);
+  const bc::BcResult rooted = run(/*radix=*/8, /*hierarchical=*/false);
   expect_bitwise_equal(flat, rooted, "flat all-reduce vs rooted radix-8");
   ASSERT_GT(rooted.comm_volume.root_ingest_bytes, 0u);
-  for (const engine::FrameRep rep :
-       {engine::FrameRep::kDense, engine::FrameRep::kSparse,
-        engine::FrameRep::kAuto}) {
-    for (const int radix : {2, 3, 4}) {
-      for (const bool hierarchical : {false, true}) {
-        const bc::BcResult result = run(rep, radix, hierarchical);
-        const std::string label = std::string(epoch::frame_rep_name(rep)) +
-                                  " / radix " + std::to_string(radix) +
-                                  (hierarchical ? " / hierarchical" : "");
-        expect_bitwise_equal(flat, result, label.c_str());
-        if (rep != engine::FrameRep::kDense && !hierarchical) {
-          EXPECT_LT(result.comm_volume.root_ingest_bytes,
-                    rooted.comm_volume.root_ingest_bytes)
-              << label;
-        }
+  for (const int radix : {2, 3, 4}) {
+    for (const bool hierarchical : {false, true}) {
+      const bc::BcResult result = run(radix, hierarchical);
+      const std::string label = "radix " + std::to_string(radix) +
+                                (hierarchical ? " / hierarchical" : "");
+      expect_bitwise_equal(flat, result, label.c_str());
+      if (!hierarchical) {
+        EXPECT_LT(result.comm_volume.root_ingest_bytes,
+                  rooted.comm_volume.root_ingest_bytes)
+            << label;
       }
     }
   }
@@ -253,16 +206,14 @@ TEST(EngineEquivalence, TreeMergeIsBitwiseIdenticalAndCutsRootIngest) {
 
 // The two-level merge path: §IV-E node-window pre-reduction below a
 // leader-level radix tree, radix picked per hop class via leader_radix.
-// Every (leader_radix x frame_rep x strategy) cell must be bitwise
+// Every (leader_radix x strategy) cell must be bitwise
 // identical to the flat single-level baseline, and leader_radix = 0 must
 // inherit tree_radix (single-knob configurations keep their shape).
 TEST(EngineEquivalence, TwoLevelSweepIsBitwiseIdentical) {
   const graph::Graph graph = equivalence_graph();
-  auto run = [&](int leader_radix, engine::FrameRep rep,
-                 engine::Aggregation aggregation) {
+  auto run = [&](int leader_radix, engine::Aggregation aggregation) {
     bc::KadabraOptions options = deterministic_options(1);
     options.engine.virtual_streams = 8;
-    options.engine.frame_rep = rep;
     options.engine.aggregation = aggregation;
     options.engine.hierarchical = true;
     options.engine.leader_radix = leader_radix;
@@ -277,19 +228,14 @@ TEST(EngineEquivalence, TwoLevelSweepIsBitwiseIdentical) {
                       /*ranks_per_node=*/1, mpisim::NetworkModel::disabled());
   ASSERT_GT(baseline.samples, 0u);
   for (const int leader_radix : {0, 2, 3}) {
-    for (const engine::FrameRep rep :
-         {engine::FrameRep::kDense, engine::FrameRep::kSparse,
-          engine::FrameRep::kAuto}) {
-      for (const engine::Aggregation aggregation :
-           {engine::Aggregation::kIbarrierReduce, engine::Aggregation::kIreduce,
-            engine::Aggregation::kBlocking}) {
-        const bc::BcResult result = run(leader_radix, rep, aggregation);
-        const std::string label =
-            "leader radix " + std::to_string(leader_radix) + " / " +
-            epoch::frame_rep_name(rep) + " / " +
-            engine::aggregation_name(aggregation);
-        expect_bitwise_equal(baseline, result, label.c_str());
-      }
+    for (const engine::Aggregation aggregation :
+         {engine::Aggregation::kIbarrierReduce, engine::Aggregation::kIreduce,
+          engine::Aggregation::kBlocking}) {
+      const bc::BcResult result = run(leader_radix, aggregation);
+      const std::string label = "leader radix " +
+                                std::to_string(leader_radix) + " / " +
+                                engine::aggregation_name(aggregation);
+      expect_bitwise_equal(baseline, result, label.c_str());
     }
   }
 }
@@ -324,15 +270,16 @@ TEST(EngineEquivalence, EveryRankHoldsTheGlobalAggregate) {
 }
 
 // A frame offering nothing but a mutable raw() span takes every wire path:
-// the engine builds and reads its sparse and auto images from that flat
-// array, flat, tree-merged and hierarchical alike.
-TEST(EngineEquivalence, RawOnlyFrameRidesEveryRepresentation) {
+// the engine builds and reads its images from that flat array, dense (a
+// one-word frame) and sparse (a wide frame with one nonzero), flat,
+// tree-merged and hierarchical alike.
+TEST(EngineEquivalence, RawOnlyFrameRidesEveryTopology) {
   struct Outcome {
     std::uint64_t calibrated = 0;
     std::uint64_t epochs = 0;
     std::vector<std::uint64_t> per_rank = std::vector<std::uint64_t>(4, 0);
   };
-  auto run = [](engine::FrameRep rep, int radix, bool hierarchical) {
+  auto run = [](std::size_t words, int radix, bool hierarchical) {
     mpisim::RuntimeConfig config;
     config.num_ranks = 4;
     config.ranks_per_node = hierarchical ? 2 : 1;
@@ -348,14 +295,14 @@ TEST(EngineEquivalence, RawOnlyFrameRidesEveryRepresentation) {
       options.virtual_streams = 8;
       options.epoch_base = 40;
       options.epoch_exponent = 0.0;
-      options.frame_rep = rep;
       options.tree_radix = radix;
       options.hierarchical = hierarchical;
       const auto make = [](std::uint64_t) { return CountSampler{}; };
+      const CountFrame prototype(words);
       const CountFrame calibrated = engine::calibrate(
-          world.get(), CountFrame{}, make, /*total_budget=*/1001, options);
+          world.get(), prototype, make, /*total_budget=*/1001, options);
       const auto result = engine::run_epochs(
-          world.get(), CountFrame{}, make,
+          world.get(), prototype, make,
           [](const CountFrame& frame) { return frame.data[0] >= 300; },
           options);
       outcome.per_rank[world->rank()] = result.aggregate.data[0];
@@ -366,20 +313,19 @@ TEST(EngineEquivalence, RawOnlyFrameRidesEveryRepresentation) {
     });
     return outcome;
   };
-  for (const auto& [radix, hierarchical] :
-       {std::pair{0, false}, std::pair{2, false}, std::pair{0, true}}) {
-    const Outcome dense = run(engine::FrameRep::kDense, radix, hierarchical);
-    EXPECT_EQ(dense.calibrated, 1001u);
-    EXPECT_GE(dense.per_rank[0], 300u);
-    for (const engine::FrameRep rep :
-         {engine::FrameRep::kSparse, engine::FrameRep::kAuto}) {
-      SCOPED_TRACE(std::string(epoch::frame_rep_name(rep)) + " radix " +
+  const Outcome reference = run(1, 0, false);
+  EXPECT_EQ(reference.calibrated, 1001u);
+  EXPECT_GE(reference.per_rank[0], 300u);
+  for (const std::size_t words : {1u, 64u}) {
+    for (const auto& [radix, hierarchical] :
+         {std::pair{0, false}, std::pair{2, false}, std::pair{0, true}}) {
+      SCOPED_TRACE(std::to_string(words) + " words radix " +
                    std::to_string(radix) +
                    (hierarchical ? " hierarchical" : " flat"));
-      const Outcome got = run(rep, radix, hierarchical);
-      EXPECT_EQ(got.calibrated, dense.calibrated);
-      EXPECT_EQ(got.epochs, dense.epochs);
-      EXPECT_EQ(got.per_rank, dense.per_rank);
+      const Outcome got = run(words, radix, hierarchical);
+      EXPECT_EQ(got.calibrated, reference.calibrated);
+      EXPECT_EQ(got.epochs, reference.epochs);
+      EXPECT_EQ(got.per_rank, reference.per_rank);
     }
   }
 }
@@ -392,19 +338,17 @@ TEST(EngineEquivalence, RawOnlyFrameRidesEveryRepresentation) {
 // use-after-scope here (the CI sanitize leg runs this under ASan).
 TEST(EngineEquivalence, TreeMergeSurvivesNonBlockingStragglers) {
   const graph::Graph graph = equivalence_graph();
-  auto run = [&](engine::FrameRep rep) {
+  auto run = [&](int radix) {
     bc::KadabraOptions options = deterministic_options(1);
     options.engine.aggregation = engine::Aggregation::kIreduce;
-    options.engine.tree_radix = 2;
-    options.engine.frame_rep = rep;
+    options.engine.tree_radix = radix;
     return bc::kadabra_mpi(graph, options, /*num_ranks=*/4,
                            /*ranks_per_node=*/1,
                            mpisim::NetworkModel::disabled());
   };
-  const bc::BcResult sparse = run(engine::FrameRep::kSparse);
-  ASSERT_GT(sparse.samples, 0u);
-  expect_bitwise_equal(sparse, run(engine::FrameRep::kAuto),
-                       "ireduce tree sparse vs auto");
+  const bc::BcResult tree = run(2);
+  ASSERT_GT(tree.samples, 0u);
+  expect_bitwise_equal(run(0), tree, "ireduce flat vs radix-2 tree");
 }
 
 TEST(EngineEquivalence, HierarchicalReductionMatchesFlat) {

@@ -376,7 +376,6 @@ TEST(Stats, ChargesBlockedWaitTime) {
   run_ranks(runtime, [&](Substrate& comm) {
     // Topology accessors reflect the deployment shape.
     EXPECT_EQ(comm.max_ranks_per_node(), 2);
-    EXPECT_GT(comm.modeled_collective_seconds(1024), 0.0);
 
     std::uint64_t send = 1;
     std::uint64_t recv = 0;

@@ -40,7 +40,7 @@ graph::Graph service_graph(std::uint64_t seed = 777) {
 
 /// The deterministic shape every identity test runs on: results must be
 /// bitwise independent of which replica (thread) serves a query.
-api::Config service_config(epoch::FrameRep rep = epoch::FrameRep::kDense) {
+api::Config service_config() {
   api::Config config;
   config.ranks = 2;
   config.threads = 1;
@@ -48,7 +48,6 @@ api::Config service_config(epoch::FrameRep rep = epoch::FrameRep::kDense) {
   config.virtual_streams = 4;
   config.epoch_base = 64;
   config.epoch_exponent = 0.0;
-  config.frame_rep = rep;
   config.seed = 4321;
   config.network = mpisim::NetworkModel::disabled();
   config.service_pool_size = 2;
@@ -94,44 +93,39 @@ TEST(SessionPool, ConcurrentPoolMatchesSerialSessionBitwise) {
       std::make_shared<const graph::Graph>(service_graph());
   const std::vector<api::Query> queries = mixed_queries();
 
-  for (const epoch::FrameRep rep :
-       {epoch::FrameRep::kDense, epoch::FrameRep::kSparse,
-        epoch::FrameRep::kAuto}) {
-    const api::Config config = service_config(rep);
+  const api::Config config = service_config();
 
-    // Serial reference: one session, in submission order.
-    api::Session session(graph, config);
-    std::vector<api::Result> serial;
-    for (const api::Query& query : queries)
-      serial.push_back(session.run(query));
+  // Serial reference: one session, in submission order.
+  api::Session session(graph, config);
+  std::vector<api::Result> serial;
+  for (const api::Query& query : queries)
+    serial.push_back(session.run(query));
 
-    // Pool: all queries in flight at once over 2 replicas.
-    service::SessionPool pool(graph, config);
-    ASSERT_TRUE(pool.status().ok);
-    std::vector<service::Ticket> tickets;
-    for (const api::Query& query : queries)
-      tickets.push_back(pool.submit(query, "tenant", "g"));
-    pool.drain();
+  // Pool: all queries in flight at once over 2 replicas.
+  service::SessionPool pool(graph, config);
+  ASSERT_TRUE(pool.status().ok);
+  std::vector<service::Ticket> tickets;
+  for (const api::Query& query : queries)
+    tickets.push_back(pool.submit(query, "tenant", "g"));
+  pool.drain();
 
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      const service::Response& response = tickets[i].wait();
-      ASSERT_TRUE(response.status.ok) << response.status.message;
-      ASSERT_TRUE(serial[i].status.ok);
-      EXPECT_EQ(response.result.algorithm, serial[i].algorithm);
-      ASSERT_EQ(response.result.scores.size(), serial[i].scores.size());
-      for (std::size_t v = 0; v < serial[i].scores.size(); ++v)
-        EXPECT_EQ(response.result.scores[v], serial[i].scores[v])
-            << "rep=" << static_cast<int>(rep) << " query=" << i
-            << " vertex=" << v;
-      EXPECT_EQ(response.result.top_k, serial[i].top_k);
-      EXPECT_EQ(response.result.mean, serial[i].mean);
-      EXPECT_EQ(response.result.samples, serial[i].samples);
-    }
-    const service::PoolStats stats = pool.stats();
-    EXPECT_EQ(stats.submitted, queries.size());
-    EXPECT_EQ(stats.completed, queries.size());
-    EXPECT_EQ(stats.rejected, 0u);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const service::Response& response = tickets[i].wait();
+    ASSERT_TRUE(response.status.ok) << response.status.message;
+    ASSERT_TRUE(serial[i].status.ok);
+    EXPECT_EQ(response.result.algorithm, serial[i].algorithm);
+    ASSERT_EQ(response.result.scores.size(), serial[i].scores.size());
+    for (std::size_t v = 0; v < serial[i].scores.size(); ++v)
+      EXPECT_EQ(response.result.scores[v], serial[i].scores[v])
+          << "query=" << i << " vertex=" << v;
+    EXPECT_EQ(response.result.top_k, serial[i].top_k);
+    EXPECT_EQ(response.result.mean, serial[i].mean);
+    EXPECT_EQ(response.result.samples, serial[i].samples);
   }
+  const service::PoolStats stats = pool.stats();
+  EXPECT_EQ(stats.submitted, queries.size());
+  EXPECT_EQ(stats.completed, queries.size());
+  EXPECT_EQ(stats.rejected, 0u);
 }
 
 TEST(SessionPool, SharesCalibrationsAcrossReplicas) {
@@ -864,25 +858,23 @@ TEST(SessionPool, RestartWithWarmStorePerformsZeroCalibration) {
 
 // --- Per-query engine overrides ----------------------------------------------
 
-TEST(SessionOverrides, MixedRepresentationsOnOneSessionStayBitwise) {
+TEST(SessionOverrides, TreeRadixOverrideOnOneSessionStaysBitwise) {
   const auto graph = std::make_shared<const graph::Graph>(service_graph());
-  api::Session session(graph, service_config(epoch::FrameRep::kDense));
+  api::Session session(graph, service_config());
 
   api::BetweennessQuery query;
   query.epsilon = 0.05;
   const api::Result baseline = session.run(query);
   ASSERT_TRUE(baseline.status.ok);
-  EXPECT_EQ(baseline.engine_used.frame_rep, epoch::FrameRep::kDense);
+  EXPECT_EQ(baseline.engine_used.tree_radix, 0);
 
   // Same session, same calibration, different wire configuration: the
   // deterministic engine's invariants make this safe per query.
   api::BetweennessQuery overridden = query;
-  overridden.engine.frame_rep = epoch::FrameRep::kSparse;
   overridden.engine.tree_radix = 3;
   const api::Result result = session.run(overridden);
   ASSERT_TRUE(result.status.ok);
   EXPECT_TRUE(result.calibration_reused);  // overrides don't split the key
-  EXPECT_EQ(result.engine_used.frame_rep, epoch::FrameRep::kSparse);
   EXPECT_EQ(result.engine_used.tree_radix, 3);
   ASSERT_EQ(result.scores.size(), baseline.scores.size());
   for (std::size_t v = 0; v < baseline.scores.size(); ++v)

@@ -1,7 +1,7 @@
-// Tests for the pluggable frame-representation layer: the wire-image codec
-// over StateFrame's flat array (dense and sparse encodings, the kAuto size
-// rule, additive decode), tree-merge image combining, and parity of
-// image-based aggregation with StateFrame::merge under random recording.
+// Tests for the wire-image codec over StateFrame's flat array (dense and
+// sparse encodings, append_image's size rule, additive decode), tree-merge
+// image combining, and parity of image-based aggregation with
+// StateFrame::merge under random recording.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -42,8 +42,8 @@ TEST(FrameCodec, TauOnlyFrameEncodesOnePair) {
   frame.record_empty();
   frame.record_empty();
   std::vector<std::uint64_t> image;
-  EXPECT_EQ(append_image(frame.raw(), FrameRep::kSparse, image),
-            FrameRep::kSparse);
+  append_image(frame.raw(), image);
+  EXPECT_FALSE(is_dense_image(image));
   // [tag, npairs=1, (index=100, tau=2)]
   ASSERT_EQ(image.size(), sparse_image_words(1));
   EXPECT_EQ(image[0], kSparseTag);
@@ -61,8 +61,8 @@ TEST(FrameCodec, SparseImagePairsAreSortedByIndex) {
   StateFrame frame(50);
   frame.record(std::vector<std::uint32_t>{40, 3, 17});
   std::vector<std::uint64_t> image;
-  ASSERT_EQ(append_image(frame.raw(), FrameRep::kSparse, image),
-            FrameRep::kSparse);
+  append_image(frame.raw(), image);
+  ASSERT_FALSE(is_dense_image(image));
   ASSERT_EQ(image[1], 4u);  // 3 vertices + tau pair
   std::uint64_t previous = 0;
   for (std::uint64_t p = 0; p < image[1]; ++p) {
@@ -73,15 +73,19 @@ TEST(FrameCodec, SparseImagePairsAreSortedByIndex) {
   EXPECT_EQ(image[2 + 2 * 3], 50u);  // tau pair last (largest index)
 }
 
-TEST(FrameCodec, EncodeDecodeRoundTripsEveryRepresentation) {
+/// Every way to build an image: each fixed encoding and the size rule.
+using Encoder = void (*)(std::span<const std::uint64_t>,
+                         std::vector<std::uint64_t>&);
+constexpr Encoder kEncoders[] = {append_dense_image, append_sparse_image_scan,
+                                 append_image};
+
+TEST(FrameCodec, EncodeDecodeRoundTripsEveryEncoding) {
   Rng rng(99);
   StateFrame original(64);
   record_random(original, rng, 40);
-  for (const FrameRep rep :
-       {FrameRep::kDense, FrameRep::kSparse, FrameRep::kAuto}) {
-    SCOPED_TRACE(frame_rep_name(rep));
+  for (const Encoder encode : kEncoders) {
     std::vector<std::uint64_t> image;
-    append_image(original.raw(), rep, image);
+    encode(original.raw(), image);
     StateFrame decoded(64);
     decode_add_image(decoded.raw(), image);
     expect_same_frame(decoded, original);
@@ -93,39 +97,39 @@ TEST(FrameCodec, EncodeDecodeRoundTripsEveryRepresentation) {
 
 TEST(FrameCodec, ImageAggregationMatchesMergeUnderRandomRecording) {
   // Four "threads" record independent random streams; aggregating their
-  // images (each representation, mixed) must equal StateFrame::merge.
+  // images (each encoding, mixed) must equal StateFrame::merge.
   Rng rng(1234);
   std::vector<StateFrame> frames(4, StateFrame(32));
   for (StateFrame& frame : frames) record_random(frame, rng, 50);
   StateFrame merged(32);
   for (const StateFrame& frame : frames) merged.merge(frame);
 
-  const FrameRep reps[] = {FrameRep::kDense, FrameRep::kSparse,
-                           FrameRep::kAuto, FrameRep::kSparse};
+  const Encoder encoders[] = {append_dense_image, append_sparse_image_scan,
+                              append_image, append_sparse_image_scan};
   StateFrame decoded(32);
   std::vector<std::uint64_t> image;
   for (std::size_t i = 0; i < frames.size(); ++i) {
     image.clear();
-    append_image(frames[i].raw(), reps[i], image);
+    encoders[i](frames[i].raw(), image);
     decode_add_image(decoded.raw(), image);
   }
   expect_same_frame(decoded, merged);
   EXPECT_EQ(decoded.count_sum(), merged.count_sum());
 }
 
-TEST(FrameCodec, AutoPicksTheSmallerImage) {
+TEST(FrameCodec, AppendImagePicksTheSmallerImage) {
   StateFrame mostly_empty(100);
   mostly_empty.record(std::vector<std::uint32_t>{7});
   std::vector<std::uint64_t> image;
-  EXPECT_EQ(append_image(mostly_empty.raw(), FrameRep::kAuto, image),
-            FrameRep::kSparse);
+  append_image(mostly_empty.raw(), image);
+  EXPECT_FALSE(is_dense_image(image));
   EXPECT_EQ(image.size(), sparse_image_words(2));  // vertex 7 + tau
 
   StateFrame full(4);
   full.record(std::vector<std::uint32_t>{0, 1, 2, 3});
   image.clear();
-  EXPECT_EQ(append_image(full.raw(), FrameRep::kAuto, image),
-            FrameRep::kDense);
+  append_image(full.raw(), image);
+  EXPECT_TRUE(is_dense_image(image));
   EXPECT_EQ(image.size(), dense_image_words(5));
 
   // At the crossover a tie goes dense: 4 vertices + tau = 5 words, so the
@@ -133,12 +137,13 @@ TEST(FrameCodec, AutoPicksTheSmallerImage) {
   StateFrame tie(4);
   tie.record(std::vector<std::uint32_t>{0});
   image.clear();
-  EXPECT_EQ(append_image(tie.raw(), FrameRep::kAuto, image), FrameRep::kDense);
+  append_image(tie.raw(), image);
+  EXPECT_TRUE(is_dense_image(image));
   StateFrame tau_only(4);
   tau_only.record_empty();
   image.clear();
-  EXPECT_EQ(append_image(tau_only.raw(), FrameRep::kAuto, image),
-            FrameRep::kSparse);
+  append_image(tau_only.raw(), image);
+  EXPECT_FALSE(is_dense_image(image));
 }
 
 // --- merge_images: the interior-hop combiner of tree-merge reductions -------
@@ -185,7 +190,7 @@ TEST(MergeImages, DensifiesAtTheCrossover) {
     return dense;
   }();
   merge_images(acc, in, 16);
-  ASSERT_EQ(image_rep(acc), FrameRep::kDense);
+  ASSERT_TRUE(is_dense_image(acc));
   EXPECT_EQ(decoded(acc, 16), want);
 }
 
@@ -202,16 +207,6 @@ TEST(MergeImages, DenseOperandsDensifyTheResult) {
   std::vector<std::uint64_t> both{kDenseTag, 1, 1, 1, 1};
   merge_images(both, std::vector<std::uint64_t>{kDenseTag, 1, 0, 0, 2}, 4);
   EXPECT_EQ(both, (std::vector<std::uint64_t>{kDenseTag, 2, 1, 1, 3}));
-}
-
-TEST(FrameRepNames, RoundTrip) {
-  for (const FrameRep rep :
-       {FrameRep::kDense, FrameRep::kSparse, FrameRep::kAuto}) {
-    const auto back = frame_rep_from_name(frame_rep_name(rep));
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, rep);
-  }
-  EXPECT_FALSE(frame_rep_from_name("nonsense").has_value());
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // through api::Session: substrate selection changes the modeled link
 // economics - never the traffic and never the scores. Deterministic-mode
 // results must be bitwise identical across mpisim x ncclsim under every
-// aggregation topology and frame representation; the ncclsim all-reduce
+// aggregation topology; the ncclsim all-reduce
 // must price the NCCL ring closed form; and Results report the substrate
 // that ran them.
 #include <gtest/gtest.h>
@@ -114,8 +114,7 @@ std::shared_ptr<const graph::Graph> parity_graph() {
   return graph;
 }
 
-api::Config parity_config(comm::SubstrateKind substrate,
-                          engine::FrameRep rep, bool hierarchical,
+api::Config parity_config(comm::SubstrateKind substrate, bool hierarchical,
                           int tree_radix, int leader_radix) {
   api::Config config;
   config.ranks = 4;
@@ -127,7 +126,6 @@ api::Config parity_config(comm::SubstrateKind substrate,
   config.virtual_streams = 4;
   config.epoch_base = 64;
   config.epoch_exponent = 0.0;
-  config.frame_rep = rep;
   config.hierarchical = hierarchical;
   config.tree_radix = tree_radix;
   config.leader_radix = leader_radix;
@@ -143,7 +141,7 @@ api::Result parity_run(const api::Config& config) {
   return result;
 }
 
-TEST(SubstrateParity, BitwiseScoresAcrossSubstratesTopologiesAndReps) {
+TEST(SubstrateParity, BitwiseScoresAcrossSubstratesAndTopologies) {
   struct Topology {
     const char* name;
     bool hierarchical;
@@ -155,40 +153,32 @@ TEST(SubstrateParity, BitwiseScoresAcrossSubstratesTopologiesAndReps) {
       {"tree", false, 2, 0},
       {"two_level", true, 0, 2},
   };
-  const engine::FrameRep reps[] = {engine::FrameRep::kDense,
-                                   engine::FrameRep::kSparse,
-                                   engine::FrameRep::kAuto};
-
   const api::Result reference =
-      parity_run(parity_config(comm::SubstrateKind::kMpisim,
-                               engine::FrameRep::kDense, false, 0, 0));
+      parity_run(parity_config(comm::SubstrateKind::kMpisim, false, 0, 0));
   ASSERT_GT(reference.samples, 0u);
 
   for (const Topology& topology : topologies) {
-    for (const engine::FrameRep rep : reps) {
-      // Per (topology, rep): the two substrates must agree bitwise with
-      // the reference AND move identical traffic - a backend changes the
-      // clock, never the bytes.
-      std::uint64_t mpisim_total = 0;
-      for (const auto substrate :
-           {comm::SubstrateKind::kMpisim, comm::SubstrateKind::kNcclsim}) {
-        const api::Result result = parity_run(
-            parity_config(substrate, rep, topology.hierarchical,
-                          topology.tree_radix, topology.leader_radix));
-        const std::string label = std::string(topology.name) + "/" +
-                                  epoch::frame_rep_name(rep) + "/" +
-                                  comm::substrate_name(substrate);
-        EXPECT_EQ(result.samples, reference.samples) << label;
-        EXPECT_EQ(result.epochs, reference.epochs) << label;
-        ASSERT_EQ(result.scores.size(), reference.scores.size()) << label;
-        for (std::size_t v = 0; v < result.scores.size(); ++v)
-          ASSERT_EQ(result.scores[v], reference.scores[v])
-              << label << " vertex " << v;
-        if (substrate == comm::SubstrateKind::kMpisim)
-          mpisim_total = result.comm_volume.total();
-        else
-          EXPECT_EQ(result.comm_volume.total(), mpisim_total) << label;
-      }
+    // Per topology: the two substrates must agree bitwise with the
+    // reference AND move identical traffic - a backend changes the clock,
+    // never the bytes.
+    std::uint64_t mpisim_total = 0;
+    for (const auto substrate :
+         {comm::SubstrateKind::kMpisim, comm::SubstrateKind::kNcclsim}) {
+      const api::Result result = parity_run(
+          parity_config(substrate, topology.hierarchical, topology.tree_radix,
+                        topology.leader_radix));
+      const std::string label = std::string(topology.name) + "/" +
+                                comm::substrate_name(substrate);
+      EXPECT_EQ(result.samples, reference.samples) << label;
+      EXPECT_EQ(result.epochs, reference.epochs) << label;
+      ASSERT_EQ(result.scores.size(), reference.scores.size()) << label;
+      for (std::size_t v = 0; v < result.scores.size(); ++v)
+        ASSERT_EQ(result.scores[v], reference.scores[v])
+            << label << " vertex " << v;
+      if (substrate == comm::SubstrateKind::kMpisim)
+        mpisim_total = result.comm_volume.total();
+      else
+        EXPECT_EQ(result.comm_volume.total(), mpisim_total) << label;
     }
   }
 }
@@ -197,14 +187,12 @@ TEST(SubstrateParity, BitwiseScoresAcrossSubstratesTopologiesAndReps) {
 
 TEST(SubstrateUsed, ResultsReportTheBackendThatRanThem) {
   const api::Result mpisim_result =
-      parity_run(parity_config(comm::SubstrateKind::kMpisim,
-                               engine::FrameRep::kDense, false, 0, 0));
+      parity_run(parity_config(comm::SubstrateKind::kMpisim, false, 0, 0));
   EXPECT_EQ(mpisim_result.substrate_used, "mpisim");
   EXPECT_STREQ(mpisim_result.comm_volume.substrate, "mpisim");
 
   const api::Result nccl_result =
-      parity_run(parity_config(comm::SubstrateKind::kNcclsim,
-                               engine::FrameRep::kSparse, false, 2, 0));
+      parity_run(parity_config(comm::SubstrateKind::kNcclsim, false, 2, 0));
   EXPECT_EQ(nccl_result.substrate_used, "ncclsim");
   EXPECT_STREQ(nccl_result.comm_volume.substrate, "ncclsim");
 }

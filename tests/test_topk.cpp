@@ -101,7 +101,6 @@ TEST(KadabraTopK, EveryRankGetsTheRootsAnswer) {
   options.params.exact_diameter = false;
   options.engine.deterministic = true;
   options.engine.virtual_streams = 4;
-  options.engine.frame_rep = bc::FrameRep::kSparse;
   options.top_k = 5;
 
   constexpr int kRanks = 4;
