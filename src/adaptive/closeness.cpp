@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "api/session.hpp"
+#include "bc/kadabra_math.hpp"
 #include "engine/engine.hpp"
 #include "graph/bfs.hpp"
 #include "graph/components.hpp"
@@ -25,12 +26,16 @@ std::vector<graph::Vertex> ClosenessResult::top_k(std::size_t k) const {
   return order;
 }
 
+double closeness_sample_budget(std::uint32_t num_vertices, double epsilon,
+                               double delta) {
+  // Hoeffding + union bound over all vertices: tau >= ln(2n/delta)/(2 eps^2).
+  return std::log(2.0 * num_vertices / delta) / (2.0 * epsilon * epsilon);
+}
+
 std::uint64_t closeness_sample_bound(std::uint32_t num_vertices,
                                      double epsilon, double delta) {
-  // Hoeffding + union bound over all vertices: tau >= ln(2n/delta)/(2 eps^2).
-  return static_cast<std::uint64_t>(
-      std::ceil(std::log(2.0 * num_vertices / delta) /
-                (2.0 * epsilon * epsilon)));
+  return bc::budget_samples(
+      closeness_sample_budget(num_vertices, epsilon, delta));
 }
 
 namespace {

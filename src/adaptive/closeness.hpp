@@ -118,8 +118,13 @@ struct ClosenessResult {
   [[nodiscard]] std::vector<graph::Vertex> top_k(std::size_t k) const;
 };
 
-/// Worst-case (Hoeffding) source count after which the rule must fire;
-/// exposed for tests.
+/// Worst-case (Hoeffding) source count after which the rule must fire,
+/// before rounding: ln(2n/delta) / (2 eps^2).
+[[nodiscard]] double closeness_sample_budget(std::uint32_t num_vertices,
+                                             double epsilon, double delta);
+
+/// closeness_sample_budget rounded up; the budget must fit a uint64
+/// (bc::budget_fits). Exposed for tests.
 [[nodiscard]] std::uint64_t closeness_sample_bound(std::uint32_t num_vertices,
                                                    double epsilon,
                                                    double delta);

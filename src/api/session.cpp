@@ -5,6 +5,7 @@
 
 #include "bc/brandes.hpp"
 #include "bc/brandes_parallel.hpp"
+#include "bc/kadabra_math.hpp"
 #include "comm/substrate.hpp"
 #include "graph/components.hpp"
 #include "graph/stats.hpp"
@@ -36,6 +37,14 @@ Status apply_overrides(const EngineOverrides& overrides,
   if (overrides.tree_radix.has_value())
     options.tree_radix = *overrides.tree_radix;
   return Status::success();
+}
+
+/// A typed error for an epsilon whose sample budget does not fit the
+/// drivers' 64-bit sample counts (bc::budget_fits).
+Status budget_status(double budget) {
+  if (bc::budget_fits(budget)) return Status::success();
+  return Status::error(
+      "epsilon too small: its sample budget does not fit a 64-bit count");
 }
 
 }  // namespace
@@ -336,6 +345,12 @@ Result Session::run(const BetweennessQuery& query) {
   // epsilon < 1 (the driver asserts it).
   if (result.status.ok && !exact && query.epsilon >= 1.0)
     result.status = Status::error("epsilon must be in (0, 1)");
+  // The budget grows with the vertex diameter's bucket, and the diameter
+  // is at most |V|, so a budget that fits at |V| fits at the real one
+  // (plain and incremental runs alike: batches keep the vertex set).
+  if (result.status.ok && !exact)
+    result.status = budget_status(bc::omega_budget(
+        graph_->num_vertices(), query.epsilon, query.delta));
   if (!result.status.ok) return result;
 
   if (exact) {
@@ -433,6 +448,9 @@ Result Session::run(const ClosenessRankQuery& query) {
   Result result;
   result.status = validate_query(query.epsilon, query.delta, query.top_k,
                                  /*needs_connected=*/true);
+  if (result.status.ok)
+    result.status = budget_status(adaptive::closeness_sample_budget(
+        graph_->num_vertices(), query.epsilon, query.delta));
   if (!result.status.ok) return result;
 
   adaptive::ClosenessParams params;

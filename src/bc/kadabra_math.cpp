@@ -29,15 +29,28 @@ std::uint32_t diameter_bucket(std::uint32_t vertex_diameter) {
              : 0;
 }
 
-std::uint64_t compute_omega(std::uint32_t vertex_diameter, double epsilon,
-                            double delta) {
+bool budget_fits(double budget) {
+  return std::isfinite(budget) && budget >= 0.0 && budget < 0x1p64;
+}
+
+std::uint64_t budget_samples(double budget) {
+  DISTBC_ASSERT_MSG(budget_fits(budget),
+                    "sample budget does not fit a 64-bit count");
+  return static_cast<std::uint64_t>(std::ceil(budget));
+}
+
+double omega_budget(std::uint32_t vertex_diameter, double epsilon,
+                    double delta) {
   DISTBC_ASSERT(epsilon > 0.0 && epsilon < 1.0);
   DISTBC_ASSERT(delta > 0.0 && delta < 1.0);
   constexpr double kUniversalConstant = 0.5;
-  const double omega =
-      kUniversalConstant / (epsilon * epsilon) *
-      (diameter_bucket(vertex_diameter) + 1.0 + std::log(2.0 / delta));
-  return static_cast<std::uint64_t>(std::ceil(omega));
+  return kUniversalConstant / (epsilon * epsilon) *
+         (diameter_bucket(vertex_diameter) + 1.0 + std::log(2.0 / delta));
+}
+
+std::uint64_t compute_omega(std::uint32_t vertex_diameter, double epsilon,
+                            double delta) {
+  return budget_samples(omega_budget(vertex_diameter, epsilon, delta));
 }
 
 std::uint64_t auto_initial_samples(std::uint64_t omega) {

@@ -58,8 +58,22 @@ struct KadabraParams {
 /// floor(log2(VD-2)), and 0 for VD <= 2.
 [[nodiscard]] std::uint32_t diameter_bucket(std::uint32_t vertex_diameter);
 
-/// Static sample budget: omega = (c/eps^2) (diameter_bucket(VD) + 1 +
-/// ln(2/delta)) with c = 0.5 and VD the vertex diameter (hops + 1).
+/// True iff a sample budget computed in double precision is a finite,
+/// non-negative count whose ceiling fits a uint64. A tiny epsilon fails
+/// it: 1e-10 asks for ~1e20 samples, and one whose square underflows to 0
+/// for infinitely many.
+[[nodiscard]] bool budget_fits(double budget);
+
+/// ceil(budget) as a sample count; the budget must fit (budget_fits).
+[[nodiscard]] std::uint64_t budget_samples(double budget);
+
+/// Static sample budget before rounding: omega = (c/eps^2)
+/// (diameter_bucket(VD) + 1 + ln(2/delta)) with c = 0.5 and VD the vertex
+/// diameter (hops + 1).
+[[nodiscard]] double omega_budget(std::uint32_t vertex_diameter,
+                                  double epsilon, double delta);
+
+/// budget_samples(omega_budget(...)): the budget must fit a uint64.
 [[nodiscard]] std::uint64_t compute_omega(std::uint32_t vertex_diameter,
                                           double epsilon, double delta);
 

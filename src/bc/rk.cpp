@@ -32,9 +32,9 @@ BcResult rk(const graph::Graph& graph, const RkParams& params,
   // RK budget: like KADABRA's omega but with ln(1/delta) - RK needs no
   // union bound over the two-sided adaptive checks.
   constexpr double kUniversalConstant = 0.5;
-  const auto budget = static_cast<std::uint64_t>(
-      std::ceil(kUniversalConstant / (params.epsilon * params.epsilon) *
-                (diameter_bucket(vd) + 1.0 + std::log(1.0 / params.delta))));
+  const std::uint64_t budget = budget_samples(
+      kUniversalConstant / (params.epsilon * params.epsilon) *
+      (diameter_bucket(vd) + 1.0 + std::log(1.0 / params.delta)));
   result.omega = budget;
 
   WallTimer sampling_timer;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -307,6 +308,37 @@ TEST(SessionValidation, BadSubmissionsReturnStatusInsteadOfAborting) {
   api::MeanDistanceQuery bad_delta;
   bad_delta.delta = 1.0;
   EXPECT_FALSE(session.run(bad_delta).status.ok);
+}
+
+// An epsilon whose sample budget does not fit a 64-bit count - ~1e20
+// samples at 1e-10, infinitely many once epsilon^2 underflows - is a typed
+// error on every query that derives such a budget, not an undefined cast
+// and a run that reports ok.
+TEST(SessionValidation, UnrepresentableSampleBudgetsAreErrors) {
+  const auto graph = std::make_shared<const graph::Graph>(
+      graph::largest_component(gen::erdos_renyi(300, 900, 7)));
+  api::Session session(graph, api::Config{});
+  for (const double epsilon : {1e-10, 1e-300, 5e-324}) {
+    SCOPED_TRACE(epsilon);
+    api::BetweennessQuery plain;
+    plain.epsilon = epsilon;
+    const api::Result plain_result = session.run(plain);
+    EXPECT_FALSE(plain_result.status.ok);
+    EXPECT_NE(plain_result.status.message.find("sample budget"),
+              std::string::npos);
+
+    api::BetweennessQuery incremental = plain;
+    incremental.incremental = true;
+    EXPECT_FALSE(session.run(incremental).status.ok);
+
+    api::ClosenessRankQuery closeness;
+    closeness.epsilon = epsilon;
+    EXPECT_FALSE(session.run(closeness).status.ok);
+  }
+  // An ordinary epsilon on the same session still runs.
+  api::BetweennessQuery fine;
+  fine.epsilon = 0.1;
+  EXPECT_TRUE(session.run(fine).status.ok);
 }
 
 TEST(SessionValidation, TinyAndDisconnectedGraphsAreErrors) {

@@ -79,6 +79,20 @@ TEST(Omega, DiameterBucketIsFloorLog2OfVdMinusTwo) {
   }
 }
 
+TEST(Omega, BudgetFitsExactlyTheUint64Range) {
+  EXPECT_TRUE(budget_fits(0.0));
+  EXPECT_TRUE(budget_fits(0x1p64 - 2048.0));  // largest double below 2^64
+  EXPECT_EQ(budget_samples(0x1p64 - 2048.0), ~std::uint64_t{0} - 2047);
+  EXPECT_FALSE(budget_fits(0x1p64));
+  EXPECT_FALSE(budget_fits(std::numeric_limits<double>::infinity()));
+  EXPECT_FALSE(budget_fits(std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_FALSE(budget_fits(-1.0));
+  // epsilon = 1e-10 asks for ~1e20 samples; 1e-300 squares to 0.
+  EXPECT_FALSE(budget_fits(omega_budget(34, 1e-10, 0.1)));
+  EXPECT_FALSE(budget_fits(omega_budget(34, 1e-300, 0.1)));
+  EXPECT_TRUE(budget_fits(omega_budget(34, 1e-9, 0.1)));
+}
+
 TEST(StoppingF, DecreasesWithMoreSamples) {
   const double omega = 1e6;
   double previous = 1e9;
