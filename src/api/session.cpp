@@ -1,6 +1,7 @@
 #include "api/session.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "bc/brandes.hpp"
@@ -345,12 +346,17 @@ Result Session::run(const BetweennessQuery& query) {
   // epsilon < 1 (the driver asserts it).
   if (result.status.ok && !exact && query.epsilon >= 1.0)
     result.status = Status::error("epsilon must be in (0, 1)");
-  // The budget grows with the vertex diameter's bucket, and the diameter
-  // is at most |V|, so a budget that fits at |V| fits at the real one
-  // (plain and incremental runs alike: batches keep the vertex set).
-  if (result.status.ok && !exact)
-    result.status = budget_status(bc::omega_budget(
-        graph_->num_vertices(), query.epsilon, query.delta));
+  // The budget grows with the vertex diameter's bucket. Every diameter a
+  // driver may use, exact or the 2-approximation 2 ecc + 1, is below 2|V|,
+  // so a budget that fits there fits at the real one (plain and
+  // incremental runs alike: batches keep the vertex set).
+  if (result.status.ok && !exact) {
+    const auto diameter_cap = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(2ull * graph_->num_vertices(),
+                                std::numeric_limits<std::uint32_t>::max()));
+    result.status = budget_status(
+        bc::omega_budget(diameter_cap, query.epsilon, query.delta));
+  }
   if (!result.status.ok) return result;
 
   if (exact) {
