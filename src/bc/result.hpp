@@ -36,9 +36,9 @@ struct BcResult {
 
   // --- Communication (MPI variants only) ----------------------------------
   std::uint64_t comm_bytes = 0;  // total payload moved by aggregations
-  /// Per-collective breakdown of comm_bytes (dense reductions, sparse
-  /// merge reductions, window/p2p traffic, broadcasts), tagged with the
-  /// substrate that moved it.
+  /// Per-collective breakdown of comm_bytes (elementwise reductions,
+  /// wire-image merge reductions, window/p2p traffic, broadcasts), tagged
+  /// with the substrate that moved it.
   comm::CommVolume comm_volume;
 
   /// Engine configuration the adaptive phase actually ran with (the

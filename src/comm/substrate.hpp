@@ -187,7 +187,7 @@ class Substrate {
                                    buffer.size() * sizeof(T), root);
   }
 
-  // --- Variable-length collectives (sparse frame images) ----------------
+  // --- Variable-length collectives (frame wire images) -----------------
   //
   // Unlike the fixed-size collectives above, every rank may contribute a
   // different element count. The root's completion deadline is the last
@@ -198,7 +198,7 @@ class Substrate {
   // bytes are accounted per path (CommStats::reduce_merge_bytes /
   // gatherv_bytes).
 
-  /// Sparse-merge reduction: `merge(src_rank, payload)` is invoked at the
+  /// Merge reduction: `merge(src_rank, payload)` is invoked at the
   /// root exactly once per rank, in rank order, when the reduction
   /// completes (inside the blocking call, or the completing test()/wait()
   /// of the non-blocking form). `merge` runs under the communicator lock

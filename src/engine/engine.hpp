@@ -148,8 +148,8 @@ struct EngineResult {
   /// Payload moved over the communicators this engine used, including the
   /// hierarchical substrate (cumulative over the comm's lifetime).
   std::uint64_t comm_bytes = 0;
-  /// Per-collective breakdown of comm_bytes (dense reductions vs sparse
-  /// merge reductions vs window/p2p vs broadcasts).
+  /// Per-collective breakdown of comm_bytes (elementwise reductions vs
+  /// wire-image merge reductions vs window/p2p vs broadcasts).
   comm::CommVolume comm_volume{};
   PhaseTimer phases{};
   double total_seconds = 0.0;

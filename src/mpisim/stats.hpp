@@ -9,7 +9,7 @@ namespace distbc::mpisim {
 
 /// Plain copyable snapshot of the per-collective bytes-moved counters -
 /// what engine results and bench JSON reports carry so payload volume can
-/// be attributed to the path that moved it (dense reductions vs sparse
+/// be attributed to the path that moved it (elementwise reductions vs
 /// merge reductions vs gathers vs broadcasts vs window/p2p traffic).
 struct CommVolume {
   std::uint64_t reduce_bytes = 0;
@@ -83,8 +83,8 @@ struct CommStats {
   /// Payload bytes moved by reductions: buffer size x (participants - 1),
   /// i.e. every non-root contribution crosses the wire once.
   std::atomic<std::uint64_t> reduce_bytes{0};
-  /// Non-root payload bytes of variable-length merge reductions (sparse
-  /// frame images) and gathers - the same crossing-the-wire convention.
+  /// Non-root payload bytes of variable-length merge reductions (frame
+  /// wire images) and gathers - the same crossing-the-wire convention.
   std::atomic<std::uint64_t> reduce_merge_bytes{0};
   std::atomic<std::uint64_t> gatherv_bytes{0};
   std::atomic<std::uint64_t> bcast_bytes{0};
