@@ -183,6 +183,45 @@ TEST(BidirectionalBfs, PathSamplingIsUniform) {
     EXPECT_NEAR(count, kDraws / 4, kDraws / 4 * 0.1);
 }
 
+TEST(BidirectionalBfs, HubPredecessorSamplingIsUniform) {
+  // Layered graph whose meeting vertex is a hub h at depth 3 from s with
+  // three unequal-sigma predecessors, so the walk finds them from the
+  // level below (4 * |level 2| * ceil(log2 deg(h)) = 4 * 3 * 8 < 203):
+  //   s=0 -> {1, 2, 3} -> {4, 5, 6} -> h=7 -> 8 -> 9 -> t=10,
+  // with 6 ~ {1, 2, 3}, 5 ~ {2, 3}, 4 ~ {3}: sigma_s = 3, 2, 1, and level 2
+  // is discovered as 6, 5, 4, against id order. Each of the 6 shortest
+  // paths must be equally likely. The hub's 200 leaves are never scanned.
+  constexpr Vertex kHub = 7;
+  constexpr Vertex kLeaves = 200;
+  std::vector<std::pair<Vertex, Vertex>> edges = {
+      {0, 1}, {0, 2}, {0, 3}, {1, 6}, {2, 5}, {2, 6}, {3, 4}, {3, 5},
+      {3, 6}, {4, 7}, {5, 7}, {6, 7}, {7, 8}, {8, 9}, {9, 10}};
+  for (Vertex leaf = 0; leaf < kLeaves; ++leaf)
+    edges.push_back({kHub, 11 + leaf});
+  const Graph graph = from_edges(11 + kLeaves, edges);
+  BidirectionalBfs bfs(graph.num_vertices());
+  const auto result = bfs.run(graph, 0, 10);
+  ASSERT_TRUE(result.connected);
+  EXPECT_EQ(result.distance, 6u);
+  EXPECT_DOUBLE_EQ(result.num_paths, 6.0);
+
+  Rng rng(77);
+  std::map<std::vector<Vertex>, int> histogram;
+  constexpr int kDraws = 60000;
+  std::vector<Vertex> path;
+  for (int i = 0; i < kDraws; ++i) {
+    bfs.run(graph, 0, 10);
+    path.clear();
+    bfs.sample_path(graph, rng, path);
+    ASSERT_EQ(path.size(), 5u);
+    EXPECT_EQ(path[2], kHub);
+    ++histogram[path];
+  }
+  ASSERT_EQ(histogram.size(), 6u);
+  for (const auto& [p, count] : histogram)
+    EXPECT_NEAR(count, kDraws / 6, kDraws / 6 * 0.05);
+}
+
 TEST(BidirectionalBfs, UniformAcrossUnevenBranching) {
   // 0 connects to t=4 via: one 2-hop path through 1; and paths through
   // 2->3. Distances: 0-1-4 (len 2), 0-2-3-4 (len 3). Only the length-2 path
@@ -313,8 +352,11 @@ struct GoldenCase {
 
 /// Graphs the golden digests are pinned on: the suite's high-diameter road
 /// and low-diameter social proxies, a hyperbolic web proxy, a BA graph, a
-/// graph with two components (disconnected pairs), and the smallest legal
-/// graph.
+/// graph with two components (disconnected pairs), the smallest legal
+/// graph, and two graphs whose walks find hub predecessors from the BFS
+/// level below: a sparse BA graph, where such a level's discovery order is
+/// not id order (its digest changes if the walk skips sorting those
+/// candidates into adjacency order), and the suite's quick social graph.
 std::vector<GoldenCase> golden_cases() {
   std::vector<std::pair<Vertex, Vertex>> two_chains;
   for (Vertex i = 0; i + 1 < 40; ++i) {
@@ -336,6 +378,11 @@ std::vector<GoldenCase> golden_cases() {
                    16877754231801106145ULL});
   cases.push_back({"two-vertex", from_edges(2, {{0, 1}}), 200,
                    9848659794021105781ULL});
+  cases.push_back({"ba-sparse", gen::barabasi_albert(3000, 2, 1), 3000,
+                   8767736389622978428ULL});
+  cases.push_back({"quick-social",
+                   gen::instance_by_name("quick-social").build(1.0, 1), 3000,
+                   16953741962350139118ULL});
   return cases;
 }
 
@@ -368,8 +415,10 @@ std::uint64_t scanned_digest(const Graph& graph, int samples) {
 TEST(BidirectionalBfsGolden, ScannedSetTapIsPinned) {
   const std::uint64_t expected[] = {
       9905631755890537680ULL,  11507492599205338320ULL, 4824812114485370523ULL,
-      1939190562189313494ULL,  3962352111364490426ULL,  1306552363188680101ULL};
+      1939190562189313494ULL,  3962352111364490426ULL,  1306552363188680101ULL,
+      8698079026164343196ULL,  16350618843817903664ULL};
   const std::vector<GoldenCase> cases = golden_cases();
+  ASSERT_EQ(cases.size(), std::size(expected));
   for (std::size_t i = 0; i < cases.size(); ++i) {
     EXPECT_EQ(scanned_digest(cases[i].graph, 500), expected[i])
         << cases[i].name;
