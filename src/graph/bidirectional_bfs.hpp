@@ -96,7 +96,7 @@ class BidirectionalBfs {
   /// Walks from `v` back to side `side_index`'s root, appending interior
   /// vertices root-ward. Includes `v` itself if it is not the root.
   void walk_to_root(const Graph& graph, int side_index, Vertex v, Rng& rng,
-                    std::vector<Vertex>& out) const;
+                    std::vector<Vertex>& out);
 
   std::vector<VisitRecord> visit_;  // [v], both sides
   Side sides_[2];
@@ -107,6 +107,7 @@ class BidirectionalBfs {
   std::uint32_t distance_ = 0;
   std::vector<Vertex> meeting_vertices_;  // M
   std::vector<double> meeting_weights_;   // sigma_s(v) * sigma_t(v)
+  std::vector<Vertex> predecessors_;      // walk step's candidates, by id
   double num_paths_ = 0.0;
   std::uint64_t touched_ = 0;
 };
