@@ -115,6 +115,7 @@ ClosenessResult closeness_rank(const graph::Graph& graph,
 
   ClosenessResult result;
   result.epochs = driver_result.epochs;
+  result.stop_reason = driver_result.stop_reason;
   result.total_seconds = driver_result.total_seconds;
   result.engine_used = options;
   result.substrate_used = world.name();

@@ -104,6 +104,7 @@ struct ClosenessResult {
   std::vector<double> scores;  // normalized harmonic closeness estimates
   std::uint64_t samples = 0;   // BFS sources taken
   std::uint64_t epochs = 0;
+  engine::StopReason stop_reason = engine::StopReason::kRule;
   double total_seconds = 0.0;
   /// Engine phase windows and per-collective bytes moved (valid at world
   /// rank 0, like scores) - the same observability surface BcResult has,

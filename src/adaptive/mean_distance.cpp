@@ -90,6 +90,7 @@ MeanDistanceResult mean_distance_rank(const graph::Graph& graph,
 
   MeanDistanceResult result;
   result.epochs = driver_result.epochs;
+  result.stop_reason = driver_result.stop_reason;
   result.range = range;
   result.total_seconds = driver_result.total_seconds;
   result.engine_used = params.engine;

@@ -85,6 +85,7 @@ struct MeanDistanceResult {
   double half_width = 0.0;   // final confidence half-width
   std::uint64_t samples = 0;
   std::uint64_t epochs = 0;
+  engine::StopReason stop_reason = engine::StopReason::kRule;
   std::uint32_t range = 0;   // the distance-range bound the run used
   double total_seconds = 0.0;
   /// Engine phase windows and per-collective bytes moved (valid at world

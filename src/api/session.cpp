@@ -42,6 +42,13 @@ Status apply_overrides(const EngineOverrides& overrides,
 
 /// A typed error for an epsilon whose sample budget does not fit the
 /// drivers' 64-bit sample counts (bc::budget_fits).
+/// An engine run the epoch cap ended is not an answer to the query.
+Status stop_status(engine::StopReason reason, std::uint64_t epochs) {
+  if (reason == engine::StopReason::kRule) return Status::success();
+  return Status::error("max_epochs (" + std::to_string(epochs) +
+                       ") reached before the stopping rule held");
+}
+
 Status budget_status(double budget) {
   if (bc::budget_fits(budget)) return Status::success();
   return Status::error(
@@ -397,6 +404,8 @@ Result Session::run(const BetweennessQuery& query) {
   result.algorithm = "kadabra";
   result.samples = bc_result.samples;
   result.epochs = bc_result.epochs;
+  result.stop_reason = bc_result.stop_reason;
+  result.status = stop_status(result.stop_reason, result.epochs);
   result.total_seconds = bc_result.total_seconds;
   result.phases = bc_result.phases;
   result.comm_volume = bc_result.comm_volume;
@@ -472,6 +481,8 @@ Result Session::run(const ClosenessRankQuery& query) {
   result.algorithm = "closeness";
   result.samples = closeness_result.samples;
   result.epochs = closeness_result.epochs;
+  result.stop_reason = closeness_result.stop_reason;
+  result.status = stop_status(result.stop_reason, result.epochs);
   result.total_seconds = closeness_result.total_seconds;
   result.phases = closeness_result.phases;
   result.comm_volume = closeness_result.comm_volume;
@@ -508,6 +519,8 @@ Result Session::run(const MeanDistanceQuery& query) {
   result.half_width = mean_result.half_width;
   result.samples = mean_result.samples;
   result.epochs = mean_result.epochs;
+  result.stop_reason = mean_result.stop_reason;
+  result.status = stop_status(result.stop_reason, result.epochs);
   result.total_seconds = mean_result.total_seconds;
   result.phases = mean_result.phases;
   result.comm_volume = mean_result.comm_volume;

@@ -108,7 +108,8 @@ using Query = std::variant<BetweennessQuery, ClosenessRankQuery,
 
 struct Result {
   /// Validation / execution status; every other field is meaningful only
-  /// when status.ok.
+  /// when status.ok, except after a `max_epochs` stop, which fills them
+  /// with the estimate the cap cut off.
   Status status;
   /// "kadabra" | "brandes" | "closeness" | "mean_distance".
   std::string algorithm;
@@ -124,6 +125,10 @@ struct Result {
 
   std::uint64_t samples = 0;
   std::uint64_t epochs = 0;
+  /// kMaxEpochs: Config::max_epochs ended the run before its stopping rule
+  /// held, so the estimate misses its (epsilon, delta) target; status is
+  /// then an error.
+  engine::StopReason stop_reason = engine::StopReason::kRule;
   double total_seconds = 0.0;
   /// Phase windows of this query only: a query that reused the session's
   /// cached calibration reports zero kDiameter/kCalibration seconds.

@@ -117,6 +117,7 @@ BcResult kadabra_run(const graph::Graph& graph, const KadabraOptions& options,
   result.engine_used = engine_options;
   result.substrate_used = world != nullptr ? world->name() : "";
   result.epochs = driver.epochs;
+  result.stop_reason = driver.stop_reason;
   result.samples_attempted = driver.samples_attempted;
 
   // Top-k extraction: exact selection at the root - through the TPUT-style

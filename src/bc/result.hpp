@@ -26,6 +26,9 @@ struct BcResult {
   /// never aggregated (>= samples); drives the Figure 3b rate metric.
   std::uint64_t samples_attempted = 0;
   std::uint64_t epochs = 0;           // aggregation rounds
+  /// KADABRA: whether the stopping rule (omega included) or the epoch cap
+  /// ended the adaptive phase.
+  engine::StopReason stop_reason = engine::StopReason::kRule;
   std::uint64_t omega = 0;            // static budget
   std::uint32_t vertex_diameter = 0;  // VD used for omega
 

@@ -136,6 +136,10 @@ struct EngineOptions {
   return physical;
 }
 
+/// What ended a run: its stopping rule, or the `max_epochs` cap with the
+/// rule still unsatisfied (the aggregate then misses the rule's target).
+enum class StopReason : std::uint8_t { kRule, kMaxEpochs };
+
 template <typename Frame>
 struct EngineResult {
   Frame aggregate;  // consistent final state (identical on every rank)
@@ -144,6 +148,7 @@ struct EngineResult {
   /// elementwise sum of all ranks' local aggregates equals `aggregate`.
   Frame local_aggregate;
   std::uint64_t epochs = 0;
+  StopReason stop_reason = StopReason::kRule;
   std::uint64_t samples_attempted = 0;  // all ranks (valid at rank 0)
   /// Payload moved over the communicators this engine used, including the
   /// hierarchical substrate (cumulative over the comm's lifetime).
@@ -366,6 +371,18 @@ EngineResult<Frame> run_epochs(comm::Substrate* world, const Frame& prototype,
       std::this_thread::yield();
     };
 
+    // The stop check every rank runs on the identical aggregate: the rule
+    // first, then the epoch cap, recorded as the reason when it alone ends
+    // the run.
+    auto stop_check = [&]() -> std::uint8_t {
+      return result.phases.timed(Phase::kStopCheck, [&]() -> std::uint8_t {
+        if (should_stop(std::as_const(result.aggregate))) return 1;
+        if (result.epochs + 1 < options.max_epochs) return 0;
+        result.stop_reason = StopReason::kMaxEpochs;
+        return 1;
+      });
+    };
+
     // One §IV-F strategy dispatch serving every merge shape: the callers
     // supply the blocking reduction and the non-blocking starter.
     auto run_aggregation = [&](comm::Substrate& global, auto&& blocking_reduce,
@@ -420,12 +437,7 @@ EngineResult<Frame> run_epochs(comm::Substrate* world, const Frame& prototype,
       if (!multi_rank) {
         // Null/1-rank communicator: the epoch aggregate is already global.
         result.aggregate.merge(snapshot);
-        done_flag = result.phases.timed(Phase::kStopCheck, [&] {
-          return should_stop(std::as_const(result.aggregate)) ||
-                         result.epochs + 1 >= options.max_epochs
-                     ? 1
-                     : 0;
-        });
+        done_flag = stop_check();
       } else {
         // Node-local pre-aggregation via the shared window (§IV-E).
         bool in_global = true;
@@ -539,12 +551,7 @@ EngineResult<Frame> run_epochs(comm::Substrate* world, const Frame& prototype,
         // synchronization per epoch at exactly the moment every rank was
         // about to diverge into the next epoch's sampling.
         result.aggregate.merge(epoch_agg);
-        done_flag = result.phases.timed(Phase::kStopCheck, [&] {
-          return should_stop(std::as_const(result.aggregate)) ||
-                         result.epochs + 1 >= options.max_epochs
-                     ? 1
-                     : 0;
-        });
+        done_flag = stop_check();
       }
 
       ++result.epochs;

@@ -131,7 +131,24 @@ TEST(GenericDriver, MaxEpochsStopsDivergentRules) {
         [](const MomentFrame&) { return false; },  // never satisfied
         options);
     EXPECT_EQ(result.epochs, 7u);
+    EXPECT_EQ(result.stop_reason, engine::StopReason::kMaxEpochs);
   });
+}
+
+TEST(GenericDriver, RuleSatisfiedAtTheCapStillReportsTheRule) {
+  struct OneSampler {
+    void sample(MomentFrame& frame) { frame.record(1); }
+  };
+  engine::EngineOptions options;
+  options.epoch_base = 5;
+  options.epoch_exponent = 0.0;
+  options.max_epochs = 3;
+  int checks = 0;
+  auto result = engine::run_epochs(
+      nullptr, MomentFrame{}, [](std::uint64_t) { return OneSampler{}; },
+      [&](const MomentFrame&) { return ++checks == 3; }, options);
+  EXPECT_EQ(result.epochs, 3u);
+  EXPECT_EQ(result.stop_reason, engine::StopReason::kRule);
 }
 
 double exact_mean_distance(const graph::Graph& graph) {

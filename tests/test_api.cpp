@@ -341,6 +341,43 @@ TEST(SessionValidation, UnrepresentableSampleBudgetsAreErrors) {
   EXPECT_TRUE(session.run(fine).status.ok);
 }
 
+TEST(SessionValidation, EpochCapStopsAreErrors) {
+  // A rule no epoch budget can meet: the cap ends every query, which must
+  // not report ok.
+  const auto graph = std::make_shared<const graph::Graph>(
+      graph::largest_component(gen::erdos_renyi(300, 900, 7)));
+  api::Config config;
+  config.max_epochs = 2000;
+  api::Session session(graph, config);
+  api::MeanDistanceQuery mean;
+  mean.epsilon = 1e-10;
+  const api::Result mean_result = session.run(mean);
+  EXPECT_FALSE(mean_result.status.ok);
+  EXPECT_EQ(mean_result.stop_reason, engine::StopReason::kMaxEpochs);
+  EXPECT_EQ(mean_result.epochs, 2000u);
+  EXPECT_NE(mean_result.status.message.find("max_epochs"), std::string::npos);
+  EXPECT_GT(mean_result.half_width, mean.epsilon);
+
+  config.max_epochs = 1;
+  api::Session capped(graph, config);
+  api::BetweennessQuery betweenness;
+  betweenness.epsilon = 0.005;
+  const api::Result bc_result = capped.run(betweenness);
+  EXPECT_FALSE(bc_result.status.ok);
+  EXPECT_EQ(bc_result.stop_reason, engine::StopReason::kMaxEpochs);
+  api::ClosenessRankQuery closeness;
+  closeness.epsilon = 0.005;
+  const api::Result closeness_result = capped.run(closeness);
+  EXPECT_FALSE(closeness_result.status.ok);
+  EXPECT_EQ(closeness_result.stop_reason, engine::StopReason::kMaxEpochs);
+
+  // Queries whose rule holds within the cap stay ok.
+  api::Session roomy(graph, api::Config{});
+  const api::Result fine = roomy.run(api::MeanDistanceQuery{});
+  EXPECT_TRUE(fine.status.ok);
+  EXPECT_EQ(fine.stop_reason, engine::StopReason::kRule);
+}
+
 TEST(SessionValidation, TinyAndDisconnectedGraphsAreErrors) {
   graph::Builder tiny_builder(1);
   api::Session tiny(tiny_builder.finish(), api::Config{});
