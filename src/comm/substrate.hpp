@@ -142,21 +142,7 @@ class Substrate {
     DISTBC_ASSERT(rank() != root || recv.size() == send.size());
     comm_.reduce_bytes_impl(as_bytes(send.data()), send.size() * sizeof(T),
                             send.size(), as_bytes_mut(recv.data()),
-                            mpisim::detail::combine_fn<T>(op), root,
-                            /*blocking=*/true);
-  }
-
-  /// Non-blocking reduce; the §IV-F software-progression penalty stretches
-  /// its completion deadline and every unsuccessful root test() pays the
-  /// modeled poll tax.
-  template <typename T>
-  [[nodiscard]] Request ireduce(std::span<const T> send, std::span<T> recv,
-                                int root, ReduceOp op = ReduceOp::kSum) {
-    DISTBC_ASSERT(rank() != root || recv.size() == send.size());
-    return comm_.ireduce_bytes_impl(as_bytes(send.data()),
-                                    send.size() * sizeof(T), send.size(),
-                                    as_bytes_mut(recv.data()),
-                                    mpisim::detail::combine_fn<T>(op), root);
+                            mpisim::detail::combine_fn<T>(op), root);
   }
 
   /// All-reduce: every rank receives the full reduction. One collective,
@@ -177,8 +163,7 @@ class Substrate {
   template <typename T>
   void bcast(std::span<T> buffer, int root) {
     comm_.bcast_bytes_impl(as_bytes_mut(buffer.data()),
-                           buffer.size() * sizeof(T), root,
-                           /*blocking=*/true);
+                           buffer.size() * sizeof(T), root);
   }
 
   template <typename T>
@@ -201,23 +186,12 @@ class Substrate {
   /// Merge reduction: `merge(src_rank, payload)` is invoked at the
   /// root exactly once per rank, in rank order, when the reduction
   /// completes (inside the blocking call, or the completing test()/wait()
-  /// of the non-blocking form). `merge` runs under the communicator lock
+  /// of a non-blocking form). `merge` runs under the communicator lock
   /// and must not call back into the communicator. Non-roots may pass any
   /// callable; it is ignored.
   template <typename T, typename MergeFn>
   void reduce_merge(std::span<const T> send, MergeFn&& merge, int root) {
     comm_.mergev_bytes_impl(
-        mpisim::detail::SlotKind::kReduceMerge, as_bytes(send.data()),
-        send.size() * sizeof(T),
-        erase_merge<T>(std::forward<MergeFn>(merge), root), root);
-  }
-
-  /// Non-blocking merge reduction; progresses like ireduce (§IV-F
-  /// progression penalty and poll tax apply).
-  template <typename T, typename MergeFn>
-  [[nodiscard]] Request ireduce_merge(std::span<const T> send,
-                                      MergeFn&& merge, int root) {
-    return comm_.imergev_bytes_impl(
         mpisim::detail::SlotKind::kReduceMerge, as_bytes(send.data()),
         send.size() * sizeof(T),
         erase_merge<T>(std::forward<MergeFn>(merge), root), root);
@@ -278,8 +252,8 @@ class Substrate {
                           root, radix);
   }
 
-  /// Non-blocking tree merge; progresses like ireduce (§IV-F progression
-  /// penalty and poll tax apply). Interior combines are charged as each
+  /// Non-blocking tree merge (§IV-F progression penalty and poll tax
+  /// apply). Interior combines are charged as each
   /// subtree's modeled deadline passes - any rank's test() advances them,
   /// the same progress-polling hook the engine uses for ibcast - so their
   /// compute cost overlaps the caller's sampling instead of extending the
@@ -304,17 +278,6 @@ class Substrate {
     comm_.mergev_bytes_impl(mpisim::detail::SlotKind::kGatherv,
                             as_bytes(send.data()), send.size() * sizeof(T),
                             erase_gather<T>(recv, root), root);
-  }
-
-  /// Non-blocking gatherv; `recv` must stay alive until completion.
-  template <typename T>
-  [[nodiscard]] Request igatherv(std::span<const T> send,
-                                 std::vector<std::vector<T>>& recv,
-                                 int root) {
-    return comm_.imergev_bytes_impl(mpisim::detail::SlotKind::kGatherv,
-                                    as_bytes(send.data()),
-                                    send.size() * sizeof(T),
-                                    erase_gather<T>(recv, root), root);
   }
 
  private:

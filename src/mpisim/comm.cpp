@@ -500,8 +500,7 @@ void wait_collective(CommState& state, std::uint64_t ticket, int rank,
 
 void Comm::reduce_bytes_impl(const std::byte* send, std::size_t bytes,
                              std::size_t count, std::byte* recv,
-                             detail::CombineFn combine, int root,
-                             bool blocking) {
+                             detail::CombineFn combine, int root) {
   DISTBC_ASSERT(valid());
   const std::uint64_t ticket = next_ticket();
   state_->stats.reduce_calls.fetch_add(1, std::memory_order_relaxed);
@@ -513,71 +512,25 @@ void Comm::reduce_bytes_impl(const std::byte* send, std::size_t bytes,
   spec.root_recv = recv;
   spec.byte_counter = &state_->stats.reduce_bytes;
   post_collective(*state_, ticket, rank_, send, bytes, std::move(spec));
-  DISTBC_ASSERT(blocking);
   wait_collective(*state_, ticket, rank_, nullptr);
 }
-
-Request Comm::ireduce_bytes_impl(const std::byte* send, std::size_t bytes,
-                                 std::size_t count, std::byte* recv,
-                                 detail::CombineFn combine, int root) {
-  DISTBC_ASSERT(valid());
-  const std::uint64_t ticket = next_ticket();
-  state_->stats.ireduce_calls.fetch_add(1, std::memory_order_relaxed);
-  PostSpec spec;
-  spec.kind = SlotKind::kReduce;
-  spec.root = root;
-  spec.nonblocking = true;
-  spec.count = count;
-  spec.combine = combine;
-  spec.root_recv = recv;
-  spec.byte_counter = &state_->stats.reduce_bytes;
-  post_collective(*state_, ticket, rank_, send, bytes, std::move(spec));
-  return make_request(ticket);
-}
-
-namespace {
-
-PostSpec mergev_spec(CommState& state, SlotKind kind,
-                     detail::MergeBytesFn merge, int root, bool nonblocking) {
-  PostSpec spec;
-  spec.kind = kind;
-  spec.root = root;
-  spec.nonblocking = nonblocking;
-  spec.merge = std::move(merge);
-  spec.byte_counter = kind == SlotKind::kGatherv
-                          ? &state.stats.gatherv_bytes
-                          : &state.stats.reduce_merge_bytes;
-  return spec;
-}
-
-}  // namespace
 
 void Comm::mergev_bytes_impl(detail::SlotKind kind, const std::byte* send,
                              std::size_t bytes, detail::MergeBytesFn merge,
                              int root) {
   DISTBC_ASSERT(valid());
   const std::uint64_t ticket = next_ticket();
-  auto& calls = kind == SlotKind::kGatherv ? state_->stats.gatherv_calls
-                                           : state_->stats.reduce_merge_calls;
-  calls.fetch_add(1, std::memory_order_relaxed);
-  post_collective(*state_, ticket, rank_, send, bytes,
-                  mergev_spec(*state_, kind, std::move(merge), root,
-                              /*nonblocking=*/false));
+  const bool gather = kind == SlotKind::kGatherv;
+  (gather ? state_->stats.gatherv_calls : state_->stats.reduce_merge_calls)
+      .fetch_add(1, std::memory_order_relaxed);
+  PostSpec spec;
+  spec.kind = kind;
+  spec.root = root;
+  spec.merge = std::move(merge);
+  spec.byte_counter = gather ? &state_->stats.gatherv_bytes
+                             : &state_->stats.reduce_merge_bytes;
+  post_collective(*state_, ticket, rank_, send, bytes, std::move(spec));
   wait_collective(*state_, ticket, rank_, nullptr);
-}
-
-Request Comm::imergev_bytes_impl(detail::SlotKind kind, const std::byte* send,
-                                 std::size_t bytes,
-                                 detail::MergeBytesFn merge, int root) {
-  DISTBC_ASSERT(valid());
-  const std::uint64_t ticket = next_ticket();
-  auto& calls = kind == SlotKind::kGatherv ? state_->stats.gatherv_calls
-                                           : state_->stats.reduce_merge_calls;
-  calls.fetch_add(1, std::memory_order_relaxed);
-  post_collective(*state_, ticket, rank_, send, bytes,
-                  mergev_spec(*state_, kind, std::move(merge), root,
-                              /*nonblocking=*/true));
-  return make_request(ticket);
 }
 
 namespace {
@@ -792,13 +745,12 @@ void wait_bcast(CommState& state, std::uint64_t ticket, int rank,
 
 }  // namespace
 
-void Comm::bcast_bytes_impl(std::byte* buffer, std::size_t bytes, int root,
-                            bool blocking) {
+void Comm::bcast_bytes_impl(std::byte* buffer, std::size_t bytes,
+                            int root) {
   DISTBC_ASSERT(valid());
   const std::uint64_t ticket = next_ticket();
   state_->stats.bcast_calls.fetch_add(1, std::memory_order_relaxed);
   post_bcast(*state_, ticket, rank_, buffer, bytes, root);
-  DISTBC_ASSERT(blocking);
   wait_bcast(*state_, ticket, rank_, buffer);
 }
 

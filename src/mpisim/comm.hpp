@@ -259,9 +259,6 @@ class Comm {
   void mergev_bytes_impl(detail::SlotKind kind, const std::byte* send,
                          std::size_t bytes, detail::MergeBytesFn merge,
                          int root);
-  Request imergev_bytes_impl(detail::SlotKind kind, const std::byte* send,
-                             std::size_t bytes, detail::MergeBytesFn merge,
-                             int root);
   void tree_bytes_impl(const std::byte* send, std::size_t bytes,
                        detail::CombineImagesFn combine,
                        detail::MergeBytesFn merge, int root, int radix);
@@ -271,10 +268,7 @@ class Comm {
 
   void reduce_bytes_impl(const std::byte* send, std::size_t bytes,
                          std::size_t count, std::byte* recv,
-                         detail::CombineFn combine, int root, bool blocking);
-  Request ireduce_bytes_impl(const std::byte* send, std::size_t bytes,
-                             std::size_t count, std::byte* recv,
-                             detail::CombineFn combine, int root);
+                         detail::CombineFn combine, int root);
   void allreduce_bytes_impl(const std::byte* send, std::size_t bytes,
                             std::size_t count, std::byte* recv,
                             detail::CombineFn combine);
@@ -282,8 +276,7 @@ class Comm {
                            detail::MergeBytesFn merge);
   Request iallmerge_bytes_impl(const std::byte* send, std::size_t bytes,
                                detail::MergeBytesFn merge);
-  void bcast_bytes_impl(std::byte* buffer, std::size_t bytes, int root,
-                        bool blocking);
+  void bcast_bytes_impl(std::byte* buffer, std::size_t bytes, int root);
   Request ibcast_bytes_impl(std::byte* buffer, std::size_t bytes, int root);
 
  private:

@@ -70,7 +70,6 @@ struct CommVolume {
 /// Shared per-communicator counters; all ranks update them atomically.
 struct CommStats {
   std::atomic<std::uint64_t> reduce_calls{0};
-  std::atomic<std::uint64_t> ireduce_calls{0};
   std::atomic<std::uint64_t> reduce_merge_calls{0};
   std::atomic<std::uint64_t> tree_merge_calls{0};
   std::atomic<std::uint64_t> gatherv_calls{0};
@@ -131,7 +130,6 @@ struct CommStats {
 
   void reset() {
     reduce_calls = 0;
-    ireduce_calls = 0;
     reduce_merge_calls = 0;
     tree_merge_calls = 0;
     gatherv_calls = 0;
