@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
       "Ablation - wire images vs the paper's dense frame layout",
       "frame layer over paper §III-B/§IV-E/F; bytes ~ samples, not |V|",
       config);
-  bench::JsonReport json("ablation_frame_rep", config);
+  bench::JsonReport json("ablation_comm_volume", config);
 
   const auto vertices = static_cast<std::uint32_t>(
       config.options.get_u64("vertices", 40000));
