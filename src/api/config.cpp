@@ -165,7 +165,8 @@ const std::vector<Entry>& entries() {
       DISTBC_U64_KEY("max_epoch_length", "DISTBC_MAX_EPOCH_LENGTH",
                      max_epoch_length, "hard epoch-length cap (0 = none)"),
       DISTBC_U64_KEY("max_epochs", "DISTBC_MAX_EPOCHS", max_epochs,
-                     "hard cap on aggregation rounds"),
+                     "hard cap on aggregation rounds (a query it ends "
+                     "before its stopping rule holds is an error)"),
       DISTBC_BOOL_KEY("deterministic", "DISTBC_DETERMINISTIC", deterministic,
                       "bitwise-reproducible engine mode"),
       DISTBC_U64_KEY("virtual_streams", "DISTBC_VIRTUAL_STREAMS",

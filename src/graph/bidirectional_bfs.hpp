@@ -19,10 +19,19 @@
 // membership test, the same-level sigma check, and the cross-side meeting
 // check from one cache line; the intersection check is folded into
 // discovery instead of rescanning the new level; and each side's frontier
-// volume is cached until that side next expands. None of this changes an
-// output: discovery order, sigma arithmetic, side selection, and RNG draws
-// are those of the textbook formulation above, bit for bit
-// (tests/test_bidirectional_bfs.cpp pins them with golden checksums).
+// volume is cached until that side next expands.
+//
+// The backward walk finds a hop's predecessors by scanning either the
+// current vertex's adjacency list or, when that list is much longer, the
+// BFS level below with a binary search of the list per vertex; it then
+// visits them in id order, which is adjacency order because adjacency
+// lists are strictly increasing (graph::Builder, both readers, and
+// MutableGraph snapshots guarantee it; Graph::has_edge relies on it too).
+//
+// None of this changes an output: discovery order, sigma arithmetic, side
+// selection, and RNG draws are those of the textbook formulation above,
+// bit for bit (tests/test_bidirectional_bfs.cpp pins them with golden
+// checksums).
 #pragma once
 
 #include <cstdint>
@@ -94,7 +103,9 @@ class BidirectionalBfs {
   bool expand_level(const Graph& graph, int side_index);
   void collect_meeting_set();
   /// Walks from `v` back to side `side_index`'s root, appending interior
-  /// vertices root-ward. Includes `v` itself if it is not the root.
+  /// vertices root-ward. Includes `v` itself if it is not the root. Each
+  /// hop draws once per predecessor, in adjacency order, however the
+  /// predecessors were found.
   void walk_to_root(const Graph& graph, int side_index, Vertex v, Rng& rng,
                     std::vector<Vertex>& out);
 
