@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "bc/brandes.hpp"
@@ -40,8 +41,6 @@ Status apply_overrides(const EngineOverrides& overrides,
   return Status::success();
 }
 
-/// A typed error for an epsilon whose sample budget does not fit the
-/// drivers' 64-bit sample counts (bc::budget_fits).
 /// An engine run the epoch cap ended is not an answer to the query.
 Status stop_status(engine::StopReason reason, std::uint64_t epochs) {
   if (reason == engine::StopReason::kRule) return Status::success();
@@ -49,6 +48,8 @@ Status stop_status(engine::StopReason reason, std::uint64_t epochs) {
                        ") reached before the stopping rule held");
 }
 
+/// A typed error for an epsilon whose sample budget does not fit the
+/// drivers' 64-bit sample counts (bc::budget_fits).
 Status budget_status(double budget) {
   if (bc::budget_fits(budget)) return Status::success();
   return Status::error(

@@ -185,8 +185,7 @@ class Substrate {
 
   /// Merge reduction: `merge(src_rank, payload)` is invoked at the
   /// root exactly once per rank, in rank order, when the reduction
-  /// completes (inside the blocking call, or the completing test()/wait()
-  /// of a non-blocking form). `merge` runs under the communicator lock
+  /// completes inside the call. `merge` runs under the communicator lock
   /// and must not call back into the communicator. Non-roots may pass any
   /// callable; it is ignored.
   template <typename T, typename MergeFn>
