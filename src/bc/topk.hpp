@@ -1,5 +1,5 @@
 // Distributed top-k score extraction (the workload that drives the
-// gatherv/igatherv collectives).
+// gatherv collective).
 //
 // Given per-rank additive local aggregates (every rank holds the counts of
 // its own samples; the elementwise sum over ranks is the global state),

@@ -608,9 +608,31 @@ TEST(SlotProtocol, ProgressionPenaltyIsUniformAcrossFlavors) {
     });
     return timing;
   };
+  // Blocking-only calls (the sample-count reduce and the top-k merge):
+  // elapsed wall time at the root.
+  const auto time_blocking = [&](auto blocking) {
+    double blocking_s = 0.0;
+    Runtime runtime(config);
+    run_ranks(runtime, [&](Substrate& comm) {
+      const auto start = detail::Clock::now();
+      blocking(comm);
+      const auto end = detail::Clock::now();
+      if (comm.rank() == 0) {
+        blocking_s = std::chrono::duration<double>(end - start).count();
+      }
+    });
+    return blocking_s;
+  };
 
   const std::vector<std::uint64_t> payload(64, 1);
+  std::vector<std::uint64_t> recv(64, 0);
   const auto merge = [](int, std::span<const std::uint64_t>) {};
+  const double reduce_s = time_blocking([&](Substrate& comm) {
+    comm.reduce(std::span<const std::uint64_t>(payload), std::span(recv), 0);
+  });
+  const double mergev_s = time_blocking([&](Substrate& comm) {
+    comm.reduce_merge(std::span<const std::uint64_t>(payload), merge, 0);
+  });
   const Timing butterfly = time_flavor(
       [&](Substrate& comm) {
         comm.allreduce_merge(std::span<const std::uint64_t>(payload), merge);
@@ -632,6 +654,8 @@ TEST(SlotProtocol, ProgressionPenaltyIsUniformAcrossFlavors) {
   // The blocking deadline is >= one modeled alpha; the non-blocking one is
   // stretched by the progression factor. Lower bounds only: upper bounds
   // are scheduler-dependent on a loaded host.
+  EXPECT_GE(reduce_s, 0.9 * 20e-3);
+  EXPECT_GE(mergev_s, 0.9 * 20e-3);
   EXPECT_GE(butterfly.blocking_s, 0.9 * 20e-3);
   EXPECT_GE(butterfly.nonblocking_s, 0.9 * 3.0 * 20e-3);
   // The tree charges per-hop point-to-point alphas along the critical
