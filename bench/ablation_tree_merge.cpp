@@ -76,7 +76,6 @@ int main(int argc, char** argv) {
     bc::KadabraOptions options;
     options.params.epsilon = eps;
     options.params.seed = config.seed;
-    options.params.exact_diameter = false;
     options.engine.threads_per_rank = 1;
     // Deterministic mode pins the sample set: every configuration
     // aggregates the same frames, so byte counts are comparable and
@@ -230,7 +229,6 @@ int main(int argc, char** argv) {
     bc::KadabraOptions options;
     options.params.epsilon = modeled_eps;
     options.params.seed = config.seed;
-    options.params.exact_diameter = false;
     options.engine.threads_per_rank = 1;
     options.engine.deterministic = true;
     options.engine.virtual_streams =

@@ -36,7 +36,6 @@
 #include "dynamic/mutable_graph.hpp"
 #include "gen/barabasi_albert.hpp"
 #include "graph/components.hpp"
-#include "graph/diameter.hpp"
 #include "support/random.hpp"
 #include "support/timer.hpp"
 
@@ -150,7 +149,6 @@ int main(int argc, char** argv) {
   params.epsilon = epsilon;
   params.delta = 0.1;
   params.seed = config.seed;
-  params.exact_diameter = true;
   dynamic::SketchParams sketch;
   sketch.exact_cap = static_cast<std::uint32_t>(sketch_cap);
 
@@ -193,8 +191,7 @@ int main(int argc, char** argv) {
       const std::uint32_t bound =
           batch.deletes().empty()
               ? 0
-              : graph::vertex_diameter(*mutable_graph.snapshot(),
-                                       params.exact_diameter);
+              : bc::kadabra_vertex_diameter(*mutable_graph.snapshot());
       const auto stats =
           engine.refresh(mutable_graph.snapshot(), batch, bound);
       dirty += stats.dirty;

@@ -211,9 +211,6 @@ const std::vector<Entry>& entries() {
                   comm::substrate_name(config.comm_substrate));
             }},
       DISTBC_U64_KEY("seed", "DISTBC_SEED", seed, "RNG seed"),
-      DISTBC_BOOL_KEY("exact_diameter", "DISTBC_EXACT_DIAMETER",
-                      exact_diameter,
-                      "phase 1: iFUB (1) or 2-approximation (0)"),
       DISTBC_U64_KEY("initial_samples", "DISTBC_INITIAL_SAMPLES",
                      initial_samples,
                      "calibration sample count (0 = automatic)"),

@@ -75,7 +75,6 @@ struct Config {
 
   // --- Sampling / statistics knobs ----------------------------------------
   std::uint64_t seed = 0x5eed;
-  bool exact_diameter = true;     // iFUB vs 2-approximation in phase 1
   std::uint64_t initial_samples = 0;  // 0 = automatic (scales with omega)
   double balancing = 0.01;        // calibration failure-budget floor
   /// First-stop-check pacing (the deduplicated clamp: the Session passes

@@ -26,21 +26,6 @@ std::vector<std::pair<graph::Vertex, double>> pairs_from_order(
   return pairs;
 }
 
-/// Validates and applies a query's EngineOverrides onto the engine options
-/// built from the session Config. The overridable knobs mirror the Config
-/// table's ranges.
-Status apply_overrides(const EngineOverrides& overrides,
-                       engine::EngineOptions& options) {
-  if (overrides.tree_radix.has_value() &&
-      (*overrides.tree_radix < 0 || *overrides.tree_radix == 1)) {
-    return Status::error(
-        "query override tree_radix must be 0 (flat) or >= 2");
-  }
-  if (overrides.tree_radix.has_value())
-    options.tree_radix = *overrides.tree_radix;
-  return Status::success();
-}
-
 /// An engine run the epoch cap ended is not an answer to the query.
 Status stop_status(engine::StopReason reason, std::uint64_t epochs) {
   if (reason == engine::StopReason::kRule) return Status::success();
@@ -130,9 +115,9 @@ Status Session::validate_query(double epsilon, double delta,
 Session::CalibrationKey Session::calibration_key(
     const bc::KadabraParams& params, int threads_per_rank, bool deterministic,
     std::uint64_t virtual_streams) const {
-  return {params.epsilon,    params.delta,     params.seed,
-          params.exact_diameter, params.initial_samples, params.balancing,
-          threads_per_rank,  deterministic,    virtual_streams};
+  return {params.epsilon,         params.delta,     params.seed,
+          params.initial_samples, params.balancing, threads_per_rank,
+          deterministic,          virtual_streams};
 }
 
 Status Session::preload_calibration(
@@ -147,8 +132,7 @@ Status Session::preload_calibration(
   // keyed under - KadabraContext carries them.
   const bc::KadabraParams& wp = warm->context.params;
   if (wp.epsilon != params.epsilon || wp.delta != params.delta ||
-      wp.seed != params.seed || wp.exact_diameter != params.exact_diameter ||
-      wp.initial_samples != params.initial_samples ||
+      wp.seed != params.seed || wp.initial_samples != params.initial_samples ||
       wp.balancing != params.balancing) {
     return Status::error(
         "preload_calibration: warm state was calibrated with different "
@@ -234,23 +218,29 @@ void Session::adopt_apply(const dynamic::ApplyReport& report) {
     connected_.reset();
   }
   mean_distance_range_ = 0;
-  // Calibration-bound policy: a warm state survives as long as its cached
-  // vertex-diameter bound still covers the new graph - always on
-  // insert-only batches (distances only shrink; diameter_bound stays 0),
-  // and on deletion batches when the bound is at or above the recomputed
-  // one. Survivors are re-stamped to the new fingerprint so provenance
-  // checks keep accepting them; violated bounds drop the entry (omega
-  // would be too small for the grown diameter). Only a survivor reads the
-  // new fingerprint, which the shared state hashes once per version.
+  // Calibration-bound policy: a warm state survives as long as its omega
+  // still covers the new graph - always on insert-only batches (distances
+  // only shrink; diameter_bound stays 0), and on deletion batches when its
+  // diameter bucket is at or above the new bound's, since omega reads the
+  // diameter only through that bucket. Survivors are re-stamped to the new
+  // fingerprint so provenance checks keep accepting them, and their
+  // diameter is raised to the new bound so it stays one; a bucket below
+  // the bound's drops the entry (omega would be too small for the grown
+  // diameter). Only a survivor reads the new fingerprint, which the shared
+  // state hashes once per version.
   for (auto it = calibrations_.begin(); it != calibrations_.end();) {
     const auto& warm = it->second;
-    if (report.had_deletes && warm->vertex_diameter < report.diameter_bound) {
+    if (report.had_deletes && bc::diameter_bucket(warm->vertex_diameter) <
+                                  bc::diameter_bucket(report.diameter_bound)) {
       it = calibrations_.erase(it);
       continue;
     }
     if (!fingerprint_.has_value()) fingerprint_ = dynamic_->fingerprint();
     auto restamped = std::make_shared<bc::KadabraWarmState>(*warm);
     restamped->graph_fingerprint = *fingerprint_;
+    restamped->vertex_diameter =
+        std::max(warm->vertex_diameter, report.diameter_bound);
+    restamped->context.vertex_diameter = restamped->vertex_diameter;
     it->second = std::move(restamped);
     ++it;
   }
@@ -354,10 +344,10 @@ Result Session::run(const BetweennessQuery& query) {
   // epsilon < 1 (the driver asserts it).
   if (result.status.ok && !exact && query.epsilon >= 1.0)
     result.status = Status::error("epsilon must be in (0, 1)");
-  // The budget grows with the vertex diameter's bucket. Every diameter a
-  // driver may use, exact or the 2-approximation 2 ecc + 1, is below 2|V|,
-  // so a budget that fits there fits at the real one (plain and
-  // incremental runs alike: batches keep the vertex set).
+  // The budget grows with the vertex diameter's bucket. Every diameter
+  // bound a driver may use, at most twice an eccentricity plus one, is
+  // below 2|V|, so a budget that fits there fits at the real one (plain
+  // and incremental runs alike: batches keep the vertex set).
   if (result.status.ok && !exact) {
     const auto diameter_cap = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(2ull * graph_->num_vertices(),
@@ -387,13 +377,10 @@ Result Session::run(const BetweennessQuery& query) {
   bc::KadabraOptions options;
   options.params.epsilon = query.epsilon;
   options.params.delta = query.delta;
-  options.params.exact_diameter = config_.exact_diameter;
   options.params.seed = config_.seed;
   options.params.initial_samples = config_.initial_samples;
   options.params.balancing = config_.balancing;
   options.engine = config_.engine_options();
-  result.status = apply_overrides(query.engine, options.engine);
-  if (!result.status.ok) return result;
   options.omega_fraction = config_.omega_fraction;
   options.min_epoch_length = config_.min_epoch_length;
   options.top_k = query.top_k;
@@ -425,7 +412,6 @@ Result Session::run_incremental(const BetweennessQuery& query) {
   bc::KadabraParams params;
   params.epsilon = query.epsilon;
   params.delta = query.delta;
-  params.exact_diameter = config_.exact_diameter;
   params.seed = config_.seed;
   params.initial_samples = config_.initial_samples;
   params.balancing = config_.balancing;
@@ -474,8 +460,6 @@ Result Session::run(const ClosenessRankQuery& query) {
   params.delta = query.delta;
   params.seed = config_.seed;
   params.engine = config_.engine_options();
-  result.status = apply_overrides(query.engine, params.engine);
-  if (!result.status.ok) return result;
   params.assume_connected = true;  // the session just validated it
 
   adaptive::ClosenessResult closeness_result = closeness(params);
@@ -508,8 +492,6 @@ Result Session::run(const MeanDistanceQuery& query) {
   params.delta = query.delta;
   params.seed = config_.seed;
   params.engine = config_.engine_options();
-  result.status = apply_overrides(query.engine, params.engine);
-  if (!result.status.ok) return result;
   params.known_range = mean_distance_range_;  // 0 until a first query ran
   params.assume_connected = true;
 

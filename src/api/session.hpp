@@ -60,15 +60,6 @@ namespace distbc::api {
 
 // --- Typed queries ----------------------------------------------------------
 
-/// Per-query engine overrides: exactly the knobs that do NOT change
-/// deterministic-mode results (bitwise invariant across tree radixes) and
-/// do NOT enter the calibration cache key - so a service can run mixed
-/// configurations on one session or pool without splitting the cached
-/// warm state. Unset fields keep the session Config's value.
-struct EngineOverrides {
-  std::optional<int> tree_radix;  // 0 = flat, else >= 2
-};
-
 /// Approximate betweenness (KADABRA) with optional exact top-k extraction;
 /// runs exact Brandes instead when `exact` is set or |V| is at or below
 /// Config::exact_threshold.
@@ -81,9 +72,8 @@ struct BetweennessQuery {
   /// set survives Session::apply(EdgeBatch) churn, so post-apply queries
   /// pay only for the invalidated samples. Single-threaded engine, keyed
   /// by (epsilon, delta) + the session's statistical config; ignored when
-  /// the exact-Brandes path is selected. EngineOverrides do not apply.
+  /// the exact-Brandes path is selected.
   bool incremental = false;
-  EngineOverrides engine{};
 };
 
 /// Adaptive harmonic-closeness estimation for all vertices.
@@ -91,14 +81,12 @@ struct ClosenessRankQuery {
   double epsilon = 0.05;
   double delta = 0.1;
   std::size_t top_k = 0;  // 0 = score vector only
-  EngineOverrides engine{};
 };
 
 /// Adaptive mean shortest-path distance estimation.
 struct MeanDistanceQuery {
   double epsilon = 0.1;
   double delta = 0.1;
-  EngineOverrides engine{};
 };
 
 using Query = std::variant<BetweennessQuery, ClosenessRankQuery,
@@ -264,8 +252,8 @@ class Session {
   /// the rank count (fixed per session): the statistical parameters and
   /// the stream layout.
   using CalibrationKey =
-      std::tuple<double, double, std::uint64_t, bool, std::uint64_t, double,
-                 int, bool, std::uint64_t>;
+      std::tuple<double, double, std::uint64_t, std::uint64_t, double, int,
+                 bool, std::uint64_t>;
   [[nodiscard]] CalibrationKey calibration_key(
       const bc::KadabraParams& params, int threads_per_rank,
       bool deterministic, std::uint64_t virtual_streams) const;

@@ -61,7 +61,7 @@ BcResult kadabra_run(const graph::Graph& graph, const KadabraOptions& options,
     std::uint32_t vd = 0;
     if (is_root) {
       vd = phases.timed(Phase::kDiameter, [&] {
-        return kadabra_vertex_diameter(graph, params);
+        return kadabra_vertex_diameter(graph);
       });
     }
     if (world != nullptr) world->bcast(std::span{&vd, 1}, 0);

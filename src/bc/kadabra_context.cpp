@@ -1,15 +1,12 @@
 #include "bc/kadabra_context.hpp"
 
-#include "graph/components.hpp"
 #include "graph/diameter.hpp"
 
 namespace distbc::bc {
 
-std::uint32_t kadabra_vertex_diameter(const graph::Graph& graph,
-                                      const KadabraParams& params) {
-  DISTBC_ASSERT_MSG(graph::is_connected(graph),
-                    "KADABRA drivers expect the largest connected component");
-  return graph::vertex_diameter(graph, params.exact_diameter);
+std::uint32_t kadabra_vertex_diameter(const graph::Graph& graph) {
+  // iFUB's first sweep asserts that the graph is connected.
+  return graph::ifub_diameter(graph, diameter_bracket_settled).diameter + 1;
 }
 
 KadabraContext begin_context(const KadabraParams& params,

@@ -65,9 +65,10 @@ struct KadabraContext {
   }
 };
 
-/// Phase 1: vertex diameter of the (connected) input graph.
-[[nodiscard]] std::uint32_t kadabra_vertex_diameter(const graph::Graph& graph,
-                                                    const KadabraParams& params);
+/// Phase 1: an upper bound on the vertex diameter of the (connected) input
+/// graph with the exact value's diameter_bucket, so the omega it sizes is
+/// the exact diameter's. iFUB stops as soon as its bracket allows.
+[[nodiscard]] std::uint32_t kadabra_vertex_diameter(const graph::Graph& graph);
 
 /// Derives omega and the calibration sample count from the diameter.
 [[nodiscard]] KadabraContext begin_context(const KadabraParams& params,

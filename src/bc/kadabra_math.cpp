@@ -29,6 +29,10 @@ std::uint32_t diameter_bucket(std::uint32_t vertex_diameter) {
              : 0;
 }
 
+bool diameter_bracket_settled(std::uint32_t lower, std::uint32_t upper) {
+  return diameter_bucket(lower + 1) == diameter_bucket(upper + 1);
+}
+
 bool budget_fits(double budget) {
   return std::isfinite(budget) && budget >= 0.0 && budget < 0x1p64;
 }

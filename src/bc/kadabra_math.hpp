@@ -19,7 +19,6 @@ namespace distbc::bc {
 struct KadabraParams {
   double epsilon = 0.01;  // absolute error bound (paper experiments: 0.001)
   double delta = 0.1;     // failure probability (paper: 0.1)
-  bool exact_diameter = true;  // iFUB (true) or 2-approximation (false)
   std::uint64_t seed = 0x5eed;
   /// Non-adaptive samples used to calibrate delta_L/delta_U; 0 = automatic
   /// (scales with omega, see auto_initial_samples()).
@@ -57,6 +56,12 @@ struct KadabraParams {
 /// The only way the sample budgets read the vertex diameter VD:
 /// floor(log2(VD-2)), and 0 for VD <= 2.
 [[nodiscard]] std::uint32_t diameter_bucket(std::uint32_t vertex_diameter);
+
+/// iFUB's stop rule for phase 1 (graph::DiameterSettled): true once every
+/// hop diameter in [lower, upper] gives the same diameter_bucket, so the
+/// upper end sizes the budgets exactly as the exact diameter would.
+[[nodiscard]] bool diameter_bracket_settled(std::uint32_t lower,
+                                            std::uint32_t upper);
 
 /// True iff a sample budget computed in double precision is a finite,
 /// non-negative count whose ceiling fits a uint64. A tiny epsilon fails

@@ -57,7 +57,7 @@ BcResult lockstep_mpi_rank(const graph::Graph& graph,
   std::uint32_t vd = 0;
   if (is_root) {
     vd = phases.timed(Phase::kDiameter,
-                      [&] { return kadabra_vertex_diameter(graph, params); });
+                      [&] { return kadabra_vertex_diameter(graph); });
   }
   world.bcast(std::span{&vd, 1}, 0);
   KadabraContext context = begin_context(params, vd);

@@ -4,10 +4,10 @@
 #include <thread>
 #include <vector>
 
+#include "bc/kadabra_context.hpp"
 #include "bc/kadabra_math.hpp"
 #include "bc/sampler.hpp"
 #include "graph/components.hpp"
-#include "graph/diameter.hpp"
 #include "support/timer.hpp"
 
 namespace distbc::bc {
@@ -25,7 +25,7 @@ BcResult rk(const graph::Graph& graph, const RkParams& params,
 
   PhaseTimer phases;
   const std::uint32_t vd = phases.timed(Phase::kDiameter, [&] {
-    return graph::vertex_diameter(graph, params.exact_diameter);
+    return kadabra_vertex_diameter(graph);
   });
   result.vertex_diameter = vd;
 

@@ -13,7 +13,6 @@ namespace distbc::bc {
 struct RkParams {
   double epsilon = 0.01;
   double delta = 0.1;
-  bool exact_diameter = true;
   std::uint64_t seed = 0x5eed;
 };
 

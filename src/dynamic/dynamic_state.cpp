@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "graph/components.hpp"
-#include "graph/diameter.hpp"
 #include "support/assert.hpp"
 #include "support/timer.hpp"
 
@@ -55,39 +54,20 @@ ApplyReport DynamicState::apply(EdgeBatch batch) {
   report.edges_deleted = batch.deletes().size();
 
   // Bound policy (see the header). The recomputed path runs one diameter
-  // pass on the NEW snapshot: iFUB when any live engine uses the exact
-  // bound, whose root BFS is the 2-approximation's (same two-sweep
-  // midpoint), else the 2-approximation alone. The report carries the
-  // 2-approximation, a sound upper bound for any downstream cache (e.g.
-  // Session warm states).
-  std::uint32_t exact_bound = 0;
+  // pass on the NEW snapshot, whose bound the report and every engine
+  // take.
   if (report.bound_path == BoundPath::kReference) {
     report.diameter_bound = reference_bound_;
   } else if (recompute) {
-    const graph::Graph& snapshot = *graph_.snapshot();
-    const bool any_exact =
-        std::any_of(engines_.begin(), engines_.end(), [](const auto& entry) {
-          return entry.second->params().exact_diameter;
-        });
-    if (any_exact) {
-      const graph::DiameterResult ifub = graph::ifub_diameter(snapshot);
-      exact_bound = ifub.diameter + 1;
-      report.diameter_bound = 2 * ifub.root_eccentricity + 1;
-    } else {
-      report.diameter_bound = graph::vertex_diameter(snapshot, false);
-    }
+    report.diameter_bound = bc::kadabra_vertex_diameter(*graph_.snapshot());
     reference_ = graph_.snapshot();
     reference_bound_ = report.diameter_bound;
   }
   report.bound_seconds = bound_timer.elapsed_s();
 
   for (auto& [key, engine] : engines_) {
-    const std::uint32_t new_bound =
-        !recompute ? 0
-        : engine->params().exact_diameter ? exact_bound
-                                          : report.diameter_bound;
-    const IncrementalBc::RefreshStats stats =
-        engine->refresh(graph_.snapshot(), batch, new_bound);
+    const IncrementalBc::RefreshStats stats = engine->refresh(
+        graph_.snapshot(), batch, recompute ? report.diameter_bound : 0);
     ++report.engines_refreshed;
     report.samples_retained += stats.retained;
     report.samples_dirty += stats.dirty;

@@ -27,10 +27,11 @@
 //     connectivity check and the diameter pass; engines keep their bounds
 //     and the report carries the reference's cached bound;
 //   - recomputed: any other deletion batch is connectivity-checked and
-//     pays one diameter pass (iFUB when any live engine uses the exact
-//     bound, its root eccentricity giving the 2-approximation too); an
-//     accepted one becomes the reference. Engines recalibrate only when
-//     the new bound grows their omega.
+//     pays one diameter pass, bc::kadabra_vertex_diameter: iFUB stopped
+//     once its bracket fits one diameter bucket, so the bound sizes the
+//     exact diameter's omega. The report and every engine take it, and
+//     an accepted batch becomes the reference. Engines recalibrate only
+//     when the new bound grows their omega.
 // A fresh engine's snapshot becomes the reference too, with that engine's
 // vertex_diameter() as its bound; older engines' bounds cover the old
 // reference, a subgraph of the new one. query() builds engines only on a
@@ -75,7 +76,7 @@ struct ApplyReport {
   /// batches.
   BoundPath bound_path = BoundPath::kNone;
   /// Vertex-diameter upper bound for the NEW graph: the recomputed
-  /// 2-approximation (kRecomputed), the reference snapshot's cached bound,
+  /// bucket-tight bound (kRecomputed), the reference snapshot's cached bound,
   /// which covers every spanning supergraph (kReference), or 0 when the
   /// batch was insert-only and every cached bound stayed valid untouched.
   std::uint32_t diameter_bound = 0;
@@ -139,12 +140,12 @@ class DynamicState {
 
  private:
   /// The statistical identity of one engine: (epsilon, delta, seed,
-  /// exact_diameter, initial_samples, balancing).
+  /// initial_samples, balancing).
   using EngineKey =
-      std::tuple<double, double, std::uint64_t, bool, std::uint64_t, double>;
+      std::tuple<double, double, std::uint64_t, std::uint64_t, double>;
   [[nodiscard]] static EngineKey engine_key(const bc::KadabraParams& params) {
-    return {params.epsilon, params.delta,       params.seed,
-            params.exact_diameter, params.initial_samples, params.balancing};
+    return {params.epsilon, params.delta, params.seed, params.initial_samples,
+            params.balancing};
   }
 
   /// True when `batch` deletes no edge of the reference snapshot.

@@ -69,7 +69,7 @@ void IncrementalBc::run(std::shared_ptr<const graph::Graph> graph) {
   sampler_.emplace(*graph_, Rng(params_.seed));
   ledger_.clear();
   epochs_ = 0;
-  vertex_diameter_ = bc::kadabra_vertex_diameter(*graph_, params_);
+  vertex_diameter_ = bc::kadabra_vertex_diameter(*graph_);
   context_ = bc::begin_context(params_, vertex_diameter_);
   aggregate_ = epoch::StateFrame(graph_->num_vertices());
   // Phase 2: non-adaptive calibration samples feed only the stopping

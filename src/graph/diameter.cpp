@@ -21,19 +21,19 @@ Vertex max_degree_vertex(const Graph& graph) {
   return best;
 }
 
-}  // namespace
-
-TwoSweepResult two_sweep(const Graph& graph) {
+/// two_sweep on the caller's workspaces: `hub_ws` keeps the first sweep's
+/// distances from the max-degree hub; `ws` (which may be `hub_ws`) ends up
+/// with the second sweep's.
+TwoSweepResult two_sweep_into(const Graph& graph, BfsWorkspace& hub_ws,
+                              BfsWorkspace& ws) {
   DISTBC_ASSERT(graph.num_vertices() > 0);
-  BfsWorkspace ws(graph.num_vertices());
-
-  const Vertex start = max_degree_vertex(graph);
-  const BfsSummary first = bfs(graph, start, ws);
+  const BfsSummary first = bfs(graph, max_degree_vertex(graph), hub_ws);
   const Vertex a = first.farthest;
   const BfsSummary second = bfs(graph, a, ws);
 
   TwoSweepResult result;
   result.lower_bound = second.eccentricity;
+  result.hub_eccentricity = first.eccentricity;
   result.periphery = a;
   result.reached = first.reached;
 
@@ -55,57 +55,69 @@ TwoSweepResult two_sweep(const Graph& graph) {
   return result;
 }
 
-DiameterResult ifub_diameter(const Graph& graph) {
+}  // namespace
+
+TwoSweepResult two_sweep(const Graph& graph) {
+  BfsWorkspace ws(graph.num_vertices());
+  return two_sweep_into(graph, ws, ws);
+}
+
+DiameterResult ifub_diameter(const Graph& graph, DiameterSettled settled) {
   DISTBC_ASSERT(graph.num_vertices() > 0);
 
   DiameterResult result;
   if (graph.num_vertices() == 1) return result;
 
   // The first sweep is a full BFS: it doubles as the connectivity check.
-  const TwoSweepResult sweep = two_sweep(graph);
-  DISTBC_ASSERT_MSG(sweep.reached == graph.num_vertices(),
-                    "iFUB requires a connected graph");
-  result.num_bfs = 2;
-
+  BfsWorkspace hub_ws(graph.num_vertices());
   BfsWorkspace ws(graph.num_vertices());
+  const TwoSweepResult sweep = two_sweep_into(graph, hub_ws, ws);
+  DISTBC_ASSERT_MSG(sweep.reached == graph.num_vertices(),
+                    "iFUB requires a connected graph (run it on the "
+                    "largest connected component)");
   const BfsSummary root_bfs = bfs(graph, sweep.midpoint, ws);
-  ++result.num_bfs;
-  result.root_eccentricity = root_bfs.eccentricity;
+  result.num_bfs = 3;
 
   // Bucket vertices of the root BFS tree by level.
   std::vector<std::vector<Vertex>> levels(root_bfs.eccentricity + 1);
   for (const Vertex v : ws.queue()) levels[ws.dist(v)].push_back(v);
 
-  std::uint32_t lower = std::max(sweep.lower_bound, root_bfs.eccentricity);
-  // Matching upper bound: D <= 2 ecc(v) for every v. The midpoint root and
-  // the max-degree hub are the best candidates for ecc = ceil(D/2); when
-  // one of them achieves it, lower == upper immediately - this covers the
-  // even-diameter case where the classic lb > 2(i-1) test alone would scan
-  // an entire fringe level (e.g. D = 4 complex networks).
-  std::uint32_t upper = 2 * root_bfs.eccentricity;
-  BfsWorkspace ecc_ws(graph.num_vertices());
-  {
-    const BfsSummary hub_bfs = bfs(graph, max_degree_vertex(graph), ecc_ws);
-    ++result.num_bfs;
-    lower = std::max(lower, hub_bfs.eccentricity);
-    upper = std::min(upper, 2 * hub_bfs.eccentricity);
-  }
+  // The bracket lower <= D <= upper: every eccentricity bounds D from
+  // below, and twice every eccentricity bounds it from above. The midpoint
+  // root and the max-degree hub are the best candidates for
+  // ecc = ceil(D/2); when one of them achieves it, the bracket closes
+  // before any fringe BFS.
+  std::uint32_t lower = std::max(
+      {sweep.lower_bound, sweep.hub_eccentricity, root_bfs.eccentricity});
+  std::uint32_t upper =
+      2 * std::min(root_bfs.eccentricity, sweep.hub_eccentricity);
+  const auto done = [&] {
+    return lower >= upper || (settled != nullptr && settled(lower, upper));
+  };
 
-  for (std::uint32_t i = root_bfs.eccentricity;
-       i > 0 && lower < upper; --i) {
-    // All remaining vertices sit at depth <= i, so any path through them has
-    // length <= 2i; once the lower bound beats 2(i-1) deeper levels cannot
-    // improve it. The same bound lets us abandon the current level early.
-    if (lower > 2 * (i - 1)) break;
-    for (const Vertex v : levels[i]) {
-      const BfsSummary summary = bfs(graph, v, ecc_ws);
-      ++result.num_bfs;
-      lower = std::max(lower, summary.eccentricity);
-      upper = std::min(upper, 2 * summary.eccentricity);
-      if (lower > 2 * (i - 1) || lower >= upper) break;
+  // Fringe scan, deepest level first. Two vertices at depth < i are at
+  // most 2(i - 1) apart, so once every vertex at depth >= i is known to
+  // have an eccentricity of at most `lower`, no shortest path is longer
+  // than max(lower, 2(i - 1)). A vertex needs no BFS of its own when the
+  // hub already bounds its eccentricity by d(hub, v) + ecc(hub) <= lower.
+  BfsWorkspace ecc_ws(graph.num_vertices());
+  std::uint32_t depth = root_bfs.eccentricity;
+  std::size_t next = 0;
+  while (!done()) {
+    if (next == levels[depth].size()) {
+      upper = std::min(upper, std::max(lower, 2 * (depth - 1)));
+      --depth;
+      next = 0;
+      continue;
     }
+    const Vertex v = levels[depth][next++];
+    if (hub_ws.dist(v) + sweep.hub_eccentricity <= lower) continue;
+    const BfsSummary summary = bfs(graph, v, ecc_ws);
+    ++result.num_bfs;
+    lower = std::max(lower, summary.eccentricity);
+    upper = std::min(upper, 2 * summary.eccentricity);
   }
-  result.diameter = lower;
+  result.diameter = upper;
   return result;
 }
 

@@ -150,8 +150,12 @@ using Fields = std::unordered_map<std::string, std::string>;
   bc::KadabraParams& params = state->context.params;
   if (!field_double(*fields, "epsilon", params.epsilon)) return nullptr;
   if (!field_double(*fields, "delta", params.delta)) return nullptr;
-  if (!field_u64(*fields, "exact_diameter", u64)) return nullptr;
-  params.exact_diameter = u64 != 0;
+  // Files from before the diameter knob was retired: `= 1` (iFUB) is
+  // today's calibration; `= 0` sized omega from the 2-approximation, a
+  // calibration no query asks for any more.
+  if (fields->contains("exact_diameter") &&
+      (!field_u64(*fields, "exact_diameter", u64) || u64 == 0))
+    return nullptr;
   if (!field_u64(*fields, "seed", params.seed)) return nullptr;
   if (!field_u64(*fields, "initial_samples", params.initial_samples))
     return nullptr;
@@ -204,7 +208,7 @@ std::uint64_t WarmStore::key_hash(const bc::KadabraWarmState& state) {
   mix(double_bits(params.epsilon));
   mix(double_bits(params.delta));
   mix(params.seed);
-  mix(params.exact_diameter ? 1 : 0);
+  mix(1);  // the retired exact_diameter flag, kept so file names stay valid
   mix(params.initial_samples);
   mix(double_bits(params.balancing));
   mix(static_cast<std::uint64_t>(state.ranks));
@@ -240,7 +244,6 @@ bool WarmStore::save(const bc::KadabraWarmState& state) const {
   const bc::KadabraParams& params = state.context.params;
   out << "epsilon = " << encode_double(params.epsilon) << '\n';
   out << "delta = " << encode_double(params.delta) << '\n';
-  out << "exact_diameter = " << (params.exact_diameter ? 1 : 0) << '\n';
   out << "seed = " << params.seed << '\n';
   out << "initial_samples = " << params.initial_samples << '\n';
   out << "balancing = " << encode_double(params.balancing) << '\n';

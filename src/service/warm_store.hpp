@@ -13,7 +13,9 @@
 // and a shape change naturally misses instead of loading a stale state.
 // Keys a reader does not know are ignored, so files that still carry the
 // retired `sample_seconds` / `touched_words_per_sample` lines load as
-// before.
+// before. The retired `exact_diameter` line is read once more: `= 1`
+// loads as today's calibration, `= 0` (a 2-approximate omega) loads
+// nothing.
 //
 // Files are plain "key = value" text; doubles are written as C hexfloats
 // ("%a") so every bit round-trips and a reloaded calibration is the

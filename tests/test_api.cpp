@@ -500,14 +500,15 @@ TEST(ApiConfig, UnknownKeysAndMalformedValuesAreRejected) {
 TEST(ApiConfig, RemovedKnobsFailLoudly) {
   // Retired keys - the traversal-batch width (one kernel, no widths), the
   // deleted autotuner's two switches, the per-rank aggregate switch no
-  // result exposed, and the wire-representation selector (every
-  // aggregation ships data-sized images) - must fail with the unknown-key
+  // result exposed, the wire-representation selector (every aggregation
+  // ships data-sized images), and the diameter selector (every driver
+  // takes the one bucket-tight bound) - must fail with the unknown-key
   // Status, not be silently ignored by old config text. The autotuner's
   // names are spelled in pieces so a source search for them finds only
   // history, not live code.
   for (const std::string key :
        {"sample_batch", "auto_" "tune", "tune_" "profile", "local_aggregates",
-        "frame_rep"}) {
+        "frame_rep", "exact_diameter"}) {
     api::Config config;
     const api::Status text = config.load_text(key + "=1\n");
     EXPECT_FALSE(text.ok) << key;
@@ -519,6 +520,15 @@ TEST(ApiConfig, RemovedKnobsFailLoudly) {
     EXPECT_NE(set.message.find("unknown config key"), std::string::npos)
         << set.message;
   }
+}
+
+TEST(ApiConfig, RetiredEnvironmentVariablesAreIgnored) {
+  // Unlike config text, the environment is shared with other programs: a
+  // variable no key reads any more is not an error.
+  const ScopedEnv frame_rep("DISTBC_FRAME_REP", "dense");
+  const ScopedEnv exact_diameter("DISTBC_EXACT_DIAMETER", "0");
+  api::Config config;
+  EXPECT_TRUE(config.load_env().ok);
 }
 
 TEST(ApiConfig, MalformedEnvironmentIsALoudError) {

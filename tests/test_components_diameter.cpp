@@ -1,10 +1,11 @@
 // Tests for connected components, largest-component extraction, two-sweep,
-// iFUB, and vertex-diameter bounds.
+// iFUB, and vertex-diameter bounds (the graph layer's and phase 1's).
 #include <gtest/gtest.h>
 
+#include "bc/kadabra_context.hpp"
 #include "gen/barabasi_albert.hpp"
 #include "gen/erdos_renyi.hpp"
-#include "gen/instances.hpp"
+#include "gen/hyperbolic.hpp"
 #include "gen/road.hpp"
 #include "graph/bfs.hpp"
 #include "graph/builder.hpp"
@@ -115,6 +116,19 @@ TEST(Ifub, MatchesBruteForceOnRandomGraphs) {
   }
 }
 
+TEST(Ifub, MatchesBruteForceOnManySmallGraphs) {
+  // Small sparse graphs often have an even diameter 2i with both ends at
+  // depth i of the root BFS, and a fringe vertex of eccentricity 2i - 1:
+  // a scan that stops before finishing level i reports 2i - 1.
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    const auto n = static_cast<Vertex>(6 + seed % 40);
+    const Graph graph =
+        largest_component(gen::erdos_renyi(n, n + seed % (2 * n), seed));
+    EXPECT_EQ(ifub_diameter(graph).diameter, brute_force_diameter(graph))
+        << "seed " << seed;
+  }
+}
+
 TEST(Ifub, MatchesBruteForceOnRoadLikeGraphs) {
   gen::RoadParams params;
   params.width = 24;
@@ -158,23 +172,62 @@ TEST(VertexDiameter, ApproximationUpperBoundsExact) {
   }
 }
 
-TEST(VertexDiameter, IfubRootGivesTheTwoApproximation) {
-  // 2 * root_eccentricity + 1 from one iFUB pass must be exactly the
-  // bound vertex_diameter(graph, false) computes with its own sweep.
-  std::vector<Graph> graphs;
-  for (const std::uint64_t seed : {21ull, 22ull, 23ull})
-    graphs.push_back(largest_component(gen::erdos_renyi(150, 300, seed)));
-  graphs.push_back(largest_component(gen::barabasi_albert(2000, 3, 5)));
-  for (const gen::InstanceSpec& spec : gen::quick_suite())
-    graphs.push_back(spec.build(0.25, 1));
-  graphs.push_back(path_graph(17));
-  graphs.push_back(from_edges(1, {}));
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    const DiameterResult ifub = ifub_diameter(graphs[i]);
-    EXPECT_EQ(2 * ifub.root_eccentricity + 1,
-              vertex_diameter(graphs[i], false))
-        << "graph " << i;
+TEST(DiameterBound, BucketTightOverSeededGraphFamilies) {
+  // Phase 1's bound (iFUB stopped once its bracket fits one bucket) must
+  // bound the exact vertex diameter from above, size omega exactly as the
+  // exact value does, and cost no more BFS than the full iFUB.
+  struct Case {
+    const char* name;
+    Graph graph;
+  };
+  std::vector<Case> cases;
+  const auto add = [&](const char* name, const Graph& graph) {
+    cases.push_back({name, largest_component(graph)});
+  };
+  // The 2-approximation lands a bucket too high here (VD 11 vs 9).
+  add("ba3500", gen::barabasi_albert(3500, 3, 42));
+  // The bracket settles only after a fringe-level scan.
+  add("ba200", gen::barabasi_albert(200, 3, 11));
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    add("ba", gen::barabasi_albert(1000, 2, seed));
+    add("er", gen::erdos_renyi(300, 600, seed));
+    gen::RoadParams road;
+    road.width = 30;
+    road.height = 10;
+    add("road", gen::road(road, seed));
+    gen::HyperbolicParams hyperbolic;
+    hyperbolic.num_vertices = 600;
+    hyperbolic.average_degree = 8.0;
+    add("hyperbolic", gen::hyperbolic(hyperbolic, seed));
   }
+  cases.push_back({"n1", from_edges(1, {})});
+  cases.push_back({"n2", from_edges(2, {{0, 1}})});
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << c.name << " |V| = " << c.graph.num_vertices());
+    const std::uint32_t exact = brute_force_diameter(c.graph) + 1;
+    const std::uint32_t bound = bc::kadabra_vertex_diameter(c.graph);
+    EXPECT_GE(bound, exact);
+    EXPECT_EQ(bc::diameter_bucket(bound), bc::diameter_bucket(exact));
+    const DiameterResult settled =
+        ifub_diameter(c.graph, bc::diameter_bracket_settled);
+    EXPECT_EQ(settled.diameter + 1, bound);
+    EXPECT_LE(settled.num_bfs, ifub_diameter(c.graph).num_bfs);
+  }
+}
+
+TEST(DiameterBound, LevelScanCasesPayMoreThanTheSweeps) {
+  // Pins the two named cases' work: BA(3500, 3, 42) settles on the two
+  // sweeps (the first from the hub) and the root BFS alone; BA(200, 3, 11)
+  // scans a fringe level.
+  const Graph settled_early =
+      largest_component(gen::barabasi_albert(3500, 3, 42));
+  EXPECT_EQ(ifub_diameter(settled_early, bc::diameter_bracket_settled).num_bfs,
+            3u);
+  const Graph level_scan = largest_component(gen::barabasi_albert(200, 3, 11));
+  EXPECT_GT(ifub_diameter(level_scan, bc::diameter_bracket_settled).num_bfs,
+            3u);
 }
 
 TEST(VertexDiameter, SingleVertex) {

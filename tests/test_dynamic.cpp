@@ -50,7 +50,6 @@ bc::KadabraParams churn_params(double epsilon = 0.1) {
   params.epsilon = epsilon;
   params.delta = 0.1;
   params.seed = 0x5eed;
-  params.exact_diameter = true;
   return params;
 }
 
@@ -306,7 +305,10 @@ TEST(IncrementalBc, RunPlusRefreshSequencesReplayBitwise) {
 }
 
 TEST(IncrementalBc, RecalibratesOnlyWhenTheBoundIsViolated) {
-  const auto initial = std::make_shared<const graph::Graph>(churn_graph());
+  // Seed 21's phase-1 bound, VD 7, sits below the top of its bucket (9),
+  // so a larger bound of the same omega exists; the default churn graph's
+  // bound is that top.
+  const auto initial = std::make_shared<const graph::Graph>(churn_graph(21));
   dynamic::IncrementalBc engine(churn_params(), exact_sketch());
   engine.run(initial);
   // A twin that sees every batch but is refreshed with bound 0 where the
@@ -341,25 +343,28 @@ TEST(IncrementalBc, RecalibratesOnlyWhenTheBoundIsViolated) {
   EXPECT_FALSE(stats.recalibrated);
   EXPECT_EQ(engine.context().omega, omega0);
 
-  // A larger bound in the same omega bucket (VD 7 and 9 share
-  // floor(log2(VD - 2)) = 2) is adopted without recalibrating: the scores
+  // A larger bound in the same omega bucket - the bucket's top VD, where
+  // VD - 2 = 2^(b + 1) - 1 - is adopted without recalibrating: the scores
   // are bitwise those of a bound-0 refresh.
-  ASSERT_EQ(bc::compute_omega(vd0 + 2, engine.params().epsilon,
+  const std::uint32_t bucket_top = (2u << bc::diameter_bucket(vd0)) + 1;
+  ASSERT_GT(bucket_top, vd0);
+  ASSERT_EQ(bc::compute_omega(bucket_top, engine.params().epsilon,
                               engine.params().delta),
             omega0);
   batch = apply_one_insert(23);
-  stats = engine.refresh(mutable_graph.snapshot(), batch, vd0 + 2);
+  stats = engine.refresh(mutable_graph.snapshot(), batch, bucket_top);
   twin.refresh(mutable_graph.snapshot(), batch, 0);
   EXPECT_FALSE(stats.recalibrated);
-  EXPECT_EQ(engine.vertex_diameter(), vd0 + 2);
+  EXPECT_EQ(engine.vertex_diameter(), bucket_top);
   EXPECT_EQ(engine.context().omega, omega0);
   EXPECT_EQ(engine.scores(), twin.scores());
 
-  // Only a bound that grows omega re-derives it and the stopping radii.
-  stats =
-      engine.refresh(mutable_graph.snapshot(), apply_one_insert(31), vd0 + 6);
+  // Only a bound that grows omega, the next bucket's first VD, re-derives
+  // it and the stopping radii.
+  stats = engine.refresh(mutable_graph.snapshot(), apply_one_insert(31),
+                         bucket_top + 1);
   EXPECT_TRUE(stats.recalibrated);
-  EXPECT_EQ(engine.vertex_diameter(), vd0 + 6);
+  EXPECT_EQ(engine.vertex_diameter(), bucket_top + 1);
   EXPECT_GT(engine.context().omega, omega0);
   // The regrown omega re-ran the stop rule on the merged aggregate.
   EXPECT_EQ(engine.samples(), engine.ledger().size());
@@ -834,25 +839,21 @@ TEST(DynamicState, RefreshAccountingCoversEveryRetainedSample) {
 }
 
 TEST(DynamicState, QueryRejectsADisconnectedSnapshotTyped) {
-  for (const bool exact : {true, false}) {
-    dynamic::DynamicState state(two_cycles(), exact_sketch());
-    bc::KadabraParams params = churn_params();
-    params.exact_diameter = exact;
-    const auto split = state.query(params);
-    EXPECT_FALSE(split.status.ok) << "exact " << exact;
-    EXPECT_NE(split.status.message.find("not connected"), std::string::npos)
-        << split.status.message;
-    EXPECT_EQ(state.engine_count(), 0u);
+  dynamic::DynamicState state(two_cycles(), exact_sketch());
+  const auto split = state.query(churn_params());
+  EXPECT_FALSE(split.status.ok);
+  EXPECT_NE(split.status.message.find("not connected"), std::string::npos)
+      << split.status.message;
+  EXPECT_EQ(state.engine_count(), 0u);
 
-    // A bridge joins the cycles; the engine is built on the joined graph.
-    dynamic::EdgeBatch bridge;
-    bridge.insert(7, 37);
-    ASSERT_TRUE(state.apply(std::move(bridge)).status.ok);
-    const auto joined = state.query(params);
-    ASSERT_TRUE(joined.status.ok) << joined.status.message;
-    EXPECT_TRUE(joined.first_run);
-    EXPECT_EQ(state.engine_count(), 1u);
-  }
+  // A bridge joins the cycles; the engine is built on the joined graph.
+  dynamic::EdgeBatch bridge;
+  bridge.insert(7, 37);
+  ASSERT_TRUE(state.apply(std::move(bridge)).status.ok);
+  const auto joined = state.query(churn_params());
+  ASSERT_TRUE(joined.status.ok) << joined.status.message;
+  EXPECT_TRUE(joined.first_run);
+  EXPECT_EQ(state.engine_count(), 1u);
 }
 
 TEST(DynamicState, ReferenceSkipMatchesAnExactlyBoundedTwin) {
@@ -975,7 +976,12 @@ TEST(DynamicState, ReferenceSkipMatchesAnExactlyBoundedTwin) {
       const auto view = state.query(churn_params());
       ASSERT_TRUE(view.status.ok) << context;
       EXPECT_FALSE(view.first_run);
-      EXPECT_EQ(view.vertex_diameter, twin.vertex_diameter()) << context;
+      // The state's bounds are bucket-tight, the twin's exact: the same
+      // omega from a diameter at or above the twin's.
+      EXPECT_EQ(bc::diameter_bucket(view.vertex_diameter),
+                bc::diameter_bucket(twin.vertex_diameter()))
+          << context;
+      EXPECT_GE(view.vertex_diameter, twin.vertex_diameter()) << context;
       ASSERT_EQ(view.scores, twin.scores()) << context;
     }
     // Every path ran on every stream.
@@ -1070,37 +1076,74 @@ TEST(SessionApply, InsertOnlyBatchesRecheckASplitGraphsConnectivity) {
 
 TEST(SessionApply, CoveredDeletionKeepsOnlyWarmStatesThatBoundTheDiameter) {
   const auto graph = std::make_shared<const graph::Graph>(churn_graph());
-  for (const bool exact : {true, false}) {
-    api::Config config = dynamic_config(1);
-    config.exact_diameter = exact;
-    api::Session session(graph, config);
-    ASSERT_TRUE(session.status().ok);
-    api::BetweennessQuery query;
-    query.epsilon = 0.1;
-    ASSERT_TRUE(session.run(query).status.ok);  // caches a warm state
-    query.incremental = true;
-    ASSERT_TRUE(session.run(query).status.ok);  // takes the reference
+  api::Session session(graph, dynamic_config(1));
+  ASSERT_TRUE(session.status().ok);
+  api::BetweennessQuery query;
+  query.epsilon = 0.1;
+  ASSERT_TRUE(session.run(query).status.ok);  // caches a warm state
+  query.incremental = true;
+  ASSERT_TRUE(session.run(query).status.ok);  // takes the reference
 
-    Rng rng(31);
-    std::vector<dynamic::Edge> inserted;
-    ASSERT_TRUE(
-        session
-            .apply(random_insert_batch(session.graph(), 4, rng, &inserted))
-            .status.ok);
-    dynamic::EdgeBatch churn_out;
-    for (const dynamic::Edge& edge : inserted)
-      churn_out.remove(edge.u, edge.v);
-    const dynamic::ApplyReport report = session.apply(std::move(churn_out));
-    ASSERT_TRUE(report.status.ok) << report.status.message;
-    EXPECT_EQ(report.bound_path, dynamic::BoundPath::kReference);
+  Rng rng(31);
+  std::vector<dynamic::Edge> inserted;
+  ASSERT_TRUE(
+      session.apply(random_insert_batch(session.graph(), 4, rng, &inserted))
+          .status.ok);
+  dynamic::EdgeBatch churn_out;
+  for (const dynamic::Edge& edge : inserted) churn_out.remove(edge.u, edge.v);
+  const dynamic::ApplyReport report = session.apply(std::move(churn_out));
+  ASSERT_TRUE(report.status.ok) << report.status.message;
+  EXPECT_EQ(report.bound_path, dynamic::BoundPath::kReference);
 
-    const std::uint32_t vd = graph::vertex_diameter(session.graph(), true);
-    EXPECT_GE(report.diameter_bound, vd);
-    const auto survivors = session.calibrations();
-    EXPECT_FALSE(survivors.empty()) << "exact " << exact;
-    for (const auto& warm : survivors)
-      EXPECT_GE(warm->vertex_diameter, vd) << "exact " << exact;
+  const std::uint32_t vd = graph::vertex_diameter(session.graph(), true);
+  EXPECT_GE(report.diameter_bound, vd);
+  const auto survivors = session.calibrations();
+  EXPECT_FALSE(survivors.empty());
+  for (const auto& warm : survivors) {
+    EXPECT_GE(warm->vertex_diameter, vd);
+    EXPECT_EQ(warm->vertex_diameter, warm->context.vertex_diameter);
   }
+}
+
+TEST(SessionApply, RecomputedDeletionKeepsWarmStatesWhoseBucketCoversIt) {
+  // A warm state survives a recomputed deletion batch when its diameter
+  // bucket, all omega reads, is at or above the new bound's; its diameter
+  // is then raised to the bound, and it keeps serving queries.
+  const auto graph = std::make_shared<const graph::Graph>(churn_graph());
+  api::Session session(graph, dynamic_config(1));
+  ASSERT_TRUE(session.status().ok);
+  api::BetweennessQuery query;
+  query.epsilon = 0.1;
+  ASSERT_TRUE(session.run(query).status.ok);  // caches a warm state
+  ASSERT_EQ(session.calibrations().size(), 1u);
+  const std::uint32_t warm_vd = session.calibrations()[0]->vertex_diameter;
+
+  // The first original edge whose deletion keeps the graph connected (no
+  // reference snapshot exists yet, so the bound is recomputed).
+  dynamic::ApplyReport report;
+  report.status = api::Status::error("no deletion tried");
+  for (graph::Vertex u = 0; u < graph->num_vertices() && !report.status.ok;
+       ++u) {
+    for (const graph::Vertex v : graph->neighbors(u)) {
+      dynamic::EdgeBatch batch;
+      batch.remove(u, v);
+      report = session.apply(std::move(batch));
+      if (report.status.ok) break;
+    }
+  }
+  ASSERT_TRUE(report.status.ok) << report.status.message;
+  EXPECT_EQ(report.bound_path, dynamic::BoundPath::kRecomputed);
+  ASSERT_LE(bc::diameter_bucket(report.diameter_bound),
+            bc::diameter_bucket(warm_vd));
+  ASSERT_EQ(session.calibrations().size(), 1u);
+  const bc::KadabraWarmState& warm = *session.calibrations()[0];
+  EXPECT_EQ(warm.vertex_diameter, std::max(warm_vd, report.diameter_bound));
+  EXPECT_EQ(warm.context.vertex_diameter, warm.vertex_diameter);
+  EXPECT_GE(warm.vertex_diameter,
+            graph::vertex_diameter(session.graph(), /*exact=*/true));
+  const api::Result result = session.run(query);
+  ASSERT_TRUE(result.status.ok) << result.status.message;
+  EXPECT_TRUE(result.calibration_reused);
 }
 
 TEST(SessionApply, InsertRestampsTheWarmStateWithTheNewFingerprint) {

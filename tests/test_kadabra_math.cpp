@@ -371,7 +371,6 @@ TEST(StopRule, NonRootRanksReceiveTheRootsLogsByBroadcast) {
   KadabraOptions options;
   options.params.epsilon = 0.15;
   options.params.seed = 7;
-  options.params.exact_diameter = false;
   options.engine.deterministic = true;
   options.engine.virtual_streams = 4;
 

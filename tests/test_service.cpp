@@ -521,8 +521,9 @@ std::shared_ptr<const graph::Graph> fixture_graph() {
 
 /// A .warm file exactly as the format-version-1 writer emitted it before
 /// the autotuner was removed: calibrated on fixture_graph() under
-/// service_config() with BetweennessQuery{epsilon = 0.05}, and still
-/// carrying the retired sample_seconds / touched_words_per_sample lines.
+/// service_config() with BetweennessQuery{epsilon = 0.05} and the exact
+/// diameter, and still carrying the retired sample_seconds /
+/// touched_words_per_sample lines and the retired exact_diameter flag.
 constexpr const char* kFixtureName =
     "bc_2d68ac28d7f890c3_22d1aa1a42328ba9.warm";
 constexpr const char* kFixtureWarm =
@@ -565,7 +566,7 @@ constexpr const char* kFixtureWarm =
     "0x1.6160433ec6b34p-17 0x1.d05d2bcfef891p-17 0x1.76bfc818eb43cp-9 "
     "0x1.664077ba3c90cp-17 0x1.5f12b794c8794p-17\n";
 
-/// The fixture's bytes without the two retired lines - what today's
+/// The fixture's bytes without the three retired lines - what today's
 /// writer emits for the same state.
 std::string fixture_without_retired_lines() {
   std::istringstream in(kFixtureWarm);
@@ -573,7 +574,8 @@ std::string fixture_without_retired_lines() {
   std::string line;
   while (std::getline(in, line)) {
     if (line.rfind("sample_seconds", 0) == 0 ||
-        line.rfind("touched_words_per_sample", 0) == 0)
+        line.rfind("touched_words_per_sample", 0) == 0 ||
+        line.rfind("exact_diameter", 0) == 0)
       continue;
     out += line + '\n';
   }
@@ -606,9 +608,13 @@ TEST(WarmStore, OldFilesWithRetiredFieldsLoadAndPreloadBitExactly) {
   EXPECT_EQ(store.state_path(old_state), dir.path + "/v1/" + kFixtureName);
 
   // Today's calibration of the same query is the stored one, bit for bit.
+  // Its diameter is a bucket-tight bound, no longer the exact one: only
+  // the bucket, and so omega, must match.
   const auto fresh = make_warm_state(graph, config);
   ASSERT_NE(fresh, nullptr);
-  EXPECT_EQ(old_state.vertex_diameter, fresh->vertex_diameter);
+  EXPECT_GE(fresh->vertex_diameter, old_state.vertex_diameter);
+  EXPECT_EQ(bc::diameter_bucket(old_state.vertex_diameter),
+            bc::diameter_bucket(fresh->vertex_diameter));
   EXPECT_EQ(old_state.context.omega, fresh->context.omega);
   EXPECT_EQ(old_state.context.initial_samples, fresh->context.initial_samples);
   EXPECT_EQ(old_state.context.calibration.predicted_tau,
@@ -624,6 +630,16 @@ TEST(WarmStore, OldFilesWithRetiredFieldsLoadAndPreloadBitExactly) {
   ASSERT_TRUE(resaved.save(old_state));
   EXPECT_EQ(read_file(resaved.state_path(old_state)),
             fixture_without_retired_lines());
+  EXPECT_EQ(resaved.load_all(graph::fingerprint(*graph)).size(), 1u);
+
+  // A file whose omega came from the retired 2-approximation (flag 0)
+  // holds a calibration no query asks for: it loads nothing.
+  std::string approximate = kFixtureWarm;
+  const std::string exact_line = "exact_diameter = 1\n";
+  approximate.replace(approximate.find(exact_line), exact_line.size(),
+                      "exact_diameter = 0\n");
+  write_store(dir.path, approximate);
+  EXPECT_TRUE(store.load_all(graph::fingerprint(*graph)).empty());
 
   // Preloaded, the old state serves a query with zero phase-1/2 work and
   // the scores of a cold session.
@@ -854,36 +870,6 @@ TEST(SessionPool, RestartWithWarmStorePerformsZeroCalibration) {
   ASSERT_TRUE(reshaped_pool.status().ok);
   EXPECT_EQ(reshaped_pool.stats().store_states_loaded, 0u);
   EXPECT_GE(reshaped_pool.stats().store_states_rejected, 1u);
-}
-
-// --- Per-query engine overrides ----------------------------------------------
-
-TEST(SessionOverrides, TreeRadixOverrideOnOneSessionStaysBitwise) {
-  const auto graph = std::make_shared<const graph::Graph>(service_graph());
-  api::Session session(graph, service_config());
-
-  api::BetweennessQuery query;
-  query.epsilon = 0.05;
-  const api::Result baseline = session.run(query);
-  ASSERT_TRUE(baseline.status.ok);
-  EXPECT_EQ(baseline.engine_used.tree_radix, 0);
-
-  // Same session, same calibration, different wire configuration: the
-  // deterministic engine's invariants make this safe per query.
-  api::BetweennessQuery overridden = query;
-  overridden.engine.tree_radix = 3;
-  const api::Result result = session.run(overridden);
-  ASSERT_TRUE(result.status.ok);
-  EXPECT_TRUE(result.calibration_reused);  // overrides don't split the key
-  EXPECT_EQ(result.engine_used.tree_radix, 3);
-  ASSERT_EQ(result.scores.size(), baseline.scores.size());
-  for (std::size_t v = 0; v < baseline.scores.size(); ++v)
-    EXPECT_EQ(result.scores[v], baseline.scores[v]);
-
-  // Out-of-range overrides are typed errors, not asserts.
-  api::BetweennessQuery bad_radix = query;
-  bad_radix.engine.tree_radix = 1;
-  EXPECT_FALSE(session.run(bad_radix).status.ok);
 }
 
 }  // namespace

@@ -121,7 +121,6 @@ api::Config parity_config(comm::SubstrateKind substrate, bool hierarchical,
   config.ranks_per_node = hierarchical ? 2 : 1;
   config.comm_substrate = substrate;
   config.seed = 97;
-  config.exact_diameter = false;
   config.deterministic = true;
   config.virtual_streams = 4;
   config.epoch_base = 64;

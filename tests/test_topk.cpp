@@ -98,7 +98,6 @@ TEST(KadabraTopK, EveryRankGetsTheRootsAnswer) {
   bc::KadabraOptions options;
   options.params.epsilon = 0.15;
   options.params.seed = 7;
-  options.params.exact_diameter = false;
   options.engine.deterministic = true;
   options.engine.virtual_streams = 4;
   options.top_k = 5;
@@ -139,7 +138,6 @@ TEST(KadabraTopK, SingleRankFillsPairs) {
   bc::KadabraOptions options;
   options.params.epsilon = 0.2;
   options.params.seed = 11;
-  options.params.exact_diameter = false;
   options.top_k = 3;
   const bc::BcResult result = bc::kadabra_shm(graph, options);
   ASSERT_EQ(result.top_k_pairs.size(), 3u);
