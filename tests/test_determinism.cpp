@@ -12,11 +12,13 @@
 
 #include "adaptive/closeness.hpp"
 #include "adaptive/mean_distance.hpp"
+#include "api/session.hpp"
 #include "bc/brandes.hpp"
 #include "bc/kadabra.hpp"
 #include "bc/lockstep.hpp"
 #include "bc/rk.hpp"
 #include "gen/erdos_renyi.hpp"
+#include "gen/instances.hpp"
 #include "gen/rmat.hpp"
 #include "graph/components.hpp"
 
@@ -259,6 +261,46 @@ TEST(GoldenScores, ClosenessEveryTopology) {
     EXPECT_EQ(score_digest(result.scores, result.samples, result.epochs),
               0x6f2e1c11a798dca4ull)
         << topology.name;
+  }
+}
+
+// The service workload's closeness query (epsilon 0.05) on its two graphs,
+// built as the suite builds them (scale 1, seeds 1 and 2), at 1 rank x 1
+// thread and at 4 ranks x 2 threads. Both run in deterministic mode: a
+// free-running rank takes timing-dependent overlap samples while its
+// collectives are in flight. Pins every closeness score bit on the graphs
+// where the sampler's BFS is hottest.
+TEST(GoldenScores, ClosenessOnServiceGraphs) {
+  struct Case {
+    const char* instance;
+    std::uint64_t seed;
+    std::uint64_t one_rank;
+    std::uint64_t four_ranks;
+  };
+  constexpr Case kCases[] = {
+      {"quick-social", 1, 0xb81924058bdcd330ull, 0x76933ba575502d6eull},
+      {"quick-web", 2, 0x721a2487d6ceb183ull, 0xeffb3f9dd16aed80ull}};
+  for (const Case& c : kCases) {
+    const auto graph = std::make_shared<const graph::Graph>(
+        gen::instance_by_name(c.instance).build(1.0, c.seed));
+    for (const bool distributed : {false, true}) {
+      api::Config config;
+      config.seed = 1;
+      config.deterministic = true;
+      config.network = comm::NetworkModel::disabled();
+      if (distributed) {
+        config.ranks = 4;
+        config.threads = 2;
+      }
+      api::Session session(graph, config);
+      ASSERT_TRUE(session.status().ok) << session.status().message;
+      const api::Result result =
+          session.run(api::ClosenessRankQuery{.epsilon = 0.05});
+      ASSERT_TRUE(result.status.ok) << result.status.message;
+      EXPECT_EQ(score_digest(result.scores, result.samples, result.epochs),
+                distributed ? c.four_ranks : c.one_rank)
+          << c.instance << (distributed ? " 4x2" : " 1x1");
+    }
   }
 }
 
