@@ -38,29 +38,32 @@ std::uint64_t closeness_sample_bound(std::uint32_t num_vertices,
       closeness_sample_budget(num_vertices, epsilon, delta));
 }
 
+void credit_source(const graph::Graph& graph, graph::Vertex source,
+                   graph::DirectionOptimizingBfs& bfs, ClosenessFrame& frame) {
+  bfs.run(graph, source);
+  for (std::uint32_t d = 1; d < bfs.num_levels(); ++d)
+    frame.add_credit(bfs.level(d), 1.0 / static_cast<double>(d));
+  frame.finish_source();
+}
+
 namespace {
 
-/// One sample: a full BFS from a uniform source, crediting 1/d to every
-/// reached vertex.
+/// One sample: credit_source from a uniform source.
 class SourceSampler {
  public:
   SourceSampler(const graph::Graph& graph, Rng rng)
-      : graph_(&graph), ws_(graph.num_vertices()), rng_(rng) {}
+      : graph_(&graph), bfs_(graph.num_vertices()), rng_(rng) {}
 
   void sample(ClosenessFrame& frame) {
-    const auto source = static_cast<graph::Vertex>(
-        rng_.next_bounded(graph_->num_vertices()));
-    graph::bfs(*graph_, source, ws_);
-    for (const graph::Vertex v : ws_.queue()) {
-      if (v == source) continue;
-      frame.add_credit(v, 1.0 / static_cast<double>(ws_.dist(v)));
-    }
-    frame.finish_source();
+    credit_source(*graph_,
+                  static_cast<graph::Vertex>(
+                      rng_.next_bounded(graph_->num_vertices())),
+                  bfs_, frame);
   }
 
  private:
   const graph::Graph* graph_;
-  graph::BfsWorkspace ws_;
+  graph::DirectionOptimizingBfs bfs_;
   Rng rng_;
 };
 

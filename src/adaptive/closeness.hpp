@@ -4,8 +4,12 @@
 // of mean_distance), demonstrating that the framework accommodates both.
 //
 // Estimator (Eppstein-Wang style): sample a uniform source s, run one BFS,
-// and credit every vertex v with 1 / d(s, v). The expectation of the credit
-// at v is its normalized harmonic closeness
+// and credit every vertex v with 1 / d(s, v). The BFS is
+// graph::DirectionOptimizingBfs: on low-diameter graphs its bottom-up
+// middle levels read a fraction of the arcs (quick-social: 3.3k of 45.5k
+// per source). A credit depends only on d(s, v) and frames add integers,
+// so the frames equal a top-down BFS's bit for bit. The expectation of the
+// credit at v is its normalized harmonic closeness
 //   h(v) = (1/(n-1)) sum_{u != v} 1 / d(u, v)
 // up to the n/(n-1) sampling factor handled at extraction. Credits and
 // their squares are accumulated in fixed-point (2^-20) so frames stay flat
@@ -25,6 +29,7 @@
 
 #include "comm/substrate.hpp"
 #include "engine/engine.hpp"
+#include "graph/bfs.hpp"
 #include "graph/graph.hpp"
 
 namespace distbc::adaptive {
@@ -52,13 +57,20 @@ class ClosenessFrame {
   }
   [[nodiscard]] std::span<std::uint64_t> raw() { return data_; }
 
-  /// Adds the credit 1 / distance for one (source, v) observation.
-  void add_credit(std::uint32_t v, double credit) {
-    const auto fixed =
-        static_cast<std::uint64_t>(credit * kFixedPointOne);
-    data_[v] += fixed;
-    data_[num_vertices_ + v] +=
+  /// Adds the credit 1 / distance for (source, v) to every v in
+  /// `vertices` - one BFS level, which shares its distance. Converted to
+  /// fixed point once per level; the integer sums do not depend on order.
+  void add_credit(std::span<const std::uint32_t> vertices, double credit) {
+    const auto fixed = static_cast<std::uint64_t>(credit * kFixedPointOne);
+    const auto fixed_sq =
         static_cast<std::uint64_t>(credit * credit * kFixedPointOne);
+    for (const std::uint32_t v : vertices) {
+      data_[v] += fixed;
+      data_[num_vertices_ + v] += fixed_sq;
+    }
+  }
+  void add_credit(std::uint32_t v, double credit) {
+    add_credit(std::span(&v, 1), credit);
   }
   void finish_source() { ++data_[2 * num_vertices_]; }
 
@@ -129,6 +141,12 @@ struct ClosenessResult {
 [[nodiscard]] std::uint64_t closeness_sample_bound(std::uint32_t num_vertices,
                                                    double epsilon,
                                                    double delta);
+
+/// One closeness sample from `source`: a direction-optimizing BFS that
+/// credits 1 / d(source, v) to every reached v != source, then counts the
+/// source. Exposed for the kernel bench.
+void credit_source(const graph::Graph& graph, graph::Vertex source,
+                   graph::DirectionOptimizingBfs& bfs, ClosenessFrame& frame);
 
 /// Per-rank driver (result valid at world rank 0); connected graphs only.
 [[nodiscard]] ClosenessResult closeness_rank(const graph::Graph& graph,
