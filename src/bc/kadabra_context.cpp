@@ -5,12 +5,16 @@
 namespace distbc::bc {
 
 std::uint32_t kadabra_vertex_diameter(const graph::Graph& graph) {
-  // iFUB's first sweep asserts that the graph is connected.
-  return graph::ifub_diameter(graph, diameter_bracket_settled).diameter + 1;
+  const graph::DiameterResult result =
+      graph::ifub_diameter(graph, diameter_bracket_settled);
+  return result.connected ? result.diameter + 1 : 0;
 }
 
 KadabraContext begin_context(const KadabraParams& params,
                              std::uint32_t vertex_diameter) {
+  DISTBC_ASSERT_MSG(vertex_diameter != 0,
+                    "KADABRA requires a connected graph (run it on the "
+                    "largest connected component)");
   KadabraContext context;
   context.params = params;
   context.vertex_diameter = vertex_diameter;

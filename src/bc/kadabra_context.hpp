@@ -65,9 +65,11 @@ struct KadabraContext {
   }
 };
 
-/// Phase 1: an upper bound on the vertex diameter of the (connected) input
-/// graph with the exact value's diameter_bucket, so the omega it sizes is
-/// the exact diameter's. iFUB stops as soon as its bracket allows.
+/// Phase 1: an upper bound on the vertex diameter of the input graph with
+/// the exact value's diameter_bucket, so the omega it sizes is the exact
+/// diameter's. iFUB stops as soon as its bracket allows. Returns 0 for a
+/// disconnected graph: iFUB's first sweep doubles as the connectivity
+/// check, so callers need no BFS of their own (begin_context rejects 0).
 [[nodiscard]] std::uint32_t kadabra_vertex_diameter(const graph::Graph& graph);
 
 /// Derives omega and the calibration sample count from the diameter.

@@ -7,7 +7,6 @@
 #include "bc/kadabra_context.hpp"
 #include "bc/kadabra_math.hpp"
 #include "bc/sampler.hpp"
-#include "graph/components.hpp"
 #include "support/timer.hpp"
 
 namespace distbc::bc {
@@ -15,8 +14,6 @@ namespace distbc::bc {
 BcResult rk(const graph::Graph& graph, const RkParams& params,
             int num_threads) {
   DISTBC_ASSERT(num_threads >= 1);
-  DISTBC_ASSERT_MSG(graph::is_connected(graph),
-                    "rk expects the largest connected component");
   WallTimer timer;
   BcResult result;
   const graph::Vertex n = graph.num_vertices();
@@ -27,6 +24,7 @@ BcResult rk(const graph::Graph& graph, const RkParams& params,
   const std::uint32_t vd = phases.timed(Phase::kDiameter, [&] {
     return kadabra_vertex_diameter(graph);
   });
+  DISTBC_ASSERT_MSG(vd != 0, "rk expects the largest connected component");
   result.vertex_diameter = vd;
 
   // RK budget: like KADABRA's omega but with ln(1/delta) - RK needs no

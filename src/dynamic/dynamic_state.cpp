@@ -38,9 +38,13 @@ ApplyReport DynamicState::apply(EdgeBatch batch) {
   const bool recompute = report.bound_path == BoundPath::kRecomputed;
   // Deletions can split the graph; the sampling estimators (and every live
   // incremental engine) require a connected one, so a disconnecting batch
-  // rolls back instead of poisoning later queries. A batch that keeps the
-  // connected reference snapshot cannot disconnect anything.
-  if (recompute && !graph::is_connected(*graph_.snapshot())) {
+  // rolls back instead of poisoning later queries. The recomputed bound
+  // doubles as the check (0 = disconnected: iFUB's first sweep missed a
+  // vertex). A batch that keeps the connected reference snapshot cannot
+  // disconnect anything.
+  const std::uint32_t bound =
+      recompute ? bc::kadabra_vertex_diameter(*graph_.snapshot()) : 0;
+  if (recompute && bound == 0) {
     graph_.revert(batch);
     report.status =
         api::Status::error("edge batch disconnects the graph (rejected)");
@@ -53,13 +57,13 @@ ApplyReport DynamicState::apply(EdgeBatch batch) {
   report.edges_inserted = batch.inserts().size();
   report.edges_deleted = batch.deletes().size();
 
-  // Bound policy (see the header). The recomputed path runs one diameter
+  // Bound policy (see the header). The recomputed path ran one diameter
   // pass on the NEW snapshot, whose bound the report and every engine
   // take.
   if (report.bound_path == BoundPath::kReference) {
     report.diameter_bound = reference_bound_;
   } else if (recompute) {
-    report.diameter_bound = bc::kadabra_vertex_diameter(*graph_.snapshot());
+    report.diameter_bound = bound;
     reference_ = graph_.snapshot();
     reference_bound_ = report.diameter_bound;
   }

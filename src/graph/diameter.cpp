@@ -72,9 +72,11 @@ DiameterResult ifub_diameter(const Graph& graph, DiameterSettled settled) {
   BfsWorkspace hub_ws(graph.num_vertices());
   BfsWorkspace ws(graph.num_vertices());
   const TwoSweepResult sweep = two_sweep_into(graph, hub_ws, ws);
-  DISTBC_ASSERT_MSG(sweep.reached == graph.num_vertices(),
-                    "iFUB requires a connected graph (run it on the "
-                    "largest connected component)");
+  if (sweep.reached != graph.num_vertices()) {
+    result.connected = false;
+    result.num_bfs = 2;
+    return result;
+  }
   const BfsSummary root_bfs = bfs(graph, sweep.midpoint, ws);
   result.num_bfs = 3;
 
@@ -124,7 +126,12 @@ DiameterResult ifub_diameter(const Graph& graph, DiameterSettled settled) {
 std::uint32_t vertex_diameter(const Graph& graph, bool exact) {
   DISTBC_ASSERT(graph.num_vertices() > 0);
   if (graph.num_vertices() == 1) return 1;
-  if (exact) return ifub_diameter(graph).diameter + 1;
+  if (exact) {
+    const DiameterResult result = ifub_diameter(graph);
+    DISTBC_ASSERT_MSG(result.connected,
+                      "vertex_diameter requires a connected graph");
+    return result.diameter + 1;
+  }
 
   // Cheap upper bound: a shortest path cannot be longer than twice the
   // eccentricity of any vertex; use the two-sweep midpoint which has nearly

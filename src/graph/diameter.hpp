@@ -43,21 +43,26 @@ struct DiameterResult {
   /// case it is the upper end of the bracket the rule accepted.
   std::uint32_t diameter = 0;
   std::uint64_t num_bfs = 0;  // BFS invocations spent (measure of work)
+  /// False when the first sweep (a full BFS) missed a vertex: the graph is
+  /// disconnected, the search stopped there, and `diameter` is 0.
+  bool connected = true;
 };
 
 /// A stop rule for ifub_diameter: true once every hop diameter in
 /// [lower, upper] is as good as any other to the caller.
 using DiameterSettled = bool (*)(std::uint32_t lower, std::uint32_t upper);
 
-/// iFUB: exact diameter. Requires a connected graph. With `settled`, the
+/// iFUB: exact diameter of a connected graph; a disconnected one is
+/// reported through `connected`, at no extra BFS. With `settled`, the
 /// search also ends as soon as settled(lower, upper) holds for its
 /// current bracket, and reports that bracket's upper end.
 [[nodiscard]] DiameterResult ifub_diameter(const Graph& graph,
                                            DiameterSettled settled = nullptr);
 
 /// Upper bound on the vertex diameter (number of vertices on the longest
-/// shortest path). `exact` selects iFUB; otherwise a cheap 2-approximation
-/// (2 * eccentricity of the two-sweep root + 1) is returned.
+/// shortest path) of a connected graph. `exact` selects iFUB; otherwise a
+/// cheap 2-approximation (2 * eccentricity of the two-sweep root + 1) is
+/// returned.
 [[nodiscard]] std::uint32_t vertex_diameter(const Graph& graph, bool exact);
 
 }  // namespace distbc::graph

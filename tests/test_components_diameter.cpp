@@ -106,6 +106,29 @@ TEST(Ifub, ExactOnKnownShapes) {
 
 TEST(Ifub, SingleVertex) {
   EXPECT_EQ(ifub_diameter(from_edges(1, {})).diameter, 0u);
+  EXPECT_TRUE(ifub_diameter(from_edges(1, {})).connected);
+}
+
+TEST(Ifub, ReportsADisconnectedGraphFromItsFirstSweep) {
+  // A star of `leaves` leaves beside a cycle of `cycle` vertices, not
+  // joined. The first sweep starts at the star's centre, the max-degree
+  // hub, so it reaches the star's side alone: the larger side or the
+  // smaller one.
+  const auto star_and_cycle = [](Vertex leaves, Vertex cycle) {
+    std::vector<std::pair<Vertex, Vertex>> edges;
+    for (Vertex v = 1; v <= leaves; ++v) edges.emplace_back(0, v);
+    for (Vertex i = 0; i < cycle; ++i)
+      edges.emplace_back(leaves + 1 + i, leaves + 1 + (i + 1) % cycle);
+    return from_edges(leaves + 1 + cycle, edges);
+  };
+  for (const Graph& graph : {star_and_cycle(30, 10), star_and_cycle(10, 40)}) {
+    const DiameterResult result = ifub_diameter(graph);
+    EXPECT_FALSE(result.connected);
+    EXPECT_EQ(result.diameter, 0u);
+    EXPECT_EQ(result.num_bfs, 2u);
+    EXPECT_EQ(bc::kadabra_vertex_diameter(graph), 0u);
+  }
+  EXPECT_TRUE(ifub_diameter(path_graph(5)).connected);
 }
 
 TEST(Ifub, MatchesBruteForceOnRandomGraphs) {

@@ -811,6 +811,45 @@ TEST(DynamicState, RejectsBadBatchesTransactionally) {
   EXPECT_EQ(applied.engines_refreshed, 0u);  // no engine live yet
 }
 
+TEST(DynamicState, RejectsSplitsOnEitherSideOfTheHub) {
+  // A star joined to a cycle by one bridge from a leaf. Deleting the
+  // bridge splits the graph; the rejection comes from the diameter pass,
+  // whose first sweep starts at the star's centre (the max-degree hub),
+  // whether the star is the larger side or the smaller one.
+  const auto star_and_cycle = [](graph::Vertex leaves, graph::Vertex cycle) {
+    std::vector<std::pair<graph::Vertex, graph::Vertex>> edges;
+    for (graph::Vertex v = 1; v <= leaves; ++v) edges.emplace_back(0, v);
+    for (graph::Vertex i = 0; i < cycle; ++i)
+      edges.emplace_back(leaves + 1 + i, leaves + 1 + (i + 1) % cycle);
+    edges.emplace_back(1, leaves + 1);  // the bridge
+    return std::make_shared<const graph::Graph>(
+        graph::from_edges(leaves + 1 + cycle, edges));
+  };
+  for (const auto& [leaves, cycle] :
+       {std::pair<graph::Vertex, graph::Vertex>{30, 10}, {10, 40}}) {
+    const auto initial = star_and_cycle(leaves, cycle);
+    dynamic::DynamicState state(initial, exact_sketch());
+    const std::uint64_t fp0 = state.fingerprint();
+
+    dynamic::EdgeBatch split;
+    split.remove(1, leaves + 1);
+    const dynamic::ApplyReport rejected = state.apply(std::move(split));
+    EXPECT_FALSE(rejected.status.ok) << leaves << " leaves";
+    EXPECT_NE(rejected.status.message.find("disconnect"), std::string::npos);
+    EXPECT_EQ(rejected.bound_path, dynamic::BoundPath::kRecomputed);
+    EXPECT_EQ(state.fingerprint(), fp0);  // revert restored the content
+
+    // Cutting the cycle instead leaves one path: accepted, with a bound
+    // at least the new exact vertex diameter.
+    dynamic::EdgeBatch cut;
+    cut.remove(leaves + 1, leaves + 2);
+    const dynamic::ApplyReport applied = state.apply(std::move(cut));
+    ASSERT_TRUE(applied.status.ok) << applied.status.message;
+    EXPECT_GE(applied.diameter_bound,
+              graph::vertex_diameter(*state.snapshot(), /*exact=*/true));
+  }
+}
+
 TEST(DynamicState, RefreshAccountingCoversEveryRetainedSample) {
   const auto initial = std::make_shared<const graph::Graph>(churn_graph());
   dynamic::DynamicState state(initial, exact_sketch());

@@ -128,9 +128,16 @@ TEST(EdgeCaseDeath, BidirectionalBfsRejectsEqualEndpoints) {
   EXPECT_DEATH((void)bfs.run(graph, 1, 1), "distinct");
 }
 
-TEST(EdgeCaseDeath, IfubRequiresConnectedGraph) {
+TEST(EdgeCaseDeath, ExactVertexDiameterRequiresConnectedGraph) {
   const Graph graph = from_edges(4, {{0, 1}, {2, 3}});
-  EXPECT_DEATH((void)graph::ifub_diameter(graph), "connected");
+  EXPECT_DEATH((void)graph::vertex_diameter(graph, /*exact=*/true),
+               "connected");
+}
+
+TEST(EdgeCaseDeath, RkRejectsDisconnectedInput) {
+  const Graph graph = from_edges(4, {{0, 1}, {2, 3}});
+  EXPECT_DEATH((void)bc::rk(graph, bc::RkParams{}, 1),
+               "largest connected component");
 }
 
 TEST(EdgeCaseDeath, KadabraRejectsDisconnectedInput) {
