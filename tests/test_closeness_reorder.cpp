@@ -5,7 +5,9 @@
 #include <cmath>
 
 #include "adaptive/closeness.hpp"
+#include "api/session.hpp"
 #include "bc/kadabra.hpp"
+#include "gen/barabasi_albert.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/rmat.hpp"
 #include "graph/bfs.hpp"
@@ -83,6 +85,58 @@ TEST(Closeness, MatchesExactOnRandomGraph) {
     worst = std::max(worst, std::abs(result.scores[v] - exact[v]));
   EXPECT_LE(worst, params.epsilon);
   EXPECT_GT(result.samples, 0u);
+}
+
+/// The most violations of an (epsilon, delta) guarantee that `runs`
+/// independent runs may show: the smallest k with
+/// P(Binomial(runs, delta) > k) <= 1e-6. A true failure rate of delta
+/// exceeds it once in a million suites.
+int allowed_violations(int runs, double delta) {
+  double tail = 1.0;  // P(X > k)
+  for (int k = 0; k < runs; ++k) {
+    tail -= std::exp(std::lgamma(runs + 1.0) - std::lgamma(k + 1.0) -
+                     std::lgamma(runs - k + 1.0) + k * std::log(delta) +
+                     (runs - k) * std::log1p(-delta));
+    if (tail <= 1e-6) return k;
+  }
+  return runs;
+}
+
+TEST(Closeness, FailureRateOverSeedsIsWithinDelta) {
+  // ClosenessRankQuery's guarantee is a rate: over independent seeds, the
+  // share of runs whose worst vertex misses its exact harmonic closeness
+  // by more than epsilon must stay within delta. 120 seeds per graph on
+  // small ER and BA graphs, where the exact scores are instant.
+  constexpr int kSeeds = 120;
+  constexpr double kEpsilon = 0.05;
+  constexpr double kDelta = 0.1;
+  const struct {
+    const char* name;
+    Graph graph;
+  } cases[] = {
+      {"erdos-renyi", graph::largest_component(gen::erdos_renyi(150, 450, 9))},
+      {"barabasi-albert", gen::barabasi_albert(150, 2, 9)}};
+  for (const auto& c : cases) {
+    const auto graph = std::make_shared<const Graph>(c.graph);
+    const auto exact = exact_harmonic_closeness(*graph);
+    int violations = 0;
+    double worst_seen = 0.0;
+    for (int seed = 0; seed < kSeeds; ++seed) {
+      api::Config config;
+      config.seed = 1000 + seed;
+      api::Session session(graph, config);
+      const api::Result result = session.run(
+          api::ClosenessRankQuery{.epsilon = kEpsilon, .delta = kDelta});
+      ASSERT_TRUE(result.status.ok) << result.status.message;
+      double worst = 0.0;
+      for (std::size_t v = 0; v < exact.size(); ++v)
+        worst = std::max(worst, std::abs(result.scores[v] - exact[v]));
+      violations += worst > kEpsilon;
+      worst_seen = std::max(worst_seen, worst);
+    }
+    EXPECT_LE(violations, allowed_violations(kSeeds, kDelta))
+        << c.name << ": worst error over all seeds " << worst_seen;
+  }
 }
 
 TEST(Closeness, StarCenterWins) {
