@@ -9,15 +9,24 @@
 // must be bitwise identical, and its recorded-count sum is the
 // deterministic counter the CI regression gate keys on.
 //
+// Third section: the closeness sampler's BFS on the service graphs
+// (quick-social and quick-web at scale 1, seeds 1 and 2, as the suite
+// builds them). The same sources feed adaptive::credit_source
+// (graph::DirectionOptimizingBfs) and a top-down graph::bfs reference;
+// the two closeness frames must match bitwise, and the kernel's
+// adjacency entries read per source are a deterministic counter.
+//
 // --json / out= emit a machine-readable snapshot: wall-clock rates (named
 // *_rate / *speedup*, skipped by ci/compare_bench.py) plus deterministic
 // counters (recorded-count sums, tau accounting, the bitwise check) that
 // are machine independent and gated against bench/baselines/.
 #include "bench_common.hpp"
 
+#include "adaptive/closeness.hpp"
 #include "bc/sampler.hpp"
 #include "epoch/state_frame.hpp"
 #include "gen/barabasi_albert.hpp"
+#include "graph/bfs.hpp"
 #include "support/timer.hpp"
 
 #include <algorithm>
@@ -136,6 +145,82 @@ int main(int argc, char** argv) {
   json.summary("kernel_count_sum", static_cast<double>(frame.count_sum()));
   json.summary("kernel_reps_identical", reps_identical ? 1.0 : 0.0);
   json.summary("kernel_tau_ok", tau_ok ? 1.0 : 0.0);
+
+  // --- Closeness sampler BFS (graph::DirectionOptimizingBfs) -------------
+  constexpr std::uint64_t kClosenessSources = 500;
+  std::printf("\n=== Closeness sampler BFS - direction-optimizing vs "
+              "top-down ===\n%llu sources per graph, single thread.\n\n",
+              static_cast<unsigned long long>(kClosenessSources));
+  TablePrinter closeness_table({"graph", "arcs/source", "top-down arcs",
+                                "bottom-up levels", "us/source",
+                                "top-down us"});
+  bool frames_identical = true;
+  const std::pair<const char*, std::uint64_t> service_graphs[] = {
+      {"quick-social", 1}, {"quick-web", 2}};
+  for (const auto& [name, graph_seed] : service_graphs) {
+    const graph::Graph g =
+        gen::instance_by_name(name).build(1.0, graph_seed);
+    const graph::Vertex vertices = g.num_vertices();
+    Rng rng(config.seed);
+    std::vector<graph::Vertex> sources(kClosenessSources);
+    for (graph::Vertex& source : sources)
+      source = static_cast<graph::Vertex>(rng.next_bounded(vertices));
+
+    adaptive::ClosenessFrame reference(vertices);
+    graph::BfsWorkspace ws(vertices);
+    std::uint64_t top_down_arcs = 0;
+    WallTimer top_down_timer;
+    for (const graph::Vertex source : sources) {
+      graph::bfs(g, source, ws);
+      for (const graph::Vertex v : ws.queue()) {
+        top_down_arcs += g.degree(v);
+        if (v != source)
+          reference.add_credit(v, 1.0 / static_cast<double>(ws.dist(v)));
+      }
+      reference.finish_source();
+    }
+    const double top_down_s = top_down_timer.elapsed_s();
+
+    adaptive::ClosenessFrame closeness(vertices);
+    graph::DirectionOptimizingBfs bfs(vertices);
+    WallTimer kernel_timer;
+    for (const graph::Vertex source : sources)
+      adaptive::credit_source(g, source, bfs, closeness);
+    const double kernel_s = kernel_timer.elapsed_s();
+    for (std::size_t i = 0; i < closeness.raw().size(); ++i)
+      frames_identical &= closeness.raw()[i] == reference.raw()[i];
+
+    const auto per_source = [&](double total) {
+      return total / static_cast<double>(kClosenessSources);
+    };
+    const double arcs = per_source(static_cast<double>(bfs.arcs_examined()));
+    const double reference_arcs =
+        per_source(static_cast<double>(top_down_arcs));
+    const double bottom_up =
+        per_source(static_cast<double>(bfs.bottom_up_levels()));
+    closeness_table.add_row({name, TablePrinter::fmt(arcs, 0),
+                             TablePrinter::fmt(reference_arcs, 0),
+                             TablePrinter::fmt(bottom_up, 2),
+                             TablePrinter::fmt(per_source(kernel_s) * 1e6, 1),
+                             TablePrinter::fmt(per_source(top_down_s) * 1e6,
+                                               1)});
+    std::string key = std::string("closeness_") + name;
+    std::replace(key.begin(), key.end(), '-', '_');
+    json.begin_row();
+    json.field("section", "closeness");
+    json.field("instance", name);
+    json.field("arcs_per_source", arcs);
+    json.field("top_down_arcs_per_source", reference_arcs);
+    json.field("bottom_up_levels_per_source", bottom_up);
+    json.field("speedup", top_down_s / kernel_s);
+    json.summary(key + "_arcs_per_source", arcs);
+    json.summary(key + "_top_down_arcs_per_source", reference_arcs);
+    json.summary(key + "_speedup", top_down_s / kernel_s);
+  }
+  closeness_table.print();
+  std::printf("\ncloseness frames bitwise identical to top-down: %s\n",
+              frames_identical ? "YES" : "NO");
+  json.summary("closeness_frames_identical", frames_identical ? 1.0 : 0.0);
   json.write();
   return 0;
 }
