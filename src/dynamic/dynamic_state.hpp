@@ -24,14 +24,15 @@
 //   - none: insert-only batches shrink distances; every cached bound and
 //     the reference stay valid untouched;
 //   - reference: a deletion batch that deletes no reference edge skips the
-//     connectivity check and the diameter pass; engines keep their bounds
-//     and the report carries the reference's cached bound;
-//   - recomputed: any other deletion batch is connectivity-checked and
-//     pays one diameter pass, bc::kadabra_vertex_diameter: iFUB stopped
-//     once its bracket fits one diameter bucket, so the bound sizes the
-//     exact diameter's omega. The report and every engine take it, and
-//     an accepted batch becomes the reference. Engines recalibrate only
-//     when the new bound grows their omega.
+//     diameter pass; engines keep their bounds and the report carries the
+//     reference's cached bound;
+//   - recomputed: any other deletion batch pays one diameter pass,
+//     bc::kadabra_vertex_diameter: iFUB stopped once its bracket fits one
+//     diameter bucket, so the bound sizes the exact diameter's omega. Its
+//     first sweep is the connectivity check (a bound of 0 means it missed
+//     a vertex). The report and every engine take the bound, and an
+//     accepted batch becomes the reference. Engines recalibrate only when
+//     the new bound grows their omega.
 // A fresh engine's snapshot becomes the reference too, with that engine's
 // vertex_diameter() as its bound; older engines' bounds cover the old
 // reference, a subgraph of the new one. query() builds engines only on a
@@ -81,7 +82,7 @@ struct ApplyReport {
   /// batch was insert-only and every cached bound stayed valid untouched.
   std::uint32_t diameter_bound = 0;
   /// Wall time spent deciding the bound: the reference-edge check, plus
-  /// the connectivity check and diameter pass on kRecomputed.
+  /// the diameter pass (which checks connectivity) on kRecomputed.
   double bound_seconds = 0.0;
 
   // Ledger accounting, summed over every refreshed engine.
