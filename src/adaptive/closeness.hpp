@@ -6,7 +6,7 @@
 // Estimator (Eppstein-Wang style): sample a uniform source s, run one BFS,
 // and credit every vertex v with 1 / d(s, v). The BFS is
 // graph::DirectionOptimizingBfs: on low-diameter graphs its bottom-up
-// middle levels read a fraction of the arcs (quick-social: 3.3k of 45.5k
+// middle levels read a fraction of the arcs (quick-social: ~3.2k of 45.5k
 // per source). A credit depends only on d(s, v) and frames add integers,
 // so the frames equal a top-down BFS's bit for bit. The expectation of the
 // credit at v is its normalized harmonic closeness

@@ -86,10 +86,6 @@ class DirectionOptimizingBfs {
     return std::span(order_).subspan(level_starts_[d],
                                      level_starts_[d + 1] - level_starts_[d]);
   }
-  /// Every vertex the last run reached, level by level.
-  [[nodiscard]] std::span<const Vertex> reached() const {
-    return std::span(order_).first(level_starts_.back());
-  }
 
   /// Work counters summed over every run: adjacency entries read, and
   /// levels expanded bottom-up. Deterministic, for tests and benches.
