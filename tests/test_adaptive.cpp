@@ -2,11 +2,14 @@
 // estimator built on it (the paper's future-work generalization).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "engine/engine.hpp"
 #include "adaptive/closeness.hpp"
 #include "adaptive/mean_distance.hpp"
+#include "api/session.hpp"
 #include "comm/substrate.hpp"
 #include "mpisim/runtime.hpp"
 #include "gen/erdos_renyi.hpp"
@@ -15,6 +18,8 @@
 #include "graph/builder.hpp"
 #include "graph/components.hpp"
 #include "support/random.hpp"
+
+#include "failure_rate.hpp"
 
 namespace distbc::adaptive {
 namespace {
@@ -230,6 +235,45 @@ TEST(MeanDistance, WorksAcrossClusterShapes) {
     const MeanDistanceResult result =
         mean_distance_mpi(graph, params, ranks, ranks >= 2 ? 2 : 1);
     EXPECT_NEAR(result.mean, exact, 3 * params.epsilon) << ranks;
+  }
+}
+
+TEST(MeanDistance, FailureRateOverSeedsIsWithinDelta) {
+  // The mean-distance guarantee is a rate: over independent seeds, the
+  // share of runs whose estimate misses the exact mean by more than
+  // epsilon must stay within delta. 100 seeds each on an ER graph's
+  // largest component and on a small road grid, through api::Session.
+  constexpr int kSeeds = 100;
+  constexpr double kDelta = 0.1;
+  gen::RoadParams road_params;
+  road_params.width = 16;
+  road_params.height = 8;
+  const struct {
+    const char* name;
+    graph::Graph graph;
+    double epsilon;  // absolute hops
+  } cases[] = {
+      {"erdos-renyi",
+       graph::largest_component(gen::erdos_renyi(150, 450, 17)), 0.1},
+      {"road", gen::road(road_params, 17), 0.4}};
+  for (const auto& c : cases) {
+    const auto graph = std::make_shared<const graph::Graph>(c.graph);
+    const double exact = exact_mean_distance(*graph);
+    int violations = 0;
+    double worst_seen = 0.0;
+    for (int seed = 0; seed < kSeeds; ++seed) {
+      api::Config config;
+      config.seed = 2000 + seed;
+      api::Session session(graph, config);
+      const api::Result result = session.run(
+          api::MeanDistanceQuery{.epsilon = c.epsilon, .delta = kDelta});
+      ASSERT_TRUE(result.status.ok) << result.status.message;
+      const double error = std::abs(result.mean - exact);
+      violations += error > c.epsilon;
+      worst_seen = std::max(worst_seen, error);
+    }
+    EXPECT_LE(violations, allowed_violations(kSeeds, kDelta))
+        << c.name << ": worst error over all seeds " << worst_seen;
   }
 }
 

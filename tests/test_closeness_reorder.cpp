@@ -15,6 +15,8 @@
 #include "graph/components.hpp"
 #include "graph/reorder.hpp"
 
+#include "failure_rate.hpp"
+
 namespace distbc {
 namespace {
 
@@ -85,21 +87,6 @@ TEST(Closeness, MatchesExactOnRandomGraph) {
     worst = std::max(worst, std::abs(result.scores[v] - exact[v]));
   EXPECT_LE(worst, params.epsilon);
   EXPECT_GT(result.samples, 0u);
-}
-
-/// The most violations of an (epsilon, delta) guarantee that `runs`
-/// independent runs may show: the smallest k with
-/// P(Binomial(runs, delta) > k) <= 1e-6. A true failure rate of delta
-/// exceeds it once in a million suites.
-int allowed_violations(int runs, double delta) {
-  double tail = 1.0;  // P(X > k)
-  for (int k = 0; k < runs; ++k) {
-    tail -= std::exp(std::lgamma(runs + 1.0) - std::lgamma(k + 1.0) -
-                     std::lgamma(runs - k + 1.0) + k * std::log(delta) +
-                     (runs - k) * std::log1p(-delta));
-    if (tail <= 1e-6) return k;
-  }
-  return runs;
 }
 
 TEST(Closeness, FailureRateOverSeedsIsWithinDelta) {
