@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
     for (graph::Vertex& source : sources)
       source = static_cast<graph::Vertex>(rng.next_bounded(vertices));
 
-    adaptive::ClosenessFrame reference(vertices);
+    epoch::StateFrame reference(adaptive::closeness_words(vertices));
     graph::BfsWorkspace ws(vertices);
     std::uint64_t top_down_arcs = 0;
     WallTimer top_down_timer;
@@ -175,13 +175,14 @@ int main(int argc, char** argv) {
       for (const graph::Vertex v : ws.queue()) {
         top_down_arcs += g.degree(v);
         if (v != source)
-          reference.add_credit(v, 1.0 / static_cast<double>(ws.dist(v)));
+          adaptive::add_credit(reference, std::span(&v, 1),
+                               1.0 / static_cast<double>(ws.dist(v)));
       }
-      reference.finish_source();
+      reference.finish_sample();
     }
     const double top_down_s = top_down_timer.elapsed_s();
 
-    adaptive::ClosenessFrame closeness(vertices);
+    epoch::StateFrame closeness(adaptive::closeness_words(vertices));
     graph::DirectionOptimizingBfs bfs(vertices);
     WallTimer kernel_timer;
     for (const graph::Vertex source : sources)

@@ -90,7 +90,7 @@ BENCHMARK(BM_SampleRoad);
 void BM_EpochTransition(benchmark::State& state) {
   // Cost of force_transition + immediate completion with a single thread:
   // the overhead floor of the epoch mechanism.
-  epoch::EpochManager<epoch::StateFrame> manager(1, epoch::StateFrame(1024));
+  epoch::EpochManager manager(1, 1024);
   std::uint32_t epoch = 0;
   for (auto _ : state) {
     manager.force_transition(epoch);
@@ -105,7 +105,7 @@ void BM_FrameMerge(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   epoch::StateFrame a(n);
   epoch::StateFrame b(n);
-  b.record_empty();
+  b.finish_sample();
   for (auto _ : state) {
     a.merge(b);
     benchmark::DoNotOptimize(a.raw().data());
@@ -144,10 +144,10 @@ void BM_StopCheck(benchmark::State& state) {
   params.epsilon = 0.01;
   bc::KadabraContext context = bc::begin_context(params, 16);
   epoch::StateFrame initial(n);
-  for (int i = 0; i < 1000; ++i) initial.record_empty();
+  for (int i = 0; i < 1000; ++i) initial.finish_sample();
   bc::finish_calibration(context, initial);
   epoch::StateFrame aggregate(n);
-  for (int i = 0; i < 5000; ++i) aggregate.record_empty();
+  for (int i = 0; i < 5000; ++i) aggregate.finish_sample();
   for (auto _ : state)
     benchmark::DoNotOptimize(context.stop_satisfied(aggregate));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);

@@ -39,11 +39,12 @@ std::uint64_t closeness_sample_bound(std::uint32_t num_vertices,
 }
 
 void credit_source(const graph::Graph& graph, graph::Vertex source,
-                   graph::DirectionOptimizingBfs& bfs, ClosenessFrame& frame) {
+                   graph::DirectionOptimizingBfs& bfs,
+                   epoch::StateFrame& frame) {
   bfs.run(graph, source);
   for (std::uint32_t d = 1; d < bfs.num_levels(); ++d)
-    frame.add_credit(bfs.level(d), 1.0 / static_cast<double>(d));
-  frame.finish_source();
+    add_credit(frame, bfs.level(d), 1.0 / static_cast<double>(d));
+  frame.finish_sample();
 }
 
 namespace {
@@ -54,7 +55,7 @@ class SourceSampler {
   SourceSampler(const graph::Graph& graph, Rng rng)
       : graph_(&graph), bfs_(graph.num_vertices()), rng_(rng) {}
 
-  void sample(ClosenessFrame& frame) {
+  void operator()(epoch::StateFrame& frame) {
     credit_source(*graph_,
                   static_cast<graph::Vertex>(
                       rng_.next_bounded(graph_->num_vertices())),
@@ -85,18 +86,19 @@ ClosenessResult closeness_rank(const graph::Graph& graph,
   const double hoeffding_radius_log =
       std::log(2.0 * static_cast<double>(n) / params.delta) / 2.0;
 
-  auto make_sampler = [&](std::uint64_t stream) {
+  auto make_sampler = [&](std::uint64_t stream) -> engine::Sampler {
     return SourceSampler(graph, Rng(params.seed).split(stream));
   };
-  auto should_stop = [&](const ClosenessFrame& aggregate) {
-    const std::uint64_t tau = aggregate.sources();
+  auto should_stop = [&](const epoch::StateFrame& aggregate) {
+    const std::uint64_t tau = aggregate.tau();
     if (tau < 2) return false;
     const auto tau_d = static_cast<double>(tau);
     const double hoeffding = std::sqrt(hoeffding_radius_log / tau_d);
     if (hoeffding <= params.epsilon) return true;  // global worst case
     for (graph::Vertex v = 0; v < n; ++v) {
       const double bernstein =
-          std::sqrt(2.0 * aggregate.variance(v) * log_bernstein / tau_d) +
+          std::sqrt(2.0 * credit_variance(aggregate, v) * log_bernstein /
+                    tau_d) +
           3.0 * log_bernstein / tau_d;
       if (std::min(hoeffding, bernstein) > params.epsilon) return false;
     }
@@ -113,7 +115,7 @@ ClosenessResult closeness_rank(const graph::Graph& graph,
       /*budget_fraction=*/8, /*min_epoch_length=*/1,
       options.max_epoch_length);
 
-  auto driver_result = engine::run_epochs(&world, ClosenessFrame(n),
+  auto driver_result = engine::run_epochs(&world, closeness_words(n),
                                           make_sampler, should_stop, options);
 
   ClosenessResult result;
@@ -125,14 +127,14 @@ ClosenessResult closeness_rank(const graph::Graph& graph,
   if (is_root) {
     result.phases = driver_result.phases;
     result.comm_volume = driver_result.comm_volume;
-    const ClosenessFrame& frame = driver_result.aggregate;
-    result.samples = frame.sources();
+    const epoch::StateFrame& frame = driver_result.aggregate;
+    result.samples = frame.tau();
     result.scores.resize(n);
     // E[credit at v] = ((n-1)/n) h(v); correct by n/(n-1).
     const double correction = static_cast<double>(n) / (n - 1.0);
     for (graph::Vertex v = 0; v < n; ++v) {
-      result.scores[v] = frame.credit_sum(v) /
-                         static_cast<double>(frame.sources()) * correction;
+      result.scores[v] = credit_sum(frame, v) /
+                         static_cast<double>(frame.tau()) * correction;
     }
   }
   return result;

@@ -12,13 +12,13 @@
 // credit at v is its normalized harmonic closeness
 //   h(v) = (1/(n-1)) sum_{u != v} 1 / d(u, v)
 // up to the n/(n-1) sampling factor handled at extraction. Credits and
-// their squares are accumulated in fixed-point (2^-20) so frames stay flat
-// uint64 arrays and aggregate by elementwise sum, exactly like betweenness
-// state frames. Stopping is adaptive: for each vertex the tighter of the
-// Hoeffding radius (credits lie in [0, 1]) and the empirical-Bernstein
-// radius (which exploits the observed per-vertex variance) must drop below
-// epsilon - low-variance vertices release the condition long before the
-// worst-case bound.
+// their squares are accumulated in fixed point (2^-20), so they fill the
+// payload of the same flat epoch::StateFrame betweenness uses and
+// aggregate by the same elementwise sum. Stopping is adaptive: for each
+// vertex the tighter of the Hoeffding radius (credits lie in [0, 1]) and
+// the empirical-Bernstein radius (which exploits the observed per-vertex
+// variance) must drop below epsilon - low-variance vertices release the
+// condition long before the worst-case bound.
 #pragma once
 
 #include <algorithm>
@@ -29,74 +29,67 @@
 
 #include "comm/substrate.hpp"
 #include "engine/engine.hpp"
+#include "epoch/state_frame.hpp"
 #include "graph/bfs.hpp"
 #include "graph/graph.hpp"
 
 namespace distbc::adaptive {
 
-/// Flat frame layout: [credit sums (n) | squared-credit sums (n) | sources].
-/// A BFS source reaches every vertex of the (connected) graph, so these
-/// frames are dense by nature: once a source is in, the engine's image
-/// encoder (epoch::append_image) picks the dense image.
-class ClosenessFrame {
- public:
-  static constexpr double kFixedPointOne = 1048576.0;  // 2^20
+// --- The closeness layout of an epoch::StateFrame -------------------------
+//
+// [credit sums (n) | squared-credit sums (n) | sources], in fixed point (a
+// credit of 1 is kCreditOne). A BFS source reaches every vertex of the
+// (connected) graph, so these frames are dense by nature: once a source is
+// in, the engine's image encoder (epoch::append_image) picks the dense
+// image.
 
-  ClosenessFrame() = default;
-  explicit ClosenessFrame(std::uint32_t num_vertices)
-      : data_(2 * static_cast<std::size_t>(num_vertices) + 1, 0),
-        num_vertices_(num_vertices) {}
+inline constexpr double kCreditOne = 1048576.0;  // 2^20
 
-  void clear() { std::fill(data_.begin(), data_.end(), 0); }
-  /// A frame with no finished sources holds no credits (samples complete
-  /// before frames are merged), so idle frames skip the O(n) sweep.
-  [[nodiscard]] bool empty() const { return sources() == 0; }
-  void merge(const ClosenessFrame& other) {
-    if (other.empty()) return;
-    for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-  }
-  [[nodiscard]] std::span<std::uint64_t> raw() { return data_; }
+/// Payload words of a closeness frame over `num_vertices` vertices.
+[[nodiscard]] constexpr std::size_t closeness_words(
+    std::uint32_t num_vertices) {
+  return 2 * static_cast<std::size_t>(num_vertices);
+}
 
-  /// Adds the credit 1 / distance for (source, v) to every v in
-  /// `vertices` - one BFS level, which shares its distance. Converted to
-  /// fixed point once per level; the integer sums do not depend on order.
-  void add_credit(std::span<const std::uint32_t> vertices, double credit) {
-    const auto fixed = static_cast<std::uint64_t>(credit * kFixedPointOne);
-    const auto fixed_sq =
-        static_cast<std::uint64_t>(credit * credit * kFixedPointOne);
-    for (const std::uint32_t v : vertices) {
-      data_[v] += fixed;
-      data_[num_vertices_ + v] += fixed_sq;
-    }
+/// Adds the credit 1 / distance for (source, v) to every v in `vertices` -
+/// one BFS level, which shares its distance. Converted to fixed point once
+/// per level; the integer sums do not depend on order. The caller counts
+/// the source with frame.finish_sample() once all its levels are in.
+inline void add_credit(epoch::StateFrame& frame,
+                       std::span<const std::uint32_t> vertices,
+                       double credit) {
+  const std::span<std::uint64_t> payload = frame.payload();
+  const std::size_t n = payload.size() / 2;
+  const auto fixed = static_cast<std::uint64_t>(credit * kCreditOne);
+  const auto fixed_sq =
+      static_cast<std::uint64_t>(credit * credit * kCreditOne);
+  for (const std::uint32_t v : vertices) {
+    payload[v] += fixed;
+    payload[n + v] += fixed_sq;
   }
-  void add_credit(std::uint32_t v, double credit) {
-    add_credit(std::span(&v, 1), credit);
-  }
-  void finish_source() { ++data_[2 * num_vertices_]; }
+}
 
-  [[nodiscard]] std::uint64_t sources() const {
-    return data_[2 * num_vertices_];
-  }
-  [[nodiscard]] double credit_sum(std::uint32_t v) const {
-    return static_cast<double>(data_[v]) / kFixedPointOne;
-  }
-  [[nodiscard]] double credit_sq_sum(std::uint32_t v) const {
-    return static_cast<double>(data_[num_vertices_ + v]) / kFixedPointOne;
-  }
-  /// Biased per-vertex sample variance of the credit at v.
-  [[nodiscard]] double variance(std::uint32_t v) const {
-    const std::uint64_t n = sources();
-    if (n < 2) return 0.25;  // worst case for a [0,1] variable
-    const double mean = credit_sum(v) / static_cast<double>(n);
-    return std::max(0.0,
-                    credit_sq_sum(v) / static_cast<double>(n) - mean * mean);
-  }
-  [[nodiscard]] std::uint32_t num_vertices() const { return num_vertices_; }
+[[nodiscard]] inline double credit_sum(const epoch::StateFrame& frame,
+                                       std::uint32_t v) {
+  return static_cast<double>(frame.payload()[v]) / kCreditOne;
+}
 
- private:
-  std::vector<std::uint64_t> data_;
-  std::uint32_t num_vertices_ = 0;
-};
+[[nodiscard]] inline double credit_sq_sum(const epoch::StateFrame& frame,
+                                          std::uint32_t v) {
+  const std::span<const std::uint64_t> payload = frame.payload();
+  return static_cast<double>(payload[payload.size() / 2 + v]) / kCreditOne;
+}
+
+/// Biased per-vertex sample variance of the credit at v over the frame's
+/// tau() sources.
+[[nodiscard]] inline double credit_variance(const epoch::StateFrame& frame,
+                                            std::uint32_t v) {
+  const std::uint64_t n = frame.tau();
+  if (n < 2) return 0.25;  // worst case for a [0,1] variable
+  const double mean = credit_sum(frame, v) / static_cast<double>(n);
+  return std::max(0.0, credit_sq_sum(frame, v) / static_cast<double>(n) -
+                           mean * mean);
+}
 
 struct ClosenessParams {
   double epsilon = 0.05;  // additive error on normalized harmonic closeness
@@ -146,7 +139,8 @@ struct ClosenessResult {
 /// credits 1 / d(source, v) to every reached v != source, then counts the
 /// source. Exposed for the kernel bench.
 void credit_source(const graph::Graph& graph, graph::Vertex source,
-                   graph::DirectionOptimizingBfs& bfs, ClosenessFrame& frame);
+                   graph::DirectionOptimizingBfs& bfs,
+                   epoch::StateFrame& frame);
 
 /// Per-rank driver (result valid at world rank 0); connected graphs only.
 [[nodiscard]] ClosenessResult closeness_rank(const graph::Graph& graph,

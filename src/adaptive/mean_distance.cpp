@@ -11,12 +11,12 @@
 
 namespace distbc::adaptive {
 
-double MomentFrame::variance() const {
-  const std::uint64_t n = count();
+double distance_variance(const epoch::StateFrame& frame) {
+  const std::uint64_t n = frame.tau();
   if (n < 2) return 0.0;
-  const double mean_value = mean();
+  const double mean_value = distance_mean(frame);
   const double raw_second =
-      static_cast<double>(data_[2]) / static_cast<double>(n);
+      static_cast<double>(frame.payload()[1]) / static_cast<double>(n);
   const double biased = raw_second - mean_value * mean_value;
   return std::max(0.0, biased * static_cast<double>(n) /
                            static_cast<double>(n - 1));
@@ -38,13 +38,13 @@ class DistanceSampler {
   DistanceSampler(const graph::Graph& graph, Rng rng)
       : graph_(&graph), bfs_(graph.num_vertices()), rng_(rng) {}
 
-  void sample(MomentFrame& frame) {
+  void operator()(epoch::StateFrame& frame) {
     const auto [s, t] = rng_.next_distinct_pair(graph_->num_vertices());
     const auto pair = bfs_.run(*graph_, static_cast<graph::Vertex>(s),
                                static_cast<graph::Vertex>(t));
     DISTBC_ASSERT_MSG(pair.connected,
                       "mean_distance requires a connected graph");
-    frame.record(pair.distance);
+    record_distance(frame, pair.distance);
   }
 
  private:
@@ -75,17 +75,17 @@ MeanDistanceResult mean_distance_rank(const graph::Graph& graph,
     world.bcast(std::span{&range, 1}, 0);
   }
 
-  auto make_sampler = [&](std::uint64_t stream) {
+  auto make_sampler = [&](std::uint64_t stream) -> engine::Sampler {
     return DistanceSampler(graph, Rng(params.seed).split(stream));
   };
-  auto should_stop = [&](const MomentFrame& aggregate) {
-    const std::uint64_t n = aggregate.count();
+  auto should_stop = [&](const epoch::StateFrame& aggregate) {
+    const std::uint64_t n = aggregate.tau();
     if (n < 2) return false;
-    return bernstein_half_width(aggregate.variance(), range, params.delta,
-                                n) <= params.epsilon;
+    return bernstein_half_width(distance_variance(aggregate), range,
+                                params.delta, n) <= params.epsilon;
   };
 
-  auto driver_result = engine::run_epochs(&world, MomentFrame{}, make_sampler,
+  auto driver_result = engine::run_epochs(&world, kMomentWords, make_sampler,
                                           should_stop, params.engine);
 
   MeanDistanceResult result;
@@ -98,12 +98,12 @@ MeanDistanceResult mean_distance_rank(const graph::Graph& graph,
   if (is_root) {
     result.phases = driver_result.phases;
     result.comm_volume = driver_result.comm_volume;
-    const MomentFrame& frame = driver_result.aggregate;
-    result.mean = frame.mean();
-    result.stddev = std::sqrt(frame.variance());
-    result.samples = frame.count();
-    result.half_width = bernstein_half_width(frame.variance(), range,
-                                             params.delta, frame.count());
+    const epoch::StateFrame& frame = driver_result.aggregate;
+    result.mean = distance_mean(frame);
+    result.stddev = std::sqrt(distance_variance(frame));
+    result.samples = frame.tau();
+    result.half_width = bernstein_half_width(distance_variance(frame), range,
+                                             params.delta, frame.tau());
   }
   return result;
 }

@@ -10,8 +10,9 @@
 // with V_n the sample variance and R an upper bound on the distance range
 // (a cheap 2-approximate diameter). Everything else - wait-free per-thread
 // frames, overlapped epoch transitions and reductions, selectable
-// aggregation strategies, hierarchical reduction, rank-0 stop checks -
-// comes from engine::run_epochs unchanged.
+// aggregation strategies, hierarchical reduction, the stop check every
+// rank runs on the merged aggregate - comes from engine::run_epochs
+// unchanged.
 #pragma once
 
 #include <algorithm>
@@ -22,44 +23,38 @@
 
 #include "comm/substrate.hpp"
 #include "engine/engine.hpp"
+#include "epoch/state_frame.hpp"
 #include "graph/graph.hpp"
 #include "support/timer.hpp"
 
 namespace distbc::adaptive {
 
-/// Flat moment accumulator: [pair count, sum of d, sum of d^2]. Three
-/// words never benefit from a sparse encoding; once a sample is in, the
-/// engine's image encoder (epoch::append_image) picks dense.
-class MomentFrame {
- public:
-  MomentFrame() : data_(3, 0) {}
+// --- The mean-distance layout of an epoch::StateFrame ---------------------
+//
+// [sum of d | sum of d^2 | pairs]. A sample fills all three words, so the
+// engine's image encoder (epoch::append_image) ships a frame holding one
+// as the 4-word dense image, and an empty frame as the 2-word sparse one.
 
-  void clear() { std::fill(data_.begin(), data_.end(), 0); }
-  [[nodiscard]] bool empty() const { return count() == 0; }
-  void merge(const MomentFrame& other) {
-    for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-  }
-  [[nodiscard]] std::span<std::uint64_t> raw() { return data_; }
-  [[nodiscard]] std::span<const std::uint64_t> raw() const { return data_; }
+inline constexpr std::size_t kMomentWords = 2;
 
-  void record(std::uint32_t distance) {
-    data_[0] += 1;
-    data_[1] += distance;
-    data_[2] += static_cast<std::uint64_t>(distance) * distance;
-  }
+inline void record_distance(epoch::StateFrame& frame,
+                            std::uint32_t distance) {
+  const std::span<std::uint64_t> payload = frame.payload();
+  payload[0] += distance;
+  payload[1] += static_cast<std::uint64_t>(distance) * distance;
+  frame.finish_sample();
+}
 
-  [[nodiscard]] std::uint64_t count() const { return data_[0]; }
-  [[nodiscard]] double mean() const {
-    return count() == 0 ? 0.0
-                        : static_cast<double>(data_[1]) /
-                              static_cast<double>(data_[0]);
-  }
-  /// Unbiased sample variance (0 while fewer than two samples).
-  [[nodiscard]] double variance() const;
+/// Mean of the recorded distances (0 while none are in).
+[[nodiscard]] inline double distance_mean(const epoch::StateFrame& frame) {
+  return frame.tau() == 0 ? 0.0
+                          : static_cast<double>(frame.payload()[0]) /
+                                static_cast<double>(frame.tau());
+}
 
- private:
-  std::vector<std::uint64_t> data_;
-};
+/// Unbiased sample variance of the recorded distances (0 while fewer than
+/// two are in).
+[[nodiscard]] double distance_variance(const epoch::StateFrame& frame);
 
 struct MeanDistanceParams {
   double epsilon = 0.1;  // absolute half-width target, in hops

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "api/session.hpp"
@@ -41,8 +42,11 @@ BcResult kadabra_run(const graph::Graph& graph, const KadabraOptions& options,
   // Sampler factory for both phases: stream v of a phase starting at
   // `base_stream` draws from Rng(seed).split(base_stream + v).
   const auto sampler_factory = [&](std::uint64_t base_stream) {
-    return [&graph, &params, base_stream](std::uint64_t v) {
-      return PathSampler(graph, Rng(params.seed).split(base_stream + v));
+    return [&graph, &params, base_stream](std::uint64_t v) -> engine::Sampler {
+      PathSampler sampler(graph, Rng(params.seed).split(base_stream + v));
+      return [sampler = std::move(sampler)](epoch::StateFrame& frame) mutable {
+        sampler.sample(frame);
+      };
     };
   };
 
@@ -71,7 +75,7 @@ BcResult kadabra_run(const graph::Graph& graph, const KadabraOptions& options,
     // --- Phase 2: parallel calibration through the engine's hook. --------
     phases.timed(Phase::kCalibration, [&] {
       const epoch::StateFrame initial =
-          engine::calibrate(world, epoch::StateFrame(n), sampler_factory(0),
+          engine::calibrate(world, n, sampler_factory(0),
                             state->context.initial_samples, engine_options);
       if (is_root) finish_calibration(state->context, initial);
     });
@@ -108,9 +112,8 @@ BcResult kadabra_run(const graph::Graph& graph, const KadabraOptions& options,
   const auto stop = [&](const epoch::StateFrame& aggregate) {
     return context.stop_satisfied(aggregate);
   };
-  auto driver =
-      engine::run_epochs(world, epoch::StateFrame(n),
-                         sampler_factory(streams), stop, engine_options);
+  auto driver = engine::run_epochs(world, n, sampler_factory(streams), stop,
+                                   engine_options);
   result.adaptive_seconds = adaptive_timer.elapsed_s();
 
   phases.merge(driver.phases);

@@ -78,15 +78,14 @@ struct KadabraContext {
 
 /// Phase 2 completion: calibrate per-vertex failure shares from the
 /// aggregated non-adaptive samples. Zero-copy: the counts are read straight
-/// from the frame's counts-then-tau raw() span.
+/// from the frame's payload span.
 inline void finish_calibration(KadabraContext& context,
                                const epoch::StateFrame& initial_frame) {
   DISTBC_ASSERT(initial_frame.tau() > 0);
-  const std::span<const std::uint64_t> raw(initial_frame.raw());
   context.calibration =
-      calibrate(raw.subspan(0, initial_frame.num_vertices()),
-                initial_frame.tau(), context.params.epsilon,
-                context.params.delta, context.params.balancing);
+      calibrate(initial_frame.payload(), initial_frame.tau(),
+                context.params.epsilon, context.params.delta,
+                context.params.balancing);
 }
 
 }  // namespace distbc::bc

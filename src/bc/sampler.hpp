@@ -48,7 +48,7 @@ class PathSampler {
       bfs_.sample_path(*graph_, rng_, scratch_);
       frame.record(scratch_);
     } else {
-      frame.record_empty();
+      frame.finish_sample();
     }
     if (observer_ != nullptr) {
       scanned_.clear();

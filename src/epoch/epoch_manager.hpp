@@ -23,27 +23,19 @@
 #include <cstdint>
 #include <vector>
 
+#include "epoch/state_frame.hpp"
 #include "support/aligned.hpp"
 #include "support/assert.hpp"
 
 namespace distbc::epoch {
 
-/// Frame must provide clear() and merge(const Frame&).
-template <typename Frame>
 class EpochManager {
  public:
-  /// Constructs per-thread double-buffered frames from a prototype.
-  EpochManager(int num_threads, const Frame& prototype)
-      : num_threads_(num_threads), thread_epoch_(num_threads) {
-    DISTBC_ASSERT(num_threads >= 1);
-    frames_.reserve(static_cast<std::size_t>(num_threads) * 2);
-    for (int i = 0; i < num_threads * 2; ++i) frames_.push_back(prototype);
-  }
-
-  [[nodiscard]] int num_threads() const { return num_threads_; }
+  /// Per-thread double-buffered frames of `payload_words` payload words.
+  EpochManager(int num_threads, std::size_t payload_words);
 
   /// The frame thread `t` writes to while in `epoch`.
-  [[nodiscard]] Frame& frame(int t, std::uint32_t epoch) {
+  [[nodiscard]] StateFrame& frame(int t, std::uint32_t epoch) {
     DISTBC_DEBUG_ASSERT(t >= 0 && t < num_threads_);
     return frames_[static_cast<std::size_t>(t) * 2 + (epoch & 1)];
   }
@@ -70,42 +62,17 @@ class EpochManager {
 
   /// Paper's FORCETRANSITION(e): initiates the transition out of `epoch`
   /// and immediately advances thread zero. O(1); never blocks.
-  void force_transition(std::uint32_t epoch) {
-    DISTBC_ASSERT_MSG(
-        target_epoch_.load(std::memory_order_relaxed) == epoch,
-        "transitions must be initiated in order and not overlap");
-    thread_epoch_[0].value.store(epoch + 1, std::memory_order_release);
-    target_epoch_.store(epoch + 1, std::memory_order_release);
-  }
+  void force_transition(std::uint32_t epoch);
 
   /// Monitoring half of FORCETRANSITION: true once every thread reached
   /// epoch + 1. O(T) acquire loads; thread zero overlaps this with
   /// sampling (Figure 1 of the paper).
-  [[nodiscard]] bool transition_done(std::uint32_t epoch) const {
-    for (int t = 0; t < num_threads_; ++t) {
-      if (thread_epoch_[t].value.load(std::memory_order_acquire) < epoch + 1)
-        return false;
-    }
-    return true;
-  }
+  [[nodiscard]] bool transition_done(std::uint32_t epoch) const;
 
   /// Aggregates all threads' epoch-e frames into `out` and clears them for
   /// reuse as epoch e+2 frames. Must only be called by thread zero after
   /// transition_done(epoch); `out` is not cleared first.
-  void collect(std::uint32_t epoch, Frame& out) {
-    DISTBC_ASSERT(transition_done(epoch));
-    for (int t = 0; t < num_threads_; ++t) {
-      Frame& source = frame(t, epoch);
-      // Threads that took no samples this epoch (stragglers on
-      // oversubscribed hosts, unowned streams in deterministic mode) leave
-      // their frame empty; skip the merge and clear sweeps entirely.
-      if constexpr (requires { source.empty(); }) {
-        if (source.empty()) continue;
-      }
-      out.merge(source);
-      source.clear();
-    }
-  }
+  void collect(std::uint32_t epoch, StateFrame& out);
 
   void signal_stop() { stop_.store(true, std::memory_order_release); }
 
@@ -116,7 +83,7 @@ class EpochManager {
 
  private:
   int num_threads_;
-  std::vector<Frame> frames_;  // [thread][epoch parity]
+  std::vector<StateFrame> frames_;  // [thread][epoch parity]
   std::vector<PaddedAtomic<std::uint32_t>> thread_epoch_;
   std::atomic<std::uint32_t> target_epoch_{0};
   std::atomic<bool> stop_{false};

@@ -1,12 +1,15 @@
 // Sampling state frames (paper §III-B).
 //
-// A state frame S = (tau, c~) holds the number of samples taken and the
-// per-vertex path counts accumulated by one thread during one epoch. The
-// frame is stored as one flat uint64 array with tau in the last slot, so a
-// whole frame can be aggregated - locally between threads or across ranks
-// via an MPI reduction - as a single elementwise vector sum. Sparse and
-// auto wire images are built from and decoded into that same array by the
-// free functions of frame_codec.hpp.
+// A state frame holds what one thread sampled during one epoch as one flat
+// uint64 array: P payload words followed by one word counting the samples
+// finished into the frame. Every workload of the engine shares this one
+// layout and differs only in what its payload means:
+//   betweenness    [c~(0) .. c~(n-1) | tau]             (record/count below)
+//   closeness      [credit sums (n) | squared sums (n) | sources]
+//                                                  (adaptive/closeness.hpp)
+//   mean distance  [sum d | sum d^2 | pairs]   (adaptive/mean_distance.hpp)
+// So a whole frame aggregates - locally between threads, or across ranks
+// as a wire image (frame_codec.hpp) - as a single elementwise vector sum.
 #pragma once
 
 #include <algorithm>
@@ -20,68 +23,79 @@ namespace distbc::epoch {
 
 class StateFrame {
  public:
+  /// No words at all: a placeholder (EngineResult::local_aggregate when no
+  /// local aggregates were asked for). Only raw() and assignment apply.
   StateFrame() = default;
-  explicit StateFrame(std::uint32_t num_vertices)
-      : data_(static_cast<std::size_t>(num_vertices) + 1, 0),
-        num_vertices_(num_vertices) {}
+  explicit StateFrame(std::size_t payload_words)
+      : data_(payload_words + 1, 0) {}
 
-  [[nodiscard]] std::uint32_t num_vertices() const { return num_vertices_; }
+  /// Samples finished into this frame: tau for betweenness, sources for
+  /// closeness, pairs for mean distance.
+  [[nodiscard]] std::uint64_t tau() const { return data_.back(); }
+  void finish_sample() { ++data_.back(); }
 
-  /// Records one sample: increments tau and the count of every internal
-  /// vertex of the sampled path (possibly none for adjacent endpoints).
-  void record(std::span<const std::uint32_t> internal_vertices) {
-    for (const std::uint32_t v : internal_vertices) {
-      DISTBC_DEBUG_ASSERT(v < num_vertices_);
-      ++data_[v];
-    }
-    ++data_[num_vertices_];
+  [[nodiscard]] std::span<std::uint64_t> payload() {
+    return std::span(data_).first(data_.size() - 1);
+  }
+  [[nodiscard]] std::span<const std::uint64_t> payload() const {
+    return std::span(data_).first(data_.size() - 1);
   }
 
-  /// Records a sample of a disconnected pair: tau advances, no counts.
-  void record_empty() { ++data_[num_vertices_]; }
-
-  [[nodiscard]] std::uint64_t tau() const { return data_[num_vertices_]; }
-  [[nodiscard]] std::uint64_t count(std::uint32_t v) const {
-    DISTBC_DEBUG_ASSERT(v < num_vertices_);
-    return data_[v];
-  }
-
-  /// Flat view (counts followed by tau) for aggregation and reductions.
+  /// The whole frame (payload, then the sample count) for aggregation.
   [[nodiscard]] std::span<std::uint64_t> raw() { return data_; }
   [[nodiscard]] std::span<const std::uint64_t> raw() const { return data_; }
 
   void clear() { std::fill(data_.begin(), data_.end(), 0); }
 
+  /// A frame holds payload only through finished samples, so tau == 0
+  /// means all zeros and merges of idle frames skip the sweep.
   [[nodiscard]] bool empty() const { return tau() == 0; }
 
   void merge(const StateFrame& other) {
     DISTBC_ASSERT(other.data_.size() == data_.size());
-    // Idle threads contribute empty epoch frames; tau == 0 implies all
-    // counts are zero (counts_consistent), so the O(V) sweep is skippable.
     if (other.empty()) return;
     for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
+  }
+
+  // --- Betweenness layout: one path count per vertex ---------------------
+
+  [[nodiscard]] std::uint32_t num_vertices() const {
+    return static_cast<std::uint32_t>(data_.size() - 1);
+  }
+
+  /// Records one sample: increments tau and the count of every internal
+  /// vertex of the sampled path (possibly none for adjacent endpoints).
+  void record(std::span<const std::uint32_t> internal_vertices) {
+    for (const std::uint32_t v : internal_vertices) {
+      DISTBC_DEBUG_ASSERT(v < num_vertices());
+      ++data_[v];
+    }
+    finish_sample();
+  }
+
+  [[nodiscard]] std::uint64_t count(std::uint32_t v) const {
+    DISTBC_DEBUG_ASSERT(v < num_vertices());
+    return data_[v];
   }
 
   /// Sum of all per-vertex counts (tau excluded).
   [[nodiscard]] std::uint64_t count_sum() const {
     std::uint64_t total = 0;
-    for (std::uint32_t v = 0; v < num_vertices_; ++v) total += data_[v];
+    for (const std::uint64_t count : payload()) total += count;
     return total;
   }
 
-  /// Consistency invariant: every internal vertex lies on some sampled path,
-  /// and a path contributes at most (its length - 1) < num_vertices counts;
-  /// cheap sanity check used by tests and debug assertions.
+  /// Consistency invariant: a path contributes at most (its length - 1) <
+  /// num_vertices counts; cheap sanity check used by tests.
   [[nodiscard]] bool counts_consistent() const {
     const std::uint64_t total = count_sum();
     return tau() == 0 ? total == 0
                       : total <= tau() * static_cast<std::uint64_t>(
-                                             num_vertices_);
+                                             num_vertices());
   }
 
  private:
   std::vector<std::uint64_t> data_;
-  std::uint32_t num_vertices_ = 0;
 };
 
 }  // namespace distbc::epoch

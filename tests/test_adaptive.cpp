@@ -24,44 +24,44 @@
 namespace distbc::adaptive {
 namespace {
 
-TEST(MomentFrame, RecordsMoments) {
-  MomentFrame frame;
-  frame.record(2);
-  frame.record(4);
-  EXPECT_EQ(frame.count(), 2u);
-  EXPECT_DOUBLE_EQ(frame.mean(), 3.0);
+TEST(DistanceMoments, RecordsMoments) {
+  epoch::StateFrame frame(kMomentWords);
+  record_distance(frame, 2);
+  record_distance(frame, 4);
+  EXPECT_EQ(frame.tau(), 2u);
+  EXPECT_DOUBLE_EQ(distance_mean(frame), 3.0);
   // Unbiased variance of {2, 4} is 2.
-  EXPECT_DOUBLE_EQ(frame.variance(), 2.0);
+  EXPECT_DOUBLE_EQ(distance_variance(frame), 2.0);
 }
 
-TEST(MomentFrame, MergeIsAdditive) {
-  MomentFrame a;
-  MomentFrame b;
-  a.record(1);
-  b.record(3);
-  b.record(5);
+TEST(DistanceMoments, MergeIsAdditive) {
+  epoch::StateFrame a(kMomentWords);
+  epoch::StateFrame b(kMomentWords);
+  record_distance(a, 1);
+  record_distance(b, 3);
+  record_distance(b, 5);
   a.merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_DOUBLE_EQ(a.mean(), 3.0);
+  EXPECT_EQ(a.tau(), 3u);
+  EXPECT_DOUBLE_EQ(distance_mean(a), 3.0);
 }
 
-TEST(MomentFrame, EmptyAndSingleSampleEdgeCases) {
-  MomentFrame frame;
-  EXPECT_DOUBLE_EQ(frame.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(frame.variance(), 0.0);
-  frame.record(7);
-  EXPECT_DOUBLE_EQ(frame.mean(), 7.0);
-  EXPECT_DOUBLE_EQ(frame.variance(), 0.0);  // undefined -> 0 by convention
+TEST(DistanceMoments, EmptyAndSingleSampleEdgeCases) {
+  epoch::StateFrame frame(kMomentWords);
+  EXPECT_DOUBLE_EQ(distance_mean(frame), 0.0);
+  EXPECT_DOUBLE_EQ(distance_variance(frame), 0.0);
+  record_distance(frame, 7);
+  EXPECT_DOUBLE_EQ(distance_mean(frame), 7.0);
+  EXPECT_DOUBLE_EQ(distance_variance(frame), 0.0);  // undefined -> 0
 }
 
-TEST(MomentFrame, RawLayoutSupportsElementwiseReduce) {
-  MomentFrame frame;
-  frame.record(3);
+TEST(DistanceMoments, RawLayoutIsSumsThenPairs) {
+  epoch::StateFrame frame(kMomentWords);
+  record_distance(frame, 3);
   const auto raw = frame.raw();
   ASSERT_EQ(raw.size(), 3u);
-  EXPECT_EQ(raw[0], 1u);
-  EXPECT_EQ(raw[1], 3u);
-  EXPECT_EQ(raw[2], 9u);
+  EXPECT_EQ(raw[0], 3u);  // sum of d
+  EXPECT_EQ(raw[1], 9u);  // sum of d^2
+  EXPECT_EQ(raw[2], 1u);  // pairs, in the sample-count slot
 }
 
 TEST(BernsteinHalfWidth, ShrinksWithSamples) {
@@ -81,12 +81,14 @@ TEST(BernsteinHalfWidth, VarianceTermDominatesAsymptotically) {
   EXPECT_LT(hw, 2.5 * variance_term);
 }
 
+/// A degenerate sampler factory: every stream records distance 1.
+engine::Sampler one_sampler(std::uint64_t) {
+  return [](epoch::StateFrame& frame) { record_distance(frame, 1); };
+}
+
 TEST(GenericDriver, AggregatesDeterministicCounts) {
   // A degenerate "sampler" that always records distance 1: the driver must
   // neither lose nor duplicate samples across threads/ranks/epochs.
-  struct OneSampler {
-    void sample(MomentFrame& frame) { frame.record(1); }
-  };
   mpisim::RuntimeConfig config;
   config.num_ranks = 3;
   config.network = mpisim::NetworkModel::disabled();
@@ -99,27 +101,24 @@ TEST(GenericDriver, AggregatesDeterministicCounts) {
     options.epoch_base = 10;
     options.epoch_exponent = 0.0;
     auto result = engine::run_epochs(
-        world.get(), MomentFrame{}, [](std::uint64_t) { return OneSampler{}; },
-        [](const MomentFrame& frame) { return frame.count() >= 500; },
+        world.get(), kMomentWords, one_sampler,
+        [](const epoch::StateFrame& frame) { return frame.tau() >= 500; },
         options);
     if (world->rank() == 0) {
-      EXPECT_GE(result.aggregate.count(), 500u);
-      EXPECT_DOUBLE_EQ(result.aggregate.mean(), 1.0);
+      EXPECT_GE(result.aggregate.tau(), 500u);
+      EXPECT_DOUBLE_EQ(distance_mean(result.aggregate), 1.0);
       // With a trivially fast sampler the free-running worker threads can
       // satisfy the threshold within the first epoch; at least one epoch
       // must complete either way.
       EXPECT_GE(result.epochs, 1u);
       // The aggregate only contains collected samples; attempted covers
       // also the discarded overlap tail.
-      EXPECT_GE(result.samples_attempted, result.aggregate.count());
+      EXPECT_GE(result.samples_attempted, result.aggregate.tau());
     }
   });
 }
 
 TEST(GenericDriver, MaxEpochsStopsDivergentRules) {
-  struct OneSampler {
-    void sample(MomentFrame& frame) { frame.record(1); }
-  };
   mpisim::RuntimeConfig config;
   config.num_ranks = 2;
   config.network = mpisim::NetworkModel::disabled();
@@ -132,8 +131,8 @@ TEST(GenericDriver, MaxEpochsStopsDivergentRules) {
     options.epoch_exponent = 0.0;
     options.max_epochs = 7;
     auto result = engine::run_epochs(
-        world.get(), MomentFrame{}, [](std::uint64_t) { return OneSampler{}; },
-        [](const MomentFrame&) { return false; },  // never satisfied
+        world.get(), kMomentWords, one_sampler,
+        [](const epoch::StateFrame&) { return false; },  // never satisfied
         options);
     EXPECT_EQ(result.epochs, 7u);
     EXPECT_EQ(result.stop_reason, engine::StopReason::kMaxEpochs);
@@ -141,17 +140,14 @@ TEST(GenericDriver, MaxEpochsStopsDivergentRules) {
 }
 
 TEST(GenericDriver, RuleSatisfiedAtTheCapStillReportsTheRule) {
-  struct OneSampler {
-    void sample(MomentFrame& frame) { frame.record(1); }
-  };
   engine::EngineOptions options;
   options.epoch_base = 5;
   options.epoch_exponent = 0.0;
   options.max_epochs = 3;
   int checks = 0;
   auto result = engine::run_epochs(
-      nullptr, MomentFrame{}, [](std::uint64_t) { return OneSampler{}; },
-      [&](const MomentFrame&) { return ++checks == 3; }, options);
+      nullptr, kMomentWords, one_sampler,
+      [&](const epoch::StateFrame&) { return ++checks == 3; }, options);
   EXPECT_EQ(result.epochs, 3u);
   EXPECT_EQ(result.stop_reason, engine::StopReason::kRule);
 }

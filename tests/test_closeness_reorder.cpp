@@ -40,30 +40,36 @@ std::vector<double> exact_harmonic_closeness(const Graph& graph) {
   return scores;
 }
 
-TEST(ClosenessFrame, CreditsAndMoments) {
-  adaptive::ClosenessFrame frame(3);
-  frame.add_credit(1, 0.5);
-  frame.add_credit(1, 0.25);
-  frame.finish_source();
-  frame.finish_source();
-  EXPECT_EQ(frame.sources(), 2u);
-  EXPECT_NEAR(frame.credit_sum(1), 0.75, 1e-5);
-  EXPECT_NEAR(frame.credit_sq_sum(1), 0.25 + 0.0625, 1e-5);
-  // E[x^2] - E[x]^2 = 0.3125/2 - 0.375^2 = 0.015625.
-  EXPECT_NEAR(frame.variance(1), 0.3125 / 2.0 - 0.375 * 0.375, 1e-5);
-  EXPECT_NEAR(frame.credit_sum(0), 0.0, 1e-9);
+/// Credits `credit` to the single vertex `v`.
+void credit_one(epoch::StateFrame& frame, Vertex v, double credit) {
+  adaptive::add_credit(frame, std::span(&v, 1), credit);
 }
 
-TEST(ClosenessFrame, MergeMatchesSingleFrame) {
-  adaptive::ClosenessFrame a(2);
-  adaptive::ClosenessFrame b(2);
-  a.add_credit(0, 1.0);
-  a.finish_source();
-  b.add_credit(0, 0.5);
-  b.finish_source();
+TEST(ClosenessCredits, CreditsAndMoments) {
+  epoch::StateFrame frame(adaptive::closeness_words(3));
+  credit_one(frame, 1, 0.5);
+  credit_one(frame, 1, 0.25);
+  frame.finish_sample();
+  frame.finish_sample();
+  EXPECT_EQ(frame.tau(), 2u);
+  EXPECT_NEAR(adaptive::credit_sum(frame, 1), 0.75, 1e-5);
+  EXPECT_NEAR(adaptive::credit_sq_sum(frame, 1), 0.25 + 0.0625, 1e-5);
+  // E[x^2] - E[x]^2 = 0.3125/2 - 0.375^2 = 0.015625.
+  EXPECT_NEAR(adaptive::credit_variance(frame, 1),
+              0.3125 / 2.0 - 0.375 * 0.375, 1e-5);
+  EXPECT_NEAR(adaptive::credit_sum(frame, 0), 0.0, 1e-9);
+}
+
+TEST(ClosenessCredits, MergeMatchesSingleFrame) {
+  epoch::StateFrame a(adaptive::closeness_words(2));
+  epoch::StateFrame b(adaptive::closeness_words(2));
+  credit_one(a, 0, 1.0);
+  a.finish_sample();
+  credit_one(b, 0, 0.5);
+  b.finish_sample();
   a.merge(b);
-  EXPECT_EQ(a.sources(), 2u);
-  EXPECT_NEAR(a.credit_sum(0), 1.5, 1e-5);
+  EXPECT_EQ(a.tau(), 2u);
+  EXPECT_NEAR(adaptive::credit_sum(a, 0), 1.5, 1e-5);
 }
 
 TEST(Closeness, SampleBoundShrinksWithEpsilon) {

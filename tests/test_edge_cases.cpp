@@ -3,6 +3,7 @@
 // parameter values.
 #include <gtest/gtest.h>
 
+#include "adaptive/closeness.hpp"
 #include "bc/brandes.hpp"
 #include "bc/kadabra.hpp"
 #include "bc/rk.hpp"
@@ -148,7 +149,7 @@ TEST(EdgeCaseDeath, KadabraRejectsDisconnectedInput) {
 }
 
 TEST(EdgeCaseDeath, CollectRequiresCompletedTransition) {
-  epoch::EpochManager<epoch::StateFrame> manager(2, epoch::StateFrame(4));
+  epoch::EpochManager manager(2, 4);
   manager.force_transition(0);  // thread 1 never participates
   epoch::StateFrame aggregate(4);
   EXPECT_DEATH(manager.collect(0, aggregate), "transition_done");
@@ -163,6 +164,15 @@ TEST(EdgeCaseDeath, FrameMergeRejectsSizeMismatch) {
   epoch::StateFrame a(4);
   epoch::StateFrame b(5);
   EXPECT_DEATH(a.merge(b), "size");
+  // Every workload shares the one frame, so layouts of different workloads
+  // over the same graph must not merge: closeness (2n+1 words) into
+  // betweenness (n+1), and back, even with samples in.
+  epoch::StateFrame betweenness(4);
+  epoch::StateFrame closeness(adaptive::closeness_words(4));
+  betweenness.finish_sample();
+  closeness.finish_sample();
+  EXPECT_DEATH(betweenness.merge(closeness), "size");
+  EXPECT_DEATH(closeness.merge(betweenness), "size");
 }
 
 }  // namespace

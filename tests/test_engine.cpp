@@ -46,20 +46,12 @@ TEST(Streams, OwnerIsGlobalThreadIndexModuloThreads) {
 
 // --- Calibration hook ------------------------------------------------------
 
-/// A raw()-only frame counting samples in its first word. Its width picks
-/// the wire image: one word ships dense, a wide frame holding one nonzero
-/// ships sparse.
-struct CountFrame {
-  explicit CountFrame(std::size_t words = 1) : data(words, 0) {}
-  std::vector<std::uint64_t> data;
-  void clear() { data[0] = 0; }
-  void merge(const CountFrame& other) { data[0] += other.data[0]; }
-  [[nodiscard]] std::span<std::uint64_t> raw() { return data; }
-};
-
-struct CountSampler {
-  void sample(CountFrame& frame) { ++frame.data[0]; }
-};
+/// A sampler factory whose samples only count themselves: a frame of P
+/// payload words then holds one nonzero, its sample count, so its width
+/// picks the wire image - no payload ships dense, a wide payload sparse.
+engine::Sampler count_sampler(std::uint64_t) {
+  return [](epoch::StateFrame& frame) { frame.finish_sample(); };
+}
 
 TEST(EngineCalibrate, DistributesBudgetExactlyAcrossRanks) {
   mpisim::RuntimeConfig config;
@@ -71,11 +63,11 @@ TEST(EngineCalibrate, DistributesBudgetExactlyAcrossRanks) {
         comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
     engine::EngineOptions options;
     options.threads_per_rank = 2;
-    const CountFrame frame = engine::calibrate(
-        world.get(), CountFrame{}, [](std::uint64_t) { return CountSampler{}; },
-        /*total_budget=*/1001, options);
+    const epoch::StateFrame frame =
+        engine::calibrate(world.get(), /*payload_words=*/0, count_sampler,
+                          /*total_budget=*/1001, options);
     if (world->rank() == 0) {
-      EXPECT_EQ(frame.data[0], 1001u);
+      EXPECT_EQ(frame.tau(), 1001u);
     }
   });
 }
@@ -83,10 +75,10 @@ TEST(EngineCalibrate, DistributesBudgetExactlyAcrossRanks) {
 TEST(EngineCalibrate, SingleRankTakesWholeBudget) {
   engine::EngineOptions options;
   options.threads_per_rank = 3;
-  const CountFrame frame = engine::calibrate(
-      nullptr, CountFrame{}, [](std::uint64_t) { return CountSampler{}; },
-      /*total_budget=*/500, options);
-  EXPECT_EQ(frame.data[0], 500u);
+  const epoch::StateFrame frame =
+      engine::calibrate(nullptr, /*payload_words=*/0, count_sampler,
+                        /*total_budget=*/500, options);
+  EXPECT_EQ(frame.tau(), 500u);
 }
 
 // --- Cross-backend reproducibility (deterministic mode) --------------------
@@ -260,19 +252,19 @@ TEST(EngineEquivalence, EveryRankHoldsTheGlobalAggregate) {
     options.epoch_exponent = 0.0;
     options.hierarchical = true;
     const auto result = engine::run_epochs(
-        world.get(), CountFrame{}, [](std::uint64_t) { return CountSampler{}; },
-        [](const CountFrame& frame) { return frame.data[0] >= 100; },
+        world.get(), /*payload_words=*/0, count_sampler,
+        [](const epoch::StateFrame& frame) { return frame.tau() >= 100; },
         options);
-    per_rank[world->rank()] = result.aggregate.data[0];
+    per_rank[world->rank()] = result.aggregate.tau();
   });
   EXPECT_GE(per_rank[0], 100u);
   for (int r = 1; r < 4; ++r) EXPECT_EQ(per_rank[r], per_rank[0]) << r;
 }
 
-// A frame offering nothing but a mutable raw() span takes every wire path:
-// the engine builds and reads its images from that flat array, dense (a
-// one-word frame) and sparse (a wide frame with one nonzero), flat,
-// tree-merged and hierarchical alike.
+// The engine builds and reads every wire image from the frame's flat raw()
+// array alone, so a frame takes every wire path dense (a one-word frame)
+// and sparse (a 64-word frame with one nonzero), flat, tree-merged and
+// hierarchical alike.
 TEST(EngineEquivalence, RawOnlyFrameRidesEveryTopology) {
   struct Outcome {
     std::uint64_t calibrated = 0;
@@ -297,17 +289,17 @@ TEST(EngineEquivalence, RawOnlyFrameRidesEveryTopology) {
       options.epoch_exponent = 0.0;
       options.tree_radix = radix;
       options.hierarchical = hierarchical;
-      const auto make = [](std::uint64_t) { return CountSampler{}; };
-      const CountFrame prototype(words);
-      const CountFrame calibrated = engine::calibrate(
-          world.get(), prototype, make, /*total_budget=*/1001, options);
+      const std::size_t payload_words = words - 1;
+      const epoch::StateFrame calibrated =
+          engine::calibrate(world.get(), payload_words, count_sampler,
+                            /*total_budget=*/1001, options);
       const auto result = engine::run_epochs(
-          world.get(), prototype, make,
-          [](const CountFrame& frame) { return frame.data[0] >= 300; },
+          world.get(), payload_words, count_sampler,
+          [](const epoch::StateFrame& frame) { return frame.tau() >= 300; },
           options);
-      outcome.per_rank[world->rank()] = result.aggregate.data[0];
+      outcome.per_rank[world->rank()] = result.aggregate.tau();
       if (world->rank() == 0) {
-        outcome.calibrated = calibrated.data[0];
+        outcome.calibrated = calibrated.tau();
         outcome.epochs = result.epochs;
       }
     });
@@ -327,6 +319,60 @@ TEST(EngineEquivalence, RawOnlyFrameRidesEveryTopology) {
       EXPECT_EQ(got.epochs, reference.epochs);
       EXPECT_EQ(got.per_rank, reference.per_rank);
     }
+  }
+}
+
+// EngineResult::local_aggregate costs a frame only when asked for: unset,
+// it holds no words; set, the ranks' local aggregates sum elementwise to
+// the global aggregate, also when the hierarchy replaces a leader's
+// snapshot with its node's.
+TEST(EngineEquivalence, LocalAggregatesAreKeptOnlyWhenAsked) {
+  constexpr std::size_t kWords = 16;
+  const engine::SamplerFactory slot_sampler = [](std::uint64_t v) {
+    return [slot = static_cast<std::uint32_t>(v % kWords)](
+               epoch::StateFrame& frame) { frame.record(std::span(&slot, 1)); };
+  };
+  for (const bool keep : {false, true}) {
+    mpisim::RuntimeConfig config;
+    config.num_ranks = 4;
+    config.ranks_per_node = 2;
+    config.network = mpisim::NetworkModel::disabled();
+    mpisim::Runtime runtime(config);
+    std::vector<std::vector<std::uint64_t>> local(4);
+    std::vector<std::uint64_t> global;
+    runtime.run([&](auto& rank_comm) {
+      const auto world =
+          comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
+      engine::EngineOptions options;
+      options.threads_per_rank = 2;
+      options.deterministic = true;
+      options.virtual_streams = 8;
+      options.epoch_base = 40;
+      options.epoch_exponent = 0.0;
+      options.hierarchical = true;
+      options.local_aggregates = keep;
+      const auto result = engine::run_epochs(
+          world.get(), kWords, slot_sampler,
+          [](const epoch::StateFrame& frame) { return frame.tau() >= 300; },
+          options);
+      const auto raw = result.local_aggregate.raw();
+      local[world->rank()].assign(raw.begin(), raw.end());
+      if (world->rank() == 0)
+        global.assign(result.aggregate.raw().begin(),
+                      result.aggregate.raw().end());
+    });
+    SCOPED_TRACE(keep ? "kept" : "not kept");
+    ASSERT_EQ(global.size(), kWords + 1);
+    if (!keep) {
+      for (const auto& words : local) EXPECT_TRUE(words.empty());
+      continue;
+    }
+    std::vector<std::uint64_t> sum(kWords + 1, 0);
+    for (const auto& words : local) {
+      ASSERT_EQ(words.size(), kWords + 1);
+      for (std::size_t i = 0; i < words.size(); ++i) sum[i] += words[i];
+    }
+    EXPECT_EQ(sum, global);
   }
 }
 

@@ -16,7 +16,7 @@ TEST(StateFrame, RecordsTauAndCounts) {
   StateFrame frame(5);
   const std::vector<std::uint32_t> path{1, 3};
   frame.record(path);
-  frame.record_empty();
+  frame.finish_sample();
   EXPECT_EQ(frame.tau(), 2u);
   EXPECT_EQ(frame.count(1), 1u);
   EXPECT_EQ(frame.count(3), 1u);
@@ -38,7 +38,7 @@ TEST(StateFrame, MergeIsElementwiseSum) {
   StateFrame b(4);
   a.record(std::vector<std::uint32_t>{0, 1});
   b.record(std::vector<std::uint32_t>{1, 2});
-  b.record_empty();
+  b.finish_sample();
   a.merge(b);
   EXPECT_EQ(a.tau(), 3u);
   EXPECT_EQ(a.count(0), 1u);
@@ -56,7 +56,7 @@ TEST(StateFrame, ClearZeroesEverything) {
 }
 
 TEST(EpochManager, SingleThreadTransitionIsImmediate) {
-  EpochManager<StateFrame> manager(1, StateFrame(4));
+  EpochManager manager(1, 4);
   EXPECT_FALSE(manager.transition_done(0));  // not yet forced
   manager.force_transition(0);
   EXPECT_TRUE(manager.transition_done(0));
@@ -65,13 +65,13 @@ TEST(EpochManager, SingleThreadTransitionIsImmediate) {
 }
 
 TEST(EpochManager, CheckTransitionIsNoOpWithoutForce) {
-  EpochManager<StateFrame> manager(2, StateFrame(4));
+  EpochManager manager(2, 4);
   EXPECT_FALSE(manager.check_transition(1, 0));
   EXPECT_EQ(manager.thread_epoch(1), 0u);
 }
 
 TEST(EpochManager, CheckTransitionParticipates) {
-  EpochManager<StateFrame> manager(2, StateFrame(4));
+  EpochManager manager(2, 4);
   manager.force_transition(0);
   EXPECT_FALSE(manager.transition_done(0));  // thread 1 lagging
   EXPECT_TRUE(manager.check_transition(1, 0));
@@ -80,7 +80,7 @@ TEST(EpochManager, CheckTransitionParticipates) {
 }
 
 TEST(EpochManager, FrameSelectionAlternatesByParity) {
-  EpochManager<StateFrame> manager(1, StateFrame(4));
+  EpochManager manager(1, 4);
   StateFrame& even = manager.frame(0, 0);
   StateFrame& odd = manager.frame(0, 1);
   EXPECT_NE(&even, &odd);
@@ -88,7 +88,7 @@ TEST(EpochManager, FrameSelectionAlternatesByParity) {
 }
 
 TEST(EpochManager, CollectMergesAndClears) {
-  EpochManager<StateFrame> manager(2, StateFrame(4));
+  EpochManager manager(2, 4);
   manager.frame(0, 0).record(std::vector<std::uint32_t>{1});
   manager.frame(1, 0).record(std::vector<std::uint32_t>{1, 2});
   manager.force_transition(0);
@@ -103,7 +103,7 @@ TEST(EpochManager, CollectMergesAndClears) {
 }
 
 TEST(EpochManager, StopFlagPropagates) {
-  EpochManager<StateFrame> manager(3, StateFrame(2));
+  EpochManager manager(3, 2);
   EXPECT_FALSE(manager.stopped());
   manager.signal_stop();
   EXPECT_TRUE(manager.stopped());
@@ -116,7 +116,7 @@ TEST(EpochManager, StressNoLostSamples) {
   constexpr int kThreads = 8;     // sampler threads 1..7 plus thread 0
   constexpr int kEpochs = 60;
   constexpr std::uint32_t kVertices = 16;
-  EpochManager<StateFrame> manager(kThreads, StateFrame(kVertices));
+  EpochManager manager(kThreads, kVertices);
 
   std::vector<std::uint64_t> produced(kThreads, 0);
   std::vector<std::thread> workers;
@@ -170,7 +170,7 @@ TEST(EpochManager, StressNoLostSamples) {
 // Samplers never block: even if thread zero never forces a transition,
 // sampler threads keep making progress.
 TEST(EpochManager, SamplersProgressWithoutTransitions) {
-  EpochManager<StateFrame> manager(2, StateFrame(2));
+  EpochManager manager(2, 2);
   std::atomic<std::uint64_t> recorded{0};
   std::thread sampler([&] {
     std::vector<std::uint32_t> path{1};

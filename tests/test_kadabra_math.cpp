@@ -208,7 +208,7 @@ TEST(Context, StopNotSatisfiedOnEmptyState) {
   params.epsilon = 0.05;
   KadabraContext context = begin_context(params, 10);
   epoch::StateFrame initial(4);
-  for (int i = 0; i < 100; ++i) initial.record_empty();
+  for (int i = 0; i < 100; ++i) initial.finish_sample();
   finish_calibration(context, initial);
 
   epoch::StateFrame aggregate(4);
@@ -220,11 +220,11 @@ TEST(Context, StopSatisfiedAtOmega) {
   params.epsilon = 0.05;
   KadabraContext context = begin_context(params, 10);
   epoch::StateFrame initial(4);
-  for (int i = 0; i < 100; ++i) initial.record_empty();
+  for (int i = 0; i < 100; ++i) initial.finish_sample();
   finish_calibration(context, initial);
 
   epoch::StateFrame aggregate(4);
-  for (std::uint64_t i = 0; i < context.omega; ++i) aggregate.record_empty();
+  for (std::uint64_t i = 0; i < context.omega; ++i) aggregate.finish_sample();
   EXPECT_TRUE(context.stop_satisfied(aggregate));
 }
 
@@ -235,13 +235,13 @@ TEST(Context, StopEventuallySatisfiedBeforeOmegaOnEasyState) {
   params.epsilon = 0.1;
   KadabraContext context = begin_context(params, 8);
   epoch::StateFrame initial(4);
-  for (int i = 0; i < 200; ++i) initial.record_empty();
+  for (int i = 0; i < 200; ++i) initial.finish_sample();
   finish_calibration(context, initial);
 
   epoch::StateFrame aggregate(4);
   bool stopped_early = false;
   for (std::uint64_t i = 0; i < context.omega; i += 50) {
-    for (int k = 0; k < 50; ++k) aggregate.record_empty();
+    for (int k = 0; k < 50; ++k) aggregate.finish_sample();
     if (context.stop_satisfied(aggregate)) {
       stopped_early = aggregate.tau() < context.omega;
       break;
@@ -360,7 +360,7 @@ TEST(StopRule, CalibrateFillsTheLogCache) {
   params.epsilon = 0.05;
   KadabraContext context = begin_context(params, 10);
   epoch::StateFrame initial(5);
-  for (int i = 0; i < 100; ++i) initial.record_empty();
+  for (int i = 0; i < 100; ++i) initial.finish_sample();
   finish_calibration(context, initial);
   expect_logs_cached(context.calibration);
 }

@@ -24,7 +24,7 @@ void record_random(StateFrame& frame, Rng& rng, int samples) {
       path.push_back(
           static_cast<std::uint32_t>(rng.next_bounded(frame.num_vertices())));
     if (path.empty()) {
-      frame.record_empty();
+      frame.finish_sample();
     } else {
       frame.record(path);
     }
@@ -39,8 +39,8 @@ void expect_same_frame(const StateFrame& got, const StateFrame& want) {
 
 TEST(FrameCodec, TauOnlyFrameEncodesOnePair) {
   StateFrame frame(100);
-  frame.record_empty();
-  frame.record_empty();
+  frame.finish_sample();
+  frame.finish_sample();
   std::vector<std::uint64_t> image;
   append_image(frame.raw(), image);
   EXPECT_FALSE(is_dense_image(image));
@@ -140,7 +140,7 @@ TEST(FrameCodec, AppendImagePicksTheSmallerImage) {
   append_image(tie.raw(), image);
   EXPECT_TRUE(is_dense_image(image));
   StateFrame tau_only(4);
-  tau_only.record_empty();
+  tau_only.finish_sample();
   image.clear();
   append_image(tau_only.raw(), image);
   EXPECT_FALSE(is_dense_image(image));
