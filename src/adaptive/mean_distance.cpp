@@ -1,5 +1,6 @@
 #include "adaptive/mean_distance.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "api/session.hpp"

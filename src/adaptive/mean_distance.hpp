@@ -15,11 +15,9 @@
 // unchanged.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "comm/substrate.hpp"
 #include "engine/engine.hpp"
