@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "bc/calibration.hpp"
