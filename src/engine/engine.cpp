@@ -1,6 +1,7 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <span>
 #include <thread>
 #include <utility>
@@ -174,24 +175,29 @@ EngineResult run_epochs(comm::Substrate* world, std::size_t payload_words,
 
   epoch::EpochManager manager(num_threads, payload_words);
   std::vector<std::uint64_t> taken(num_threads, 0);
+  // Deterministic mode: epochs whose stop check came back negative.
+  std::atomic<std::uint32_t> continued{0};
 
   // Worker threads (t != 0). Free-running: sample continuously, joining
   // epoch transitions wait-free. Deterministic: contribute the exact
-  // per-stream shares, then wait for thread zero to force the transition.
+  // per-stream shares, join the transition thread zero forces, and start
+  // the next share only once the epoch's stop check came back negative,
+  // so no sample is taken that the run will not aggregate.
   auto worker_main = [&](int t) {
     std::uint32_t epoch = 0;
     std::uint64_t count = 0;
     if (options.deterministic) {
       while (true) {
         count += thread_streams[t].sample_shares(manager.frame(t, epoch));
-        while (!manager.check_transition(t, epoch)) {
+        while (!manager.check_transition(t, epoch)) std::this_thread::yield();
+        ++epoch;
+        while (continued.load(std::memory_order_acquire) < epoch) {
           if (manager.stopped()) {
             taken[t] = count;
             return;
           }
           std::this_thread::yield();
         }
-        ++epoch;
       }
     }
     auto& stream = thread_streams[t].streams.front();
@@ -405,6 +411,7 @@ EngineResult run_epochs(comm::Substrate* world, std::size_t payload_words,
         break;
       }
       ++epoch;
+      continued.store(epoch, std::memory_order_release);
     }
     taken[0] = count;
   }

@@ -411,6 +411,31 @@ TEST(EngineEquivalence, HierarchicalReductionMatchesFlat) {
   expect_bitwise_equal(a, b, "flat vs hierarchical");
 }
 
+// --- §III-B lockstep rounds as an engine configuration ---------------------
+
+// Deterministic + blocking is the "simple" parallelization §III-B rules
+// out, and bench/ablation_lockstep runs it as its lockstep column: every
+// round adds the same fixed count of samples, nothing is sampled while a
+// collective is in flight, and no Ibarrier runs. Checked with the network
+// model on, where waits in collectives take real time.
+TEST(LockstepConfiguration, RoundsAreFixedAndNeverOverlap) {
+  const graph::Graph graph = equivalence_graph();
+  bc::KadabraOptions options;
+  options.params.epsilon = 0.15;
+  options.params.seed = 1234;
+  options.engine.threads_per_rank = 2;
+  options.engine.epoch_base = 64;
+  options.engine.epoch_exponent = 0.0;
+  options.engine.deterministic = true;
+  options.engine.aggregation = engine::Aggregation::kBlocking;
+  const bc::BcResult result =
+      bc::kadabra_mpi(graph, options, /*num_ranks=*/4);
+  ASSERT_GT(result.epochs, 1u);
+  EXPECT_EQ(result.samples_attempted, result.samples);
+  EXPECT_EQ(result.phases.seconds(Phase::kBarrier), 0.0);
+  EXPECT_EQ(result.samples % result.epochs, 0u);
+}
+
 // --- Engine options reach the ported adaptive algorithms -------------------
 
 TEST(EngineOptionsPropagate, MeanDistanceSupportsStrategiesAndHierarchy) {
