@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -132,6 +133,16 @@ inline void print_preamble(const char* experiment, const char* paper_ref,
               config.quick ? "quick" : "paper-proxies");
 }
 
+// --- Verdicts ---------------------------------------------------------------
+
+/// Whether `ranks` single-threaded simulated ranks outnumber this host's
+/// cores: each rank then timeshares a core, so its wall-clock rates read
+/// low and a verdict at that P says less about the paper's cluster.
+inline bool oversubscribed(int ranks) {
+  const unsigned cores = std::thread::hardware_concurrency();
+  return cores != 0 && static_cast<unsigned>(ranks) > cores;
+}
+
 // --- Machine-readable output (--json) ---------------------------------------
 
 /// Collects one JSON object per bench run - name, parameters, result rows,
@@ -243,6 +254,23 @@ class JsonReport {
   std::vector<Fields> rows_;
   Fields summary_;
 };
+
+/// Closes an ablation with its verdict, computed from the rows it just
+/// measured: the paper's claim, the measured ratios, the clock they were
+/// read on, and whether the claim holds. Also the JSON summary.
+inline void report_verdict(JsonReport& json, const char* section,
+                           const char* claim, const std::string& measured,
+                           bool holds) {
+  const char* clock =
+      "wall time with the mpisim modeled network charged onto it";
+  const char* verdict = holds ? "holds" : "does not hold";
+  std::printf("\n%s claim: %s.\nMeasured: %s\n(clock: %s): %s.\n", section,
+              claim, measured.c_str(), clock, verdict);
+  json.summary("claim", claim);
+  json.summary("measured", measured);
+  json.summary("clock", clock);
+  json.summary("verdict", verdict);
+}
 
 /// Adds the per-collective bytes-moved breakdown (comm::CommVolume) to
 /// the current JSON row - Table II-style communication-volume reporting

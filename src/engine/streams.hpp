@@ -48,15 +48,6 @@ namespace distbc::engine {
   return total / parts + (total % parts != 0 ? 1 : 0);
 }
 
-/// One stream's share of an epoch: ceil(epoch_length / streams), >= 1.
-[[nodiscard]] inline std::uint64_t epoch_share(std::uint64_t base,
-                                               double exponent,
-                                               std::uint64_t streams) {
-  const std::uint64_t share =
-      ceil_div(epoch_length(base, exponent, streams), streams);
-  return share > 0 ? share : 1;
-}
-
 /// Exact share of stream `v` when `total` samples are split over `streams`
 /// streams: the remainder goes to the lowest-numbered streams.
 [[nodiscard]] inline std::uint64_t stream_share(std::uint64_t total,

@@ -4,7 +4,6 @@
 
 #include "bc/brandes.hpp"
 #include "bc/kadabra.hpp"
-#include "bc/lockstep.hpp"
 #include "bc/rk.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/rmat.hpp"
@@ -182,33 +181,6 @@ TEST(KadabraMpi, PhaseBreakdownPopulated) {
   EXPECT_GE(result.phases.seconds(Phase::kBarrier), 0.0);
   EXPECT_GT(result.phases.seconds(Phase::kReduction), 0.0);
   EXPECT_GT(result.phases.seconds(Phase::kStopCheck), 0.0);
-}
-
-TEST(Lockstep, WithinEpsilonOfExact) {
-  const Graph graph = social_graph();
-  const BcResult exact = brandes(graph);
-  LockstepOptions options;
-  options.params = loose_params();
-  options.threads_per_rank = 2;
-  const BcResult approx = lockstep_mpi(graph, options, /*num_ranks=*/3);
-  EXPECT_LE(approx.max_abs_difference(exact), 0.1);
-  EXPECT_GT(approx.epochs, 0u);
-}
-
-// The lockstep baseline's per-round reduction ships wire images; the bytes
-// it moves are pinned (its scores by GoldenScores.Lockstep).
-TEST(Lockstep, ReductionBytesArePinned) {
-  const Graph graph =
-      graph::largest_component(gen::erdos_renyi(3000, 9000, 1));
-  LockstepOptions options;
-  options.params.epsilon = 0.05;
-  options.threads_per_rank = 2;
-  const BcResult result = lockstep_mpi(graph, options, /*num_ranks=*/3, 1,
-                                       comm::NetworkModel::disabled());
-  ASSERT_GT(result.samples, 0u);
-  // The only elementwise reduction left is the samples-taken count.
-  EXPECT_EQ(result.comm_volume.reduce_bytes, 16u);
-  EXPECT_EQ(result.comm_volume.reduce_merge_bytes, 60976u);
 }
 
 TEST(Rk, WithinEpsilonOfExact) {

@@ -17,7 +17,6 @@
 #include "api/session.hpp"
 #include "bc/brandes.hpp"
 #include "bc/kadabra.hpp"
-#include "bc/lockstep.hpp"
 #include "bc/rk.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/instances.hpp"
@@ -147,31 +146,53 @@ TEST(Guarantee, FailureRateIsCompatibleWithDelta) {
 
 TEST(Guarantee, MultiRankFailureRateOverSeedsIsWithinDelta) {
   // The same rate on the path that ships wire images: 4 ranks x 2 threads
-  // through api::Session, flat and radix-2 tree merges, 100 seeds each
-  // against exact Brandes. Deterministic mode: free-running, the eight
+  // through api::Session, 100 seeds per case against exact Brandes. The
+  // cases are the flat and radix-2 tree merges, §III-B's lockstep rounds
+  // (deterministic + blocking: fixed shares, no overlap, a blocking
+  // reduction per round), and the §IV-E two-level merge with and without
+  // a radix-2 leader tree. Deterministic mode: free-running, the eight
   // sampling threads oversubscribe four cores and a run waits on the
-  // scheduler (~18 ms instead of ~2 ms). Each topology gets its own seeds,
+  // scheduler (~18 ms instead of ~2 ms). Each case gets its own seeds,
   // since deterministic runs of one seed agree bit for bit across them.
+  struct Case {
+    const char* name;
+    int tree_radix;
+    Aggregation aggregation;
+    int ranks_per_node;
+    int leader_radix;
+    std::uint64_t first_seed;
+  };
+  constexpr Case kCases[] = {
+      {"flat", 0, Aggregation::kIbarrierReduce, 1, 0, 3000},
+      {"tree radix 2", 2, Aggregation::kIbarrierReduce, 1, 0, 5000},
+      {"lockstep (blocking)", 0, Aggregation::kBlocking, 1, 0, 4000},
+      {"hierarchical", 0, Aggregation::kIbarrierReduce, 2, 0, 6000},
+      {"hierarchical leader radix 2", 0, Aggregation::kIbarrierReduce, 2, 2,
+       7000}};
   constexpr int kSeeds = 100;
   constexpr double kEpsilon = 0.05;
   constexpr double kDelta = 0.1;
   const auto graph = std::make_shared<const graph::Graph>(
       graph::largest_component(gen::erdos_renyi(120, 360, 4243)));
   const BcResult exact = brandes(*graph);
-  for (const int radix : {0, 2}) {
+  for (const Case& c : kCases) {
     int violations = 0;
     double worst_seen = 0.0;
     for (int seed = 0; seed < kSeeds; ++seed) {
       api::Config config;
       config.ranks = 4;
       config.threads = 2;
-      config.tree_radix = radix;
+      config.tree_radix = c.tree_radix;
+      config.aggregation = c.aggregation;
+      config.ranks_per_node = c.ranks_per_node;
+      config.hierarchical = c.ranks_per_node > 1;
+      config.leader_radix = c.leader_radix;
       config.deterministic = true;
-      config.seed = 3000 + 1000 * radix + seed;
+      config.seed = c.first_seed + seed;
       api::Session session(graph, config);
       const api::Result result = session.run(
           api::BetweennessQuery{.epsilon = kEpsilon, .delta = kDelta});
-      ASSERT_TRUE(result.status.ok) << result.status.message;
+      ASSERT_TRUE(result.status.ok) << c.name << ": " << result.status.message;
       double worst = 0.0;
       for (std::size_t v = 0; v < exact.scores.size(); ++v)
         worst = std::max(worst, std::abs(result.scores[v] - exact.scores[v]));
@@ -179,8 +200,7 @@ TEST(Guarantee, MultiRankFailureRateOverSeedsIsWithinDelta) {
       worst_seen = std::max(worst_seen, worst);
     }
     EXPECT_LE(violations, allowed_violations(kSeeds, kDelta))
-        << "tree radix " << radix << ": worst error over all seeds "
-        << worst_seen;
+        << c.name << ": worst error over all seeds " << worst_seen;
   }
 }
 
@@ -275,19 +295,6 @@ TEST(GoldenScores, KadabraEveryTopologyAndStrategy) {
           << topology.name << " / " << engine::aggregation_name(aggregation);
     }
   }
-}
-
-TEST(GoldenScores, Lockstep) {
-  const graph::Graph graph = golden_graph();
-  LockstepOptions options;
-  options.params.epsilon = 0.1;
-  options.params.seed = 2024;
-  options.threads_per_rank = 2;
-  const BcResult result = lockstep_mpi(graph, options, /*num_ranks=*/4, 1,
-                                       comm::NetworkModel::disabled());
-  ASSERT_GT(result.samples, 0u);
-  EXPECT_EQ(score_digest(result.scores, result.samples, result.epochs),
-            0x7b48276e9c6f7accull);
 }
 
 TEST(GoldenScores, ClosenessEveryTopology) {
