@@ -277,7 +277,6 @@ inline void report_verdict(JsonReport& json, const char* section,
 /// for any bench that runs MPI configurations.
 inline void add_comm_volume_fields(JsonReport& json,
                                    const mpisim::CommVolume& volume) {
-  json.field("substrate", std::string(volume.substrate));
   json.field("reduce_bytes", static_cast<double>(volume.reduce_bytes));
   json.field("reduce_merge_bytes",
              static_cast<double>(volume.reduce_merge_bytes));

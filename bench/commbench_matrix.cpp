@@ -1,12 +1,13 @@
 // CommBench-style substrate x pattern x payload matrix over the
-// comm::Substrate API: every profile (mpisim MPI-flavored, ncclsim
-// NCCL-flavored) runs the same five collective patterns - dense reduce,
-// sparse tree merge, allreduce, gatherv, bcast - at a sweep of payload
-// sizes on one fixed cluster shape, and reports the bytes moved plus the
-// interconnect model's analytic completion charge (modeled_s) per cell.
-// The byte counters are substrate-invariant (the API contract: a backend
+// comm::Substrate API: every network preset (mpisim MPI-flavored, ncclsim
+// NCCL-flavored; mpisim::network_preset) runs the same five collective
+// patterns - dense reduce, sparse tree merge, allreduce, gatherv, bcast -
+// at a sweep of payload sizes on one fixed cluster shape, and reports the
+// bytes moved plus the interconnect model's analytic completion charge
+// (modeled_s) per cell.
+// The byte counters are substrate-invariant (one data plane: a preset
 // changes the clock, never the traffic), while modeled_s is where the
-// backends diverge - ncclsim pays a kernel-launch latency and prices
+// presets diverge - ncclsim pays a kernel-launch latency and prices
 // all-reduces as a flat ring, mpisim as a butterfly. Acceptance:
 //   * every cell's collective is semantically correct (sums verified),
 //   * byte counters identical across substrates for every pattern cell,
@@ -49,27 +50,25 @@ int main(int argc, char** argv) {
   json.param("ranks", static_cast<double>(ranks));
   json.param("ranks_per_node", static_cast<double>(ranks_per_node));
 
-  const comm::SubstrateKind kinds[] = {comm::SubstrateKind::kMpisim,
-                                       comm::SubstrateKind::kNcclsim};
+  const char* substrates[] = {"mpisim", "ncclsim"};
   const char* patterns[] = {"reduce", "tree_merge", "allreduce", "gatherv",
                             "bcast"};
   const std::size_t payload_words[] = {512, 8192, 131072};
 
-  // One cell: a fresh runtime on the substrate's network economics, one
-  // collective, the stamped volume snapshot read at world rank 0 (blocking
+  // One cell: a fresh runtime on the preset's network economics, one
+  // collective, the volume snapshot read at world rank 0 (blocking
   // collectives return only after every contribution is charged, so the
   // root-side read races with nothing).
   struct Cell {
     comm::CommVolume volume;
     bool ok = true;
   };
-  const auto run_cell = [&](comm::SubstrateKind kind,
-                            const std::string& pattern,
+  const auto run_cell = [&](const char* substrate, const std::string& pattern,
                             std::size_t words) {
     mpisim::RuntimeConfig runtime_config;
     runtime_config.num_ranks = ranks;
     runtime_config.ranks_per_node = ranks_per_node;
-    runtime_config.network = comm::network_model_for(kind, base);
+    runtime_config.network = *mpisim::network_preset(substrate, base);
     mpisim::Runtime runtime(runtime_config);
 
     Cell cell;
@@ -81,25 +80,25 @@ int main(int argc, char** argv) {
     const std::size_t dense_words =
         stride * static_cast<std::size_t>(ranks) + words;
     runtime.run([&](auto& rank_comm) {
-      const auto world = comm::make_substrate(kind, rank_comm);
-      const auto rank = static_cast<std::uint64_t>(world->rank());
+      comm::Substrate world(rank_comm);
+      const auto rank = static_cast<std::uint64_t>(world.rank());
       bool rank_ok = true;
       if (pattern == "reduce" || pattern == "allreduce") {
         const std::vector<std::uint64_t> send(words, rank + 1);
         std::vector<std::uint64_t> recv(words, 0);
         if (pattern == "reduce") {
-          world->reduce(std::span<const std::uint64_t>(send),
-                        std::span<std::uint64_t>(recv), 0);
+          world.reduce(std::span<const std::uint64_t>(send),
+                       std::span<std::uint64_t>(recv), 0);
         } else {
-          world->allreduce(std::span<const std::uint64_t>(send),
-                           std::span<std::uint64_t>(recv));
+          world.allreduce(std::span<const std::uint64_t>(send),
+                          std::span<std::uint64_t>(recv));
         }
         // Sum of (r + 1) over all ranks; only the root holds it under
         // the rooted reduce.
         const std::uint64_t expect =
             static_cast<std::uint64_t>(ranks) *
             static_cast<std::uint64_t>(ranks + 1) / 2;
-        if (pattern == "allreduce" || world->rank() == 0)
+        if (pattern == "allreduce" || world.rank() == 0)
           for (const std::uint64_t value : recv)
             if (value != expect) rank_ok = false;
       } else if (pattern == "tree_merge") {
@@ -110,7 +109,7 @@ int main(int argc, char** argv) {
           image.push_back(1);
         }
         std::vector<std::uint64_t> dense(dense_words, 0);
-        world->reduce_merge_tree(
+        world.reduce_merge_tree(
             std::span<const std::uint64_t>(image),
             [&](std::vector<std::uint64_t>& acc,
                 std::span<const std::uint64_t> in) {
@@ -120,7 +119,7 @@ int main(int argc, char** argv) {
               epoch::decode_add_image(std::span<std::uint64_t>(dense), in);
             },
             /*root=*/0, /*radix=*/2);
-        if (world->rank() == 0) {
+        if (world.rank() == 0) {
           std::uint64_t total = 0;
           for (const std::uint64_t value : dense) total += value;
           if (total != static_cast<std::uint64_t>(ranks) * words)
@@ -129,23 +128,22 @@ int main(int argc, char** argv) {
       } else if (pattern == "gatherv") {
         const std::vector<std::uint64_t> send(words, rank);
         std::vector<std::vector<std::uint64_t>> recv;
-        world->gatherv(std::span<const std::uint64_t>(send), recv, 0);
-        if (world->rank() == 0) {
+        world.gatherv(std::span<const std::uint64_t>(send), recv, 0);
+        if (world.rank() == 0) {
           if (recv.size() != static_cast<std::size_t>(ranks)) rank_ok = false;
           for (std::size_t r = 0; rank_ok && r < recv.size(); ++r)
             if (recv[r].size() != words || recv[r].front() != r)
               rank_ok = false;
         }
       } else {  // bcast
-        std::vector<std::uint64_t> buffer(words,
-                                          world->rank() == 0 ? 7 : 0);
-        world->bcast(std::span<std::uint64_t>(buffer), 0);
+        std::vector<std::uint64_t> buffer(words, world.rank() == 0 ? 7 : 0);
+        world.bcast(std::span<std::uint64_t>(buffer), 0);
         for (const std::uint64_t value : buffer)
           if (value != 7) rank_ok = false;
       }
       std::lock_guard lock(mu);
       if (!rank_ok) cell.ok = false;
-      if (world->rank() == 0) cell.volume = world->volume();
+      if (world.rank() == 0) cell.volume = world.stats().volume();
     });
     return cell;
   };
@@ -160,14 +158,14 @@ int main(int argc, char** argv) {
   std::size_t cell_index = 0;
   double ncclsim_allreduce_largest_s = 0.0;
 
-  for (const comm::SubstrateKind kind : kinds) {
+  for (const char* substrate : substrates) {
     std::size_t check_index = 0;
     for (const char* pattern : patterns) {
       for (const std::size_t words : payload_words) {
-        const Cell cell = run_cell(kind, pattern, words);
+        const Cell cell = run_cell(substrate, pattern, words);
         if (!cell.ok) semantics_ok = false;
         const comm::CommVolume& volume = cell.volume;
-        if (kind == comm::SubstrateKind::kMpisim) {
+        if (std::string(substrate) == "mpisim") {
           mpisim_bytes.push_back(volume.total());
         } else {
           if (volume.total() != mpisim_bytes[check_index])
@@ -179,7 +177,7 @@ int main(int argc, char** argv) {
         ++check_index;
         ++cell_index;
         table.add_row(
-            {comm::substrate_name(kind), pattern,
+            {substrate, pattern,
              TablePrinter::fmt_int(static_cast<long long>(words)),
              TablePrinter::fmt_int(static_cast<long long>(volume.total())),
              TablePrinter::fmt_int(
@@ -188,10 +186,10 @@ int main(int argc, char** argv) {
         json.begin_row();
         json.field("pattern", std::string(pattern));
         json.field("words", static_cast<double>(words));
+        json.field("substrate", std::string(substrate));
         bench::add_comm_volume_fields(json, volume);
-        const std::string cell_key = std::string(comm::substrate_name(kind)) +
-                                     "_" + pattern + "_w" +
-                                     std::to_string(words);
+        const std::string cell_key = std::string(substrate) + "_" + pattern +
+                                     "_w" + std::to_string(words);
         json.summary(cell_key + "_modeled_s", volume.modeled_seconds());
         json.summary(cell_key + "_bytes",
                      static_cast<double>(volume.total()));
@@ -203,8 +201,7 @@ int main(int argc, char** argv) {
   // The ncclsim allreduce charge is one allreduce_cost call on the ring
   // model; recompute the closed form from the composed parameters. Hop
   // parameters are remote (the ring spans nodes on this shape).
-  const comm::NetworkModel nccl = comm::network_model_for(
-      comm::SubstrateKind::kNcclsim, base);
+  const comm::NetworkModel nccl = *mpisim::network_preset("ncclsim", base);
   const double total_ranks = static_cast<double>(ranks);
   const double steps = 2.0 * (total_ranks - 1.0);
   const double bytes =

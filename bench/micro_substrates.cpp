@@ -124,12 +124,11 @@ void BM_SimulatedReduce(benchmark::State& state) {
   mpisim::Runtime runtime(config);
   for (auto _ : state) {
     runtime.run([&](mpisim::Comm& rank_comm) {
-      const auto substrate =
-          comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
+      comm::Substrate substrate(rank_comm);
       std::vector<std::uint64_t> send(count, 1);
       std::vector<std::uint64_t> recv(count, 0);
-      substrate->reduce(std::span<const std::uint64_t>(send), std::span(recv),
-                        0);
+      substrate.reduce(std::span<const std::uint64_t>(send), std::span(recv),
+                       0);
     });
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *

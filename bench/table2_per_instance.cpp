@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
         graph, options, p, /*ranks_per_node=*/1, bench::bench_network(config));
     const double volume_per_epoch =
         result.epochs > 0
-            ? static_cast<double>(result.comm_bytes) / result.epochs
+            ? static_cast<double>(result.comm_volume.total()) / result.epochs
             : 0.0;
     table.add_row({spec.name, TablePrinter::fmt_int(
                                   static_cast<long long>(result.epochs)),

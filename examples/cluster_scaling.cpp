@@ -2,8 +2,8 @@
 // simulated cluster shape through api::Session (which owns the runtime and
 // the comm::Substrate construction - no direct mpisim plumbing here), run
 // betweenness queries across rank counts, and report scaling plus the
-// per-collective communication-volume breakdown (comm::CommVolume), tagged
-// with the substrate that moved it.
+// per-collective communication-volume breakdown (comm::CommVolume) under
+// the chosen network preset.
 //
 //   ./cluster_scaling [scale=13] [eps=0.005] [latency_us=2]
 //                     [tree_radix=0|2|...] [rpn=1] [leader_radix=0|2|...]
@@ -38,7 +38,8 @@ int main(int argc, char** argv) {
                    "leader-tree fan-in of the two-level path "
                    "(0 = inherit tree_radix; needs rpn>1)");
   options.describe("substrate",
-                   "comm backend the collectives run on (mpisim|ncclsim)");
+                   "network preset the collectives are charged on "
+                   "(mpisim|ncclsim)");
   options.finish("Rank-scaling sweep on a simulated cluster.");
 
   gen::HyperbolicParams gen_params;
@@ -47,11 +48,12 @@ int main(int argc, char** argv) {
   gen_params.average_degree = 30.0;
   const auto graph = std::make_shared<const graph::Graph>(
       graph::largest_component(gen::hyperbolic(gen_params, 21)));
-  const std::string substrate_name = options.get_string("substrate", "mpisim");
-  const auto substrate = comm::substrate_from_name(substrate_name);
-  if (!substrate) {
-    std::fprintf(stderr, "unknown substrate '%s' (valid: mpisim, ncclsim)\n",
-                 substrate_name.c_str());
+  const std::string substrate = options.get_string("substrate", "mpisim");
+  api::Config base_config;
+  const api::Status substrate_status =
+      base_config.set("comm_substrate", substrate);
+  if (!substrate_status.ok) {
+    std::fprintf(stderr, "%s\n", substrate_status.message.c_str());
     return 2;
   }
   const auto tree_radix =
@@ -64,7 +66,7 @@ int main(int argc, char** argv) {
               "leader_radix=%d, substrate=%s\n\n",
               graph->num_vertices(),
               static_cast<unsigned long long>(graph->num_edges()), tree_radix,
-              ranks_per_node, leader_radix, substrate_name.c_str());
+              ranks_per_node, leader_radix, substrate.c_str());
 
   comm::NetworkModel network;
   network.remote_latency_s = options.get_double("latency_us", 2.0) * 1e-6;
@@ -81,11 +83,10 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   double base_time = 0.0;
   for (const int ranks : {1, 2, 4, 8, 16}) {
-    api::Config config;
+    api::Config config = base_config;
     config.ranks = ranks;
     config.ranks_per_node = std::clamp(ranks_per_node, 1, ranks);
     config.network = network;
-    config.comm_substrate = *substrate;
     config.seed = 5;
     config.tree_radix = tree_radix;
     config.hierarchical = config.ranks_per_node > 1;

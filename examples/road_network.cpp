@@ -50,8 +50,8 @@ int main(int argc, char** argv) {
   std::printf("communication: %.1f KiB per epoch (road graphs: many epochs, "
               "small frames)\n",
               result.epochs > 0
-                  ? static_cast<double>(result.comm_bytes) / result.epochs /
-                        1024.0
+                  ? static_cast<double>(result.comm_volume.total()) /
+                        result.epochs / 1024.0
                   : 0.0);
 
   std::printf("\nbusiest intersections (grid coordinates):\n");

@@ -123,7 +123,6 @@ ClosenessResult closeness_rank(const graph::Graph& graph,
   result.stop_reason = driver_result.stop_reason;
   result.total_seconds = driver_result.total_seconds;
   result.engine_used = options;
-  result.substrate_used = world.name();
   if (is_root) {
     result.phases = driver_result.phases;
     result.comm_volume = driver_result.comm_volume;

@@ -24,7 +24,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "comm/substrate.hpp"
@@ -118,8 +117,6 @@ struct ClosenessResult {
   comm::CommVolume comm_volume;
   /// Engine configuration the run actually used.
   engine::EngineOptions engine_used;
-  /// The comm substrate the run executed on (comm::substrate_name value).
-  std::string substrate_used;
 
   [[nodiscard]] std::vector<graph::Vertex> top_k(std::size_t k) const;
 };

@@ -95,7 +95,6 @@ MeanDistanceResult mean_distance_rank(const graph::Graph& graph,
   result.range = range;
   result.total_seconds = driver_result.total_seconds;
   result.engine_used = params.engine;
-  result.substrate_used = world.name();
   if (is_root) {
     result.phases = driver_result.phases;
     result.comm_volume = driver_result.comm_volume;

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 
 #include "comm/substrate.hpp"
 #include "engine/engine.hpp"
@@ -88,8 +87,6 @@ struct MeanDistanceResult {
   comm::CommVolume comm_volume;
   /// Engine configuration the run actually used.
   engine::EngineOptions engine_used;
-  /// The comm substrate the run executed on (comm::substrate_name value).
-  std::string substrate_used;
 };
 
 /// Empirical-Bernstein half-width; exposed for tests.

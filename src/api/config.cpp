@@ -198,18 +198,14 @@ const std::vector<Entry>& entries() {
               return std::to_string(config.leader_radix);
             }},
       Entry{{"comm_substrate", "DISTBC_COMM_SUBSTRATE",
-             "collective backend: mpisim | ncclsim"},
+             "network preset: mpisim | ncclsim"},
             [](Config& config, std::string_view value) {
-              const auto parsed = comm::substrate_from_name(value);
-              if (!parsed.has_value())
+              if (!mpisim::network_preset(value, config.network).has_value())
                 return bad_value("comm_substrate", value, "mpisim|ncclsim");
-              config.comm_substrate = *parsed;
+              config.comm_substrate = std::string(value);
               return Status::success();
             },
-            [](const Config& config) {
-              return std::string(
-                  comm::substrate_name(config.comm_substrate));
-            }},
+            [](const Config& config) { return config.comm_substrate; }},
       DISTBC_U64_KEY("seed", "DISTBC_SEED", seed, "RNG seed"),
       DISTBC_U64_KEY("initial_samples", "DISTBC_INITIAL_SAMPLES",
                      initial_samples,
@@ -363,6 +359,8 @@ Status Config::validate() const {
     return Status::error("service_pool_size must be >= 1");
   if (service_queue_capacity == 0)
     return Status::error("service_queue_capacity must be >= 1");
+  if (!mpisim::network_preset(comm_substrate, network).has_value())
+    return Status::error("comm_substrate must be mpisim or ncclsim");
   return Status::success();
 }
 

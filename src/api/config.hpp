@@ -64,14 +64,15 @@ struct Config {
   /// class only. Ignored without `hierarchical`.
   int leader_radix = 0;
 
-  // --- Communication substrate --------------------------------------------
-  /// Which network profile the session's comm::Substrate collectives run
-  /// on: kMpisim (the paper's simulated-MPI transport) or kNcclsim (a
-  /// modeled NCCL-style stack: NVLink-like intra-node and IB-like inter-node
-  /// links, ring all-reduce pricing, kernel-launch latency, device-side
-  /// progress). Deterministic-mode scores are bitwise identical across
-  /// substrates; only the modeled clock and link economics differ.
-  comm::SubstrateKind comm_substrate = comm::SubstrateKind::kMpisim;
+  // --- Network profile ----------------------------------------------------
+  /// The named network preset the Session layers onto `network`
+  /// (mpisim::network_preset): "mpisim" (the paper's CPU/OmniPath MPI
+  /// stack, `network` unchanged) or "ncclsim" (a modeled NCCL-style stack:
+  /// NVLink-like intra-node and IB-like inter-node links, ring all-reduce
+  /// pricing, kernel-launch latency, device-side progress). Only the
+  /// modeled clock and link economics differ; deterministic-mode scores
+  /// and bytes are identical under both.
+  std::string comm_substrate = "mpisim";
 
   // --- Sampling / statistics knobs ----------------------------------------
   std::uint64_t seed = 0x5eed;
@@ -108,9 +109,8 @@ struct Config {
   std::uint64_t dynamic_sketch_cap = 256;
 
   // --- Typed-only fields (programmatic, not in the key table) -------------
-  /// Link economics of the modeled cluster. The substrate profile
-  /// (network_model_for) is applied on top of this at Session
-  /// construction when comm_substrate != kMpisim.
+  /// Link economics of the modeled cluster. The comm_substrate preset is
+  /// applied on top of this at Session construction.
   comm::NetworkModel network{};
 
   /// The settable keys, their environment names, and help text.
@@ -136,7 +136,8 @@ struct Config {
   [[nodiscard]] static Config from_env();
 
   /// Cross-field validation (ranks >= 1, tree_radix != 1, virtual streams
-  /// require deterministic mode, ...). Session construction runs this.
+  /// require deterministic mode, a known comm_substrate preset, ...).
+  /// Session construction runs this.
   [[nodiscard]] Status validate() const;
 
   /// The engine configuration these knobs resolve to.

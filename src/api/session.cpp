@@ -78,10 +78,11 @@ Session::Session(std::shared_ptr<const graph::Graph> graph, Config config)
   mpisim::RuntimeConfig runtime_config;
   runtime_config.num_ranks = config_.ranks;
   runtime_config.ranks_per_node = config_.ranks_per_node;
-  // The substrate's link economics (NVLink/IB profile, launch latency,
-  // ring all-reduce pricing for ncclsim) layer over the configured model.
+  // The preset's link economics (NVLink/IB profile, launch latency, ring
+  // all-reduce pricing for ncclsim) layer over the configured model;
+  // validate() vouched for the name.
   runtime_config.network =
-      comm::network_model_for(config_.comm_substrate, config_.network);
+      *mpisim::network_preset(config_.comm_substrate, config_.network);
   runtime_ = std::make_unique<mpisim::Runtime>(runtime_config);
 }
 
@@ -291,10 +292,9 @@ bc::BcResult Session::kadabra(const bc::KadabraOptions& options) {
   }
   bc::BcResult result;
   runtime_->run([&](auto& rank_comm) {
-    const auto world =
-        comm::make_substrate(config_.comm_substrate, rank_comm);
-    bc::BcResult local = bc::kadabra_run(*graph_, run_options, world.get());
-    if (world->rank() == 0) result = std::move(local);
+    comm::Substrate world(rank_comm);
+    bc::BcResult local = bc::kadabra_run(*graph_, run_options, &world);
+    if (world.rank() == 0) result = std::move(local);
   });
   if (result.warm != nullptr) calibrations_[key] = result.warm;
   return result;
@@ -306,11 +306,10 @@ adaptive::ClosenessResult Session::closeness(
   DISTBC_ASSERT_MSG(status_.ok, status_.message.c_str());
   adaptive::ClosenessResult result;
   runtime_->run([&](auto& rank_comm) {
-    const auto world =
-        comm::make_substrate(config_.comm_substrate, rank_comm);
+    comm::Substrate world(rank_comm);
     adaptive::ClosenessResult local =
-        adaptive::closeness_rank(*graph_, params, *world);
-    if (world->rank() == 0) result = std::move(local);
+        adaptive::closeness_rank(*graph_, params, world);
+    if (world.rank() == 0) result = std::move(local);
   });
   return result;
 }
@@ -321,11 +320,10 @@ adaptive::MeanDistanceResult Session::mean_distance(
   DISTBC_ASSERT_MSG(status_.ok, status_.message.c_str());
   adaptive::MeanDistanceResult result;
   runtime_->run([&](auto& rank_comm) {
-    const auto world =
-        comm::make_substrate(config_.comm_substrate, rank_comm);
+    comm::Substrate world(rank_comm);
     adaptive::MeanDistanceResult local =
-        adaptive::mean_distance_rank(*graph_, params, *world);
-    if (world->rank() == 0) result = local;
+        adaptive::mean_distance_rank(*graph_, params, world);
+    if (world.rank() == 0) result = local;
   });
   if (result.range > 0) mean_distance_range_ = result.range;
   return result;
@@ -398,7 +396,6 @@ Result Session::run(const BetweennessQuery& query) {
   result.phases = bc_result.phases;
   result.comm_volume = bc_result.comm_volume;
   result.engine_used = bc_result.engine_used;
-  result.substrate_used = std::move(bc_result.substrate_used);
   result.top_k = std::move(bc_result.top_k_pairs);
   result.scores = std::move(bc_result.scores);
   return result;
@@ -472,7 +469,6 @@ Result Session::run(const ClosenessRankQuery& query) {
   result.phases = closeness_result.phases;
   result.comm_volume = closeness_result.comm_volume;
   result.engine_used = closeness_result.engine_used;
-  result.substrate_used = std::move(closeness_result.substrate_used);
   if (query.top_k > 0)
     result.top_k = pairs_from_order(closeness_result.scores,
                                     closeness_result.top_k(query.top_k));
@@ -508,7 +504,6 @@ Result Session::run(const MeanDistanceQuery& query) {
   result.phases = mean_result.phases;
   result.comm_volume = mean_result.comm_volume;
   result.engine_used = mean_result.engine_used;
-  result.substrate_used = std::move(mean_result.substrate_used);
   return result;
 }
 

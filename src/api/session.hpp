@@ -121,15 +121,10 @@ struct Result {
   /// Phase windows of this query only: a query that reused the session's
   /// cached calibration reports zero kDiameter/kCalibration seconds.
   PhaseTimer phases;
-  /// Per-collective bytes moved by this query (MPI shapes only), tagged
-  /// with the substrate that moved them.
+  /// Per-collective bytes moved by this query (MPI shapes only).
   comm::CommVolume comm_volume;
   /// The engine configuration the adaptive phase actually ran with.
   engine::EngineOptions engine_used;
-  /// The comm substrate the query executed on (comm::substrate_name
-  /// value; empty for runs that never touched a communicator, e.g. exact
-  /// Brandes).
-  std::string substrate_used;
 
   /// Reuse accounting: what session state this query skipped recomputing.
   bool calibration_reused = false;

@@ -118,7 +118,6 @@ BcResult kadabra_run(const graph::Graph& graph, const KadabraOptions& options,
 
   phases.merge(driver.phases);
   result.engine_used = engine_options;
-  result.substrate_used = world != nullptr ? world->name() : "";
   result.epochs = driver.epochs;
   result.stop_reason = driver.stop_reason;
   result.samples_attempted = driver.samples_attempted;
@@ -159,7 +158,6 @@ BcResult kadabra_run(const graph::Graph& graph, const KadabraOptions& options,
     const epoch::StateFrame& aggregate = driver.aggregate;
     scores_from_frame(aggregate, result.scores);
     result.samples = aggregate.tau();
-    result.comm_bytes = driver.comm_bytes;
     result.comm_volume = driver.comm_volume;
     result.omega = context.omega;
     result.vertex_diameter = warm->vertex_diameter;

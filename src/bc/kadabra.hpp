@@ -103,7 +103,7 @@ struct KadabraOptions {
                                    const KadabraOptions& options);
 
 /// Per-rank MPI driver; call from inside Runtime::run on every rank, after
-/// wrapping the rank's communicator in a substrate (comm::make_substrate).
+/// wrapping the rank's communicator in a comm::Substrate.
 [[nodiscard]] BcResult kadabra_mpi_rank(const graph::Graph& graph,
                                         const KadabraOptions& options,
                                         comm::Substrate& world);

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "engine/engine.hpp"
@@ -38,19 +37,14 @@ struct BcResult {
   PhaseTimer phases;              // thread-zero/rank-zero phase windows
 
   // --- Communication (MPI variants only) ----------------------------------
-  std::uint64_t comm_bytes = 0;  // total payload moved by aggregations
-  /// Per-collective breakdown of comm_bytes (elementwise reductions,
-  /// wire-image merge reductions, window/p2p traffic, broadcasts), tagged
-  /// with the substrate that moved it.
+  /// Payload moved by aggregations, per collective (elementwise
+  /// reductions, wire-image merge reductions, window/p2p traffic,
+  /// broadcasts); total() is the sum.
   comm::CommVolume comm_volume;
 
   /// Engine configuration the adaptive phase actually ran with (the
   /// caller's request with the first-stop-check pacing applied).
   engine::EngineOptions engine_used;
-
-  /// The comm substrate the run executed on (comm::substrate_name value;
-  /// empty for communicator-free runs).
-  std::string substrate_used;
 
   /// The k highest (vertex, score) pairs, descending by score (ties by
   /// vertex id) - filled on *every* rank when KadabraOptions::top_k > 0,

@@ -7,20 +7,11 @@
 // stats snapshot. Types are erased once here and every call lands on
 // mpisim's byte-level slot plane.
 //
-// The substrate kind names a network profile, not a second data plane:
-//
-//   * kMpisim  - the simulated MPI stack's interconnect model, the paper's
-//     CPU/OmniPath setting;
-//   * kNcclsim - a modeled NCCL-style GPU collective stack: NVLink-like
-//     intra-node and IB-like inter-node links, ring all-reduce pricing, no
-//     Ireduce progression penalty (a device-side progress engine), but a
-//     kernel-launch latency on every collective (network_model_for).
-//
-// Both kinds run the same slot protocol, so the deterministic rank-order
-// merge replay is common code and deterministic scores are bitwise
-// identical across kinds - only the cost model (and hence modeled time
-// and overlap behavior) differs. This is the library axis of the CommBench
-// library x pattern matrix (bench/commbench_matrix.cpp).
+// There is one data plane. The network profile (api::Config key
+// `comm_substrate`, resolved by mpisim::network_preset) only chooses the
+// NetworkModel the runtime charges, so deterministic scores and byte
+// counters are the same under every profile - only the modeled clock and
+// overlap behavior differ (bench/commbench_matrix.cpp sweeps both).
 //
 // Semantics shared by every collective:
 //  * All ranks of the communicator call collectives in the same order
@@ -42,9 +33,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -61,33 +50,15 @@ using CommStats = mpisim::CommStats;
 using CommVolume = mpisim::CommVolume;
 using NetworkModel = mpisim::NetworkModel;
 
-/// The selectable network profiles (api::Config key `comm_substrate`, env
-/// `DISTBC_COMM_SUBSTRATE`).
-enum class SubstrateKind : std::uint8_t { kMpisim, kNcclsim };
-
-[[nodiscard]] const char* substrate_name(SubstrateKind kind);
-[[nodiscard]] std::optional<SubstrateKind> substrate_from_name(
-    std::string_view name);
-
-/// The interconnect model a substrate kind runs on, derived from `base`:
-/// kMpisim returns base unchanged; kNcclsim swaps in NVLink-like local and
-/// IB-like remote link parameters, ring all-reduce pricing, a per-
-/// collective kernel-launch latency, and an ideal progress engine (no
-/// Ireduce progression penalty, free polls), while keeping base's master
-/// switch and dedicated-core economics. Pair a runtime built on this model
-/// with make_substrate(kind, ...).
-[[nodiscard]] NetworkModel network_model_for(SubstrateKind kind,
-                                             const NetworkModel& base);
-
 class Substrate {
  public:
-  Substrate(SubstrateKind kind, mpisim::Comm comm)
-      : comm_(std::move(comm)), kind_(kind) {}
+  /// Wraps a per-rank communicator. Build one per rank before any traffic
+  /// and route everything through it: the handle carries the collective
+  /// call counter that matches slots across ranks.
+  explicit Substrate(mpisim::Comm comm) : comm_(std::move(comm)) {}
 
   // --- Identity ---------------------------------------------------------
 
-  [[nodiscard]] SubstrateKind kind() const { return kind_; }
-  [[nodiscard]] const char* name() const { return substrate_name(kind_); }
   [[nodiscard]] bool valid() const { return comm_.valid(); }
   [[nodiscard]] int rank() const { return comm_.rank(); }
   [[nodiscard]] int size() const { return comm_.size(); }
@@ -104,23 +75,15 @@ class Substrate {
   [[nodiscard]] CommStats& stats() { return comm_.stats(); }
   [[nodiscard]] const NetworkModel& network() const { return comm_.network(); }
 
-  /// Stats snapshot stamped with this substrate's name, so results and
-  /// bench JSON attribute the bytes to the profile that moved them.
-  [[nodiscard]] CommVolume volume() {
-    CommVolume v = stats().volume();
-    v.substrate = name();
-    return v;
-  }
-
   // --- Topology ---------------------------------------------------------
 
   /// Child substrate over the ranks sharing this rank's node (paper
-  /// §IV-E). Same kind; always valid.
+  /// §IV-E). Always valid.
   [[nodiscard]] std::unique_ptr<Substrate> split_by_node();
 
   /// Child substrate over the first rank of each node (the paper's global
-  /// communicator for the inter-node reduction). Same kind; non-leaders
-  /// receive an invalid (valid() == false) substrate.
+  /// communicator for the inter-node reduction). Non-leaders receive an
+  /// invalid (valid() == false) substrate.
   [[nodiscard]] std::unique_ptr<Substrate> split_node_leaders();
 
   /// Window pre-reduce hook (paper §IV-E): creates or attaches to a
@@ -336,15 +299,7 @@ class Substrate {
   }
 
   mpisim::Comm comm_;
-  SubstrateKind kind_;
 };
-
-/// Wraps a per-rank communicator in a substrate of the given kind. Call
-/// once per rank before any traffic and route everything through the
-/// result: the handle carries the collective call counter that matches
-/// slots across ranks.
-[[nodiscard]] std::unique_ptr<Substrate> make_substrate(SubstrateKind kind,
-                                                        mpisim::Comm comm);
 
 /// RMA-style shared window over a Substrate: the node-local pre-reduction
 /// surface (paper §IV-E: passive-target one-sided communication over

@@ -426,9 +426,8 @@ EngineResult run_epochs(comm::Substrate* world, std::size_t payload_words,
     world->reduce(std::span<const std::uint64_t>(&local_taken, 1),
                   std::span{&world_taken, 1}, 0);
     result.samples_attempted = is_root ? world_taken : local_taken;
-    result.comm_volume = world->volume();
+    result.comm_volume = world->stats().volume();
     result.comm_volume += hierarchy.volume();
-    result.comm_bytes = result.comm_volume.total();
   } else {
     result.samples_attempted = local_taken;
   }

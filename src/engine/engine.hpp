@@ -134,10 +134,9 @@ struct EngineResult {
   StopReason stop_reason = StopReason::kRule;
   std::uint64_t samples_attempted = 0;  // all ranks (valid at rank 0)
   /// Payload moved over the communicators this engine used, including the
-  /// hierarchical substrate (cumulative over the comm's lifetime).
-  std::uint64_t comm_bytes = 0;
-  /// Per-collective breakdown of comm_bytes (elementwise reductions vs
-  /// wire-image merge reductions vs window/p2p vs broadcasts).
+  /// hierarchical substrate (cumulative over the comm's lifetime), per
+  /// collective (elementwise reductions vs wire-image merge reductions vs
+  /// window/p2p vs broadcasts); total() is the sum.
   comm::CommVolume comm_volume{};
   PhaseTimer phases{};
   double total_seconds = 0.0;

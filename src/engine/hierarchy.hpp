@@ -101,8 +101,8 @@ class Hierarchy {
   [[nodiscard]] comm::CommVolume volume() {
     comm::CommVolume bytes;
     if (!active_) return bytes;
-    bytes += local_->volume();
-    if (leader_->valid()) bytes += leader_->volume();
+    bytes += local_->stats().volume();
+    if (leader_->valid()) bytes += leader_->stats().volume();
     return bytes;
   }
 

@@ -111,4 +111,28 @@ NetworkModel NetworkModel::disabled() {
   return model;
 }
 
+std::optional<NetworkModel> network_preset(std::string_view name,
+                                           const NetworkModel& base) {
+  if (name == "mpisim") return base;
+  if (name != "ncclsim") return std::nullopt;
+  NetworkModel model = base;
+  // NVLink-like intra-node links: ~an order of magnitude more bandwidth
+  // than the shared-memory MPI transport, with a somewhat higher latency
+  // floor (device-side transfers).
+  model.local_latency_s = 1e-6;
+  model.local_bandwidth_bps = 200e9;
+  // IB/RoCE-like inter-node links.
+  model.remote_latency_s = 2.5e-6;
+  model.remote_bandwidth_bps = 25e9;
+  // A device-side progress engine: non-blocking collectives advance
+  // without host polling, so no §IV-F progression penalty and free polls.
+  model.ireduce_progression_factor = 1.0;
+  model.ireduce_poll_cost_s = 0.0;
+  // Every collective pays a kernel-launch latency before data moves.
+  model.launch_latency_s = 3e-6;
+  // All-reduces run the NCCL ring schedule.
+  model.ring_allreduce = true;
+  return model;
+}
+
 }  // namespace distbc::mpisim

@@ -13,6 +13,8 @@
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 namespace distbc::mpisim {
 
@@ -95,5 +97,17 @@ struct NetworkModel {
   /// A zero-cost model for semantic tests.
   static NetworkModel disabled();
 };
+
+/// The named network profiles (api::Config key `comm_substrate`, env
+/// DISTBC_COMM_SUBSTRATE), layered onto `base`:
+///   * "mpisim"  - base unchanged: the paper's CPU/OmniPath MPI stack;
+///   * "ncclsim" - a modeled NCCL-style GPU collective stack: NVLink-like
+///     local and IB-like remote links, ring all-reduce pricing, a per-
+///     collective kernel-launch latency, and an ideal progress engine (no
+///     Ireduce progression penalty, free polls), keeping base's master
+///     switch and dedicated-core economics.
+/// Unknown names return nullopt.
+[[nodiscard]] std::optional<NetworkModel> network_preset(
+    std::string_view name, const NetworkModel& base);
 
 }  // namespace distbc::mpisim

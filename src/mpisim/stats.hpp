@@ -33,10 +33,6 @@ struct CommVolume {
   /// OFF the completion deadline (overlapped with the caller's sampling);
   /// blocking tree merges keep it on the critical path instead.
   std::uint64_t overlapped_combine_ns = 0;
-  /// The comm substrate that moved these bytes (comm::substrate_name
-  /// string, static storage). Empty until a substrate stamps it; += keeps
-  /// the first non-empty tag so a world + hierarchy sum stays attributed.
-  const char* substrate = "";
 
   [[nodiscard]] double modeled_seconds() const {
     return static_cast<double>(modeled_critical_ns) * 1e-9;
@@ -62,7 +58,6 @@ struct CommVolume {
     root_ingest_bytes += other.root_ingest_bytes;
     modeled_critical_ns += other.modeled_critical_ns;
     overlapped_combine_ns += other.overlapped_combine_ns;
-    if (substrate[0] == '\0') substrate = other.substrate;
     return *this;
   }
 };

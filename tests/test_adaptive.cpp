@@ -94,17 +94,16 @@ TEST(GenericDriver, AggregatesDeterministicCounts) {
   config.network = mpisim::NetworkModel::disabled();
   mpisim::Runtime runtime(config);
   runtime.run([&](auto& rank_comm) {
-    const auto world =
-        comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
+    comm::Substrate world(rank_comm);
     engine::EngineOptions options;
     options.threads_per_rank = 2;
     options.epoch_base = 10;
     options.epoch_exponent = 0.0;
     auto result = engine::run_epochs(
-        world.get(), kMomentWords, one_sampler,
+        &world, kMomentWords, one_sampler,
         [](const epoch::StateFrame& frame) { return frame.tau() >= 500; },
         options);
-    if (world->rank() == 0) {
+    if (world.rank() == 0) {
       EXPECT_GE(result.aggregate.tau(), 500u);
       EXPECT_DOUBLE_EQ(distance_mean(result.aggregate), 1.0);
       // With a trivially fast sampler the free-running worker threads can
@@ -124,14 +123,13 @@ TEST(GenericDriver, MaxEpochsStopsDivergentRules) {
   config.network = mpisim::NetworkModel::disabled();
   mpisim::Runtime runtime(config);
   runtime.run([&](auto& rank_comm) {
-    const auto world =
-        comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
+    comm::Substrate world(rank_comm);
     engine::EngineOptions options;
     options.epoch_base = 5;
     options.epoch_exponent = 0.0;
     options.max_epochs = 7;
     auto result = engine::run_epochs(
-        world.get(), kMomentWords, one_sampler,
+        &world, kMomentWords, one_sampler,
         [](const epoch::StateFrame&) { return false; },  // never satisfied
         options);
     EXPECT_EQ(result.epochs, 7u);

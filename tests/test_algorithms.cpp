@@ -113,7 +113,7 @@ TEST(KadabraMpi, WithinEpsilonOfExact) {
   EXPECT_LE(approx.max_abs_difference(exact), 0.1);
   EXPECT_GT(approx.samples, 0u);
   EXPECT_GT(approx.epochs, 0u);
-  EXPECT_GT(approx.comm_bytes, 0u);
+  EXPECT_GT(approx.comm_volume.total(), 0u);
   EXPECT_GE(approx.samples_attempted, approx.samples);
 }
 

@@ -73,10 +73,9 @@ TEST(SessionIdentity, BetweennessMatchesDirectDriverAcrossRadixes) {
     mpisim::Runtime runtime(runtime_config);
     bc::BcResult direct;
     runtime.run([&](auto& rank_comm) {
-      const auto world =
-          comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
-      bc::BcResult local = bc::kadabra_mpi_rank(graph, options, *world);
-      if (world->rank() == 0) direct = std::move(local);
+      comm::Substrate world(rank_comm);
+      bc::BcResult local = bc::kadabra_mpi_rank(graph, options, world);
+      if (world.rank() == 0) direct = std::move(local);
     });
 
     // Facade arm.
@@ -109,11 +108,10 @@ TEST(SessionIdentity, ClosenessMatchesDirectDriver) {
   mpisim::Runtime runtime(runtime_config);
   adaptive::ClosenessResult direct;
   runtime.run([&](auto& rank_comm) {
-    const auto world =
-        comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
+    comm::Substrate world(rank_comm);
     adaptive::ClosenessResult local =
-        adaptive::closeness_rank(graph, params, *world);
-    if (world->rank() == 0) direct = std::move(local);
+        adaptive::closeness_rank(graph, params, world);
+    if (world.rank() == 0) direct = std::move(local);
   });
 
   api::Session session(graph, config);
@@ -144,11 +142,10 @@ TEST(SessionIdentity, MeanDistanceMatchesDirectDriver) {
   mpisim::Runtime runtime(runtime_config);
   adaptive::MeanDistanceResult direct;
   runtime.run([&](auto& rank_comm) {
-    const auto world =
-        comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
+    comm::Substrate world(rank_comm);
     adaptive::MeanDistanceResult local =
-        adaptive::mean_distance_rank(graph, params, *world);
-    if (world->rank() == 0) direct = local;
+        adaptive::mean_distance_rank(graph, params, world);
+    if (world.rank() == 0) direct = local;
   });
 
   api::Session session(graph, config);

@@ -59,14 +59,13 @@ TEST(EngineCalibrate, DistributesBudgetExactlyAcrossRanks) {
   config.network = mpisim::NetworkModel::disabled();
   mpisim::Runtime runtime(config);
   runtime.run([&](auto& rank_comm) {
-    const auto world =
-        comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
+    comm::Substrate world(rank_comm);
     engine::EngineOptions options;
     options.threads_per_rank = 2;
     const epoch::StateFrame frame =
-        engine::calibrate(world.get(), /*payload_words=*/0, count_sampler,
+        engine::calibrate(&world, /*payload_words=*/0, count_sampler,
                           /*total_budget=*/1001, options);
-    if (world->rank() == 0) {
+    if (world.rank() == 0) {
       EXPECT_EQ(frame.tau(), 1001u);
     }
   });
@@ -243,8 +242,7 @@ TEST(EngineEquivalence, EveryRankHoldsTheGlobalAggregate) {
   mpisim::Runtime runtime(config);
   std::vector<std::uint64_t> per_rank(4, 0);
   runtime.run([&](auto& rank_comm) {
-    const auto world =
-        comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
+    comm::Substrate world(rank_comm);
     engine::EngineOptions options;
     options.deterministic = true;
     options.virtual_streams = 4;
@@ -252,10 +250,10 @@ TEST(EngineEquivalence, EveryRankHoldsTheGlobalAggregate) {
     options.epoch_exponent = 0.0;
     options.hierarchical = true;
     const auto result = engine::run_epochs(
-        world.get(), /*payload_words=*/0, count_sampler,
+        &world, /*payload_words=*/0, count_sampler,
         [](const epoch::StateFrame& frame) { return frame.tau() >= 100; },
         options);
-    per_rank[world->rank()] = result.aggregate.tau();
+    per_rank[world.rank()] = result.aggregate.tau();
   });
   EXPECT_GE(per_rank[0], 100u);
   for (int r = 1; r < 4; ++r) EXPECT_EQ(per_rank[r], per_rank[0]) << r;
@@ -279,8 +277,7 @@ TEST(EngineEquivalence, RawOnlyFrameRidesEveryTopology) {
     mpisim::Runtime runtime(config);
     Outcome outcome;
     runtime.run([&](auto& rank_comm) {
-      const auto world =
-          comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
+      comm::Substrate world(rank_comm);
       engine::EngineOptions options;
       options.threads_per_rank = 2;
       options.deterministic = true;
@@ -291,14 +288,14 @@ TEST(EngineEquivalence, RawOnlyFrameRidesEveryTopology) {
       options.hierarchical = hierarchical;
       const std::size_t payload_words = words - 1;
       const epoch::StateFrame calibrated =
-          engine::calibrate(world.get(), payload_words, count_sampler,
+          engine::calibrate(&world, payload_words, count_sampler,
                             /*total_budget=*/1001, options);
       const auto result = engine::run_epochs(
-          world.get(), payload_words, count_sampler,
+          &world, payload_words, count_sampler,
           [](const epoch::StateFrame& frame) { return frame.tau() >= 300; },
           options);
-      outcome.per_rank[world->rank()] = result.aggregate.tau();
-      if (world->rank() == 0) {
+      outcome.per_rank[world.rank()] = result.aggregate.tau();
+      if (world.rank() == 0) {
         outcome.calibrated = calibrated.tau();
         outcome.epochs = result.epochs;
       }
@@ -341,8 +338,7 @@ TEST(EngineEquivalence, LocalAggregatesAreKeptOnlyWhenAsked) {
     std::vector<std::vector<std::uint64_t>> local(4);
     std::vector<std::uint64_t> global;
     runtime.run([&](auto& rank_comm) {
-      const auto world =
-          comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
+      comm::Substrate world(rank_comm);
       engine::EngineOptions options;
       options.threads_per_rank = 2;
       options.deterministic = true;
@@ -352,12 +348,12 @@ TEST(EngineEquivalence, LocalAggregatesAreKeptOnlyWhenAsked) {
       options.hierarchical = true;
       options.local_aggregates = keep;
       const auto result = engine::run_epochs(
-          world.get(), kWords, slot_sampler,
+          &world, kWords, slot_sampler,
           [](const epoch::StateFrame& frame) { return frame.tau() >= 300; },
           options);
       const auto raw = result.local_aggregate.raw();
-      local[world->rank()].assign(raw.begin(), raw.end());
-      if (world->rank() == 0)
+      local[world.rank()].assign(raw.begin(), raw.end());
+      if (world.rank() == 0)
         global.assign(result.aggregate.raw().begin(),
                       result.aggregate.raw().end());
     });

@@ -34,14 +34,13 @@ std::vector<std::uint64_t> hierarchical_total(int num_ranks,
   std::vector<std::uint64_t> root_total;
   std::mutex mu;
   runtime.run([&](auto& rank_comm) {
-    const auto world =
-        comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
+    comm::Substrate world(rank_comm);
     engine::Hierarchy hierarchy;
-    hierarchy.init(*world, frame_words);
+    hierarchy.init(world, frame_words);
     ASSERT_TRUE(hierarchy.active());
 
     std::vector<std::uint64_t> frame(
-        frame_words, static_cast<std::uint64_t>(world->rank()) + 1);
+        frame_words, static_cast<std::uint64_t>(world.rank()) + 1);
     const bool leader = hierarchy.pre_reduce(frame);
     // Exactly the leaders join the global reduction; its rank zero is
     // world rank zero.
@@ -49,12 +48,12 @@ std::vector<std::uint64_t> hierarchical_total(int num_ranks,
       std::vector<std::uint64_t> total(frame_words, 0);
       hierarchy.global().reduce(std::span<const std::uint64_t>(frame),
                                 std::span<std::uint64_t>(total), 0);
-      if (world->rank() == 0) {
+      if (world.rank() == 0) {
         std::lock_guard lock(mu);
         root_total = std::move(total);
       }
     } else {
-      EXPECT_FALSE(world->rank() == 0) << "world rank 0 must be a leader";
+      EXPECT_FALSE(world.rank() == 0) << "world rank 0 must be a leader";
     }
   });
   return root_total;

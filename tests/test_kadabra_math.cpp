@@ -381,10 +381,9 @@ TEST(StopRule, NonRootRanksReceiveTheRootsLogsByBroadcast) {
   mpisim::Runtime runtime(config);
   std::vector<BcResult> results(kRanks);
   runtime.run([&](auto& rank_comm) {
-    const auto world =
-        comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
-    results[static_cast<std::size_t>(world->rank())] =
-        kadabra_mpi_rank(graph, options, *world);
+    comm::Substrate world(rank_comm);
+    results[static_cast<std::size_t>(world.rank())] =
+        kadabra_mpi_rank(graph, options, world);
   });
 
   const Calibration& root = results[0].warm->context.calibration;

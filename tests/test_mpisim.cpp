@@ -33,9 +33,8 @@ using comm::Window;
 void run_ranks(Runtime& runtime,
                const std::function<void(Substrate&)>& rank_main) {
   runtime.run([&](Comm& rank_comm) {
-    const auto substrate =
-        comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
-    rank_main(*substrate);
+    comm::Substrate substrate(rank_comm);
+    rank_main(substrate);
   });
 }
 

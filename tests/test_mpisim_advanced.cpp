@@ -36,9 +36,8 @@ using comm::Window;
 void run_ranks(Runtime& runtime,
                const std::function<void(Substrate&)>& rank_main) {
   runtime.run([&](Comm& rank_comm) {
-    const auto substrate =
-        comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
-    rank_main(*substrate);
+    comm::Substrate substrate(rank_comm);
+    rank_main(substrate);
   });
 }
 
@@ -169,14 +168,12 @@ TEST(Split, RepeatedAndNestedSplits) {
     Comm local = world.split_by_node();  // 2 nodes x 4 ranks
     ASSERT_EQ(local.size(), 4);
     // Split the node communicator again by parity.
-    const auto pair =
-        comm::make_substrate(comm::SubstrateKind::kMpisim,
-                             local.split(local.rank() % 2, local.rank()));
-    ASSERT_TRUE(pair->valid());
-    EXPECT_EQ(pair->size(), 2);
+    comm::Substrate pair(local.split(local.rank() % 2, local.rank()));
+    ASSERT_TRUE(pair.valid());
+    EXPECT_EQ(pair.size(), 2);
     const std::vector<std::uint64_t> one{1};
     std::vector<std::uint64_t> sum{0};
-    pair->allreduce(std::span<const std::uint64_t>(one), std::span(sum));
+    pair.allreduce(std::span<const std::uint64_t>(one), std::span(sum));
     EXPECT_EQ(sum[0], 2u);
   });
 }

@@ -1,57 +1,37 @@
-// The pluggable comm-substrate API (comm/substrate.hpp) and its threading
-// through api::Session: substrate selection changes the modeled link
+// The comm_substrate network preset (mpisim::network_preset) and its
+// threading through api::Session: the preset changes the modeled link
 // economics - never the traffic and never the scores. Deterministic-mode
 // results must be bitwise identical across mpisim x ncclsim under every
-// aggregation topology; the ncclsim all-reduce
-// must price the NCCL ring closed form; and Results report the substrate
-// that ran them.
+// aggregation topology while the modeled clock differs; the ncclsim
+// all-reduce must price the NCCL ring closed form; and Config rejects
+// unknown preset names.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
-#include <cstring>
+#include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "api/session.hpp"
 #include "comm/substrate.hpp"
 #include "gen/barabasi_albert.hpp"
 #include "graph/components.hpp"
+#include "mpisim/network.hpp"
 #include "mpisim/runtime.hpp"
 
 namespace distbc {
 namespace {
-
-// --- Substrate naming -------------------------------------------------------
-
-TEST(SubstrateNames, RoundTripAndRejection) {
-  EXPECT_STREQ(comm::substrate_name(comm::SubstrateKind::kMpisim), "mpisim");
-  EXPECT_STREQ(comm::substrate_name(comm::SubstrateKind::kNcclsim),
-               "ncclsim");
-  for (const auto kind :
-       {comm::SubstrateKind::kMpisim, comm::SubstrateKind::kNcclsim}) {
-    const auto parsed = comm::substrate_from_name(comm::substrate_name(kind));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, kind);
-  }
-  EXPECT_FALSE(comm::substrate_from_name("nccl").has_value());
-  EXPECT_FALSE(comm::substrate_from_name("").has_value());
-  EXPECT_FALSE(comm::substrate_from_name("MPISIM").has_value());
-}
 
 // --- The modeled NCCL economics ---------------------------------------------
 
 TEST(NcclSimModel, ProfileLayersOnTopOfTheBase) {
   comm::NetworkModel base;
   base.dedicated_cores = true;
-  const comm::NetworkModel same =
-      comm::network_model_for(comm::SubstrateKind::kMpisim, base);
+  const comm::NetworkModel same = *mpisim::network_preset("mpisim", base);
   EXPECT_EQ(same.remote_latency_s, base.remote_latency_s);
   EXPECT_FALSE(same.ring_allreduce);
 
-  const comm::NetworkModel nccl =
-      comm::network_model_for(comm::SubstrateKind::kNcclsim, base);
+  const comm::NetworkModel nccl = *mpisim::network_preset("ncclsim", base);
   EXPECT_TRUE(nccl.ring_allreduce);
   EXPECT_GT(nccl.launch_latency_s, 0.0);
   EXPECT_EQ(nccl.ireduce_progression_factor, 1.0);
@@ -62,15 +42,16 @@ TEST(NcclSimModel, ProfileLayersOnTopOfTheBase) {
 
   comm::NetworkModel off = base;
   off.enabled = false;
-  const comm::NetworkModel nccl_off =
-      comm::network_model_for(comm::SubstrateKind::kNcclsim, off);
+  const comm::NetworkModel nccl_off = *mpisim::network_preset("ncclsim", off);
   EXPECT_FALSE(nccl_off.enabled);
   EXPECT_EQ(nccl_off.allreduce_cost(1 << 20, 4, 2).count(), 0);
+
+  for (const char* name : {"nccl", "", "MPISIM"})
+    EXPECT_FALSE(mpisim::network_preset(name, base).has_value()) << name;
 }
 
 TEST(NcclSimModel, AllreduceMatchesTheRingClosedForm) {
-  const comm::NetworkModel nccl =
-      comm::network_model_for(comm::SubstrateKind::kNcclsim, {});
+  const comm::NetworkModel nccl = *mpisim::network_preset("ncclsim", {});
   struct Shape {
     int ranks_per_node;
     int num_nodes;
@@ -106,6 +87,27 @@ TEST(NcclSimModel, AllreduceMatchesTheRingClosedForm) {
               nccl.launch_latency_s * 1e9, 1.0);
 }
 
+TEST(NcclSimModel, SplitCommunicatorsChargeThePreset) {
+  // The two-level path runs its node-local and leader collectives on split
+  // children, so they must be charged on the runtime's preset too.
+  mpisim::RuntimeConfig runtime_config;
+  runtime_config.num_ranks = 4;
+  runtime_config.ranks_per_node = 2;
+  runtime_config.network = *mpisim::network_preset("ncclsim", {});
+  mpisim::Runtime runtime(runtime_config);
+  std::atomic<int> leaders{0};
+  runtime.run([&](auto& rank_comm) {
+    comm::Substrate world(rank_comm);
+    EXPECT_TRUE(world.split_by_node()->network().ring_allreduce);
+    const auto leader = world.split_node_leaders();
+    if (leader->valid()) {
+      ++leaders;
+      EXPECT_TRUE(leader->network().ring_allreduce);
+    }
+  });
+  EXPECT_EQ(leaders.load(), 2);
+}
+
 // --- Bitwise parity through api::Session ------------------------------------
 
 std::shared_ptr<const graph::Graph> parity_graph() {
@@ -114,7 +116,7 @@ std::shared_ptr<const graph::Graph> parity_graph() {
   return graph;
 }
 
-api::Config parity_config(comm::SubstrateKind substrate, bool hierarchical,
+api::Config parity_config(const char* substrate, bool hierarchical,
                           int tree_radix, int leader_radix) {
   api::Config config;
   config.ranks = 4;
@@ -153,104 +155,39 @@ TEST(SubstrateParity, BitwiseScoresAcrossSubstratesAndTopologies) {
       {"two_level", true, 0, 2},
   };
   const api::Result reference =
-      parity_run(parity_config(comm::SubstrateKind::kMpisim, false, 0, 0));
+      parity_run(parity_config("mpisim", false, 0, 0));
   ASSERT_GT(reference.samples, 0u);
 
   for (const Topology& topology : topologies) {
-    // Per topology: the two substrates must agree bitwise with the
-    // reference AND move identical traffic - a backend changes the clock,
-    // never the bytes.
-    std::uint64_t mpisim_total = 0;
-    for (const auto substrate :
-         {comm::SubstrateKind::kMpisim, comm::SubstrateKind::kNcclsim}) {
+    // Per topology: the two presets must agree bitwise with the reference
+    // AND move identical traffic, yet charge a different modeled clock - a
+    // preset changes the clock, never the bytes.
+    const auto run = [&](const char* substrate) {
       const api::Result result = parity_run(
           parity_config(substrate, topology.hierarchical, topology.tree_radix,
                         topology.leader_radix));
-      const std::string label = std::string(topology.name) + "/" +
-                                comm::substrate_name(substrate);
+      const std::string label =
+          std::string(topology.name) + "/" + substrate;
       EXPECT_EQ(result.samples, reference.samples) << label;
       EXPECT_EQ(result.epochs, reference.epochs) << label;
-      ASSERT_EQ(result.scores.size(), reference.scores.size()) << label;
+      EXPECT_EQ(result.scores.size(), reference.scores.size()) << label;
       for (std::size_t v = 0; v < result.scores.size(); ++v)
-        ASSERT_EQ(result.scores[v], reference.scores[v])
-            << label << " vertex " << v;
-      if (substrate == comm::SubstrateKind::kMpisim)
-        mpisim_total = result.comm_volume.total();
-      else
-        EXPECT_EQ(result.comm_volume.total(), mpisim_total) << label;
-    }
+        if (result.scores[v] != reference.scores[v]) {
+          ADD_FAILURE() << label << " vertex " << v;
+          break;
+        }
+      return result.comm_volume;
+    };
+    const comm::CommVolume mpisim = run("mpisim");
+    const comm::CommVolume ncclsim = run("ncclsim");
+    EXPECT_EQ(ncclsim.total(), mpisim.total()) << topology.name;
+    EXPECT_EQ(ncclsim.p2p_bytes, mpisim.p2p_bytes) << topology.name;
+    EXPECT_EQ(ncclsim.root_ingest_bytes, mpisim.root_ingest_bytes)
+        << topology.name;
+    EXPECT_GT(mpisim.modeled_critical_ns, 0u) << topology.name;
+    EXPECT_NE(ncclsim.modeled_critical_ns, mpisim.modeled_critical_ns)
+        << topology.name;
   }
-}
-
-// --- Result attribution -----------------------------------------------------
-
-TEST(SubstrateUsed, ResultsReportTheBackendThatRanThem) {
-  const api::Result mpisim_result =
-      parity_run(parity_config(comm::SubstrateKind::kMpisim, false, 0, 0));
-  EXPECT_EQ(mpisim_result.substrate_used, "mpisim");
-  EXPECT_STREQ(mpisim_result.comm_volume.substrate, "mpisim");
-
-  const api::Result nccl_result =
-      parity_run(parity_config(comm::SubstrateKind::kNcclsim, false, 2, 0));
-  EXPECT_EQ(nccl_result.substrate_used, "ncclsim");
-  EXPECT_STREQ(nccl_result.comm_volume.substrate, "ncclsim");
-}
-
-TEST(SubstrateUsed, CommunicatorFreeRunsLeaveItEmpty) {
-  // Below the exact threshold the query runs single-process Brandes: no
-  // communicator exists, so no substrate is attributed.
-  api::Config config;
-  config.exact_threshold = 100000;
-  api::Session session(parity_graph(), config);
-  api::BetweennessQuery query;
-  query.epsilon = 0.15;
-  const api::Result result = session.run(query);
-  ASSERT_TRUE(result.status.ok) << result.status.message;
-  EXPECT_TRUE(result.substrate_used.empty());
-}
-
-// --- Topology splits -------------------------------------------------------
-
-TEST(SubstrateSplit, ChildrenKeepTheSubstrateKind) {
-  // The hierarchical pipeline runs its node-local and leader collectives
-  // on split children, so a split must hand back the parent's kind - a
-  // child that fell back to mpisim would stamp its bytes with the wrong
-  // profile (Result attribution only reads the world communicator).
-  mpisim::RuntimeConfig runtime_config;
-  runtime_config.num_ranks = 4;
-  runtime_config.ranks_per_node = 2;
-  runtime_config.network = comm::network_model_for(
-      comm::SubstrateKind::kNcclsim, mpisim::NetworkModel::disabled());
-  mpisim::Runtime runtime(runtime_config);
-  std::atomic<int> leaders{0};
-  runtime.run([&](auto& rank_comm) {
-    const auto world =
-        comm::make_substrate(comm::SubstrateKind::kNcclsim, rank_comm);
-    const auto local = world->split_by_node();
-    EXPECT_STREQ(local->name(), "ncclsim");
-    EXPECT_STREQ(local->volume().substrate, "ncclsim");
-    const auto leader = world->split_node_leaders();
-    if (leader->valid()) {
-      ++leaders;
-      EXPECT_STREQ(leader->name(), "ncclsim");
-      EXPECT_STREQ(leader->volume().substrate, "ncclsim");
-    }
-  });
-  EXPECT_EQ(leaders.load(), 2);
-}
-
-TEST(CommVolumeTag, FirstNonEmptySubstrateWinsOnMerge) {
-  comm::CommVolume sum;
-  EXPECT_STREQ(sum.substrate, "");
-  comm::CommVolume tagged;
-  tagged.substrate = comm::substrate_name(comm::SubstrateKind::kNcclsim);
-  tagged.reduce_bytes = 8;
-  sum += tagged;
-  EXPECT_STREQ(sum.substrate, "ncclsim");
-  comm::CommVolume other;
-  other.substrate = comm::substrate_name(comm::SubstrateKind::kMpisim);
-  sum += other;  // already attributed: the first tag sticks
-  EXPECT_STREQ(sum.substrate, "ncclsim");
 }
 
 // --- Config key and profile round-trips -------------------------------------
@@ -258,13 +195,20 @@ TEST(CommVolumeTag, FirstNonEmptySubstrateWinsOnMerge) {
 TEST(SubstrateConfig, KeyParsesAndSerializes) {
   api::Config config;
   ASSERT_TRUE(config.set("comm_substrate", "ncclsim").ok);
-  EXPECT_EQ(config.comm_substrate, comm::SubstrateKind::kNcclsim);
+  EXPECT_EQ(config.comm_substrate, "ncclsim");
   EXPECT_NE(config.serialize().find("comm_substrate = ncclsim"),
             std::string::npos);
   const auto status = config.set("comm_substrate", "infiniband");
   EXPECT_FALSE(status.ok);
-  EXPECT_EQ(config.comm_substrate, comm::SubstrateKind::kNcclsim)
+  EXPECT_EQ(config.comm_substrate, "ncclsim")
       << "rejected values must not clobber the config";
+  EXPECT_TRUE(config.validate().ok);
+
+  // A direct field write bypasses set(); validate() still rejects it, so a
+  // Session never runs on an unknown preset.
+  config.comm_substrate = "infiniband";
+  EXPECT_FALSE(config.validate().ok);
+  EXPECT_FALSE(api::Session(parity_graph(), config).status().ok);
 }
 
 }  // namespace

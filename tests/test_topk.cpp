@@ -53,12 +53,11 @@ TEST(DistributedTopK, MatchesDirectSelectionOverTheSum) {
     const std::vector<bc::TopKEntry> expected = bc::local_top_k(global, k);
     mpisim::Runtime runtime(quiet(kRanks));
     runtime.run([&](auto& rank_comm) {
-      const auto world =
-          comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
-      const epoch::StateFrame local = make_local(kVertices, world->rank());
+      comm::Substrate world(rank_comm);
+      const epoch::StateFrame local = make_local(kVertices, world.rank());
       const std::vector<bc::TopKEntry> got =
-          bc::distributed_top_k(*world, local, k);
-      if (world->rank() == 0) {
+          bc::distributed_top_k(world, local, k);
+      if (world.rank() == 0) {
         EXPECT_EQ(got, expected);
       } else {
         EXPECT_TRUE(got.empty());
@@ -84,10 +83,9 @@ TEST(DistributedTopK, SingleRankAndEmptyFrames) {
 
   mpisim::Runtime runtime(quiet(3));
   runtime.run([&](auto& rank_comm) {
-    const auto world =
-        comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
+    comm::Substrate world(rank_comm);
     const epoch::StateFrame empty(8);  // nothing sampled anywhere
-    const auto got = bc::distributed_top_k(*world, empty, 4);
+    const auto got = bc::distributed_top_k(world, empty, 4);
     EXPECT_TRUE(got.empty());
   });
 }
@@ -106,10 +104,9 @@ TEST(KadabraTopK, EveryRankGetsTheRootsAnswer) {
   mpisim::Runtime runtime(quiet(kRanks));
   std::vector<bc::BcResult> results(kRanks);
   runtime.run([&](auto& rank_comm) {
-    const auto world =
-        comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
-    results[static_cast<std::size_t>(world->rank())] =
-        bc::kadabra_mpi_rank(graph, options, *world);
+    comm::Substrate world(rank_comm);
+    results[static_cast<std::size_t>(world.rank())] =
+        bc::kadabra_mpi_rank(graph, options, world);
   });
 
   const bc::BcResult& root = results[0];
