@@ -272,7 +272,7 @@ inline void report_verdict(JsonReport& json, const char* section,
   json.summary("verdict", verdict);
 }
 
-/// Adds the per-collective bytes-moved breakdown (comm::CommVolume) to
+/// Adds the per-collective bytes-moved breakdown (mpisim::CommVolume) to
 /// the current JSON row - Table II-style communication-volume reporting
 /// for any bench that runs MPI configurations.
 inline void add_comm_volume_fields(JsonReport& json,

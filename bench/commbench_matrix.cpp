@@ -1,5 +1,5 @@
 // CommBench-style substrate x pattern x payload matrix over the
-// comm::Substrate API: every network preset (mpisim MPI-flavored, ncclsim
+// mpisim::Comm API: every network preset (mpisim MPI-flavored, ncclsim
 // NCCL-flavored; mpisim::network_preset) runs the same five collective
 // patterns - dense reduce, sparse tree merge, allreduce, gatherv, bcast -
 // at a sweep of payload sizes on one fixed cluster shape, and reports the
@@ -27,8 +27,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "comm/substrate.hpp"
 #include "epoch/frame_codec.hpp"
+#include "mpisim/comm.hpp"
 #include "mpisim/runtime.hpp"
 
 int main(int argc, char** argv) {
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
       static_cast<int>(config.options.get_u64("ranks", 8));
   const int ranks_per_node =
       static_cast<int>(config.options.get_u64("rpn", 4));
-  const comm::NetworkModel base = bench::bench_network(config);
+  const mpisim::NetworkModel base = bench::bench_network(config);
   json.param("ranks", static_cast<double>(ranks));
   json.param("ranks_per_node", static_cast<double>(ranks_per_node));
 
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   // collectives return only after every contribution is charged, so the
   // root-side read races with nothing).
   struct Cell {
-    comm::CommVolume volume;
+    mpisim::CommVolume volume;
     bool ok = true;
   };
   const auto run_cell = [&](const char* substrate, const std::string& pattern,
@@ -79,8 +79,7 @@ int main(int argc, char** argv) {
     const std::size_t stride = words / 2;
     const std::size_t dense_words =
         stride * static_cast<std::size_t>(ranks) + words;
-    runtime.run([&](auto& rank_comm) {
-      comm::Substrate world(rank_comm);
+    runtime.run([&](mpisim::Comm& world) {
       const auto rank = static_cast<std::uint64_t>(world.rank());
       bool rank_ok = true;
       if (pattern == "reduce" || pattern == "allreduce") {
@@ -164,7 +163,7 @@ int main(int argc, char** argv) {
       for (const std::size_t words : payload_words) {
         const Cell cell = run_cell(substrate, pattern, words);
         if (!cell.ok) semantics_ok = false;
-        const comm::CommVolume& volume = cell.volume;
+        const mpisim::CommVolume& volume = cell.volume;
         if (std::string(substrate) == "mpisim") {
           mpisim_bytes.push_back(volume.total());
         } else {
@@ -201,7 +200,7 @@ int main(int argc, char** argv) {
   // The ncclsim allreduce charge is one allreduce_cost call on the ring
   // model; recompute the closed form from the composed parameters. Hop
   // parameters are remote (the ring spans nodes on this shape).
-  const comm::NetworkModel nccl = *mpisim::network_preset("ncclsim", base);
+  const mpisim::NetworkModel nccl = *mpisim::network_preset("ncclsim", base);
   const double total_ranks = static_cast<double>(ranks);
   const double steps = 2.0 * (total_ranks - 1.0);
   const double bytes =

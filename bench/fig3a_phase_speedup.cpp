@@ -6,6 +6,9 @@
 // 16.1x); calibration scales well at first (its sampling part is pleasingly
 // parallel) but flattens earlier because its per-vertex optimization is
 // sequential at rank 0.
+//
+// Closes with a computed verdict on that shape (bench::report_verdict);
+// --json / out= emit the rows and the verdict.
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
@@ -14,6 +17,7 @@ int main(int argc, char** argv) {
   config.finish("Figure 3a: per-phase speedup.");
   bench::print_preamble("Figure 3a - per-phase speedup (ADS, calibration)",
                         "paper Fig. 3a", config);
+  bench::JsonReport json("fig3a_phase_speedup", config);
 
   const auto ranks = bench::rank_sweep(config);
   std::vector<std::vector<double>> ads_speedups(ranks.size());
@@ -37,16 +41,49 @@ int main(int argc, char** argv) {
     }
   }
 
-  TablePrinter table({"# compute nodes", "ADS speedup", "calib. speedup"});
+  TablePrinter table(
+      {"# compute nodes", "ADS speedup", "calib. speedup", "oversubscribed"});
+  // `measured` lists the ADS speedup per P > 1, marking each P the host
+  // cannot run on dedicated cores.
+  std::string measured;
+  double ads_top = 0.0;
+  double calib_top = 0.0;
   for (std::size_t i = 0; i < ranks.size(); ++i) {
-    table.add_row({std::to_string(ranks[i]),
-                   TablePrinter::fmt_ratio(
-                       bench::geometric_mean(ads_speedups[i])),
-                   TablePrinter::fmt_ratio(
-                       bench::geometric_mean(calib_speedups[i]))});
+    const double ads = bench::geometric_mean(ads_speedups[i]);
+    const double calib = bench::geometric_mean(calib_speedups[i]);
+    const bool oversubscribed = bench::oversubscribed(ranks[i]);
+    table.add_row({std::to_string(ranks[i]), TablePrinter::fmt_ratio(ads),
+                   TablePrinter::fmt_ratio(calib),
+                   oversubscribed ? "yes" : "no"});
+    json.begin_row();
+    json.field("ranks", static_cast<double>(ranks[i]));
+    json.field("oversubscribed", oversubscribed ? 1.0 : 0.0);
+    json.field("ads_speedup", ads);
+    json.field("calibration_speedup", calib);
+    ads_top = ads;
+    calib_top = calib;
+    if (ranks[i] == 1) continue;
+    char part[96];
+    std::snprintf(part, sizeof(part), "%sP=%d %.2fx%s",
+                  measured.empty() ? "" : ", ", ranks[i], ads,
+                  oversubscribed ? " (oversubscribed)" : "");
+    measured += part;
   }
   table.print();
-  std::printf("\nPaper: ADS reaches ~16x at 16 nodes; calibration lags due "
-              "to its sequential part.\n");
+
+  // The paper's 16.1x at P = 16 is near-linear; "near" is read as at least
+  // half of linear at the largest P swept.
+  const int top = ranks.back();
+  char tail[96];
+  std::snprintf(tail, sizeof(tail), "; calibration %.2fx at P=%d", calib_top,
+                top);
+  bench::report_verdict(
+      json, "Fig. 3a",
+      "ADS speeds up at least half-linearly (16.1x at P=16 in the paper) "
+      "and calibration lags it",
+      "ADS speedup over shared memory " +
+          (measured.empty() ? std::string("P=1 only") : measured) + tail,
+      top > 1 && ads_top >= 0.5 * top && calib_top <= ads_top);
+  json.write();
   return 0;
 }

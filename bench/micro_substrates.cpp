@@ -5,7 +5,6 @@
 
 #include "bc/kadabra_context.hpp"
 #include "bc/sampler.hpp"
-#include "comm/substrate.hpp"
 #include "epoch/epoch_manager.hpp"
 #include "epoch/state_frame.hpp"
 #include "gen/hyperbolic.hpp"
@@ -14,6 +13,7 @@
 #include "graph/bfs.hpp"
 #include "graph/bidirectional_bfs.hpp"
 #include "graph/components.hpp"
+#include "mpisim/comm.hpp"
 #include "mpisim/runtime.hpp"
 
 namespace {
@@ -123,12 +123,10 @@ void BM_SimulatedReduce(benchmark::State& state) {
   config.network = mpisim::NetworkModel::disabled();
   mpisim::Runtime runtime(config);
   for (auto _ : state) {
-    runtime.run([&](mpisim::Comm& rank_comm) {
-      comm::Substrate substrate(rank_comm);
+    runtime.run([&](mpisim::Comm& comm) {
       std::vector<std::uint64_t> send(count, 1);
       std::vector<std::uint64_t> recv(count, 0);
-      substrate.reduce(std::span<const std::uint64_t>(send), std::span(recv),
-                       0);
+      comm.reduce(std::span<const std::uint64_t>(send), std::span(recv), 0);
     });
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *

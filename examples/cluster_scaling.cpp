@@ -1,8 +1,8 @@
 // Demonstrates the library's cluster-facing API: bind a graph to a
 // simulated cluster shape through api::Session (which owns the runtime and
-// the comm::Substrate construction - no direct mpisim plumbing here), run
+// its per-rank communicators - no direct mpisim plumbing here), run
 // betweenness queries across rank counts, and report scaling plus the
-// per-collective communication-volume breakdown (comm::CommVolume) under
+// per-collective communication-volume breakdown (mpisim::CommVolume) under
 // the chosen network preset.
 //
 //   ./cluster_scaling [scale=13] [eps=0.005] [latency_us=2]
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(graph->num_edges()), tree_radix,
               ranks_per_node, leader_radix, substrate.c_str());
 
-  comm::NetworkModel network;
+  mpisim::NetworkModel network;
   network.remote_latency_s = options.get_double("latency_us", 2.0) * 1e-6;
 
   std::printf("%-8s %-10s %-10s %-8s %-9s %-12s %-12s %-12s\n", "ranks",
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
     int ranks;
     double speedup;
     double sequential_share;  // diameter + calibration over total
-    comm::CommVolume volume;
+    mpisim::CommVolume volume;
   };
   std::vector<Row> rows;
   double base_time = 0.0;
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
     }
 
     if (ranks == 1) base_time = result.total_seconds;
-    const comm::CommVolume& volume = result.comm_volume;
+    const mpisim::CommVolume& volume = result.comm_volume;
     rows.push_back({ranks, base_time / result.total_seconds,
                     (result.phases.seconds(Phase::kDiameter) +
                      result.phases.seconds(Phase::kCalibration)) /

@@ -72,7 +72,7 @@ class SourceSampler {
 
 ClosenessResult closeness_rank(const graph::Graph& graph,
                                const ClosenessParams& params,
-                               comm::Substrate& world) {
+                               mpisim::Comm& world) {
   const graph::Vertex n = graph.num_vertices();
   DISTBC_ASSERT(n >= 2);
   const bool is_root = world.rank() == 0;
@@ -142,7 +142,7 @@ ClosenessResult closeness_rank(const graph::Graph& graph,
 ClosenessResult closeness_mpi(const graph::Graph& graph,
                               const ClosenessParams& params, int num_ranks,
                               int ranks_per_node,
-                              comm::NetworkModel network) {
+                              mpisim::NetworkModel network) {
   // Compatibility layer: one-shot api::Session owning the cluster
   // lifecycle; the session binds the caller's graph without copying it.
   api::Config config;

@@ -26,11 +26,11 @@
 #include <span>
 #include <vector>
 
-#include "comm/substrate.hpp"
 #include "engine/engine.hpp"
 #include "epoch/state_frame.hpp"
 #include "graph/bfs.hpp"
 #include "graph/graph.hpp"
+#include "mpisim/comm.hpp"
 
 namespace distbc::adaptive {
 
@@ -114,7 +114,7 @@ struct ClosenessResult {
   /// rank 0, like scores) - the same observability surface BcResult has,
   /// feeding the unified api::Result.
   PhaseTimer phases;
-  comm::CommVolume comm_volume;
+  mpisim::CommVolume comm_volume;
   /// Engine configuration the run actually used.
   engine::EngineOptions engine_used;
 
@@ -142,12 +142,12 @@ void credit_source(const graph::Graph& graph, graph::Vertex source,
 /// Per-rank driver (result valid at world rank 0); connected graphs only.
 [[nodiscard]] ClosenessResult closeness_rank(const graph::Graph& graph,
                                              const ClosenessParams& params,
-                                             comm::Substrate& world);
+                                             mpisim::Comm& world);
 
 [[nodiscard]] ClosenessResult closeness_mpi(const graph::Graph& graph,
                                             const ClosenessParams& params,
                                             int num_ranks,
                                             int ranks_per_node = 1,
-                                            comm::NetworkModel network = {});
+                                            mpisim::NetworkModel network = {});
 
 }  // namespace distbc::adaptive

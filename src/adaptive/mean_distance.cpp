@@ -58,7 +58,7 @@ class DistanceSampler {
 
 MeanDistanceResult mean_distance_rank(const graph::Graph& graph,
                                       const MeanDistanceParams& params,
-                                      comm::Substrate& world) {
+                                      mpisim::Comm& world) {
   DISTBC_ASSERT(graph.num_vertices() >= 2);
   const bool is_root = world.rank() == 0;
 
@@ -111,7 +111,7 @@ MeanDistanceResult mean_distance_rank(const graph::Graph& graph,
 MeanDistanceResult mean_distance_mpi(const graph::Graph& graph,
                                      const MeanDistanceParams& params,
                                      int num_ranks, int ranks_per_node,
-                                     comm::NetworkModel network) {
+                                     mpisim::NetworkModel network) {
   // Compatibility layer: one-shot api::Session owning the cluster
   // lifecycle; the session binds the caller's graph without copying it.
   api::Config config;

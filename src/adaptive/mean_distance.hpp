@@ -18,10 +18,10 @@
 #include <cstdint>
 #include <span>
 
-#include "comm/substrate.hpp"
 #include "engine/engine.hpp"
 #include "epoch/state_frame.hpp"
 #include "graph/graph.hpp"
+#include "mpisim/comm.hpp"
 #include "support/timer.hpp"
 
 namespace distbc::adaptive {
@@ -84,7 +84,7 @@ struct MeanDistanceResult {
   /// rank 0) - the same observability surface BcResult has, feeding the
   /// unified api::Result.
   PhaseTimer phases;
-  comm::CommVolume comm_volume;
+  mpisim::CommVolume comm_volume;
   /// Engine configuration the run actually used.
   engine::EngineOptions engine_used;
 };
@@ -97,11 +97,11 @@ struct MeanDistanceResult {
 /// Result fields are valid at world rank 0. Requires a connected graph.
 [[nodiscard]] MeanDistanceResult mean_distance_rank(
     const graph::Graph& graph, const MeanDistanceParams& params,
-    comm::Substrate& world);
+    mpisim::Comm& world);
 
 /// Convenience wrapper over a fresh simulated cluster.
 [[nodiscard]] MeanDistanceResult mean_distance_mpi(
     const graph::Graph& graph, const MeanDistanceParams& params,
-    int num_ranks, int ranks_per_node = 1, comm::NetworkModel network = {});
+    int num_ranks, int ranks_per_node = 1, mpisim::NetworkModel network = {});
 
 }  // namespace distbc::adaptive

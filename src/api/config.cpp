@@ -212,11 +212,6 @@ const std::vector<Entry>& entries() {
                      "calibration sample count (0 = automatic)"),
       DISTBC_DOUBLE_KEY("balancing", "DISTBC_BALANCING", balancing,
                         "calibration failure-budget floor fraction"),
-      DISTBC_U64_KEY("omega_fraction", "DISTBC_OMEGA_FRACTION",
-                     omega_fraction,
-                     "first stop check after budget/omega_fraction samples"),
-      DISTBC_U64_KEY("min_epoch_length", "DISTBC_MIN_EPOCH_LENGTH",
-                     min_epoch_length, "stop-check pacing floor"),
       DISTBC_U64_KEY("exact_threshold", "DISTBC_EXACT_THRESHOLD",
                      exact_threshold,
                      "|V| at or below which betweenness runs exact Brandes"),
@@ -237,9 +232,6 @@ const std::vector<Entry>& entries() {
                      "DISTBC_SERVICE_WARM_STORE_MAX_ENTRIES",
                      service_warm_store_max_entries,
                      "persisted warm states kept per version (0 = unbounded)"),
-      DISTBC_U64_KEY("dynamic_sketch_cap", "DISTBC_DYNAMIC_SKETCH_CAP",
-                     dynamic_sketch_cap,
-                     "scanned-set sketch size kept exact (larger -> Bloom)"),
   };
   return table;
 }
@@ -348,7 +340,6 @@ Status Config::validate() const {
   if (epoch_base == 0) return Status::error("epoch_base must be >= 1");
   if (!std::isfinite(epoch_exponent) || epoch_exponent < 0.0)
     return Status::error("epoch_exponent must be finite and >= 0");
-  if (omega_fraction == 0) return Status::error("omega_fraction must be >= 1");
   if (virtual_streams != 0 && !deterministic)
     return Status::error(
         "virtual_streams requires deterministic mode (mismatched runtime: "

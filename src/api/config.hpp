@@ -30,8 +30,8 @@
 #include <vector>
 
 #include "api/status.hpp"
-#include "comm/substrate.hpp"
 #include "engine/engine.hpp"
+#include "mpisim/network.hpp"
 
 namespace distbc::api {
 
@@ -78,10 +78,6 @@ struct Config {
   std::uint64_t seed = 0x5eed;
   std::uint64_t initial_samples = 0;  // 0 = automatic (scales with omega)
   double balancing = 0.01;        // calibration failure-budget floor
-  /// First-stop-check pacing (the deduplicated clamp: the Session passes
-  /// these to engine::paced_epoch_cap, engine/streams.hpp).
-  std::uint64_t omega_fraction = 2;
-  std::uint64_t min_epoch_length = 1;
 
   // --- Facade behavior ----------------------------------------------------
   /// Betweenness queries on graphs with |V| <= this run exact Brandes
@@ -101,17 +97,10 @@ struct Config {
   /// format version, evicting oldest-by-mtime past it (0 = unbounded).
   std::uint64_t service_warm_store_max_entries = 0;
 
-  // --- Dynamic graphs (src/dynamic/; incremental betweenness) -------------
-  /// Per-sample scanned-set sketches at or under this many vertices stay
-  /// exact sorted lists; larger ones fall back to a Bloom filter (whose
-  /// false positives only cost extra resamples, never wrong scores).
-  /// 0 = always Bloom.
-  std::uint64_t dynamic_sketch_cap = 256;
-
   // --- Typed-only fields (programmatic, not in the key table) -------------
   /// Link economics of the modeled cluster. The comm_substrate preset is
   /// applied on top of this at Session construction.
-  comm::NetworkModel network{};
+  mpisim::NetworkModel network{};
 
   /// The settable keys, their environment names, and help text.
   [[nodiscard]] static const std::vector<ConfigKey>& keys();

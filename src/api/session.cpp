@@ -8,9 +8,9 @@
 #include "bc/brandes.hpp"
 #include "bc/brandes_parallel.hpp"
 #include "bc/kadabra_math.hpp"
-#include "comm/substrate.hpp"
 #include "graph/components.hpp"
 #include "graph/stats.hpp"
+#include "mpisim/comm.hpp"
 
 namespace distbc::api {
 
@@ -190,10 +190,8 @@ Status Session::preload_calibration(
 
 void Session::ensure_dynamic() {
   if (dynamic_ != nullptr) return;
-  dynamic::SketchParams sketch;
-  sketch.exact_cap = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(config_.dynamic_sketch_cap, UINT32_MAX));
-  dynamic_ = std::make_shared<dynamic::DynamicState>(graph_, sketch);
+  dynamic_ = std::make_shared<dynamic::DynamicState>(graph_,
+                                                     dynamic::SketchParams{});
 }
 
 void Session::bind_dynamic_state(
@@ -291,8 +289,7 @@ bc::BcResult Session::kadabra(const bc::KadabraOptions& options) {
       run_options.warm_start = it->second;
   }
   bc::BcResult result;
-  runtime_->run([&](auto& rank_comm) {
-    comm::Substrate world(rank_comm);
+  runtime_->run([&](mpisim::Comm& world) {
     bc::BcResult local = bc::kadabra_run(*graph_, run_options, &world);
     if (world.rank() == 0) result = std::move(local);
   });
@@ -305,8 +302,7 @@ adaptive::ClosenessResult Session::closeness(
   const ThreadGuard guard(*this);
   DISTBC_ASSERT_MSG(status_.ok, status_.message.c_str());
   adaptive::ClosenessResult result;
-  runtime_->run([&](auto& rank_comm) {
-    comm::Substrate world(rank_comm);
+  runtime_->run([&](mpisim::Comm& world) {
     adaptive::ClosenessResult local =
         adaptive::closeness_rank(*graph_, params, world);
     if (world.rank() == 0) result = std::move(local);
@@ -319,8 +315,7 @@ adaptive::MeanDistanceResult Session::mean_distance(
   const ThreadGuard guard(*this);
   DISTBC_ASSERT_MSG(status_.ok, status_.message.c_str());
   adaptive::MeanDistanceResult result;
-  runtime_->run([&](auto& rank_comm) {
-    comm::Substrate world(rank_comm);
+  runtime_->run([&](mpisim::Comm& world) {
     adaptive::MeanDistanceResult local =
         adaptive::mean_distance_rank(*graph_, params, world);
     if (world.rank() == 0) result = local;
@@ -379,8 +374,6 @@ Result Session::run(const BetweennessQuery& query) {
   options.params.initial_samples = config_.initial_samples;
   options.params.balancing = config_.balancing;
   options.engine = config_.engine_options();
-  options.omega_fraction = config_.omega_fraction;
-  options.min_epoch_length = config_.min_epoch_length;
   options.top_k = query.top_k;
   result.calibration_reused = calibrations_.contains(calibration_key(
       options.params, options.engine.threads_per_rank,

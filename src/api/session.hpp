@@ -122,7 +122,7 @@ struct Result {
   /// cached calibration reports zero kDiameter/kCalibration seconds.
   PhaseTimer phases;
   /// Per-collective bytes moved by this query (MPI shapes only).
-  comm::CommVolume comm_volume;
+  mpisim::CommVolume comm_volume;
   /// The engine configuration the adaptive phase actually ran with.
   engine::EngineOptions engine_used;
 

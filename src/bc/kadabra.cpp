@@ -15,7 +15,7 @@
 namespace distbc::bc {
 
 BcResult kadabra_run(const graph::Graph& graph, const KadabraOptions& options,
-                     comm::Substrate* world) {
+                     mpisim::Comm* world) {
   DISTBC_ASSERT(options.engine.threads_per_rank >= 1);
   DISTBC_ASSERT(options.omega_fraction > 0);
   WallTimer total_timer;
@@ -185,15 +185,9 @@ BcResult kadabra_shm(const graph::Graph& graph,
   return kadabra_run(graph, options, nullptr);
 }
 
-BcResult kadabra_mpi_rank(const graph::Graph& graph,
-                          const KadabraOptions& options,
-                          comm::Substrate& world) {
-  return kadabra_run(graph, options, &world);
-}
-
 BcResult kadabra_mpi(const graph::Graph& graph, const KadabraOptions& options,
                      int num_ranks, int ranks_per_node,
-                     comm::NetworkModel network) {
+                     mpisim::NetworkModel network) {
   // Compatibility layer: one-shot api::Session owning the cluster
   // lifecycle; the session binds the caller's graph without copying it.
   api::Config config;

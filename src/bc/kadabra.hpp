@@ -88,11 +88,13 @@ struct KadabraOptions {
 };
 
 /// The unified driver: runs all three phases on `world` (nullptr = no
-/// communicator, single-rank). Scores and global statistics are valid at
-/// world rank 0; other ranks carry local timing and work counts.
+/// communicator, single-rank); collective, so every rank of `world` calls
+/// it, e.g. from inside mpisim::Runtime::run. Scores and global statistics
+/// are valid at world rank 0; other ranks carry local timing and work
+/// counts.
 [[nodiscard]] BcResult kadabra_run(const graph::Graph& graph,
                                    const KadabraOptions& options,
-                                   comm::Substrate* world);
+                                   mpisim::Comm* world);
 
 /// Sequential reference configuration (1 rank x 1 thread, no comm).
 [[nodiscard]] BcResult kadabra_sequential(const graph::Graph& graph,
@@ -102,17 +104,11 @@ struct KadabraOptions {
 [[nodiscard]] BcResult kadabra_shm(const graph::Graph& graph,
                                    const KadabraOptions& options);
 
-/// Per-rank MPI driver; call from inside Runtime::run on every rank, after
-/// wrapping the rank's communicator in a comm::Substrate.
-[[nodiscard]] BcResult kadabra_mpi_rank(const graph::Graph& graph,
-                                        const KadabraOptions& options,
-                                        comm::Substrate& world);
-
 /// Convenience wrapper: spins up a simulated cluster of `num_ranks` ranks
 /// (`ranks_per_node` per node) and returns rank zero's result.
 [[nodiscard]] BcResult kadabra_mpi(const graph::Graph& graph,
                                    const KadabraOptions& options,
                                    int num_ranks, int ranks_per_node = 1,
-                                   comm::NetworkModel network = {});
+                                   mpisim::NetworkModel network = {});
 
 }  // namespace distbc::bc

@@ -40,7 +40,7 @@ struct BcResult {
   /// Payload moved by aggregations, per collective (elementwise
   /// reductions, wire-image merge reductions, window/p2p traffic,
   /// broadcasts); total() is the sum.
-  comm::CommVolume comm_volume;
+  mpisim::CommVolume comm_volume;
 
   /// Engine configuration the adaptive phase actually ran with (the
   /// caller's request with the first-stop-check pacing applied).

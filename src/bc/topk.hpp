@@ -28,9 +28,9 @@
 #include <span>
 #include <vector>
 
-#include "comm/substrate.hpp"
 #include "epoch/state_frame.hpp"
 #include "graph/graph.hpp"
+#include "mpisim/comm.hpp"
 #include "support/assert.hpp"
 
 namespace distbc::bc {
@@ -78,7 +78,7 @@ inline bool top_k_before(const TopKEntry& a, const TopKEntry& b) {
 /// callers that want it everywhere broadcast the 2k-word pair list, not a
 /// frame). Every round moves flat (vertex, count) uint64 pairs.
 [[nodiscard]] inline std::vector<TopKEntry> distributed_top_k(
-    comm::Substrate& world, const epoch::StateFrame& local, std::size_t k) {
+    mpisim::Comm& world, const epoch::StateFrame& local, std::size_t k) {
   const bool is_root = world.rank() == 0;
   const auto num_ranks = static_cast<std::uint64_t>(world.size());
   if (k == 0) return {};

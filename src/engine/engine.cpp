@@ -76,7 +76,7 @@ std::vector<ThreadStreams> assign_streams(int rank, int num_threads,
 
 }  // namespace
 
-epoch::StateFrame calibrate(comm::Substrate* world, std::size_t payload_words,
+epoch::StateFrame calibrate(mpisim::Comm* world, std::size_t payload_words,
                             const SamplerFactory& make_sampler,
                             std::uint64_t total_budget,
                             const EngineOptions& options) {
@@ -129,7 +129,7 @@ epoch::StateFrame calibrate(comm::Substrate* world, std::size_t payload_words,
   return world->rank() == 0 ? aggregate : local;
 }
 
-EngineResult run_epochs(comm::Substrate* world, std::size_t payload_words,
+EngineResult run_epochs(mpisim::Comm* world, std::size_t payload_words,
                         const SamplerFactory& make_sampler,
                         const StopRule& should_stop,
                         const EngineOptions& options) {
@@ -239,12 +239,12 @@ EngineResult run_epochs(comm::Substrate* world, std::size_t payload_words,
 
     // One §IV-F strategy dispatch serving every merge shape: the callers
     // supply the blocking reduction and the non-blocking starter.
-    auto run_aggregation = [&](comm::Substrate& global, auto&& blocking_reduce,
+    auto run_aggregation = [&](mpisim::Comm& global, auto&& blocking_reduce,
                                auto&& start_reduce) {
       switch (options.aggregation) {
         case Aggregation::kIbarrierReduce: {
           result.phases.timed(Phase::kBarrier, [&] {
-            comm::Request barrier = global.ibarrier();
+            mpisim::Request barrier = global.ibarrier();
             while (!barrier.test()) overlap_sample();
           });
           result.phases.timed(Phase::kReduction, blocking_reduce);
@@ -252,7 +252,7 @@ EngineResult run_epochs(comm::Substrate* world, std::size_t payload_words,
         }
         case Aggregation::kIreduce: {
           result.phases.timed(Phase::kReduction, [&] {
-            comm::Request reduce = start_reduce();
+            mpisim::Request reduce = start_reduce();
             while (!reduce.test()) overlap_sample();
           });
           break;
@@ -305,14 +305,14 @@ EngineResult run_epochs(comm::Substrate* world, std::size_t payload_words,
         // overlap behavior; receivers rebuild their epoch_agg from it.
         // The downward leg of the tree path and of the two-level path's
         // intra-node redistribution.
-        auto distribute_image = [&](comm::Substrate& comm) {
+        auto distribute_image = [&](mpisim::Comm& comm) {
           auto bcast = [&](std::span<std::uint64_t> span) {
             if (options.aggregation == Aggregation::kBlocking) {
               // §IV-F's fully blocking variant: no overlap anywhere, the
               // distribution legs included.
               comm.bcast(span, 0);
             } else {
-              comm::Request request = comm.ibcast(span, 0);
+              mpisim::Request request = comm.ibcast(span, 0);
               while (!request.test()) overlap_sample();
             }
           };
@@ -339,7 +339,7 @@ EngineResult run_epochs(comm::Substrate* world, std::size_t payload_words,
         // flavor (no root hotspot at all), the radix tree merges toward
         // rank zero and broadcasts the merged image back down.
         if (in_global) {
-          comm::Substrate& global =
+          mpisim::Comm& global =
               hierarchy.active() ? hierarchy.global() : *world;
           wire_buffer.clear();
           epoch::append_image(snapshot.raw(), wire_buffer);

@@ -36,9 +36,9 @@
 #include <optional>
 #include <string_view>
 
-#include "comm/substrate.hpp"
 #include "engine/streams.hpp"
 #include "epoch/state_frame.hpp"
+#include "mpisim/comm.hpp"
 #include "support/timer.hpp"
 
 namespace distbc::engine {
@@ -134,10 +134,10 @@ struct EngineResult {
   StopReason stop_reason = StopReason::kRule;
   std::uint64_t samples_attempted = 0;  // all ranks (valid at rank 0)
   /// Payload moved over the communicators this engine used, including the
-  /// hierarchical substrate (cumulative over the comm's lifetime), per
+  /// hierarchy's split communicators (cumulative over their lifetime), per
   /// collective (elementwise reductions vs wire-image merge reductions vs
   /// window/p2p vs broadcasts); total() is the sum.
-  comm::CommVolume comm_volume{};
+  mpisim::CommVolume comm_volume{};
   PhaseTimer phases{};
   double total_seconds = 0.0;
 };
@@ -147,7 +147,7 @@ struct EngineResult {
 /// with all threads in parallel, and reduces the frames to world rank 0.
 /// The returned frame holds the full aggregate at rank 0 and this rank's
 /// local aggregate elsewhere. Collective when `world` is multi-rank.
-[[nodiscard]] epoch::StateFrame calibrate(comm::Substrate* world,
+[[nodiscard]] epoch::StateFrame calibrate(mpisim::Comm* world,
                                           std::size_t payload_words,
                                           const SamplerFactory& make_sampler,
                                           std::uint64_t total_budget,
@@ -156,7 +156,7 @@ struct EngineResult {
 /// Algorithm 2: epoch-based adaptive sampling into frames of
 /// `payload_words` payload words until `should_stop` fires. Pass
 /// world == nullptr for a communicator-free (seq/shm) run.
-[[nodiscard]] EngineResult run_epochs(comm::Substrate* world,
+[[nodiscard]] EngineResult run_epochs(mpisim::Comm* world,
                                       std::size_t payload_words,
                                       const SamplerFactory& make_sampler,
                                       const StopRule& should_stop,

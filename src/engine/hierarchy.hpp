@@ -23,21 +23,24 @@
 #include <vector>
 
 #include "epoch/frame_codec.hpp"
-#include "comm/substrate.hpp"
+#include "mpisim/comm.hpp"
 
 namespace distbc::engine {
 
 class Hierarchy {
  public:
   Hierarchy() = default;
+  // The window points at local_, so the communicators must stay put.
+  Hierarchy(const Hierarchy&) = delete;
+  Hierarchy& operator=(const Hierarchy&) = delete;
 
   /// Collective over `world`: splits node-local and node-leader
   /// communicators and creates the shared window of `frame_words` uint64
   /// slots. Must be called by every rank of `world`.
-  void init(comm::Substrate& world, std::size_t frame_words) {
+  void init(mpisim::Comm& world, std::size_t frame_words) {
     local_ = world.split_by_node();
     leader_ = world.split_node_leaders();
-    window_.emplace(*local_, frame_words);
+    window_.emplace(local_, frame_words);
     active_ = true;
   }
 
@@ -58,8 +61,8 @@ class Hierarchy {
     } else {
       window_->accumulate_pairs(image.subspan(2));
     }
-    local_->barrier();
-    const bool leader = local_->rank() == 0;
+    local_.barrier();
+    const bool leader = local_.rank() == 0;
     if (leader) {
       // Windowed touched-bitmap read-back: as long as every rank scattered
       // sparse pairs, the leader sweeps only the union of touched slots -
@@ -77,39 +80,39 @@ class Hierarchy {
         window_->clear();
       }
     }
-    local_->barrier();
+    local_.barrier();
     return leader;
   }
 
   /// The inter-node communicator of the node leaders. Its rank zero is
   /// world rank zero; only valid on node leaders.
-  [[nodiscard]] comm::Substrate& global() {
-    DISTBC_ASSERT(active_ && leader_->valid());
-    return *leader_;
+  [[nodiscard]] mpisim::Comm& global() {
+    DISTBC_ASSERT(active_ && leader_.valid());
+    return leader_;
   }
 
   /// The intra-node communicator (valid on every rank; its rank zero is
   /// the node leader). The downward leg of the two-level path: leaders
   /// redistribute the globally merged aggregate over this communicator so
   /// every rank can evaluate the stopping rule locally.
-  [[nodiscard]] comm::Substrate& node() {
+  [[nodiscard]] mpisim::Comm& node() {
     DISTBC_ASSERT(active_);
-    return *local_;
+    return local_;
   }
 
-  /// Per-collective byte breakdown of the hierarchical substrate.
-  [[nodiscard]] comm::CommVolume volume() {
-    comm::CommVolume bytes;
+  /// Per-collective byte breakdown of the two split communicators.
+  [[nodiscard]] mpisim::CommVolume volume() {
+    mpisim::CommVolume bytes;
     if (!active_) return bytes;
-    bytes += local_->stats().volume();
-    if (leader_->valid()) bytes += leader_->stats().volume();
+    bytes += local_.stats().volume();
+    if (leader_.valid()) bytes += leader_.stats().volume();
     return bytes;
   }
 
  private:
-  std::unique_ptr<comm::Substrate> local_;
-  std::unique_ptr<comm::Substrate> leader_;
-  std::optional<comm::Window<std::uint64_t>> window_;
+  mpisim::Comm local_;
+  mpisim::Comm leader_;
+  std::optional<mpisim::Window<std::uint64_t>> window_;
   std::vector<std::uint64_t> image_;  // per-epoch encode buffer
   bool active_ = false;
 };

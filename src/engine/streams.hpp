@@ -72,10 +72,8 @@ namespace distbc::engine {
 /// bound) or easy instances sample far past termination before the first
 /// check. The cap is max(min_epoch_length, budget / budget_fraction),
 /// combined with any cap already present (0 = none; the smaller wins).
-/// api::Session computes this from Config::omega_fraction /
-/// Config::min_epoch_length and the cached per-workload budget; the
-/// drivers call it with their own knobs so the wrapper layer stays
-/// bitwise-identical to Session runs.
+/// Each driver calls it with its own knobs (KadabraOptions::omega_fraction
+/// and min_epoch_length for betweenness).
 [[nodiscard]] inline std::uint64_t paced_epoch_cap(
     std::uint64_t budget, std::uint64_t budget_fraction,
     std::uint64_t min_epoch_length, std::uint64_t existing_cap) {

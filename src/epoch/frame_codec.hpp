@@ -9,7 +9,7 @@
 // images scatter-add their pairs. Every frame is a flat uint64 array
 // (raw()), and the functions below build and read images straight from
 // that span, so any frame rides every aggregation path (the engine's
-// variable-length aggregation, comm::Substrate's merge family, the §IV-E
+// variable-length aggregation, mpisim::Comm's merge family, the §IV-E
 // shared window) without a codec of its own.
 //
 // append_image sizes each image by its data: pairs while they undercut the

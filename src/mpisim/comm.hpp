@@ -3,15 +3,37 @@
 // mpisim substitutes for an MPI library on a cluster (none is available in
 // this environment): ranks are threads inside one process, and every data
 // exchange goes through explicit slot-based collectives with an interconnect
-// cost model (see network.hpp). Comm is the byte-level plane of the MPI
-// subset the paper's algorithm needs - Reduce / Ireduce / Ibarrier / Bcast /
-// Ibcast / communicator split / an RMA window - plus the all-reduce family
-// (allreduce / allreduce_merge, priced as recursive-halving/doubling
-// butterflies) that decentralized termination rides. The typed surface over it, with the per-collective contracts
-// (eager sends, ticket matching, merge-callable lifetimes), is
-// comm::Substrate (comm/substrate.hpp).
+// cost model (see network.hpp). Comm is the one typed communicator of the
+// MPI subset the paper's algorithm needs: Reduce / Allreduce / Bcast /
+// Ibcast / Barrier / Ibarrier, the variable-length merge family (flat,
+// radix tree and the decentralized all-merge, each blocking or
+// non-blocking where the engine needs it), Gatherv, communicator split and
+// an RMA window (Window<T>). Its templates erase the element type once and
+// land on a private byte-level slot plane (comm.cpp).
+//
+// There is one data plane. The network profile (api::Config key
+// `comm_substrate`, resolved by network_preset) only chooses the
+// NetworkModel the runtime charges, so deterministic scores and byte
+// counters are the same under every profile - only the modeled clock and
+// overlap behavior differ (bench/commbench_matrix.cpp sweeps both).
+//
+// Semantics shared by every collective:
+//  * All ranks of the communicator call collectives in the same order
+//    (standard MPI requirement); slots are matched by the handle's call
+//    counter, so all of a rank's traffic must flow through one handle.
+//    Comm is move-only, so a rank cannot hold two counters.
+//  * Sends are eager: the contribution is copied into the slot at post
+//    time, so the caller may reuse its send buffer as soon as the call
+//    returns, and a non-root's non-blocking request completes after its
+//    own modeled injection cost.
+//  * The root's completion time is the last arrival plus a modeled
+//    collective cost; blocking calls wait until then, non-blocking
+//    requests report done only once the deadline passed, so
+//    communication/computation overlap behaves as on a real network.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -20,6 +42,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -95,7 +119,9 @@ struct Slot {
   std::size_t count = 0;
   CombineFn combine = nullptr;
   int root = -1;
-  bool nonblocking = false;  // Ireduce: §IV-F progression penalty applies
+  // iallreduce_merge / ireduce_merge_tree (ibcast posts no reduction
+  // slot): the §IV-F progression penalty and poll tax apply.
+  bool nonblocking = false;
   std::vector<std::vector<std::byte>> contribs;
   std::byte* root_recv = nullptr;
 
@@ -148,7 +174,7 @@ struct WindowState {
   std::mutex mu;
   std::vector<std::byte> data;
   /// Touched-slot tracking for windowed sparse read-back (one bit per
-  /// element slot, maintained by comm::Window<T>): scatter-accumulates set
+  /// element slot, maintained by Window<T>): scatter-accumulates set
   /// bits; a full-span accumulate sets dense_touched instead (the union is
   /// the whole window, so leaders fall back to the dense read).
   std::vector<std::uint64_t> touched_bits;
@@ -211,9 +237,20 @@ class Request {
 /// Sentinel color for split(): the calling rank joins no child communicator.
 inline constexpr int kUndefinedColor = -1;
 
+template <typename T>
+class Window;
+
+/// One rank's handle on a communicator; move-only, since it carries the
+/// call counter that matches slots across ranks (see the header).
 class Comm {
  public:
   Comm() = default;  // invalid communicator (e.g. split with undefined color)
+  Comm(Comm&&) noexcept = default;
+  Comm& operator=(Comm&&) noexcept = default;
+  Comm(const Comm&) = delete;
+  Comm& operator=(const Comm&) = delete;
+
+  // --- Identity ----------------------------------------------------------
 
   [[nodiscard]] bool valid() const { return state_ != nullptr; }
   [[nodiscard]] int rank() const { return rank_; }
@@ -226,10 +263,8 @@ class Comm {
     return state_->max_ranks_per_node;
   }
 
-  // --- Collectives -------------------------------------------------------
-
-  void barrier();
-  [[nodiscard]] Request ibarrier();
+  [[nodiscard]] CommStats& stats() { return state_->stats; }
+  [[nodiscard]] const NetworkModel& network() const { return state_->model; }
 
   // --- Topology ----------------------------------------------------------
 
@@ -238,6 +273,7 @@ class Comm {
   [[nodiscard]] Comm split(int color, int key);
 
   /// Child communicator of all ranks on this rank's node (paper §IV-E).
+  /// Always valid.
   [[nodiscard]] Comm split_by_node();
 
   /// Child communicator of the first rank of each node (the paper's global
@@ -245,17 +281,178 @@ class Comm {
   /// invalid Comm.
   [[nodiscard]] Comm split_node_leaders();
 
-  [[nodiscard]] CommStats& stats() { return state_->stats; }
-  [[nodiscard]] const NetworkModel& network() const { return state_->model; }
+  // --- Fixed-size collectives --------------------------------------------
+
+  void barrier();
+  [[nodiscard]] Request ibarrier();
+
+  template <typename T>
+  void reduce(std::span<const T> send, std::span<T> recv, int root,
+              ReduceOp op = ReduceOp::kSum) {
+    DISTBC_ASSERT(rank() != root || recv.size() == send.size());
+    reduce_bytes_impl(as_bytes(send.data()), send.size() * sizeof(T),
+                      send.size(), as_bytes_mut(recv.data()),
+                      detail::combine_fn<T>(op), root);
+  }
+
+  /// All-reduce: every rank receives the full reduction. One collective,
+  /// priced as a recursive-halving reduce-scatter followed by a
+  /// recursive-doubling all-gather (butterfly alpha-beta accounting) -
+  /// no root hotspot, so nothing lands in root_ingest_bytes. The shared
+  /// reduction combines contributions in rank order, so the result is
+  /// bitwise identical on every rank to a reduce-to-rank-0 + broadcast.
+  template <typename T>
+  void allreduce(std::span<const T> send, std::span<T> recv,
+                 ReduceOp op = ReduceOp::kSum) {
+    DISTBC_ASSERT(recv.size() == send.size());
+    allreduce_bytes_impl(as_bytes(send.data()), send.size() * sizeof(T),
+                         send.size(), as_bytes_mut(recv.data()),
+                         detail::combine_fn<T>(op));
+  }
+
+  template <typename T>
+  void bcast(std::span<T> buffer, int root) {
+    bcast_bytes_impl(as_bytes_mut(buffer.data()), buffer.size() * sizeof(T),
+                     root);
+  }
+
+  template <typename T>
+  [[nodiscard]] Request ibcast(std::span<T> buffer, int root) {
+    return ibcast_bytes_impl(as_bytes_mut(buffer.data()),
+                             buffer.size() * sizeof(T), root);
+  }
+
+  // --- Variable-length collectives (frame wire images) -------------------
+  //
+  // Unlike the fixed-size collectives above, every rank may contribute a
+  // different element count. The root's completion deadline is the last
+  // arrival plus the alpha-beta tree cost charged at the *largest*
+  // contribution (the reduction tree's critical path carries the biggest
+  // payload; with auto-densifying images, merged payloads never exceed the
+  // dense frame, bounding union growth). Non-root
+  // bytes are accounted per path (CommStats::reduce_merge_bytes /
+  // gatherv_bytes).
+
+  /// Merge reduction: `merge(src_rank, payload)` is invoked at the
+  /// root exactly once per rank, in rank order, when the reduction
+  /// completes inside the call. `merge` runs under the communicator lock
+  /// and must not call back into the communicator. Non-roots may pass any
+  /// callable; it is ignored.
+  template <typename T, typename MergeFn>
+  void reduce_merge(std::span<const T> send, MergeFn&& merge, int root) {
+    mergev_bytes_impl(detail::SlotKind::kReduceMerge, as_bytes(send.data()),
+                      send.size() * sizeof(T),
+                      erase_merge<T>(std::forward<MergeFn>(merge), root),
+                      root);
+  }
+
+  /// Decentralized merge reduction: like reduce_merge, but EVERY rank
+  /// supplies its own `merge(src_rank, payload)` consumer, and each
+  /// rank's consumer replays all size() contributions in rank order at
+  /// that rank's own completion - identical inputs in identical order, so
+  /// every rank reconstructs the root-side aggregate bitwise. Priced as
+  /// an all-reduce butterfly at the largest contribution; there is no
+  /// root, so nothing lands in root_ingest_bytes (the decentralized
+  /// termination path this exists for). Consumers run under the
+  /// communicator lock and must not call back into the communicator.
+  template <typename T, typename MergeFn>
+  void allreduce_merge(std::span<const T> send, MergeFn&& merge) {
+    allmerge_bytes_impl(as_bytes(send.data()), send.size() * sizeof(T),
+                        erase_merge_all<T>(std::forward<MergeFn>(merge)));
+  }
+
+  /// Non-blocking decentralized merge; every rank completes once the
+  /// butterfly's modeled deadline passes (§IV-F progression penalty, and
+  /// every rank pays the poll tax - all of them progress the butterfly). The consumer
+  /// must own its state (capture by value): it runs at this rank's
+  /// completing test()/wait(), which other ranks' polls may precede.
+  template <typename T, typename MergeFn>
+  [[nodiscard]] Request iallreduce_merge(std::span<const T> send,
+                                         MergeFn&& merge) {
+    return iallmerge_bytes_impl(
+        as_bytes(send.data()), send.size() * sizeof(T),
+        erase_merge_all<T>(std::forward<MergeFn>(merge)));
+  }
+
+  /// Tree-merge reduction: contributions combine at interior ranks of a
+  /// radix-`radix` tree rooted at `root` instead of all landing at the
+  /// root. Every rank supplies the same image combiner
+  /// `combine(acc, contribution)` - an additive in-place re-encode (e.g.
+  /// epoch::merge_images, which densifies mid-tree once the merged image
+  /// stops paying). Each tree hop is charged a point-to-point alpha-beta
+  /// cost and the completion deadline follows the tree's critical path, so
+  /// latency grows with depth (log_radix P) while the root ingests only
+  /// its direct children's merged images (root_ingest_bytes) instead of
+  /// every per-rank payload. At completion the root's `merge` consumer
+  /// receives the root's own contribution (src = root) and one merged
+  /// image per direct child subtree (src = that child's rank). Both
+  /// callables run under the communicator lock and must not call back
+  /// into the communicator; decoding must be order-independent (additive).
+  /// Lifetime: the slot stores the FIRST poster's combiner and invokes it
+  /// at the last arrival - by which time a non-root's non-blocking form
+  /// may already have completed - so the combiner must own its state
+  /// (capture by value), never reference the caller's stack.
+  template <typename T, typename CombineFn, typename MergeFn>
+  void reduce_merge_tree(std::span<const T> send, CombineFn&& combine,
+                         MergeFn&& merge, int root, int radix) {
+    tree_bytes_impl(as_bytes(send.data()), send.size() * sizeof(T),
+                    erase_combine<T>(std::forward<CombineFn>(combine)),
+                    erase_merge<T>(std::forward<MergeFn>(merge), root), root,
+                    radix);
+  }
+
+  /// Non-blocking tree merge (§IV-F progression penalty and poll tax
+  /// apply). Interior combines are charged as each
+  /// subtree's modeled deadline passes - any rank's test() advances them,
+  /// the same progress-polling hook the engine uses for ibcast - so their
+  /// compute cost overlaps the caller's sampling instead of extending the
+  /// completion deadline (the blocking form keeps combine time on the
+  /// critical path).
+  template <typename T, typename CombineFn, typename MergeFn>
+  [[nodiscard]] Request ireduce_merge_tree(std::span<const T> send,
+                                           CombineFn&& combine,
+                                           MergeFn&& merge, int root,
+                                           int radix) {
+    return itree_bytes_impl(
+        as_bytes(send.data()), send.size() * sizeof(T),
+        erase_combine<T>(std::forward<CombineFn>(combine)),
+        erase_merge<T>(std::forward<MergeFn>(merge), root), root, radix);
+  }
+
+  /// Variable-length gather: at the root, `recv` is resized to size() and
+  /// recv[r] receives rank r's contribution; untouched at non-roots.
+  template <typename T>
+  void gatherv(std::span<const T> send, std::vector<std::vector<T>>& recv,
+               int root) {
+    mergev_bytes_impl(detail::SlotKind::kGatherv, as_bytes(send.data()),
+                      send.size() * sizeof(T), erase_gather<T>(recv, root),
+                      root);
+  }
+
+ private:
+  friend class Runtime;
+  template <typename T>
+  friend class Window;
+
+  Comm(std::shared_ptr<detail::CommState> state, int rank)
+      : state_(std::move(state)), rank_(rank) {}
+
+  std::uint64_t next_ticket() { return ticket_++; }
+
+  /// A Request handle for a freshly posted non-blocking slot. `recv` is
+  /// the completion destination of an ibcast (null for the reduction
+  /// flavors, whose destination lives in the slot or the merge consumer).
+  [[nodiscard]] Request make_request(std::uint64_t ticket,
+                                     std::byte* recv = nullptr);
 
   /// Collective: creates (or attaches to) a shared window of `bytes` zeroed
-  /// bytes. All ranks receive the same state. Used by comm::Window<T>.
+  /// bytes. All ranks receive the same state. Used by Window<T>.
   [[nodiscard]] std::shared_ptr<detail::WindowState> window_collective(
       std::size_t bytes);
 
-  // Byte-level data plane: comm::Substrate's typed methods erase types
-  // once and call these; the slot protocol behind them carries the
-  // deterministic rank-order merge replay.
+  // Byte-level data plane: the typed templates above erase types once and
+  // call these; the slot protocol behind them carries the deterministic
+  // rank-order merge replay.
   void mergev_bytes_impl(detail::SlotKind kind, const std::byte* send,
                          std::size_t bytes, detail::MergeBytesFn merge,
                          int root);
@@ -279,23 +476,185 @@ class Comm {
   void bcast_bytes_impl(std::byte* buffer, std::size_t bytes, int root);
   Request ibcast_bytes_impl(std::byte* buffer, std::size_t bytes, int root);
 
- private:
-  friend class Runtime;
+  static const std::byte* as_bytes(const void* p) {
+    return static_cast<const std::byte*>(p);
+  }
+  static std::byte* as_bytes_mut(void* p) {
+    return static_cast<std::byte*>(p);
+  }
 
-  Comm(std::shared_ptr<detail::CommState> state, int rank)
-      : state_(std::move(state)), rank_(rank) {}
+  /// Wraps a typed merge callable as the byte-level consumer stored in the
+  /// slot; non-roots carry an empty function (their callable is ignored).
+  template <typename T, typename MergeFn>
+  detail::MergeBytesFn erase_merge(MergeFn&& merge, int root) {
+    if (rank() != root) return {};
+    return erase_merge_all<T>(std::forward<MergeFn>(merge));
+  }
 
-  std::uint64_t next_ticket() { return ticket_++; }
+  /// Like erase_merge, but every rank keeps its callable (the
+  /// decentralized merge has a consumer per rank, not per root).
+  template <typename T, typename MergeFn>
+  detail::MergeBytesFn erase_merge_all(MergeFn&& merge) {
+    return [m = std::forward<MergeFn>(merge)](int src, const std::byte* data,
+                                              std::size_t bytes) mutable {
+      m(src, std::span<const T>(reinterpret_cast<const T*>(data),
+                                bytes / sizeof(T)));
+    };
+  }
 
-  /// A Request handle for a freshly posted non-blocking slot. `recv` is
-  /// the completion destination of an ibcast (null for the reduction
-  /// flavors, whose destination lives in the slot or the merge consumer).
-  [[nodiscard]] Request make_request(std::uint64_t ticket,
-                                     std::byte* recv = nullptr);
+  template <typename T>
+  detail::MergeBytesFn erase_gather(std::vector<std::vector<T>>& recv,
+                                    int root) {
+    if (rank() != root) return {};
+    recv.assign(static_cast<std::size_t>(size()), {});
+    return [&recv](int src, const std::byte* data, std::size_t bytes) {
+      const T* typed = reinterpret_cast<const T*>(data);
+      recv[static_cast<std::size_t>(src)].assign(typed,
+                                                 typed + bytes / sizeof(T));
+    };
+  }
+
+  /// Wraps a typed in-place image combiner as the byte-level callable the
+  /// tree-merge slot stores (reused word scratch; images are word-typed at
+  /// the caller, byte-typed in slot storage).
+  template <typename T, typename CombineFn>
+  detail::CombineImagesFn erase_combine(CombineFn&& combine) {
+    return [c = std::forward<CombineFn>(combine), words = std::vector<T>()](
+               std::vector<std::byte>& acc, const std::byte* in,
+               std::size_t bytes) mutable {
+      const T* acc_typed = reinterpret_cast<const T*>(acc.data());
+      words.assign(acc_typed, acc_typed + acc.size() / sizeof(T));
+      c(words, std::span<const T>(reinterpret_cast<const T*>(in),
+                                  bytes / sizeof(T)));
+      const auto* out = reinterpret_cast<const std::byte*>(words.data());
+      acc.assign(out, out + words.size() * sizeof(T));
+    };
+  }
 
   std::shared_ptr<detail::CommState> state_;
   int rank_ = -1;
   std::uint64_t ticket_ = 0;
+};
+
+/// RMA-style shared window over a Comm: the node-local pre-reduction
+/// surface (paper §IV-E: passive-target one-sided communication over
+/// node-local shared memory). Traffic is charged to the owning
+/// communicator's stats. The window keeps a pointer to that Comm, which
+/// must stay put while the window lives.
+template <typename T>
+class Window {
+  static_assert(std::is_trivially_copyable_v<T>);
+
+ public:
+  /// Collective over `comm`: every rank must construct the window with
+  /// the same element count. Contents start zeroed.
+  Window(Comm& comm, std::size_t count)
+      : comm_(&comm),
+        count_(count),
+        state_(comm.window_collective(count * sizeof(T))) {
+    std::lock_guard lock(state_->mu);
+    state_->touched_bits.resize((count + 63) / 64, 0);
+  }
+
+  [[nodiscard]] std::size_t size() const { return count_; }
+
+  /// Passive-target accumulate: atomically (under the window lock) adds
+  /// `values` elementwise into the window. The touched union becomes the
+  /// whole window (read_touched_pairs falls back to the dense read).
+  void accumulate(std::span<const T> values) {
+    DISTBC_ASSERT(values.size() == count_);
+    std::lock_guard lock(state_->mu);
+    T* data = reinterpret_cast<T*>(state_->data.data());
+    for (std::size_t i = 0; i < count_; ++i) data[i] += values[i];
+    state_->dense_touched = true;
+    comm_->stats().p2p_messages.fetch_add(1, std::memory_order_relaxed);
+    comm_->stats().p2p_bytes.fetch_add(values.size_bytes(),
+                                       std::memory_order_relaxed);
+  }
+
+  /// Passive-target scatter-accumulate of flat (index, delta) pairs - the
+  /// sparse-frame path of the pre-reduction, moving O(nonzeros).
+  void accumulate_pairs(std::span<const T> pairs) {
+    DISTBC_ASSERT(pairs.size() % 2 == 0);
+    std::lock_guard lock(state_->mu);
+    T* data = reinterpret_cast<T*>(state_->data.data());
+    for (std::size_t i = 0; i + 1 < pairs.size(); i += 2) {
+      const auto index = static_cast<std::size_t>(pairs[i]);
+      DISTBC_ASSERT(index < count_);
+      data[index] += pairs[i + 1];
+      state_->touched_bits[index / 64] |= std::uint64_t{1} << (index % 64);
+    }
+    comm_->stats().p2p_messages.fetch_add(1, std::memory_order_relaxed);
+    comm_->stats().p2p_bytes.fetch_add(pairs.size_bytes(),
+                                       std::memory_order_relaxed);
+  }
+
+  /// Windowed read-back: appends (index, value) pairs (ascending indices,
+  /// nonzero values only) for every slot touched since the last clear.
+  /// Returns false without touching `pairs` when a dense accumulate made
+  /// the union the whole window; callers then pay the O(V) read().
+  [[nodiscard]] bool read_touched_pairs(std::vector<T>& pairs) const {
+    std::lock_guard lock(state_->mu);
+    if (state_->dense_touched) return false;
+    const T* data = reinterpret_cast<const T*>(state_->data.data());
+    for (std::size_t w = 0; w < state_->touched_bits.size(); ++w) {
+      std::uint64_t bits = state_->touched_bits[w];
+      while (bits != 0) {
+        const auto bit = static_cast<std::size_t>(std::countr_zero(bits));
+        bits &= bits - 1;
+        const std::size_t index = w * 64 + bit;
+        if (data[index] == 0) continue;  // deltas may cancel to zero
+        pairs.push_back(static_cast<T>(index));
+        pairs.push_back(data[index]);
+      }
+    }
+    return true;
+  }
+
+  /// Zeroes only the touched slots and resets the tracking (O(touched);
+  /// falls back to the full sweep after a dense accumulate).
+  void clear_touched() {
+    std::lock_guard lock(state_->mu);
+    if (state_->dense_touched) {
+      std::fill(state_->data.begin(), state_->data.end(), std::byte{0});
+      state_->dense_touched = false;
+    } else {
+      T* data = reinterpret_cast<T*>(state_->data.data());
+      for (std::size_t w = 0; w < state_->touched_bits.size(); ++w) {
+        std::uint64_t bits = state_->touched_bits[w];
+        while (bits != 0) {
+          const auto bit = static_cast<std::size_t>(std::countr_zero(bits));
+          bits &= bits - 1;
+          data[w * 64 + bit] = 0;
+        }
+      }
+    }
+    std::fill(state_->touched_bits.begin(), state_->touched_bits.end(), 0);
+  }
+
+  /// Copies the window contents into `out` under the window lock.
+  void read(std::span<T> out) const {
+    DISTBC_ASSERT(out.size() == count_);
+    std::lock_guard lock(state_->mu);
+    const T* data = reinterpret_cast<const T*>(state_->data.data());
+    std::copy(data, data + count_, out.begin());
+  }
+
+  /// Zeroes the window under the lock (start of a new aggregation round).
+  void clear() {
+    std::lock_guard lock(state_->mu);
+    std::fill(state_->data.begin(), state_->data.end(), std::byte{0});
+    std::fill(state_->touched_bits.begin(), state_->touched_bits.end(), 0);
+    state_->dense_touched = false;
+  }
+
+  /// Synchronization fence: a barrier over the owning communicator.
+  void fence() { comm_->barrier(); }
+
+ private:
+  Comm* comm_;
+  std::size_t count_;
+  std::shared_ptr<mpisim::detail::WindowState> state_;
 };
 
 }  // namespace distbc::mpisim

@@ -30,10 +30,8 @@ void SessionPool::bootstrap(api::Config config) {
   // One shared dynamic state for the whole pool: every replica binds it,
   // so incremental engines (and their deterministic stream counters) are
   // pool-global and apply()/query results cannot depend on the pool size.
-  dynamic::SketchParams sketch;
-  sketch.exact_cap = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(config.dynamic_sketch_cap, UINT32_MAX));
-  dynamic_ = std::make_shared<dynamic::DynamicState>(graph_, sketch);
+  dynamic_ = std::make_shared<dynamic::DynamicState>(graph_,
+                                                     dynamic::SketchParams{});
   replicas_.reserve(pool_size);
   for (int i = 0; i < pool_size; ++i) {
     replicas_.push_back(std::make_unique<api::Session>(graph_, config));

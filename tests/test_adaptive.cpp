@@ -10,7 +10,7 @@
 #include "adaptive/closeness.hpp"
 #include "adaptive/mean_distance.hpp"
 #include "api/session.hpp"
-#include "comm/substrate.hpp"
+#include "mpisim/comm.hpp"
 #include "mpisim/runtime.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/road.hpp"
@@ -93,8 +93,7 @@ TEST(GenericDriver, AggregatesDeterministicCounts) {
   config.num_ranks = 3;
   config.network = mpisim::NetworkModel::disabled();
   mpisim::Runtime runtime(config);
-  runtime.run([&](auto& rank_comm) {
-    comm::Substrate world(rank_comm);
+  runtime.run([&](mpisim::Comm& world) {
     engine::EngineOptions options;
     options.threads_per_rank = 2;
     options.epoch_base = 10;
@@ -122,8 +121,7 @@ TEST(GenericDriver, MaxEpochsStopsDivergentRules) {
   config.num_ranks = 2;
   config.network = mpisim::NetworkModel::disabled();
   mpisim::Runtime runtime(config);
-  runtime.run([&](auto& rank_comm) {
-    comm::Substrate world(rank_comm);
+  runtime.run([&](mpisim::Comm& world) {
     engine::EngineOptions options;
     options.epoch_base = 5;
     options.epoch_exponent = 0.0;
@@ -297,7 +295,7 @@ TEST(WireBytes, ClosenessAggregationBytesArePinned) {
   params.epsilon = 0.08;
   params.engine = wire_engine();
   const ClosenessResult result = closeness_mpi(
-      wire_graph(), params, 4, 1, comm::NetworkModel::disabled());
+      wire_graph(), params, 4, 1, mpisim::NetworkModel::disabled());
   ASSERT_GT(result.samples, 0u);
   EXPECT_EQ(result.comm_volume.aggregation_bytes(), 172824u);
 }
@@ -307,7 +305,7 @@ TEST(WireBytes, MeanDistanceAggregationBytesArePinned) {
   params.epsilon = 0.05;
   params.engine = wire_engine();
   const MeanDistanceResult result = mean_distance_mpi(
-      wire_graph(), params, 4, 1, comm::NetworkModel::disabled());
+      wire_graph(), params, 4, 1, mpisim::NetworkModel::disabled());
   ASSERT_GT(result.samples, 0u);
   EXPECT_EQ(result.comm_volume.aggregation_bytes(), 11160u);
 }

@@ -17,11 +17,11 @@
 #include "api/session.hpp"
 #include "bc/brandes.hpp"
 #include "bc/kadabra.hpp"
-#include "comm/substrate.hpp"
 #include "engine/engine.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "graph/builder.hpp"
 #include "graph/components.hpp"
+#include "mpisim/comm.hpp"
 #include "mpisim/runtime.hpp"
 #include "support/random.hpp"
 
@@ -72,9 +72,8 @@ TEST(SessionIdentity, BetweennessMatchesDirectDriverAcrossRadixes) {
     runtime_config.network = mpisim::NetworkModel::disabled();
     mpisim::Runtime runtime(runtime_config);
     bc::BcResult direct;
-    runtime.run([&](auto& rank_comm) {
-      comm::Substrate world(rank_comm);
-      bc::BcResult local = bc::kadabra_mpi_rank(graph, options, world);
+    runtime.run([&](mpisim::Comm& world) {
+      bc::BcResult local = bc::kadabra_run(graph, options, &world);
       if (world.rank() == 0) direct = std::move(local);
     });
 
@@ -107,8 +106,7 @@ TEST(SessionIdentity, ClosenessMatchesDirectDriver) {
   runtime_config.network = mpisim::NetworkModel::disabled();
   mpisim::Runtime runtime(runtime_config);
   adaptive::ClosenessResult direct;
-  runtime.run([&](auto& rank_comm) {
-    comm::Substrate world(rank_comm);
+  runtime.run([&](mpisim::Comm& world) {
     adaptive::ClosenessResult local =
         adaptive::closeness_rank(graph, params, world);
     if (world.rank() == 0) direct = std::move(local);
@@ -141,8 +139,7 @@ TEST(SessionIdentity, MeanDistanceMatchesDirectDriver) {
   runtime_config.network = mpisim::NetworkModel::disabled();
   mpisim::Runtime runtime(runtime_config);
   adaptive::MeanDistanceResult direct;
-  runtime.run([&](auto& rank_comm) {
-    comm::Substrate world(rank_comm);
+  runtime.run([&](mpisim::Comm& world) {
     adaptive::MeanDistanceResult local =
         adaptive::mean_distance_rank(graph, params, world);
     if (world.rank() == 0) direct = local;
@@ -499,13 +496,16 @@ TEST(ApiConfig, RemovedKnobsFailLoudly) {
   // deleted autotuner's two switches, the per-rank aggregate switch no
   // result exposed, the wire-representation selector (every aggregation
   // ships data-sized images), and the diameter selector (every driver
-  // takes the one bucket-tight bound) - must fail with the unknown-key
-  // Status, not be silently ignored by old config text. The autotuner's
-  // names are spelled in pieces so a source search for them finds only
-  // history, not live code.
+  // takes the one bucket-tight bound), and the two pacing knobs and the
+  // sketch cap no caller set (KadabraOptions and dynamic::SketchParams
+  // keep their defaults) - must fail with the unknown-key Status, not be
+  // silently ignored by old config text. The autotuner's names are
+  // spelled in pieces so a source search for them finds only history,
+  // not live code.
   for (const std::string key :
        {"sample_batch", "auto_" "tune", "tune_" "profile", "local_aggregates",
-        "frame_rep", "exact_diameter"}) {
+        "frame_rep", "exact_diameter", "omega_fraction", "min_epoch_length",
+        "dynamic_sketch_cap"}) {
     api::Config config;
     const api::Status text = config.load_text(key + "=1\n");
     EXPECT_FALSE(text.ok) << key;
@@ -524,6 +524,9 @@ TEST(ApiConfig, RetiredEnvironmentVariablesAreIgnored) {
   // variable no key reads any more is not an error.
   const ScopedEnv frame_rep("DISTBC_FRAME_REP", "dense");
   const ScopedEnv exact_diameter("DISTBC_EXACT_DIAMETER", "0");
+  const ScopedEnv omega_fraction("DISTBC_OMEGA_FRACTION", "0");
+  const ScopedEnv min_epoch_length("DISTBC_MIN_EPOCH_LENGTH", "x");
+  const ScopedEnv sketch_cap("DISTBC_DYNAMIC_SKETCH_CAP", "8");
   api::Config config;
   EXPECT_TRUE(config.load_env().ok);
 }

@@ -288,7 +288,7 @@ TEST(GoldenScores, KadabraEveryTopologyAndStrategy) {
       const BcResult result =
           kadabra_mpi(graph, options, /*num_ranks=*/4,
                       topology.ranks_per_node(),
-                      comm::NetworkModel::disabled());
+                      mpisim::NetworkModel::disabled());
       ASSERT_GT(result.samples, 0u);
       EXPECT_EQ(score_digest(result.scores, result.samples, result.epochs),
                 0xbc917bf33414e840ull)
@@ -306,7 +306,7 @@ TEST(GoldenScores, ClosenessEveryTopology) {
     topology.apply(params.engine);
     const adaptive::ClosenessResult result = adaptive::closeness_mpi(
         graph, params, /*num_ranks=*/4, topology.ranks_per_node(),
-        comm::NetworkModel::disabled());
+        mpisim::NetworkModel::disabled());
     ASSERT_GT(result.samples, 0u);
     EXPECT_EQ(score_digest(result.scores, result.samples, result.epochs),
               0x6f2e1c11a798dca4ull)
@@ -337,7 +337,7 @@ TEST(GoldenScores, ClosenessOnServiceGraphs) {
       api::Config config;
       config.seed = 1;
       config.deterministic = true;
-      config.network = comm::NetworkModel::disabled();
+      config.network = mpisim::NetworkModel::disabled();
       if (distributed) {
         config.ranks = 4;
         config.threads = 2;
@@ -363,7 +363,7 @@ TEST(GoldenScores, MeanDistanceEveryTopology) {
     topology.apply(params.engine);
     const adaptive::MeanDistanceResult result = adaptive::mean_distance_mpi(
         graph, params, /*num_ranks=*/4, topology.ranks_per_node(),
-        comm::NetworkModel::disabled());
+        mpisim::NetworkModel::disabled());
     ASSERT_GT(result.samples, 0u);
     EXPECT_EQ(score_digest({result.mean, result.stddev, result.half_width},
                            result.samples, result.epochs),

@@ -10,9 +10,9 @@
 
 #include "adaptive/mean_distance.hpp"
 #include "bc/kadabra.hpp"
-#include "comm/substrate.hpp"
 #include "engine/engine.hpp"
 #include "engine/streams.hpp"
+#include "mpisim/comm.hpp"
 #include "mpisim/runtime.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "graph/components.hpp"
@@ -58,8 +58,7 @@ TEST(EngineCalibrate, DistributesBudgetExactlyAcrossRanks) {
   config.num_ranks = 3;
   config.network = mpisim::NetworkModel::disabled();
   mpisim::Runtime runtime(config);
-  runtime.run([&](auto& rank_comm) {
-    comm::Substrate world(rank_comm);
+  runtime.run([&](mpisim::Comm& world) {
     engine::EngineOptions options;
     options.threads_per_rank = 2;
     const epoch::StateFrame frame =
@@ -241,8 +240,7 @@ TEST(EngineEquivalence, EveryRankHoldsTheGlobalAggregate) {
   config.network = mpisim::NetworkModel::disabled();
   mpisim::Runtime runtime(config);
   std::vector<std::uint64_t> per_rank(4, 0);
-  runtime.run([&](auto& rank_comm) {
-    comm::Substrate world(rank_comm);
+  runtime.run([&](mpisim::Comm& world) {
     engine::EngineOptions options;
     options.deterministic = true;
     options.virtual_streams = 4;
@@ -276,8 +274,7 @@ TEST(EngineEquivalence, RawOnlyFrameRidesEveryTopology) {
     config.network = mpisim::NetworkModel::disabled();
     mpisim::Runtime runtime(config);
     Outcome outcome;
-    runtime.run([&](auto& rank_comm) {
-      comm::Substrate world(rank_comm);
+    runtime.run([&](mpisim::Comm& world) {
       engine::EngineOptions options;
       options.threads_per_rank = 2;
       options.deterministic = true;
@@ -337,8 +334,7 @@ TEST(EngineEquivalence, LocalAggregatesAreKeptOnlyWhenAsked) {
     mpisim::Runtime runtime(config);
     std::vector<std::vector<std::uint64_t>> local(4);
     std::vector<std::uint64_t> global;
-    runtime.run([&](auto& rank_comm) {
-      comm::Substrate world(rank_comm);
+    runtime.run([&](mpisim::Comm& world) {
       engine::EngineOptions options;
       options.threads_per_rank = 2;
       options.deterministic = true;

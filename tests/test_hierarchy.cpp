@@ -10,10 +10,10 @@
 #include <vector>
 
 #include "bc/kadabra.hpp"
-#include "comm/substrate.hpp"
 #include "engine/hierarchy.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "graph/components.hpp"
+#include "mpisim/comm.hpp"
 #include "mpisim/runtime.hpp"
 
 namespace distbc {
@@ -33,8 +33,7 @@ std::vector<std::uint64_t> hierarchical_total(int num_ranks,
 
   std::vector<std::uint64_t> root_total;
   std::mutex mu;
-  runtime.run([&](auto& rank_comm) {
-    comm::Substrate world(rank_comm);
+  runtime.run([&](mpisim::Comm& world) {
     engine::Hierarchy hierarchy;
     hierarchy.init(world, frame_words);
     ASSERT_TRUE(hierarchy.active());

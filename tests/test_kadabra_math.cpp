@@ -15,11 +15,11 @@
 #include "bc/kadabra.hpp"
 #include "bc/kadabra_context.hpp"
 #include "bc/kadabra_math.hpp"
-#include "comm/substrate.hpp"
 #include "engine/streams.hpp"
 #include "epoch/state_frame.hpp"
 #include "gen/barabasi_albert.hpp"
 #include "graph/components.hpp"
+#include "mpisim/comm.hpp"
 #include "mpisim/runtime.hpp"
 
 namespace distbc::bc {
@@ -380,10 +380,9 @@ TEST(StopRule, NonRootRanksReceiveTheRootsLogsByBroadcast) {
   config.network = mpisim::NetworkModel::disabled();
   mpisim::Runtime runtime(config);
   std::vector<BcResult> results(kRanks);
-  runtime.run([&](auto& rank_comm) {
-    comm::Substrate world(rank_comm);
+  runtime.run([&](mpisim::Comm& world) {
     results[static_cast<std::size_t>(world.rank())] =
-        kadabra_mpi_rank(graph, options, world);
+        kadabra_run(graph, options, &world);
   });
 
   const Calibration& root = results[0].warm->context.calibration;

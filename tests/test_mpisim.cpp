@@ -1,16 +1,17 @@
 // Tests for the simulated MPI substrate: collectives, requests, topology,
 // windows, statistics, and the interconnect cost model. Collectives run
-// through comm::Substrate, the typed surface over mpisim's byte plane.
+// through mpisim::Comm, the typed surface over mpisim's byte plane.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <numeric>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
-#include "comm/substrate.hpp"
+#include "mpisim/comm.hpp"
 #include "mpisim/network.hpp"
 #include "mpisim/runtime.hpp"
 
@@ -25,23 +26,10 @@ RuntimeConfig quiet_config(int ranks, int ranks_per_node = 1) {
   return config;
 }
 
-using comm::Substrate;
-using comm::Window;
-
-/// Runs `rank_main` on every rank with its communicator wrapped in an
-/// mpisim-kind comm::Substrate.
-void run_ranks(Runtime& runtime,
-               const std::function<void(Substrate&)>& rank_main) {
-  runtime.run([&](Comm& rank_comm) {
-    comm::Substrate substrate(rank_comm);
-    rank_main(substrate);
-  });
-}
-
 TEST(Runtime, RanksSeeTheirIdentity) {
   Runtime runtime(quiet_config(4, 2));
   std::vector<int> nodes(4, -1);
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     EXPECT_EQ(comm.size(), 4);
     EXPECT_EQ(comm.num_nodes(), 2);
     nodes[comm.rank()] = comm.node();
@@ -53,7 +41,7 @@ TEST(Runtime, PropagatesExceptions) {
   Runtime runtime(quiet_config(3));
   // NB: a rank that throws abandons later collectives (like a crashed MPI
   // process), so the other ranks must not wait on it afterwards.
-  EXPECT_THROW(run_ranks(runtime, [&](Substrate& comm) {
+  EXPECT_THROW(runtime.run([&](Comm& comm) {
     comm.barrier();
     if (comm.rank() == 1) throw std::runtime_error("rank 1 exploded");
   }),
@@ -71,7 +59,7 @@ TEST(Runtime, CanRunMultipleTimes) {
 
 TEST(Reduce, SumsVectorsAtRoot) {
   Runtime runtime(quiet_config(4));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     const std::vector<std::uint64_t> send(16, comm.rank() + 1);
     std::vector<std::uint64_t> recv(16, 0);
     comm.reduce(std::span<const std::uint64_t>(send), std::span(recv), 0);
@@ -85,7 +73,7 @@ TEST(Reduce, SumsVectorsAtRoot) {
 
 TEST(Reduce, MinAndMaxOps) {
   Runtime runtime(quiet_config(3));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     const std::vector<double> send{static_cast<double>(comm.rank() * 10)};
     std::vector<double> lo(1), hi(1);
     comm.reduce(std::span<const double>(send), std::span(lo), 0,
@@ -101,7 +89,7 @@ TEST(Reduce, MinAndMaxOps) {
 
 TEST(Reduce, NonRootBufferReusableAfterReturn) {
   Runtime runtime(quiet_config(4));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     std::vector<std::uint64_t> send(8, 1);
     std::vector<std::uint64_t> recv(8, 0);
     comm.reduce(std::span<const std::uint64_t>(send), std::span(recv), 0);
@@ -118,7 +106,7 @@ TEST(Reduce, NonRootBufferReusableAfterReturn) {
 
 TEST(Reduce, RootCanDifferFromZero) {
   Runtime runtime(quiet_config(3));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     const std::vector<std::uint64_t> send{1};
     std::vector<std::uint64_t> recv{0};
     comm.reduce(std::span<const std::uint64_t>(send), std::span(recv), 2);
@@ -128,7 +116,7 @@ TEST(Reduce, RootCanDifferFromZero) {
 
 /// Non-blocking merge all-reduce summing every rank's words into `recv`
 /// (the consumer owns its state: it runs at this rank's completing poll).
-Request isum_all(Substrate& comm, const std::vector<std::uint64_t>& send,
+Request isum_all(Comm& comm, const std::vector<std::uint64_t>& send,
                  std::vector<std::uint64_t>& recv) {
   return comm.iallreduce_merge(
       std::span<const std::uint64_t>(send),
@@ -139,7 +127,7 @@ Request isum_all(Substrate& comm, const std::vector<std::uint64_t>& send,
 
 TEST(IallreduceMerge, CompletesAndSums) {
   Runtime runtime(quiet_config(4));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     const std::vector<std::uint64_t> send(4, comm.rank());
     std::vector<std::uint64_t> recv(4, 0);
     Request request = isum_all(comm, send, recv);
@@ -152,7 +140,7 @@ TEST(IallreduceMerge, CompletesAndSums) {
 
 TEST(IallreduceMerge, TestIsIdempotentAfterCompletion) {
   Runtime runtime(quiet_config(2));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     const std::vector<std::uint64_t> send{5};
     std::vector<std::uint64_t> recv{0};
     Request request = isum_all(comm, send, recv);
@@ -166,7 +154,7 @@ TEST(IallreduceMerge, TestIsIdempotentAfterCompletion) {
 TEST(Ibarrier, AllRanksPass) {
   Runtime runtime(quiet_config(8));
   std::atomic<int> passed{0};
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     Request request = comm.ibarrier();
     request.wait();
     ++passed;
@@ -176,7 +164,7 @@ TEST(Ibarrier, AllRanksPass) {
 
 TEST(Ibarrier, NotDoneUntilAllArrive) {
   Runtime runtime(quiet_config(2));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     if (comm.rank() == 0) {
       Request request = comm.ibarrier();
       // Rank 1 sleeps before posting; test() must report false meanwhile.
@@ -192,7 +180,7 @@ TEST(Ibarrier, NotDoneUntilAllArrive) {
 
 TEST(Bcast, DeliversPayload) {
   Runtime runtime(quiet_config(5));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     std::vector<std::uint32_t> buffer(3, comm.rank() == 1 ? 7u : 0u);
     comm.bcast(std::span(buffer), 1);
     for (const auto value : buffer) {
@@ -203,7 +191,7 @@ TEST(Bcast, DeliversPayload) {
 
 TEST(Ibcast, OverlappedDelivery) {
   Runtime runtime(quiet_config(4));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     std::uint8_t flag = comm.rank() == 0 ? 1 : 0;
     Request request = comm.ibcast(std::span{&flag, 1}, 0);
     while (!request.test()) {
@@ -214,7 +202,7 @@ TEST(Ibcast, OverlappedDelivery) {
 
 TEST(Allreduce, EveryRankGetsTheSum) {
   Runtime runtime(quiet_config(4));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     const std::vector<std::uint64_t> send{static_cast<std::uint64_t>(
         comm.rank())};
     std::vector<std::uint64_t> recv{0};
@@ -225,7 +213,7 @@ TEST(Allreduce, EveryRankGetsTheSum) {
 
 TEST(Collectives, ManyRoundsStayMatched) {
   Runtime runtime(quiet_config(4));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     for (int round = 0; round < 100; ++round) {
       const std::vector<std::uint64_t> send{1};
       std::vector<std::uint64_t> recv{0};
@@ -260,39 +248,78 @@ TEST(Split, UndefinedColorYieldsInvalidComm) {
   });
 }
 
+// One handle per rank and communicator: a copy would carry a second
+// collective call counter, one stray call away from a mismatched slot.
+static_assert(!std::is_copy_constructible_v<Comm>);
+static_assert(!std::is_copy_assignable_v<Comm>);
+static_assert(std::is_nothrow_move_constructible_v<Comm>);
+
+TEST(Split, ChildMovedIntoAHolderStaysMatched) {
+  // engine::Hierarchy holds its split children by value; a child moved
+  // there after a collective must keep its call counter, so later
+  // collectives still match slots across the node.
+  struct Holder {
+    Comm local;
+  };
+  Runtime runtime(quiet_config(6, 3));  // 2 nodes x 3 ranks
+  std::vector<std::uint64_t> sums(6, 0), broadcast(6, 0);
+  runtime.run([&](Comm& comm) {
+    Comm child = comm.split_by_node();
+    child.barrier();
+    Holder holder{std::move(child)};
+    EXPECT_FALSE(child.valid());  // NOLINT(bugprone-use-after-move)
+    ASSERT_TRUE(holder.local.valid());
+
+    const std::uint64_t mine = static_cast<std::uint64_t>(comm.rank()) + 1;
+    std::uint64_t sum = 0;
+    holder.local.allreduce(std::span<const std::uint64_t>(&mine, 1),
+                           std::span(&sum, 1));
+    std::uint64_t value = holder.local.rank() == 0 ? 100 + mine : 0;
+    Request request = holder.local.ibcast(std::span(&value, 1), 0);
+    request.wait();
+    sums[comm.rank()] = sum;
+    broadcast[comm.rank()] = value;
+  });
+  for (int r = 0; r < 6; ++r) {
+    const bool first_node = r < 3;
+    EXPECT_EQ(sums[r], first_node ? 1u + 2 + 3 : 4u + 5 + 6) << r;
+    EXPECT_EQ(broadcast[r], first_node ? 101u : 104u) << r;
+  }
+}
+
 TEST(Split, ByNodeAndLeaders) {
   Runtime runtime(quiet_config(6, 2));  // 3 nodes x 2 ranks
-  run_ranks(runtime, [&](Substrate& comm) {
-    const auto local = comm.split_by_node();
-    ASSERT_TRUE(local->valid());
-    EXPECT_EQ(local->size(), 2);
-    EXPECT_EQ(local->rank(), comm.rank() % 2);
+  runtime.run([&](Comm& comm) {
+    auto local = comm.split_by_node();
+    ASSERT_TRUE(local.valid());
+    EXPECT_EQ(local.size(), 2);
+    EXPECT_EQ(local.rank(), comm.rank() % 2);
 
-    const auto leaders = comm.split_node_leaders();
+    auto leaders = comm.split_node_leaders();
     if (comm.rank() % 2 == 0) {
-      ASSERT_TRUE(leaders->valid());
-      EXPECT_EQ(leaders->size(), 3);
-      EXPECT_EQ(leaders->rank(), comm.rank() / 2);
+      ASSERT_TRUE(leaders.valid());
+      EXPECT_EQ(leaders.size(), 3);
+      EXPECT_EQ(leaders.rank(), comm.rank() / 2);
     } else {
-      EXPECT_FALSE(leaders->valid());
+      EXPECT_FALSE(leaders.valid());
     }
   });
 }
 
 TEST(Split, ChildCollectivesWork) {
   Runtime runtime(quiet_config(4, 2));
-  run_ranks(runtime, [&](Substrate& comm) {
-    const auto local = comm.split_by_node();
+  runtime.run([&](Comm& comm) {
+    auto local = comm.split_by_node();
     const std::vector<std::uint64_t> send{1};
     std::vector<std::uint64_t> recv{0};
-    local->reduce(std::span<const std::uint64_t>(send), std::span(recv), 0);
-    if (local->rank() == 0) { EXPECT_EQ(recv[0], 2u); }
+    local.reduce(std::span<const std::uint64_t>(send), std::span(recv), 0);
+    if (local.rank() == 0) { EXPECT_EQ(recv[0], 2u); }
   });
 }
 
 TEST(Window, AccumulateAndRead) {
   Runtime runtime(quiet_config(4));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     Window<std::uint64_t> window(comm, 8);
     const std::vector<std::uint64_t> mine(8, comm.rank() + 1);
     window.accumulate(std::span<const std::uint64_t>(mine));
@@ -307,7 +334,7 @@ TEST(Window, AccumulateAndRead) {
 
 TEST(Window, ClearResets) {
   Runtime runtime(quiet_config(2));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     Window<std::uint64_t> window(comm, 4);
     const std::vector<std::uint64_t> mine(4, 5);
     window.accumulate(std::span<const std::uint64_t>(mine));
@@ -324,7 +351,7 @@ TEST(Window, ClearResets) {
 
 TEST(Stats, CountsCallsAndBytes) {
   Runtime runtime(quiet_config(4));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     const std::vector<std::uint64_t> send(100, 1);
     std::vector<std::uint64_t> recv(100, 0);
     comm.reduce(std::span<const std::uint64_t>(send), std::span(recv), 0);
@@ -363,7 +390,7 @@ TEST(NetworkModel, EnabledDelaysBarrier) {
   config.num_ranks = 2;
   config.network.remote_latency_s = 20e-3;  // exaggerated for testability
   Runtime runtime(config);
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     const auto start = std::chrono::steady_clock::now();
     comm.barrier();
     const auto elapsed = std::chrono::steady_clock::now() - start;
@@ -377,7 +404,7 @@ TEST(Stats, ChargesBlockedWaitTime) {
   config.ranks_per_node = 2;
   config.network.local_latency_s = 5e-3;  // exaggerated for testability
   Runtime runtime(config);
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     // Topology accessors reflect the deployment shape.
     EXPECT_EQ(comm.max_ranks_per_node(), 2);
 

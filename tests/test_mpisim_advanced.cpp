@@ -7,14 +7,13 @@
 #include <atomic>
 #include <chrono>
 #include <ctime>
-#include <functional>
 #include <numeric>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "comm/substrate.hpp"
 #include "epoch/frame_codec.hpp"
+#include "mpisim/comm.hpp"
 #include "mpisim/runtime.hpp"
 
 namespace distbc::mpisim {
@@ -28,30 +27,17 @@ RuntimeConfig quiet(int ranks, int per_node = 1) {
   return config;
 }
 
-using comm::Substrate;
-using comm::Window;
-
-/// Runs `rank_main` on every rank with its communicator wrapped in an
-/// mpisim-kind comm::Substrate.
-void run_ranks(Runtime& runtime,
-               const std::function<void(Substrate&)>& rank_main) {
-  runtime.run([&](Comm& rank_comm) {
-    comm::Substrate substrate(rank_comm);
-    rank_main(substrate);
-  });
-}
-
 TEST(Collectives, InterleavedParentAndChildOps) {
   Runtime runtime(quiet(6, 2));
-  run_ranks(runtime, [&](Substrate& world) {
-    const auto local = world.split_by_node();
+  runtime.run([&](Comm& world) {
+    auto local = world.split_by_node();
     for (int round = 0; round < 20; ++round) {
       // Local reduce feeds into a world allreduce - the §IV-E pipeline.
       const std::vector<std::uint64_t> mine{1};
       std::vector<std::uint64_t> node_sum{0};
-      local->reduce(std::span<const std::uint64_t>(mine),
-                    std::span(node_sum), 0);
-      std::uint64_t contribution = local->rank() == 0 ? node_sum[0] : 0;
+      local.reduce(std::span<const std::uint64_t>(mine),
+                   std::span(node_sum), 0);
+      std::uint64_t contribution = local.rank() == 0 ? node_sum[0] : 0;
       std::vector<std::uint64_t> total{0};
       world.allreduce(
           std::span<const std::uint64_t>(&contribution, 1), std::span(total));
@@ -62,21 +48,21 @@ TEST(Collectives, InterleavedParentAndChildOps) {
 
 TEST(Collectives, LeaderReduceMatchesFlatReduce) {
   Runtime runtime(quiet(8, 2));
-  run_ranks(runtime, [&](Substrate& world) {
-    const auto local = world.split_by_node();
-    const auto leaders = world.split_node_leaders();
-    Window<std::uint64_t> window(*local, 16);
+  runtime.run([&](Comm& world) {
+    auto local = world.split_by_node();
+    auto leaders = world.split_node_leaders();
+    Window<std::uint64_t> window(local, 16);
 
     const std::vector<std::uint64_t> mine(16, world.rank() + 1);
     window.accumulate(std::span<const std::uint64_t>(mine));
-    local->barrier();
+    local.barrier();
 
     std::vector<std::uint64_t> hierarchical(16, 0);
-    if (local->rank() == 0) {
+    if (local.rank() == 0) {
       std::vector<std::uint64_t> node_sum(16);
       window.read(std::span(node_sum));
-      leaders->reduce(std::span<const std::uint64_t>(node_sum),
-                      std::span(hierarchical), 0);
+      leaders.reduce(std::span<const std::uint64_t>(node_sum),
+                     std::span(hierarchical), 0);
     }
 
     std::vector<std::uint64_t> flat(16, 0);
@@ -92,7 +78,7 @@ TEST(Collectives, LeaderReduceMatchesFlatReduce) {
 TEST(Collectives, LargeBufferReduce) {
   constexpr std::size_t kCount = 1 << 18;  // 2 MiB of uint64 per rank
   Runtime runtime(quiet(4));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     std::vector<std::uint64_t> send(kCount);
     std::iota(send.begin(), send.end(), 0);
     std::vector<std::uint64_t> recv(kCount, 0);
@@ -107,7 +93,7 @@ TEST(Collectives, LargeBufferReduce) {
 
 TEST(Requests, SeveralOutstandingRequestsCompleteIndependently) {
   Runtime runtime(quiet(3));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     // A barrier and a bcast in flight at once; they must be matched by
     // ticket order, not completion order.
     Request barrier = comm.ibarrier();
@@ -121,7 +107,7 @@ TEST(Requests, SeveralOutstandingRequestsCompleteIndependently) {
 
 TEST(Requests, CopiesShareCompletionState) {
   Runtime runtime(quiet(2));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     Request original = comm.ibarrier();
     Request copy = original;
     copy.wait();
@@ -135,7 +121,7 @@ TEST(NetworkModel, ReduceCompletionIsDelayedByBandwidth) {
   config.network.remote_latency_s = 0.0;
   config.network.remote_bandwidth_bps = 1e6;  // 1 MB/s: 100 KB ~ 100 ms
   Runtime runtime(config);
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     std::vector<std::uint64_t> send(12'500, 1);  // 100 KB
     const auto start = std::chrono::steady_clock::now();
     Request request = comm.iallreduce_merge(
@@ -168,7 +154,7 @@ TEST(Split, RepeatedAndNestedSplits) {
     Comm local = world.split_by_node();  // 2 nodes x 4 ranks
     ASSERT_EQ(local.size(), 4);
     // Split the node communicator again by parity.
-    comm::Substrate pair(local.split(local.rank() % 2, local.rank()));
+    Comm pair = local.split(local.rank() % 2, local.rank());
     ASSERT_TRUE(pair.valid());
     EXPECT_EQ(pair.size(), 2);
     const std::vector<std::uint64_t> one{1};
@@ -180,18 +166,18 @@ TEST(Split, RepeatedAndNestedSplits) {
 
 TEST(Split, StatsArePerCommunicator) {
   Runtime runtime(quiet(4, 2));
-  run_ranks(runtime, [&](Substrate& world) {
-    const auto local = world.split_by_node();
-    local->barrier();
+  runtime.run([&](Comm& world) {
+    auto local = world.split_by_node();
+    local.barrier();
     world.barrier();
-    EXPECT_EQ(local->stats().barrier_calls.load(), 2u);   // 2 ranks/node
+    EXPECT_EQ(local.stats().barrier_calls.load(), 2u);   // 2 ranks/node
     EXPECT_EQ(world.stats().barrier_calls.load(), 4u);
   });
 }
 
 TEST(Window, ConcurrentAccumulatesAreAtomic) {
   Runtime runtime(quiet(8));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     Window<std::uint64_t> window(comm, 64);
     const std::vector<std::uint64_t> one(64, 1);
     for (int i = 0; i < 100; ++i)
@@ -205,7 +191,7 @@ TEST(Window, ConcurrentAccumulatesAreAtomic) {
 
 TEST(Window, MultipleWindowsCoexist) {
   Runtime runtime(quiet(3));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     Window<std::uint64_t> a(comm, 4);
     Window<double> b(comm, 4);
     const std::vector<std::uint64_t> ones(4, 1);
@@ -224,7 +210,7 @@ TEST(Window, MultipleWindowsCoexist) {
 
 TEST(Window, TouchedBitmapReadBackIsSparse) {
   Runtime runtime(quiet(2));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     Window<std::uint64_t> window(comm, 256);
     // Rank r scatters pairs at overlapping indices.
     const std::vector<std::uint64_t> pairs{
@@ -264,7 +250,7 @@ TEST(Window, TouchedBitmapReadBackIsSparse) {
 
 TEST(VariableLength, GathervDeliversPerRankPayloads) {
   Runtime runtime(quiet(4));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     // Rank r contributes r+1 words holding its rank id.
     const std::vector<std::uint64_t> mine(
         static_cast<std::size_t>(comm.rank()) + 1,
@@ -289,7 +275,7 @@ TEST(VariableLength, GathervDeliversPerRankPayloads) {
 
 TEST(VariableLength, ReduceMergeVisitsContributionsInRankOrder) {
   Runtime runtime(quiet(4));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     const std::vector<std::uint64_t> mine(
         static_cast<std::size_t>(comm.rank()) + 1, 1);
     std::vector<int> order;
@@ -316,7 +302,7 @@ TEST(VariableLength, ReduceMergeVisitsContributionsInRankOrder) {
 
 TEST(VariableLength, RepeatedRoundsInterleaveWithFixedCollectives) {
   Runtime runtime(quiet(4, 2));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     for (int round = 0; round < 12; ++round) {
       const std::vector<std::uint64_t> mine(
           static_cast<std::size_t>(round % 3) + 1,
@@ -362,7 +348,7 @@ TEST(TreeMerge, MatchesFlatDecodeAcrossRadixes) {
   const auto decode_run = [&](int radix) {
     std::vector<std::uint64_t> dense(128, 0);
     Runtime runtime(quiet(kRanks, 4));
-    run_ranks(runtime, [&](Substrate& comm) {
+    runtime.run([&](Comm& comm) {
       const std::vector<std::uint64_t> mine = rank_image(comm.rank());
       const auto merge = [&](int, std::span<const std::uint64_t> image) {
         epoch::decode_add_image(std::span<std::uint64_t>(dense), image);
@@ -391,7 +377,7 @@ TEST(TreeMerge, MatchesFlatDecodeAcrossRadixes) {
 
 TEST(TreeMerge, RootConsumerSeesOwnPlusDirectChildren) {
   Runtime runtime(quiet(8));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     const std::vector<std::uint64_t> mine = rank_image(comm.rank());
     std::vector<int> sources;
     comm.reduce_merge_tree(
@@ -415,7 +401,7 @@ TEST(TreeMerge, RootConsumerSeesOwnPlusDirectChildren) {
 
 TEST(TreeMerge, NonZeroRootAndNonBlockingForm) {
   Runtime runtime(quiet(5));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     std::vector<std::uint64_t> dense(128, 0);
     const std::vector<std::uint64_t> mine = rank_image(comm.rank());
     Request request = comm.ireduce_merge_tree(
@@ -445,7 +431,7 @@ TEST(AllReduceFamily, AllreduceMatchesReduceThenBcastOnOddRanks) {
   // Non-power-of-two rank count: the butterfly must handle the ragged
   // stage without dropping or double-counting a contribution.
   Runtime runtime(quiet(5));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     std::vector<std::uint64_t> mine(8);
     for (std::size_t i = 0; i < mine.size(); ++i)
       mine[i] = static_cast<std::uint64_t>(comm.rank() + 1) * (i + 1);
@@ -478,7 +464,7 @@ TEST(AllReduceFamily, AllreduceMergeGivesEveryRankTheRootedAggregate) {
   std::vector<std::vector<int>> sources(kRanks);
   std::vector<std::uint64_t> rooted(128, 0);
   Runtime runtime(quiet(kRanks));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     const std::vector<std::uint64_t> mine = rank_image(comm.rank());
     comm.allreduce_merge(
         std::span<const std::uint64_t>(mine),
@@ -507,7 +493,7 @@ TEST(AllReduceFamily, AllreduceMergeGivesEveryRankTheRootedAggregate) {
 
 TEST(AllReduceFamily, NonBlockingFlavorsCompleteAtEveryRank) {
   Runtime runtime(quiet(6, 2));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     const std::vector<std::uint64_t> one{1, 2};
     const std::vector<std::uint64_t> two{3};
     std::uint64_t first = 0;
@@ -534,7 +520,7 @@ TEST(AllReduceFamily, ButterflySlotsReuseCleanlyAcrossRounds) {
   // Repeated rounds interleaving every butterfly flavor with the rooted
   // ones: slot reuse must not leak state between rounds or flavors.
   Runtime runtime(quiet(4, 2));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     for (int round = 0; round < 10; ++round) {
       const std::uint64_t mine =
           static_cast<std::uint64_t>(comm.rank() + round);
@@ -591,7 +577,7 @@ TEST(SlotProtocol, ProgressionPenaltyIsUniformAcrossFlavors) {
   const auto time_flavor = [&](auto blocking, auto nonblocking) {
     Timing timing;
     Runtime runtime(config);
-    run_ranks(runtime, [&](Substrate& comm) {
+    runtime.run([&](Comm& comm) {
       const auto start = detail::Clock::now();
       blocking(comm);
       const auto mid = detail::Clock::now();
@@ -610,7 +596,7 @@ TEST(SlotProtocol, ProgressionPenaltyIsUniformAcrossFlavors) {
   const auto time_blocking = [&](auto blocking) {
     double blocking_s = 0.0;
     Runtime runtime(config);
-    run_ranks(runtime, [&](Substrate& comm) {
+    runtime.run([&](Comm& comm) {
       const auto start = detail::Clock::now();
       blocking(comm);
       const auto end = detail::Clock::now();
@@ -624,26 +610,26 @@ TEST(SlotProtocol, ProgressionPenaltyIsUniformAcrossFlavors) {
   const std::vector<std::uint64_t> payload(64, 1);
   std::vector<std::uint64_t> recv(64, 0);
   const auto merge = [](int, std::span<const std::uint64_t>) {};
-  const double reduce_s = time_blocking([&](Substrate& comm) {
+  const double reduce_s = time_blocking([&](Comm& comm) {
     comm.reduce(std::span<const std::uint64_t>(payload), std::span(recv), 0);
   });
-  const double mergev_s = time_blocking([&](Substrate& comm) {
+  const double mergev_s = time_blocking([&](Comm& comm) {
     comm.reduce_merge(std::span<const std::uint64_t>(payload), merge, 0);
   });
   const Timing butterfly = time_flavor(
-      [&](Substrate& comm) {
+      [&](Comm& comm) {
         comm.allreduce_merge(std::span<const std::uint64_t>(payload), merge);
       },
-      [&](Substrate& comm) {
+      [&](Comm& comm) {
         return comm.iallreduce_merge(std::span<const std::uint64_t>(payload),
                                      merge);
       });
   const Timing tree = time_flavor(
-      [&](Substrate& comm) {
+      [&](Comm& comm) {
         comm.reduce_merge_tree(std::span<const std::uint64_t>(payload),
                                combine_codec, merge, 0, 2);
       },
-      [&](Substrate& comm) {
+      [&](Comm& comm) {
         return comm.ireduce_merge_tree(std::span<const std::uint64_t>(payload),
                                        combine_codec, merge, 0, 2);
       });
@@ -673,7 +659,7 @@ TEST(SlotProtocol, PollTaxAccruesForEveryNonBlockingFlavor) {
   const auto cpu_of_failed_polls = [&](auto start_op) {
     double cpu_s = 0.0;
     Runtime runtime(config);
-    run_ranks(runtime, [&](Substrate& comm) {
+    runtime.run([&](Comm& comm) {
       Request request = start_op(comm);
       if (comm.rank() == 0) {
         const double before = thread_cpu_seconds();
@@ -685,11 +671,11 @@ TEST(SlotProtocol, PollTaxAccruesForEveryNonBlockingFlavor) {
     return cpu_s;
   };
 
-  const double butterfly_cpu = cpu_of_failed_polls([&](Substrate& comm) {
+  const double butterfly_cpu = cpu_of_failed_polls([&](Comm& comm) {
     return comm.iallreduce_merge(std::span<const std::uint64_t>(payload),
                                  merge);
   });
-  const double tree_cpu = cpu_of_failed_polls([&](Substrate& comm) {
+  const double tree_cpu = cpu_of_failed_polls([&](Comm& comm) {
     return comm.ireduce_merge_tree(std::span<const std::uint64_t>(payload),
                                    combine_codec, merge, 0, 2);
   });
@@ -703,7 +689,7 @@ TEST(SlotProtocol, PollTaxAccruesForEveryNonBlockingFlavor) {
 
 TEST(SlotProtocol, OutstandingFlavorsMatchByTicketOrder) {
   Runtime runtime(quiet(4));
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     // Four different slot kinds in flight at once; completion out of post
     // order must still match each request to its own slot.
     Request barrier = comm.ibarrier();
@@ -737,7 +723,7 @@ TEST(SlotProtocol, OutstandingFlavorsMatchByTicketOrder) {
 TEST(Runtime, ManyRanksStress) {
   Runtime runtime(quiet(24));
   std::atomic<std::uint64_t> total{0};
-  run_ranks(runtime, [&](Substrate& comm) {
+  runtime.run([&](Comm& comm) {
     const std::vector<std::uint64_t> one{1};
     std::vector<std::uint64_t> sum{0};
     for (int round = 0; round < 10; ++round) {

@@ -13,9 +13,9 @@
 #include <string>
 
 #include "api/session.hpp"
-#include "comm/substrate.hpp"
 #include "gen/barabasi_albert.hpp"
 #include "graph/components.hpp"
+#include "mpisim/comm.hpp"
 #include "mpisim/network.hpp"
 #include "mpisim/runtime.hpp"
 
@@ -25,13 +25,13 @@ namespace {
 // --- The modeled NCCL economics ---------------------------------------------
 
 TEST(NcclSimModel, ProfileLayersOnTopOfTheBase) {
-  comm::NetworkModel base;
+  mpisim::NetworkModel base;
   base.dedicated_cores = true;
-  const comm::NetworkModel same = *mpisim::network_preset("mpisim", base);
+  const mpisim::NetworkModel same = *mpisim::network_preset("mpisim", base);
   EXPECT_EQ(same.remote_latency_s, base.remote_latency_s);
   EXPECT_FALSE(same.ring_allreduce);
 
-  const comm::NetworkModel nccl = *mpisim::network_preset("ncclsim", base);
+  const mpisim::NetworkModel nccl = *mpisim::network_preset("ncclsim", base);
   EXPECT_TRUE(nccl.ring_allreduce);
   EXPECT_GT(nccl.launch_latency_s, 0.0);
   EXPECT_EQ(nccl.ireduce_progression_factor, 1.0);
@@ -40,9 +40,9 @@ TEST(NcclSimModel, ProfileLayersOnTopOfTheBase) {
   EXPECT_TRUE(nccl.dedicated_cores);
   EXPECT_TRUE(nccl.enabled);
 
-  comm::NetworkModel off = base;
+  mpisim::NetworkModel off = base;
   off.enabled = false;
-  const comm::NetworkModel nccl_off = *mpisim::network_preset("ncclsim", off);
+  const mpisim::NetworkModel nccl_off = *mpisim::network_preset("ncclsim", off);
   EXPECT_FALSE(nccl_off.enabled);
   EXPECT_EQ(nccl_off.allreduce_cost(1 << 20, 4, 2).count(), 0);
 
@@ -51,7 +51,7 @@ TEST(NcclSimModel, ProfileLayersOnTopOfTheBase) {
 }
 
 TEST(NcclSimModel, AllreduceMatchesTheRingClosedForm) {
-  const comm::NetworkModel nccl = *mpisim::network_preset("ncclsim", {});
+  const mpisim::NetworkModel nccl = *mpisim::network_preset("ncclsim", {});
   struct Shape {
     int ranks_per_node;
     int num_nodes;
@@ -96,13 +96,12 @@ TEST(NcclSimModel, SplitCommunicatorsChargeThePreset) {
   runtime_config.network = *mpisim::network_preset("ncclsim", {});
   mpisim::Runtime runtime(runtime_config);
   std::atomic<int> leaders{0};
-  runtime.run([&](auto& rank_comm) {
-    comm::Substrate world(rank_comm);
-    EXPECT_TRUE(world.split_by_node()->network().ring_allreduce);
-    const auto leader = world.split_node_leaders();
-    if (leader->valid()) {
+  runtime.run([&](mpisim::Comm& world) {
+    EXPECT_TRUE(world.split_by_node().network().ring_allreduce);
+    auto leader = world.split_node_leaders();
+    if (leader.valid()) {
       ++leaders;
-      EXPECT_TRUE(leader->network().ring_allreduce);
+      EXPECT_TRUE(leader.network().ring_allreduce);
     }
   });
   EXPECT_EQ(leaders.load(), 2);
@@ -178,8 +177,8 @@ TEST(SubstrateParity, BitwiseScoresAcrossSubstratesAndTopologies) {
         }
       return result.comm_volume;
     };
-    const comm::CommVolume mpisim = run("mpisim");
-    const comm::CommVolume ncclsim = run("ncclsim");
+    const mpisim::CommVolume mpisim = run("mpisim");
+    const mpisim::CommVolume ncclsim = run("ncclsim");
     EXPECT_EQ(ncclsim.total(), mpisim.total()) << topology.name;
     EXPECT_EQ(ncclsim.p2p_bytes, mpisim.p2p_bytes) << topology.name;
     EXPECT_EQ(ncclsim.root_ingest_bytes, mpisim.root_ingest_bytes)

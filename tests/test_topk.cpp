@@ -8,10 +8,10 @@
 
 #include "bc/kadabra.hpp"
 #include "bc/topk.hpp"
-#include "comm/substrate.hpp"
 #include "epoch/state_frame.hpp"
 #include "gen/barabasi_albert.hpp"
 #include "graph/components.hpp"
+#include "mpisim/comm.hpp"
 #include "mpisim/runtime.hpp"
 
 namespace distbc {
@@ -52,8 +52,7 @@ TEST(DistributedTopK, MatchesDirectSelectionOverTheSum) {
                               std::size_t{200}}) {
     const std::vector<bc::TopKEntry> expected = bc::local_top_k(global, k);
     mpisim::Runtime runtime(quiet(kRanks));
-    runtime.run([&](auto& rank_comm) {
-      comm::Substrate world(rank_comm);
+    runtime.run([&](mpisim::Comm& world) {
       const epoch::StateFrame local = make_local(kVertices, world.rank());
       const std::vector<bc::TopKEntry> got =
           bc::distributed_top_k(world, local, k);
@@ -82,8 +81,7 @@ TEST(DistributedTopK, SingleRankAndEmptyFrames) {
   EXPECT_EQ(top[0].count, 1u);
 
   mpisim::Runtime runtime(quiet(3));
-  runtime.run([&](auto& rank_comm) {
-    comm::Substrate world(rank_comm);
+  runtime.run([&](mpisim::Comm& world) {
     const epoch::StateFrame empty(8);  // nothing sampled anywhere
     const auto got = bc::distributed_top_k(world, empty, 4);
     EXPECT_TRUE(got.empty());
@@ -103,10 +101,9 @@ TEST(KadabraTopK, EveryRankGetsTheRootsAnswer) {
   constexpr int kRanks = 4;
   mpisim::Runtime runtime(quiet(kRanks));
   std::vector<bc::BcResult> results(kRanks);
-  runtime.run([&](auto& rank_comm) {
-    comm::Substrate world(rank_comm);
+  runtime.run([&](mpisim::Comm& world) {
     results[static_cast<std::size_t>(world.rank())] =
-        bc::kadabra_mpi_rank(graph, options, world);
+        bc::kadabra_run(graph, options, &world);
   });
 
   const bc::BcResult& root = results[0];
