@@ -291,8 +291,6 @@ inline void add_comm_volume_fields(JsonReport& json,
   // Analytic completion-deadline charges: a pure function of payload and
   // topology, so deterministic runs report them machine-independently.
   json.field("modeled_s", volume.modeled_seconds());
-  json.field("overlapped_combine_s",
-             static_cast<double>(volume.overlapped_combine_ns) * 1e-9);
 }
 
 }  // namespace distbc::bench

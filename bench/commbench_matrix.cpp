@@ -1,7 +1,7 @@
 // CommBench-style substrate x pattern x payload matrix over the
 // mpisim::Comm API: every network preset (mpisim MPI-flavored, ncclsim
-// NCCL-flavored; mpisim::network_preset) runs the same five collective
-// patterns - dense reduce, sparse tree merge, allreduce, gatherv, bcast -
+// NCCL-flavored; mpisim::network_preset) runs the same four collective
+// patterns - dense reduce, allreduce, gatherv, bcast -
 // at a sweep of payload sizes on one fixed cluster shape, and reports the
 // bytes moved plus the interconnect model's analytic completion charge
 // (modeled_s) per cell.
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "epoch/frame_codec.hpp"
 #include "mpisim/comm.hpp"
 #include "mpisim/runtime.hpp"
 
@@ -51,8 +50,7 @@ int main(int argc, char** argv) {
   json.param("ranks_per_node", static_cast<double>(ranks_per_node));
 
   const char* substrates[] = {"mpisim", "ncclsim"};
-  const char* patterns[] = {"reduce", "tree_merge", "allreduce", "gatherv",
-                            "bcast"};
+  const char* patterns[] = {"reduce", "allreduce", "gatherv", "bcast"};
   const std::size_t payload_words[] = {512, 8192, 131072};
 
   // One cell: a fresh runtime on the preset's network economics, one
@@ -73,12 +71,6 @@ int main(int argc, char** argv) {
 
     Cell cell;
     std::mutex mu;
-    // Tree-merge geometry: rank r contributes `words` unit pairs at
-    // indices [r * words/2, r * words/2 + words) - 50% overlap with the
-    // neighboring rank, so interior combines genuinely shrink images.
-    const std::size_t stride = words / 2;
-    const std::size_t dense_words =
-        stride * static_cast<std::size_t>(ranks) + words;
     runtime.run([&](mpisim::Comm& world) {
       const auto rank = static_cast<std::uint64_t>(world.rank());
       bool rank_ok = true;
@@ -100,30 +92,6 @@ int main(int argc, char** argv) {
         if (pattern == "allreduce" || world.rank() == 0)
           for (const std::uint64_t value : recv)
             if (value != expect) rank_ok = false;
-      } else if (pattern == "tree_merge") {
-        std::vector<std::uint64_t> image = {epoch::kSparseTag,
-                                            static_cast<std::uint64_t>(words)};
-        for (std::size_t i = 0; i < words; ++i) {
-          image.push_back(static_cast<std::uint64_t>(rank * stride + i));
-          image.push_back(1);
-        }
-        std::vector<std::uint64_t> dense(dense_words, 0);
-        world.reduce_merge_tree(
-            std::span<const std::uint64_t>(image),
-            [&](std::vector<std::uint64_t>& acc,
-                std::span<const std::uint64_t> in) {
-              epoch::merge_images(acc, in, dense_words);
-            },
-            [&](int, std::span<const std::uint64_t> in) {
-              epoch::decode_add_image(std::span<std::uint64_t>(dense), in);
-            },
-            /*root=*/0, /*radix=*/2);
-        if (world.rank() == 0) {
-          std::uint64_t total = 0;
-          for (const std::uint64_t value : dense) total += value;
-          if (total != static_cast<std::uint64_t>(ranks) * words)
-            rank_ok = false;
-        }
       } else if (pattern == "gatherv") {
         const std::vector<std::uint64_t> send(words, rank);
         std::vector<std::vector<std::uint64_t>> recv;
@@ -217,7 +185,7 @@ int main(int argc, char** argv) {
           : 1.0;
   const bool ring_matches = ring_error <= 1e-6;
 
-  std::printf("\ncells: %zu (2 substrates x 5 patterns x %zu payloads)\n",
+  std::printf("\ncells: %zu (2 substrates x 4 patterns x %zu payloads)\n",
               cell_index, std::size(payload_words));
   std::printf("check: collective semantics correct in every cell: %s\n",
               semantics_ok ? "PASS" : "FAIL");

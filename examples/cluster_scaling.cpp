@@ -6,8 +6,7 @@
 // the chosen network preset.
 //
 //   ./cluster_scaling [scale=13] [eps=0.005] [latency_us=2]
-//                     [tree_radix=0|2|...] [rpn=1] [leader_radix=0|2|...]
-//                     [substrate=mpisim|ncclsim]
+//                     [rpn=1] [substrate=mpisim|ncclsim]
 //
 // The closing summary is computed from the rows just measured: where the
 // speedup peaked, how much of the widest run went to the sequential
@@ -29,14 +28,9 @@ int main(int argc, char** argv) {
   options.describe("scale", "log2 vertices of the hyperbolic proxy");
   options.describe("latency_us", "inter-node latency (us)");
   options.describe("eps", "betweenness epsilon");
-  options.describe("tree_radix",
-                   "tree-merge fan-in for wire images (0 = flat)");
   options.describe("rpn",
-                   "simulated ranks per node (>1 enables the two-level "
-                   "hierarchical path)");
-  options.describe("leader_radix",
-                   "leader-tree fan-in of the two-level path "
-                   "(0 = inherit tree_radix; needs rpn>1)");
+                   "simulated ranks per node (>1 enables the hierarchical "
+                   "path)");
   options.describe("substrate",
                    "network preset the collectives are charged on "
                    "(mpisim|ncclsim)");
@@ -56,17 +50,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", substrate_status.message.c_str());
     return 2;
   }
-  const auto tree_radix =
-      static_cast<int>(options.get_u64("tree_radix", 0));
   const auto ranks_per_node =
       static_cast<int>(options.get_u64("rpn", 1));
-  const auto leader_radix =
-      static_cast<int>(options.get_u64("leader_radix", 0));
-  std::printf("web proxy: %u vertices, %llu edges, tree_radix=%d, rpn=%d, "
-              "leader_radix=%d, substrate=%s\n\n",
+  std::printf("web proxy: %u vertices, %llu edges, rpn=%d, substrate=%s\n\n",
               graph->num_vertices(),
-              static_cast<unsigned long long>(graph->num_edges()), tree_radix,
-              ranks_per_node, leader_radix, substrate.c_str());
+              static_cast<unsigned long long>(graph->num_edges()),
+              ranks_per_node, substrate.c_str());
 
   mpisim::NetworkModel network;
   network.remote_latency_s = options.get_double("latency_us", 2.0) * 1e-6;
@@ -88,9 +77,7 @@ int main(int argc, char** argv) {
     config.ranks_per_node = std::clamp(ranks_per_node, 1, ranks);
     config.network = network;
     config.seed = 5;
-    config.tree_radix = tree_radix;
     config.hierarchical = config.ranks_per_node > 1;
-    config.leader_radix = leader_radix;
 
     api::Session session(graph, config);
     api::BetweennessQuery query;

@@ -172,31 +172,6 @@ const std::vector<Entry>& entries() {
       DISTBC_U64_KEY("virtual_streams", "DISTBC_VIRTUAL_STREAMS",
                      virtual_streams,
                      "deterministic-mode stream count (0 = physical)"),
-      Entry{{"tree_radix", "DISTBC_TREE_RADIX",
-             "tree-merge radix (0 = flat, else >= 2)"},
-            [](Config& config, std::string_view value) {
-              int parsed = 0;
-              if (!parse_int(value, parsed) || parsed < 0 || parsed == 1)
-                return bad_value("tree_radix", value, "0 or an integer >= 2");
-              config.tree_radix = parsed;
-              return Status::success();
-            },
-            [](const Config& config) {
-              return std::to_string(config.tree_radix);
-            }},
-      Entry{{"leader_radix", "DISTBC_LEADER_RADIX",
-             "two-level leader-merge radix (0 = inherit tree_radix)"},
-            [](Config& config, std::string_view value) {
-              int parsed = 0;
-              if (!parse_int(value, parsed) || parsed < 0 || parsed == 1)
-                return bad_value("leader_radix", value,
-                                 "0 or an integer >= 2");
-              config.leader_radix = parsed;
-              return Status::success();
-            },
-            [](const Config& config) {
-              return std::to_string(config.leader_radix);
-            }},
       Entry{{"comm_substrate", "DISTBC_COMM_SUBSTRATE",
              "network preset: mpisim | ncclsim"},
             [](Config& config, std::string_view value) {
@@ -333,10 +308,6 @@ Status Config::validate() const {
   if (ranks < 1) return Status::error("ranks must be >= 1");
   if (ranks_per_node < 1) return Status::error("ranks_per_node must be >= 1");
   if (threads < 1) return Status::error("threads must be >= 1");
-  if (tree_radix == 1 || tree_radix < 0)
-    return Status::error("tree_radix must be 0 (flat) or >= 2");
-  if (leader_radix == 1 || leader_radix < 0)
-    return Status::error("leader_radix must be 0 (inherit) or >= 2");
   if (epoch_base == 0) return Status::error("epoch_base must be >= 1");
   if (!std::isfinite(epoch_exponent) || epoch_exponent < 0.0)
     return Status::error("epoch_exponent must be finite and >= 0");
@@ -366,8 +337,6 @@ engine::EngineOptions Config::engine_options() const {
   options.max_epochs = max_epochs;
   options.deterministic = deterministic;
   options.virtual_streams = virtual_streams;
-  options.tree_radix = tree_radix;
-  options.leader_radix = leader_radix;
   return options;
 }
 

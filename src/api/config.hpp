@@ -7,7 +7,7 @@
 //
 //   1. built-in defaults        - the field initializers below;
 //   2. environment              - load_env(): DISTBC_<KEY> for every key
-//                                 in the table (e.g. DISTBC_TREE_RADIX -
+//                                 in the table (e.g. DISTBC_AGGREGATION -
 //                                 the names the old scattered overrides
 //                                 used);
 //   3. key=value text           - load_text(): one `key = value` per line,
@@ -58,11 +58,6 @@ struct Config {
   std::uint64_t max_epochs = 1u << 20;
   bool deterministic = false;
   std::uint64_t virtual_streams = 0;
-  int tree_radix = 0;
-  /// Leader-level radix of the two-level merge path (hierarchical runs):
-  /// 0 = inherit tree_radix, >= 2 overrides it for the inter-node hop
-  /// class only. Ignored without `hierarchical`.
-  int leader_radix = 0;
 
   // --- Network profile ----------------------------------------------------
   /// The named network preset the Session layers onto `network`
@@ -124,7 +119,7 @@ struct Config {
   [[nodiscard]] static Config defaults() { return {}; }
   [[nodiscard]] static Config from_env();
 
-  /// Cross-field validation (ranks >= 1, tree_radix != 1, virtual streams
+  /// Cross-field validation (ranks >= 1, threads >= 1, virtual streams
   /// require deterministic mode, a known comm_substrate preset, ...).
   /// Session construction runs this.
   [[nodiscard]] Status validate() const;

@@ -63,7 +63,7 @@ struct KadabraWarmState {
 struct KadabraOptions {
   KadabraParams params;
   /// Engine configuration: threads per rank, aggregation strategy,
-  /// hierarchical reduction and merge radixes, epoch-length rule,
+  /// hierarchical reduction, epoch-length rule,
   /// deterministic mode. Frames cross the wire as images of
   /// epoch::StateFrame sized by the samples they hold (index/count deltas
   /// while those are smaller than |V|).

@@ -107,25 +107,12 @@ epoch::StateFrame calibrate(mpisim::Comm* world, std::size_t payload_words,
   epoch::StateFrame aggregate(payload_words);
   std::vector<std::uint64_t> image;
   epoch::append_image(local.raw(), image);
-  const auto merge_image = [&](int,
-                               std::span<const std::uint64_t> contribution) {
-    epoch::decode_add_image(aggregate.raw(), contribution);
-  };
-  if (options.tree_radix >= 2) {
-    // By-value capture: the stored combiner runs at the *last* arrival,
-    // possibly after fast non-root ranks left this scope.
-    const std::size_t dense_words = local.raw().size();
-    world->reduce_merge_tree(
-        std::span<const std::uint64_t>(image),
-        [dense_words](std::vector<std::uint64_t>& acc,
-                      std::span<const std::uint64_t> in) {
-          epoch::merge_images(acc, in, dense_words);
-        },
-        merge_image, 0, options.tree_radix);
-  } else {
-    world->reduce_merge(std::span<const std::uint64_t>(image), merge_image,
-                        0);
-  }
+  world->reduce_merge(
+      std::span<const std::uint64_t>(image),
+      [&](int, std::span<const std::uint64_t> contribution) {
+        epoch::decode_add_image(aggregate.raw(), contribution);
+      },
+      0);
   return world->rank() == 0 ? aggregate : local;
 }
 
@@ -236,34 +223,6 @@ EngineResult run_epochs(mpisim::Comm* world, std::size_t payload_words,
       std::this_thread::yield();
     };
 
-
-    // One §IV-F strategy dispatch serving every merge shape: the callers
-    // supply the blocking reduction and the non-blocking starter.
-    auto run_aggregation = [&](mpisim::Comm& global, auto&& blocking_reduce,
-                               auto&& start_reduce) {
-      switch (options.aggregation) {
-        case Aggregation::kIbarrierReduce: {
-          result.phases.timed(Phase::kBarrier, [&] {
-            mpisim::Request barrier = global.ibarrier();
-            while (!barrier.test()) overlap_sample();
-          });
-          result.phases.timed(Phase::kReduction, blocking_reduce);
-          break;
-        }
-        case Aggregation::kIreduce: {
-          result.phases.timed(Phase::kReduction, [&] {
-            mpisim::Request reduce = start_reduce();
-            while (!reduce.test()) overlap_sample();
-          });
-          break;
-        }
-        case Aggregation::kBlocking: {
-          result.phases.timed(Phase::kReduction, blocking_reduce);
-          break;
-        }
-      }
-    };
-
     while (true) {
       result.phases.timed(Phase::kSampling, [&] {
         if (options.deterministic) {
@@ -294,17 +253,10 @@ EngineResult run_epochs(mpisim::Comm* world, std::size_t payload_words,
         if (hierarchy.active())
           in_global = hierarchy.pre_reduce(snapshot.raw());
 
-        // Effective radix of the global merge: under the two-level path the
-        // leader hop class may pick its own.
-        const int radix = hierarchy.active() && options.leader_radix != 0
-                              ? options.leader_radix
-                              : options.tree_radix;
-
         // Ships epoch_agg from `comm` rank zero to every rank of `comm`
         // as a length-prefixed wire image, with the strategy-matching
         // overlap behavior; receivers rebuild their epoch_agg from it.
-        // The downward leg of the tree path and of the two-level path's
-        // intra-node redistribution.
+        // The hierarchy's intra-node downward leg.
         auto distribute_image = [&](mpisim::Comm& comm) {
           auto bcast = [&](std::span<std::uint64_t> span) {
             if (options.aggregation == Aggregation::kBlocking) {
@@ -332,12 +284,10 @@ EngineResult run_epochs(mpisim::Comm* world, std::size_t payload_words,
         };
 
         // Global aggregation (§IV-F strategies), decentralized: every
-        // participant ends the phase holding the identical merged epoch
-        // aggregate. With hierarchy the merge runs on the node-leader
-        // communicator whose rank zero is world rank zero. Each rank ships
-        // its snapshot's wire image; flat merges ride the all-reduce
-        // flavor (no root hotspot at all), the radix tree merges toward
-        // rank zero and broadcasts the merged image back down.
+        // participant ships its snapshot's wire image into one all-reduce
+        // merge and ends the phase holding the identical merged epoch
+        // aggregate (no root hotspot). With hierarchy the merge runs on the
+        // node-leader communicator whose rank zero is world rank zero.
         if (in_global) {
           mpisim::Comm& global =
               hierarchy.active() ? hierarchy.global() : *world;
@@ -348,43 +298,31 @@ EngineResult run_epochs(mpisim::Comm* world, std::size_t payload_words,
             epoch::decode_add_image(epoch_agg.raw(), image);
           };
           const std::span<const std::uint64_t> send(wire_buffer);
-          if (radix >= 2) {
-            // Tree merge: images combine at interior ranks, so the root
-            // ingests only the top-of-tree merged images. The combiner
-            // captures by VALUE: the slot stores the first poster's
-            // closure and invokes it at the last arrival, by which time a
-            // fast non-root rank's non-blocking aggregation has completed
-            // and this epoch scope is gone (use-after-scope otherwise; the
-            // golden-score tests run this shape under ASan).
-            const std::size_t dense_words = snapshot.raw().size();
-            auto combine_image = [dense_words](
-                                     std::vector<std::uint64_t>& acc,
-                                     std::span<const std::uint64_t> in) {
-              epoch::merge_images(acc, in, dense_words);
-            };
-            run_aggregation(
-                global,
-                [&] {
-                  global.reduce_merge_tree(send, combine_image, merge_image,
-                                           0, radix);
-                },
-                [&] {
-                  return global.ireduce_merge_tree(send, combine_image,
-                                                   merge_image, 0, radix);
-                });
-            // Downward leg: the merged image returns to every participant,
-            // completing the all-reduce semantics the flat flavor gets
-            // natively.
-            result.phases.timed(Phase::kBroadcast,
-                                [&] { distribute_image(global); });
-          } else {
-            run_aggregation(
-                global, [&] { global.allreduce_merge(send, merge_image); },
-                [&] { return global.iallreduce_merge(send, merge_image); });
+          auto blocking_merge = [&] {
+            global.allreduce_merge(send, merge_image);
+          };
+          switch (options.aggregation) {
+            case Aggregation::kIbarrierReduce:
+              result.phases.timed(Phase::kBarrier, [&] {
+                mpisim::Request barrier = global.ibarrier();
+                while (!barrier.test()) overlap_sample();
+              });
+              result.phases.timed(Phase::kReduction, blocking_merge);
+              break;
+            case Aggregation::kIreduce:
+              result.phases.timed(Phase::kReduction, [&] {
+                mpisim::Request merge =
+                    global.iallreduce_merge(send, merge_image);
+                while (!merge.test()) overlap_sample();
+              });
+              break;
+            case Aggregation::kBlocking:
+              result.phases.timed(Phase::kReduction, blocking_merge);
+              break;
           }
         }
 
-        // Two-level downward leg: leaders now hold the global aggregate;
+        // Hierarchy's downward leg: leaders now hold the global aggregate;
         // redistribute its wire image over the intra-node communicator so
         // non-leader ranks hold it too.
         if (hierarchy.active()) {

@@ -9,12 +9,12 @@
 //   * the epoch-length rule (§IV-D, streams.hpp),
 //   * selectable aggregation strategies (§IV-F): Ibarrier + blocking Reduce,
 //     plain Ireduce, or fully blocking,
-//   * hierarchical node-local RMA pre-reduction (§IV-E, hierarchy.hpp),
-//     composable with a leader-level radix tree into one two-level merge
-//     path (EngineOptions::leader_radix),
-//   * decentralized termination: the merged epoch aggregate is distributed
-//     to every rank (all-reduce flavors, or the tree path's downward
-//     broadcast leg), so each rank evaluates the stopping rule locally on
+//   * hierarchical node-local RMA pre-reduction (§IV-E, hierarchy.hpp):
+//     only node leaders join the global merge, then rebroadcast its result
+//     over their node,
+//   * decentralized termination: the epoch's wire images meet in one
+//     all-reduce merge (the tree shape is the communicator's, as with an
+//     MPI library), so every rank evaluates the stopping rule locally on
 //     identical data - no rank-0 verdict broadcast,
 //   * per-phase stats plumbing.
 //
@@ -79,16 +79,6 @@ struct EngineOptions {
   /// Stream count for deterministic mode (0 = physical thread count).
   /// Fixing it decouples the sample set from the physical layout.
   std::uint64_t virtual_streams = 0;
-  /// Tree-merge aggregation of wire images (reduce_merge_tree): 0 = flat
-  /// (the root ingests every per-rank image); >= 2 = images combine at
-  /// interior ranks of a radix-k tree, so root ingest shrinks to the
-  /// top-of-tree merged images and latency grows with depth instead of P.
-  /// Bitwise identical in deterministic mode.
-  int tree_radix = 0;
-  /// Radix of the leader-level (inter-node) merge of the two-level path
-  /// when `hierarchical` is set: 0 = inherit tree_radix, >= 2 overrides it
-  /// for the leader hop class only. Ignored without `hierarchical`.
-  int leader_radix = 0;
   /// Keep this rank's own samples in EngineResult::local_aggregate, for
   /// collectives over per-rank partials (multi-rank top-k). Off by
   /// default: it costs a frame and one merge per epoch.

@@ -92,7 +92,7 @@ class Hierarchy {
   }
 
   /// The intra-node communicator (valid on every rank; its rank zero is
-  /// the node leader). The downward leg of the two-level path: leaders
+  /// the node leader). The hierarchy's downward leg: leaders
   /// redistribute the globally merged aggregate over this communicator so
   /// every rank can evaluate the stopping rule locally.
   [[nodiscard]] mpisim::Comm& node() {

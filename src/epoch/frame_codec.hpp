@@ -68,18 +68,6 @@ void append_sparse_image_scan(std::span<const std::uint64_t> dense,
 void append_image(std::span<const std::uint64_t> dense,
                   std::vector<std::uint64_t>& out);
 
-/// Additively combines wire image `in` into `acc` (both images over the
-/// same `dense_words`-slot space), re-encoding the result in place - the
-/// interior-hop step of a tree-merge reduction. Sparse inputs merge-join
-/// their ascending pair lists in O(nnz_a + nnz_b); the moment the merged
-/// pair count stops paying (sparse_pays), the result densifies - mid-tree
-/// densification, so merged images never grow past the dense frame. A
-/// dense operand densifies the result outright. Decoding the combined image
-/// equals decoding both inputs (exact uint64 sums), so any combine order
-/// yields the same aggregate.
-void merge_images(std::vector<std::uint64_t>& acc,
-                  std::span<const std::uint64_t> in, std::size_t dense_words);
-
 /// Additively decodes `image` (either representation) into `dense`.
 void decode_add_image(std::span<std::uint64_t> dense,
                       std::span<const std::uint64_t> image);

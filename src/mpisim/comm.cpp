@@ -103,16 +103,15 @@ using detail::WaitCharge;
 using detail::wait_deadline;
 using detail::wait_predicate;
 
-// --- The slot protocol (reduce / reduce_merge / gatherv / tree merge) -------
+// --- The slot protocol (reduce / reduce_merge / gatherv / all-reduce) -------
 //
 // Every reduction-shaped collective runs one post/poll/wait state machine.
 // The §IV-F economics - the software-progression penalty stretching
 // non-blocking completion deadlines and the poll tax burned by every
-// unsuccessful root test() - are therefore modeled exactly once; the
-// flavors differ only in what post_collective records, how the completion
-// deadline is priced at last arrival, and which completion action runs at
-// the root (elementwise combine, per-rank merge consumer, or the tree
-// inbox delivery).
+// unsuccessful test() - are therefore modeled exactly once; the flavors
+// differ only in what post_collective records, how the completion deadline
+// is priced at last arrival, and which completion action runs (elementwise
+// combine, or the per-rank merge consumer).
 
 namespace {
 
@@ -126,11 +125,8 @@ struct PostSpec {
   std::size_t count = 0;
   detail::CombineFn combine = nullptr;
   std::byte* root_recv = nullptr;
-  // kReduceMerge / kGatherv / kTreeMerge.
+  // kReduceMerge / kGatherv / kAllreduceMerge.
   detail::MergeBytesFn merge;
-  // kTreeMerge.
-  detail::CombineImagesFn combine_images;
-  int radix = 0;
   /// Per-flavor non-root payload counter (reduce_bytes / reduce_merge_bytes
   /// / gatherv_bytes); null for flavors that account at last arrival.
   std::atomic<std::uint64_t>* byte_counter = nullptr;
@@ -152,88 +148,10 @@ bool is_symmetric(SlotKind kind) {
   return kind == SlotKind::kAllreduce || kind == SlotKind::kAllreduceMerge;
 }
 
-/// Sets up the radix tree's deferred interior-combine schedule at last
-/// arrival: positions are heap-shaped (position 0 = the root rank,
-/// children of p are radix*p+1 .. radix*p+radix); contributions move into
-/// position order and the per-position completion clocks start at the
-/// arrival instant. The combines themselves run in advance_tree as their
-/// modeled due times pass. Caller holds state.mu.
-void schedule_tree(CommState& state, Slot& slot) {
-  const int size = state.size();
-  DISTBC_ASSERT_MSG(static_cast<bool>(slot.combine_images),
-                    "tree merge needs an image combiner");
-  slot.tree_up.resize(size);
-  for (int p = 0; p < size; ++p)
-    slot.tree_up[p] = std::move(slot.contribs[(slot.root + p) % size]);
-  slot.tree_finish.assign(size, std::chrono::nanoseconds::zero());
-  slot.tree_cursor = size - 1;
-  slot.tree_start = Clock::now();
-  slot.tree_scheduled = true;
-}
-
-/// Advances the deferred tree merge: processes positions in descending
-/// order (reverse BFS - every child's upward hop is priced on its already
-/// merged image before the parent's own hop) whose modeled subtree
-/// deadline has passed, or all of them when forced (a blocking wait).
-/// Each position's upward image folds into its parent via the caller's
-/// combiner with the hop charged a point-to-point cost; the root's direct
-/// children's merged images are parked in the slot inbox for the
-/// completion action. Blocking merges serialize the interior-combine
-/// compute on the parent's clock; non-blocking ones run it here inside
-/// polls - overlapped with the caller's sampling (§IV-F) - and account it
-/// in overlapped_combine_ns instead. Prices the completion deadline once
-/// the last position retires. Caller holds state.mu.
-void advance_tree(CommState& state, Slot& slot, bool force) {
-  if (!slot.tree_scheduled || slot.tree_priced) return;
-  const int radix = slot.radix;
-  while (slot.tree_cursor >= 1) {
-    const int p = slot.tree_cursor;
-    const int parent = (p - 1) / radix;
-    const int rank = (slot.root + p) % state.size();
-    const int parent_rank = (slot.root + parent) % state.size();
-    const bool same_node =
-        state.node_of_rank[rank] == state.node_of_rank[parent_rank];
-    auto& up = slot.tree_up[p];
-    const auto arrive =
-        slot.tree_finish[p] + state.model.message_cost(up.size(), same_node);
-    if (!force && Clock::now() < slot.tree_start + arrive) return;
-    state.stats.reduce_merge_bytes.fetch_add(up.size(),
-                                             std::memory_order_relaxed);
-    if (parent == 0) {
-      state.stats.root_ingest_bytes.fetch_add(up.size(),
-                                              std::memory_order_relaxed);
-      slot.tree_finish[0] = std::max(slot.tree_finish[0], arrive);
-      slot.root_inbox.emplace_back(rank, std::move(up));
-    } else {
-      const auto combine = state.model.combine_cost(up.size());
-      slot.combine_images(slot.tree_up[parent], up.data(), up.size());
-      slot.tree_finish[parent] =
-          std::max(slot.tree_finish[parent],
-                   slot.nonblocking ? arrive : arrive + combine);
-      if (slot.nonblocking)
-        state.stats.overlapped_combine_ns.fetch_add(
-            static_cast<std::uint64_t>(combine.count()),
-            std::memory_order_relaxed);
-    }
-    --slot.tree_cursor;
-  }
-  auto cost = slot.tree_finish[0];
-  if (slot.nonblocking) cost = stretch_nonblocking(state, cost);
-  state.stats.modeled_critical_ns.fetch_add(
-      static_cast<std::uint64_t>(cost.count()), std::memory_order_relaxed);
-  slot.ready_time = slot.tree_start + cost;
-  // The root's own merged contribution goes back to its slot for the
-  // completion action.
-  slot.contribs[slot.root] = std::move(slot.tree_up[0]);
-  slot.tree_priced = true;
-  state.cv.notify_all();
-}
-
 /// Posts this rank's contribution. The last arrival prices the completion
-/// deadline: fixed payload for kReduce, the largest contribution for the
-/// flat variable-length flavors (the reduction tree's critical path
-/// carries the biggest payload), the explicit per-hop critical path for
-/// the tree merge.
+/// deadline: the fixed payload for kReduce / kAllreduce, the largest
+/// contribution for the variable-length flavors (the reduction tree's
+/// critical path carries the biggest payload).
 void post_collective(CommState& state, std::uint64_t ticket, int rank,
                      const std::byte* send, std::size_t bytes,
                      PostSpec&& spec) {
@@ -245,14 +163,12 @@ void post_collective(CommState& state, std::uint64_t ticket, int rank,
     slot.combine = spec.combine;
     slot.root = spec.root;
     slot.nonblocking = spec.nonblocking;
-    slot.radix = spec.radix;
     slot.contribs.resize(state.size());
   }
   const bool fixed_size =
       spec.kind == SlotKind::kReduce || spec.kind == SlotKind::kAllreduce;
   DISTBC_ASSERT_MSG(slot.root == spec.root &&
                         slot.nonblocking == spec.nonblocking &&
-                        slot.radix == spec.radix &&
                         (!fixed_size || slot.bytes == bytes),
                     "mismatched collective participants");
   slot.contribs[rank].assign(send, send + bytes);
@@ -269,8 +185,6 @@ void post_collective(CommState& state, std::uint64_t ticket, int rank,
       slot.merge = std::move(spec.merge);
     }
   }
-  if (!slot.combine_images && spec.combine_images)
-    slot.combine_images = std::move(spec.combine_images);
 
   const auto now = Clock::now();
   slot.rank_ready[rank] =
@@ -283,15 +197,6 @@ void post_collective(CommState& state, std::uint64_t ticket, int rank,
 
   if (++slot.arrived == state.size()) {
     slot.all_arrived = true;
-    if (spec.kind == SlotKind::kTreeMerge) {
-      // The completion deadline is priced incrementally: combines retire
-      // as their modeled subtree deadlines pass (any rank's poll, or a
-      // blocking wait forcing the rest).
-      schedule_tree(state, slot);
-      advance_tree(state, slot, /*force=*/false);
-      state.cv.notify_all();
-      return;
-    }
     std::chrono::nanoseconds cost{};
     std::size_t wire_bytes = slot.bytes;
     if (!fixed_size) {
@@ -364,16 +269,6 @@ void run_completion_action(CommState& state, Slot& slot) {
       for (int r = 0; r < state.size(); ++r)
         slot.merge(r, slot.contribs[r].data(), slot.contribs[r].size());
       break;
-    case SlotKind::kTreeMerge:
-      // The root's own contribution, then the top-of-tree merged images
-      // (reversed so sources ascend; decoding is additive, so delivery
-      // order does not affect the aggregate).
-      slot.merge(slot.root, slot.contribs[slot.root].data(),
-                 slot.contribs[slot.root].size());
-      for (auto it = slot.root_inbox.rbegin(); it != slot.root_inbox.rend();
-           ++it)
-        slot.merge(it->first, it->second.data(), it->second.size());
-      break;
     case SlotKind::kAllreduce:
       // One shared full reduction in rank order (bitwise identical to the
       // rooted combine); each rank copies it out at its own completion.
@@ -391,8 +286,11 @@ void run_completion_action(CommState& state, Slot& slot) {
 }
 
 /// Per-rank completion of the all-reduce family, run at this rank's own
-/// completing poll or wait (after the shared action). Caller holds
-/// state.mu.
+/// completing poll or wait (after the shared action) WITHOUT state.mu, so
+/// the ranks' P merge replays run side by side. Safe unlocked: the
+/// contributions and the shared payload are immutable once the action ran,
+/// each rank touches only its own consumer, and the slot is erased only
+/// after every rank departed (this one has not).
 void complete_symmetric(CommState& state, Slot& slot, int rank,
                         std::byte* recv) {
   switch (slot.kind) {
@@ -416,8 +314,7 @@ void complete_symmetric(CommState& state, Slot& slot, int rank,
 /// Non-blocking poll at `rank`. For the root (or every rank of a
 /// symmetric flavor): all arrived and the modeled deadline passed, then
 /// the completion action runs. For a non-root: own injection deadline
-/// passed (eager send). Any rank's poll of a pending tree merge advances
-/// its due interior combines (the overlap hook). An unsuccessful poll of
+/// passed (eager send). An unsuccessful poll of
 /// a non-blocking operation burns the modeled progression time (§IV-F) -
 /// at the root for rooted flavors, at every rank for symmetric ones (all
 /// of them progress the butterfly) - the library only advances the
@@ -426,24 +323,22 @@ bool poll_collective(CommState& state, std::uint64_t ticket, int rank,
                      std::byte* recv) {
   bool progress_pending = false;
   {
-    std::lock_guard lock(state.mu);
+    std::unique_lock lock(state.mu);
     Slot& slot = state.slots.at(ticket);
-    if (slot.kind == SlotKind::kTreeMerge && slot.all_arrived)
-      advance_tree(state, slot, /*force=*/false);
     const auto now = Clock::now();
     if (is_symmetric(slot.kind)) {
       if (!slot.all_arrived || now < slot.ready_time) {
         progress_pending = slot.nonblocking;
       } else {
         run_completion_action(state, slot);
+        lock.unlock();
         complete_symmetric(state, slot, rank, recv);
+        lock.lock();
         depart_slot(state, ticket, slot);
         return true;
       }
     } else if (rank == slot.root) {
-      const bool priced =
-          slot.kind != SlotKind::kTreeMerge || slot.tree_priced;
-      if (!slot.all_arrived || !priced || now < slot.ready_time) {
+      if (!slot.all_arrived || now < slot.ready_time) {
         progress_pending = slot.nonblocking;
       } else {
         run_completion_action(state, slot);
@@ -477,11 +372,11 @@ void wait_collective(CommState& state, std::uint64_t ticket, int rank,
     wait_predicate(state, lock, [&] { return slot.all_arrived; });
     wait_deadline(state, lock, slot.ready_time);
     run_completion_action(state, slot);
+    lock.unlock();
     complete_symmetric(state, slot, rank, recv);
+    lock.lock();
   } else if (rank == slot.root) {
     wait_predicate(state, lock, [&] { return slot.all_arrived; });
-    if (slot.kind == SlotKind::kTreeMerge)
-      advance_tree(state, slot, /*force=*/true);
     wait_deadline(state, lock, slot.ready_time);
     run_completion_action(state, slot);
   } else {
@@ -531,52 +426,6 @@ void Comm::mergev_bytes_impl(detail::SlotKind kind, const std::byte* send,
                              : &state_->stats.reduce_merge_bytes;
   post_collective(*state_, ticket, rank_, send, bytes, std::move(spec));
   wait_collective(*state_, ticket, rank_, nullptr);
-}
-
-namespace {
-
-PostSpec tree_spec(detail::CombineImagesFn combine,
-                   detail::MergeBytesFn merge, int root, int radix,
-                   bool nonblocking) {
-  DISTBC_ASSERT_MSG(radix >= 2, "tree merge needs radix >= 2");
-  PostSpec spec;
-  spec.kind = SlotKind::kTreeMerge;
-  spec.root = root;
-  spec.nonblocking = nonblocking;
-  spec.merge = std::move(merge);
-  spec.combine_images = std::move(combine);
-  spec.radix = radix;
-  // Upward payloads are only known once the interior combines ran; bytes
-  // are accounted in advance_tree, not at post time.
-  spec.byte_counter = nullptr;
-  return spec;
-}
-
-}  // namespace
-
-void Comm::tree_bytes_impl(const std::byte* send, std::size_t bytes,
-                           detail::CombineImagesFn combine,
-                           detail::MergeBytesFn merge, int root, int radix) {
-  DISTBC_ASSERT(valid());
-  const std::uint64_t ticket = next_ticket();
-  state_->stats.tree_merge_calls.fetch_add(1, std::memory_order_relaxed);
-  post_collective(*state_, ticket, rank_, send, bytes,
-                  tree_spec(std::move(combine), std::move(merge), root, radix,
-                            /*nonblocking=*/false));
-  wait_collective(*state_, ticket, rank_, nullptr);
-}
-
-Request Comm::itree_bytes_impl(const std::byte* send, std::size_t bytes,
-                               detail::CombineImagesFn combine,
-                               detail::MergeBytesFn merge, int root,
-                               int radix) {
-  DISTBC_ASSERT(valid());
-  const std::uint64_t ticket = next_ticket();
-  state_->stats.tree_merge_calls.fetch_add(1, std::memory_order_relaxed);
-  post_collective(*state_, ticket, rank_, send, bytes,
-                  tree_spec(std::move(combine), std::move(merge), root, radix,
-                            /*nonblocking=*/true));
-  return make_request(ticket);
 }
 
 // --- All-reduce family (decentralized termination substrate) -----------------
@@ -813,7 +662,6 @@ bool poll_request(Request::Impl& impl, bool blocking) {
       return poll_barrier(state, impl.ticket, impl.rank);
     case SlotKind::kReduce:
     case SlotKind::kReduceMerge:
-    case SlotKind::kTreeMerge:
     case SlotKind::kGatherv:
     case SlotKind::kAllreduce:
     case SlotKind::kAllreduceMerge:

@@ -5,11 +5,11 @@
 // exchange goes through explicit slot-based collectives with an interconnect
 // cost model (see network.hpp). Comm is the one typed communicator of the
 // MPI subset the paper's algorithm needs: Reduce / Allreduce / Bcast /
-// Ibcast / Barrier / Ibarrier, the variable-length merge family (flat,
-// radix tree and the decentralized all-merge, each blocking or
-// non-blocking where the engine needs it), Gatherv, communicator split and
-// an RMA window (Window<T>). Its templates erase the element type once and
-// land on a private byte-level slot plane (comm.cpp).
+// Ibcast / Barrier / Ibarrier, the variable-length merge family (the rooted
+// merge and the decentralized all-merge, the latter blocking or
+// non-blocking), Gatherv, communicator split and an RMA window (Window<T>).
+// Its templates erase the element type once and land on a private
+// byte-level slot plane (comm.cpp).
 //
 // There is one data plane. The network profile (api::Config key
 // `comm_substrate`, resolved by network_preset) only chooses the
@@ -89,21 +89,13 @@ CombineFn combine_fn(ReduceOp op) {
 }
 
 enum class SlotKind : std::uint8_t { kBarrier, kReduce, kReduceMerge,
-                                     kTreeMerge, kGatherv, kBcast,
-                                     kAllreduce, kAllreduceMerge, kSplit,
-                                     kWindow };
+                                     kGatherv, kBcast, kAllreduce,
+                                     kAllreduceMerge, kSplit, kWindow };
 
 /// Root-side consumer of one variable-length contribution:
 /// (source rank, payload pointer, payload bytes).
 using MergeBytesFn =
     std::function<void(int, const std::byte*, std::size_t)>;
-
-/// Interior-hop combiner of a tree merge: additively folds one upward
-/// image into the accumulator, re-encoding in place (e.g. sparse merge
-/// join with mid-tree densification).
-using CombineImagesFn =
-    std::function<void(std::vector<std::byte>&, const std::byte*,
-                       std::size_t)>;
 
 struct Slot {
   SlotKind kind{};
@@ -119,8 +111,8 @@ struct Slot {
   std::size_t count = 0;
   CombineFn combine = nullptr;
   int root = -1;
-  // iallreduce_merge / ireduce_merge_tree (ibcast posts no reduction
-  // slot): the §IV-F progression penalty and poll tax apply.
+  // iallreduce_merge (ibcast posts no reduction slot): the §IV-F
+  // progression penalty and poll tax apply.
   bool nonblocking = false;
   std::vector<std::vector<std::byte>> contribs;
   std::byte* root_recv = nullptr;
@@ -128,7 +120,7 @@ struct Slot {
   // Bcast payload (copied from the root).
   std::vector<std::byte> payload;
 
-  // Variable-length merge state (kReduceMerge / kGatherv / kTreeMerge):
+  // Variable-length merge state (kReduceMerge / kGatherv):
   // the root's per-contribution consumer, run at completion.
   MergeBytesFn merge;
 
@@ -137,28 +129,6 @@ struct Slot {
   // completion (contributions outlive every consumer: the slot is erased
   // only once all ranks departed).
   std::vector<MergeBytesFn> rank_merge;
-
-  // Tree-merge state (kTreeMerge): fan-in, the interior-hop combiner
-  // (taken from the first posting rank; all ranks must pass equivalent
-  // callables), and the merged top-of-tree images awaiting the root.
-  int radix = 0;
-  CombineImagesFn combine_images;
-  std::vector<std::pair<int, std::vector<std::byte>>> root_inbox;
-
-  // Deferred tree-merge schedule (kTreeMerge): contributions in
-  // heap-position order, per-position completion clocks relative to
-  // tree_start (the last arrival), and a descending cursor over the
-  // positions still to process (children before parents). Interior
-  // combines run in advance_tree as their modeled due times pass - any
-  // rank's poll makes progress, overlapping combines with the caller's
-  // sampling - instead of all at once inside the last-arrival critical
-  // section; tree_priced flips once the root deadline is known.
-  std::vector<std::vector<std::byte>> tree_up;
-  std::vector<std::chrono::nanoseconds> tree_finish;
-  Clock::time_point tree_start{};
-  int tree_cursor = 0;
-  bool tree_scheduled = false;
-  bool tree_priced = false;
 
   // Split state.
   std::vector<std::pair<int, int>> color_key;  // per-rank (color, key)
@@ -353,8 +323,10 @@ class Comm {
   /// every rank reconstructs the root-side aggregate bitwise. Priced as
   /// an all-reduce butterfly at the largest contribution; there is no
   /// root, so nothing lands in root_ingest_bytes (the decentralized
-  /// termination path this exists for). Consumers run under the
-  /// communicator lock and must not call back into the communicator.
+  /// termination path this exists for). Consumers run outside the
+  /// communicator lock, side by side with the other ranks' replays: each
+  /// may touch only its own rank's state and must not call back into the
+  /// communicator.
   template <typename T, typename MergeFn>
   void allreduce_merge(std::span<const T> send, MergeFn&& merge) {
     allmerge_bytes_impl(as_bytes(send.data()), send.size() * sizeof(T),
@@ -372,51 +344,6 @@ class Comm {
     return iallmerge_bytes_impl(
         as_bytes(send.data()), send.size() * sizeof(T),
         erase_merge_all<T>(std::forward<MergeFn>(merge)));
-  }
-
-  /// Tree-merge reduction: contributions combine at interior ranks of a
-  /// radix-`radix` tree rooted at `root` instead of all landing at the
-  /// root. Every rank supplies the same image combiner
-  /// `combine(acc, contribution)` - an additive in-place re-encode (e.g.
-  /// epoch::merge_images, which densifies mid-tree once the merged image
-  /// stops paying). Each tree hop is charged a point-to-point alpha-beta
-  /// cost and the completion deadline follows the tree's critical path, so
-  /// latency grows with depth (log_radix P) while the root ingests only
-  /// its direct children's merged images (root_ingest_bytes) instead of
-  /// every per-rank payload. At completion the root's `merge` consumer
-  /// receives the root's own contribution (src = root) and one merged
-  /// image per direct child subtree (src = that child's rank). Both
-  /// callables run under the communicator lock and must not call back
-  /// into the communicator; decoding must be order-independent (additive).
-  /// Lifetime: the slot stores the FIRST poster's combiner and invokes it
-  /// at the last arrival - by which time a non-root's non-blocking form
-  /// may already have completed - so the combiner must own its state
-  /// (capture by value), never reference the caller's stack.
-  template <typename T, typename CombineFn, typename MergeFn>
-  void reduce_merge_tree(std::span<const T> send, CombineFn&& combine,
-                         MergeFn&& merge, int root, int radix) {
-    tree_bytes_impl(as_bytes(send.data()), send.size() * sizeof(T),
-                    erase_combine<T>(std::forward<CombineFn>(combine)),
-                    erase_merge<T>(std::forward<MergeFn>(merge), root), root,
-                    radix);
-  }
-
-  /// Non-blocking tree merge (§IV-F progression penalty and poll tax
-  /// apply). Interior combines are charged as each
-  /// subtree's modeled deadline passes - any rank's test() advances them,
-  /// the same progress-polling hook the engine uses for ibcast - so their
-  /// compute cost overlaps the caller's sampling instead of extending the
-  /// completion deadline (the blocking form keeps combine time on the
-  /// critical path).
-  template <typename T, typename CombineFn, typename MergeFn>
-  [[nodiscard]] Request ireduce_merge_tree(std::span<const T> send,
-                                           CombineFn&& combine,
-                                           MergeFn&& merge, int root,
-                                           int radix) {
-    return itree_bytes_impl(
-        as_bytes(send.data()), send.size() * sizeof(T),
-        erase_combine<T>(std::forward<CombineFn>(combine)),
-        erase_merge<T>(std::forward<MergeFn>(merge), root), root, radix);
   }
 
   /// Variable-length gather: at the root, `recv` is resized to size() and
@@ -456,12 +383,6 @@ class Comm {
   void mergev_bytes_impl(detail::SlotKind kind, const std::byte* send,
                          std::size_t bytes, detail::MergeBytesFn merge,
                          int root);
-  void tree_bytes_impl(const std::byte* send, std::size_t bytes,
-                       detail::CombineImagesFn combine,
-                       detail::MergeBytesFn merge, int root, int radix);
-  Request itree_bytes_impl(const std::byte* send, std::size_t bytes,
-                           detail::CombineImagesFn combine,
-                           detail::MergeBytesFn merge, int root, int radix);
 
   void reduce_bytes_impl(const std::byte* send, std::size_t bytes,
                          std::size_t count, std::byte* recv,
@@ -511,23 +432,6 @@ class Comm {
       const T* typed = reinterpret_cast<const T*>(data);
       recv[static_cast<std::size_t>(src)].assign(typed,
                                                  typed + bytes / sizeof(T));
-    };
-  }
-
-  /// Wraps a typed in-place image combiner as the byte-level callable the
-  /// tree-merge slot stores (reused word scratch; images are word-typed at
-  /// the caller, byte-typed in slot storage).
-  template <typename T, typename CombineFn>
-  detail::CombineImagesFn erase_combine(CombineFn&& combine) {
-    return [c = std::forward<CombineFn>(combine), words = std::vector<T>()](
-               std::vector<std::byte>& acc, const std::byte* in,
-               std::size_t bytes) mutable {
-      const T* acc_typed = reinterpret_cast<const T*>(acc.data());
-      words.assign(acc_typed, acc_typed + acc.size() / sizeof(T));
-      c(words, std::span<const T>(reinterpret_cast<const T*>(in),
-                                  bytes / sizeof(T)));
-      const auto* out = reinterpret_cast<const std::byte*>(words.data());
-      acc.assign(out, out + words.size() * sizeof(T));
     };
   }
 

@@ -37,16 +37,6 @@ std::chrono::nanoseconds NetworkModel::collective_cost(std::uint64_t bytes,
   return to_ns(launch_latency_s + local + remote);
 }
 
-std::chrono::nanoseconds NetworkModel::message_cost(std::uint64_t bytes,
-                                                    bool same_node) const {
-  if (!enabled) return std::chrono::nanoseconds::zero();
-  const double bytes_d = static_cast<double>(bytes);
-  const double cost =
-      same_node ? local_latency_s + bytes_d / local_bandwidth_bps
-                : remote_latency_s + bytes_d / remote_bandwidth_bps;
-  return to_ns(cost);
-}
-
 std::chrono::nanoseconds NetworkModel::butterfly_cost(
     std::uint64_t bytes, int ranks_per_node, int num_nodes) const {
   if (!enabled) return std::chrono::nanoseconds::zero();
@@ -89,12 +79,6 @@ std::chrono::nanoseconds NetworkModel::allreduce_cost(std::uint64_t bytes,
   }
   return butterfly_cost(bytes, ranks_per_node, num_nodes) +
          butterfly_cost(bytes, ranks_per_node, num_nodes);
-}
-
-std::chrono::nanoseconds NetworkModel::combine_cost(
-    std::uint64_t bytes) const {
-  if (!enabled) return std::chrono::nanoseconds::zero();
-  return to_ns(static_cast<double>(bytes) / combine_bandwidth_bps);
 }
 
 std::chrono::nanoseconds NetworkModel::injection_cost(std::uint64_t bytes,

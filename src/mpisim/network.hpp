@@ -36,11 +36,6 @@ struct NetworkModel {
   // the caller interleaves with the polls (the §IV-F mechanism that makes
   // Ibarrier + blocking Reduce the better overlap strategy).
   double ireduce_poll_cost_s = 20e-6;
-  // In-memory rate at which a rank folds one merge-reduction image into
-  // its accumulator (the interior combines of a tree merge). Blocking
-  // tree merges serialize this on the completion deadline; non-blocking
-  // ones run it inside polls, overlapped with the caller's sampling.
-  double combine_bandwidth_bps = 2e9;
   // Fixed per-collective startup charge, independent of payload and hop
   // count. Zero for a CPU MPI stack; an NCCL-style substrate pays a
   // kernel-launch latency before any data moves.
@@ -66,10 +61,6 @@ struct NetworkModel {
   [[nodiscard]] std::chrono::nanoseconds collective_cost(
       std::uint64_t bytes, int ranks_per_node, int num_nodes) const;
 
-  /// Charged duration for one point-to-point message.
-  [[nodiscard]] std::chrono::nanoseconds message_cost(std::uint64_t bytes,
-                                                      bool same_node) const;
-
   /// Charged duration for one butterfly phase (recursive halving or
   /// doubling) over `bytes` of buffer: log2-many latency steps per hop
   /// class, but only a (P-1)/P share of the buffer crosses each class's
@@ -82,11 +73,6 @@ struct NetworkModel {
   /// reduce-scatter followed by a recursive-doubling all-gather.
   [[nodiscard]] std::chrono::nanoseconds allreduce_cost(
       std::uint64_t bytes, int ranks_per_node, int num_nodes) const;
-
-  /// Charged duration for folding one `bytes`-sized image into a local
-  /// accumulator (interior tree-merge combine).
-  [[nodiscard]] std::chrono::nanoseconds combine_cost(
-      std::uint64_t bytes) const;
 
   /// Charged duration for eagerly injecting a collective contribution:
   /// line-rate only - per-hop latency is paid by the collective's

@@ -18,21 +18,16 @@ struct CommVolume {
   std::uint64_t bcast_bytes = 0;
   std::uint64_t p2p_bytes = 0;
   /// Reduction payload arriving *directly at the root rank*: every non-root
-  /// contribution under a flat reduction, but only the top-of-tree merged
-  /// images under a tree merge - the metric tree-merge reductions exist to
-  /// shrink (ablation_tree_merge). A locality view of bytes already counted
-  /// above, so it is excluded from aggregation_bytes()/total(). All-reduce
-  /// flavors have no root and charge nothing here.
+  /// contribution of a rooted reduction, merge or gather. A locality view
+  /// of bytes already counted above, so it is excluded from
+  /// aggregation_bytes()/total(). All-reduce flavors have no root and
+  /// charge nothing here.
   std::uint64_t root_ingest_bytes = 0;
   /// Sum of the modeled completion costs charged to collectives on this
   /// communicator - the analytic aggregation critical path. A pure
   /// function of payload bytes and topology, so deterministic-mode runs
   /// report it machine-independently (the CI modeled_s anchors).
   std::uint64_t modeled_critical_ns = 0;
-  /// Modeled interior-combine compute that non-blocking tree merges moved
-  /// OFF the completion deadline (overlapped with the caller's sampling);
-  /// blocking tree merges keep it on the critical path instead.
-  std::uint64_t overlapped_combine_ns = 0;
 
   [[nodiscard]] double modeled_seconds() const {
     return static_cast<double>(modeled_critical_ns) * 1e-9;
@@ -57,7 +52,6 @@ struct CommVolume {
     p2p_bytes += other.p2p_bytes;
     root_ingest_bytes += other.root_ingest_bytes;
     modeled_critical_ns += other.modeled_critical_ns;
-    overlapped_combine_ns += other.overlapped_combine_ns;
     return *this;
   }
 };
@@ -66,7 +60,6 @@ struct CommVolume {
 struct CommStats {
   std::atomic<std::uint64_t> reduce_calls{0};
   std::atomic<std::uint64_t> reduce_merge_calls{0};
-  std::atomic<std::uint64_t> tree_merge_calls{0};
   std::atomic<std::uint64_t> gatherv_calls{0};
   std::atomic<std::uint64_t> barrier_calls{0};
   std::atomic<std::uint64_t> ibarrier_calls{0};
@@ -85,10 +78,8 @@ struct CommStats {
   std::atomic<std::uint64_t> p2p_bytes{0};
   /// Reduction payload arriving directly at the root (see CommVolume).
   std::atomic<std::uint64_t> root_ingest_bytes{0};
-  /// Modeled critical-path nanoseconds and overlapped interior-combine
-  /// compute (see CommVolume for the reporting semantics).
+  /// Modeled critical-path nanoseconds (see CommVolume).
   std::atomic<std::uint64_t> modeled_critical_ns{0};
-  std::atomic<std::uint64_t> overlapped_combine_ns{0};
   /// Wall time ranks spent blocked inside collectives - per-collective
   /// blocking-share telemetry for Figure 2b-style reporting and tooling.
   /// Only blocking calls (and blocking waits on requests) are charged;
@@ -108,8 +99,6 @@ struct CommStats {
     v.root_ingest_bytes = root_ingest_bytes.load(std::memory_order_relaxed);
     v.modeled_critical_ns =
         modeled_critical_ns.load(std::memory_order_relaxed);
-    v.overlapped_combine_ns =
-        overlapped_combine_ns.load(std::memory_order_relaxed);
     return v;
   }
 
@@ -126,7 +115,6 @@ struct CommStats {
   void reset() {
     reduce_calls = 0;
     reduce_merge_calls = 0;
-    tree_merge_calls = 0;
     gatherv_calls = 0;
     barrier_calls = 0;
     ibarrier_calls = 0;
@@ -141,7 +129,6 @@ struct CommStats {
     p2p_bytes = 0;
     root_ingest_bytes = 0;
     modeled_critical_ns = 0;
-    overlapped_combine_ns = 0;
     reduce_wait_ns = 0;
     barrier_wait_ns = 0;
     bcast_wait_ns = 0;

@@ -38,8 +38,8 @@ enum class Phase : std::uint8_t {
   kBarrier,             // non-blocking IBARRIER progress
   kReduction,           // blocking MPI reduction
   kStopCheck,           // evaluation of the stopping condition
-  kBroadcast,           // downward legs of the tree and two-level merges:
-                        // the merged epoch image back to every rank
+  kBroadcast,           // §IV-E downward leg: node leaders send the
+                        // merged epoch image back to their node's ranks
   kCount
 };
 

@@ -1,6 +1,6 @@
 // Tests for the distbc::api facade: Session::run must be bitwise identical
-// to calling the drivers directly in deterministic mode (across tree
-// radixes), session reuse must skip recalibration
+// to calling the drivers directly in deterministic mode, session reuse
+// must skip recalibration
 // (zero kDiameter/kCalibration phase time on the second query), and
 // api::Config must resolve env < text < programmatic with unknown keys
 // rejected.
@@ -40,7 +40,7 @@ graph::Graph disconnected_graph() {
 }
 
 /// The deterministic cluster shape the whole identity suite runs on.
-api::Config deterministic_config(int tree_radix = 0) {
+api::Config deterministic_config() {
   api::Config config;  // defaults only: the suite controls every knob
   config.ranks = 2;
   config.threads = 2;
@@ -48,7 +48,6 @@ api::Config deterministic_config(int tree_radix = 0) {
   config.virtual_streams = 4;
   config.epoch_base = 64;
   config.epoch_exponent = 0.0;
-  config.tree_radix = tree_radix;
   config.seed = 4321;
   config.network = mpisim::NetworkModel::disabled();
   return config;
@@ -56,41 +55,38 @@ api::Config deterministic_config(int tree_radix = 0) {
 
 // --- Bitwise identity: session vs direct driver calls ----------------------
 
-TEST(SessionIdentity, BetweennessMatchesDirectDriverAcrossRadixes) {
+TEST(SessionIdentity, BetweennessMatchesDirectDriver) {
   const graph::Graph graph = api_graph();
-  for (const int tree_radix : {0, 3}) {
-    SCOPED_TRACE("radix " + std::to_string(tree_radix));
-    const api::Config config = deterministic_config(tree_radix);
+  const api::Config config = deterministic_config();
 
-    // Direct arm: the per-rank driver on its own simulated cluster.
-    bc::KadabraOptions options;
-    options.params.epsilon = 0.15;
-    options.params.seed = config.seed;
-    options.engine = config.engine_options();
-    mpisim::RuntimeConfig runtime_config;
-    runtime_config.num_ranks = config.ranks;
-    runtime_config.network = mpisim::NetworkModel::disabled();
-    mpisim::Runtime runtime(runtime_config);
-    bc::BcResult direct;
-    runtime.run([&](mpisim::Comm& world) {
-      bc::BcResult local = bc::kadabra_run(graph, options, &world);
-      if (world.rank() == 0) direct = std::move(local);
-    });
+  // Direct arm: the per-rank driver on its own simulated cluster.
+  bc::KadabraOptions options;
+  options.params.epsilon = 0.15;
+  options.params.seed = config.seed;
+  options.engine = config.engine_options();
+  mpisim::RuntimeConfig runtime_config;
+  runtime_config.num_ranks = config.ranks;
+  runtime_config.network = mpisim::NetworkModel::disabled();
+  mpisim::Runtime runtime(runtime_config);
+  bc::BcResult direct;
+  runtime.run([&](mpisim::Comm& world) {
+    bc::BcResult local = bc::kadabra_run(graph, options, &world);
+    if (world.rank() == 0) direct = std::move(local);
+  });
 
-    // Facade arm.
-    api::Session session(graph, config);
-    api::BetweennessQuery query;
-    query.epsilon = 0.15;
-    const api::Result result = session.run(query);
+  // Facade arm.
+  api::Session session(graph, config);
+  api::BetweennessQuery query;
+  query.epsilon = 0.15;
+  const api::Result result = session.run(query);
 
-    ASSERT_TRUE(result.status.ok) << result.status.message;
-    EXPECT_EQ(result.algorithm, "kadabra");
-    EXPECT_EQ(result.samples, direct.samples);
-    EXPECT_EQ(result.epochs, direct.epochs);
-    ASSERT_EQ(result.scores.size(), direct.scores.size());
-    for (std::size_t v = 0; v < result.scores.size(); ++v)
-      EXPECT_EQ(result.scores[v], direct.scores[v]) << "vertex " << v;
-  }
+  ASSERT_TRUE(result.status.ok) << result.status.message;
+  EXPECT_EQ(result.algorithm, "kadabra");
+  EXPECT_EQ(result.samples, direct.samples);
+  EXPECT_EQ(result.epochs, direct.epochs);
+  ASSERT_EQ(result.scores.size(), direct.scores.size());
+  for (std::size_t v = 0; v < result.scores.size(); ++v)
+    EXPECT_EQ(result.scores[v], direct.scores[v]) << "vertex " << v;
 }
 
 TEST(SessionIdentity, ClosenessMatchesDirectDriver) {
@@ -405,10 +401,6 @@ TEST(SessionValidation, MismatchedRuntimeConfigFailsEveryQuery) {
   EXPECT_FALSE(result.status.ok);
   EXPECT_NE(result.status.message.find("deterministic"), std::string::npos);
 
-  api::Config bad_radix;
-  bad_radix.tree_radix = 1;
-  EXPECT_FALSE(api::Session(api_graph(), bad_radix).status().ok);
-
   // The calibration layer requires balancing in (0, 1); zero must be
   // caught at session construction, not by a driver assert.
   api::Config zero_balancing;
@@ -455,22 +447,22 @@ class ScopedEnv {
 
 TEST(ApiConfig, PrecedenceIsEnvThenTextThenProgrammatic) {
   const ScopedEnv env_base("DISTBC_EPOCH_BASE", "123");
-  const ScopedEnv env_radix("DISTBC_TREE_RADIX", "2");
+  const ScopedEnv env_threads("DISTBC_THREADS", "2");
 
   api::Config config = api::Config::from_env();
   EXPECT_EQ(config.epoch_base, 123u);
-  EXPECT_EQ(config.tree_radix, 2);
+  EXPECT_EQ(config.threads, 2);
 
   ASSERT_TRUE(config.load_text("# service overrides\n"
                                "epoch_base = 456\n"
-                               "tree_radix = 4\n")
+                               "threads = 4\n")
                   .ok);
   EXPECT_EQ(config.epoch_base, 456u);
-  EXPECT_EQ(config.tree_radix, 4);
+  EXPECT_EQ(config.threads, 4);
 
   ASSERT_TRUE(config.set("epoch_base", "789").ok);
   EXPECT_EQ(config.epoch_base, 789u);
-  EXPECT_EQ(config.tree_radix, 4);  // untouched layer
+  EXPECT_EQ(config.threads, 4);  // untouched layer
 }
 
 TEST(ApiConfig, UnknownKeysAndMalformedValuesAreRejected) {
@@ -479,10 +471,10 @@ TEST(ApiConfig, UnknownKeysAndMalformedValuesAreRejected) {
   EXPECT_FALSE(unknown.ok);
   EXPECT_NE(unknown.message.find("unknown config key"), std::string::npos);
 
-  EXPECT_FALSE(config.load_text("tree_radix = 3\nbogus_knob = 1\n").ok);
-  EXPECT_EQ(config.tree_radix, 3);  // applied before stop
+  EXPECT_FALSE(config.load_text("threads = 3\nbogus_knob = 1\n").ok);
+  EXPECT_EQ(config.threads, 3);  // applied before stop
 
-  EXPECT_FALSE(config.set("tree_radix", "1").ok);
+  EXPECT_FALSE(config.set("threads", "0").ok);
   EXPECT_FALSE(config.set("aggregation", "ireduc").ok);
   EXPECT_FALSE(config.set("ranks", "0").ok);
   EXPECT_FALSE(config.set("epoch_base", "12x").ok);
@@ -496,16 +488,18 @@ TEST(ApiConfig, RemovedKnobsFailLoudly) {
   // deleted autotuner's two switches, the per-rank aggregate switch no
   // result exposed, the wire-representation selector (every aggregation
   // ships data-sized images), and the diameter selector (every driver
-  // takes the one bucket-tight bound), and the two pacing knobs and the
+  // takes the one bucket-tight bound), the two pacing knobs and the
   // sketch cap no caller set (KadabraOptions and dynamic::SketchParams
-  // keep their defaults) - must fail with the unknown-key Status, not be
+  // keep their defaults), and the two tree-merge radixes (every merge is
+  // the flat all-reduce, under the optional §IV-E hierarchy) - must fail
+  // with the unknown-key Status, not be
   // silently ignored by old config text. The autotuner's names are
   // spelled in pieces so a source search for them finds only history,
   // not live code.
   for (const std::string key :
        {"sample_batch", "auto_" "tune", "tune_" "profile", "local_aggregates",
         "frame_rep", "exact_diameter", "omega_fraction", "min_epoch_length",
-        "dynamic_sketch_cap"}) {
+        "dynamic_sketch_cap", "tree_radix", "leader_radix"}) {
     api::Config config;
     const api::Status text = config.load_text(key + "=1\n");
     EXPECT_FALSE(text.ok) << key;
@@ -527,26 +521,28 @@ TEST(ApiConfig, RetiredEnvironmentVariablesAreIgnored) {
   const ScopedEnv omega_fraction("DISTBC_OMEGA_FRACTION", "0");
   const ScopedEnv min_epoch_length("DISTBC_MIN_EPOCH_LENGTH", "x");
   const ScopedEnv sketch_cap("DISTBC_DYNAMIC_SKETCH_CAP", "8");
+  const ScopedEnv tree_fan_in("DISTBC_TREE_RADIX", "1");
+  const ScopedEnv leader_fan_in("DISTBC_LEADER_RADIX", "2");
   api::Config config;
   EXPECT_TRUE(config.load_env().ok);
 }
 
 TEST(ApiConfig, MalformedEnvironmentIsALoudError) {
-  const ScopedEnv env("DISTBC_TREE_RADIX", "1");
+  const ScopedEnv env("DISTBC_THREADS", "0");
   api::Config config;
   const api::Status status = config.load_env();
   EXPECT_FALSE(status.ok);
-  EXPECT_NE(status.message.find("DISTBC_TREE_RADIX"), std::string::npos);
+  EXPECT_NE(status.message.find("DISTBC_THREADS"), std::string::npos);
 }
 
 TEST(ApiConfig, SerializeRoundTrips) {
   api::Config config;
-  config.tree_radix = 4;
+  config.threads = 4;
   config.aggregation = engine::Aggregation::kIreduce;
   config.epoch_base = 77;
   api::Config reparsed;
   ASSERT_TRUE(reparsed.load_text(config.serialize()).ok);
-  EXPECT_EQ(reparsed.tree_radix, 4);
+  EXPECT_EQ(reparsed.threads, 4);
   EXPECT_EQ(reparsed.aggregation, engine::Aggregation::kIreduce);
   EXPECT_EQ(reparsed.epoch_base, 77u);
 }
@@ -562,8 +558,6 @@ TEST(ApiConfig, EngineOptionsMappingIsComplete) {
   config.max_epochs = 7;
   config.deterministic = true;
   config.virtual_streams = 5;
-  config.tree_radix = 2;
-  config.leader_radix = 3;
   const engine::EngineOptions options = config.engine_options();
   EXPECT_EQ(options.threads_per_rank, 3);
   EXPECT_EQ(options.aggregation, engine::Aggregation::kBlocking);
@@ -574,8 +568,6 @@ TEST(ApiConfig, EngineOptionsMappingIsComplete) {
   EXPECT_EQ(options.max_epochs, 7u);
   EXPECT_TRUE(options.deterministic);
   EXPECT_EQ(options.virtual_streams, 5u);
-  EXPECT_EQ(options.tree_radix, 2);
-  EXPECT_EQ(options.leader_radix, 3);
 }
 
 TEST(ApiConfig, SeededTextFuzzNeverYieldsAnEmptyEpoch) {

@@ -147,28 +147,22 @@ TEST(Guarantee, FailureRateIsCompatibleWithDelta) {
 TEST(Guarantee, MultiRankFailureRateOverSeedsIsWithinDelta) {
   // The same rate on the path that ships wire images: 4 ranks x 2 threads
   // through api::Session, 100 seeds per case against exact Brandes. The
-  // cases are the flat and radix-2 tree merges, §III-B's lockstep rounds
-  // (deterministic + blocking: fixed shares, no overlap, a blocking
-  // reduction per round), and the §IV-E two-level merge with and without
-  // a radix-2 leader tree. Deterministic mode: free-running, the eight
-  // sampling threads oversubscribe four cores and a run waits on the
+  // cases are the flat merge, §III-B's lockstep rounds (deterministic +
+  // blocking: fixed shares, no overlap, a blocking reduction per round),
+  // and the §IV-E two-level merge. Deterministic mode: free-running, the
+  // eight sampling threads oversubscribe four cores and a run waits on the
   // scheduler (~18 ms instead of ~2 ms). Each case gets its own seeds,
   // since deterministic runs of one seed agree bit for bit across them.
   struct Case {
     const char* name;
-    int tree_radix;
     Aggregation aggregation;
     int ranks_per_node;
-    int leader_radix;
     std::uint64_t first_seed;
   };
   constexpr Case kCases[] = {
-      {"flat", 0, Aggregation::kIbarrierReduce, 1, 0, 3000},
-      {"tree radix 2", 2, Aggregation::kIbarrierReduce, 1, 0, 5000},
-      {"lockstep (blocking)", 0, Aggregation::kBlocking, 1, 0, 4000},
-      {"hierarchical", 0, Aggregation::kIbarrierReduce, 2, 0, 6000},
-      {"hierarchical leader radix 2", 0, Aggregation::kIbarrierReduce, 2, 2,
-       7000}};
+      {"flat", Aggregation::kIbarrierReduce, 1, 3000},
+      {"lockstep (blocking)", Aggregation::kBlocking, 1, 4000},
+      {"hierarchical", Aggregation::kIbarrierReduce, 2, 6000}};
   constexpr int kSeeds = 100;
   constexpr double kEpsilon = 0.05;
   constexpr double kDelta = 0.1;
@@ -182,11 +176,9 @@ TEST(Guarantee, MultiRankFailureRateOverSeedsIsWithinDelta) {
       api::Config config;
       config.ranks = 4;
       config.threads = 2;
-      config.tree_radix = c.tree_radix;
       config.aggregation = c.aggregation;
       config.ranks_per_node = c.ranks_per_node;
       config.hierarchical = c.ranks_per_node > 1;
-      config.leader_radix = c.leader_radix;
       config.deterministic = true;
       config.seed = c.first_seed + seed;
       api::Session session(graph, config);
@@ -255,23 +247,15 @@ std::uint64_t score_digest(const std::vector<double>& scores,
 /// The §IV-E/F aggregation topologies every driver on the engine runs.
 struct Topology {
   const char* name;
-  int tree_radix;
   bool hierarchical;
-  int leader_radix;
 
   [[nodiscard]] int ranks_per_node() const { return hierarchical ? 2 : 1; }
   void apply(engine::EngineOptions& options) const {
-    options.tree_radix = tree_radix;
     options.hierarchical = hierarchical;
-    options.leader_radix = leader_radix;
   }
 };
 
-constexpr Topology kTopologies[] = {
-    {"flat", 0, false, 0},
-    {"tree radix 2", 2, false, 0},
-    {"hierarchical", 0, true, 0},
-    {"hierarchical leader radix 2", 0, true, 2}};
+constexpr Topology kTopologies[] = {{"flat", false}, {"hierarchical", true}};
 
 TEST(GoldenScores, KadabraEveryTopologyAndStrategy) {
   const graph::Graph graph = golden_graph();

@@ -30,6 +30,7 @@
 #include "dynamic/incremental_bc.hpp"
 #include "dynamic/mutable_graph.hpp"
 #include "gen/erdos_renyi.hpp"
+#include "graph/bfs.hpp"
 #include "graph/builder.hpp"
 #include "graph/components.hpp"
 #include "graph/diameter.hpp"
@@ -554,6 +555,61 @@ std::uint64_t verdict_digest(std::uint32_t exact_cap,
     (void)engine.refresh(mutable_graph.snapshot(), batch, bound);
   }
   return fnv.value();
+}
+
+// The stored paths are what refresh subtracts when a later batch dirties
+// their records, so after every refresh each connected record must hold a
+// shortest path of the NEW snapshot between its stream's own pair: a
+// clean record's path survived the batch, a dirty one was redrawn on it.
+// Replaying the streams bitwise is not the oracle here (a retained
+// sample's draw may differ from a redraw on the new graph and still be a
+// uniform shortest path), so the check is the path property itself:
+// s, path..., t is a walk over edges of the snapshot whose length is the
+// BFS distance d(s, t).
+TEST(IncrementalBc, RefreshedLedgerPathsAreShortestPathsOfTheNewSnapshot) {
+  const auto initial = std::make_shared<const graph::Graph>(churn_graph());
+  const bc::KadabraParams params = churn_params();
+  dynamic::IncrementalBc engine(params, dynamic::SketchParams{});
+  engine.run(initial);
+  dynamic::MutableGraph mutable_graph(initial);
+  std::deque<dynamic::Edge> churned;
+  Rng rng(1618);
+  std::uint64_t checked = 0;
+  std::uint64_t deletion_batches = 0;
+  for (const BatchKind kind : kPinnedKinds) {
+    const dynamic::EdgeBatch batch =
+        seeded_batch(kind, *mutable_graph.snapshot(), rng, churned);
+    mutable_graph.apply(batch);
+    const std::shared_ptr<const graph::Graph> snapshot =
+        mutable_graph.snapshot();
+    ASSERT_TRUE(graph::is_connected(*snapshot));
+    deletion_batches += !batch.deletes().empty();
+    const std::uint32_t bound =
+        batch.deletes().empty() ? 0 : graph::vertex_diameter(*snapshot, true);
+    (void)engine.refresh(snapshot, batch, bound);
+
+    const dynamic::SampleLedger& ledger = engine.ledger();
+    for (std::size_t i = 0; i < ledger.size(); ++i) {
+      // Connected snapshot: every pair is connected.
+      ASSERT_TRUE(ledger.connected(i)) << "record " << i;
+      const auto [s, t] = Rng(params.seed)
+                              .split(ledger.stream(i))
+                              .next_distinct_pair(snapshot->num_vertices());
+      std::vector<graph::Vertex> walk{static_cast<graph::Vertex>(s)};
+      const auto path = ledger.path(i);
+      walk.insert(walk.end(), path.begin(), path.end());
+      walk.push_back(static_cast<graph::Vertex>(t));
+      for (std::size_t k = 0; k + 1 < walk.size(); ++k)
+        ASSERT_TRUE(snapshot->has_edge(walk[k], walk[k + 1]))
+            << "record " << i << " hop " << k;
+      const std::vector<std::uint32_t> distance =
+          graph::bfs_distances(*snapshot, walk.front());
+      ASSERT_EQ(walk.size() - 1, distance[walk.back()]) << "record " << i;
+      ++checked;
+    }
+  }
+  EXPECT_GE(deletion_batches, 3u);
+  EXPECT_GT(checked, 0u);
 }
 
 TEST(SampleLedger, VerdictDigestsArePinned) {

@@ -156,57 +156,17 @@ TEST(EngineEquivalence, WireImagesCarryEveryAggregation) {
   EXPECT_LT(result.comm_volume.aggregation_bytes(), dense_layout_bytes);
 }
 
-// Tree-merge aggregation: interior-rank image combining (any radix, with
-// or without the hierarchy on top) must be bitwise identical to the flat
-// decentralized merge - decoding is a commutative sum - while the root
-// ingests strictly fewer bytes than under a rooted flat-shaped merge
-// (radix >= P makes every rank a direct child of the root, the old
-// flat-reduction hotspot; every per-rank image shares at least the tau
-// pair, so interior unions shrink what reaches the top).
-TEST(EngineEquivalence, TreeMergeIsBitwiseIdenticalAndCutsRootIngest) {
-  const graph::Graph graph = equivalence_graph();
-  auto run = [&](int radix, bool hierarchical) {
-    bc::KadabraOptions options = deterministic_options(1);
-    options.engine.virtual_streams = 8;
-    options.engine.tree_radix = radix;
-    options.engine.hierarchical = hierarchical;
-    return bc::kadabra_mpi(graph, options, /*num_ranks=*/8,
-                           /*ranks_per_node=*/hierarchical ? 2 : 1,
-                           mpisim::NetworkModel::disabled());
-  };
-  const bc::BcResult flat = run(/*radix=*/0, /*hierarchical=*/false);
-  ASSERT_GT(flat.samples, 0u);
-  const bc::BcResult rooted = run(/*radix=*/8, /*hierarchical=*/false);
-  expect_bitwise_equal(flat, rooted, "flat all-reduce vs rooted radix-8");
-  ASSERT_GT(rooted.comm_volume.root_ingest_bytes, 0u);
-  for (const int radix : {2, 3, 4}) {
-    for (const bool hierarchical : {false, true}) {
-      const bc::BcResult result = run(radix, hierarchical);
-      const std::string label = "radix " + std::to_string(radix) +
-                                (hierarchical ? " / hierarchical" : "");
-      expect_bitwise_equal(flat, result, label.c_str());
-      if (!hierarchical) {
-        EXPECT_LT(result.comm_volume.root_ingest_bytes,
-                  rooted.comm_volume.root_ingest_bytes)
-            << label;
-      }
-    }
-  }
-}
-
-// The two-level merge path: §IV-E node-window pre-reduction below a
-// leader-level radix tree, radix picked per hop class via leader_radix.
-// Every (leader_radix x strategy) cell must be bitwise
-// identical to the flat single-level baseline, and leader_radix = 0 must
-// inherit tree_radix (single-knob configurations keep their shape).
+// The two-level merge path: §IV-E node-window pre-reduction below the
+// leaders' all-reduce merge, then the leaders' downward leg. Every
+// (hierarchy x strategy) cell must be bitwise identical to the flat
+// single-level baseline.
 TEST(EngineEquivalence, TwoLevelSweepIsBitwiseIdentical) {
   const graph::Graph graph = equivalence_graph();
-  auto run = [&](int leader_radix, engine::Aggregation aggregation) {
+  auto run = [&](bool hierarchical, engine::Aggregation aggregation) {
     bc::KadabraOptions options = deterministic_options(1);
     options.engine.virtual_streams = 8;
     options.engine.aggregation = aggregation;
-    options.engine.hierarchical = true;
-    options.engine.leader_radix = leader_radix;
+    options.engine.hierarchical = hierarchical;
     return bc::kadabra_mpi(graph, options, /*num_ranks=*/8,
                            /*ranks_per_node=*/2,
                            mpisim::NetworkModel::disabled());
@@ -217,14 +177,14 @@ TEST(EngineEquivalence, TwoLevelSweepIsBitwiseIdentical) {
       bc::kadabra_mpi(graph, flat_options, /*num_ranks=*/8,
                       /*ranks_per_node=*/1, mpisim::NetworkModel::disabled());
   ASSERT_GT(baseline.samples, 0u);
-  for (const int leader_radix : {0, 2, 3}) {
+  for (const bool hierarchical : {false, true}) {
     for (const engine::Aggregation aggregation :
          {engine::Aggregation::kIbarrierReduce, engine::Aggregation::kIreduce,
           engine::Aggregation::kBlocking}) {
-      const bc::BcResult result = run(leader_radix, aggregation);
-      const std::string label = "leader radix " +
-                                std::to_string(leader_radix) + " / " +
-                                engine::aggregation_name(aggregation);
+      const bc::BcResult result = run(hierarchical, aggregation);
+      const std::string label =
+          std::string(hierarchical ? "hierarchical" : "flat") + " / " +
+          engine::aggregation_name(aggregation);
       expect_bitwise_equal(baseline, result, label.c_str());
     }
   }
@@ -259,15 +219,15 @@ TEST(EngineEquivalence, EveryRankHoldsTheGlobalAggregate) {
 
 // The engine builds and reads every wire image from the frame's flat raw()
 // array alone, so a frame takes every wire path dense (a one-word frame)
-// and sparse (a 64-word frame with one nonzero), flat, tree-merged and
-// hierarchical alike.
+// and sparse (a 64-word frame with one nonzero), flat and hierarchical
+// alike.
 TEST(EngineEquivalence, RawOnlyFrameRidesEveryTopology) {
   struct Outcome {
     std::uint64_t calibrated = 0;
     std::uint64_t epochs = 0;
     std::vector<std::uint64_t> per_rank = std::vector<std::uint64_t>(4, 0);
   };
-  auto run = [](std::size_t words, int radix, bool hierarchical) {
+  auto run = [](std::size_t words, bool hierarchical) {
     mpisim::RuntimeConfig config;
     config.num_ranks = 4;
     config.ranks_per_node = hierarchical ? 2 : 1;
@@ -281,7 +241,6 @@ TEST(EngineEquivalence, RawOnlyFrameRidesEveryTopology) {
       options.virtual_streams = 8;
       options.epoch_base = 40;
       options.epoch_exponent = 0.0;
-      options.tree_radix = radix;
       options.hierarchical = hierarchical;
       const std::size_t payload_words = words - 1;
       const epoch::StateFrame calibrated =
@@ -299,16 +258,14 @@ TEST(EngineEquivalence, RawOnlyFrameRidesEveryTopology) {
     });
     return outcome;
   };
-  const Outcome reference = run(1, 0, false);
+  const Outcome reference = run(1, false);
   EXPECT_EQ(reference.calibrated, 1001u);
   EXPECT_GE(reference.per_rank[0], 300u);
   for (const std::size_t words : {1u, 64u}) {
-    for (const auto& [radix, hierarchical] :
-         {std::pair{0, false}, std::pair{2, false}, std::pair{0, true}}) {
-      SCOPED_TRACE(std::to_string(words) + " words radix " +
-                   std::to_string(radix) +
+    for (const bool hierarchical : {false, true}) {
+      SCOPED_TRACE(std::to_string(words) + " words" +
                    (hierarchical ? " hierarchical" : " flat"));
-      const Outcome got = run(words, radix, hierarchical);
+      const Outcome got = run(words, hierarchical);
       EXPECT_EQ(got.calibrated, reference.calibrated);
       EXPECT_EQ(got.epochs, reference.epochs);
       EXPECT_EQ(got.per_rank, reference.per_rank);
@@ -366,27 +323,6 @@ TEST(EngineEquivalence, LocalAggregatesAreKeptOnlyWhenAsked) {
     }
     EXPECT_EQ(sum, global);
   }
-}
-
-// Regression: with the non-blocking strategy, a fast non-root rank's
-// ireduce_merge_tree completes at its own injection deadline and leaves
-// the epoch's aggregation scope while stragglers are still posting; the
-// stored combiner then runs at the last arrival. It must own its captures
-// - a by-reference capture of the epoch-scope locals was a
-// use-after-scope here (the CI sanitize leg runs this under ASan).
-TEST(EngineEquivalence, TreeMergeSurvivesNonBlockingStragglers) {
-  const graph::Graph graph = equivalence_graph();
-  auto run = [&](int radix) {
-    bc::KadabraOptions options = deterministic_options(1);
-    options.engine.aggregation = engine::Aggregation::kIreduce;
-    options.engine.tree_radix = radix;
-    return bc::kadabra_mpi(graph, options, /*num_ranks=*/4,
-                           /*ranks_per_node=*/1,
-                           mpisim::NetworkModel::disabled());
-  };
-  const bc::BcResult tree = run(2);
-  ASSERT_GT(tree.samples, 0u);
-  expect_bitwise_equal(run(0), tree, "ireduce flat vs radix-2 tree");
 }
 
 TEST(EngineEquivalence, HierarchicalReductionMatchesFlat) {

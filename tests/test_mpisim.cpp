@@ -373,16 +373,12 @@ TEST(NetworkModel, CostsScaleWithSizeAndTopology) {
   const auto few_nodes = model.collective_cost(1024, 1, 2);
   const auto many_nodes = model.collective_cost(1024, 1, 16);
   EXPECT_LT(few_nodes.count(), many_nodes.count());
-
-  const auto local = model.message_cost(4096, /*same_node=*/true);
-  const auto remote = model.message_cost(4096, /*same_node=*/false);
-  EXPECT_LT(local.count(), remote.count());
 }
 
 TEST(NetworkModel, DisabledIsFree) {
   const NetworkModel model = NetworkModel::disabled();
   EXPECT_EQ(model.collective_cost(1 << 20, 2, 16).count(), 0);
-  EXPECT_EQ(model.message_cost(1 << 20, false).count(), 0);
+  EXPECT_EQ(model.injection_cost(1 << 20, false).count(), 0);
 }
 
 TEST(NetworkModel, EnabledDelaysBarrier) {

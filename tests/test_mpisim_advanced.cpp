@@ -9,6 +9,7 @@
 #include <ctime>
 #include <numeric>
 #include <span>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -325,107 +326,20 @@ TEST(VariableLength, RepeatedRoundsInterleaveWithFixedCollectives) {
   });
 }
 
-// --- Tree-merge reductions ---------------------------------------------------
-
-// Synthesizes rank r's sparse wire image: overlapping indices across ranks
-// (every image shares index 0) so interior merging genuinely shrinks
-// payloads.
-std::vector<std::uint64_t> rank_image(int rank) {
-  const auto r = static_cast<std::uint64_t>(rank);
-  // Pairs (0, 1), (r+1, 2), (r+40, 7): ascending indices, slot 0 shared.
-  return {epoch::kSparseTag, 3, 0, 1, r + 1, 2, r + 40, 7};
-}
-
-/// The codec combiner a real engine run would pass (dense space of 128
-/// slots, densify at the dense-image crossover).
-void combine_codec(std::vector<std::uint64_t>& acc,
-                   std::span<const std::uint64_t> in) {
-  epoch::merge_images(acc, in, /*dense_words=*/128);
-}
-
-TEST(TreeMerge, MatchesFlatDecodeAcrossRadixes) {
-  constexpr int kRanks = 16;
-  const auto decode_run = [&](int radix) {
-    std::vector<std::uint64_t> dense(128, 0);
-    Runtime runtime(quiet(kRanks, 4));
-    runtime.run([&](Comm& comm) {
-      const std::vector<std::uint64_t> mine = rank_image(comm.rank());
-      const auto merge = [&](int, std::span<const std::uint64_t> image) {
-        epoch::decode_add_image(std::span<std::uint64_t>(dense), image);
-      };
-      if (radix == 0) {
-        comm.reduce_merge(std::span<const std::uint64_t>(mine), merge, 0);
-      } else {
-        comm.reduce_merge_tree(std::span<const std::uint64_t>(mine),
-                               combine_codec, merge, 0, radix);
-      }
-    });
-    return std::pair{dense,
-                     runtime.last_world_stats().root_ingest_bytes.load()};
-  };
-
-  const auto [flat, flat_ingest] = decode_run(0);
-  EXPECT_EQ(flat[0], 16u * 1);  // every rank contributed at index 0
-  for (const int radix : {2, 3, 4, 8}) {
-    const auto [tree, tree_ingest] = decode_run(radix);
-    EXPECT_EQ(tree, flat) << "radix " << radix;
-    // Interior merging collapses the shared indices, so the root ingests
-    // strictly less than the flat sum of all per-rank images.
-    EXPECT_LT(tree_ingest, flat_ingest) << "radix " << radix;
-  }
-}
-
-TEST(TreeMerge, RootConsumerSeesOwnPlusDirectChildren) {
-  Runtime runtime(quiet(8));
-  runtime.run([&](Comm& comm) {
-    const std::vector<std::uint64_t> mine = rank_image(comm.rank());
-    std::vector<int> sources;
-    comm.reduce_merge_tree(
-        std::span<const std::uint64_t>(mine), combine_codec,
-        [&](int src, std::span<const std::uint64_t>) {
-          sources.push_back(src);
-        },
-        0, 2);
-    if (comm.rank() == 0) {
-      // Radix-2 heap over 8 positions: the root's direct children are
-      // positions (ranks) 1 and 2; everything else merged beneath them.
-      EXPECT_EQ(sources, (std::vector<int>{0, 1, 2}));
-    } else {
-      EXPECT_TRUE(sources.empty());
-    }
-  });
-  // Every non-root position sends its upward image exactly once.
-  EXPECT_EQ(runtime.last_world_stats().tree_merge_calls.load(), 8u);
-  EXPECT_GT(runtime.last_world_stats().reduce_merge_bytes.load(), 0u);
-}
-
-TEST(TreeMerge, NonZeroRootAndNonBlockingForm) {
-  Runtime runtime(quiet(5));
-  runtime.run([&](Comm& comm) {
-    std::vector<std::uint64_t> dense(128, 0);
-    const std::vector<std::uint64_t> mine = rank_image(comm.rank());
-    Request request = comm.ireduce_merge_tree(
-        std::span<const std::uint64_t>(mine), combine_codec,
-        [&](int, std::span<const std::uint64_t> image) {
-          epoch::decode_add_image(std::span<std::uint64_t>(dense), image);
-        },
-        /*root=*/2, /*radix=*/3);
-    request.wait();
-    if (comm.rank() == 2) {
-      EXPECT_EQ(dense[0], 5u);  // one contribution of 1 per rank at slot 0
-      EXPECT_EQ(dense[3], 2u);  // rank 2's pair (index 2+1, value 2)
-    } else {
-      EXPECT_EQ(dense[0], 0u);
-    }
-  });
-}
-
 // --- All-reduce family (decentralized termination) ---------------------------
 //
 // The butterfly collectives exist so every rank can end an epoch holding
 // the merged aggregate and evaluate the stop rule locally - no rooted
 // reduce, no verdict broadcast. Their contracts: parity with the rooted
 // composition they replace, and zero root_ingest_bytes (there is no root).
+
+// Synthesizes rank r's sparse wire image: overlapping indices across ranks
+// (every image shares index 0).
+std::vector<std::uint64_t> rank_image(int rank) {
+  const auto r = static_cast<std::uint64_t>(rank);
+  // Pairs (0, 1), (r+1, 2), (r+40, 7): ascending indices, slot 0 shared.
+  return {epoch::kSparseTag, 3, 0, 1, r + 1, 2, r + 40, 7};
+}
 
 TEST(AllReduceFamily, AllreduceMatchesReduceThenBcastOnOddRanks) {
   // Non-power-of-two rank count: the butterfly must handle the ragged
@@ -516,6 +430,33 @@ TEST(AllReduceFamily, NonBlockingFlavorsCompleteAtEveryRank) {
   });
 }
 
+TEST(AllReduceFamily, MergeReplaysRunConcurrently) {
+  // Every rank replays all P images into its own consumer; the replays run
+  // outside the communicator lock, so they overlap instead of running one
+  // after another. Each consumer announces itself on its first image and
+  // then waits (bounded) until every rank's consumer is inside: replays
+  // serialized under one lock would each see only their predecessors.
+  constexpr int kRanks = 4;
+  std::atomic<int> inside{0};
+  std::vector<int> seen(kRanks, 0);
+  Runtime runtime(quiet(kRanks));
+  runtime.run([&](Comm& comm) {
+    const std::uint64_t one = 1;
+    comm.allreduce_merge(
+        std::span<const std::uint64_t>(&one, 1),
+        [&, r = comm.rank()](int src, std::span<const std::uint64_t>) {
+          if (src != 0) return;
+          inside.fetch_add(1);
+          const auto deadline =
+              detail::Clock::now() + std::chrono::milliseconds(500);
+          while (inside.load() < kRanks && detail::Clock::now() < deadline)
+            std::this_thread::yield();
+          seen[r] = inside.load();
+        });
+  });
+  for (int r = 0; r < kRanks; ++r) EXPECT_EQ(seen[r], kRanks) << "rank " << r;
+}
+
 TEST(AllReduceFamily, ButterflySlotsReuseCleanlyAcrossRounds) {
   // Repeated rounds interleaving every butterfly flavor with the rooted
   // ones: slot reuse must not leak state between rounds or flavors.
@@ -547,11 +488,11 @@ TEST(AllReduceFamily, ButterflySlotsReuseCleanlyAcrossRounds) {
 
 // --- Slot-protocol parity ----------------------------------------------------
 //
-// The §IV-F economics of the factored protocol must be identical across
-// the non-blocking flavors the engine's kIreduce strategy uses (the flat
-// merge all-reduce and the tree merge): the same progression penalty
-// stretches every non-blocking completion deadline, and the same poll tax
-// burns CPU on every unsuccessful poll.
+// The §IV-F economics of the factored protocol must hold for the
+// non-blocking merge the engine's kIreduce strategy uses (the all-reduce
+// merge), and leave the blocking calls at their plain deadline: the
+// progression penalty stretches the non-blocking completion deadline, and
+// the poll tax burns CPU on every unsuccessful poll.
 
 double thread_cpu_seconds() {
   timespec ts{};
@@ -624,15 +565,6 @@ TEST(SlotProtocol, ProgressionPenaltyIsUniformAcrossFlavors) {
         return comm.iallreduce_merge(std::span<const std::uint64_t>(payload),
                                      merge);
       });
-  const Timing tree = time_flavor(
-      [&](Comm& comm) {
-        comm.reduce_merge_tree(std::span<const std::uint64_t>(payload),
-                               combine_codec, merge, 0, 2);
-      },
-      [&](Comm& comm) {
-        return comm.ireduce_merge_tree(std::span<const std::uint64_t>(payload),
-                                       combine_codec, merge, 0, 2);
-      });
 
   // The blocking deadline is >= one modeled alpha; the non-blocking one is
   // stretched by the progression factor. Lower bounds only: upper bounds
@@ -641,10 +573,6 @@ TEST(SlotProtocol, ProgressionPenaltyIsUniformAcrossFlavors) {
   EXPECT_GE(mergev_s, 0.9 * 20e-3);
   EXPECT_GE(butterfly.blocking_s, 0.9 * 20e-3);
   EXPECT_GE(butterfly.nonblocking_s, 0.9 * 3.0 * 20e-3);
-  // The tree charges per-hop point-to-point alphas along the critical
-  // path (one hop at P=2), penalized identically when non-blocking.
-  EXPECT_GE(tree.blocking_s, 0.9 * 20e-3);
-  EXPECT_GE(tree.nonblocking_s, 0.9 * 3.0 * 20e-3);
 }
 
 TEST(SlotProtocol, PollTaxAccruesForEveryNonBlockingFlavor) {
@@ -675,22 +603,17 @@ TEST(SlotProtocol, PollTaxAccruesForEveryNonBlockingFlavor) {
     return comm.iallreduce_merge(std::span<const std::uint64_t>(payload),
                                  merge);
   });
-  const double tree_cpu = cpu_of_failed_polls([&](Comm& comm) {
-    return comm.ireduce_merge_tree(std::span<const std::uint64_t>(payload),
-                                   combine_codec, merge, 0, 2);
-  });
   // Eight unsuccessful rank-0 polls burn ~8 x 2ms of modeled progression
-  // CPU on every flavor. The spin deadline is wall time, so a descheduled
+  // CPU. The spin deadline is wall time, so a descheduled
   // thread records less CPU - assert a third as the floor so loaded CI
   // hosts stay green while a missing poll tax (near-zero CPU) still fails.
   EXPECT_GE(butterfly_cpu, 8 * 2e-3 / 3);
-  EXPECT_GE(tree_cpu, 8 * 2e-3 / 3);
 }
 
 TEST(SlotProtocol, OutstandingFlavorsMatchByTicketOrder) {
   Runtime runtime(quiet(4));
   runtime.run([&](Comm& comm) {
-    // Four different slot kinds in flight at once; completion out of post
+    // Three different slot kinds in flight at once; completion out of post
     // order must still match each request to its own slot.
     Request barrier = comm.ibarrier();
     std::uint64_t root_word = comm.rank() == 0 ? 7 : 0;
@@ -702,21 +625,11 @@ TEST(SlotProtocol, OutstandingFlavorsMatchByTicketOrder) {
         [&merged](int, std::span<const std::uint64_t> payload) {
           merged += payload[0];
         });
-    std::vector<std::uint64_t> dense(128, 0);
-    const std::vector<std::uint64_t> image = rank_image(comm.rank());
-    Request tree = comm.ireduce_merge_tree(
-        std::span<const std::uint64_t>(image), combine_codec,
-        [&](int, std::span<const std::uint64_t> img) {
-          epoch::decode_add_image(std::span<std::uint64_t>(dense), img);
-        },
-        0, 2);
-    tree.wait();
     merge.wait();
     bcast.wait();
     barrier.wait();
     EXPECT_EQ(root_word, 7u);
     EXPECT_EQ(merged, 4u);
-    if (comm.rank() == 0) { EXPECT_EQ(dense[0], 4u); }
   });
 }
 

@@ -1,7 +1,6 @@
 // Tests for the wire-image codec over StateFrame's flat array (dense and
-// sparse encodings, append_image's size rule, additive decode), tree-merge
-// image combining, and parity of image-based aggregation with
-// StateFrame::merge under random recording.
+// sparse encodings, append_image's size rule, additive decode), and parity
+// of image-based aggregation with StateFrame::merge under random recording.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -144,69 +143,6 @@ TEST(FrameCodec, AppendImagePicksTheSmallerImage) {
   image.clear();
   append_image(tau_only.raw(), image);
   EXPECT_FALSE(is_dense_image(image));
-}
-
-// --- merge_images: the interior-hop combiner of tree-merge reductions -------
-
-/// Decodes an image into a dense vector of `words` slots.
-std::vector<std::uint64_t> decoded(std::span<const std::uint64_t> image,
-                                   std::size_t words) {
-  std::vector<std::uint64_t> dense(words, 0);
-  decode_add_image(std::span<std::uint64_t>(dense), image);
-  return dense;
-}
-
-TEST(MergeImages, SparseSparseMergeJoin) {
-  // Disjoint and overlapping indices, ascending order preserved.
-  std::vector<std::uint64_t> acc{kSparseTag, 2, 1, 10, 5, 20};
-  const std::vector<std::uint64_t> in{kSparseTag, 3, 0, 1, 5, 2, 7, 3};
-  merge_images(acc, in, /*dense_words=*/16);
-  const std::vector<std::uint64_t> expected{kSparseTag, 4, 0, 1,
-                                            1,          10, 5, 22,
-                                            7,          3};
-  EXPECT_EQ(acc, expected);
-}
-
-TEST(MergeImages, EqualsDecodingBothInputs) {
-  std::vector<std::uint64_t> acc{kSparseTag, 2, 3, 4, 9, 1};
-  const std::vector<std::uint64_t> in{kSparseTag, 2, 3, 6, 12, 2};
-  std::vector<std::uint64_t> want = decoded(acc, 16);
-  const std::vector<std::uint64_t> other = decoded(in, 16);
-  for (std::size_t i = 0; i < want.size(); ++i) want[i] += other[i];
-  merge_images(acc, in, 16);
-  EXPECT_EQ(decoded(acc, 16), want);
-}
-
-TEST(MergeImages, DensifiesAtTheCrossover) {
-  // 16-slot space: sparse pays while 2 + 2 * npairs < 1 + 16. Merging two
-  // 4-pair images with disjoint indices gives 8 pairs -> 18 words >= 17,
-  // so the result must densify (mid-tree densification).
-  std::vector<std::uint64_t> acc{kSparseTag, 4, 0, 1, 2, 1, 4, 1, 6, 1};
-  const std::vector<std::uint64_t> in{kSparseTag, 4, 1, 2, 3, 2, 5, 2, 7, 2};
-  const std::vector<std::uint64_t> want = [&] {
-    std::vector<std::uint64_t> dense = decoded(acc, 16);
-    const std::vector<std::uint64_t> other = decoded(in, 16);
-    for (std::size_t i = 0; i < dense.size(); ++i) dense[i] += other[i];
-    return dense;
-  }();
-  merge_images(acc, in, 16);
-  ASSERT_TRUE(is_dense_image(acc));
-  EXPECT_EQ(decoded(acc, 16), want);
-}
-
-TEST(MergeImages, DenseOperandsDensifyTheResult) {
-  // dense += sparse.
-  std::vector<std::uint64_t> acc{kDenseTag, 1, 2, 3, 0};
-  merge_images(acc, std::vector<std::uint64_t>{kSparseTag, 1, 3, 5}, 4);
-  EXPECT_EQ(acc, (std::vector<std::uint64_t>{kDenseTag, 1, 2, 3, 5}));
-  // sparse += dense: the accumulator densifies.
-  std::vector<std::uint64_t> sparse{kSparseTag, 1, 0, 7};
-  merge_images(sparse, std::vector<std::uint64_t>{kDenseTag, 1, 1, 1, 1}, 4);
-  EXPECT_EQ(sparse, (std::vector<std::uint64_t>{kDenseTag, 8, 1, 1, 1}));
-  // dense += dense.
-  std::vector<std::uint64_t> both{kDenseTag, 1, 1, 1, 1};
-  merge_images(both, std::vector<std::uint64_t>{kDenseTag, 1, 0, 0, 2}, 4);
-  EXPECT_EQ(both, (std::vector<std::uint64_t>{kDenseTag, 2, 1, 1, 3}));
 }
 
 }  // namespace

@@ -115,8 +115,7 @@ std::shared_ptr<const graph::Graph> parity_graph() {
   return graph;
 }
 
-api::Config parity_config(const char* substrate, bool hierarchical,
-                          int tree_radix, int leader_radix) {
+api::Config parity_config(const char* substrate, bool hierarchical) {
   api::Config config;
   config.ranks = 4;
   config.ranks_per_node = hierarchical ? 2 : 1;
@@ -127,8 +126,6 @@ api::Config parity_config(const char* substrate, bool hierarchical,
   config.epoch_base = 64;
   config.epoch_exponent = 0.0;
   config.hierarchical = hierarchical;
-  config.tree_radix = tree_radix;
-  config.leader_radix = leader_radix;
   return config;
 }
 
@@ -145,16 +142,9 @@ TEST(SubstrateParity, BitwiseScoresAcrossSubstratesAndTopologies) {
   struct Topology {
     const char* name;
     bool hierarchical;
-    int tree_radix;
-    int leader_radix;
   };
-  const Topology topologies[] = {
-      {"flat", false, 0, 0},
-      {"tree", false, 2, 0},
-      {"two_level", true, 0, 2},
-  };
-  const api::Result reference =
-      parity_run(parity_config("mpisim", false, 0, 0));
+  const Topology topologies[] = {{"flat", false}, {"two_level", true}};
+  const api::Result reference = parity_run(parity_config("mpisim", false));
   ASSERT_GT(reference.samples, 0u);
 
   for (const Topology& topology : topologies) {
@@ -162,9 +152,8 @@ TEST(SubstrateParity, BitwiseScoresAcrossSubstratesAndTopologies) {
     // AND move identical traffic, yet charge a different modeled clock - a
     // preset changes the clock, never the bytes.
     const auto run = [&](const char* substrate) {
-      const api::Result result = parity_run(
-          parity_config(substrate, topology.hierarchical, topology.tree_radix,
-                        topology.leader_radix));
+      const api::Result result =
+          parity_run(parity_config(substrate, topology.hierarchical));
       const std::string label =
           std::string(topology.name) + "/" + substrate;
       EXPECT_EQ(result.samples, reference.samples) << label;
