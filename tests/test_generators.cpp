@@ -2,6 +2,13 @@
 // degree signatures (heavy tail vs. not), diameter regimes, determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "gen/barabasi_albert.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/hyperbolic.hpp"
@@ -10,6 +17,7 @@
 #include "gen/road.hpp"
 #include "graph/components.hpp"
 #include "graph/diameter.hpp"
+#include "graph/reorder.hpp"
 #include "graph/stats.hpp"
 
 namespace distbc::gen {
@@ -212,6 +220,99 @@ TEST(Instances, ScaleParameterShrinksInstances) {
 TEST(Instances, LookupByNameWorks) {
   const auto& spec = instance_by_name("road-pa-proxy");
   EXPECT_EQ(spec.paper_name, "roadNet-PA");
+}
+
+// --- Pinned CSR digests ------------------------------------------------------
+//
+// graph::fingerprint hashes the CSR arrays byte for byte, so these pins hold
+// every generator, graph::Builder, largest_component and both reorderings to
+// the exact graphs every score digest, golden and bench gate was measured
+// on. A change to how a CSR is built must leave all of them unchanged. A
+// mismatch prints the full table, ready to paste after a deliberate change.
+
+struct PinnedDigest {
+  std::string name;
+  std::uint64_t digest;
+};
+
+void expect_digests(const std::vector<PinnedDigest>& pinned,
+                    const std::vector<PinnedDigest>& actual) {
+  EXPECT_EQ(pinned.size(), actual.size());
+  bool all_equal = pinned.size() == actual.size();
+  for (std::size_t i = 0; i < std::min(pinned.size(), actual.size()); ++i) {
+    EXPECT_EQ(pinned[i].name, actual[i].name);
+    EXPECT_EQ(pinned[i].digest, actual[i].digest) << actual[i].name;
+    all_equal = all_equal && pinned[i].name == actual[i].name &&
+                pinned[i].digest == actual[i].digest;
+  }
+  if (all_equal) return;
+  for (const PinnedDigest& entry : actual)
+    std::printf("          {\"%s\", 0x%016" PRIx64 "ull},\n",
+                entry.name.c_str(), entry.digest);
+}
+
+TEST(GeneratedGraphs, CsrDigestsArePinned) {
+  std::vector<PinnedDigest> actual;
+  for (const auto& [scale, label] : {std::pair{0.05, "@0.05"},
+                                     std::pair{0.25, "@0.25"}}) {
+    for (const auto& spec : instance_suite()) {
+      actual.push_back({spec.name + label,
+                        graph::fingerprint(spec.build(scale, 1))});
+    }
+  }
+  for (const auto& spec : quick_suite())
+    actual.push_back({spec.name, graph::fingerprint(spec.build(1.0, 1))});
+  actual.push_back({"ba-10000-3",
+                    graph::fingerprint(barabasi_albert(10000, 3, 1))});
+  expect_digests(
+      {
+          {"road-pa-proxy@0.05", 0xfd9f494f4bbbb172ull},
+          {"road-ca-proxy@0.05", 0xf5392ffb62e195edull},
+          {"road-ne-proxy@0.05", 0x56ff5874acb70df5ull},
+          {"orkut-proxy@0.05", 0x1a65787eb0fac7daull},
+          {"dbpedia-proxy@0.05", 0x5001200e70da4e1cull},
+          {"wikipedia-proxy@0.05", 0xf8f39e65d63d8482ull},
+          {"twitter-proxy@0.05", 0x8df48d674c2dcf35ull},
+          {"friendster-proxy@0.05", 0x21b42b4a9280f1e6ull},
+          {"uk2002-proxy@0.05", 0xf2f05f9e0b57c5beull},
+          {"uk2007-proxy@0.05", 0xf759454e250cec71ull},
+          {"road-pa-proxy@0.25", 0x39687542bbaf5b97ull},
+          {"road-ca-proxy@0.25", 0x7c3b706389cf2bb6ull},
+          {"road-ne-proxy@0.25", 0xea4e73e5026608f6ull},
+          {"orkut-proxy@0.25", 0x229477e1ae76310eull},
+          {"dbpedia-proxy@0.25", 0x0fd5ae1fbd5ab354ull},
+          {"wikipedia-proxy@0.25", 0xf49f0be451479da6ull},
+          {"twitter-proxy@0.25", 0x9f84b4f6f89bdef3ull},
+          {"friendster-proxy@0.25", 0xba01b07225ec799bull},
+          {"uk2002-proxy@0.25", 0xb8ad3f8a75300d2dull},
+          {"uk2007-proxy@0.25", 0x88663600180a1e74ull},
+          {"quick-road", 0x411d595dabb86156ull},
+          {"quick-social", 0xa4640cb7b5c6408eull},
+          {"quick-web", 0x80c277dc70c510c1ull},
+          {"ba-10000-3", 0x90285c92d241f6a4ull},
+      },
+      actual);
+}
+
+TEST(GeneratedGraphs, ReorderedCsrDigestsArePinned) {
+  std::vector<PinnedDigest> actual;
+  for (const auto& spec : quick_suite()) {
+    const graph::Graph graph = spec.build(1.0, 1);
+    actual.push_back({spec.name + "/degree",
+                      graph::fingerprint(graph::sort_by_degree(graph).graph)});
+    actual.push_back({spec.name + "/bfs",
+                      graph::fingerprint(graph::sort_by_bfs(graph).graph)});
+  }
+  expect_digests(
+      {
+          {"quick-road/degree", 0x84aa82a77cf14b84ull},
+          {"quick-road/bfs", 0xab9c1b10b5c2bc8cull},
+          {"quick-social/degree", 0x27dcd8a525dfdd0aull},
+          {"quick-social/bfs", 0x340cc045ec2fd824ull},
+          {"quick-web/degree", 0xe6507f146e7c4fd6ull},
+          {"quick-web/bfs", 0x74ce2e9874849388ull},
+      },
+      actual);
 }
 
 }  // namespace
