@@ -4,27 +4,60 @@
 
 namespace distbc::graph {
 
+namespace {
+
+/// Turns per-vertex counts in offsets[v + 1] into CSR offsets.
+void prefix_sum(std::vector<EdgeId>& offsets) {
+  for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
+}
+
+}  // namespace
+
 Graph Builder::finish() {
-  // Symmetrize: materialize both arcs, dropping self loops.
-  std::vector<std::pair<Vertex, Vertex>> arcs;
-  arcs.reserve(edges_.size() * 2);
+  const std::size_t n = num_vertices_;
+
+  // Count both arcs of every edge that is not a self loop.
+  std::vector<EdgeId> offsets(n + 1, 0);
   for (const auto& [u, v] : edges_) {
     if (u == v) continue;
-    arcs.emplace_back(u, v);
-    arcs.emplace_back(v, u);
+    ++offsets[u + 1];
+    ++offsets[v + 1];
+  }
+  prefix_sum(offsets);
+
+  // Scatter the arcs into their lists; `cursor` is each list's next slot.
+  std::vector<Vertex> adjacency(offsets[n]);
+  {
+    std::vector<EdgeId> cursor(offsets.begin(), offsets.end() - 1);
+    for (const auto& [u, v] : edges_) {
+      if (u == v) continue;
+      adjacency[cursor[u]++] = v;
+      adjacency[cursor[v]++] = u;
+    }
   }
   edges_.clear();
   edges_.shrink_to_fit();
 
-  std::sort(arcs.begin(), arcs.end());
-  arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
-
-  std::vector<EdgeId> offsets(static_cast<std::size_t>(num_vertices_) + 1, 0);
-  for (const auto& [u, v] : arcs) ++offsets[u + 1];
-  for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
-
-  std::vector<Vertex> adjacency(arcs.size());
-  for (std::size_t i = 0; i < arcs.size(); ++i) adjacency[i] = arcs[i].second;
+  // Sort each list, drop repeated neighbours, and slide it left over the
+  // slots earlier lists freed. offsets[v] is rewritten only after list v's
+  // old start has been read.
+  EdgeId write = 0;
+  EdgeId begin = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    const EdgeId end = offsets[v + 1];
+    const auto first = adjacency.begin() + static_cast<std::ptrdiff_t>(begin);
+    const auto last = adjacency.begin() + static_cast<std::ptrdiff_t>(end);
+    std::sort(first, last);
+    const auto unique_end = std::unique(first, last);
+    if (write != begin)
+      std::copy(first, unique_end,
+                adjacency.begin() + static_cast<std::ptrdiff_t>(write));
+    write += static_cast<EdgeId>(unique_end - first);
+    offsets[v + 1] = write;
+    begin = end;
+  }
+  adjacency.resize(write);
+  adjacency.shrink_to_fit();
 
   return Graph(std::move(offsets), std::move(adjacency));
 }
@@ -39,21 +72,34 @@ Graph from_edges(Vertex num_vertices,
 
 Graph induced_subgraph(const Graph& graph, const std::vector<Vertex>& keep) {
   std::vector<Vertex> remap(graph.num_vertices(), kInvalidVertex);
+  bool ascending = true;
   for (std::size_t i = 0; i < keep.size(); ++i) {
     DISTBC_ASSERT(keep[i] < graph.num_vertices());
     DISTBC_ASSERT_MSG(remap[keep[i]] == kInvalidVertex,
                       "duplicate vertex in keep list");
     remap[keep[i]] = static_cast<Vertex>(i);
+    ascending = ascending && (i == 0 || keep[i - 1] < keep[i]);
   }
 
-  Builder builder(static_cast<Vertex>(keep.size()));
-  for (const Vertex u : keep) {
-    for (const Vertex v : graph.neighbors(u)) {
-      if (remap[v] == kInvalidVertex) continue;
-      if (remap[u] < remap[v]) builder.add_edge(remap[u], remap[v]);
-    }
+  std::vector<EdgeId> offsets(keep.size() + 1, 0);
+  for (std::size_t i = 0; i < keep.size(); ++i) {
+    for (const Vertex v : graph.neighbors(keep[i]))
+      offsets[i + 1] += remap[v] != kInvalidVertex ? 1 : 0;
   }
-  return builder.finish();
+  prefix_sum(offsets);
+
+  // The source lists are sorted and free of repeats, and an ascending
+  // `keep` renames monotonically, so only a reordering needs a sort.
+  std::vector<Vertex> adjacency(offsets.back());
+  for (std::size_t i = 0; i < keep.size(); ++i) {
+    auto out = adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[i]);
+    for (const Vertex v : graph.neighbors(keep[i]))
+      if (remap[v] != kInvalidVertex) *out++ = remap[v];
+    if (!ascending)
+      std::sort(adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[i]),
+                out);
+  }
+  return Graph(std::move(offsets), std::move(adjacency));
 }
 
 }  // namespace distbc::graph

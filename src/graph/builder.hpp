@@ -4,6 +4,15 @@
 // loops, and both orientations may appear. Builder::finish() removes self
 // loops, deduplicates, symmetrizes, and sorts adjacency lists, producing a
 // canonical simple undirected graph.
+//
+// finish() is a counting build (after the GAP Benchmark Suite's builder):
+// it counts both arcs of every non-loop edge into the offsets, scatters the
+// arcs into one adjacency array, releases the edge buffer, then sorts each
+// list on its own, drops repeated neighbours and compacts lists and offsets
+// in place. Its peak is the 8 B/edge buffer plus the 8 B/edge adjacency
+// array - 16 B per input edge, plus 16 B per vertex for the offsets and the
+// scatter cursors - where one global sort over materialized (u, v) arc
+// pairs needed 24 B per edge. The output is the same canonical CSR.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +50,10 @@ class Builder {
     Vertex num_vertices, const std::vector<std::pair<Vertex, Vertex>>& edges);
 
 /// Returns the induced subgraph on `keep` (ids are remapped to 0..k-1 in the
-/// order they appear in `keep`). Used to extract connected components.
+/// order they appear in `keep`). Writes the renamed CSR directly: it counts
+/// each kept vertex's kept neighbours, then copies their new ids, sorting a
+/// list only when `keep` is not ascending. largest_component passes
+/// ascending ids; the reorderings pass a permutation.
 [[nodiscard]] Graph induced_subgraph(const Graph& graph,
                                      const std::vector<Vertex>& keep);
 

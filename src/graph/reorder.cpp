@@ -19,15 +19,7 @@ ReorderedGraph apply_order(const Graph& graph,
   for (Vertex new_id = 0; new_id < graph.num_vertices(); ++new_id)
     result.old_to_new[result.new_to_old[new_id]] = new_id;
 
-  Builder builder(graph.num_vertices());
-  builder.reserve(graph.num_edges());
-  for (Vertex u = 0; u < graph.num_vertices(); ++u) {
-    for (const Vertex v : graph.neighbors(u)) {
-      if (u < v)
-        builder.add_edge(result.old_to_new[u], result.old_to_new[v]);
-    }
-  }
-  result.graph = builder.finish();
+  result.graph = induced_subgraph(graph, result.new_to_old);
   return result;
 }
 
