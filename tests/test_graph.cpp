@@ -1,14 +1,19 @@
 // Unit tests for the CSR graph, builder, induced subgraphs, and IO.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
 #include "graph/stats.hpp"
+#include "support/random.hpp"
 
 namespace distbc::graph {
 namespace {
@@ -99,6 +104,129 @@ TEST(InducedSubgraph, EmptyKeepList) {
   const Graph graph = triangle_plus_tail();
   const Graph sub = induced_subgraph(graph, {});
   EXPECT_EQ(sub.num_vertices(), 0u);
+}
+
+// --- The builder against a reference ---------------------------------------
+//
+// The reference is the pair sort Builder::finish used to run: both arcs of
+// every edge that is not a self loop, one sort over all of them, duplicates
+// dropped, the CSR read off the sorted pairs. The counting build must match
+// it array for array.
+
+using EdgeList = std::vector<std::pair<Vertex, Vertex>>;
+
+Graph reference_build(Vertex n, const EdgeList& edges) {
+  EdgeList arcs;
+  for (const auto& [u, v] : edges) {
+    if (u == v) continue;
+    arcs.emplace_back(u, v);
+    arcs.emplace_back(v, u);
+  }
+  std::sort(arcs.begin(), arcs.end());
+  arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
+  std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1, 0);
+  for (const auto& arc : arcs) ++offsets[arc.first + 1];
+  for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
+  std::vector<Vertex> adjacency;
+  for (const auto& arc : arcs) adjacency.push_back(arc.second);
+  return Graph(std::move(offsets), std::move(adjacency));
+}
+
+/// `m` edges drawn on the lower 3/4 of the ids (the rest stay isolated),
+/// mixed with self loops, reversed copies and repeats of earlier edges.
+EdgeList random_multigraph(Vertex n, std::size_t m, std::uint64_t seed) {
+  Rng rng(seed);
+  EdgeList edges;
+  if (n == 0) return edges;
+  const Vertex span = std::max<Vertex>(1, n - n / 4);
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto u = static_cast<Vertex>(rng.next_bounded(span));
+    const auto v = static_cast<Vertex>(rng.next_bounded(span));
+    switch (rng.next_bounded(6)) {
+      case 0: edges.emplace_back(u, u); break;
+      case 1:
+        if (!edges.empty()) {
+          const auto [a, b] = edges[rng.next_bounded(edges.size())];
+          edges.emplace_back(b, a);
+          break;
+        }
+        [[fallthrough]];
+      case 2:
+        if (!edges.empty()) {
+          edges.push_back(edges[rng.next_bounded(edges.size())]);
+          break;
+        }
+        [[fallthrough]];
+      default: edges.emplace_back(u, v);
+    }
+  }
+  return edges;
+}
+
+void expect_same_csr(const Graph& actual, const Graph& expected) {
+  EXPECT_TRUE(std::ranges::equal(actual.offsets(), expected.offsets()));
+  EXPECT_TRUE(std::ranges::equal(actual.adjacency(), expected.adjacency()));
+}
+
+TEST(BuilderReference, MatchesThePairSortOnRandomMultigraphs) {
+  for (const Vertex n : {0u, 1u, 2u, 3u, 17u, 200u, 3000u}) {
+    for (const std::size_t per_vertex : {0u, 1u, 4u, 12u}) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        const EdgeList edges = random_multigraph(n, n * per_vertex, seed);
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " m="
+                                          << edges.size() << " seed=" << seed);
+        expect_same_csr(from_edges(n, edges), reference_build(n, edges));
+      }
+    }
+  }
+}
+
+TEST(BuilderReference, SelfLoopsOnlyGiveAnEdgelessGraph) {
+  const Graph single = from_edges(1, {{0, 0}, {0, 0}});
+  expect_same_csr(single, reference_build(1, {}));
+  EXPECT_EQ(single.num_vertices(), 1u);
+  EXPECT_EQ(single.num_edges(), 0u);
+}
+
+/// The reference for induced_subgraph: rename the kept arcs and run them
+/// through the reference build.
+Graph reference_induced(const Graph& graph, const std::vector<Vertex>& keep) {
+  std::vector<Vertex> remap(graph.num_vertices(), kInvalidVertex);
+  for (std::size_t i = 0; i < keep.size(); ++i)
+    remap[keep[i]] = static_cast<Vertex>(i);
+  EdgeList edges;
+  for (const Vertex u : keep) {
+    for (const Vertex v : graph.neighbors(u))
+      if (remap[v] != kInvalidVertex) edges.emplace_back(remap[u], remap[v]);
+  }
+  return reference_build(static_cast<Vertex>(keep.size()), edges);
+}
+
+TEST(InducedSubgraphReference, MatchesTheReferenceForAnyKeepOrder) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const Vertex n = 400;
+    const Graph graph = from_edges(n, random_multigraph(n, 6 * n, seed));
+    Rng rng(seed + 100);
+    std::vector<Vertex> all(n);
+    std::iota(all.begin(), all.end(), 0);
+    std::vector<Vertex> ascending;
+    for (const Vertex v : all)
+      if (rng.next_bounded(3) != 0) ascending.push_back(v);
+    std::vector<Vertex> shuffled = ascending;
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    std::vector<Vertex> permutation = all;  // the reordering path
+    std::shuffle(permutation.begin(), permutation.end(), rng);
+    const std::vector<Vertex> reversed(all.rbegin(), all.rend());
+    const std::pair<const char*, const std::vector<Vertex>*> keeps[] = {
+        {"all", &all},           {"ascending", &ascending},
+        {"shuffled", &shuffled}, {"permutation", &permutation},
+        {"reversed", &reversed}};
+    for (const auto& [name, keep] : keeps) {
+      SCOPED_TRACE(::testing::Message() << "seed=" << seed << " " << name);
+      expect_same_csr(induced_subgraph(graph, *keep),
+                      reference_induced(graph, *keep));
+    }
+  }
 }
 
 class IoTest : public ::testing::Test {
