@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
       "ranks/node = 1",
       "hierarchical over flat at P=" + std::to_string(p) +
           (oversubscribed ? " (oversubscribed): " : ": ") + measured,
-      holds);
+      bench::kModeledClock, holds);
   json.write();
   return 0;
 }

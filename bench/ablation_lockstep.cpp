@@ -89,7 +89,8 @@ int main(int argc, char** argv) {
       json, "SIII-B",
       "fixed-share rounds with a blocking stop check scale worse than the "
       "epoch driver",
-      "lockstep per-rank rate over epoch's at " + measured, holds);
+      "lockstep per-rank rate over epoch's at " + measured,
+      bench::kModeledClock, holds);
   json.write();
   return 0;
 }

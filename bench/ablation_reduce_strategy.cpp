@@ -86,7 +86,8 @@ int main(int argc, char** argv) {
       json, "SIV-F",
       "Ibarrier + blocking Reduce beats Ireduce, and fully blocking is "
       "again detrimental",
-      "ADS over ibarrier+reduce's: " + measured, holds);
+      "ADS over ibarrier+reduce's: " + measured, bench::kModeledClock,
+      holds);
   json.write();
   return 0;
 }

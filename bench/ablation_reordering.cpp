@@ -1,7 +1,19 @@
 // Ablation: vertex relabeling for cache locality - the single-address-space
 // analogue of the paper's §IV-E NUMA-placement concern (the 20-30% win of
 // binding the graph close to the cores that scan it). Measures sampler
-// throughput on the original labeling vs. degree-sorted vs. BFS-ordered.
+// throughput on the original labeling vs. degree-sorted vs. BFS-ordered
+// (both relabelings run through graph::induced_subgraph).
+//
+// Closes with a verdict computed from the rows (bench::report_verdict):
+// relabeling should gain at least the paper's 20% on heavy-tailed graphs,
+// and BFS order should beat the original labels on road networks. The rates
+// are single-thread wall time; the bench is not gated. --json / out= emit
+// the rows and the verdict.
+#include <algorithm>
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "bc/sampler.hpp"
 #include "bench_common.hpp"
 #include "epoch/state_frame.hpp"
@@ -28,16 +40,31 @@ int main(int argc, char** argv) {
   using namespace distbc;
   bench::BenchConfig config(argc, argv);
   config.options.describe("samples", "fixed sample count per run");
-  config.options.describe("instance", "proxy instance to run");
+  config.options.describe("instance", "run only this proxy instance");
   config.finish("Vertex-reordering ablation.");
   bench::print_preamble("Ablation - vertex relabeling (locality)",
                         "analogue of paper §IV-E (memory placement)",
                         config);
+  bench::JsonReport json("ablation_reordering", config);
   const std::uint64_t samples = config.options.get_u64("samples", 20000);
+  json.param("samples", static_cast<double>(samples));
+
+  std::vector<gen::InstanceSpec> specs = config.suite();
+  if (config.options.has("instance")) {
+    specs = {gen::instance_by_name(config.options.get_string("instance", ""))};
+    json.param("instance", specs.front().name);
+  }
+
+  // The claim's bounds: the paper's placement win starts at 20%, and
+  // "prefers BFS order" is read as a gain of at least 5%.
+  constexpr double kHeavyTailedGain = 1.2;
+  constexpr double kRoadBfsGain = 1.05;
+  std::vector<double> heavy_best;  // best relabeling over original
+  std::vector<double> road_bfs;    // BFS order over original
 
   TablePrinter table({"instance", "original (samples/s)", "degree-sorted",
                       "bfs-ordered", "best vs original"});
-  for (const auto& spec : config.suite()) {
+  for (const auto& spec : specs) {
     const auto graph = spec.build(config.scale, config.seed);
     const double original = sample_rate(graph, samples, config.seed);
     const auto by_degree = graph::sort_by_degree(graph);
@@ -46,17 +73,55 @@ int main(int argc, char** argv) {
     const auto by_bfs = graph::sort_by_bfs(graph);
     const double bfs_rate = sample_rate(by_bfs.graph, samples, config.seed);
     const double best = std::max({original, degree_rate, bfs_rate});
+    const bool road = spec.family == gen::InstanceFamily::kRoad;
+    (road ? road_bfs : heavy_best)
+        .push_back(road ? bfs_rate / original : best / original);
     table.add_row({spec.name, TablePrinter::fmt(original, 0),
                    TablePrinter::fmt(degree_rate, 0),
                    TablePrinter::fmt(bfs_rate, 0),
                    TablePrinter::fmt_ratio(best / original)});
+    json.begin_row();
+    json.field("instance", spec.name);
+    json.field("family", road ? "road" : "heavy-tailed");
+    json.field("original_samples_per_s", original);
+    json.field("degree_samples_per_s", degree_rate);
+    json.field("bfs_samples_per_s", bfs_rate);
+    json.field("best_over_original", best / original);
   }
   table.print();
-  std::printf(
-      "\nHeavy-tailed graphs benefit from packing hubs into a dense id "
-      "prefix\n(every sample touches them); road networks prefer BFS order "
-      "(spatial\nneighborhoods become contiguous). At paper scale the same "
-      "effect is what\nmade one-process-per-NUMA-socket placement worth "
-      "20-30%%.\n");
+
+  // Each family the rows cover must meet its bound; an absent family is
+  // reported, not counted.
+  std::string measured;
+  bool holds = !heavy_best.empty() || !road_bfs.empty();
+  char part[128];
+  if (heavy_best.empty()) {
+    measured = "no heavy-tailed rows";
+  } else {
+    const double gain = bench::geometric_mean(heavy_best);
+    holds = holds && gain >= kHeavyTailedGain;
+    std::snprintf(part, sizeof(part),
+                  "heavy-tailed best labeling %.2fx over original "
+                  "(geometric mean of %zu, %.2fx needed)",
+                  gain, heavy_best.size(), kHeavyTailedGain);
+    measured = part;
+  }
+  if (road_bfs.empty()) {
+    measured += "; no road rows";
+  } else {
+    const double gain = bench::geometric_mean(road_bfs);
+    holds = holds && gain >= kRoadBfsGain;
+    std::snprintf(part, sizeof(part),
+                  "; road BFS order %.2fx over original (geometric mean of "
+                  "%zu, %.2fx needed)",
+                  gain, road_bfs.size(), kRoadBfsGain);
+    measured += part;
+  }
+  bench::report_verdict(
+      json, "SIV-E analogue",
+      "relabeling for locality gains the paper's placement win (20%) on "
+      "heavy-tailed graphs, and road networks prefer BFS order",
+      measured, bench::kWallClock, holds);
+  json.write();
   return 0;
 }

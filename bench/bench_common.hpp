@@ -255,14 +255,19 @@ class JsonReport {
   Fields summary_;
 };
 
+/// The clocks a verdict's numbers are read on: multi-rank runs charge the
+/// mpisim network model onto wall time; single-thread benches read plain
+/// wall time.
+inline constexpr const char* kModeledClock =
+    "wall time with the mpisim modeled network charged onto it";
+inline constexpr const char* kWallClock = "single-thread wall time";
+
 /// Closes an ablation with its verdict, computed from the rows it just
 /// measured: the paper's claim, the measured ratios, the clock they were
 /// read on, and whether the claim holds. Also the JSON summary.
 inline void report_verdict(JsonReport& json, const char* section,
                            const char* claim, const std::string& measured,
-                           bool holds) {
-  const char* clock =
-      "wall time with the mpisim modeled network charged onto it";
+                           const char* clock, bool holds) {
   const char* verdict = holds ? "holds" : "does not hold";
   std::printf("\n%s claim: %s.\nMeasured: %s\n(clock: %s): %s.\n", section,
               claim, measured.c_str(), clock, verdict);

@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
       json, "Fig. 2a",
       "at the largest P, the speedup over one shared-memory node reaches "
       "the paper's parallel efficiency (7.4x at P=16, 46% of linear)",
-      "geometric-mean speedup " + measured + tail,
+      "geometric-mean speedup " + measured + tail, bench::kModeledClock,
       top > 1 && top_speedup >= kPaperEfficiency * top);
   json.write();
   return 0;

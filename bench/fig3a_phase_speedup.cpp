@@ -83,6 +83,7 @@ int main(int argc, char** argv) {
       "and calibration lags it",
       "ADS speedup over shared memory " +
           (measured.empty() ? std::string("P=1 only") : measured) + tail,
+      bench::kModeledClock,
       top > 1 && ads_top >= 0.5 * top && calib_top <= ads_top);
   json.write();
   return 0;

@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
       "of the smallest P's)",
       "geometric-mean rate relative to P=" + std::to_string(ranks.front()) +
           ": " + (measured.empty() ? std::string("one P only") : measured),
-      flat);
+      bench::kModeledClock, flat);
 
   // --- Traversal kernel (graph::BidirectionalBfs via bc::PathSampler) -----
   std::printf("\n=== Traversal kernel - single-thread sampling rate ===\n"
