@@ -39,8 +39,8 @@ Graph Builder::finish() {
   edges_.shrink_to_fit();
 
   // Sort each list, drop repeated neighbours, and slide it left over the
-  // slots earlier lists freed. offsets[v] is rewritten only after list v's
-  // old start has been read.
+  // slots earlier lists freed. `begin` keeps list v's old start, since
+  // offsets[v] already holds its compacted one.
   EdgeId write = 0;
   EdgeId begin = 0;
   for (std::size_t v = 0; v < n; ++v) {

@@ -11,8 +11,7 @@
 // list on its own, drops repeated neighbours and compacts lists and offsets
 // in place. Its peak is the 8 B/edge buffer plus the 8 B/edge adjacency
 // array - 16 B per input edge, plus 16 B per vertex for the offsets and the
-// scatter cursors - where one global sort over materialized (u, v) arc
-// pairs needed 24 B per edge. The output is the same canonical CSR.
+// scatter cursors - and never a materialized array of (u, v) arc pairs.
 #pragma once
 
 #include <cstdint>

@@ -181,13 +181,6 @@ TEST(BuilderReference, MatchesThePairSortOnRandomMultigraphs) {
   }
 }
 
-TEST(BuilderReference, SelfLoopsOnlyGiveAnEdgelessGraph) {
-  const Graph single = from_edges(1, {{0, 0}, {0, 0}});
-  expect_same_csr(single, reference_build(1, {}));
-  EXPECT_EQ(single.num_vertices(), 1u);
-  EXPECT_EQ(single.num_edges(), 0u);
-}
-
 /// The reference for induced_subgraph: rename the kept arcs and run them
 /// through the reference build.
 Graph reference_induced(const Graph& graph, const std::vector<Vertex>& keep) {
